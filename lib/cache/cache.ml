@@ -42,11 +42,10 @@ let touch_range t ~addr ~len =
   else begin
     let first = addr asr t.set_shift in
     let last = (addr + len - 1) asr t.set_shift in
-    let misses = ref 0 in
-    for line = first to last do
-      if not (access_line t line) then incr misses
-    done;
-    !misses
+    let m = Replace.access_range t.rep ~first ~last in
+    t.hits <- t.hits + (last - first + 1 - m);
+    t.misses <- t.misses + m;
+    m
   end
 
 let resident t addr = Replace.probe t.rep (addr asr t.set_shift)

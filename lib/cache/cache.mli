@@ -15,11 +15,17 @@ val access : t -> int -> bool
     [addr]; returns [true] on a hit, installing the line on a miss. *)
 
 val access_line : t -> int -> bool
-(** Like {!access} but the argument is already a line number.  This is the
-    hot path of the protocol-stack simulator. *)
+(** Like {!access} but the argument is already a line number. *)
 
 val touch_range : t -> addr:int -> len:int -> int
-(** Reference every line in a byte range; returns the number of misses. *)
+(** Reference every line in a byte range, lowest first; returns the number
+    of misses ([0] when [len <= 0]).  The misses, the {!hits} and
+    {!misses} counters and the tag state equal those of calling
+    {!access_line} on each line of the range in turn, including ranges
+    longer than the cache, whose later lines may evict their earlier ones.
+    This is the hot path of the protocol-stack simulator: every code,
+    data and message region [Memsys] references is one call, run through
+    [Replace.access_range]. *)
 
 val resident : t -> int -> bool
 (** Whether the line containing byte [addr] is currently cached (no state

@@ -12,23 +12,20 @@ type event =
   | Write_data of { addr : int; len : int; misses : int }
   | Execute of { cycles : int }
 
+(* The ledger is five mutable ints, so a charge allocates nothing;
+   [counters] builds a record only when asked. *)
 type t = {
   icache : Cache.t;
   dcache : Cache.t;
   prefetch_discount : float;
   mutable clock_hz : float;
-  mutable c : counters;
+  mutable imisses : int;
+  mutable dmisses : int;
+  mutable wmisses : int;
+  mutable exec : int;
+  mutable stall : int;
   mutable probe : (event -> unit) option;
 }
-
-let zero =
-  {
-    icache_misses = 0;
-    dcache_misses = 0;
-    write_misses = 0;
-    exec_cycles = 0;
-    stall_cycles = 0;
-  }
 
 let create ?(icache = Config.paper_default) ?(dcache = Config.paper_default)
     ?(unified = false) ?(prefetch_discount = 1.0) ?(clock_hz = 100e6) () =
@@ -37,7 +34,18 @@ let create ?(icache = Config.paper_default) ?(dcache = Config.paper_default)
     invalid_arg "Memsys.create: prefetch_discount must be in [0, 1]";
   let i = Cache.create icache in
   let d = if unified then i else Cache.create dcache in
-  { icache = i; dcache = d; prefetch_discount; clock_hz; c = zero; probe = None }
+  {
+    icache = i;
+    dcache = d;
+    prefetch_discount;
+    clock_hz;
+    imisses = 0;
+    dmisses = 0;
+    wmisses = 0;
+    exec = 0;
+    stall = 0;
+    probe = None;
+  }
 
 let set_probe t p = t.probe <- p
 
@@ -64,71 +72,64 @@ let fetch_code t ~addr ~len =
         *. (1.0 +. (t.prefetch_discount *. float_of_int (m - 1))))
     end
   in
-  if m > 0 then
-    t.c <-
-      {
-        t.c with
-        icache_misses = t.c.icache_misses + m;
-        stall_cycles = t.c.stall_cycles + stall;
-      };
+  t.imisses <- t.imisses + m;
+  t.stall <- t.stall + stall;
   match t.probe with
   | None -> ()
   | Some f -> f (Fetch_code { addr; len; misses = m; stall })
 
 let read_data t ~addr ~len =
   let m = Cache.touch_range t.dcache ~addr ~len in
-  if m > 0 then
-    t.c <-
-      {
-        t.c with
-        dcache_misses = t.c.dcache_misses + m;
-        stall_cycles =
-          t.c.stall_cycles + (m * (Cache.config t.dcache).Config.miss_penalty);
-      };
+  t.dmisses <- t.dmisses + m;
+  t.stall <- t.stall + (m * (Cache.config t.dcache).Config.miss_penalty);
   match t.probe with
   | None -> ()
   | Some f -> f (Read_data { addr; len; misses = m })
 
 let charge_read t ~addr ~len ~misses =
   if misses < 0 then invalid_arg "Memsys.charge_read: negative misses";
-  if misses > 0 then
-    t.c <-
-      {
-        t.c with
-        dcache_misses = t.c.dcache_misses + misses;
-        stall_cycles =
-          t.c.stall_cycles
-          + (misses * (Cache.config t.dcache).Config.miss_penalty);
-      };
+  t.dmisses <- t.dmisses + misses;
+  t.stall <- t.stall + (misses * (Cache.config t.dcache).Config.miss_penalty);
   match t.probe with
   | None -> ()
   | Some f -> f (Read_data { addr; len; misses })
 
 let write_data t ~addr ~len =
   let m = Cache.touch_range t.dcache ~addr ~len in
-  if m > 0 then t.c <- { t.c with write_misses = t.c.write_misses + m };
+  t.wmisses <- t.wmisses + m;
   match t.probe with
   | None -> ()
   | Some f -> f (Write_data { addr; len; misses = m })
 
 let execute t cycles =
   if cycles < 0 then invalid_arg "Memsys.execute: negative cycles";
-  t.c <- { t.c with exec_cycles = t.c.exec_cycles + cycles };
+  t.exec <- t.exec + cycles;
   match t.probe with
   | None -> ()
   | Some f -> f (Execute { cycles })
 
-let cycles t = t.c.exec_cycles + t.c.stall_cycles
+let cycles t = t.exec + t.stall
 
 let seconds t = float_of_int (cycles t) /. t.clock_hz
 
 let seconds_of_cycles t n = float_of_int n /. t.clock_hz
 
-let counters t = t.c
+let counters t =
+  {
+    icache_misses = t.imisses;
+    dcache_misses = t.dmisses;
+    write_misses = t.wmisses;
+    exec_cycles = t.exec;
+    stall_cycles = t.stall;
+  }
 
 let take_counters t =
-  let c = t.c in
-  t.c <- zero;
+  let c = counters t in
+  t.imisses <- 0;
+  t.dmisses <- 0;
+  t.wmisses <- 0;
+  t.exec <- 0;
+  t.stall <- 0;
   c
 
 let cold t =

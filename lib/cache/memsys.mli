@@ -90,10 +90,14 @@ val seconds : t -> float
 val seconds_of_cycles : t -> int -> float
 
 val counters : t -> counters
+(** A snapshot of the counters accumulated since the last [take_counters]
+    or creation.  The memory system keeps them as mutable ints and charges
+    without allocating; only the snapshot builds a record, so a snapshot
+    taken before a charge and one taken after give its delta. *)
 
 val take_counters : t -> counters
-(** Return counters accumulated since the last [take_counters] / creation and
-    reset them (cache contents are preserved). *)
+(** Return a snapshot of the counters, then zero them (cache contents are
+    preserved). *)
 
 val cold : t -> unit
 (** Flush both caches. *)

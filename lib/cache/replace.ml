@@ -80,6 +80,38 @@ let access t key =
     end
   end
 
+(* A run of consecutive keys.  Direct-mapped: one pass over the tag array
+   with the counters held in locals and folded into [t] once per run.  The
+   keys are distinct, so a key later in the run can only evict an earlier
+   one by landing on its set (a run longer than [sets] wraps), and the
+   in-order tag writes replay exactly what per-key [access] would do.
+   [key land mask] is always a valid set index, so the tag reads and
+   writes need no bounds check. *)
+let access_range t ~first ~last =
+  if t.ways = 1 then begin
+    let tags = t.tags and mask = t.mask in
+    let misses = ref 0 and evicted = ref 0 in
+    for key = first to last do
+      let set = key land mask in
+      let old = Array.unsafe_get tags set in
+      if old <> key then begin
+        Array.unsafe_set tags set key;
+        incr misses;
+        if old >= 0 then incr evicted
+      end
+    done;
+    t.evictions <- t.evictions + !evicted;
+    t.filled <- t.filled + !misses - !evicted;
+    !misses
+  end
+  else begin
+    let misses = ref 0 in
+    for key = first to last do
+      if not (access t key) then incr misses
+    done;
+    !misses
+  end
+
 let probe t key =
   let set = key land t.mask in
   let base = set * t.ways in

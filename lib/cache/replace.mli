@@ -26,6 +26,17 @@ val access : t -> int -> bool
     (promoting [key] to MRU in its set), [false] on a miss (installing
     [key] at MRU, shifting the rest down and dropping the LRU victim). *)
 
+val access_range : t -> first:int -> last:int -> int
+(** [access_range t ~first ~last] references the consecutive keys
+    [first], [first + 1], ..., [last] in that order and returns how many
+    missed ([0] when [last < first]).  Tags, {!occupancy} and {!evictions}
+    end exactly as after calling {!access} on each key in turn; a run
+    longer than [sets] wraps the set index and its later keys may evict
+    its earlier ones, as they would one by one.  Direct-mapped tables run
+    the whole range in one loop over the tag array; associative ones call
+    {!access} per key.  This is how {!Cache} references a code or data
+    region. *)
+
 val probe : t -> int -> bool
 (** Whether [key] is currently resident (no state change). *)
 

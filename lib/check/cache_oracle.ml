@@ -103,8 +103,14 @@ let random_ops ~rng ?hot_lines ?(cold_span = 1 lsl 20) n =
       | r when r < 55 -> Access_line (R.int rng hot)
       | r when r < 70 -> Access_line (R.int rng cold_span)
       | r when r < 80 -> Access (R.int rng (hot * 32))
-      | r when r < 90 ->
+      | r when r < 88 ->
         Touch_range { addr = R.int rng (hot * 32); len = R.int rng 256 }
+      (* Region-sized ranges, as the simulators touch them: one layer's
+         6 KB of code, and anything up to the whole hot set, so a single
+         call can wrap the set index. *)
+      | 88 -> Touch_range { addr = R.int rng (hot * 32); len = 6144 }
+      | 89 ->
+        Touch_range { addr = R.int rng (hot * 32); len = 1 + R.int rng (hot * 32) }
       | r when r < 98 -> Probe (R.int rng (hot * 32))
       | _ -> Flush)
 

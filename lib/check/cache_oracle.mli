@@ -55,7 +55,10 @@ val random_ops :
     set of [hot_lines] lines (default 3x the cache) so hits, misses,
     evictions and set conflicts all occur; occasional far-away accesses
     within [cold_span] lines, byte-granularity accesses, range touches,
-    residency probes, and rare flushes. *)
+    residency probes, and rare flushes.  Most range touches are under
+    256 bytes; 1 op in 100 is a 6,144-byte range (one paper layer's code)
+    and 1 in 100 a range of up to [hot_lines * 32] bytes, so a single
+    touch can be longer than the cache and wrap the set index. *)
 
 type divergence = { step : int; op : op; detail : string }
 

@@ -168,8 +168,8 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
     current_layer := i;
     match metrics with
     | Some mt when Obs.enabled () ->
-      (* [counters] returns the live immutable record; the memory system
-         replaces it on update, so holding the old one gives the delta. *)
+      (* [counters] returns a snapshot, so the one taken before the
+         charge and the one taken after give its delta. *)
       let c0 = Cache.Memsys.counters memsys in
       charge_memsys i msg;
       let c1 = Cache.Memsys.counters memsys in

@@ -27,7 +27,8 @@ let bucket_of t x =
 let upper_bound t b = exp (t.log_lo +. (float_of_int (b + 1) /. t.scale))
 
 let add t x =
-  t.counts.(bucket_of t x) <- t.counts.(bucket_of t x) + 1;
+  let b = bucket_of t x in
+  t.counts.(b) <- t.counts.(b) + 1;
   Stats.add t.exact x
 
 let count t = Stats.count t.exact

@@ -104,7 +104,57 @@ let test_touch_range () =
   let c = Cache.create (Config.v ()) in
   checki "cold range misses" 3 (Cache.touch_range c ~addr:10 ~len:80);
   checki "warm range hits" 0 (Cache.touch_range c ~addr:10 ~len:80);
-  checki "empty range" 0 (Cache.touch_range c ~addr:0 ~len:0)
+  checki "empty range" 0 (Cache.touch_range c ~addr:0 ~len:0);
+  checki "hit counter" 3 (Cache.hits c);
+  checki "miss counter" 3 (Cache.misses c)
+
+(* Ranges at least as long as the 256-line direct-mapped cache: one of
+   exactly its size fits and rehits; one of 3x its size wraps the set index
+   twice, so its last third evicts the rest and a replay misses on every
+   line. *)
+let test_touch_range_wraps () =
+  let c = Cache.create Config.paper_default in
+  checki "cache-sized range, cold" 256 (Cache.touch_range c ~addr:0 ~len:8192);
+  checki "cache-sized range, warm" 0 (Cache.touch_range c ~addr:0 ~len:8192);
+  Cache.flush c;
+  Cache.reset_counters c;
+  checki "3x range, cold" 768 (Cache.touch_range c ~addr:0 ~len:24576);
+  checki "3x range, replayed" 768 (Cache.touch_range c ~addr:0 ~len:24576);
+  checki "only the last third stays" 256 (Cache.occupancy c);
+  check "line 767 resident" true (Cache.resident c (767 * 32));
+  check "line 0 evicted" false (Cache.resident c 0);
+  checki "no hits" 0 (Cache.hits c);
+  checki "misses" 1536 (Cache.misses c)
+
+(* [Replace.access_range] against [Replace.access] on each key in turn,
+   from the same random starting state, over random geometries and ranges
+   up to 3x the table (so ranges wrap): same misses, same tags in the same
+   LRU order, same occupancy and evictions. *)
+let prop_access_range_is_per_key_replay =
+  QCheck.Test.make ~name:"Replace.access_range equals per-key access"
+    ~count:300
+    QCheck.(
+      quad (int_bound 6) (int_bound 3)
+        (list_of_size Gen.(0 -- 200) (int_bound 1023))
+        (pair (int_bound 1023) (int_bound 1024)))
+    (fun (sets_exp, ways_exp, warm, (first, span)) ->
+      let sets = 1 lsl sets_exp and ways = 1 lsl ways_exp in
+      let a = Replace.create ~sets ~ways and b = Replace.create ~sets ~ways in
+      List.iter (fun k -> ignore (Replace.access a k, Replace.access b k)) warm;
+      let last = first + (span mod ((3 * sets * ways) + 1)) - 1 in
+      let m = Replace.access_range a ~first ~last in
+      let m' = ref 0 in
+      for k = first to last do
+        if not (Replace.access b k) then incr m'
+      done;
+      let tags r =
+        let acc = ref [] in
+        Replace.iter r (fun k -> acc := k :: !acc);
+        !acc
+      in
+      m = !m' && tags a = tags b
+      && Replace.occupancy a = Replace.occupancy b
+      && Replace.evictions a = Replace.evictions b)
 
 let test_flush_occupancy () =
   let c = Cache.create (Config.v ()) in
@@ -167,6 +217,36 @@ let test_memsys_take_counters () =
   Memsys.read_data m ~addr:0 ~len:32;
   let c3 = Memsys.counters m in
   checki "still warm" 0 c3.Memsys.dcache_misses
+
+(* The ledger charges without allocating: on a warmed memory system with no
+   probe, 100k mixed calls, misses and the prefetch-discounted stall
+   included, must not allocate.  The tolerance covers only the boxed floats
+   the two [Gc.minor_words] reads themselves produce. *)
+let test_memsys_zero_alloc () =
+  let m = Memsys.create ~prefetch_discount:0.5 () in
+  let step i =
+    Memsys.fetch_code m ~addr:((i land 3) * 4096) ~len:6144;
+    Memsys.read_data m ~addr:(65536 + ((i land 7) * 2048)) ~len:256;
+    Memsys.write_data m ~addr:(131072 + ((i land 15) * 1024)) ~len:64;
+    Memsys.charge_read m ~addr:0 ~len:32 ~misses:(i land 1);
+    Memsys.execute m 100
+  in
+  for i = 0 to 15 do
+    step i
+  done;
+  ignore (Memsys.take_counters m);
+  let w0 = Gc.minor_words () in
+  for i = 0 to 19_999 do
+    step i
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then
+    Alcotest.failf "100k memory-system calls allocated %.0f minor words" dw;
+  let c = Memsys.counters m in
+  check "the loop missed in both caches" true
+    (c.Memsys.icache_misses > 0 && c.Memsys.dcache_misses > 0
+   && c.Memsys.write_misses > 0);
+  checki "execution charged" 2_000_000 c.Memsys.exec_cycles
 
 let test_memsys_cold () =
   let m = Memsys.create () in
@@ -318,6 +398,8 @@ let suite =
     Alcotest.test_case "2-way LRU order" `Quick test_lru_two_way_order;
     Alcotest.test_case "4-way LRU order" `Quick test_lru_four_way_order;
     Alcotest.test_case "touch range" `Quick test_touch_range;
+    Alcotest.test_case "touch range wraps" `Quick test_touch_range_wraps;
+    QCheck_alcotest.to_alcotest prop_access_range_is_per_key_replay;
     Alcotest.test_case "flush/occupancy" `Quick test_flush_occupancy;
     QCheck_alcotest.to_alcotest prop_cache_fits_capacity;
     QCheck_alcotest.to_alcotest prop_cache_second_access_hits;
@@ -325,6 +407,8 @@ let suite =
     Alcotest.test_case "memsys writes" `Quick test_memsys_write_no_stall;
     Alcotest.test_case "memsys execute/time" `Quick test_memsys_execute_and_time;
     Alcotest.test_case "memsys take counters" `Quick test_memsys_take_counters;
+    Alcotest.test_case "memsys ledger allocates nothing" `Quick
+      test_memsys_zero_alloc;
     Alcotest.test_case "memsys cold" `Quick test_memsys_cold;
     Alcotest.test_case "memsys unified" `Quick test_memsys_unified;
     Alcotest.test_case "memsys prefetch" `Quick test_memsys_prefetch;

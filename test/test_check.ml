@@ -54,6 +54,32 @@ let differential_config name cfg () =
   | Error d ->
     Alcotest.failf "%s diverged: %a" name Cache_oracle.pp_divergence d
 
+(* The streams replayed above must reach the ranges the simulators touch:
+   at least one exact 6,144-byte code region, and at least one range longer
+   than the 8 KB cache, which wraps the set index within a single call. *)
+let test_streams_have_long_ranges () =
+  List.iter
+    (fun seed ->
+      let rng = Ldlp_sim.Rng.create ~seed in
+      let ops = Cache_oracle.random_ops ~rng ~hot_lines:768 10_000 in
+      let lens =
+        List.filter_map
+          (function Cache_oracle.Touch_range { len; _ } -> Some len | _ -> None)
+          ops
+      in
+      check
+        (Printf.sprintf "seed %d: a 6144 B range" seed)
+        true (List.mem 6144 lens);
+      check
+        (Printf.sprintf "seed %d: a range longer than the cache" seed)
+        true
+        (List.exists (fun l -> l > 8192) lens);
+      check
+        (Printf.sprintf "seed %d: ranges stay within the hot set" seed)
+        true
+        (List.for_all (fun l -> l <= 768 * 32) lens))
+    [ 1996; 2024 ]
+
 let test_differential_direct =
   differential_config "direct-mapped" Ldlp_cache.Config.paper_default
 
@@ -320,6 +346,8 @@ let suite =
     Alcotest.test_case "oracle LRU eviction" `Quick test_oracle_lru_eviction;
     Alcotest.test_case "oracle flush/occupancy" `Quick
       test_oracle_flush_and_occupancy;
+    Alcotest.test_case "differential streams have long ranges" `Quick
+      test_streams_have_long_ranges;
     Alcotest.test_case "differential direct-mapped 10k" `Quick
       test_differential_direct;
     Alcotest.test_case "differential 2-way 10k" `Quick test_differential_2way;
