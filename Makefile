@@ -30,10 +30,11 @@ selftest: build
 oracle: build
 	dune exec bin/ldlp_repro.exe -- check
 
-# Facade/engine parity: the extended equivalence oracles (receive chain,
-# transmit chain and full-duplex engine per random workload) with the
-# runtime invariant gate forced on, so every Engine.run also checks the
-# flow-balance and batch-accounting invariants.
+# Engine parity: the extended equivalence oracles (conventional vs LDLP
+# on the receive chain, transmit chain and full-duplex engine per random
+# workload) with the runtime invariant gate forced on, so every
+# Engine.run also checks the flow-balance, batch-accounting and
+# shape-specific conservation invariants.
 engine-parity: build
 	LDLP_CHECK=1 dune exec bin/ldlp_repro.exe -- check
 
@@ -53,10 +54,13 @@ soak-duplex: build
 # Many-host mesh figure: N hosts over a seeded random-regular topology,
 # broadcast/relay spread under all three wirings (conv / LDLP / duplex)
 # plus a Q.93B call storm; per-discipline arrival-latency CDFs and
-# BENCH_mesh.json, gated on conservation, cross-wiring equivalence and
-# the message-pool leak audit.
+# a 64-host mesh JSON, gated on conservation, cross-wiring equivalence
+# and the message-pool leak audit.  The JSON goes under _bench/ so the
+# committed BENCH_mesh.json (the 64/256/1024-host sweep that `make
+# bench-mesh` writes) is left alone.
 mesh: build
-	dune exec bin/ldlp_repro.exe -- mesh --seed 1996 --domains $(DOMAINS)
+	mkdir -p _bench
+	dune exec bin/ldlp_repro.exe -- mesh --seed 1996 --domains $(DOMAINS) -o _bench/BENCH_mesh.json
 
 # Sharded data path: the placement/replay figure, the cross-shard
 # differential oracle over random workloads (delivered streams, wire

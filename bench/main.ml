@@ -1216,20 +1216,20 @@ let sched_bench discipline name =
   let layers =
     List.init 4 (fun i -> Ldlp_core.Layer.passthrough (Printf.sprintf "L%d" i))
   in
-  let sched = Ldlp_core.Sched.create ~discipline ~layers () in
+  let eng = Ldlp_core.Engine.rx_chain ~discipline ~layers () in
   Test.make ~name
     (Staged.stage (fun () ->
          for _ = 1 to 16 do
-           Ldlp_core.Sched.inject sched (Ldlp_core.Msg.make ~size:552 ())
+           Ldlp_core.Engine.inject eng ~node:0 (Ldlp_core.Msg.make ~size:552 ())
          done;
-         Ldlp_core.Sched.run sched))
+         Ldlp_core.Engine.run eng))
 
 let test_sched_conventional =
-  sched_bench Ldlp_core.Sched.Conventional "sched:conventional-16msgs"
+  sched_bench Ldlp_core.Engine.Conventional "sched:conventional-16msgs"
 
 let test_sched_ldlp =
   sched_bench
-    (Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    (Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
     "sched:ldlp-16msgs"
 
 let tests =

@@ -43,7 +43,7 @@ let run ~discipline n =
   in
   let replies = ref 0 in
   let sched =
-    Core.Sched.create ~discipline ~layers:(Dnshost.layers host)
+    Core.Engine.rx_chain ~discipline ~layers:(Dnshost.layers host)
       ~down:(fun m ->
         incr replies;
         Ldlp_buf.Mbuf.free pool m.Core.Msg.payload.Dnshost.buf)
@@ -69,15 +69,15 @@ let run ~discipline n =
       let burst, rest = take 32 [] frames in
       List.iter
         (fun f ->
-          Core.Sched.inject sched
+          Core.Engine.inject sched ~node:0
             (Core.Msg.make ~size:(Ldlp_buf.Mbuf.length f) (Dnshost.wrap host f)))
         (List.rev burst);
-      Core.Sched.run sched;
+      Core.Engine.run sched;
       feed rest
   in
   feed frames;
   let dt = Unix.gettimeofday () -. t0 in
-  (dt, !replies, Server.stats (Dnshost.server host), Core.Sched.stats sched)
+  (dt, !replies, Server.stats (Dnshost.server host), Core.Engine.stats sched)
 
 let () =
   Printf.printf "DNS-lite flood: %d A queries over ether/ip/udp/dns\n\n" queries;
@@ -86,12 +86,12 @@ let () =
       "%-13s %7d replies (%d answered, %d nxdomain) in %6.3f s -> %8.0f qps, max batch %d\n"
       name replies s.Server.answered s.Server.nxdomain dt
       (float_of_int replies /. dt)
-      st.Core.Sched.max_batch;
+      st.Core.Engine.max_batch;
     assert (replies = queries);
     assert (s.Server.malformed = 0)
   in
-  show "conventional" (run ~discipline:Core.Sched.Conventional queries);
-  show "ldlp" (run ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) queries);
+  show "conventional" (run ~discipline:Core.Engine.Conventional queries);
+  show "ldlp" (run ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) queries);
   (* Project this stack onto the paper's machine. *)
   let shape =
     {

@@ -61,11 +61,11 @@ let () =
       name r.Core.Runtime.processed r.Core.Runtime.dropped
       (Ldlp_sim.Hist.mean r.Core.Runtime.latency *. 1e6)
       (Ldlp_sim.Hist.percentile r.Core.Runtime.latency 0.99 *. 1e6)
-      r.Core.Runtime.stats.Core.Sched.max_batch
+      r.Core.Runtime.stats.Core.Engine.max_batch
   in
   Printf.printf "8000 msg/s offered for 0.5 s, 552-byte messages:\n";
-  show "conventional" (run Core.Sched.Conventional);
-  show "ldlp" (run (Core.Sched.Ldlp Core.Batch.paper_default));
+  show "conventional" (run Core.Engine.Conventional);
+  show "ldlp" (run (Core.Engine.Ldlp Core.Batch.paper_default));
   print_newline ();
   Printf.printf
     "LDLP survives the same load by running each layer over a batch of\n\

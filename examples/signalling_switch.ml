@@ -55,7 +55,7 @@ let run ~discipline frames =
   let st = Layers.stack ~pool ~switch () in
   let tx_count = ref 0 in
   let sched =
-    Core.Sched.create ~discipline ~layers:st.Layers.layers
+    Core.Engine.rx_chain ~discipline ~layers:st.Layers.layers
       ~down:(fun _ -> incr tx_count)
       ()
   in
@@ -77,22 +77,22 @@ let run ~discipline frames =
         else match rest with [] -> (List.rev acc, []) | m :: tl -> take (n - 1) (m :: acc) tl
       in
       let burst, rest = take 32 [] msgs in
-      List.iter (Core.Sched.inject sched) burst;
-      Core.Sched.run sched;
+      List.iter (Core.Engine.inject sched ~node:0) burst;
+      Core.Engine.run sched;
       feed rest
   in
   feed msgs;
   let dt = Unix.gettimeofday () -. t0 in
-  (dt, Switch.stats switch, Core.Sched.stats sched, !tx_count)
+  (dt, Switch.stats switch, Core.Engine.stats sched, !tx_count)
 
 let report name n (dt, sw, st, tx) =
-  let msgs = st.Core.Sched.injected in
+  let msgs = st.Core.Engine.injected in
   Printf.printf
     "%-13s %7d calls (%7d msgs rx, %7d tx) in %6.3f s -> %8.0f calls/s, %6.2f us/msg, max batch %d\n"
     name n msgs tx dt
     (float_of_int n /. dt)
     (dt /. float_of_int msgs *. 1e6)
-    st.Core.Sched.max_batch;
+    st.Core.Engine.max_batch;
   assert (sw.Switch.setups_routed = n);
   assert (sw.Switch.calls_connected = n);
   assert (sw.Switch.calls_released = n);
@@ -104,9 +104,9 @@ let () =
      pairs/s at ~100 us/message)\n\n"
     pairs;
   let frames = caller_frames pairs in
-  report "conventional" pairs (run ~discipline:Core.Sched.Conventional frames);
+  report "conventional" pairs (run ~discipline:Core.Engine.Conventional frames);
   report "ldlp" pairs
-    (run ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) frames);
+    (run ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) frames);
   print_newline ();
   Printf.printf
     "On a modern CPU both disciplines beat the 1996 goal outright; the\n\

@@ -33,7 +33,7 @@ let run ~discipline n =
   ignore (Host.listen host ~port:80);
   let tx = ref [] in
   let sched =
-    Core.Sched.create ~discipline ~layers:(Host.layers host)
+    Core.Engine.rx_chain ~discipline ~layers:(Host.layers host)
       ~down:(fun m ->
         match Host.parse_tx host m.Core.Msg.payload with
         | Some reply -> tx := reply :: !tx
@@ -41,11 +41,11 @@ let run ~discipline n =
       ()
   in
   let inject frame =
-    Core.Sched.inject sched
+    Core.Engine.inject sched ~node:0
       (Core.Msg.make ~size:(Ldlp_buf.Mbuf.length frame) (Host.wrap host frame))
   in
   let drain () =
-    Core.Sched.run sched;
+    Core.Engine.run sched;
     let out = List.rev !tx in
     tx := [];
     out
@@ -118,9 +118,9 @@ let () =
       (100.0 *. float_of_int ps.Pcb.cache_hits /. float_of_int (max 1 ps.Pcb.lookups))
       c.Host.frames_in
   in
-  show "conventional" (run ~discipline:Core.Sched.Conventional connections);
+  show "conventional" (run ~discipline:Core.Engine.Conventional connections);
   show "ldlp"
-    (run ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) connections);
+    (run ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) connections);
   print_newline ();
   Printf.printf
     "Both disciplines run the identical TCP state machine; the paper's\n\

@@ -141,7 +141,7 @@ let run ~discipline requests =
   let layers, served, bad, bytes_out = server_stack () in
   let replies = ref 0 in
   let sched =
-    Core.Sched.create ~discipline ~layers
+    Core.Engine.rx_chain ~discipline ~layers
       ~down:(fun m ->
         incr replies;
         Ldlp_buf.Mbuf.free pool m.Core.Msg.payload)
@@ -150,11 +150,11 @@ let run ~discipline requests =
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun m ->
-      Core.Sched.inject sched (Core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) m))
+      Core.Engine.inject sched ~node:0 (Core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) m))
     requests;
-  Core.Sched.run sched;
+  Core.Engine.run sched;
   let dt = Unix.gettimeofday () -. t0 in
-  (dt, !served, !bad, !replies, !bytes_out, Core.Sched.stats sched)
+  (dt, !served, !bad, !replies, !bytes_out, Core.Engine.stats sched)
 
 let () =
   let n = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 10_000 in
@@ -170,10 +170,10 @@ let () =
       "%-13s served %6d (bad %d, replies %d, %d response bytes) in %.3f s -> %8.0f req/s, max batch %d\n"
       name served bad replies bytes_out dt
       (float_of_int served /. dt)
-      stats.Core.Sched.max_batch
+      stats.Core.Engine.max_batch
   in
-  show "conventional" (run ~discipline:Core.Sched.Conventional (requests ()));
-  show "ldlp" (run ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) (requests ()));
+  show "conventional" (run ~discipline:Core.Engine.Conventional (requests ()));
+  show "ldlp" (run ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) (requests ()));
 
   (* What would this stack do on the paper's machine?  Feed the measured
      footprints to the analytic model. *)

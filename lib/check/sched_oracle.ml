@@ -23,349 +23,180 @@ let pp_spec ppf s =
 
 type trace = {
   visits : int list array;
-  delivered_order : int list;
-  stats : Sched.stats;
+  up_order : int list;
+  down_order : int list;
+  stats : Engine.stats;
 }
 
-(* Payload: the message's injection index.  Behaviours depend only on it,
-   so both disciplines make identical per-message decisions regardless of
-   visit order. *)
+let divides k n = k > 0 && n mod k = 0
+
+(* Payload: the message's injection index; a reply carries [-idx - 1].
+   Behaviours depend only on it, so both disciplines make identical
+   per-message decisions regardless of visit order. *)
+let reply msg = Msg.make ~size:40 (-msg.Msg.payload - 1)
+
+let origin msg = if msg.Msg.payload >= 0 then msg.Msg.payload else -msg.Msg.payload - 1
+
 let layer_of_behaviour i behaviour =
-  let divides k n = k > 0 && n mod k = 0 in
   Layer.v ~name:(Format.asprintf "L%d-%a" i pp_behaviour behaviour)
     (fun msg ->
       match behaviour with
-      | Pass -> [ Layer.Deliver_up msg ]
-      | Consume_every k ->
-        if divides k msg.Msg.payload then [ Layer.Consume ]
-        else [ Layer.Deliver_up msg ]
-      | Reply_every k ->
-        if divides k msg.Msg.payload then
-          [
-            Layer.Send_down (Msg.make ~size:40 (-msg.Msg.payload - 1));
-            Layer.Deliver_up msg;
-          ]
-        else [ Layer.Deliver_up msg ])
+      | Consume_every k when divides k msg.Msg.payload -> [ Layer.Consume ]
+      | Reply_every k when divides k msg.Msg.payload ->
+        [ Layer.Send_down (reply msg); Layer.Deliver_up msg ]
+      | Pass | Consume_every _ | Reply_every _ -> [ Layer.Deliver_up msg ])
 
-let run_spec discipline spec =
-  if spec.layers = [] then invalid_arg "Sched_oracle.run_spec: empty stack";
+(* The same behaviours installed as [handle_tx]: [Pass] forwards toward
+   the wire, [Consume_every] absorbs, [Reply_every] loops a notification
+   up (a send-completion event) before forwarding the original. *)
+let layer_of_behaviour_tx i behaviour =
+  Layer.v ~name:(Format.asprintf "L%d-%a" i pp_behaviour behaviour)
+    ~tx:(fun msg ->
+      match behaviour with
+      | Consume_every k when divides k msg.Msg.payload -> [ Layer.Consume ]
+      | Reply_every k when divides k msg.Msg.payload ->
+        [ Layer.Deliver_up (reply msg); Layer.Send_down msg ]
+      | Pass | Consume_every _ | Reply_every _ -> [ Layer.Send_down msg ])
+    (fun msg -> [ Layer.Deliver_up msg ])
+
+(* One run of [spec] on the engine [make] builds, injecting every message
+   at the entry node it names.  Visits and sink arrivals of a reply are
+   recorded under the message it answers. *)
+let run_on make discipline spec =
+  if spec.layers = [] then invalid_arg "Sched_oracle: empty stack";
   let n = List.length spec.msgs in
   let visits = Array.make (max n 1) [] in
-  let delivered = ref [] in
-  let layers = List.mapi layer_of_behaviour spec.layers in
-  let sched =
-    Sched.create ~discipline ~layers
-      ~up:(fun m -> delivered := m.Msg.payload :: !delivered)
-      ~down:(fun _ -> ())
-      ~on_handled:(fun i _ m ->
-        let idx = m.Msg.payload in
-        if idx >= 0 then visits.(idx) <- i :: visits.(idx))
-      ()
+  let up = ref [] and down = ref [] in
+  let eng, entry =
+    make ~discipline spec.layers
+      ~up:(fun m -> up := origin m :: !up)
+      ~down:(fun m -> down := origin m :: !down)
+      ~on_handled:(fun i _ m -> visits.(origin m) <- i :: visits.(origin m))
   in
   let chunk = if spec.interleave <= 0 then max n 1 else spec.interleave in
   List.iteri
     (fun idx (flow, size) ->
-      Sched.inject sched (Msg.make ~flow ~size idx);
-      if (idx + 1) mod chunk = 0 then ignore (Sched.step sched))
+      Engine.inject eng ~node:entry (Msg.make ~flow ~size idx);
+      if (idx + 1) mod chunk = 0 then ignore (Engine.step eng))
     spec.msgs;
-  Sched.run sched;
-  Array.iteri (fun i l -> visits.(i) <- List.rev l) visits;
+  Engine.run eng;
   {
-    visits;
-    delivered_order = List.rev !delivered;
-    stats = Sched.stats sched;
+    visits = Array.map List.rev visits;
+    up_order = List.rev !up;
+    down_order = List.rev !down;
+    stats = Engine.stats eng;
   }
 
-let conserved (st : Sched.stats) ~pending =
+let run_spec =
+  run_on (fun ~discipline behs ~up ~down ~on_handled ->
+      let layers = List.mapi layer_of_behaviour behs in
+      (Engine.rx_chain ~discipline ~layers ~up ~down ~on_handled (), 0))
+
+let run_spec_tx =
+  run_on (fun ~discipline behs ~up ~down ~on_handled ->
+      let layers = List.mapi layer_of_behaviour_tx behs in
+      ( Engine.tx_chain ~discipline ~layers ~wire:down ~up ~on_handled (),
+        List.length layers - 1 ))
+
+(* The receive behaviours over a full-duplex engine: a [Reply_every]
+   layer's [Send_down] crosses into the same layer's transmit node and
+   the reply descends the (passthrough) transmit side to the wire. *)
+let run_spec_duplex =
+  run_on (fun ~discipline behs ~up ~down ~on_handled ->
+      let layers = List.mapi layer_of_behaviour behs in
+      let eng = Engine.duplex ~discipline ~layers ~up ~wire:down ~on_handled () in
+      (eng, Engine.duplex_rx_entry eng))
+
+let batches_sane (st : Engine.stats) =
+  (st.Engine.batches = 0 || st.Engine.max_batch >= 1)
+  && st.Engine.max_batch <= st.Engine.total_batched
+
+let conserved (st : Engine.stats) ~pending =
   pending = 0
-  && st.Sched.injected
-     = st.Sched.delivered + st.Sched.consumed + st.Sched.misrouted
-  && st.Sched.total_batched = st.Sched.injected
-  && (st.Sched.batches = 0 || st.Sched.max_batch >= 1)
-  && st.Sched.max_batch <= st.Sched.total_batched
+  && st.Engine.injected = st.Engine.to_up + st.Engine.consumed + st.Engine.misrouted
+  && st.Engine.total_batched = st.Engine.injected
+  && batches_sane st
+
+(* Every submission terminates at the wire or is consumed (loopback
+   notifications are fresh messages, not submissions), and — the entry
+   queue being the only injection point — batches cover every
+   submission under both disciplines. *)
+let conserved_tx (st : Engine.stats) ~pending =
+  pending = 0
+  && st.Engine.injected = st.Engine.to_down + st.Engine.consumed
+  && st.Engine.total_batched = st.Engine.injected
+  && batches_sane st
 
 let multiset l = List.sort compare l
 
 let flows_of spec = List.sort_uniq compare (List.map fst spec.msgs)
 
-let flow_order spec (t : trace) flow =
-  List.filter
-    (fun idx -> fst (List.nth spec.msgs idx) = flow)
-    t.delivered_order
+let ints l = String.concat ";" (List.map string_of_int l)
 
-let equivalent spec =
-  let conv = run_spec Sched.Conventional spec in
-  let ldlp = run_spec (Sched.Ldlp spec.policy) spec in
-  let n = List.length spec.msgs in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
+(* Run [spec] under both disciplines and compare what {!equivalent}
+   documents; [order] picks the sink whose per-flow order must match. *)
+let equivalent_on ~label ~run ~conserved ~order ~wire_multiset spec =
+  let conv = run Engine.Conventional spec in
+  let ldlp = run (Engine.Ldlp spec.policy) spec in
+  let err fmt = Format.kasprintf (fun s -> Error (label ^ s)) fmt in
+  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let rec check_visits i =
-    if i >= n then Ok ()
+    if i >= List.length spec.msgs then Ok ()
     else if multiset conv.visits.(i) <> multiset ldlp.visits.(i) then
-      err "msg %d layer-visit multisets differ: conv=[%s] ldlp=[%s]" i
-        (String.concat ";" (List.map string_of_int conv.visits.(i)))
-        (String.concat ";" (List.map string_of_int ldlp.visits.(i)))
+      err "msg %d node-visit multisets differ: conv=[%s] ldlp=[%s]" i
+        (ints conv.visits.(i)) (ints ldlp.visits.(i))
     else check_visits (i + 1)
   in
-  let same field a b = if a = b then Ok () else err "%s: conv=%d ldlp=%d" field a b in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
+  let same field f =
+    let a = f conv.stats and b = f ldlp.stats in
+    if a = b then Ok () else err "%s: conv=%d ldlp=%d" field a b
+  in
   let* () = check_visits 0 in
-  let* () = same "delivered" conv.stats.Sched.delivered ldlp.stats.Sched.delivered in
-  let* () = same "consumed" conv.stats.Sched.consumed ldlp.stats.Sched.consumed in
-  let* () = same "sent_down" conv.stats.Sched.sent_down ldlp.stats.Sched.sent_down in
-  let* () = same "misrouted" conv.stats.Sched.misrouted ldlp.stats.Sched.misrouted in
+  let* () = same "to_up" (fun s -> s.Engine.to_up) in
+  let* () = same "consumed" (fun s -> s.Engine.consumed) in
+  let* () = same "to_down" (fun s -> s.Engine.to_down) in
+  let* () = same "misrouted" (fun s -> s.Engine.misrouted) in
   let* () =
-    if not (conserved conv.stats ~pending:0) then
-      err "conventional run violates conservation"
-    else Ok ()
-  in
-  let* () =
-    if not (conserved ldlp.stats ~pending:0) then
-      err "ldlp run violates conservation"
-    else Ok ()
-  in
-  let rec check_flows = function
-    | [] -> Ok ()
-    | f :: rest ->
-      if flow_order spec conv f <> flow_order spec ldlp f then
-        err "flow %d delivery order differs" f
-      else check_flows rest
-  in
-  check_flows (flows_of spec)
-
-(* ---------- transmit-side equivalence ---------- *)
-
-(* The same declarative behaviours, installed as [handle_tx]: [Pass]
-   forwards toward the wire, [Consume_every] absorbs, [Reply_every] loops
-   a notification up (a send-completion event) before forwarding the
-   original.  The receive handler is never invoked by [Txsched]. *)
-let layer_of_behaviour_tx i behaviour =
-  let divides k n = k > 0 && n mod k = 0 in
-  Layer.v ~name:(Format.asprintf "L%d-%a" i pp_behaviour behaviour)
-    ~tx:(fun msg ->
-      match behaviour with
-      | Pass -> [ Layer.Send_down msg ]
-      | Consume_every k ->
-        if divides k msg.Msg.payload then [ Layer.Consume ]
-        else [ Layer.Send_down msg ]
-      | Reply_every k ->
-        if divides k msg.Msg.payload then
-          [
-            Layer.Deliver_up (Msg.make ~size:40 (-msg.Msg.payload - 1));
-            Layer.Send_down msg;
-          ]
-        else [ Layer.Send_down msg ])
-    (fun msg -> [ Layer.Deliver_up msg ])
-
-type trace_tx = {
-  tx_visits : int list array;
-  wire_order : int list;
-  tx_stats : Txsched.stats;
-}
-
-let run_spec_tx discipline spec =
-  if spec.layers = [] then invalid_arg "Sched_oracle.run_spec_tx: empty stack";
-  let n = List.length spec.msgs in
-  let visits = Array.make (max n 1) [] in
-  let wire = ref [] in
-  let layers = List.mapi layer_of_behaviour_tx spec.layers in
-  let tx =
-    Txsched.create ~discipline ~layers
-      ~wire:(fun m -> wire := m.Msg.payload :: !wire)
-      ~up:(fun _ -> ())
-      ~on_handled:(fun i _ m ->
-        let idx = m.Msg.payload in
-        if idx >= 0 then visits.(idx) <- i :: visits.(idx))
-      ()
-  in
-  let chunk = if spec.interleave <= 0 then max n 1 else spec.interleave in
-  List.iteri
-    (fun idx (flow, size) ->
-      Txsched.submit tx (Msg.make ~flow ~size idx);
-      if (idx + 1) mod chunk = 0 then ignore (Txsched.step tx))
-    spec.msgs;
-  Txsched.run tx;
-  Array.iteri (fun i l -> visits.(i) <- List.rev l) visits;
-  {
-    tx_visits = visits;
-    wire_order = List.rev !wire;
-    tx_stats = Txsched.stats tx;
-  }
-
-(* Transmit conservation: every submission terminates at the wire or is
-   consumed ([Deliver_up] notifications are fresh messages, not
-   submissions), and — the entry queue being the only injection point —
-   batches cover every submission under both disciplines. *)
-let conserved_tx (st : Txsched.stats) ~pending =
-  pending = 0
-  && st.Txsched.submitted = st.Txsched.transmitted + st.Txsched.consumed
-  && st.Txsched.total_batched = st.Txsched.submitted
-  && (st.Txsched.batches = 0 || st.Txsched.max_batch >= 1)
-  && st.Txsched.max_batch <= st.Txsched.total_batched
-
-let equivalent_tx spec =
-  let conv = run_spec_tx Sched.Conventional spec in
-  let ldlp = run_spec_tx (Sched.Ldlp spec.policy) spec in
-  let n = List.length spec.msgs in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let rec check_visits i =
-    if i >= n then Ok ()
-    else if multiset conv.tx_visits.(i) <> multiset ldlp.tx_visits.(i) then
-      err "tx msg %d layer-visit multisets differ: conv=[%s] ldlp=[%s]" i
-        (String.concat ";" (List.map string_of_int conv.tx_visits.(i)))
-        (String.concat ";" (List.map string_of_int ldlp.tx_visits.(i)))
-    else check_visits (i + 1)
-  in
-  let same field a b =
-    if a = b then Ok () else err "tx %s: conv=%d ldlp=%d" field a b
-  in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let* () = check_visits 0 in
-  let* () =
-    same "transmitted" conv.tx_stats.Txsched.transmitted
-      ldlp.tx_stats.Txsched.transmitted
+    if conserved conv.stats then Ok ()
+    else err "conventional run violates conservation"
   in
   let* () =
-    same "consumed" conv.tx_stats.Txsched.consumed ldlp.tx_stats.Txsched.consumed
+    if conserved ldlp.stats then Ok () else err "ldlp run violates conservation"
   in
   let* () =
-    same "looped_up" conv.tx_stats.Txsched.looped_up
-      ldlp.tx_stats.Txsched.looped_up
-  in
-  let* () =
-    if not (conserved_tx conv.tx_stats ~pending:0) then
-      err "conventional tx run violates conservation"
-    else Ok ()
-  in
-  let* () =
-    if not (conserved_tx ldlp.tx_stats ~pending:0) then
-      err "ldlp tx run violates conservation"
-    else Ok ()
-  in
-  let wire_flow t flow =
-    List.filter (fun idx -> fst (List.nth spec.msgs idx) = flow) t.wire_order
-  in
-  let rec check_flows = function
-    | [] -> Ok ()
-    | f :: rest ->
-      if wire_flow conv f <> wire_flow ldlp f then
-        err "tx flow %d wire order differs" f
-      else check_flows rest
-  in
-  check_flows (flows_of spec)
-
-(* ---------- duplex equivalence ---------- *)
-
-type trace_duplex = {
-  dx_visits : int list array;  (* over 2n nodes: rx 0..n-1, tx n..2n-1 *)
-  dx_delivered_order : int list;
-  dx_wire_order : int list;  (* decoded reply indices, wire order *)
-  dx_stats : Engine.stats;
-}
-
-(* The receive behaviours drive a full-duplex engine: a [Reply_every]
-   layer's [Send_down] now crosses into the same layer's transmit node and
-   the reply descends the (passthrough) transmit side to the wire, instead
-   of exiting at a sink — the two-directions-one-engine arrangement. *)
-let run_spec_duplex discipline spec =
-  if spec.layers = [] then
-    invalid_arg "Sched_oracle.run_spec_duplex: empty stack";
-  let n = List.length spec.msgs in
-  let visits = Array.make (max n 1) [] in
-  let delivered = ref [] in
-  let wire = ref [] in
-  let layers = List.mapi layer_of_behaviour spec.layers in
-  let eng =
-    Engine.duplex ~discipline ~layers
-      ~up:(fun m -> delivered := m.Msg.payload :: !delivered)
-      ~wire:(fun m -> wire := (-m.Msg.payload - 1) :: !wire)
-      ~on_handled:(fun i _ m ->
-        let idx = m.Msg.payload in
-        if idx >= 0 then visits.(idx) <- i :: visits.(idx)
-        else
-          let orig = -idx - 1 in
-          visits.(orig) <- i :: visits.(orig))
-      ()
-  in
-  let rx = Engine.duplex_rx_entry eng in
-  let chunk = if spec.interleave <= 0 then max n 1 else spec.interleave in
-  List.iteri
-    (fun idx (flow, size) ->
-      Engine.inject eng ~node:rx (Msg.make ~flow ~size idx);
-      if (idx + 1) mod chunk = 0 then ignore (Engine.step eng))
-    spec.msgs;
-  Engine.run eng;
-  Array.iteri (fun i l -> visits.(i) <- List.rev l) visits;
-  {
-    dx_visits = visits;
-    dx_delivered_order = List.rev !delivered;
-    dx_wire_order = List.rev !wire;
-    dx_stats = Engine.stats eng;
-  }
-
-let equivalent_duplex spec =
-  let conv = run_spec_duplex Sched.Conventional spec in
-  let ldlp = run_spec_duplex (Sched.Ldlp spec.policy) spec in
-  let n = List.length spec.msgs in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let rec check_visits i =
-    if i >= n then Ok ()
-    else if multiset conv.dx_visits.(i) <> multiset ldlp.dx_visits.(i) then
-      err "duplex msg %d node-visit multisets differ: conv=[%s] ldlp=[%s]" i
-        (String.concat ";" (List.map string_of_int conv.dx_visits.(i)))
-        (String.concat ";" (List.map string_of_int ldlp.dx_visits.(i)))
-    else check_visits (i + 1)
-  in
-  let same field a b =
-    if a = b then Ok () else err "duplex %s: conv=%d ldlp=%d" field a b
-  in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let* () = check_visits 0 in
-  let* () = same "to_up" conv.dx_stats.Engine.to_up ldlp.dx_stats.Engine.to_up in
-  let* () =
-    same "consumed" conv.dx_stats.Engine.consumed ldlp.dx_stats.Engine.consumed
-  in
-  let* () =
-    same "to_down" conv.dx_stats.Engine.to_down ldlp.dx_stats.Engine.to_down
-  in
-  let* () =
-    same "misrouted" conv.dx_stats.Engine.misrouted
-      ldlp.dx_stats.Engine.misrouted
-  in
-  (* Originals terminate above, at a consuming layer, or misrouted; every
-     reply reaches the wire through the passthrough transmit side. *)
-  let dx_conserved (st : Engine.stats) =
-    st.Engine.injected
-    = st.Engine.to_up + st.Engine.consumed + st.Engine.misrouted
-  in
-  let* () =
-    if not (dx_conserved conv.dx_stats) then
-      err "conventional duplex run violates conservation"
-    else Ok ()
-  in
-  let* () =
-    if not (dx_conserved ldlp.dx_stats) then
-      err "ldlp duplex run violates conservation"
+    if wire_multiset && multiset conv.down_order <> multiset ldlp.down_order
+    then err "wire multisets differ"
     else Ok ()
   in
   let flow_of idx = fst (List.nth spec.msgs idx) in
-  let per_flow order flow = List.filter (fun idx -> flow_of idx = flow) order in
-  (* Wire order is only a multiset: replies originating at different
-     receive layers legitimately interleave differently under LDLP (the
-     receive oracle likewise never constrains down-sink order). *)
-  let* () =
-    if multiset conv.dx_wire_order <> multiset ldlp.dx_wire_order then
-      err "duplex wire multisets differ"
-    else Ok ()
-  in
+  let per_flow t f = List.filter (fun idx -> flow_of idx = f) (order t) in
   let rec check_flows = function
     | [] -> Ok ()
     | f :: rest ->
-      if
-        per_flow conv.dx_delivered_order f <> per_flow ldlp.dx_delivered_order f
-      then err "duplex flow %d delivery order differs" f
+      if per_flow conv f <> per_flow ldlp f then err "flow %d order differs" f
       else check_flows rest
   in
   check_flows (flows_of spec)
+
+let equivalent =
+  equivalent_on ~label:"" ~run:run_spec ~conserved:(conserved ~pending:0)
+    ~order:(fun t -> t.up_order) ~wire_multiset:false
+
+let equivalent_tx =
+  equivalent_on ~label:"tx " ~run:run_spec_tx
+    ~conserved:(conserved_tx ~pending:0)
+    ~order:(fun t -> t.down_order) ~wire_multiset:false
+
+(* Originals terminate above, at a consuming layer, or misrouted; every
+   reply reaches the wire through the passthrough transmit side.  Wire
+   order is only a multiset: replies originating at different receive
+   layers legitimately interleave differently under LDLP (the receive
+   oracle likewise never constrains down-sink order). *)
+let equivalent_duplex =
+  equivalent_on ~label:"duplex " ~run:run_spec_duplex
+    ~conserved:(fun st ->
+      st.Engine.injected = st.Engine.to_up + st.Engine.consumed + st.Engine.misrouted)
+    ~order:(fun t -> t.up_order) ~wire_multiset:true
 
 let random_spec ~rng =
   let module R = Ldlp_sim.Rng in

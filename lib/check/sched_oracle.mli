@@ -10,11 +10,11 @@
 
     - every message visits the same multiset of layers under both
       disciplines;
-    - terminal outcomes (delivered / consumed / sent down / misrouted)
-      are identical;
+    - terminal outcomes ([to_up] / [consumed] / [to_down] /
+      [misrouted]) are identical;
     - per-flow delivery order is preserved;
     - conservation holds at idle in both runs:
-      [injected = delivered + consumed + misrouted], batches cover every
+      [injected = to_up + consumed + misrouted], batches cover every
       injected message, and [max_batch >= 1] whenever any batch ran.
 
     Handlers are deterministic functions of the message's injection index,
@@ -42,15 +42,21 @@ type spec = {
 val pp_spec : Format.formatter -> spec -> unit
 
 type trace = {
-  visits : int list array;  (** [visits.(i)]: layers visited by msg [i]. *)
-  delivered_order : int list;  (** Injection indices, upward-sink order. *)
-  stats : Ldlp_core.Sched.stats;
+  visits : int list array;
+      (** [visits.(i)]: engine nodes visited by msg [i] and by the replies
+          it caused, in visit order. *)
+  up_order : int list;
+      (** Upward-sink arrivals, as originating injection indices. *)
+  down_order : int list;  (** Downward/wire-sink arrivals, likewise. *)
+  stats : Ldlp_core.Engine.stats;
 }
 
-val run_spec : Ldlp_core.Sched.discipline -> spec -> trace
+val run_spec : Ldlp_core.Engine.discipline -> spec -> trace
+(** The spec on an {!Ldlp_core.Engine.rx_chain}. *)
 
-val conserved : Ldlp_core.Sched.stats -> pending:int -> bool
-(** The conservation invariants above, checkable on any idle scheduler. *)
+val conserved : Ldlp_core.Engine.stats -> pending:int -> bool
+(** The conservation invariants above, checkable on any idle receive
+    chain. *)
 
 val equivalent : spec -> (unit, string) result
 (** Run the spec under [Conventional] and [Ldlp spec.policy] and compare;
@@ -58,21 +64,15 @@ val equivalent : spec -> (unit, string) result
 
 (** {1 Transmit-side oracle}
 
-    The same behaviours installed as [handle_tx] drive a {!Ldlp_core.Txsched}
-    chain: [Pass] forwards toward the wire, [Consume_every] absorbs,
-    [Reply_every] loops a completion notification upward before
-    forwarding. *)
+    The same behaviours installed as [handle_tx] drive an
+    {!Ldlp_core.Engine.tx_chain}: [Pass] forwards toward the wire,
+    [Consume_every] absorbs, [Reply_every] loops a completion
+    notification upward before forwarding. *)
 
-type trace_tx = {
-  tx_visits : int list array;
-  wire_order : int list;  (** Injection indices, wire-sink order. *)
-  tx_stats : Ldlp_core.Txsched.stats;
-}
+val run_spec_tx : Ldlp_core.Engine.discipline -> spec -> trace
 
-val run_spec_tx : Ldlp_core.Sched.discipline -> spec -> trace_tx
-
-val conserved_tx : Ldlp_core.Txsched.stats -> pending:int -> bool
-(** [submitted = transmitted + consumed] (loopback notifications are fresh
+val conserved_tx : Ldlp_core.Engine.stats -> pending:int -> bool
+(** [injected = to_down + consumed] (loopback notifications are fresh
     messages, not submissions) and batches cover every submission. *)
 
 val equivalent_tx : spec -> (unit, string) result
@@ -81,20 +81,11 @@ val equivalent_tx : spec -> (unit, string) result
 
 (** {1 Duplex oracle} *)
 
-type trace_duplex = {
-  dx_visits : int list array;
-      (** Per original message, node visits over the [2n] duplex nodes —
-          including the transmit nodes its replies traverse. *)
-  dx_delivered_order : int list;
-  dx_wire_order : int list;
-      (** Originating injection indices of replies, wire-sink order. *)
-  dx_stats : Ldlp_core.Engine.stats;
-}
-
-val run_spec_duplex : Ldlp_core.Sched.discipline -> spec -> trace_duplex
+val run_spec_duplex : Ldlp_core.Engine.discipline -> spec -> trace
 (** The spec's receive behaviours over an {!Ldlp_core.Engine.duplex}:
     replies cross into the same layer's transmit node and descend the
-    passthrough transmit side to the wire. *)
+    passthrough transmit side to the wire; [visits] range over the [2n]
+    duplex nodes. *)
 
 val equivalent_duplex : spec -> (unit, string) result
 (** Visit-multiset (across both directions), terminal-count, per-flow

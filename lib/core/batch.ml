@@ -5,31 +5,11 @@ type policy =
 
 let paper_default = Dcache_fit { cache_bytes = 8192; per_msg_overhead = 32 }
 
-let limit policy ~sizes =
-  match sizes with
-  | [] -> 0
-  | _ :: _ -> (
-    match policy with
-    | All -> List.length sizes
-    | Fixed n ->
-      if n < 1 then invalid_arg "Batch.limit: Fixed n must be >= 1";
-      min n (List.length sizes)
-    | Dcache_fit { cache_bytes; per_msg_overhead } ->
-      let rec count n used = function
-        | [] -> n
-        | size :: rest ->
-          let used = used + size + per_msg_overhead in
-          if used > cache_bytes && n > 0 then n
-          else count (n + 1) used rest
-      in
-      count 0 0 sizes)
-
-(* Same policy arithmetic as [limit], but over an indexed size accessor
-   instead of a list, so the engine's quantum loop can compute a batch
-   bound without materialising a per-quantum size list.  The counting
-   recursion lives at toplevel: a local [let rec] with captures is a
-   per-call closure allocation, which the allocation-free quantum cannot
-   afford. *)
+(* An indexed size accessor rather than a list, so the engine's quantum
+   loop can compute a batch bound without materialising a per-quantum
+   size list.  The counting recursion lives at toplevel: a local [let
+   rec] with captures is a per-call closure allocation, which the
+   allocation-free quantum cannot afford. *)
 let rec dcache_count ~len ~size ~per_msg_overhead ~cache_bytes n used =
   if n >= len then n
   else begin
@@ -38,14 +18,14 @@ let rec dcache_count ~len ~size ~per_msg_overhead ~cache_bytes n used =
     else dcache_count ~len ~size ~per_msg_overhead ~cache_bytes (n + 1) used
   end
 
-let limit_fn policy ~len ~size =
-  if len < 0 then invalid_arg "Batch.limit_fn: negative length";
+let limit policy ~len ~size =
+  if len < 0 then invalid_arg "Batch.limit: negative length";
   if len = 0 then 0
   else
     match policy with
     | All -> len
     | Fixed n ->
-      if n < 1 then invalid_arg "Batch.limit_fn: Fixed n must be >= 1";
+      if n < 1 then invalid_arg "Batch.limit: Fixed n must be >= 1";
       min n len
     | Dcache_fit { cache_bytes; per_msg_overhead } ->
       dcache_count ~len ~size ~per_msg_overhead ~cache_bytes 0 0

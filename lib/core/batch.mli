@@ -17,18 +17,13 @@ val paper_default : policy
 (** [Dcache_fit] for the paper's 8 KB data cache with a 32-byte per-message
     overhead. *)
 
-val limit : policy -> sizes:int list -> int
-(** [limit p ~sizes] is how many of the pending messages (byte sizes given
-    front-of-queue first) one batch may take.  Always at least 1 when any
-    message is pending — a message larger than the cache must still be
-    processed. *)
-
-val limit_fn : policy -> len:int -> size:(int -> int) -> int
-(** {!limit} without the intermediate list: [size k] is the byte size of
-    the [k]-th pending message (front of queue first), queried for
-    [k < len] in order until the policy stops.  Agrees with
-    [limit p ~sizes] whenever [size] enumerates [sizes] — the hot-path
-    form used by the engine so computing a batch bound allocates
-    nothing. *)
+val limit : policy -> len:int -> size:(int -> int) -> int
+(** [limit p ~len ~size] is how many of the [len] pending messages one
+    batch may take; [size k] is the byte size of the [k]-th (front of
+    queue first), queried for [k < len] in order until the policy stops.
+    Always at least 1 when any message is pending — a message larger
+    than the cache must still be processed.  The engine's quantum loop
+    calls it with a prebuilt accessor, so computing a batch bound
+    allocates nothing. *)
 
 val pp : Format.formatter -> policy -> unit

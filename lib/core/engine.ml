@@ -5,6 +5,16 @@ type discipline = Conventional | Ldlp of Batch.policy
 
 type target = To_node of int | To_up | To_down | Misroute
 
+(* How the engine was built.  It selects the shape-specific idle
+   equations [run] checks, and records where a duplex engine's transmit
+   side starts. *)
+type shape =
+  | Custom  (* [create] + [add_node] *)
+  | Rx_chain
+  | Tx_chain
+  | Graph  (* [create] + [add_layer] *)
+  | Duplex of int  (* first transmit node *)
+
 type 'a node = {
   layer : 'a Layer.t;
   use_tx : bool;
@@ -59,7 +69,7 @@ type 'a t = {
   mutable last_ran : int;  (* node of the previous handler call, or -1 *)
   mutable dequeued : int;  (* queue pops + recursive forwards, for run () *)
   mutable enqueued : int;  (* queue pushes (injections included) *)
-  mutable duplex_split : int;  (* first tx node of a duplex engine, or -1 *)
+  mutable shape : shape;
 }
 
 let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ())
@@ -92,7 +102,7 @@ let create ~discipline ?(up = fun _ -> ()) ?(down = fun _ -> ())
     last_ran = -1;
     dequeued = 0;
     enqueued = 0;
-    duplex_split = -1;
+    shape = Custom;
   }
 
 let node_count t = t.nnodes
@@ -131,9 +141,45 @@ let add_node t ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route =
   t.nnodes <- i + 1;
   i
 
-let set_entry t i e = (node t i).entry <- e
-
 let is_entry t i = (node t i).entry
+
+let add_layer t ?(above = []) layer =
+  let name = layer.Layer.name in
+  for i = 0 to t.nnodes - 1 do
+    if node_name t i = name then
+      invalid_arg ("Engine.add_layer: duplicate layer " ^ name)
+  done;
+  (* [node_name] rejects an index that names no node. *)
+  let parents = List.map (fun p -> (node_name t p, p)) above in
+  (* A graph node's priority is its negated depth below the top layers,
+     so the node furthest from the roots wins, ties toward registration
+     order. *)
+  let depth =
+    match parents with
+    | [] -> 0
+    | ps ->
+      1 + List.fold_left (fun d (_, p) -> min d (-t.nodes.(p).priority)) max_int ps
+  in
+  let up_route =
+    match parents with
+    | [] -> To_up
+    | [ (_, p) ] -> To_node p
+    | _ :: _ :: _ ->
+      (* Ambiguous fan-out: the handler must name its target. *)
+      Misroute
+  in
+  let to_route target =
+    match List.assoc_opt target parents with Some p -> To_node p | None -> Misroute
+  in
+  let i =
+    add_node t ~layer ~use_tx:false ~priority:(-depth) ~entry:true ~up_route
+      ~to_route ~down_route:To_down
+  in
+  (* Every node starts as an entry point and stops being one the moment a
+     layer registers below it. *)
+  List.iter (fun (_, p) -> t.nodes.(p).entry <- false) parents;
+  t.shape <- Graph;
+  i
 
 let attach_metrics t m =
   if Metrics.nlayers m <> t.nnodes then
@@ -294,7 +340,7 @@ let step_ldlp t policy =
     (* Entry point: yield after one D-cache-sized batch so message data
        is still resident when the nodes further along run. *)
     let nd = t.nodes.(i) in
-    let n = Batch.limit_fn policy ~len:(Rqueue.length nd.queue) ~size:nd.size_at in
+    let n = Batch.limit policy ~len:(Rqueue.length nd.queue) ~size:nd.size_at in
     Invariant.check
       (n >= 1 && n <= Rqueue.length nd.queue)
       "Engine.step: batch limit outside [1, backlog]";
@@ -320,9 +366,6 @@ let run t =
   while step t do
     ()
   done;
-  (* Engine-level idle invariants; the facades layer their shape-specific
-     conservation equations (which need to know which routes are
-     terminal) on top of these. *)
   Invariant.check (pending t = 0) "Engine.run: idle with pending messages";
   Invariant.check
     (t.dequeued = t.enqueued)
@@ -332,7 +375,29 @@ let run t =
     "Engine.run: recorded a batch smaller than 1";
   Invariant.check
     (t.total_batched <= t.dequeued)
-    "Engine.run: more batched dequeues than dequeues"
+    "Engine.run: more batched dequeues than dequeues";
+  (* Terminal-outcome conservation for the shapes whose terminal routes
+     are known; it assumes one terminal action per message, as in every
+     stack in this repo. *)
+  match t.shape with
+  | Rx_chain ->
+    (* Only node 0 takes arrivals and every dequeue there is batched. *)
+    Invariant.check
+      (t.total_batched = t.injected)
+      "Engine.run: batches do not cover all injected messages";
+    Invariant.check
+      (t.injected = t.to_up + t.consumed + t.misrouted)
+      "Engine.run: injected <> to_up + consumed + misrouted at idle"
+  | Graph ->
+    (* Forwarded messages drain uncounted under LDLP, so batch coverage
+       is only an inequality here. *)
+    Invariant.check
+      (t.total_batched <= t.injected)
+      "Engine.run: more batched dequeues than injections";
+    Invariant.check
+      (t.injected = t.to_up + t.consumed + t.misrouted)
+      "Engine.run: injected <> to_up + consumed + misrouted at idle"
+  | Custom | Tx_chain | Duplex _ -> ()
 
 let stats t =
   let names f =
@@ -352,65 +417,105 @@ let stats t =
     per_node_runs = names (fun n -> n.runs);
   }
 
-(* ---------- full-duplex construction ---------- *)
+(* ---------- stack constructors ---------- *)
 
-let duplex ~discipline ~layers ?up ?(wire = fun _ -> ()) ?on_handled ?on_consume
-    ?intake_limit ?on_shed ?metrics () =
-  if layers = [] then invalid_arg "Engine.duplex: empty stack";
-  let t =
-    create ~discipline ?up ~down:wire ?on_handled ?on_consume ?intake_limit
-      ?on_shed ()
-  in
-  let layers = Array.of_list layers in
-  let n = Array.length layers in
-  let top = n - 1 in
-  (* Receive nodes 0..n-1, bottom-first; [Send_down] crosses into the
-     same layer's transmit node (added below as n+i). *)
+(* Receive nodes [0 .. n-1] over bottom-first [layers]: priority ascends
+   with the index (the layer furthest from the bottom entry point wins)
+   and only node 0 takes arrivals.  [down_route i] is where layer [i]'s
+   [Send_down] goes. *)
+let add_rx_nodes t layers ~down_route =
+  let top = Array.length layers - 1 in
   Array.iteri
     (fun i layer ->
       ignore
         (add_node t ~layer ~use_tx:false ~priority:i ~entry:(i = 0)
            ~up_route:(if i = top then To_up else To_node (i + 1))
            ~to_route:(fun name ->
+             (* A chain cannot demultiplex: a named delivery is valid only
+                when it names the next layer up. *)
              if i < top && layers.(i + 1).Layer.name = name then To_node (i + 1)
              else Misroute)
-           ~down_route:(To_node (n + i))))
-    layers;
-  (* Transmit nodes n..2n-1: node n+i runs layer i's [handle_tx]; the
-     whole transmit side outranks the whole receive side, descending
-     toward the wire. *)
+           ~down_route:(down_route i)))
+    layers
+
+(* Transmit nodes [base .. base+n-1]: node [base + i] runs layer [i]'s
+   [handle_tx], priority descends toward the wire from [base + n - 1],
+   and only the top node takes submissions. *)
+let add_tx_nodes t layers ~base =
+  let top = Array.length layers - 1 in
   Array.iteri
     (fun i layer ->
-      (* Rename the transmit registration so [per_node] rows and metric
-         sheets distinguish the two directions of one layer. *)
-      let layer = { layer with Layer.name = layer.Layer.name ^ "/tx" } in
       ignore
         (add_node t ~layer ~use_tx:true
-           ~priority:(n + (n - 1 - i))
-           ~entry:(i = top)
-           ~up_route:To_up
+           ~priority:(base + top - i)
+           ~entry:(i = top) ~up_route:To_up
            ~to_route:(fun _ -> To_up)
-           ~down_route:(if i = 0 then To_down else To_node (n + i - 1))))
-    layers;
-  t.duplex_split <- n;
-  (match metrics with None -> () | Some m -> attach_metrics t m);
+           ~down_route:(if i = 0 then To_down else To_node (base + i - 1))))
+    layers
+
+let stack who layers =
+  if layers = [] then invalid_arg (who ^ ": empty stack");
+  Array.of_list layers
+
+let finish t shape metrics =
+  t.shape <- shape;
+  Option.iter (attach_metrics t) metrics;
   t
 
+let rx_chain ~discipline ~layers ?up ?down ?on_handled ?on_consume ?intake_limit
+    ?on_shed ?metrics () =
+  let layers = stack "Engine.rx_chain" layers in
+  let t =
+    create ~discipline ?up ?down ?on_handled ?on_consume ?intake_limit ?on_shed ()
+  in
+  add_rx_nodes t layers ~down_route:(fun _ -> To_down);
+  finish t Rx_chain metrics
+
+let tx_chain ~discipline ~layers ?wire ?up ?on_handled ?on_consume ?intake_limit
+    ?on_shed ?metrics () =
+  let layers = stack "Engine.tx_chain" layers in
+  let t =
+    create ~discipline ?up ?down:wire ?on_handled ?on_consume ?intake_limit
+      ?on_shed ()
+  in
+  add_tx_nodes t layers ~base:0;
+  finish t Tx_chain metrics
+
+let duplex ~discipline ~layers ?up ?wire ?on_handled ?on_consume ?intake_limit
+    ?on_shed ?metrics () =
+  let layers = stack "Engine.duplex" layers in
+  let t =
+    create ~discipline ?up ?down:wire ?on_handled ?on_consume ?intake_limit
+      ?on_shed ()
+  in
+  let n = Array.length layers in
+  (* A receive node's [Send_down] crosses into the same layer's transmit
+     node; the whole transmit side outranks the whole receive side. *)
+  add_rx_nodes t layers ~down_route:(fun i -> To_node (n + i));
+  (* Renamed so [per_node] rows and metric sheets tell the two directions
+     of one layer apart. *)
+  add_tx_nodes t ~base:n
+    (Array.map (fun l -> { l with Layer.name = l.Layer.name ^ "/tx" }) layers);
+  finish t (Duplex n) metrics
+
+let require_duplex who t =
+  match t.shape with Duplex _ -> () | _ -> invalid_arg (who ^ ": not duplex")
+
 let duplex_rx_entry t =
-  if t.duplex_split < 0 then invalid_arg "Engine.duplex_rx_entry: not duplex";
+  require_duplex "Engine.duplex_rx_entry" t;
   0
 
 let duplex_tx_entry t =
-  if t.duplex_split < 0 then invalid_arg "Engine.duplex_tx_entry: not duplex";
+  require_duplex "Engine.duplex_tx_entry" t;
   t.nnodes - 1
 
 let duplex_layer_names names = names @ List.map (fun n -> n ^ "/tx") names
 
 let tx_runs t =
-  if t.duplex_split < 0 then 0
-  else begin
+  match t.shape with
+  | Duplex split ->
     let rec go i acc =
       if i >= t.nnodes then acc else go (i + 1) (acc + t.nodes.(i).runs)
     in
-    go t.duplex_split 0
-  end
+    go split 0
+  | Custom | Rx_chain | Tx_chain | Graph -> 0

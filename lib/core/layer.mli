@@ -16,12 +16,12 @@ type 'a action =
   | Deliver_up of 'a Msg.t
       (** Hand the (possibly transformed) message to the layer above, or to
           the stack's upward sink at the top layer.  In a protocol graph
-          ({!Graphsched}) this is only valid when the layer has exactly one
-          parent; demultiplexing layers use {!Deliver_to}. *)
+          ({!Engine.add_layer}) this is only valid when the layer has
+          exactly one parent; demultiplexing layers use {!Deliver_to}. *)
   | Deliver_to of string * 'a Msg.t
       (** Hand the message to a specific layer above, by name — the
           demultiplexing step (e.g. IP choosing between TCP and UDP).
-          Only meaningful under {!Graphsched}; the linear schedulers treat
+          Only meaningful in a protocol graph; the linear chains treat
           an unknown name as a protocol error and drop the message. *)
   | Send_down of 'a Msg.t
       (** Emit a message toward the network (e.g. an acknowledgment).
@@ -71,7 +71,8 @@ type 'a t = {
   fp : footprint;
   handle : 'a Msg.t -> 'a action list;  (** Receive-side processing. *)
   handle_tx : 'a Msg.t -> 'a action list;
-      (** Transmit-side processing (encapsulation), used by {!Txsched}.
+      (** Transmit-side processing (encapsulation), used by the
+          transmit nodes of {!Engine.tx_chain} and {!Engine.duplex}.
           Defaults to passing the message down unchanged. *)
 }
 

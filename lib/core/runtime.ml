@@ -10,7 +10,7 @@ type report = {
   duration : float;
   throughput : float;
   latency : Ldlp_sim.Hist.t;
-  stats : Sched.stats;
+  stats : Engine.stats;
 }
 
 let poisson_workload ~rng ~rate ~duration ~size =
@@ -40,8 +40,8 @@ let run ~discipline ~layers ~make_payload ?(buffer_cap = 500)
   (* Latency is sampled for messages that reach the upward sink; a layer
      that absorbs messages with [Consume] still counts as processed but
      contributes no latency sample. *)
-  let sched =
-    Sched.create ~discipline ~layers ~up:complete
+  let eng =
+    Engine.rx_chain ~discipline ~layers ~up:complete
       ~down:(fun _ -> ())
       ~on_handled:(fun i _layer msg ->
         let prev =
@@ -59,23 +59,23 @@ let run ~discipline ~layers ~make_payload ?(buffer_cap = 500)
       match !pending_arrivals with
       | { at; size; flow } :: rest when at <= !now ->
         pending_arrivals := rest;
-        if Sched.backlog sched >= buffer_cap then begin
+        if Engine.backlog eng ~node:0 >= buffer_cap then begin
           incr dropped;
           Metrics.add_scalar dropped_sc 1
         end
         else begin
           let payload = make_payload ~size in
-          Sched.inject sched (Msg.make ~flow ~arrival:at ~size payload)
+          Engine.inject eng ~node:0 (Msg.make ~flow ~arrival:at ~size payload)
         end;
         go ()
       | _ -> ()
     in
     go ()
   in
-  let finished () = !pending_arrivals = [] && Sched.pending sched = 0 in
+  let finished () = !pending_arrivals = [] && Engine.pending eng = 0 in
   while not (finished ()) do
     inject_due ();
-    if Sched.pending sched = 0 then begin
+    if Engine.pending eng = 0 then begin
       (* Idle: advance the clock to the next arrival. *)
       match !pending_arrivals with
       | [] -> ()
@@ -84,7 +84,7 @@ let run ~discipline ~layers ~make_payload ?(buffer_cap = 500)
     else begin
       Hashtbl.reset handled_this_step;
       completed_this_step := [];
-      ignore (Sched.step sched);
+      ignore (Engine.step eng);
       (* Charge service time for everything handled in this quantum; the
          per-layer batch size is how many messages that layer just ran. *)
       let cost =
@@ -110,14 +110,14 @@ let run ~discipline ~layers ~make_payload ?(buffer_cap = 500)
     end
   done;
   Metrics.add_scalar offered_sc offered;
-  let stats = Sched.stats sched in
+  let stats = Engine.stats eng in
   let duration = !now in
-  let processed = stats.Sched.delivered + stats.Sched.consumed in
+  let processed = stats.Engine.to_up + stats.Engine.consumed in
   Invariant.check
-    (stats.Sched.injected + !dropped = offered)
+    (stats.Engine.injected + !dropped = offered)
     "Runtime.run: arrivals <> injected + dropped";
   Invariant.check
-    (processed + stats.Sched.misrouted = stats.Sched.injected)
+    (processed + stats.Engine.misrouted = stats.Engine.injected)
     "Runtime.run: processed + misrouted <> injected at idle";
   Invariant.check
     (Ldlp_sim.Hist.count latency <= processed)

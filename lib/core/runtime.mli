@@ -23,11 +23,11 @@ type report = {
   duration : float;  (** Virtual time span of the run. *)
   throughput : float;  (** Processed per second of virtual time. *)
   latency : Ldlp_sim.Hist.t;  (** Arrival-to-completion latency. *)
-  stats : Sched.stats;
+  stats : Engine.stats;
 }
 
 val run :
-  discipline:Sched.discipline ->
+  discipline:Engine.discipline ->
   layers:Ldlp_buf.Mbuf.t Layer.t list ->
   make_payload:(size:int -> Ldlp_buf.Mbuf.t) ->
   ?buffer_cap:int ->
@@ -40,8 +40,8 @@ val run :
     time receives the batch size the message was processed under, so
     callers can model the amortisation LDLP buys.
 
-    [metrics] is forwarded to the underlying {!Sched} (so it must have one
-    row per layer); on top of the scheduler's recording the runtime adds
+    [metrics] is forwarded to the underlying {!Engine.rx_chain} (so it
+    must have one row per layer); on top of the scheduler's recording the runtime adds
     virtual-time latency samples and the "offered"/"dropped" scalars. *)
 
 val poisson_workload :

@@ -1,7 +1,6 @@
 module Msg = Ldlp_core.Msg
 module Layer = Ldlp_core.Layer
 module Engine = Ldlp_core.Engine
-module Sched = Ldlp_core.Sched
 module Batch = Ldlp_core.Batch
 module Plan = Ldlp_fault.Plan
 module Impair = Ldlp_fault.Impair
@@ -126,9 +125,8 @@ type frame = {
 
 type hostm = {
   h_eng : frame Engine.t;
-  h_inject : frame Msg.t -> unit;
+  h_rx : int;  (* the engine's frame-arrival node *)
   h_submit : now:float -> frame -> unit;
-  h_run : unit -> unit;
   h_parked : frame Msg.t Queue.t;
       (* Frames accepted by the NIC but not yet drained into the stack —
          the volatile state a crash wipes.  Parked at {!deliver}, drained
@@ -252,7 +250,7 @@ and deliver net d g =
 
 and drain_parked h =
   while not (Queue.is_empty h.h_parked) do
-    h.h_inject (Queue.pop h.h_parked)
+    Engine.inject h.h_eng ~node:h.h_rx (Queue.pop h.h_parked)
   done
 
 and service net d =
@@ -261,7 +259,7 @@ and service net d =
   h.h_last_node <- -1;
   net.elapsed <- 0.0;
   drain_parked h;
-  h.h_run ();
+  Engine.run h.h_eng;
   net.cpu <- net.cpu +. net.elapsed;
   h.h_cpu <- h.h_cpu +. net.elapsed
 
@@ -273,7 +271,7 @@ let with_service net d k =
   net.elapsed <- 0.0;
   drain_parked h;
   k ();
-  h.h_run ();
+  Engine.run h.h_eng;
   net.cpu <- net.cpu +. net.elapsed;
   h.h_cpu <- h.h_cpu +. net.elapsed
 
@@ -383,16 +381,14 @@ let make_host net wiring h =
       classic_tx_charge net m.Msg.size;
       wire_exit net h m
     in
-    let s = Sched.create ~discipline ~layers ~up ~down ~on_handled ~on_consume () in
     {
-      h_eng = Sched.engine s;
-      h_inject = (fun m -> Sched.inject s m);
+      h_eng = Engine.rx_chain ~discipline ~layers ~up ~down ~on_handled ~on_consume ();
+      h_rx = 0;
       h_submit =
         (fun ~now:_ f ->
           classic_tx_charge net f.fbytes;
           f.penalty <- f.pbase +. net.elapsed;
           transmit net ~src:h f);
-      h_run = (fun () -> Sched.run s);
       h_parked = Queue.create ();
       h_service_due = false;
       h_last_node = -1;
@@ -406,15 +402,14 @@ let make_host net wiring h =
         ~wire:(fun m -> wire_exit net h m)
         ~on_handled ~on_consume ()
     in
-    let rx = Engine.duplex_rx_entry e and tx = Engine.duplex_tx_entry e in
+    let tx = Engine.duplex_tx_entry e in
     {
       h_eng = e;
-      h_inject = (fun m -> Engine.inject e ~node:rx m);
+      h_rx = Engine.duplex_rx_entry e;
       h_submit =
         (fun ~now f ->
           let m = Msg.acquire net.pool ~arrival:now ~size:f.fbytes f in
           Engine.inject e ~node:tx m);
-      h_run = (fun () -> Engine.run e);
       h_parked = Queue.create ();
       h_service_due = false;
       h_last_node = -1;

@@ -210,7 +210,7 @@ val extension_txside :
   ?domains:int ->
   ?params:Params.t -> ?seed:int -> ?rates:float list -> unit -> txside_point list
 (** The experiment the paper defers (Section 1: transmit-side LDLP): the
-    same synthetic stack driven top-down through {!Ldlp_core.Txsched},
+    same synthetic stack driven top-down through {!Ldlp_core.Engine.tx_chain},
     side by side with the receive direction.  By symmetry the miss
     amortisation should match — this run demonstrates it. *)
 

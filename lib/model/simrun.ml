@@ -30,9 +30,9 @@ type result = {
 (* Payloads are just the simulated buffer address of the message data. *)
 type payload = int
 
-let sched_discipline (params : Params.t) = function
-  | Conventional | Ilp -> Core.Sched.Conventional
-  | Ldlp -> Core.Sched.Ldlp params.Params.batch
+let engine_discipline (params : Params.t) = function
+  | Conventional | Ilp -> Core.Engine.Conventional
+  | Ldlp -> Core.Engine.Ldlp params.Params.batch
 
 (* The synthetic stack's layer names, bottom-first — the shape a metric
    sheet passed to [run_into]/[run_once] must have. *)
@@ -74,17 +74,6 @@ let fresh_accum () =
     tx_msgs = 0;
     tx_runs = 0;
   }
-
-(* Both directions drive the same loop through this interface: the
-   receive side wraps {!Core.Sched}, the transmit side {!Core.Txsched}. *)
-type 'a driver = {
-  d_inject : 'a Core.Msg.t -> unit;
-  d_pending : unit -> int;
-  d_backlog : unit -> int;
-  d_step : unit -> bool;
-  d_batch_stats : unit -> int * int * int;  (* batches, total, max *)
-  d_duplex_stats : unit -> int * int;  (* wire msgs, tx-side run switches *)
-}
 
 let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
     ~source ?clock_hz ?metrics ?probe acc =
@@ -223,55 +212,23 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
                ~cycles_per_byte:params.cycles_per_byte ())
           handle)
   in
-  let driver =
+  (* Every direction drives the same loop: an engine plus the node where
+     arrivals enter it. *)
+  let complete msg = completed := msg :: !completed in
+  let on_handled i _ msg = charge i msg in
+  let eng, entry =
     match direction with
     | `Receive ->
-      let sched =
-        Core.Sched.create
-          ~discipline:(sched_discipline params discipline)
-          ~layers
-          ~up:(fun msg -> completed := msg :: !completed)
-          ~on_handled:(fun i _ msg -> charge i msg)
-          ?metrics ()
-      in
-      {
-        d_inject = Core.Sched.inject sched;
-        d_pending = (fun () -> Core.Sched.pending sched);
-        d_backlog = (fun () -> Core.Sched.backlog sched);
-        d_step = (fun () -> Core.Sched.step sched);
-        d_batch_stats =
-          (fun () ->
-            let st = Core.Sched.stats sched in
-            ( st.Core.Sched.batches,
-              st.Core.Sched.total_batched,
-              st.Core.Sched.max_batch ));
-        d_duplex_stats = (fun () -> (0, 0));
-      }
+      ( Core.Engine.rx_chain ~discipline:(engine_discipline params discipline)
+          ~layers ~up:complete ~on_handled ?metrics (),
+        0 )
     | `Transmit ->
       (* Messages enter at the top (application sends) and complete when
          they reach the wire below the bottom layer; I-cache charging per
          layer is identical — the mirror image of the receive path. *)
-      let tx =
-        Core.Txsched.create
-          ~discipline:(sched_discipline params discipline)
-          ~layers
-          ~wire:(fun msg -> completed := msg :: !completed)
-          ~on_handled:(fun i _ msg -> charge i msg)
-          ?metrics ()
-      in
-      {
-        d_inject = Core.Txsched.submit tx;
-        d_pending = (fun () -> Core.Txsched.pending tx);
-        d_backlog = (fun () -> Core.Txsched.backlog tx);
-        d_step = (fun () -> Core.Txsched.step tx);
-        d_batch_stats =
-          (fun () ->
-            let st = Core.Txsched.stats tx in
-            ( st.Core.Txsched.batches,
-              st.Core.Txsched.total_batched,
-              st.Core.Txsched.max_batch ));
-        d_duplex_stats = (fun () -> (0, 0));
-      }
+      ( Core.Engine.tx_chain ~discipline:(engine_discipline params discipline)
+          ~layers ~wire:complete ~on_handled ?metrics (),
+        top )
     | `Duplex ->
       (* Both directions under one engine: arrivals enter the rx side and
          complete at the up sink (latency is still arrival-to-delivery);
@@ -279,30 +236,12 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
          nodes — charged to their own regions via [on_handled] — and
          leave at the wire sink uncounted. *)
       let eng =
-        Core.Engine.duplex
-          ~discipline:(sched_discipline params discipline)
-          ~layers
-          ~up:(fun msg -> completed := msg :: !completed)
+        Core.Engine.duplex ~discipline:(engine_discipline params discipline)
+          ~layers ~up:complete
           ~wire:(fun msg -> Core.Msg.release msg_pool msg)
-          ~on_handled:(fun i _ msg -> charge i msg)
-          ?metrics ()
+          ~on_handled ?metrics ()
       in
-      let rx = Core.Engine.duplex_rx_entry eng in
-      {
-        d_inject = (fun m -> Core.Engine.inject eng ~node:rx m);
-        d_pending = (fun () -> Core.Engine.pending eng);
-        d_backlog = (fun () -> Core.Engine.backlog eng ~node:rx);
-        d_step = (fun () -> Core.Engine.step eng);
-        d_batch_stats =
-          (fun () ->
-            let st = Core.Engine.stats eng in
-            ( st.Core.Engine.batches,
-              st.Core.Engine.total_batched,
-              st.Core.Engine.max_batch ));
-        d_duplex_stats =
-          (fun () ->
-            ((Core.Engine.stats eng).Core.Engine.to_down, Core.Engine.tx_runs eng));
-      }
+      (eng, Core.Engine.duplex_rx_entry eng)
   in
   let offered_sc, dropped_sc =
     match metrics with
@@ -321,22 +260,22 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
       | Some p when p.Ldlp_traffic.Source.at <= !now ->
         acc.offered <- acc.offered + 1;
         Metrics.add_scalar offered_sc 1;
-        if driver.d_backlog () >= params.buffer_cap then begin
+        if Core.Engine.backlog eng ~node:entry >= params.buffer_cap then begin
           acc.dropped <- acc.dropped + 1;
           Metrics.add_scalar dropped_sc 1
         end
         else
-          driver.d_inject
+          Core.Engine.inject eng ~node:entry
             (Core.Msg.acquire msg_pool ~arrival:p.Ldlp_traffic.Source.at
                ~size:p.Ldlp_traffic.Source.size (take_slot ()));
         pull ()
       | _ -> continue := false
     done
   in
-  let finished () = !arrivals = None && driver.d_pending () = 0 in
+  let finished () = !arrivals = None && Core.Engine.pending eng = 0 in
   while not (finished ()) do
     inject_due ();
-    if driver.d_pending () = 0 then begin
+    if Core.Engine.pending eng = 0 then begin
       match !arrivals with
       | None -> ()
       | Some p -> now := Float.max !now p.Ldlp_traffic.Source.at
@@ -344,7 +283,7 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
     else begin
       let c0 = Cache.Memsys.cycles memsys in
       completed := [];
-      ignore (driver.d_step ());
+      ignore (Core.Engine.step eng);
       let dc = Cache.Memsys.cycles memsys - c0 in
       now := !now +. Cache.Memsys.seconds_of_cycles memsys dc;
       List.iter
@@ -367,13 +306,14 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
   acc.dmisses <-
     acc.dmisses + counters.Cache.Memsys.dcache_misses
     + counters.Cache.Memsys.write_misses;
-  let batches, total_batched, max_batch = driver.d_batch_stats () in
-  acc.batches <- acc.batches + batches;
-  acc.total_batched <- acc.total_batched + total_batched;
-  acc.max_batch <- max acc.max_batch max_batch;
-  let tx_msgs, tx_runs = driver.d_duplex_stats () in
-  acc.tx_msgs <- acc.tx_msgs + tx_msgs;
-  acc.tx_runs <- acc.tx_runs + tx_runs;
+  let st = Core.Engine.stats eng in
+  acc.batches <- acc.batches + st.Core.Engine.batches;
+  acc.total_batched <- acc.total_batched + st.Core.Engine.total_batched;
+  acc.max_batch <- max acc.max_batch st.Core.Engine.max_batch;
+  if direction = `Duplex then begin
+    acc.tx_msgs <- acc.tx_msgs + st.Core.Engine.to_down;
+    acc.tx_runs <- acc.tx_runs + Core.Engine.tx_runs eng
+  end;
   acc.sim_seconds <- acc.sim_seconds +. !now
 
 let result_of ~discipline acc =

@@ -1,7 +1,7 @@
 (** Cycle-accurate simulation of the synthetic five-layer stack under the
     three scheduling disciplines of Figures 2/3.
 
-    The simulator drives the real {!Ldlp_core.Sched} scheduler; each layer's
+    The simulator drives the real {!Ldlp_core.Engine} scheduler; each layer's
     handler charges the {!Ldlp_cache.Memsys} for its code fetch, its private
     data, and the message bytes, and virtual time is the accumulated cycle
     count divided by the clock.  The arrival process and the processor race

@@ -29,10 +29,10 @@ val add_node :
   unit ->
   'a node
 (** [service nic] is called when the node's interrupt fires; it should
-    drain the receive ring (e.g. {!Ldlp_nic.Nic.take_all} or
-    [service_into] a scheduler), run its stack, and queue any replies with
-    {!Ldlp_nic.Nic.transmit}.  Default NIC: 64-slot rings, per-frame
-    interrupts.  Default [irq_latency] 5 us.
+    drain the receive ring (e.g. {!Ldlp_nic.Nic.take_all}, or
+    {!Ldlp_nic.Nic.service_into} an {!Ldlp_core.Engine}), run its stack,
+    and queue any replies with {!Ldlp_nic.Nic.transmit}.  Default NIC:
+    64-slot rings, per-frame interrupts.  Default [irq_latency] 5 us.
 
     [holdoff] (default 100 us) is the interrupt-holdoff timer real
     adaptors pair with coalescing: if frames sit in the receive ring

@@ -122,7 +122,8 @@ let transmit t frame =
 
 let stats t = t.s
 
-let service_into t sched ~wrap =
-  let frames = take_all t in
-  List.iter (fun f -> Ldlp_core.Sched.inject sched (wrap f)) frames;
-  List.length frames
+let service_into t eng ~node ~wrap =
+  List.fold_left
+    (fun moved f ->
+      if Ldlp_core.Engine.try_inject eng ~node (wrap f) then moved + 1 else moved)
+    0 (take_all t)

@@ -72,8 +72,13 @@ val stats : 'a t -> stats
 (** {1 Driver glue} *)
 
 val service_into :
-  'a t -> 'b Ldlp_core.Sched.t -> wrap:('a -> 'b Ldlp_core.Msg.t) -> int
-(** Move every buffered RX frame into a scheduler's bottom queue (the
-    device driver's "bottom half"); returns how many frames moved.  With
-    an LDLP discipline the scheduler then naturally processes them as a
-    batch. *)
+  'a t ->
+  'b Ldlp_core.Engine.t ->
+  node:int ->
+  wrap:('a -> 'b Ldlp_core.Msg.t) ->
+  int
+(** Move every buffered RX frame into an engine's entry queue [node]
+    (the device driver's "bottom half"); returns how many frames the
+    engine accepted — frames it sheds under an [intake_limit] do not
+    count.  With an LDLP discipline the engine then naturally processes
+    them as a batch. *)

@@ -3,11 +3,11 @@
     A sheet holds monotonic counters for one instrumented component — one
     {!layer} record per protocol layer plus component-wide histograms
     (entry batch sizes, entry-queue depth, message latency), named scalar
-    counters and {!Span}s.  The schedulers ({!Ldlp_core.Sched},
-    {!Ldlp_core.Txsched}, {!Ldlp_core.Graphsched}), the runtime, the
-    cycle model ({!Ldlp_model.Simrun}), the NIC and the TCP host all
-    accept an optional sheet at construction and record into it while the
-    {!Obs} gate is on.
+    counters and {!Span}s.  The scheduling engine ({!Ldlp_core.Engine},
+    in every topology it builds), the runtime, the cycle model
+    ({!Ldlp_model.Simrun}), the NIC and the TCP host all accept an
+    optional sheet at construction and record into it while the {!Obs}
+    gate is on.
 
     All recorders are no-ops while the gate is off — the instrumented
     call sites allocate nothing on the disabled path (pinned by the

@@ -101,7 +101,7 @@ type ep = {
   pool : Pool.t;
   mpool : Host.item Core.Msg.pool;
   host : Host.t;
-  sched : Host.item Core.Sched.t;
+  eng : Host.item Core.Engine.t;
   tm : timers;
   mutable frames : int;
   (* client-side application state *)
@@ -157,9 +157,9 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
             metrics := Some m;
             Some m
       in
-      let sched =
-        Core.Sched.create
-          ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default)
+      let eng =
+        Core.Engine.rx_chain
+          ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default)
           ~layers:(Host.layers host)
           ~down:(fun m ->
             xmit m.Core.Msg.payload.Host.buf;
@@ -177,7 +177,7 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
         ~tx:xmit;
       let ep =
         { conn; is_client; group = g; peer = g lxor 1; pool; mpool; host;
-          sched; tm; frames = 0; pcb = None; sent_idx = 0;
+          eng; tm; frames = 0; pcb = None; sent_idx = 0;
           recvd = Buffer.create 256; completion_round = -1 }
       in
       ep_ref := Some ep;
@@ -250,7 +250,7 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
         (fun ~src_group:_ ~dst_group b ->
           let ep = List.assoc dst_group eps in
           let frame = Mbuf.of_bytes ep.pool b in
-          Core.Sched.inject ep.sched
+          Core.Engine.inject ep.eng ~node:0
             (Core.Msg.acquire ep.mpool ~arrival:!now
                ~size:(Mbuf.length frame) (Host.wrap ep.host frame)));
       w_step =
@@ -258,12 +258,12 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
           now := float_of_int round *. round_dt;
           List.iter
             (fun (_, ep) ->
-              Core.Sched.run ep.sched;
+              Core.Engine.run ep.eng;
               service round ep;
               fire_due ep.tm ~now:!now;
               (* A timer may have transmitted or freed state the app can
                  now act on. *)
-              Core.Sched.run ep.sched;
+              Core.Engine.run ep.eng;
               service round ep)
             eps;
           List.exists

@@ -3,7 +3,7 @@
     [conns] independent echo exchanges; connection [k]'s client is group
     [2k], its server group [2k + 1].  Every endpoint owns a complete
     private stack — mbuf pool, message pool, {!Ldlp_tcpmini.Host},
-    {!Ldlp_core.Sched}, timer wheel and (optionally) a metric sheet —
+    {!Ldlp_core.Engine}, timer wheel and (optionally) a metric sheet —
     so the {!Shard.Policy} is free to place the two ends of a connection
     on different domains.  The wire is the {!Handoff}: a transmitted
     frame is serialised to bytes, its mbuf freed on the sending shard,

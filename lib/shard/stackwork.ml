@@ -141,7 +141,7 @@ type value = { v_tag : int; v_ttl : int }
 type gstate = {
   g : int;
   pool : value Msg.pool;
-  sched : value Sched.t;
+  eng : value Engine.t;
   mutable digest : string list;  (* reversed *)
   mutable emits : (int * int * int) list;  (* reversed *)
   mutable seeded : bool;
@@ -191,9 +191,9 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
         end;
         Msg.release pool m
       in
-      let sched =
-        Sched.create
-          ~discipline:(Sched.Ldlp spec.sp_policy)
+      let eng =
+        Engine.rx_chain
+          ~discipline:(Engine.Ldlp spec.sp_policy)
           ~layers:(List.mapi layer_of_behaviour spec.sp_layers.(g))
           ~up
           ~down:(fun _ -> ())
@@ -201,7 +201,7 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
           ()
       in
       let gs =
-        { g; pool; sched; digest = []; emits = []; seeded = false;
+        { g; pool; eng; digest = []; emits = []; seeded = false;
           handoff_in = 0; crashed_in = 0 }
       in
       gs_ref := Some gs;
@@ -210,7 +210,7 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
     let states = List.map (fun g -> (g, mk_gstate g)) mine in
     let find g = List.assoc g states in
     let inject gs v =
-      Sched.inject gs.sched
+      Engine.inject gs.eng ~node:0
         (Msg.acquire gs.pool ~flow:v.v_tag ~arrival:0.0 ~size:64 v)
     in
     (* [w_deliver] carries no round, but every delivery sits between
@@ -241,7 +241,7 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
                     (fun (tag, ttl) -> inject gs { v_tag = tag; v_ttl = ttl })
                     spec.sp_init.(g)
                 end;
-                Sched.run gs.sched
+                Engine.run gs.eng
               end)
             states;
           false);
@@ -249,16 +249,16 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
         (fun () ->
           List.map
             (fun (_, gs) ->
-              let st = Sched.stats gs.sched in
+              let st = Engine.stats gs.eng in
               let ps = Msg.pool_stats gs.pool in
               {
                 gr_group = gs.g;
                 gr_digest = List.rev gs.digest;
                 gr_emits = List.rev gs.emits;
-                gr_injected = st.Sched.injected;
-                gr_delivered = st.Sched.delivered;
-                gr_consumed = st.Sched.consumed;
-                gr_sent_down = st.Sched.sent_down;
+                gr_injected = st.Engine.injected;
+                gr_delivered = st.Engine.to_up;
+                gr_consumed = st.Engine.consumed;
+                gr_sent_down = st.Engine.to_down;
                 gr_pool_outstanding = ps.Msg.p_outstanding;
                 gr_handoff_in = gs.handoff_in;
                 gr_crashed = gs.crashed_in;

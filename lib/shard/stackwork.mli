@@ -2,8 +2,8 @@
     subject of the cross-shard differential oracle.
 
     Each {e group} owns a full private pipeline: a {!Ldlp_core.Msg.pool}
-    and an LDLP {!Ldlp_core.Sched} over a randomly drawn stack of layer
-    behaviours.  Groups seed themselves with an initial burst; every
+    and an LDLP {!Ldlp_core.Engine.rx_chain} over a randomly drawn stack
+    of layer behaviours.  Groups seed themselves with an initial burst; every
     delivered message whose TTL is positive is re-emitted through the
     {!Handoff} to the next group, so traffic keeps crossing shard
     boundaries until the TTLs drain.

@@ -245,8 +245,8 @@ let run_one ?(duplex = false) ~discipline sc =
       done
     | _ -> ()
   in
-  (* A node's scheduler is either the classic receive chain ([Sched],
-     app-built frames transmitted directly) or one full-duplex engine
+  (* A node's engine is either the classic receive chain (app-built
+     frames transmitted directly) or one full-duplex engine
      ([Host.duplex]): received frames enter the rx side, app-built frames
      are submitted at the tx entry and descend the transmit nodes before
      reaching the NIC. *)
@@ -263,40 +263,32 @@ let run_one ?(duplex = false) ~discipline sc =
       Mbuf.free pool m.Core.Msg.payload.Host.buf;
       Core.Msg.release mpool m
     in
-    let drive, emit, shed_count =
+    let eng, emit =
       if duplex then begin
         let eng =
           Host.duplex host ~discipline
             ~wire:(fun frame -> xmit nic frame)
             ?intake_limit:sc.intake_limit ~on_shed:shed ()
         in
-        let rx = Core.Engine.duplex_rx_entry eng
-        and tx = Core.Engine.duplex_tx_entry eng in
-        ( (fun nic ->
-            List.iter
-              (fun f -> Core.Engine.inject eng ~node:rx (wrap f))
-              (Nic.take_all nic);
-            Core.Engine.run eng),
-          (fun frame ->
+        let tx = Core.Engine.duplex_tx_entry eng in
+        ( eng,
+          fun frame ->
             Core.Engine.inject eng ~node:tx (wrap frame);
-            Core.Engine.run eng),
-          fun () -> (Core.Engine.stats eng).Core.Engine.shed )
+            Core.Engine.run eng )
       end
-      else begin
-        let sched =
-          Core.Sched.create ~discipline ~layers:(Host.layers host)
+      else
+        ( Core.Engine.rx_chain ~discipline ~layers:(Host.layers host)
             ~down:(fun m ->
               xmit nic m.Core.Msg.payload.Host.buf;
               Core.Msg.release mpool m)
             ~on_consume:(fun m -> Core.Msg.release mpool m)
-            ?intake_limit:sc.intake_limit ~on_shed:shed ()
-        in
-        ( (fun nic ->
-            ignore (Nic.service_into nic sched ~wrap);
-            Core.Sched.run sched),
-          (fun frame -> xmit nic frame),
-          fun () -> (Core.Sched.stats sched).Core.Sched.shed )
-      end
+            ?intake_limit:sc.intake_limit ~on_shed:shed (),
+          fun frame -> xmit nic frame )
+    in
+    (* Frame arrival is node 0 of either engine. *)
+    let drive nic =
+      ignore (Nic.service_into nic eng ~node:0 ~wrap);
+      Core.Engine.run eng
     in
     let node =
       Netsim.add_node net ~name ~nic
@@ -313,12 +305,12 @@ let run_one ?(duplex = false) ~discipline sc =
       ~tx:(fun frame ->
         if Nic.transmit (Netsim.nic node) frame then Netsim.kick net node
         else Mbuf.free pool frame);
-    (nic, shed_count, node, emit)
+    (nic, eng, node, emit)
   in
-  let server_nic, server_shed, server_node, _server_emit =
+  let server_nic, server_eng, server_node, _server_emit =
     mk_node ~name:"server" server_host ~on_service:server_service
   in
-  let client_nic, client_shed, client_node, client_emit =
+  let client_nic, client_eng, client_node, client_emit =
     mk_node ~name:"client" client_host ~on_service:client_service
   in
   let mk_impair ~seed =
@@ -387,7 +379,9 @@ let run_one ?(duplex = false) ~discipline sc =
       && pstats.Pool.cluster_in_use = 0
       && mstats.Core.Msg.p_outstanding = 0;
     retransmits = cc.Host.retransmits + sc_c.Host.retransmits;
-    shed = client_shed () + server_shed ();
+    shed =
+      (Core.Engine.stats client_eng).Core.Engine.shed
+      + (Core.Engine.stats server_eng).Core.Engine.shed;
     echoed_bytes = Buffer.length recvd;
     completion =
       (match !completion with Some t -> t | None -> Engine.now engine);
@@ -398,9 +392,9 @@ let run_one ?(duplex = false) ~discipline sc =
   }
 
 let run_scenario ?(duplex = false) sc =
-  let conventional = run_one ~duplex ~discipline:Core.Sched.Conventional sc in
+  let conventional = run_one ~duplex ~discipline:Core.Engine.Conventional sc in
   let ldlp =
-    run_one ~duplex ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) sc
+    run_one ~duplex ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) sc
   in
   let equivalent =
     conventional.completed && ldlp.completed && conventional.integrity
@@ -460,7 +454,7 @@ let loss_ladder ~seed ~rates =
         { id = 0; seed; plan; chunks = 32; chunk_bytes = 64;
           intake_limit = None; crash = [] }
       in
-      let o = run_one ~discipline:(Core.Sched.Ldlp Core.Batch.paper_default) sc in
+      let o = run_one ~discipline:(Core.Engine.Ldlp Core.Batch.paper_default) sc in
       {
         loss;
         goodput =

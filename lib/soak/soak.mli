@@ -27,9 +27,9 @@ type scenario = {
   chunks : int;
   chunk_bytes : int;
   intake_limit : int option;
-      (** Overload watermark for both hosts' schedulers (see
-          {!Ldlp_core.Sched.create}); shed frames must be recovered by
-          retransmission like wire drops. *)
+      (** Overload watermark for both hosts' engines (the
+          [intake_limit] of {!Ldlp_core.Engine.rx_chain}); shed frames
+          must be recovered by retransmission like wire drops. *)
   crash : (float * float) list;
       (** Server crash/restart episodes [(down_at, up_at)), sorted and
           disjoint (validated as a {!Ldlp_fault.Plan.host} lifecycle).

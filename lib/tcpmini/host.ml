@@ -409,8 +409,8 @@ let layers t =
    generated while draining a receive batch descend through the transmit
    nodes of the same scheduling pass.  The receive path already builds
    complete Ethernet frames and the layers' transmit handlers default to
-   passthrough, so the wire sees byte-identical frames to the [Sched]
-   arrangement — only the scheduling changes. *)
+   passthrough, so the wire sees byte-identical frames to the receive
+   chain arrangement — only the scheduling changes. *)
 let duplex t ~discipline ?(wire = fun _ -> ()) ?intake_limit
     ?(on_shed = fun _ -> ()) ?metrics () =
   match t.msg_pool with

@@ -43,16 +43,17 @@ val create :
 
     [metrics] mirrors {!counters} as gated scalars ("frames_in",
     "non_ip", "non_tcp", "bad_ip", "delivered_bytes"); pass the same
-    sheet to the {!Ldlp_core.Sched} driving {!layers} to collect the
+    sheet to the {!Ldlp_core.Engine} driving {!layers} to collect the
     per-layer columns alongside. *)
 
 val listen : t -> port:int -> Pcb.t
 (** Open a listening socket; incoming connections clone it. *)
 
 val layers : t -> item Ldlp_core.Layer.t list
-(** The stack, bottom-first: ether, ip, tcp.  Feed frames with
-    [Sched.inject] (wrap them with {!wrap}); transmitted frames appear at
-    the scheduler's [down] sink as complete Ethernet frames. *)
+(** The stack, bottom-first: ether, ip, tcp.  Under an
+    {!Ldlp_core.Engine.rx_chain}, feed frames with [Engine.inject ~node:0]
+    (wrap them with {!wrap}); transmitted frames appear at the engine's
+    [down] sink as complete Ethernet frames. *)
 
 val wrap : t -> Ldlp_buf.Mbuf.t -> item
 
@@ -74,7 +75,7 @@ val duplex :
     while draining a receive batch cross into the transmit nodes of the
     {e same} scheduling pass, so a receive batch's ACKs descend as one
     transmit batch (cross-direction amortisation).  The wire frames are
-    byte-identical to the {!layers}-under-{!Ldlp_core.Sched}
+    byte-identical to the {!layers}-under-{!Ldlp_core.Engine.rx_chain}
     arrangement.  [metrics] needs [2n] rows named by
     {!Ldlp_core.Engine.duplex_layer_names}.
 

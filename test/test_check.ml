@@ -146,7 +146,7 @@ let test_sched_equivalence_fixed () =
   | Error e -> Alcotest.fail e
 
 let test_sched_trace_shape () =
-  let t = Sched_oracle.run_spec Ldlp_core.Sched.Conventional paper_spec in
+  let t = Sched_oracle.run_spec Ldlp_core.Engine.Conventional paper_spec in
   (* Msg 0 is divisible by 3, so layer 2 consumes it: visits 0,1,2. *)
   Alcotest.(check (list int)) "consumed at layer 2" [ 0; 1; 2 ] t.Sched_oracle.visits.(0);
   (* Msg 1 passes everything: all five layers. *)
@@ -175,8 +175,8 @@ let prop_sched_conservation =
           let t = Sched_oracle.run_spec d spec in
           Sched_oracle.conserved t.Sched_oracle.stats ~pending:0)
         [
-          Ldlp_core.Sched.Conventional;
-          Ldlp_core.Sched.Ldlp spec.Sched_oracle.policy;
+          Ldlp_core.Engine.Conventional;
+          Ldlp_core.Engine.Ldlp spec.Sched_oracle.policy;
         ])
 
 (* ---------- Invariant (LDLP_CHECK hot-path assertions) ---------- *)
@@ -220,7 +220,7 @@ let test_invariants_pass_on_runtime () =
       in
       let r =
         Ldlp_core.Runtime.run
-          ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+          ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
           ~layers
           ~make_payload:(fun ~size ->
             Ldlp_buf.Mbuf.of_bytes pool (Bytes.create (min size 1024)))

@@ -1,5 +1,6 @@
-(* Tests for the LDLP engine: batch policies, the scheduler's ordering and
-   conservation invariants, the blocking estimator, the runtime. *)
+(* Tests for the LDLP engine: batch policies, the receive and transmit
+   chains' ordering and conservation invariants, the blocking estimator,
+   the runtime. *)
 
 open Ldlp_core
 
@@ -23,24 +24,29 @@ let test_msg_with_payload () =
 
 (* ---------- Batch ---------- *)
 
+(* [Batch.limit] over pending messages of the given sizes, front first. *)
+let limit policy sizes =
+  let a = Array.of_list sizes in
+  Batch.limit policy ~len:(Array.length a) ~size:(Array.get a)
+
 let test_batch_fixed () =
-  checki "fixed caps" 3 (Batch.limit (Batch.Fixed 3) ~sizes:[ 1; 1; 1; 1; 1 ]);
-  checki "fixed under" 2 (Batch.limit (Batch.Fixed 3) ~sizes:[ 1; 1 ]);
-  checki "empty" 0 (Batch.limit (Batch.Fixed 3) ~sizes:[])
+  checki "fixed caps" 3 (limit (Batch.Fixed 3) [ 1; 1; 1; 1; 1 ]);
+  checki "fixed under" 2 (limit (Batch.Fixed 3) [ 1; 1 ]);
+  checki "empty" 0 (limit (Batch.Fixed 3) [])
 
 let test_batch_all () =
-  checki "all" 4 (Batch.limit Batch.All ~sizes:[ 1; 2; 3; 4 ])
+  checki "all" 4 (limit Batch.All [ 1; 2; 3; 4 ])
 
 let test_batch_dcache_fit_paper () =
   (* 8192-byte cache, 552-byte messages + 32 overhead -> 14 per batch,
      the paper's "flattens beyond 8500 msgs/sec" limit. *)
   let sizes = List.init 50 (fun _ -> 552) in
-  checki "paper batch is 14" 14 (Batch.limit Batch.paper_default ~sizes)
+  checki "paper batch is 14" 14 (limit Batch.paper_default sizes)
 
 let test_batch_oversized_msg () =
   (* A message bigger than the cache must still pass (batch of 1). *)
   checki "oversized passes alone" 1
-    (Batch.limit Batch.paper_default ~sizes:[ 100000; 552 ])
+    (limit Batch.paper_default [ 100000; 552 ])
 
 let prop_batch_bounds =
   QCheck.Test.make ~name:"batch limit is in [1, pending] when pending > 0"
@@ -49,7 +55,7 @@ let prop_batch_bounds =
     (fun sizes ->
       List.for_all
         (fun policy ->
-          let n = Batch.limit policy ~sizes in
+          let n = limit policy sizes in
           n >= 1 && n <= List.length sizes)
         [
           Batch.All;
@@ -62,7 +68,7 @@ let prop_batch_fixed_cap =
   QCheck.Test.make ~name:"Fixed n never exceeds n" ~count:300
     QCheck.(
       pair (int_range 1 50) (list_of_size Gen.(0 -- 60) (int_range 0 4096)))
-    (fun (n, sizes) -> Batch.limit (Batch.Fixed n) ~sizes <= n)
+    (fun (n, sizes) -> limit (Batch.Fixed n) sizes <= n)
 
 let prop_batch_dcache_monotone =
   (* A bigger data cache never shrinks the batch (Section 3.2: the batch is
@@ -74,8 +80,8 @@ let prop_batch_dcache_monotone =
         (list_of_size Gen.(1 -- 40) (int_range 0 4096)))
     (fun (c1, c2, per_msg_overhead, sizes) ->
       let small = min c1 c2 and big = max c1 c2 in
-      Batch.limit (Batch.Dcache_fit { cache_bytes = small; per_msg_overhead }) ~sizes
-      <= Batch.limit (Batch.Dcache_fit { cache_bytes = big; per_msg_overhead }) ~sizes)
+      limit (Batch.Dcache_fit { cache_bytes = small; per_msg_overhead }) sizes
+      <= limit (Batch.Dcache_fit { cache_bytes = big; per_msg_overhead }) sizes)
 
 let prop_batch_prefix_sum =
   (* Dcache_fit takes exactly the longest prefix fitting the cache budget
@@ -87,7 +93,7 @@ let prop_batch_prefix_sum =
         (list_of_size Gen.(1 -- 40) (int_range 0 4096)))
     (fun (cache_bytes, per_msg_overhead, sizes) ->
       let n =
-        Batch.limit (Batch.Dcache_fit { cache_bytes; per_msg_overhead }) ~sizes
+        limit (Batch.Dcache_fit { cache_bytes; per_msg_overhead }) sizes
       in
       let cost k =
         List.fold_left ( + ) 0
@@ -96,7 +102,7 @@ let prop_batch_prefix_sum =
       (n = 1 || cost n <= cache_bytes)
       && (n >= List.length sizes || cost (n + 1) > cache_bytes))
 
-(* ---------- Sched helpers ---------- *)
+(* ---------- Receive chain ---------- *)
 
 (* A stack of [n] passthrough layers that logs (layer, msg id) handling
    order. *)
@@ -109,7 +115,7 @@ let logging_stack ~discipline ~n =
             [ Layer.Deliver_up msg ]))
   in
   let sched =
-    Sched.create ~discipline ~layers
+    Engine.rx_chain ~discipline ~layers
       ~up:(fun m -> delivered := m.Msg.id :: !delivered)
       ~on_handled:(fun i _ m -> log := (i, m.Msg.id) :: !log)
       ()
@@ -119,14 +125,14 @@ let logging_stack ~discipline ~n =
 let inject_n sched n =
   List.init n (fun i ->
       let m = Msg.make ~flow:(i mod 3) ~size:552 i in
-      Sched.inject sched m;
+      Engine.inject sched ~node:0 m;
       m.Msg.id)
 
 let test_conventional_order () =
   (* Conventional: msg 1 climbs all layers before msg 2 starts. *)
-  let sched, log, _ = logging_stack ~discipline:Sched.Conventional ~n:3 in
+  let sched, log, _ = logging_stack ~discipline:Engine.Conventional ~n:3 in
   let ids = inject_n sched 2 in
-  Sched.run sched;
+  Engine.run sched;
   let expected =
     match ids with
     | [ a; b ] -> [ (0, a); (1, a); (2, a); (0, b); (1, b); (2, b) ]
@@ -136,32 +142,32 @@ let test_conventional_order () =
 
 let test_ldlp_blocked_order () =
   (* LDLP: layer 0 processes the whole batch before layer 1 runs. *)
-  let sched, log, _ = logging_stack ~discipline:(Sched.Ldlp Batch.All) ~n:3 in
+  let sched, log, _ = logging_stack ~discipline:(Engine.Ldlp Batch.All) ~n:3 in
   let ids = inject_n sched 3 in
-  Sched.run sched;
+  Engine.run sched;
   let expected =
     List.concat_map (fun layer -> List.map (fun id -> (layer, id)) ids) [ 0; 1; 2 ]
   in
   check "blocked (layer-major) order" true (List.rev !log = expected)
 
 let test_ldlp_batch_cap_respected () =
-  let sched, log, _ = logging_stack ~discipline:(Sched.Ldlp (Batch.Fixed 2)) ~n:2 in
+  let sched, log, _ = logging_stack ~discipline:(Engine.Ldlp (Batch.Fixed 2)) ~n:2 in
   ignore (inject_n sched 5);
   (* First step: bottom layer processes at most 2. *)
-  ignore (Sched.step sched);
+  ignore (Engine.step sched);
   let layer0 = List.filter (fun (l, _) -> l = 0) !log in
   checki "first quantum bounded" 2 (List.length layer0);
-  Sched.run sched;
-  let st = Sched.stats sched in
-  check "max batch <= 2" true (st.Sched.max_batch <= 2);
-  checki "all delivered" 5 st.Sched.delivered
+  Engine.run sched;
+  let st = Engine.stats sched in
+  check "max batch <= 2" true (st.Engine.max_batch <= 2);
+  checki "all delivered" 5 st.Engine.to_up
 
 let test_ldlp_priority_upper_first () =
   (* After the bottom yields, the upper layer must drain before the bottom
      takes another batch. *)
-  let sched, log, _ = logging_stack ~discipline:(Sched.Ldlp (Batch.Fixed 1)) ~n:2 in
+  let sched, log, _ = logging_stack ~discipline:(Engine.Ldlp (Batch.Fixed 1)) ~n:2 in
   ignore (inject_n sched 2);
-  Sched.run sched;
+  Engine.run sched;
   (* With batch 1, order must be 0,1 (msg1) then 0,1 (msg2): the upper
      queue never holds two messages. *)
   let layers_in_order = List.rev_map fst !log in
@@ -178,17 +184,17 @@ let test_send_down_and_consume () =
     ]
   in
   let sched =
-    Sched.create ~discipline:(Sched.Ldlp Batch.All) ~layers
+    Engine.rx_chain ~discipline:(Engine.Ldlp Batch.All) ~layers
       ~down:(fun m -> downs := m.Msg.payload :: !downs)
       ()
   in
-  Sched.inject sched (Msg.make ~size:1 7);
-  Sched.run sched;
+  Engine.inject sched ~node:0 (Msg.make ~size:1 7);
+  Engine.run sched;
   Alcotest.(check (list int)) "reply sent down" [ -7 ] !downs;
-  let st = Sched.stats sched in
-  checki "consumed" 1 st.Sched.consumed;
-  checki "sent down" 1 st.Sched.sent_down;
-  checki "delivered" 0 st.Sched.delivered
+  let st = Engine.stats sched in
+  checki "consumed" 1 st.Engine.consumed;
+  checki "sent down" 1 st.Engine.to_down;
+  checki "delivered" 0 st.Engine.to_up
 
 let prop_conservation =
   QCheck.Test.make ~name:"every injected message is delivered exactly once"
@@ -199,10 +205,10 @@ let prop_conservation =
         (fun discipline ->
           let sched, _, delivered = logging_stack ~discipline ~n:nlayers in
           let ids = inject_n sched n in
-          Sched.run sched;
+          Engine.run sched;
           let got = List.sort compare !delivered in
-          got = List.sort compare ids && Sched.pending sched = 0)
-        [ Sched.Conventional; Sched.Ldlp Batch.All; Sched.Ldlp (Batch.Fixed 3) ])
+          got = List.sort compare ids && Engine.pending sched = 0)
+        [ Engine.Conventional; Engine.Ldlp Batch.All; Engine.Ldlp (Batch.Fixed 3) ])
 
 let prop_fifo_per_flow =
   QCheck.Test.make ~name:"per-flow FIFO order preserved by both disciplines"
@@ -213,7 +219,7 @@ let prop_fifo_per_flow =
         (fun discipline ->
           let sched, _, delivered = logging_stack ~discipline ~n:nlayers in
           let ids = inject_n sched n in
-          Sched.run sched;
+          Engine.run sched;
           (* Delivered order restricted to any single flow = injected
              order.  Flow = position mod 3 (see inject_n). *)
           let order = List.rev !delivered in
@@ -228,21 +234,21 @@ let prop_fifo_per_flow =
               let del = List.filter (fun id -> flow_of id = f) order in
               inj = del)
             [ 0; 1; 2 ])
-        [ Sched.Conventional; Sched.Ldlp Batch.paper_default ])
+        [ Engine.Conventional; Engine.Ldlp Batch.paper_default ])
 
 let test_stats_per_layer () =
-  let sched, _, _ = logging_stack ~discipline:Sched.Conventional ~n:2 in
+  let sched, _, _ = logging_stack ~discipline:Engine.Conventional ~n:2 in
   ignore (inject_n sched 4);
-  Sched.run sched;
-  let st = Sched.stats sched in
-  List.iter (fun (_, n) -> checki "each layer handled all" 4 n) st.Sched.per_layer;
-  checki "injected" 4 st.Sched.injected
+  Engine.run sched;
+  let st = Engine.stats sched in
+  List.iter (fun (_, n) -> checki "each layer handled all" 4 n) st.Engine.per_node;
+  checki "injected" 4 st.Engine.injected
 
 let test_intake_shedding () =
   let shed_ids = ref [] in
   let delivered = ref [] in
   let sched =
-    Sched.create ~discipline:Sched.Conventional
+    Engine.rx_chain ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "l0"; Layer.passthrough "l1" ]
       ~up:(fun m -> delivered := m.Msg.id :: !delivered)
       ~intake_limit:3
@@ -250,7 +256,7 @@ let test_intake_shedding () =
       ()
   in
   let results =
-    List.map (fun m -> (m.Msg.id, Sched.try_inject sched m))
+    List.map (fun m -> (m.Msg.id, Engine.try_inject sched ~node:0 m))
       (List.init 5 (fun i -> Msg.make ~size:10 i))
   in
   checki "watermark admits 3" 3 (List.length (List.filter snd results));
@@ -259,44 +265,44 @@ let test_intake_shedding () =
   Alcotest.(check (list bool))
     "first-come first-served" [ true; true; true; false; false ]
     (List.map snd results);
-  let st = Sched.stats sched in
-  checki "stats.shed" 2 st.Sched.shed;
+  let st = Engine.stats sched in
+  checki "stats.shed" 2 st.Engine.shed;
   (* Shed arrivals never enter the stack: the conservation invariant
      (injected = delivered + consumed + sent_down) is untouched. *)
-  checki "shed not counted injected" 3 st.Sched.injected;
-  Sched.run sched;
+  checki "shed not counted injected" 3 st.Engine.injected;
+  Engine.run sched;
   checki "accepted messages all delivered" 3 (List.length !delivered);
-  checki "nothing shed mid-run" 2 (Sched.stats sched).Sched.shed;
+  checki "nothing shed mid-run" 2 (Engine.stats sched).Engine.shed;
   (* Draining the queue reopens the intake. *)
-  check "room after run" true (Sched.try_inject sched (Msg.make ~size:10 9));
+  check "room after run" true (Engine.try_inject sched ~node:0 (Msg.make ~size:10 9));
   (* Without a limit try_inject never refuses. *)
   let open_sched =
-    Sched.create ~discipline:(Sched.Ldlp Batch.All)
+    Engine.rx_chain ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0" ] ()
   in
   check "unlimited intake" true
     (List.for_all Fun.id
-       (List.init 100 (fun i -> Sched.try_inject open_sched (Msg.make i))))
+       (List.init 100 (fun i -> Engine.try_inject open_sched ~node:0 (Msg.make i))))
 
 let test_shed_scalar_only_with_limit () =
   Ldlp_obs.Obs.with_enabled true (fun () ->
       let m = Ldlp_obs.Metrics.create ~label:"shed" ~layer_names:[ "l0" ] in
       let sched =
-        Sched.create ~discipline:Sched.Conventional
+        Engine.rx_chain ~discipline:Engine.Conventional
           ~layers:[ Layer.passthrough "l0" ]
           ~intake_limit:1 ~metrics:m ()
       in
-      ignore (Sched.try_inject sched (Msg.make 0));
-      ignore (Sched.try_inject sched (Msg.make 1));
-      ignore (Sched.try_inject sched (Msg.make 2));
-      checki "scalar mirrors stats.shed" (Sched.stats sched).Sched.shed
+      ignore (Engine.try_inject sched ~node:0 (Msg.make 0));
+      ignore (Engine.try_inject sched ~node:0 (Msg.make 1));
+      ignore (Engine.try_inject sched ~node:0 (Msg.make 2));
+      checki "scalar mirrors stats.shed" (Engine.stats sched).Engine.shed
         (List.assoc "shed" (Ldlp_obs.Metrics.scalars m));
       checki "two shed" 2 (List.assoc "shed" (Ldlp_obs.Metrics.scalars m));
       (* No intake limit: the scalar is not even registered, keeping
          existing stats sheets (and their goldens) unchanged. *)
       let m2 = Ldlp_obs.Metrics.create ~label:"noshed" ~layer_names:[ "l0" ] in
       let _sched2 =
-        Sched.create ~discipline:Sched.Conventional
+        Engine.rx_chain ~discipline:Engine.Conventional
           ~layers:[ Layer.passthrough "l0" ]
           ~metrics:m2 ()
       in
@@ -306,34 +312,35 @@ let test_shed_scalar_only_with_limit () =
 let test_empty_stack_rejected () =
   check "empty stack raises" true
     (try
-       ignore (Sched.create ~discipline:Sched.Conventional ~layers:[] ());
+       ignore (Engine.rx_chain ~discipline:Engine.Conventional ~layers:[] ());
        false
      with Invalid_argument _ -> true)
 
-(* ---------- Txsched (transmit side) ---------- *)
+(* ---------- Transmit chain ---------- *)
 
 let tx_logging_stack ~discipline ~n =
   let log = ref [] in
   let wired = ref [] in
   let layers = List.init n (fun i -> Layer.passthrough (Printf.sprintf "L%d" i)) in
   let tx =
-    Txsched.create ~discipline ~layers
+    Engine.tx_chain ~discipline ~layers
       ~wire:(fun m -> wired := m.Msg.id :: !wired)
       ~on_handled:(fun i _ m -> log := (i, m.Msg.id) :: !log)
       ()
   in
   (tx, log, wired)
 
+(* Submissions enter the top node. *)
 let tx_submit_n tx n =
   List.init n (fun i ->
       let m = Msg.make ~size:552 i in
-      Txsched.submit tx m;
+      Engine.inject tx ~node:(Engine.node_count tx - 1) m;
       m.Msg.id)
 
 let test_tx_conventional_order () =
-  let tx, log, _ = tx_logging_stack ~discipline:Sched.Conventional ~n:3 in
+  let tx, log, _ = tx_logging_stack ~discipline:Engine.Conventional ~n:3 in
   let ids = tx_submit_n tx 2 in
-  Txsched.run tx;
+  Engine.run tx;
   let expected =
     match ids with
     | [ a; b ] -> [ (2, a); (1, a); (0, a); (2, b); (1, b); (0, b) ]
@@ -342,9 +349,9 @@ let test_tx_conventional_order () =
   check "top-down depth-first" true (List.rev !log = expected)
 
 let test_tx_ldlp_blocked_order () =
-  let tx, log, _ = tx_logging_stack ~discipline:(Sched.Ldlp Batch.All) ~n:3 in
+  let tx, log, _ = tx_logging_stack ~discipline:(Engine.Ldlp Batch.All) ~n:3 in
   let ids = tx_submit_n tx 3 in
-  Txsched.run tx;
+  Engine.run tx;
   let expected =
     List.concat_map (fun layer -> List.map (fun id -> (layer, id)) ids) [ 2; 1; 0 ]
   in
@@ -355,32 +362,32 @@ let test_tx_conservation () =
     (fun discipline ->
       let tx, _, wired = tx_logging_stack ~discipline ~n:4 in
       let ids = tx_submit_n tx 25 in
-      Txsched.run tx;
+      Engine.run tx;
       check "all transmitted once" true
         (List.sort compare !wired = List.sort compare ids);
-      checki "nothing pending" 0 (Txsched.pending tx))
-    [ Sched.Conventional; Sched.Ldlp Batch.paper_default; Sched.Ldlp (Batch.Fixed 3) ]
+      checki "nothing pending" 0 (Engine.pending tx))
+    [ Engine.Conventional; Engine.Ldlp Batch.paper_default; Engine.Ldlp (Batch.Fixed 3) ]
 
 let test_tx_fifo_order_on_wire () =
-  let tx, _, wired = tx_logging_stack ~discipline:(Sched.Ldlp Batch.paper_default) ~n:3 in
+  let tx, _, wired = tx_logging_stack ~discipline:(Engine.Ldlp Batch.paper_default) ~n:3 in
   let ids = tx_submit_n tx 20 in
-  Txsched.run tx;
+  Engine.run tx;
   check "wire order = submission order" true (List.rev !wired = ids)
 
 let test_tx_batch_cap () =
-  let tx, _, _ = tx_logging_stack ~discipline:(Sched.Ldlp (Batch.Fixed 4)) ~n:2 in
+  let tx, _, _ = tx_logging_stack ~discipline:(Engine.Ldlp (Batch.Fixed 4)) ~n:2 in
   ignore (tx_submit_n tx 11);
-  Txsched.run tx;
-  let st = Txsched.stats tx in
-  check "max batch <= 4" true (st.Txsched.max_batch <= 4);
-  checki "all transmitted" 11 st.Txsched.transmitted
+  Engine.run tx;
+  let st = Engine.stats tx in
+  check "max batch <= 4" true (st.Engine.max_batch <= 4);
+  checki "all transmitted" 11 st.Engine.to_down
 
 let test_tx_lower_layer_priority () =
   (* With batch 1, each message must fully descend before the next is
      taken from the submission queue. *)
-  let tx, log, _ = tx_logging_stack ~discipline:(Sched.Ldlp (Batch.Fixed 1)) ~n:2 in
+  let tx, log, _ = tx_logging_stack ~discipline:(Engine.Ldlp (Batch.Fixed 1)) ~n:2 in
   ignore (tx_submit_n tx 2);
-  Txsched.run tx;
+  Engine.run tx;
   check "descend between batches" true (List.rev_map fst !log = [ 1; 0; 1; 0 ])
 
 let test_tx_custom_handler () =
@@ -402,19 +409,19 @@ let test_tx_custom_handler () =
       (fun m -> [ Layer.Deliver_up m ])
   in
   let tx =
-    Txsched.create ~discipline:Sched.Conventional ~layers:[ enc; filter ]
+    Engine.tx_chain ~discipline:Engine.Conventional ~layers:[ enc; filter ]
       ~wire:(fun m ->
         kept := !kept + 1;
         checki "header added" 120 m.Msg.size)
       ()
   in
   for _ = 1 to 6 do
-    Txsched.submit tx (Msg.make ~size:100 ())
+    Engine.inject tx ~node:1 (Msg.make ~size:100 ())
   done;
-  Txsched.run tx;
+  Engine.run tx;
   checki "half absorbed" 3 !kept;
-  let st = Txsched.stats tx in
-  checki "consumed counted" 3 st.Txsched.consumed
+  let st = Engine.stats tx in
+  checki "consumed counted" 3 st.Engine.consumed
 
 (* ---------- Blocking ---------- *)
 
@@ -494,7 +501,7 @@ let test_runtime_light_load () =
         { Runtime.at = float_of_int i *. 0.01; size = 100; flow = 0 })
   in
   let r =
-    Runtime.run ~discipline:Sched.Conventional ~layers:(passthrough_layers 3)
+    Runtime.run ~discipline:Engine.Conventional ~layers:(passthrough_layers 3)
       ~make_payload workload
   in
   checki "all processed" 50 r.Runtime.processed;
@@ -508,7 +515,7 @@ let test_runtime_overload_drops () =
         { Runtime.at = float_of_int i *. 0.001; size = 100; flow = 0 })
   in
   let r =
-    Runtime.run ~discipline:Sched.Conventional ~layers:(passthrough_layers 2)
+    Runtime.run ~discipline:Engine.Conventional ~layers:(passthrough_layers 2)
       ~make_payload ~buffer_cap:5
       ~service:(fun ~batch:_ _ -> 0.01)
       workload
@@ -522,7 +529,7 @@ let test_runtime_ldlp_batches_under_load () =
         { Runtime.at = float_of_int i *. 0.001; size = 552; flow = 0 })
   in
   let r =
-    Runtime.run ~discipline:(Sched.Ldlp Batch.paper_default)
+    Runtime.run ~discipline:(Engine.Ldlp Batch.paper_default)
       ~layers:(passthrough_layers 3) ~make_payload
       ~service:(fun ~batch m ->
         (* Amortised service: fixed cost shared across the batch. *)
@@ -530,7 +537,7 @@ let test_runtime_ldlp_batches_under_load () =
       workload
   in
   checki "no drops thanks to batching" 0 r.Runtime.dropped;
-  check "batches formed" true (r.Runtime.stats.Sched.max_batch > 1)
+  check "batches formed" true (r.Runtime.stats.Engine.max_batch > 1)
 
 let test_poisson_workload () =
   let rng = Ldlp_sim.Rng.create ~seed:5 in

@@ -195,7 +195,7 @@ let run_stack ~discipline queries =
   in
   let replies = ref [] in
   let sched =
-    Ldlp_core.Sched.create ~discipline ~layers:(Dnshost.layers host)
+    Ldlp_core.Engine.rx_chain ~discipline ~layers:(Dnshost.layers host)
       ~down:(fun m ->
         match Dnshost.parse_tx host m.Ldlp_core.Msg.payload with
         | Some r -> replies := r :: !replies
@@ -208,17 +208,17 @@ let run_stack ~discipline queries =
         Dnshost.client_query host ~src_ip:client_ip ~src_port:(10000 + i)
           (Dnsmsg.query ~id:i (Name.of_string name))
       in
-      Ldlp_core.Sched.inject sched
+      Ldlp_core.Engine.inject sched ~node:0
         (Ldlp_core.Msg.make
            ~size:(Ldlp_buf.Mbuf.length frame)
            (Dnshost.wrap host frame)))
     queries;
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run sched;
   (host, List.rev !replies)
 
 let test_stack_end_to_end () =
   let host, replies =
-    run_stack ~discipline:Ldlp_core.Sched.Conventional
+    run_stack ~discipline:Ldlp_core.Engine.Conventional
       [ "www.example.com"; "missing.example.com"; "mail.example.com" ]
   in
   checki "three replies" 3 (List.length replies);
@@ -239,9 +239,9 @@ let test_stack_ldlp_equals_conventional () =
       else if i mod 3 = 1 then "mail.example.com"
       else "nope.example.com")
   in
-  let _, conv = run_stack ~discipline:Ldlp_core.Sched.Conventional queries in
+  let _, conv = run_stack ~discipline:Ldlp_core.Engine.Conventional queries in
   let _, ldlp =
-    run_stack ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    run_stack ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
       queries
   in
   checki "same reply count" (List.length conv) (List.length ldlp);
@@ -262,7 +262,7 @@ let test_stack_drops_foreign_traffic () =
       ~server:(make_server ()) ()
   in
   let sched =
-    Ldlp_core.Sched.create ~discipline:Ldlp_core.Sched.Conventional
+    Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
       ~layers:(Dnshost.layers host) ()
   in
   (* A frame to the wrong UDP port. *)
@@ -278,11 +278,11 @@ let test_stack_drops_foreign_traffic () =
   in
   let wrong_port = Dnshost.client_query other ~src_ip:client_ip ~src_port:10 q in
   Ldlp_buf.Mbuf.free pool frame;
-  Ldlp_core.Sched.inject sched
+  Ldlp_core.Engine.inject sched ~node:0
     (Ldlp_core.Msg.make
        ~size:(Ldlp_buf.Mbuf.length wrong_port)
        (Dnshost.wrap host wrong_port));
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run sched;
   let c = Dnshost.counters host in
   checki "not for us" 1 c.Dnshost.not_for_us;
   checki "no replies" 0 c.Dnshost.replies

@@ -1,16 +1,14 @@
-(* Engine-level tests: the facade-stats projection property (satellite of
-   the engine unification — Sched/Txsched/Graphsched stats must be exact
-   projections of the underlying Engine stats on random stacks under both
-   disciplines), transmit-side intake shedding, and the full-duplex
-   topology (same-pass ACK drainage, conservation, shedding at both
-   entries). *)
+(* Engine-level tests: stats conservation for every stack shape on random
+   stacks under both disciplines, the shape-specific idle check, transmit-
+   side intake shedding, and the full-duplex topology (same-pass ACK
+   drainage, conservation, shedding at both entries). *)
 
 open Ldlp_core
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* ---------- random stacks for the projection property ---------- *)
+(* ---------- random stacks for the conservation property ---------- *)
 
 type case = {
   behs : int list;  (* per-layer behaviour selector, bottom-first *)
@@ -38,13 +36,14 @@ let arb_case = QCheck.make ~print:pp_case gen_case
 
 let discipline_of c =
   match c.disc with
-  | 0 -> Sched.Conventional
-  | 1 -> Sched.Ldlp Batch.All
-  | _ -> Sched.Ldlp Batch.paper_default
+  | 0 -> Engine.Conventional
+  | 1 -> Engine.Ldlp Batch.All
+  | _ -> Engine.Ldlp Batch.paper_default
 
 (* Handlers are deterministic functions of the payload (the injection
-   index), as in the oracle, so conventional and blocked runs — and the
-   facade and engine views of one run — describe the same work. *)
+   index), as in the oracle, so conventional and blocked runs describe the
+   same work.  Behaviours mix misroutes, consumes and replies in both
+   directions. *)
 let rx_layer i beh =
   let name = Printf.sprintf "l%d" i in
   let handle m =
@@ -85,94 +84,92 @@ let rx_layer i beh =
 let case_msgs c =
   List.init c.nmsgs (fun i -> Msg.make ~flow:(i mod 3) ~size:(32 * (i mod 4)) i)
 
-let prop_sched_projection c =
-  let layers = List.mapi rx_layer c.behs in
-  let sched =
-    Sched.create ~discipline:(discipline_of c) ~layers ?intake_limit:c.limit ()
-  in
+(* Offer the case's messages at [entry], stepping once every fifth
+   arrival, run to idle and return the stats. *)
+let drive eng ~entry c =
   List.iteri
     (fun i m ->
-      ignore (Sched.try_inject sched m);
-      if i mod 5 = 4 then ignore (Sched.step sched))
+      ignore (Engine.try_inject eng ~node:entry m);
+      if i mod 5 = 4 then ignore (Engine.step eng))
     (case_msgs c);
-  Sched.run sched;
-  let f = Sched.stats sched in
-  let e = Engine.stats (Sched.engine sched) in
-  f.Sched.injected = e.Engine.injected
-  && f.Sched.delivered = e.Engine.to_up
-  && f.Sched.sent_down = e.Engine.to_down
-  && f.Sched.consumed = e.Engine.consumed
-  && f.Sched.misrouted = e.Engine.misrouted
-  && f.Sched.shed = e.Engine.shed
-  && f.Sched.batches = e.Engine.batches
-  && f.Sched.max_batch = e.Engine.max_batch
-  && f.Sched.total_batched = e.Engine.total_batched
-  && f.Sched.per_layer = e.Engine.per_node
+  Engine.run eng;
+  Engine.stats eng
 
-let prop_tx_projection c =
+(* The flow equations each stack shape guarantees at idle: every offer is
+   injected or shed; a receive chain or graph ends each injected message
+   above, consumed or misrouted; a transmit chain on the wire or consumed;
+   and in every chain every injection is batched exactly once. *)
+let prop_shapes_conserve c =
   let layers = List.mapi rx_layer c.behs in
+  let discipline = discipline_of c in
+  let intake_limit = c.limit in
+  let offered = c.nmsgs in
+  let rx =
+    drive (Engine.rx_chain ~discipline ~layers ?intake_limit ()) ~entry:0 c
+  in
   let tx =
-    Txsched.create ~discipline:(discipline_of c) ~layers
-      ?intake_limit:c.limit ()
+    drive
+      (Engine.tx_chain ~discipline ~layers ?intake_limit ())
+      ~entry:(List.length layers - 1)
+      c
   in
-  List.iteri
-    (fun i m ->
-      ignore (Txsched.try_inject tx m);
-      if i mod 5 = 4 then ignore (Txsched.step tx))
-    (case_msgs c);
-  Txsched.run tx;
-  let f = Txsched.stats tx in
-  let e = Engine.stats (Txsched.engine tx) in
-  f.Txsched.submitted = e.Engine.injected
-  && f.Txsched.transmitted = e.Engine.to_down
-  && f.Txsched.looped_up = e.Engine.to_up
-  && f.Txsched.consumed = e.Engine.consumed
-  && f.Txsched.shed = e.Engine.shed
-  && f.Txsched.batches = e.Engine.batches
-  && f.Txsched.max_batch = e.Engine.max_batch
-  && f.Txsched.total_batched = e.Engine.total_batched
-  && f.Txsched.per_layer = e.Engine.per_node
+  let graph =
+    (* The chain as a graph, registered top-down: each layer sits below
+       the one registered before it. *)
+    let g = Engine.create ~discipline ?intake_limit () in
+    let bottom =
+      List.fold_left
+        (fun above l -> [ Engine.add_layer g ~above l ])
+        [] (List.rev layers)
+    in
+    drive g ~entry:(List.hd bottom) c
+  in
+  let flows_in (s : Engine.stats) = s.Engine.injected + s.Engine.shed = offered in
+  let up_side (s : Engine.stats) =
+    s.Engine.injected = s.Engine.to_up + s.Engine.consumed + s.Engine.misrouted
+  in
+  flows_in rx && flows_in tx && flows_in graph
+  && up_side rx && up_side graph
+  && rx.Engine.total_batched = rx.Engine.injected
+  && graph.Engine.total_batched = graph.Engine.injected
+  && tx.Engine.injected = tx.Engine.to_down + tx.Engine.consumed
+  && tx.Engine.total_batched = tx.Engine.injected
 
-let prop_graph_projection c =
-  let g =
-    Graphsched.create ~discipline:(discipline_of c) ?intake_limit:c.limit ()
+(* ---------- the moved idle check still fires ---------- *)
+
+(* A top layer that answers [Deliver_up m; Consume] ends one message
+   twice, so the receive chain's idle conservation check must trip. *)
+let test_rx_chain_idle_check () =
+  let eng =
+    Engine.rx_chain ~discipline:(Engine.Ldlp Batch.All)
+      ~layers:
+        [
+          Layer.passthrough "l0";
+          Layer.v ~name:"l1" (fun m -> [ Layer.Deliver_up m; Layer.Consume ]);
+        ]
+      ()
   in
-  let layers = Array.of_list (List.mapi rx_layer c.behs) in
-  let n = Array.length layers in
-  (* Register the chain top-down, as Graphsched requires. *)
-  for i = n - 1 downto 0 do
-    let above = if i = n - 1 then [] else [ layers.(i + 1).Layer.name ] in
-    Graphsched.add_layer g ~above layers.(i)
-  done;
-  let entry = layers.(0).Layer.name in
-  List.iteri
-    (fun i m ->
-      ignore (Graphsched.try_inject g ~into:entry m);
-      if i mod 5 = 4 then ignore (Graphsched.step g))
-    (case_msgs c);
-  Graphsched.run g;
-  let f = Graphsched.stats g in
-  let e = Engine.stats (Graphsched.engine g) in
-  f.Graphsched.injected = e.Engine.injected
-  && f.Graphsched.delivered = e.Engine.to_up
-  && f.Graphsched.sent_down = e.Engine.to_down
-  && f.Graphsched.consumed = e.Engine.consumed
-  && f.Graphsched.misrouted = e.Engine.misrouted
-  && f.Graphsched.shed = e.Engine.shed
-  && f.Graphsched.batches = e.Engine.batches
-  && f.Graphsched.max_batch = e.Engine.max_batch
-  && f.Graphsched.total_batched = e.Engine.total_batched
-  && f.Graphsched.per_layer = e.Engine.per_node
+  Engine.inject eng ~node:0 (Msg.make ~size:64 0);
+  let was = Invariant.enabled () in
+  Invariant.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Invariant.set_enabled was)
+    (fun () ->
+      check "run raises Violation" true
+        (try
+           Engine.run eng;
+           false
+         with Invariant.Violation _ -> true))
 
 (* ---------- transmit-side intake shedding ---------- *)
 
-(* Mirror of test_core's [test_intake_shedding] for the transmit facade
+(* Mirror of test_core's [test_intake_shedding] for the transmit chain
    (submission-queue high-watermark). *)
 let test_tx_intake_shedding () =
   let shed_ids = ref [] in
   let wired = ref [] in
   let tx =
-    Txsched.create ~discipline:Sched.Conventional
+    Engine.tx_chain ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "l0"; Layer.passthrough "l1" ]
       ~wire:(fun m -> wired := m.Msg.id :: !wired)
       ~intake_limit:3
@@ -181,7 +178,7 @@ let test_tx_intake_shedding () =
   in
   let results =
     List.map
-      (fun m -> (m.Msg.id, Txsched.try_inject tx m))
+      (fun m -> (m.Msg.id, Engine.try_inject tx ~node:1 m))
       (List.init 5 (fun i -> Msg.make ~size:10 i))
   in
   checki "watermark admits 3" 3 (List.length (List.filter snd results));
@@ -189,25 +186,25 @@ let test_tx_intake_shedding () =
   Alcotest.(check (list bool))
     "first-come first-served" [ true; true; true; false; false ]
     (List.map snd results);
-  let st = Txsched.stats tx in
-  checki "stats.shed" 2 st.Txsched.shed;
+  let st = Engine.stats tx in
+  checki "stats.shed" 2 st.Engine.shed;
   (* Shed submissions never enter the chain: submitted counts only the
      accepted three. *)
-  checki "shed not counted submitted" 3 st.Txsched.submitted;
-  Txsched.run tx;
+  checki "shed not counted submitted" 3 st.Engine.injected;
+  Engine.run tx;
   checki "accepted messages all transmitted" 3 (List.length !wired);
-  checki "nothing shed mid-run" 2 (Txsched.stats tx).Txsched.shed;
+  checki "nothing shed mid-run" 2 (Engine.stats tx).Engine.shed;
   (* Draining the submission queue reopens the intake. *)
-  check "room after run" true (Txsched.try_inject tx (Msg.make ~size:10 9));
+  check "room after run" true (Engine.try_inject tx ~node:1 (Msg.make ~size:10 9));
   (* Without a limit try_inject never refuses. *)
   let open_tx =
-    Txsched.create ~discipline:(Sched.Ldlp Batch.All)
+    Engine.tx_chain ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0" ]
       ()
   in
   check "unlimited intake" true
     (List.for_all Fun.id
-       (List.init 100 (fun i -> Txsched.try_inject open_tx (Msg.make i))))
+       (List.init 100 (fun i -> Engine.try_inject open_tx ~node:0 (Msg.make i))))
 
 (* ---------- full-duplex topology ---------- *)
 
@@ -219,7 +216,7 @@ let test_duplex_layer_names () =
 
 let test_duplex_entries () =
   let eng =
-    Engine.duplex ~discipline:Sched.Conventional
+    Engine.duplex ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "a"; Layer.passthrough "b"; Layer.passthrough "c" ]
       ()
   in
@@ -239,7 +236,7 @@ let test_duplex_conservation () =
   let up = ref [] in
   let wire = ref [] in
   let eng =
-    Engine.duplex ~discipline:(Sched.Ldlp Batch.All)
+    Engine.duplex ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0"; Layer.passthrough "l1" ]
       ~up:(fun m -> up := m.Msg.payload :: !up)
       ~wire:(fun m -> wire := m.Msg.payload :: !wire)
@@ -274,7 +271,7 @@ let test_duplex_same_pass_acks () =
           Layer.Deliver_up m ])
   in
   let eng =
-    Engine.duplex ~discipline:(Sched.Ldlp Batch.All)
+    Engine.duplex ~discipline:(Engine.Ldlp Batch.All)
       ~layers:[ Layer.passthrough "l0"; top ]
       ~wire:(fun m -> wire := m.Msg.payload :: !wire)
       ()
@@ -307,7 +304,7 @@ let test_duplex_same_pass_acks () =
 let test_duplex_shed_both_entries () =
   let shed = ref 0 in
   let eng =
-    Engine.duplex ~discipline:Sched.Conventional
+    Engine.duplex ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "l0" ]
       ~intake_limit:2
       ~on_shed:(fun _ -> incr shed)
@@ -329,7 +326,7 @@ let test_duplex_shed_both_entries () =
 
 let test_duplex_metrics_rows () =
   let eng =
-    Engine.duplex ~discipline:Sched.Conventional
+    Engine.duplex ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "a"; Layer.passthrough "b" ]
       ()
   in
@@ -364,15 +361,15 @@ let test_zero_alloc_quantum () =
     in
     let mpool = Msg.pool () in
     let sched =
-      Sched.create ~discipline ~layers
+      Engine.rx_chain ~discipline ~layers
         ~on_consume:(fun m -> Msg.release mpool m)
         ()
     in
     let quantum () =
       for _ = 1 to batch do
-        Sched.inject sched (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
+        Engine.inject sched ~node:0 (Msg.acquire mpool ~arrival:0.0 ~size:64 0)
       done;
-      Sched.run sched
+      Engine.run sched
     in
     (* Warm the pool, the free list and the node ring buffers. *)
     for _ = 1 to 4 do
@@ -393,23 +390,19 @@ let test_zero_alloc_quantum () =
   Fun.protect
     ~finally:(fun () -> Invariant.set_enabled was)
     (fun () ->
-      run_discipline Sched.Conventional;
-      run_discipline (Sched.Ldlp Batch.All);
-      run_discipline (Sched.Ldlp Batch.paper_default))
+      run_discipline Engine.Conventional;
+      run_discipline (Engine.Ldlp Batch.All);
+      run_discipline (Engine.Ldlp Batch.paper_default))
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suite =
   [
     qcheck
-      (QCheck.Test.make ~name:"Sched stats project Engine stats" ~count:150
-         arb_case prop_sched_projection);
-    qcheck
-      (QCheck.Test.make ~name:"Txsched stats project Engine stats" ~count:150
-         arb_case prop_tx_projection);
-    qcheck
-      (QCheck.Test.make ~name:"Graphsched stats project Engine stats"
-         ~count:150 arb_case prop_graph_projection);
+      (QCheck.Test.make ~name:"chain, tx chain and graph stats conserve"
+         ~count:150 arb_case prop_shapes_conserve);
+    Alcotest.test_case "rx chain idle check fires" `Quick
+      test_rx_chain_idle_check;
     Alcotest.test_case "tx intake shedding" `Quick test_tx_intake_shedding;
     Alcotest.test_case "duplex layer names" `Quick test_duplex_layer_names;
     Alcotest.test_case "duplex entries" `Quick test_duplex_entries;

@@ -1,6 +1,6 @@
-(* Tests for the protocol-graph scheduler: the Section 3.2 general case
-   where a layer has several layers directly above it (IP demultiplexing
-   to TCP/UDP/ICMP). *)
+(* Tests for the engine's protocol-graph shape: the Section 3.2 general
+   case where a layer has several layers directly above it (IP
+   demultiplexing to TCP/UDP/ICMP). *)
 
 open Ldlp_core
 
@@ -18,9 +18,10 @@ let checki = Alcotest.(check int)
              |
            ether
 
-   Payloads are (proto, id) pairs; the ip layer demultiplexes on proto. *)
+   Payloads are (proto, id) pairs; the ip layer demultiplexes on proto.
+   Returns the engine, ether's node index and the handling log. *)
 let build ~discipline =
-  let g = Graphsched.create ~discipline () in
+  let g = Engine.create ~discipline () in
   let log = ref [] in
   let seen name msg = log := (name, snd msg.Msg.payload) :: !log in
   let consume name =
@@ -28,52 +29,58 @@ let build ~discipline =
         seen name m;
         [ Layer.Consume ])
   in
-  let pass name ?above:_ targets =
+  let pass name targets =
     Layer.v ~name (fun m ->
         seen name m;
         match targets with
         | `Up -> [ Layer.Deliver_up m ]
         | `Demux f -> [ Layer.Deliver_to (f m, m) ])
   in
-  Graphsched.add_layer g (consume "sockets");
-  Graphsched.add_layer g ~above:[ "sockets" ] (pass "tcp" `Up);
-  Graphsched.add_layer g ~above:[ "sockets" ] (pass "udp" `Up);
-  Graphsched.add_layer g (consume "icmp");
-  Graphsched.add_layer g
-    ~above:[ "tcp"; "udp"; "icmp" ]
-    (pass "ip" (`Demux (fun m -> fst m.Msg.payload)));
-  Graphsched.add_layer g ~above:[ "ip" ] (pass "ether" `Up);
-  (g, log)
+  let sockets = Engine.add_layer g (consume "sockets") in
+  let tcp = Engine.add_layer g ~above:[ sockets ] (pass "tcp" `Up) in
+  let udp = Engine.add_layer g ~above:[ sockets ] (pass "udp" `Up) in
+  let icmp = Engine.add_layer g (consume "icmp") in
+  let ip =
+    Engine.add_layer g
+      ~above:[ tcp; udp; icmp ]
+      (pass "ip" (`Demux (fun m -> fst m.Msg.payload)))
+  in
+  let ether = Engine.add_layer g ~above:[ ip ] (pass "ether" `Up) in
+  (g, ether, log)
 
 let msg proto id = Msg.make ~size:100 (proto, id)
 
 let test_graph_shape () =
-  let g, _ = build ~discipline:Sched.Conventional in
-  Alcotest.(check (list string)) "roots" [ "ether" ] (Graphsched.roots g)
+  let g, _, _ = build ~discipline:Engine.Conventional in
+  let roots =
+    List.filter (Engine.is_entry g) (List.init (Engine.node_count g) Fun.id)
+  in
+  Alcotest.(check (list string)) "roots" [ "ether" ]
+    (List.map (Engine.node_name g) roots)
 
 let test_demux_routes () =
-  let g, log = build ~discipline:Sched.Conventional in
-  Graphsched.inject g ~into:"ether" (msg "tcp" 1);
-  Graphsched.inject g ~into:"ether" (msg "udp" 2);
-  Graphsched.inject g ~into:"ether" (msg "icmp" 3);
-  Graphsched.run g;
+  let g, ether, log = build ~discipline:Engine.Conventional in
+  Engine.inject g ~node:ether (msg "tcp" 1);
+  Engine.inject g ~node:ether (msg "udp" 2);
+  Engine.inject g ~node:ether (msg "icmp" 3);
+  Engine.run g;
   let path id =
     List.rev (List.filter_map (fun (l, i) -> if i = id then Some l else None) !log)
   in
   Alcotest.(check (list string)) "tcp path" [ "ether"; "ip"; "tcp"; "sockets" ] (path 1);
   Alcotest.(check (list string)) "udp path" [ "ether"; "ip"; "udp"; "sockets" ] (path 2);
   Alcotest.(check (list string)) "icmp path" [ "ether"; "ip"; "icmp" ] (path 3);
-  let s = Graphsched.stats g in
-  checki "all consumed" 3 s.Graphsched.consumed;
-  checki "no misroutes" 0 s.Graphsched.misrouted
+  let s = Engine.stats g in
+  checki "all consumed" 3 s.Engine.consumed;
+  checki "no misroutes" 0 s.Engine.misrouted
 
 let test_ldlp_blocked_over_graph () =
-  let g, log = build ~discipline:(Sched.Ldlp Batch.All) in
+  let g, ether, log = build ~discipline:(Engine.Ldlp Batch.All) in
   (* Two messages per branch, injected interleaved. *)
   List.iter
-    (Graphsched.inject g ~into:"ether")
+    (Engine.inject g ~node:ether)
     [ msg "tcp" 1; msg "udp" 2; msg "tcp" 3; msg "udp" 4 ];
-  Graphsched.run g;
+  Engine.run g;
   (* Layer-major order: ether handles all four, then ip all four, then the
      branch layers each handle their pair. *)
   let order = List.rev_map fst !log in
@@ -83,18 +90,17 @@ let test_ldlp_blocked_over_graph () =
     | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
   in
   Alcotest.(check (list string)) "blocked prefix" prefix (take 8 order);
-  let s = Graphsched.stats g in
-  checki "4 consumed" 4 s.Graphsched.consumed
+  checki "4 consumed" 4 (Engine.stats g).Engine.consumed
 
 let test_priority_branch_closest_to_top_first () =
   (* Once ether's batch is enqueued at ip and processed, tcp and udp
      queues (depth 1) must drain before ether (depth 2) takes another
      batch. *)
-  let g, log = build ~discipline:(Sched.Ldlp (Batch.Fixed 2)) in
+  let g, ether, log = build ~discipline:(Engine.Ldlp (Batch.Fixed 2)) in
   List.iter
-    (Graphsched.inject g ~into:"ether")
+    (Engine.inject g ~node:ether)
     [ msg "tcp" 1; msg "udp" 2; msg "tcp" 3; msg "udp" 4 ];
-  Graphsched.run g;
+  Engine.run g;
   let order = List.rev_map fst !log in
   (* First quantum: ether x2; then ip x2, branches, sockets — and only
      then ether again. *)
@@ -114,37 +120,39 @@ let test_priority_branch_closest_to_top_first () =
     | _ -> false)
 
 let test_ambiguous_deliver_up_misroutes () =
-  let g = Graphsched.create ~discipline:Sched.Conventional () in
-  Graphsched.add_layer g (Layer.passthrough "a");
-  Graphsched.add_layer g (Layer.passthrough "b");
+  let g = Engine.create ~discipline:Engine.Conventional () in
+  let a = Engine.add_layer g (Layer.passthrough "a") in
+  let b = Engine.add_layer g (Layer.passthrough "b") in
   (* "fan" has two parents and wrongly uses Deliver_up. *)
-  Graphsched.add_layer g ~above:[ "a"; "b" ] (Layer.passthrough "fan");
-  Graphsched.inject g ~into:"fan" (Msg.make ());
-  Graphsched.run g;
-  let s = Graphsched.stats g in
-  checki "misrouted" 1 s.Graphsched.misrouted;
-  checki "not delivered" 0 s.Graphsched.delivered
+  let fan = Engine.add_layer g ~above:[ a; b ] (Layer.passthrough "fan") in
+  Engine.inject g ~node:fan (Msg.make ());
+  Engine.run g;
+  let s = Engine.stats g in
+  checki "misrouted" 1 s.Engine.misrouted;
+  checki "not delivered" 0 s.Engine.to_up
 
 let test_deliver_to_non_edge_misroutes () =
-  let g = Graphsched.create ~discipline:Sched.Conventional () in
-  Graphsched.add_layer g (Layer.passthrough "top");
-  Graphsched.add_layer g ~above:[ "top" ]
-    (Layer.v ~name:"bottom" (fun m -> [ Layer.Deliver_to ("nowhere", m) ]));
-  Graphsched.inject g ~into:"bottom" (Msg.make ());
-  Graphsched.run g;
-  checki "misrouted" 1 (Graphsched.stats g).Graphsched.misrouted
+  let g = Engine.create ~discipline:Engine.Conventional () in
+  let top = Engine.add_layer g (Layer.passthrough "top") in
+  let bottom =
+    Engine.add_layer g ~above:[ top ]
+      (Layer.v ~name:"bottom" (fun m -> [ Layer.Deliver_to ("nowhere", m) ]))
+  in
+  Engine.inject g ~node:bottom (Msg.make ());
+  Engine.run g;
+  checki "misrouted" 1 (Engine.stats g).Engine.misrouted
 
 let test_duplicate_and_unknown_layers_rejected () =
-  let g = Graphsched.create ~discipline:Sched.Conventional () in
-  Graphsched.add_layer g (Layer.passthrough "x");
+  let g = Engine.create ~discipline:Engine.Conventional () in
+  let x = Engine.add_layer g (Layer.passthrough "x") in
   check "duplicate rejected" true
     (try
-       Graphsched.add_layer g (Layer.passthrough "x");
+       ignore (Engine.add_layer g (Layer.passthrough "x"));
        false
      with Invalid_argument _ -> true);
   check "unknown parent rejected" true
     (try
-       Graphsched.add_layer g ~above:[ "ghost" ] (Layer.passthrough "y");
+       ignore (Engine.add_layer g ~above:[ x + 1 ] (Layer.passthrough "y"));
        false
      with Invalid_argument _ -> true)
 
@@ -153,49 +161,52 @@ let prop_graph_conservation =
     QCheck.(pair (list_of_size Gen.(0 -- 40) (int_bound 2)) bool)
     (fun (protos, ldlp) ->
       let discipline =
-        if ldlp then Sched.Ldlp Batch.paper_default else Sched.Conventional
+        if ldlp then Engine.Ldlp Batch.paper_default else Engine.Conventional
       in
-      let g, _ = build ~discipline in
+      let g, ether, _ = build ~discipline in
       let expected_consumed = List.length protos in
       List.iteri
         (fun i p ->
           let proto = [| "tcp"; "udp"; "icmp" |].(p) in
-          Graphsched.inject g ~into:"ether" (msg proto i))
+          Engine.inject g ~node:ether (msg proto i))
         protos;
-      Graphsched.run g;
-      let s = Graphsched.stats g in
-      s.Graphsched.consumed = expected_consumed
-      && s.Graphsched.misrouted = 0
-      && Graphsched.pending g = 0)
+      Engine.run g;
+      let s = Engine.stats g in
+      s.Engine.consumed = expected_consumed
+      && s.Engine.misrouted = 0
+      && Engine.pending g = 0)
 
 let test_intake_shedding () =
   let shed_ids = ref [] in
   let g =
-    Graphsched.create ~discipline:Sched.Conventional ~intake_limit:2
+    Engine.create ~discipline:Engine.Conventional ~intake_limit:2
       ~on_shed:(fun m -> shed_ids := snd m.Msg.payload :: !shed_ids)
       ()
   in
-  Graphsched.add_layer g
-    (Layer.v ~name:"top" (fun m ->
-         ignore m;
-         [ Layer.Consume ]));
-  Graphsched.add_layer g ~above:[ "top" ]
-    (Layer.v ~name:"ether" (fun m -> [ Layer.Deliver_up m ]));
+  let top =
+    Engine.add_layer g
+      (Layer.v ~name:"top" (fun m ->
+           ignore m;
+           [ Layer.Consume ]))
+  in
+  let ether =
+    Engine.add_layer g ~above:[ top ]
+      (Layer.v ~name:"ether" (fun m -> [ Layer.Deliver_up m ]))
+  in
   let results =
-    List.init 5 (fun i -> Graphsched.try_inject g ~into:"ether" (msg "tcp" i))
+    List.init 5 (fun i -> Engine.try_inject g ~node:ether (msg "tcp" i))
   in
   Alcotest.(check (list bool))
     "watermark admits the first 2" [ true; true; false; false; false ] results;
   Alcotest.(check (list int)) "refused ids to on_shed" [ 2; 3; 4 ]
     (List.rev !shed_ids);
-  let st = Graphsched.stats g in
-  checki "stats.shed" 3 st.Graphsched.shed;
-  checki "shed not counted injected" 2 st.Graphsched.injected;
-  Graphsched.run g;
-  let st = Graphsched.stats g in
-  checki "accepted all consumed" 2 st.Graphsched.consumed;
+  let st = Engine.stats g in
+  checki "stats.shed" 3 st.Engine.shed;
+  checki "shed not counted injected" 2 st.Engine.injected;
+  Engine.run g;
+  checki "accepted all consumed" 2 (Engine.stats g).Engine.consumed;
   check "drained queue reopens intake" true
-    (Graphsched.try_inject g ~into:"ether" (msg "tcp" 9))
+    (Engine.try_inject g ~node:ether (msg "tcp" 9))
 
 let suite =
   [

@@ -132,14 +132,14 @@ let tcp_stack () =
 
 let drive_tcp ~discipline segments =
   let layers, sockbuf, acks, bad, _ = tcp_stack () in
-  let sched = Ldlp_core.Sched.create ~discipline ~layers () in
+  let sched = Ldlp_core.Engine.rx_chain ~discipline ~layers () in
   List.iter
     (fun m ->
-      Ldlp_core.Sched.inject sched
+      Ldlp_core.Engine.inject sched ~node:0
         (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) m))
     segments;
-  Ldlp_core.Sched.run sched;
-  (Buffer.contents sockbuf, List.rev !acks, !bad, Ldlp_core.Sched.stats sched)
+  Ldlp_core.Engine.run sched;
+  (Buffer.contents sockbuf, List.rev !acks, !bad, Ldlp_core.Engine.stats sched)
 
 let segments_of_chunks chunks =
   let _, segs =
@@ -154,23 +154,23 @@ let segments_of_chunks chunks =
 let test_tcp_path_in_order () =
   let chunks = [ "GET /index"; ".html HTTP"; "/1.0\r\n\r\n" ] in
   let data, acks, bad, stats =
-    drive_tcp ~discipline:Ldlp_core.Sched.Conventional (segments_of_chunks chunks)
+    drive_tcp ~discipline:Ldlp_core.Engine.Conventional (segments_of_chunks chunks)
   in
   checks "reassembled" "GET /index.html HTTP/1.0\r\n\r\n" data;
   checki "no errors" 0 bad;
   checki "acks per segment" 3 (List.length acks);
   check "cumulative acks increase" true
     (acks = List.sort compare acks);
-  checki "all consumed" 3 stats.Ldlp_core.Sched.consumed
+  checki "all consumed" 3 stats.Ldlp_core.Engine.consumed
 
 let test_tcp_path_ldlp_same_result () =
   let chunks = List.init 20 (fun i -> Printf.sprintf "chunk-%02d|" i) in
   let conv, _, bad1, _ =
-    drive_tcp ~discipline:Ldlp_core.Sched.Conventional (segments_of_chunks chunks)
+    drive_tcp ~discipline:Ldlp_core.Engine.Conventional (segments_of_chunks chunks)
   in
   let ldlp, _, bad2, _ =
     drive_tcp
-      ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+      ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
       (segments_of_chunks chunks)
   in
   checks "identical delivery" conv ldlp;
@@ -185,7 +185,7 @@ let test_tcp_path_corrupted_segment_dropped () =
     let len = Ldlp_buf.Mbuf.length s2 in
     Ldlp_buf.Mbuf.copy_into s2 ~pos:(len - 3) (Bytes.of_string "X") ~src_off:0 ~len:1
   | _ -> Alcotest.fail "segments");
-  let data, _, bad, _ = drive_tcp ~discipline:Ldlp_core.Sched.Conventional segs in
+  let data, _, bad, _ = drive_tcp ~discipline:Ldlp_core.Engine.Conventional segs in
   checki "one bad segment" 1 bad;
   (* Third segment is now out of order and dropped; only first delivered. *)
   checks "only in-order prefix" "good-data-" data
@@ -202,16 +202,17 @@ let test_tcp_path_mixed_traffic () =
   in
   let arp = Ldlp_packet.Ethernet.encapsulate arp hdr in
   let segs = segments_of_chunks [ "payload" ] @ [ arp ] in
-  let data, _, bad, stats = drive_tcp ~discipline:Ldlp_core.Sched.Conventional segs in
+  let data, _, bad, stats = drive_tcp ~discipline:Ldlp_core.Engine.Conventional segs in
   checks "tcp data delivered" "payload" data;
   checki "arp dropped" 1 bad;
-  checki "both consumed" 2 stats.Ldlp_core.Sched.consumed
+  checki "both consumed" 2 stats.Ldlp_core.Engine.consumed
 
 (* ---------- demultiplexing host: TCP and DNS behind one IP layer ------- *)
 
 (* The Section 3.2 graph case on real protocols: ether -> ip -> {tcp, udp},
    where the TCP branch is the tcpmini engine and the UDP branch the
-   DNS-lite server, all scheduled by Graphsched under both disciplines. *)
+   DNS-lite server, all scheduled as one engine graph under both
+   disciplines. *)
 let demux_host ~discipline queries segments =
   let open Ldlp_core in
   let my_ip = Ldlp_packet.Addr.Ipv4.of_string "10.5.0.1" in
@@ -224,7 +225,7 @@ let demux_host ~discipline queries segments =
   (* Payload: the chain plus the IP source/protocol recorded on the way
      up.  (Per-message state must live in the payload under blocked
      scheduling.) *)
-  let g = Graphsched.create ~discipline () in
+  let g = Engine.create ~discipline () in
   let ether =
     Layer.v ~name:"ether" (fun msg ->
         let m, _, _ = msg.Msg.payload in
@@ -288,12 +289,12 @@ let demux_host ~discipline queries segments =
         | _ -> ());
         [ Layer.Consume ])
   in
-  Graphsched.add_layer g tcp;
-  Graphsched.add_layer g udp;
-  Graphsched.add_layer g ~above:[ "tcp"; "udp" ] ip;
-  Graphsched.add_layer g ~above:[ "ip" ] ether;
+  let tcp = Engine.add_layer g tcp in
+  let udp = Engine.add_layer g udp in
+  let ip = Engine.add_layer g ~above:[ tcp; udp ] ip in
+  let ether = Engine.add_layer g ~above:[ ip ] ether in
   let inject m =
-    Graphsched.inject g ~into:"ether"
+    Engine.inject g ~node:ether
       (Msg.make ~size:(Ldlp_buf.Mbuf.length m) (m, my_ip, 0))
   in
   (* Interleave DNS queries and TCP SYNs. *)
@@ -302,8 +303,8 @@ let demux_host ~discipline queries segments =
       inject q;
       inject s)
     queries segments;
-  Graphsched.run g;
-  let s = Graphsched.stats g in
+  Engine.run g;
+  let s = Engine.stats g in
   (!tcp_replies, !dns_replies, s, Ldlp_tcpmini.Pcb.connections pcbs)
 
 let test_demux_host_tcp_and_dns () =
@@ -358,13 +359,13 @@ let test_demux_host_tcp_and_dns () =
     let queries, syns = make_inputs () in
     demux_host ~discipline queries syns
   in
-  let t1, d1, s1, conns1 = run Ldlp_core.Sched.Conventional in
+  let t1, d1, s1, conns1 = run Ldlp_core.Engine.Conventional in
   checki "10 syn-acks" 10 t1;
   checki "10 dns replies" 10 d1;
   checki "10 connections" 10 conns1;
-  checki "no misroutes" 0 s1.Ldlp_core.Graphsched.misrouted;
+  checki "no misroutes" 0 s1.Ldlp_core.Engine.misrouted;
   let t2, d2, _, conns2 =
-    run (Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    run (Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
   in
   checki "ldlp same tcp" t1 t2;
   checki "ldlp same dns" d1 d2;

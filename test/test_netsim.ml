@@ -132,7 +132,7 @@ let tcp_node net ~name ~ip ~discipline ~on_service =
   in
   let nic = Ldlp_nic.Nic.create ~irq:(Ldlp_nic.Nic.Coalesced 4) () in
   let sched =
-    Ldlp_core.Sched.create ~discipline ~layers:(Host.layers host)
+    Ldlp_core.Engine.rx_chain ~discipline ~layers:(Host.layers host)
       ~down:(fun m ->
         ignore (Ldlp_nic.Nic.transmit nic m.Ldlp_core.Msg.payload.Host.buf))
       ()
@@ -141,11 +141,11 @@ let tcp_node net ~name ~ip ~discipline ~on_service =
     Netsim.add_node net ~name ~nic
       ~service:(fun nic ->
         ignore
-          (Ldlp_nic.Nic.service_into nic sched ~wrap:(fun frame ->
+          (Ldlp_nic.Nic.service_into nic sched ~node:0 ~wrap:(fun frame ->
                Ldlp_core.Msg.make
                  ~size:(Ldlp_buf.Mbuf.length frame)
                  (Host.wrap host frame)));
-        Ldlp_core.Sched.run sched;
+        Ldlp_core.Engine.run sched;
         on_service host nic)
       ()
   in
@@ -214,11 +214,11 @@ let two_host_exchange ~discipline =
     (Ldlp_sim.Engine.now (Netsim.engine net) >= 0.004)
 
 let test_two_hosts_conventional () =
-  two_host_exchange ~discipline:Ldlp_core.Sched.Conventional
+  two_host_exchange ~discipline:Ldlp_core.Engine.Conventional
 
 let test_two_hosts_ldlp () =
   two_host_exchange
-    ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
 
 let suite =
   [

@@ -131,24 +131,40 @@ let test_nic_service_into_sched () =
     ignore (Nic.deliver nic i)
   done;
   let delivered = ref [] in
-  let sched =
-    Ldlp_core.Sched.create
-      ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+  let eng =
+    Ldlp_core.Engine.rx_chain
+      ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
       ~layers:[ Ldlp_core.Layer.passthrough "l1"; Ldlp_core.Layer.passthrough "l2" ]
       ~up:(fun m -> delivered := m.Ldlp_core.Msg.payload :: !delivered)
       ()
   in
-  let moved =
-    Nic.service_into nic sched ~wrap:(fun i -> Ldlp_core.Msg.make ~size:64 i)
-  in
+  let wrap i = Ldlp_core.Msg.make ~size:64 i in
+  let moved = Nic.service_into nic eng ~node:0 ~wrap in
   checki "all frames moved" 10 moved;
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run eng;
   Alcotest.(check (list int))
     "delivered in order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (List.rev !delivered);
   (* The batch the scheduler saw came from the ring occupancy. *)
-  let st = Ldlp_core.Sched.stats sched in
-  check "batched" true (st.Ldlp_core.Sched.max_batch >= 8)
+  let st = Ldlp_core.Engine.stats eng in
+  check "batched" true (st.Ldlp_core.Engine.max_batch >= 8);
+  (* Under an intake limit only the frames the engine accepts count as
+     moved; the rest are shed, and the ring is empty either way. *)
+  for i = 1 to 10 do
+    ignore (Nic.deliver nic i)
+  done;
+  let shed = ref 0 in
+  let limited =
+    Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
+      ~layers:[ Ldlp_core.Layer.passthrough "l1" ]
+      ~intake_limit:3
+      ~on_shed:(fun _ -> incr shed)
+      ()
+  in
+  checki "accepted frames only" 3 (Nic.service_into nic limited ~node:0 ~wrap);
+  checki "the rest shed" 7 !shed;
+  checki "ring drained" 0 (Nic.rx_available nic);
+  checki "stats agree" 3 (Ldlp_core.Engine.stats limited).Ldlp_core.Engine.injected
 
 let suite =
   [

@@ -285,14 +285,14 @@ let test_sched_records () =
         Metrics.create ~label:"sched" ~layer_names:[ "P0"; "P1"; "P2" ]
       in
       let sched =
-        Ldlp_core.Sched.create
-          ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+        Ldlp_core.Engine.rx_chain
+          ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
           ~layers:(passthrough_layers 3) ~metrics:m ()
       in
       for _ = 1 to 10 do
-        Ldlp_core.Sched.inject sched (Ldlp_core.Msg.make ~size:552 ())
+        Ldlp_core.Engine.inject sched ~node:0 (Ldlp_core.Msg.make ~size:552 ())
       done;
-      Ldlp_core.Sched.run sched;
+      Ldlp_core.Engine.run sched;
       checki "arrivals recorded" 10 (Metrics.messages m);
       let t = Metrics.totals m in
       checki "every layer handled every message" 30 t.Metrics.t_handled;
@@ -304,7 +304,7 @@ let test_sched_rejects_bad_sheet () =
   check "layer-count mismatch rejected" true
     (try
        ignore
-         (Ldlp_core.Sched.create ~discipline:Ldlp_core.Sched.Conventional
+         (Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
             ~layers:(passthrough_layers 3) ~metrics:m ());
        false
      with Invalid_argument _ -> true)
@@ -347,7 +347,7 @@ let runtime_run metrics =
       ~size:552
   in
   Ldlp_core.Runtime.run
-    ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default)
+    ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
     ~layers:(passthrough_layers 3)
     ~make_payload:(fun ~size -> Ldlp_buf.Mbuf.of_bytes pool (Bytes.create size))
     ?metrics workload

@@ -620,18 +620,18 @@ let run_stack ~discipline frames =
   let st = Layers.stack ~pool ~switch:sw () in
   let downs = ref [] in
   let sched =
-    Ldlp_core.Sched.create ~discipline ~layers:st.Layers.layers
+    Ldlp_core.Engine.rx_chain ~discipline ~layers:st.Layers.layers
       ~down:(fun m -> downs := m.Ldlp_core.Msg.payload :: !downs)
       ()
   in
   List.iter
     (fun (port, payload) ->
       let m = Layers.frame ~pool ~port payload in
-      Ldlp_core.Sched.inject sched
+      Ldlp_core.Engine.inject sched ~node:0
         (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m)))
     frames;
-  Ldlp_core.Sched.run sched;
-  (sw, st, List.rev !downs, Ldlp_core.Sched.stats sched)
+  Ldlp_core.Engine.run sched;
+  (sw, st, List.rev !downs, Ldlp_core.Engine.stats sched)
 
 (* Frames from one caller share a transmit-side SSCOP so sequence numbers
    advance as the stack's receive side expects. *)
@@ -644,20 +644,20 @@ let setup_frames ~port ~count addr =
 let test_layers_end_to_end () =
   let frame = List.hd (setup_frames ~port:1 ~count:1 "b:1") in
   let sw, _st, downs, stats =
-    run_stack ~discipline:Ldlp_core.Sched.Conventional [ frame ]
+    run_stack ~discipline:Ldlp_core.Engine.Conventional [ frame ]
   in
   checki "one call" 1 (Switch.active_calls sw);
   checki "setup routed" 1 (Switch.stats sw).Switch.setups_routed;
   (* Downward: 1 sscop ack + CALL_PROCEEDING + forwarded SETUP. *)
   checki "three transmissions" 3 (List.length downs);
-  checki "no drops" 1 stats.Ldlp_core.Sched.injected
+  checki "no drops" 1 stats.Ldlp_core.Engine.injected
 
 let test_layers_no_acks_option () =
   let sw = make_switch () in
   let st = Layers.stack ~pool ~switch:sw ~acks:false () in
   let downs = ref 0 in
   let sched =
-    Ldlp_core.Sched.create ~discipline:Ldlp_core.Sched.Conventional
+    Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
       ~layers:st.Layers.layers
       ~down:(fun _ -> incr downs)
       ()
@@ -665,17 +665,17 @@ let test_layers_no_acks_option () =
   let frame = List.hd (setup_frames ~port:1 ~count:1 "b:1") in
   let port, bytes = frame in
   let m = Layers.frame ~pool ~port bytes in
-  Ldlp_core.Sched.inject sched
+  Ldlp_core.Engine.inject sched ~node:0
     (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m));
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run sched;
   (* Without sscop acks: only CALL_PROCEEDING + forwarded SETUP. *)
   checki "two transmissions, no ack" 2 !downs
 
 let test_layers_ldlp_equals_conventional () =
   let frames = setup_frames ~port:1 ~count:20 "b:1" in
-  let sw1, _, downs1, _ = run_stack ~discipline:Ldlp_core.Sched.Conventional frames in
+  let sw1, _, downs1, _ = run_stack ~discipline:Ldlp_core.Engine.Conventional frames in
   let sw2, _, downs2, _ =
-    run_stack ~discipline:(Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default) frames
+    run_stack ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default) frames
   in
   checki "twenty calls either way" 20 (Switch.active_calls sw1);
   checki "same calls" (Switch.active_calls sw1) (Switch.active_calls sw2);

@@ -118,10 +118,10 @@ let make_host () =
 
 (* Run a list of client frames through the host's stack; returns the
    host's transmissions, parsed. *)
-let run_frames ?(discipline = Ldlp_core.Sched.Conventional) host frames =
+let run_frames ?(discipline = Ldlp_core.Engine.Conventional) host frames =
   let tx = ref [] in
   let sched =
-    Ldlp_core.Sched.create ~discipline ~layers:(Host.layers host)
+    Ldlp_core.Engine.rx_chain ~discipline ~layers:(Host.layers host)
       ~down:(fun m ->
         match Host.parse_tx host m.Ldlp_core.Msg.payload with
         | Some r -> tx := r :: !tx
@@ -130,10 +130,10 @@ let run_frames ?(discipline = Ldlp_core.Sched.Conventional) host frames =
   in
   List.iter
     (fun f ->
-      Ldlp_core.Sched.inject sched
+      Ldlp_core.Engine.inject sched ~node:0
         (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length f) (Host.wrap host f)))
     frames;
-  Ldlp_core.Sched.run sched;
+  Ldlp_core.Engine.run sched;
   List.rev !tx
 
 let handshake host ~src_port =
@@ -316,8 +316,8 @@ let test_ldlp_equals_conventional () =
     in
     (data, List.length replies)
   in
-  let d1, r1 = run Ldlp_core.Sched.Conventional in
-  let d2, r2 = run (Ldlp_core.Sched.Ldlp Ldlp_core.Batch.paper_default) in
+  let d1, r1 = run Ldlp_core.Engine.Conventional in
+  let d2, r2 = run (Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default) in
   checks "same delivery" d1 d2;
   checki "same ack count" r1 r2;
   checki "acks for every 2nd segment" 8 r1
