@@ -401,6 +401,94 @@ let bench_hotpath ~out () =
 (* Section 1c': the regression gate alone (`--alloc-gate`).            *)
 (* ------------------------------------------------------------------ *)
 
+(* Q.93B signalling stack: minor words per caller message through
+   [Layers.stack] under an LDLP receive chain, counting everything the
+   path allocates (the received mbuf and message, decoding, the call
+   table, replies and SSCOP acks).  Each call is a SETUP and a
+   CONNECT_ACK, and its RELEASE comes [q93b_held] calls later, so a few
+   thousand calls are live at once, the call table's steady state under
+   real holding times.  The caller acks the switch's frames every 8
+   messages; frames arrive in bursts of 32.  With a tuple-keyed
+   polymorphic call table and a copying layer hand-off the stack
+   allocated ~364 words/msg here; with integer keys and in-place
+   hand-off it allocates ~126, so a budget of 200 catches a return to
+   the old shape with headroom. *)
+let q93b_calls = 12_000
+
+let q93b_held = 4_000
+
+let q93b_alloc_budget = 200.0
+
+let q93b_script () =
+  let open Ldlp_sigproto in
+  let tx = Sscop.create () in
+  let frames = ref [] and sent = ref 0 and replies = ref 0 in
+  let link f = Bytes.cat (Bytes.make 1 '\001') f in
+  let send msg ~answers =
+    frames := link (Sscop.send tx (Sigmsg.encode msg)) :: !frames;
+    replies := !replies + answers;
+    incr sent;
+    if !sent mod 8 = 0 then
+      frames :=
+        link (Sscop.frame ~tag:'A' ~seq:(!replies land 0xFFFFFF) Bytes.empty)
+        :: !frames
+  in
+  for k = 1 to q93b_calls + q93b_held do
+    if k <= q93b_calls then begin
+      send ~answers:2 (* CALL_PROCEEDING, CONNECT *)
+        (Sigmsg.v ~call_ref:k Sigmsg.Setup
+           [ Ie.called_party "local:80"; Ie.qos 1 ]);
+      send ~answers:0 (Sigmsg.v ~call_ref:k Sigmsg.Connect_ack [])
+    end;
+    if k > q93b_held then
+      send ~answers:1 (* RELEASE_COMPLETE *)
+        (Sigmsg.v ~call_ref:(k - q93b_held) Sigmsg.Release [])
+  done;
+  Array.of_list (List.rev !frames)
+
+(* Minor words per Q.93B message over one fresh stack, after one warm-up
+   stack; exits on a stack that mishandles the script. *)
+let q93b_stack_words () =
+  let open Ldlp_sigproto in
+  let frames = q93b_script () in
+  let run () =
+    let pool = Ldlp_buf.Pool.create () in
+    let switch = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+    let st = Layers.stack ~pool ~switch () in
+    let eng =
+      Ldlp_core.Engine.rx_chain
+        ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
+        ~layers:st.Layers.layers ()
+    in
+    let peak = ref 0 in
+    let w0 = Gc.minor_words () in
+    Array.iteri
+      (fun i raw ->
+        Ldlp_core.Engine.inject eng ~node:0
+          (Ldlp_core.Msg.make ~size:(Bytes.length raw)
+             (Layers.Raw (Ldlp_buf.Mbuf.of_bytes pool raw)));
+        if i land 31 = 31 then begin
+          Ldlp_core.Engine.run eng;
+          peak := max !peak (Switch.active_calls switch)
+        end)
+      frames;
+    Ldlp_core.Engine.run eng;
+    let words = Gc.minor_words () -. w0 in
+    let s = Switch.stats switch and ps = Ldlp_buf.Pool.stats pool in
+    if
+      s.Switch.calls_released <> q93b_calls
+      || s.Switch.protocol_errors <> 0
+      || ps.Ldlp_buf.Pool.small_in_use <> 0
+      || !peak < q93b_held
+    then begin
+      Printf.eprintf "FAIL: q93b-stack gate run mishandled its call script\n";
+      exit 1
+    end;
+    words /. float_of_int (3 * q93b_calls)
+  in
+  ignore (run ());
+  run ()
+
 (* One metrics-on run per configuration — allocs/msg and simulated
    throughput are deterministic, so a single run measures them exactly;
    skipping the best-of-5 wall-clock sampling of the full hot-path
@@ -479,6 +567,15 @@ let bench_alloc_gate () =
       "FAIL: shard pipeline allocates %.2f minor words per delivered message \
        (budget < %.0f)\n"
       shard_allocs shard_alloc_budget;
+    exit 1
+  end;
+  let q93b = q93b_stack_words () in
+  Printf.printf "%-20s %12.2f %12s\n" "q93b-stack" q93b "-";
+  if q93b >= q93b_alloc_budget then begin
+    Printf.eprintf
+      "FAIL: Q.93B stack allocates %.2f minor words per message with %d \
+       calls held (budget < %.0f)\n"
+      q93b q93b_held q93b_alloc_budget;
     exit 1
   end;
   Printf.printf "allocation and throughput budgets: ok\n"
@@ -1143,22 +1240,39 @@ let test_sigmsg_codec =
     (Staged.stage (fun () ->
          Result.get_ok (Ldlp_sigproto.Sigmsg.decode (Ldlp_sigproto.Sigmsg.encode m))))
 
-let test_switch_lifecycle =
-  let sw =
-    Ldlp_sigproto.Switch.create ~auto_answer:true ~routes:[] ~local_port:0 ()
-  in
+(* One call lifecycle (SETUP, CONNECT_ACK, RELEASE) per run.  With [held]
+   > 0 a run sets up call k but releases call k - held, so the switch
+   keeps [held] calls live, as one with real holding times does; the
+   plain flood never holds a call. *)
+let switch_lifecycle ~held =
+  let open Ldlp_sigproto in
+  let sw = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
   let n = ref 0 in
-  Test.make ~name:"sigproto:switch-call-lifecycle"
+  let call_ref k = (k mod 0x7FFFF0) + 1 in
+  let set_up () =
+    incr n;
+    let call_ref = call_ref !n in
+    ignore
+      (Switch.handle sw ~port:1
+         (Sigmsg.v ~call_ref Sigmsg.Setup [ Ie.called_party "x" ]));
+    ignore (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref Sigmsg.Connect_ack []))
+  in
+  for _ = 1 to held do
+    set_up ()
+  done;
+  Test.make
+    ~name:
+      (if held = 0 then "sigproto:switch-call-lifecycle"
+       else Printf.sprintf "sigproto:switch-lifecycle-%dk-held" (held / 1000))
     (Staged.stage (fun () ->
-         incr n;
-         let call_ref = (!n mod 0x7FFFF0) + 1 in
-         let open Ldlp_sigproto in
+         set_up ();
          ignore
            (Switch.handle sw ~port:1
-              (Sigmsg.v ~call_ref Sigmsg.Setup [ Ie.called_party "x" ]));
-         ignore
-           (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref Sigmsg.Connect_ack []));
-         ignore (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref Sigmsg.Release []))))
+              (Sigmsg.v ~call_ref:(call_ref (!n - held)) Sigmsg.Release []))))
+
+let test_switch_lifecycle = switch_lifecycle ~held:0
+
+let test_switch_lifecycle_held = switch_lifecycle ~held:12_000
 
 let test_dns_server =
   let srv =
@@ -1248,6 +1362,7 @@ let tests =
       test_mbuf_cycle;
       test_sigmsg_codec;
       test_switch_lifecycle;
+      test_switch_lifecycle_held;
       test_dns_server;
       test_sscop_roundtrip;
       test_reassembly;

@@ -41,16 +41,13 @@ let release pool m =
   if m.cluster then Pool.release_cluster pool m.data
   else Pool.release_small pool m.data
 
-let free pool m =
-  let rec go = function
-    | None -> ()
-    | Some m ->
-      let next = m.next in
-      m.next <- None;
-      release pool m;
-      go next
-  in
-  go (Some m)
+(* Toplevel recursion rather than a local [go] capturing [pool]: freeing a
+   chain runs once per message and should not allocate a closure. *)
+let rec free pool m =
+  let next = m.next in
+  m.next <- None;
+  release pool m;
+  match next with None -> () | Some n -> free pool n
 
 let capacity m = Bytes.length m.data
 
@@ -62,12 +59,13 @@ let seg_data m = m.data
 
 let seg_off m = m.off
 
-let length m =
-  let rec go acc = function
-    | None -> acc
-    | Some m -> go (acc + m.len) m.next
-  in
-  go 0 (Some m)
+(* [length_from], [get_byte_from] and [trim_front] recurse on the segment
+   itself rather than on a [Some m] wrapper: receive paths call them
+   several times per message, and they should allocate nothing. *)
+let rec length_from acc m =
+  match m.next with None -> acc + m.len | Some n -> length_from (acc + m.len) n
+
+let length m = length_from 0 m
 
 let nsegs m =
   let rec go acc = function None -> acc | Some m -> go (acc + 1) m.next in
@@ -130,15 +128,16 @@ let to_bytes m =
       pos := !pos + len);
   out
 
+let rec get_byte_from m pos =
+  if pos < m.len then Char.code (Bytes.get m.data (m.off + pos))
+  else
+    match m.next with
+    | None -> invalid "get_byte: offset beyond end"
+    | Some n -> get_byte_from n (pos - m.len)
+
 let get_byte m pos =
   if pos < 0 then invalid "get_byte: negative offset %d" pos;
-  let rec go pos = function
-    | None -> invalid "get_byte: offset beyond end"
-    | Some m ->
-      if pos < m.len then Char.code (Bytes.get m.data (m.off + pos))
-      else go (pos - m.len) m.next
-  in
-  go pos (Some m)
+  get_byte_from m pos
 
 let prepend m n =
   if n < 0 then invalid "prepend: negative length %d" n;
@@ -149,19 +148,18 @@ let prepend m n =
   end
   else invalid "prepend: no leading space for %d bytes (have %d)" n m.off
 
+let rec trim_front m n =
+  let take = min n m.len in
+  m.off <- m.off + take;
+  m.len <- m.len - take;
+  let n = n - take in
+  if n > 0 then
+    match m.next with
+    | None -> invalid "adj: trim %d beyond length" n
+    | Some next -> trim_front next n
+
 let adj m n =
-  if n >= 0 then begin
-    (* Trim from front. *)
-    let rec go n = function
-      | None -> if n > 0 then invalid "adj: trim %d beyond length" n
-      | Some m ->
-        let take = min n m.len in
-        m.off <- m.off + take;
-        m.len <- m.len - take;
-        if n - take > 0 then go (n - take) m.next
-    in
-    go n (Some m)
-  end
+  if n >= 0 then trim_front m n
   else begin
     (* Trim from back. *)
     let n = -n in

@@ -13,80 +13,77 @@ type stats = {
   peak_cluster : int;
 }
 
-type t = {
-  max_free : int;
-  small_free : bytes Stack.t;
-  cluster_free : bytes Stack.t;
-  mutable s : stats;
+(* One size class: a LIFO free list over an array that grows up to the
+   pool's [max_free], and the class's counters.  Everything is mutated in
+   place, so an alloc/release pair touches no heap at steady state. *)
+type cls = {
+  size : int;
+  mutable free : bytes array;
+  mutable nfree : int;
+  mutable allocs : int;
+  mutable frees : int;
+  mutable in_use : int;
+  mutable peak : int;
 }
 
+type t = { max_free : int; small : cls; cluster : cls }
+
+let cls size =
+  { size; free = [||]; nfree = 0; allocs = 0; frees = 0; in_use = 0; peak = 0 }
+
 let create ?(max_free = 4096) () =
-  {
-    max_free;
-    small_free = Stack.create ();
-    cluster_free = Stack.create ();
-    s =
-      {
-        small_allocs = 0;
-        cluster_allocs = 0;
-        small_frees = 0;
-        cluster_frees = 0;
-        small_in_use = 0;
-        cluster_in_use = 0;
-        peak_small = 0;
-        peak_cluster = 0;
-      };
-  }
+  { max_free; small = cls small_size; cluster = cls cluster_size }
 
-let alloc_small t =
-  let b =
-    if Stack.is_empty t.small_free then Bytes.create small_size
-    else Stack.pop t.small_free
-  in
-  let in_use = t.s.small_in_use + 1 in
-  t.s <-
-    {
-      t.s with
-      small_allocs = t.s.small_allocs + 1;
-      small_in_use = in_use;
-      peak_small = max t.s.peak_small in_use;
-    };
-  b
+let alloc c =
+  c.allocs <- c.allocs + 1;
+  c.in_use <- c.in_use + 1;
+  if c.in_use > c.peak then c.peak <- c.in_use;
+  if c.nfree = 0 then Bytes.create c.size
+  else begin
+    c.nfree <- c.nfree - 1;
+    c.free.(c.nfree)
+  end
 
-let alloc_cluster t =
-  let b =
-    if Stack.is_empty t.cluster_free then Bytes.create cluster_size
-    else Stack.pop t.cluster_free
-  in
-  let in_use = t.s.cluster_in_use + 1 in
-  t.s <-
-    {
-      t.s with
-      cluster_allocs = t.s.cluster_allocs + 1;
-      cluster_in_use = in_use;
-      peak_cluster = max t.s.peak_cluster in_use;
-    };
-  b
+let release t c b =
+  c.frees <- c.frees + 1;
+  c.in_use <- c.in_use - 1;
+  if c.nfree < t.max_free then begin
+    if c.nfree = Array.length c.free then begin
+      let grown =
+        Array.make (min t.max_free (max 16 (2 * c.nfree))) Bytes.empty
+      in
+      Array.blit c.free 0 grown 0 c.nfree;
+      c.free <- grown
+    end;
+    c.free.(c.nfree) <- b;
+    c.nfree <- c.nfree + 1
+  end
+
+let alloc_small t = alloc t.small
+
+let alloc_cluster t = alloc t.cluster
 
 let release_small t b =
   if Bytes.length b <> small_size then
     invalid_arg "Pool.release_small: wrong buffer size";
-  if Stack.length t.small_free < t.max_free then Stack.push b t.small_free;
-  t.s <-
-    { t.s with small_frees = t.s.small_frees + 1; small_in_use = t.s.small_in_use - 1 }
+  release t t.small b
 
 let release_cluster t b =
   if Bytes.length b <> cluster_size then
     invalid_arg "Pool.release_cluster: wrong buffer size";
-  if Stack.length t.cluster_free < t.max_free then Stack.push b t.cluster_free;
-  t.s <-
-    {
-      t.s with
-      cluster_frees = t.s.cluster_frees + 1;
-      cluster_in_use = t.s.cluster_in_use - 1;
-    }
+  release t t.cluster b
 
-let stats t = t.s
+let stats t =
+  {
+    small_allocs = t.small.allocs;
+    cluster_allocs = t.cluster.allocs;
+    small_frees = t.small.frees;
+    cluster_frees = t.cluster.frees;
+    small_in_use = t.small.in_use;
+    cluster_in_use = t.cluster.in_use;
+    peak_small = t.small.peak;
+    peak_cluster = t.cluster.peak;
+  }
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -4,7 +4,12 @@
     areas so steady-state packet processing allocates nothing from the GC's
     point of view — mirroring the kernel mbuf allocator the paper's stack
     relies on.  Also tracks allocation statistics, which the tests use to
-    verify that layer processing hands buffers off instead of copying. *)
+    verify that layer processing hands buffers off instead of copying.
+
+    Each free list is a LIFO stack over an array and every counter is a
+    mutable field, so once the free lists are warm an
+    {!alloc_small}/{!release_small} pair allocates no minor words at all;
+    {!stats} builds its record only when asked. *)
 
 type t
 
@@ -31,5 +36,6 @@ val release_small : t -> bytes -> unit
 val release_cluster : t -> bytes -> unit
 
 val stats : t -> stats
+(** A snapshot of the counters. *)
 
 val pp_stats : Format.formatter -> stats -> unit

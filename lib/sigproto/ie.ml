@@ -33,7 +33,9 @@ let cause c =
   if c < 0 || c > 255 then invalid_arg "Ie.cause: out of range";
   { id = id_cause; data = String.make 1 (Char.chr c) }
 
-let find id ies = List.find_opt (fun ie -> ie.id = id) ies
+let rec find id = function
+  | [] -> None
+  | ie :: rest -> if ie.id = id then Some ie else find id rest
 
 let get_vpc_vci ie =
   if ie.id <> id_vpcvci || String.length ie.data <> 3 then None
@@ -64,22 +66,19 @@ let encode_list ies buf off =
       off + 3 + len)
     off ies
 
-let decode_list buf off len =
-  let stop = off + len in
-  let rec go acc off =
-    if off = stop then Ok (List.rev acc)
-    else if stop - off < 3 then Error `Truncated
-    else begin
-      let id = Char.code (Bytes.get buf off) in
-      let dlen =
-        (Char.code (Bytes.get buf (off + 1)) lsl 8)
-        lor Char.code (Bytes.get buf (off + 2))
-      in
-      if off + 3 + dlen > stop then Error (`Bad_length dlen)
-      else begin
-        let data = Bytes.sub_string buf (off + 3) dlen in
-        go ({ id; data } :: acc) (off + 3 + dlen)
-      end
-    end
-  in
-  go [] off
+(* Toplevel, not a local [go] capturing [buf] and [stop]: decoding runs
+   once per signalling message and should not allocate a closure. *)
+let rec decode_from buf stop acc off =
+  if off = stop then Ok (List.rev acc)
+  else if stop - off < 3 then Error `Truncated
+  else begin
+    let id = Bytes.get_uint8 buf off in
+    let dlen = Bytes.get_uint16_be buf (off + 1) in
+    if off + 3 + dlen > stop then Error (`Bad_length dlen)
+    else
+      decode_from buf stop
+        ({ id; data = Bytes.sub_string buf (off + 3) dlen } :: acc)
+        (off + 3 + dlen)
+  end
+
+let decode_list buf off len = decode_from buf (off + len) [] off

@@ -3,9 +3,10 @@ module Mbuf = Ldlp_buf.Mbuf
 
 type body =
   | Raw of Mbuf.t
-  | Sdu of int * bytes
-  | Signalling of int * bytes
+  | Frame of int * Mbuf.t
+  | Signalling of int * Mbuf.t
   | Decoded of int * Sigmsg.t
+  | Sdu of int * bytes
 
 type item = body
 
@@ -16,9 +17,9 @@ let frame ~pool ~port payload =
   Bytes.blit payload 0 b 1 (Bytes.length payload);
   Mbuf.of_bytes pool b
 
-let encode_tx ~sscop_for ~port msg =
-  let sscop : Sscop.t = sscop_for port in
-  (port, Sscop.send sscop (Sigmsg.encode msg))
+let transmit ~sscop_for ~port msg = Sscop.send (sscop_for port) (Sigmsg.encode msg)
+
+let encode_tx ~sscop_for ~port msg = (port, transmit ~sscop_for ~port msg)
 
 type stack = {
   layers : item Core.Layer.t list;
@@ -37,25 +38,43 @@ let fp_q93b = Core.Layer.footprint ~code_bytes:5000 ~data_bytes:256 ()
 
 let fp_call = Core.Layer.footprint ~code_bytes:9000 ~data_bytes:2048 ()
 
-let remake msg body = Core.Msg.with_payload msg body
+(* Hand [msg] up in place: the next layer's view of it replaces the
+   payload, and the static [up_only] list carries it. *)
+let pass (msg : item Core.Msg.t) body size =
+  msg.Core.Msg.payload <- body;
+  msg.Core.Msg.size <- size;
+  Core.Layer.up_only
 
-let size_of_body = function
-  | Raw m -> Mbuf.length m
-  | Sdu (_, b) | Signalling (_, b) -> Bytes.length b
-  | Decoded (_, m) -> Sigmsg.encoded_length m
+(* Readers of an [n]-byte mbuf chain: in place when its head segment
+   holds all [n] bytes, as every signalling frame's does, else from a
+   linearised copy. *)
+let sscop_input s m n =
+  if Mbuf.contiguous m n then Sscop.input s (Mbuf.seg_data m) (Mbuf.seg_off m) n
+  else Sscop.input s (Mbuf.to_bytes m) 0 n
+
+let decode m n =
+  if Mbuf.contiguous m n then Sigmsg.decode_sub (Mbuf.seg_data m) (Mbuf.seg_off m) n
+  else Sigmsg.decode (Mbuf.to_bytes m)
+
+(* The switch's replies, framed by the per-port transmitters, as
+   [Send_down] actions in reply order. *)
+let rec replies_down msg sscop_for = function
+  | [] -> []
+  | (port, reply) :: rest ->
+    let f = transmit ~sscop_for ~port reply in
+    Core.Layer.Send_down
+      (Core.Msg.with_payload msg (Sdu (port, f)) ~size:(Bytes.length f))
+    :: replies_down msg sscop_for rest
 
 let stack ~pool ~switch ?(acks = true) () =
   let sscops : (int, Sscop.t) Hashtbl.t = Hashtbl.create 8 in
   let sscop_for port =
-    match Hashtbl.find_opt sscops port with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find sscops port with
+    | s -> s
+    | exception Not_found ->
       let s = Sscop.create () in
       Hashtbl.add sscops port s;
       s
-  in
-  let deliver msg body =
-    [ Core.Layer.Deliver_up (remake msg body ~size:(size_of_body body)) ]
   in
   let link =
     Core.Layer.v ~name:"link" ~fp:fp_link (fun msg ->
@@ -63,56 +82,51 @@ let stack ~pool ~switch ?(acks = true) () =
         | Raw m when Mbuf.length m >= 1 ->
           let port = Mbuf.get_byte m 0 in
           Mbuf.adj m 1;
-          let sdu = Mbuf.to_bytes m in
-          Mbuf.free pool m;
-          deliver msg (Sdu (port, sdu))
+          pass msg (Frame (port, m)) (Mbuf.length m)
         | Raw m ->
           Mbuf.free pool m;
-          [ Core.Layer.Consume ]
-        | body -> deliver msg body)
+          Core.Layer.consume_only
+        | _ -> Core.Layer.up_only)
   in
   let sscop_layer =
     Core.Layer.v ~name:"sscop" ~fp:fp_sscop (fun msg ->
         match msg.Core.Msg.payload with
-        | Sdu (port, frame_bytes) -> (
+        | Frame (port, m) -> (
           let s = sscop_for port in
-          match Sscop.on_receive s frame_bytes with
-          | Sscop.Deliver payload ->
-            let up = deliver msg (Signalling (port, payload)) in
+          let n = Mbuf.length m in
+          match sscop_input s m n with
+          | Sscop.Delivered ->
+            Mbuf.adj m Sscop.header_bytes;
+            let up = pass msg (Signalling (port, m)) (n - Sscop.header_bytes) in
             if acks then
-              up
-              @ [
-                  Core.Layer.Send_down
-                    (remake msg (Sdu (port, Sscop.make_ack s)) ~size:4);
-                ]
+              [
+                Core.Layer.Up;
+                Core.Layer.Send_down
+                  (Core.Msg.with_payload msg (Sdu (port, Sscop.make_ack s)) ~size:4);
+              ]
             else up
-          | Sscop.Ack_processed _ | Sscop.Out_of_order _ | Sscop.Malformed _ ->
-            [ Core.Layer.Consume ])
-        | body -> deliver msg body)
+          | Sscop.Acked | Sscop.Unexpected | Sscop.Invalid ->
+            Mbuf.free pool m;
+            Core.Layer.consume_only)
+        | _ -> Core.Layer.up_only)
   in
   let q93b =
     Core.Layer.v ~name:"q93b" ~fp:fp_q93b (fun msg ->
         match msg.Core.Msg.payload with
-        | Signalling (port, bytes) -> (
-          match Sigmsg.decode bytes with
-          | Ok m -> deliver msg (Decoded (port, m))
-          | Error _ -> [ Core.Layer.Consume ])
-        | body -> deliver msg body)
+        | Signalling (port, m) -> (
+          let decoded = decode m (Mbuf.length m) in
+          Mbuf.free pool m;
+          match decoded with
+          | Ok d -> pass msg (Decoded (port, d)) (Sigmsg.encoded_length d)
+          | Error _ -> Core.Layer.consume_only)
+        | _ -> Core.Layer.up_only)
   in
   let call =
     Core.Layer.v ~name:"call" ~fp:fp_call (fun msg ->
         match msg.Core.Msg.payload with
         | Decoded (port, m) ->
-          let replies = Switch.handle switch ~port m in
-          let downs =
-            List.map
-              (fun (out_port, reply) ->
-                let port, bytes = encode_tx ~sscop_for ~port:out_port reply in
-                Core.Layer.Send_down
-                  (remake msg (Sdu (port, bytes)) ~size:(Bytes.length bytes)))
-              replies
-          in
-          Core.Layer.Deliver_up msg :: downs
-        | _ -> [ Core.Layer.Consume ])
+          Core.Layer.Up
+          :: replies_down msg sscop_for (Switch.handle switch ~port m)
+        | _ -> Core.Layer.consume_only)
   in
   { layers = [ link; sscop_layer; q93b; call ]; sscop_for; switch }

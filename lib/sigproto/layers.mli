@@ -11,9 +11,16 @@
       re-encoded, wrapped by the per-port SSCOP transmitter, tagged with
       the outgoing port, and sent down.
 
-    Payloads move through the variant {!body} as each layer strips its
-    header — the same hand-off-the-buffer discipline (Section 3.2) the
-    mbuf system provides for TCP/IP.
+    Each layer hands the message up {e in place}, the hand-off-the-buffer
+    discipline (Section 3.2) the mbuf system provides for TCP/IP: it
+    overwrites the message's [payload] and [size] with its view of the
+    same buffer and returns the static {!Ldlp_core.Layer.up_only}.  The
+    received mbuf travels up to the q93b layer: the link layer reads the
+    port byte and the sscop layer the SSCOP header where they lie and trim
+    them with {!Ldlp_buf.Mbuf.adj}; the q93b layer decodes straight from
+    the mbuf's head segment with {!Sigmsg.decode_sub}, then frees the
+    mbuf.  No frame is copied on the way up.  Only messages sent down —
+    acks and replies — are fresh message records.
 
     Footprints attached to each layer are measured estimates of the OCaml
     implementation's code size; they drive the {!Ldlp_core.Blocking}
@@ -21,9 +28,13 @@
 
 type body =
   | Raw of Ldlp_buf.Mbuf.t  (** As received: port tag + SSCOP frame. *)
-  | Sdu of int * bytes  (** (port, SSCOP frame). *)
-  | Signalling of int * bytes  (** (port, Q.93B message bytes). *)
-  | Decoded of int * Sigmsg.t
+  | Frame of int * Ldlp_buf.Mbuf.t
+      (** (port, SSCOP frame): the port tag trimmed off the same mbuf. *)
+  | Signalling of int * Ldlp_buf.Mbuf.t
+      (** (port, Q.93B message): the SSCOP header trimmed off too. *)
+  | Decoded of int * Sigmsg.t  (** The q93b layer has freed the mbuf. *)
+  | Sdu of int * bytes
+      (** (port, SSCOP frame) sent down: an ack or an encoded reply. *)
 
 type item = body
 
@@ -48,4 +59,5 @@ val stack :
   stack
 (** Build the four-layer receive stack.  With [acks] (default true) the
     sscop layer sends a cumulative ack downward for every delivered
-    frame. *)
+    frame.  Received mbufs are freed to [pool] by the layer that drops or
+    decodes them. *)

@@ -91,20 +91,24 @@ let encode t =
 let decode_sub buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin
-    let b i = Char.code (Bytes.get buf (off + i)) in
-    if b 0 <> protocol_discriminator then Error (`Bad_discriminator (b 0))
-    else if b 1 <> 3 then Error (`Bad_call_ref_length (b 1))
-    else begin
-      let cr = (b 2 lsl 16) lor (b 3 lsl 8) lor b 4 in
-      match msg_type_of_code (b 5) with
-      | None -> Error (`Unknown_type (b 5))
+    let pd = Bytes.get_uint8 buf off and crl = Bytes.get_uint8 buf (off + 1) in
+    let code = Bytes.get_uint8 buf (off + 5) in
+    if pd <> protocol_discriminator then Error (`Bad_discriminator pd)
+    else if crl <> 3 then Error (`Bad_call_ref_length crl)
+    else
+      match msg_type_of_code code with
+      | None -> Error (`Unknown_type code)
       | Some typ ->
-        let ie_len = (b 6 lsl 8) lor b 7 in
+        let ie_len = Bytes.get_uint16_be buf (off + 6) in
         if header_bytes + ie_len > len then Error (`Bad_length ie_len)
         else begin
           match Ie.decode_list buf (off + header_bytes) ie_len with
           | Error e -> Error (e :> error)
           | Ok ies ->
+            let cr =
+              (Bytes.get_uint8 buf (off + 2) lsl 16)
+              lor Bytes.get_uint16_be buf (off + 3)
+            in
             Ok
               {
                 call_ref = cr land 0x7FFFFF;
@@ -113,7 +117,6 @@ let decode_sub buf off len =
                 ies;
               }
         end
-    end
   end
 
 let decode buf = decode_sub buf 0 (Bytes.length buf)

@@ -1,7 +1,7 @@
 type t = {
   mutable vt_s : int;  (* next sequence number to send *)
   mutable vr_r : int;  (* next expected receive sequence number *)
-  buffer : (int * bytes) Queue.t;  (* unacked, oldest first *)
+  buffer : bytes Queue.t;  (* sent data frames awaiting ack, oldest first *)
 }
 
 let header_bytes = 4
@@ -16,72 +16,88 @@ type received =
   | Ack_processed of int
   | Malformed of string
 
-let frame_internal tag seq payload =
+type verdict = Delivered | Acked | Unexpected | Invalid
+
+let seq_at buf off =
+  (Bytes.get_uint8 buf (off + 1) lsl 16) lor Bytes.get_uint16_be buf (off + 2)
+
+(* Serial-number order on the 24-bit sequence space: [s] precedes [ack]
+   when [ack] lies less than half the space ahead of it.  A plain [s < ack]
+   stops trimming once the numbers wrap past 2^24 - 1. *)
+let precedes s ack =
+  let d = (ack - s) land seq_mask in
+  d <> 0 && d <= seq_mask lsr 1
+
+let frame ~tag ~seq payload =
   let n = Bytes.length payload in
   let b = Bytes.create (header_bytes + n) in
   Bytes.set b 0 tag;
-  Bytes.set b 1 (Char.chr ((seq lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((seq lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (seq land 0xFF));
+  Bytes.set_uint8 b 1 ((seq lsr 16) land 0xFF);
+  Bytes.set_uint16_be b 2 (seq land 0xFFFF);
   Bytes.blit payload 0 b header_bytes n;
   b
 
 let send t payload =
-  let seq = t.vt_s in
+  let f = frame ~tag:'D' ~seq:t.vt_s payload in
   t.vt_s <- (t.vt_s + 1) land seq_mask;
-  Queue.push (seq, Bytes.copy payload) t.buffer;
-  frame_internal 'D' seq payload
+  Queue.push f t.buffer;
+  f
 
-let on_receive t buf =
-  if Bytes.length buf < header_bytes then
-    Malformed
-      (Printf.sprintf "frame too short (%d bytes)" (Bytes.length buf))
-  else begin
-    let tag = Bytes.get buf 0 in
-    let b i = Char.code (Bytes.get buf i) in
-    let seq = (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-    match tag with
-    | 'D' ->
-      if seq = t.vr_r then begin
-        t.vr_r <- (t.vr_r + 1) land seq_mask;
-        Deliver (Bytes.sub buf header_bytes (Bytes.length buf - header_bytes))
-      end
-      else Out_of_order seq
-    | 'A' ->
-      (* Cumulative ack: everything below [seq] is confirmed. *)
-      let rec drop () =
-        match Queue.peek_opt t.buffer with
-        | Some (s, _) when s < seq ->
-          ignore (Queue.pop t.buffer);
-          drop ()
-        | _ -> ()
-      in
-      drop ();
-      Ack_processed seq
-    | c -> Malformed (Printf.sprintf "unknown frame tag %C" c)
+let rec trim t ack =
+  if (not (Queue.is_empty t.buffer)) && precedes (seq_at (Queue.peek t.buffer) 0) ack
+  then begin
+    ignore (Queue.pop t.buffer);
+    trim t ack
   end
 
-let make_ack t = frame_internal 'A' t.vr_r Bytes.empty
+let input t buf off len =
+  if len < header_bytes then Invalid
+  else
+    match Bytes.get buf off with
+    | 'D' ->
+      if seq_at buf off = t.vr_r then begin
+        t.vr_r <- (t.vr_r + 1) land seq_mask;
+        Delivered
+      end
+      else Unexpected
+    | 'A' ->
+      (* Cumulative ack: everything before the carried number is confirmed. *)
+      trim t (seq_at buf off);
+      Acked
+    | _ -> Invalid
+
+let on_receive t buf =
+  let len = Bytes.length buf in
+  match input t buf 0 len with
+  | Delivered -> Deliver (Bytes.sub buf header_bytes (len - header_bytes))
+  | Acked -> Ack_processed (seq_at buf 0)
+  | Unexpected -> Out_of_order (seq_at buf 0)
+  | Invalid ->
+    Malformed
+      (if len < header_bytes then Printf.sprintf "frame too short (%d bytes)" len
+       else Printf.sprintf "unknown frame tag %C" (Bytes.get buf 0))
+
+let make_ack t = frame ~tag:'A' ~seq:t.vr_r Bytes.empty
 
 let next_send_seq t = t.vt_s
 
 let next_expected_seq t = t.vr_r
 
-let unacked t = List.of_seq (Queue.to_seq t.buffer)
+let unacked_count t = Queue.length t.buffer
 
-let retransmit t =
-  List.of_seq (Seq.map (fun (seq, payload) -> frame_internal 'D' seq payload) (Queue.to_seq t.buffer))
+let unacked t =
+  List.of_seq
+    (Seq.map
+       (fun f -> (seq_at f 0, Bytes.sub f header_bytes (Bytes.length f - header_bytes)))
+       (Queue.to_seq t.buffer))
 
-let frame ~tag ~seq payload = frame_internal tag seq payload
+let retransmit t = List.of_seq (Seq.map Bytes.copy (Queue.to_seq t.buffer))
 
 let parse buf =
   if Bytes.length buf < header_bytes then
     Error (Printf.sprintf "frame too short (%d bytes)" (Bytes.length buf))
-  else begin
-    let b i = Char.code (Bytes.get buf i) in
-    let seq = (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  else
     Ok
       ( Bytes.get buf 0,
-        seq,
+        seq_at buf 0,
         Bytes.sub buf header_bytes (Bytes.length buf - header_bytes) )
-  end

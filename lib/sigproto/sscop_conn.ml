@@ -44,7 +44,7 @@ let state t = t.st
 
 let next_deadline t = t.deadline
 
-let unacked t = List.length (Sscop.unacked t.core)
+let unacked t = Sscop.unacked_count t.core
 
 let ctrl tag = Sscop.frame ~tag ~seq:0 Bytes.empty
 

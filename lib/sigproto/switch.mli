@@ -9,7 +9,17 @@
 
     The switch is purely reactive: [handle] maps one incoming message to
     the messages to transmit.  It keeps per-call state for both half-calls
-    (ingress and egress side). *)
+    (ingress and egress side).
+
+    Each half-call is found by one packed integer key: the port, the
+    call-reference flag that the peer's messages on that leg carry, and
+    the 23-bit call reference.  The caller's messages (Up leg) carry
+    [from_originator = true]; the callee's (Down leg, whose reference the
+    switch allocated) carry [false].  Because the flag is part of the key,
+    a call routed back out of its own ingress port with the same reference
+    value (a hairpin) keeps two distinct legs.  The table is a
+    [Hashtbl.Make] over [int] with an integer hash, and the counters are
+    mutable fields: a message allocates nothing for the lookup. *)
 
 type t
 
@@ -38,12 +48,16 @@ val create :
 
 val handle : t -> port:int -> Sigmsg.t -> (int * Sigmsg.t) list
 (** Process one incoming message, returning [(out_port, message)] pairs to
-    transmit.  Unknown call references and FSM violations produce STATUS or
-    RELEASE_COMPLETE per Q.93B custom and count as protocol errors. *)
+    transmit.  The message's leg is looked up by [(port, call_ref,
+    from_originator)].  Unknown call references and FSM violations produce
+    STATUS or RELEASE_COMPLETE per Q.93B custom and count as protocol
+    errors; so does a SETUP whose call-reference flag says it came from
+    the destination side.  Ports must lie in [[0, 2^38)]. *)
 
 val active_calls : t -> int
 
 val stats : t -> stats
+(** A snapshot of the counters. *)
 
 val vci_of_call : t -> call_ref:int -> (int * int) option
 (** The VPI/VCI the switch allocated for a routed call, if connected. *)

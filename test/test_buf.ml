@@ -231,6 +231,37 @@ let prop_free_balances =
       let s = Pool.stats p in
       s.Pool.small_in_use = 0 && s.Pool.cluster_in_use = 0)
 
+(* Steady-state allocation: once the free list is warm, an alloc/release
+   pair touches no heap, and an mbuf cycle of a 40 B frame allocates only
+   its one 6-word mbuf record.  The tolerance covers only the boxed floats
+   the two [Gc.minor_words] reads themselves produce. *)
+let cycles = 10_000
+
+let test_pool_cycle_zero_alloc () =
+  let p = pool () in
+  Pool.release_small p (Pool.alloc_small p);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    Pool.release_small p (Pool.alloc_small p)
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then
+    Alcotest.failf "%d alloc_small/release_small pairs allocated %.0f minor words"
+      cycles dw
+
+let test_mbuf_cycle_alloc () =
+  let p = pool () in
+  let frame = Bytes.make 40 'f' in
+  Mbuf.free p (Mbuf.of_bytes p frame);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    Mbuf.free p (Mbuf.of_bytes p frame)
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > float_of_int (6 * cycles) +. 16.0 then
+    Alcotest.failf "%d of_bytes/free cycles of a 40 B frame allocated %.1f words each"
+      cycles (dw /. float_of_int cycles)
+
 let suite =
   [
     Alcotest.test_case "roundtrip small" `Quick test_roundtrip_small;
@@ -254,4 +285,6 @@ let suite =
     Alcotest.test_case "pool stats" `Quick test_pool_stats;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     QCheck_alcotest.to_alcotest prop_free_balances;
+    Alcotest.test_case "pool cycle allocates nothing" `Quick test_pool_cycle_zero_alloc;
+    Alcotest.test_case "mbuf cycle allocates one record" `Quick test_mbuf_cycle_alloc;
   ]

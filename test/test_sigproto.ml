@@ -280,6 +280,42 @@ let test_sscop_malformed () =
   | Sscop.Malformed _ -> ()
   | _ -> Alcotest.fail "bad tag"
 
+(* Sequence numbers wrap at 2^24.  A sender that crosses the wrap with
+   the receiver acking every 8 frames must still drain its retransmission
+   buffer: a plain [seq < ack] comparison stops trimming at the wrap and
+   leaves the buffer growing without bound. *)
+let test_sscop_ack_across_wrap () =
+  let tx = Sscop.create () in
+  let ack_upto seq =
+    ignore (Sscop.on_receive tx (Sscop.frame ~tag:'A' ~seq Bytes.empty))
+  in
+  let frames = (1 lsl 24) + 20 in
+  for i = 1 to frames do
+    ignore (Sscop.send tx Bytes.empty);
+    if i land 7 = 0 then ack_upto (Sscop.next_send_seq tx)
+  done;
+  checki "wrapped" 20 (Sscop.next_send_seq tx);
+  checki "acks kept trimming across the wrap" (frames land 7)
+    (List.length (Sscop.unacked tx));
+  (match Sscop.on_receive tx (Sscop.frame ~tag:'A' ~seq:20 Bytes.empty) with
+  | Sscop.Ack_processed 20 -> ()
+  | _ -> Alcotest.fail "final ack");
+  checki "final cumulative ack empties the buffer" 0
+    (List.length (Sscop.unacked tx))
+
+(* A stale cumulative ack (one from before the buffer's head) trims
+   nothing. *)
+let test_sscop_stale_ack () =
+  let tx = Sscop.create () in
+  for _ = 1 to 5 do
+    ignore (Sscop.send tx (Bytes.of_string "x"))
+  done;
+  ignore (Sscop.on_receive tx (Sscop.frame ~tag:'A' ~seq:3 Bytes.empty));
+  ignore (Sscop.on_receive tx (Sscop.frame ~tag:'A' ~seq:1 Bytes.empty));
+  Alcotest.(check (list int))
+    "frames 3 and 4 still buffered" [ 3; 4 ]
+    (List.map fst (Sscop.unacked tx))
+
 let prop_sscop_pipe =
   QCheck.Test.make ~name:"sscop delivers any in-order stream intact" ~count:200
     QCheck.(list_of_size Gen.(0 -- 20) (QCheck.string_of_size Gen.(0 -- 100)))
@@ -545,6 +581,45 @@ let test_switch_release_cleans_up () =
   checki "table empty" 0 (Switch.active_calls sw);
   checki "released" 1 (Switch.stats sw).Switch.calls_released
 
+(* A hairpin call: routed back out of its own ingress port, where the
+   switch's first outgoing reference (1) equals the caller's.  The
+   call-reference flag keeps the two legs apart, so the whole lifecycle
+   runs without a protocol error. *)
+let test_switch_hairpin_call () =
+  let sw = Switch.create ~routes:[ ("+1", 1) ] ~local_port:0 () in
+  (* Each reply as "port TYPE ref/flag", the flag being from_originator. *)
+  let expect what want replies =
+    Alcotest.(check (list string))
+      what want
+      (List.map
+         (fun (p, m) ->
+           Printf.sprintf "%d %s %d/%b" p
+             (Sigmsg.msg_type_name m.Sigmsg.typ)
+             m.Sigmsg.call_ref m.Sigmsg.from_originator)
+         replies)
+  in
+  expect "proceeding to the caller, SETUP to the callee"
+    [ "1 CALL_PROCEEDING 1/false"; "1 SETUP 1/true" ]
+    (Switch.handle sw ~port:1 (setup ~call_ref:1 "+15551234"));
+  checki "both legs held" 1 (Switch.active_calls sw);
+  expect "callee's CONNECT acked, caller offered CONNECT"
+    [ "1 CONNECT_ACK 1/true"; "1 CONNECT 1/false" ]
+    (Switch.handle sw ~port:1
+       (Sigmsg.v ~from_originator:false ~call_ref:1 Sigmsg.Connect []));
+  expect "caller's CONNECT_ACK is silent" []
+    (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref:1 Sigmsg.Connect_ack []));
+  checki "connected" 1 (Switch.stats sw).Switch.calls_connected;
+  expect "caller's RELEASE completed and passed on"
+    [ "1 RELEASE_COMPLETE 1/false"; "1 RELEASE 1/true" ]
+    (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref:1 Sigmsg.Release []));
+  expect "callee's RELEASE_COMPLETE is silent" []
+    (Switch.handle sw ~port:1
+       (Sigmsg.v ~from_originator:false ~call_ref:1 Sigmsg.Release_complete []));
+  let s = Switch.stats sw in
+  checki "table empty" 0 (Switch.active_calls sw);
+  checki "released" 1 s.Switch.calls_released;
+  checki "no protocol errors" 0 s.Switch.protocol_errors
+
 let test_switch_missing_called_party () =
   let sw = make_switch () in
   match Switch.handle sw ~port:1 (Sigmsg.v ~call_ref:9 Sigmsg.Setup []) with
@@ -559,6 +634,17 @@ let test_switch_unknown_callref () =
   | [ (1, m) ] -> check "release complete" true (m.Sigmsg.typ = Sigmsg.Release_complete)
   | _ -> Alcotest.fail "expected release complete");
   checki "counted" 1 (Switch.stats sw).Switch.protocol_errors;
+  (* A SETUP flagged as coming from the destination side has no call to
+     belong to either. *)
+  (match
+     Switch.handle sw ~port:1
+       (Sigmsg.v ~from_originator:false ~call_ref:97 Sigmsg.Setup
+          [ Ie.called_party "b:1" ])
+   with
+  | [ (1, m) ] -> check "release complete" true (m.Sigmsg.typ = Sigmsg.Release_complete)
+  | _ -> Alcotest.fail "expected release complete");
+  checki "counted too" 2 (Switch.stats sw).Switch.protocol_errors;
+  checki "no call created" 0 (Switch.active_calls sw);
   (* Stray RELEASE_COMPLETE is silently ignored. *)
   checki "stray ignored" 0
     (List.length
@@ -683,6 +769,173 @@ let test_layers_ldlp_equals_conventional () =
     (Switch.stats sw2).Switch.setups_routed;
   checki "same transmissions" (List.length downs1) (List.length downs2)
 
+(* Wire-byte differential: random scripts of link frames through the
+   four-layer stack must send down exactly the frames an independent
+   reference produces from a second switch, [Layers.encode_tx] and
+   [Sscop.make_ack].  Frames arrive on port 1 (the caller) and port 2
+   (the callee of calls routed to "b:").  Besides in-sequence Q.93B
+   messages, a script holds the caller's cumulative acks, data frames
+   ahead of sequence, in-sequence frames whose payload does not decode,
+   short frames, unknown tags and empty link frames. *)
+type ev =
+  | Msg of int * Sigmsg.msg_type * int  (** port, type, call ref *)
+  | Peer_ack of int * int  (** port, acked sequence number *)
+  | Gap of int * int  (** port, distance ahead of sequence *)
+  | Garbage of int  (** port *)
+  | Short of int
+  | Bad_tag of int
+  | Empty
+
+let show_ev = function
+  | Msg (p, t, r) -> Printf.sprintf "%d:%s/%d" p (Sigmsg.msg_type_name t) r
+  | Peer_ack (p, s) -> Printf.sprintf "%d:ack%d" p s
+  | Gap (p, d) -> Printf.sprintf "%d:gap+%d" p d
+  | Garbage p -> Printf.sprintf "%d:garbage" p
+  | Short p -> Printf.sprintf "%d:short" p
+  | Bad_tag p -> Printf.sprintf "%d:bad-tag" p
+  | Empty -> "empty"
+
+let gen_ev =
+  let open QCheck.Gen in
+  let port = oneofl [ 1; 1; 2 ] in
+  frequency
+    [
+      ( 10,
+        port >>= fun p ->
+        map2
+          (fun t r -> Msg (p, t, r))
+          (if p = 1 then
+             oneofl Sigmsg.[ Setup; Setup; Connect_ack; Release; Release_complete ]
+           else oneofl Sigmsg.[ Connect; Release; Release_complete ])
+          (1 -- 4) );
+      (3, map2 (fun p s -> Peer_ack (p, s)) port (0 -- 12));
+      (1, map2 (fun p d -> Gap (p, d)) port (1 -- 3));
+      (1, map (fun p -> Garbage p) port);
+      (1, map (fun p -> Short p) port);
+      (1, map (fun p -> Bad_tag p) port);
+      (1, return Empty);
+    ]
+
+(* The script as link frames (port byte + SSCOP frame), each port's data
+   frames numbered by its own caller-side transmitter. *)
+let script_frames evs =
+  let txs = [| Sscop.create (); Sscop.create (); Sscop.create () |] in
+  let link p f = Bytes.cat (Bytes.make 1 (Char.chr p)) f in
+  List.map
+    (function
+      | Msg (p, typ, call_ref) ->
+        let ies =
+          if typ = Sigmsg.Setup then
+            [ Ie.called_party (if call_ref land 1 = 0 then "b:9" else "local") ]
+          else []
+        in
+        link p
+          (Sscop.send txs.(p)
+             (Sigmsg.encode (Sigmsg.v ~from_originator:(p = 1) ~call_ref typ ies)))
+      | Peer_ack (p, seq) -> link p (Sscop.frame ~tag:'A' ~seq Bytes.empty)
+      | Gap (p, d) ->
+        link p
+          (Sscop.frame ~tag:'D' ~seq:(Sscop.next_send_seq txs.(p) + d)
+             (Sigmsg.encode (Sigmsg.v ~call_ref:1 Sigmsg.Release [])))
+      | Garbage p -> link p (Sscop.send txs.(p) (Bytes.of_string "\x09\x03garbage"))
+      | Short p -> link p (Bytes.of_string "D\x00")
+      | Bad_tag p -> link p (Sscop.frame ~tag:'Z' ~seq:0 Bytes.empty)
+      | Empty -> Bytes.empty)
+    evs
+
+let diff_switch () = Switch.create ~auto_answer:true ~routes:[ ("b:", 2) ] ~local_port:0 ()
+
+let per_port () =
+  let t = Hashtbl.create 4 in
+  fun port ->
+    match Hashtbl.find_opt t port with
+    | Some s -> s
+    | None ->
+      let s = Sscop.create () in
+      Hashtbl.add t port s;
+      s
+
+(* Conventional order: a delivered frame's replies leave before its ack,
+   because the sscop layer's [Up] runs the layers above it first. *)
+let reference frames =
+  let sw = diff_switch () and sscop_for = per_port () in
+  let down =
+    List.concat_map
+      (fun raw ->
+        if Bytes.length raw = 0 then []
+        else
+          let port = Char.code (Bytes.get raw 0) in
+          let s = sscop_for port in
+          match Sscop.on_receive s (Bytes.sub raw 1 (Bytes.length raw - 1)) with
+          | Sscop.Deliver payload ->
+            let ack = (port, Sscop.make_ack s) in
+            let replies =
+              match Sigmsg.decode payload with
+              | Ok m ->
+                List.map
+                  (fun (p, r) -> Layers.encode_tx ~sscop_for ~port:p r)
+                  (Switch.handle sw ~port m)
+              | Error _ -> []
+            in
+            replies @ [ ack ]
+          | _ -> [])
+      frames
+  in
+  (down, sw, sscop_for)
+
+let through_stack ~discipline frames =
+  let pool = Ldlp_buf.Pool.create () in
+  let st = Layers.stack ~pool ~switch:(diff_switch ()) () in
+  let down = ref [] in
+  let eng =
+    Ldlp_core.Engine.rx_chain ~discipline ~layers:st.Layers.layers
+      ~down:(fun m ->
+        match m.Ldlp_core.Msg.payload with
+        | Layers.Sdu (port, f) -> down := (port, f) :: !down
+        | _ -> Alcotest.fail "non-frame sent down")
+      ()
+  in
+  List.iter
+    (fun raw ->
+      let m = Ldlp_buf.Mbuf.of_bytes pool raw in
+      Ldlp_core.Engine.inject eng ~node:0
+        (Ldlp_core.Msg.make ~size:(Bytes.length raw) (Layers.Raw m)))
+    frames;
+  Ldlp_core.Engine.run eng;
+  let ps = Ldlp_buf.Pool.stats pool in
+  (List.rev !down, st, ps.Ldlp_buf.Pool.small_in_use + ps.Ldlp_buf.Pool.cluster_in_use)
+
+let prop_layers_wire_bytes =
+  QCheck.Test.make ~name:"layers send down the reference's bytes" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun evs -> String.concat " " (List.map show_ev evs))
+       QCheck.Gen.(list_size (0 -- 40) gen_ev))
+    (fun evs ->
+      let frames = script_frames evs in
+      let want, ref_sw, ref_sscop = reference frames in
+      let acks = List.partition (fun (_, f) -> Bytes.get f 0 = 'A') in
+      List.for_all
+        (fun discipline ->
+          let got, st, leaked = through_stack ~discipline frames in
+          let same f port = f (st.Layers.sscop_for port) = f (ref_sscop port) in
+          (match discipline with
+          | Ldlp_core.Engine.Conventional ->
+            got = want && same Sscop.unacked 1 && same Sscop.unacked 2
+          | Ldlp_core.Engine.Ldlp _ ->
+            (* A batch can run a peer's ack through the sscop layer before
+               the call layer sends the frames it covers, so only the
+               reply and ack streams, not the retransmission buffers,
+               must match. *)
+            acks got = acks want)
+          && leaked = 0
+          && Switch.stats st.Layers.switch = Switch.stats ref_sw
+          && same Sscop.next_expected_seq 1
+          && same Sscop.next_expected_seq 2)
+        [
+          Ldlp_core.Engine.Conventional;
+          Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default;
+        ])
+
 let suite =
   [
     Alcotest.test_case "ie constructors" `Quick test_ie_constructors;
@@ -709,6 +962,8 @@ let suite =
     Alcotest.test_case "sscop ack trims" `Quick test_sscop_ack_trims_buffer;
     Alcotest.test_case "sscop retransmit" `Quick test_sscop_retransmit;
     Alcotest.test_case "sscop malformed" `Quick test_sscop_malformed;
+    Alcotest.test_case "sscop ack across the 2^24 wrap" `Quick test_sscop_ack_across_wrap;
+    Alcotest.test_case "sscop stale ack" `Quick test_sscop_stale_ack;
     QCheck_alcotest.to_alcotest prop_sscop_pipe;
     Alcotest.test_case "conn establish" `Quick test_conn_establish;
     Alcotest.test_case "conn data+ack" `Quick test_conn_data_and_ack;
@@ -722,12 +977,14 @@ let suite =
     Alcotest.test_case "switch routes setup" `Quick test_switch_routes_setup;
     Alcotest.test_case "switch full call" `Quick test_switch_full_call_setup;
     Alcotest.test_case "switch release" `Quick test_switch_release_cleans_up;
+    Alcotest.test_case "switch hairpin call" `Quick test_switch_hairpin_call;
     Alcotest.test_case "switch missing IE" `Quick test_switch_missing_called_party;
     Alcotest.test_case "switch unknown callref" `Quick test_switch_unknown_callref;
     Alcotest.test_case "switch many calls" `Quick test_switch_many_calls;
     QCheck_alcotest.to_alcotest prop_switch_random_valid_scripts;
     Alcotest.test_case "layers end to end" `Quick test_layers_end_to_end;
     Alcotest.test_case "layers acks disabled" `Quick test_layers_no_acks_option;
+    QCheck_alcotest.to_alcotest prop_layers_wire_bytes;
     Alcotest.test_case "layers ldlp = conventional" `Quick
       test_layers_ldlp_equals_conventional;
   ]
