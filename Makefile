@@ -4,7 +4,7 @@
 
 DOMAINS ?= 2
 
-.PHONY: all build test fmt promote selftest oracle engine-parity soak soak-duplex mesh shards recovery flows bench-sweeps bench-hotpath bench-alloc bench-soak bench-mesh bench-shards bench-recovery bench-flows check
+.PHONY: all build test fmt promote selftest oracle engine-parity soak soak-duplex mesh shards recovery flows check
 
 all: build
 
@@ -55,12 +55,11 @@ soak-duplex: build
 # broadcast/relay spread under all three wirings (conv / LDLP / duplex)
 # plus a Q.93B call storm; per-discipline arrival-latency CDFs and
 # a 64-host mesh JSON, gated on conservation, cross-wiring equivalence
-# and the message-pool leak audit.  The JSON goes under _bench/ so the
-# committed BENCH_mesh.json (the 64/256/1024-host sweep that `make
-# bench-mesh` writes) is left alone.
+# and the message-pool leak audit.  The JSON goes to the gitignored
+# _bench/ by default, so the committed BENCH_mesh.json (the
+# 64/256/1024-host sweep that `make bench-mesh` writes) is left alone.
 mesh: build
-	mkdir -p _bench
-	dune exec bin/ldlp_repro.exe -- mesh --seed 1996 --domains $(DOMAINS) -o _bench/BENCH_mesh.json
+	dune exec bin/ldlp_repro.exe -- mesh --seed 1996 --domains $(DOMAINS)
 
 # Sharded data path: the placement/replay figure, the cross-shard
 # differential oracle over random workloads (delivered streams, wire
@@ -83,52 +82,28 @@ recovery: build
 flows: build
 	dune exec bin/ldlp_repro.exe -- flows --seed 1996
 
-# Times every sweep at 1 domain and at N domains; writes BENCH_sweeps.json.
-bench-sweeps: build
-	dune exec bench/main.exe -- --sweeps
+# The bench/main.exe experiments, one per flag: `make bench-<name>` runs
+# `bench/main.exe --<name>`.  Each writes its schema-checked BENCH_<name>.json
+# (before any gate can fail, so a failing run keeps its numbers) and exits
+# nonzero when a gate fails:
+#   sweeps      every sweep timed at 1 and N domains (no gate)
+#   hotpath     conventional vs LDLP misses, throughput, latency and real
+#               allocations per message; LDLP must win on i-misses and the
+#               allocation budgets and throughput floors must hold
+#   alloc-gate  the hot-path budgets alone plus the shard-pipeline and
+#               Q.93B-stack allocation budgets, writes no file (cheap enough
+#               for `make check`)
+#   soak        goodput / retransmission loss ladder
+#   mesh        64/256/1024-host sweep: conservation, equivalence, reloads
+#   shards      call storm at 1/2/4 shards: equality with one domain and
+#               CPU-limited scaling (wall clock gated on multi-core hosts)
+#   recovery    crash-severity ladder: conservation, completion,
+#               cross-wiring equivalence, goodput floor
+#   flows       10k/100k/1M flows: digest equality and the LDLP D-miss win
+# soak, mesh, recovery and flows are deterministic: they rewrite their
+# committed files byte for byte.
+bench-%: build
+	dune exec bench/main.exe -- --$*
 
-# Conventional vs LDLP hot-path baseline (misses, throughput, latency and
-# real allocations per message, metrics-on overhead); writes
-# BENCH_hotpath.json and fails if LDLP stops winning on i-misses.
-bench-hotpath: build
-	dune exec bench/main.exe -- --hotpath
-
-# Allocation gate only: one metrics-on run per discipline, checked
-# against the per-message allocation budgets and the throughput floors.
-# Cheap enough to ride in `make check` without the full soak matrix.
-bench-alloc: build
-	dune exec bench/main.exe -- --alloc-gate
-
-# Goodput / retransmission loss ladder; writes BENCH_soak.json.
-bench-soak: build
-	dune exec bench/main.exe -- --soak
-
-# Mesh host-count sweep (64/256/1024 hosts, pristine + chaos + storms);
-# writes BENCH_mesh.json and fails on any conservation, equivalence or
-# reload-gate violation.
-bench-mesh: build
-	dune exec bench/main.exe -- --mesh
-
-# Sharded call storm at 1/2/4 shards; writes BENCH_shards.json (kept even
-# on gate failure) and fails unless every sharded row equals the
-# single-domain reference and the aggregate CPU-limited rate improves
-# with shard count (wall clock additionally gated on multi-core hosts).
-bench-shards: build
-	dune exec bench/main.exe -- --shards
-
-# Call storm under a crash-severity ladder (25% / 50% / 100% of hosts
-# crashing twice); writes BENCH_recovery.json (kept even on gate
-# failure) and fails on any conservation, completion, cross-wiring
-# equivalence or goodput-floor violation.
-bench-recovery: build
-	dune exec bench/main.exe -- --recovery
-
-# Flow-count ladder at 10k/100k/1M flows per scheme; writes
-# BENCH_flows.json (kept even on gate failure) and fails unless LDLP
-# batch-sorting strictly beats conventional lookup order on modeled
-# D-misses at 100k and 1M flows with identical delivered-state digests.
-bench-flows: build
-	dune exec bench/main.exe -- --flows
-
-check: build fmt test selftest oracle engine-parity bench-alloc soak soak-duplex mesh shards recovery flows
+check: build fmt test selftest oracle engine-parity bench-alloc-gate soak soak-duplex mesh shards recovery flows
 	@echo "check OK"

@@ -1,13 +1,18 @@
 (* Benchmark harness.
 
-   Two sections:
+   Three sections:
 
-   1. {b Reproduction} — regenerates every table and figure of the paper at
-      the default (quick) fidelity and prints them with the paper's
-      published values alongside.  `bin/ldlp_repro` exposes the same
-      generators with full-fidelity knobs (`--full` = 100 layouts x 1 s).
+   1. {b Reproduction} — prints every entry of the figure registry at the
+      default (quick) fidelity, with the paper's published values
+      alongside.  `bin/ldlp_repro` exposes the same figures with
+      full-fidelity knobs (`--full` = 100 layouts x 1 s).
 
-   2. {b Microbenchmarks} — one Bechamel [Test.make] per table/figure (a
+   2. {b Experiments} — one flag each, listed in [experiments] at the
+      bottom.  Each runs, writes its schema-checked BENCH_*.json document,
+      prints the document's rows, and exits nonzero when one of its gates
+      fails.
+
+   3. {b Microbenchmarks} — one Bechamel [Test.make] per table/figure (a
       reduced-size run of its generator, so regressions in the simulator
       itself are visible), plus wall-clock benches of the real code paths:
       both checksum routines, mbuf operations, the signalling codec and
@@ -15,6 +20,8 @@
 
 open Bechamel
 open Toolkit
+module Json = Ldlp_report.Json
+module Schema = Ldlp_report.Schema
 
 let quick = Ldlp_model.Params.quick
 
@@ -27,164 +34,89 @@ let seed = 1996
 (* ------------------------------------------------------------------ *)
 
 let reproduce () =
-  let banner title =
-    Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-  in
-  banner "Reproduction: tables";
-  print_endline (Ldlp_report.Report.table1 (Ldlp_model.Figures.table1 ()));
-  print_endline (Ldlp_report.Report.table3 (Ldlp_model.Figures.table3 ()));
-  let phases, funcs = Ldlp_model.Figures.figure1 () in
-  print_endline (Ldlp_report.Report.figure1 phases funcs);
-  banner "Reproduction: figures 5 and 6 (Poisson rate sweep)";
-  let points = Ldlp_model.Figures.rate_sweep ~params:quick ~seed () in
-  print_endline (Ldlp_report.Report.fig5 points);
-  print_endline (Ldlp_report.Report.fig6 points);
-  banner "Reproduction: figure 7 (clock sweep, self-similar traffic)";
-  print_endline
-    (Ldlp_report.Report.fig7 (Ldlp_model.Figures.clock_sweep ~params:quick ~seed ()));
-  banner "Reproduction: figure 8 (checksum study)";
-  print_endline (Ldlp_report.Report.fig8 (Ldlp_model.Figures.fig8 ()));
-  banner "Section 3.2 blocking analysis";
-  let p = Ldlp_model.Params.paper in
-  let shape =
-    {
-      Ldlp_core.Blocking.layer_code_bytes =
-        List.init p.Ldlp_model.Params.layers (fun _ -> p.Ldlp_model.Params.layer_code_bytes);
-      layer_data_bytes =
-        List.init p.Ldlp_model.Params.layers (fun _ -> p.Ldlp_model.Params.layer_data_bytes);
-      msg_bytes = p.Ldlp_model.Params.msg_bytes;
-      cycles_per_msg =
-        p.Ldlp_model.Params.layers
-        * Ldlp_model.Params.cycles_per_layer p ~msg_bytes:p.Ldlp_model.Params.msg_bytes;
-    }
-  in
-  print_endline
-    (Ldlp_report.Report.blocking
-       (Ldlp_core.Blocking.recommend Ldlp_core.Blocking.paper_machine shape));
-  banner "Ablations (Section 5)";
-  print_endline
-    (Ldlp_report.Report.ablation_batch
-       (Ldlp_model.Figures.ablation_batch ~params:quick ~seed ()));
-  print_endline
-    (Ldlp_report.Report.ablation_density
-       (Ldlp_model.Figures.ablation_density ~params:quick ~seed ()));
-  print_endline
-    (Ldlp_report.Report.ablation_linesize
-       (Ldlp_model.Figures.ablation_linesize ~params:quick ~seed ()));
-  print_endline
-    (Ldlp_report.Report.ablation_dilution (Ldlp_model.Figures.ablation_dilution ()));
-  print_endline
-    (Ldlp_report.Report.ablation_relayout (Ldlp_model.Figures.ablation_relayout ()));
-  print_endline
-    (Ldlp_report.Report.ablation_associativity
-       (Ldlp_model.Figures.ablation_associativity ~params:quick ~seed ()));
-  print_endline
-    (Ldlp_report.Report.ablation_prefetch
-       (Ldlp_model.Figures.ablation_prefetch ~params:quick ~seed ()));
-  print_endline
-    (Ldlp_report.Report.ablation_unified
-       (Ldlp_model.Figures.ablation_unified ~params:quick ~seed ()));
-  print_endline
-    (Ldlp_report.Report.ablation_layout
-       (Ldlp_model.Figures.ablation_layout ~params:quick ~seed ()));
-  banner "Extension: transmit-side LDLP";
-  print_endline
-    (Ldlp_report.Report.extension_txside
-       (Ldlp_model.Figures.extension_txside ~params:quick ~seed ()));
-  banner "Comparison: conventional vs ILP vs LDLP";
-  print_endline
-    (Ldlp_report.Report.comparison_ilp
-       (Ldlp_model.Figures.comparison_ilp ~params:quick ~seed ()));
-  banner "Goal check: Section 1 signalling target";
-  print_endline
-    (Ldlp_report.Report.extension_goal
-       (Ldlp_model.Figures.extension_goal ~seed ~runs:3 ()));
-  banner "Ablation: layer granularity (Section 6 grouping advice)";
-  print_endline
-    (Ldlp_report.Report.ablation_granularity
-       (Ldlp_model.Figures.ablation_granularity ~seed ~runs:3 ()));
-  banner "Extension: LDLP on the real Table 1 TCP/IP footprints";
-  print_endline
-    (Ldlp_report.Report.extension_tcp_stack
-       (Ldlp_model.Figures.extension_tcp_stack ~seed ~runs:3 ()))
+  let ctx = Ldlp_report.Registry.context ~seed () in
+  List.iter
+    (fun (f : Ldlp_report.Registry.t) -> print_endline (f.render ctx))
+    Ldlp_report.Registry.all
 
 (* ------------------------------------------------------------------ *)
-(* Section 1b: sweep wall-clock benchmark -> BENCH_sweeps.json.        *)
+(* Section 2: experiments, each with its BENCH document and gates.     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each sweep generator is timed end to end at [domains = 1] and at the
-   resolved parallel domain count, and both wall clocks land in
-   [BENCH_sweeps.json] so future PRs have a perf trajectory to compare
-   against.  The parallel run goes first so the sequential run cannot look
-   artificially good on a cold allocator. *)
+(* What an experiment hands back: the document it writes, if any, and one
+   message per gate that failed. *)
+type outcome = {
+  doc : (Schema.t * Schema.value list) option;
+  failures : string list;
+}
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let sweep_timings () =
+(* Runs are short, so a single wall-clock sample is at the mercy of the
+   host scheduler; the simulations are deterministic (checked), so
+   best-of-N is the honest estimator. *)
+let best_of n f =
+  let r, s0 = wall f in
+  let best = ref s0 in
+  for _ = 2 to n do
+    let r', s = wall f in
+    assert (r' = r);
+    if s < !best then best := s
+  done;
+  (r, !best)
+
+(* Sweep wall clock -> BENCH_sweeps.json.  Each sweep generator is timed
+   end to end at [domains = 1] and at the resolved parallel domain count,
+   so future PRs have a perf trajectory to compare against.  The parallel
+   run goes first so the sequential run cannot look artificially good on a
+   cold allocator. *)
+let bench_sweeps () =
   let domains = max 2 (Ldlp_par.Pool.available_domains ()) in
   let time name f =
     let par_pts, par_seconds = wall (fun () -> f ~domains) in
     let seq_pts, seq_seconds = wall (fun () -> f ~domains:1) in
     assert (par_pts = seq_pts);
-    {
-      Ldlp_report.Bench_json.name;
-      points = List.length seq_pts;
-      seq_seconds;
-      par_seconds;
-      domains;
-    }
+    let speedup = if par_seconds > 0.0 then seq_seconds /. par_seconds else 0.0 in
+    Schema.
+      [
+        S name; I (List.length seq_pts); F seq_seconds; F par_seconds; I domains;
+        F speedup;
+      ]
   in
-  [
-    time "rate_sweep" (fun ~domains ->
-        Ldlp_model.Figures.rate_sweep ~domains ~params:quick ~seed ());
-    time "clock_sweep" (fun ~domains ->
-        Ldlp_model.Figures.clock_sweep ~domains ~params:quick ~seed ());
-    time "ablation_batch" (fun ~domains ->
-        Ldlp_model.Figures.ablation_batch ~domains ~params:quick ~seed ());
-    time "comparison_ilp" (fun ~domains ->
-        Ldlp_model.Figures.comparison_ilp ~domains ~params:quick ~seed ());
-  ]
-
-let bench_sweeps ~out () =
-  let sweeps = sweep_timings () in
-  let json =
-    Ldlp_report.Bench_json.render
-      ~host_cores:(Domain.recommended_domain_count ())
-      ~sweeps
+  let module F = Ldlp_model.Figures in
+  let rows =
+    [
+      time "rate_sweep" (fun ~domains -> F.rate_sweep ~domains ~params:quick ~seed ());
+      time "clock_sweep" (fun ~domains -> F.clock_sweep ~domains ~params:quick ~seed ());
+      time "ablation_batch" (fun ~domains ->
+          F.ablation_batch ~domains ~params:quick ~seed ());
+      time "comparison_ilp" (fun ~domains ->
+          F.comparison_ilp ~domains ~params:quick ~seed ());
+    ]
   in
-  (match Ldlp_report.Bench_json.parse json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_sweeps.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "Sweep wall clock (parallel determinism-checked separately)\n";
-  Printf.printf "%-20s %6s %12s %12s %8s\n" "sweep" "points" "1 domain"
-    "N domains" "speedup";
-  List.iter
-    (fun s ->
-      Printf.printf "%-20s %6d %10.3f s %10.3f s %7.2fx (%d domains)\n"
-        s.Ldlp_report.Bench_json.name s.Ldlp_report.Bench_json.points
-        s.Ldlp_report.Bench_json.seq_seconds
-        s.Ldlp_report.Bench_json.par_seconds
-        (Ldlp_report.Bench_json.speedup s)
-        s.Ldlp_report.Bench_json.domains)
-    sweeps;
-  Printf.printf "wrote %s\n" out
+  {
+    doc =
+      Some
+        ( Schema.sweeps,
+          Schema.
+            [
+              I (Domain.recommended_domain_count ());
+              I (Ldlp_par.Pool.available_domains ());
+              Rows rows;
+            ] );
+    failures = [];
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Section 1c: hot-path baseline -> BENCH_hotpath.json.                *)
-(* ------------------------------------------------------------------ *)
-
-(* Conventional vs LDLP on the Figure 5 under-load point (9000 msg/s,
-   where batching matters), each timed twice: once metrics-off (the
-   wall_seconds future PRs diff against) and once with a metric sheet
-   attached, which supplies the real per-message allocation counts and
-   prices the instrumentation itself.  The simulation is deterministic,
-   so the two runs must agree on every simulated number — checked. *)
+(* Hot-path baseline -> BENCH_hotpath.json.  Conventional vs LDLP on the
+   Figure 5 under-load point (9000 msg/s, where batching matters), each
+   timed twice: once metrics-off (the wall_seconds future PRs diff
+   against) and once with a metric sheet attached, which supplies the real
+   per-message allocation counts and prices the instrumentation itself.
+   The simulation is deterministic, so the two runs must agree on every
+   simulated number — checked. *)
 
 let hotpath_rate = 9000.0
 
@@ -214,192 +146,141 @@ let hotpath_budgets =
   ]
 
 (* [rows] maps configuration name to (allocs/msg, simulated msg/s). *)
-let gate_hotpath rows =
-  let failed = ref false in
-  List.iter
+let hotpath_failures rows =
+  List.concat_map
     (fun (name, budget, baseline) ->
       match List.assoc_opt name rows with
-      | None ->
-        Printf.eprintf "FAIL: hot-path gate: no row for %s\n" name;
-        failed := true
+      | None -> [ Printf.sprintf "hot-path gate: no row for %s" name ]
       | Some (allocs, rate) ->
-        if allocs >= budget then begin
-          Printf.eprintf
-            "FAIL: %s allocates %.2f minor words/msg in layer handlers \
-             (budget < %.0f)\n"
-            name allocs budget;
-          failed := true
-        end;
         let floor = 0.99 *. baseline in
-        if rate < floor then begin
-          Printf.eprintf
-            "FAIL: %s simulated throughput %.1f msg/s regressed below the \
-             baseline floor %.1f msg/s\n"
-            name rate floor;
-          failed := true
-        end)
-    hotpath_budgets;
-  if !failed then exit 1
+        (if allocs >= budget then
+           [
+             Printf.sprintf
+               "%s allocates %.2f minor words/msg in layer handlers (budget < \
+                %.0f)"
+               name allocs budget;
+           ]
+         else [])
+        @
+        if rate < floor then
+          [
+            Printf.sprintf
+              "%s simulated throughput %.1f msg/s regressed below the baseline \
+               floor %.1f msg/s"
+              name rate floor;
+          ]
+        else [])
+    hotpath_budgets
 
-let bench_hotpath ~out () =
-  let params = quick in
+let hotpath_run ?metrics (_, direction, discipline) =
   let make_source rng =
     Ldlp_traffic.Source.limit_time
       (Ldlp_traffic.Poisson.source ~rng ~rate:hotpath_rate
-         ~size:params.Ldlp_model.Params.msg_bytes ())
-      params.Ldlp_model.Params.seconds
+         ~size:quick.Ldlp_model.Params.msg_bytes ())
+      quick.Ldlp_model.Params.seconds
   in
-  let names = Ldlp_model.Simrun.layer_names params in
-  (* The runs are short, so a single wall-clock sample is at the mercy of
-     the host scheduler; the simulation is deterministic, so best-of-N is
-     the honest estimator for both sides of the overhead ratio. *)
-  let best_of n f =
-    let r, s0 = wall f in
-    let best = ref s0 in
-    for _ = 2 to n do
-      let r', s = wall f in
-      assert (r' = r);
-      if s < !best then best := s
-    done;
-    (r, !best)
+  Ldlp_model.Simrun.run_avg ~direction ~params:quick ~discipline ~seed
+    ~make_source ?metrics ()
+
+(* One metrics-on run: the result and the minor words allocated in layer
+   handlers per processed message. *)
+let metered ((name, direction, _) as config) =
+  let names = Ldlp_model.Simrun.layer_names quick in
+  let layer_names =
+    match direction with
+    | `Duplex -> Ldlp_core.Engine.duplex_layer_names names
+    | _ -> names
   in
-  let duplex_names = Ldlp_core.Engine.duplex_layer_names names in
-  let measure (name, direction, discipline) =
-    let sheet_names =
-      match direction with `Duplex -> duplex_names | _ -> names
-    in
-    let r_off, off_s =
-      best_of 5 (fun () ->
-          Ldlp_model.Simrun.run_avg ~direction ~params ~discipline ~seed
-            ~make_source ())
-    in
-    (* Fresh sheet per repetition so the kept counters cover exactly one
-       run; the simulation is deterministic, so every repetition fills an
-       identical sheet and keeping the last is keeping any. *)
-    let sheet =
-      ref (Ldlp_obs.Metrics.create ~label:name ~layer_names:sheet_names)
-    in
+  let m = Ldlp_obs.Metrics.create ~label:name ~layer_names in
+  let r =
+    Ldlp_obs.Obs.with_enabled true (fun () -> hotpath_run ~metrics:m config)
+  in
+  let words = (Ldlp_obs.Metrics.totals m).Ldlp_obs.Metrics.t_minor_words in
+  let processed = r.Ldlp_model.Simrun.processed in
+  (r, if processed = 0 then 0.0 else float_of_int words /. float_of_int processed)
+
+let bench_hotpath () =
+  let measure ((name, _, _) as config) =
+    let r_off, off_s = best_of 5 (fun () -> hotpath_run config) in
+    (* Every repetition fills an identical sheet, so keeping the last
+       allocation count is keeping any. *)
+    let allocs = ref 0.0 in
     let r_on, on_s =
-      Ldlp_obs.Obs.with_enabled true (fun () ->
-          best_of 5 (fun () ->
-              let m =
-                Ldlp_obs.Metrics.create ~label:name ~layer_names:sheet_names
-              in
-              let r =
-                Ldlp_model.Simrun.run_avg ~direction ~params ~discipline ~seed
-                  ~make_source ~metrics:m ()
-              in
-              sheet := m;
-              r))
+      best_of 5 (fun () ->
+          let r, a = metered config in
+          allocs := a;
+          r)
     in
     if r_on <> r_off then
       failwith (name ^ ": attaching metrics changed the simulation");
-    let totals = Ldlp_obs.Metrics.totals !sheet in
-    let per n =
-      if r_off.Ldlp_model.Simrun.processed = 0 then 0.0
-      else float_of_int n /. float_of_int r_off.Ldlp_model.Simrun.processed
-    in
-    ( {
-        Ldlp_report.Bench_json.h_name = name;
-        messages = r_off.Ldlp_model.Simrun.processed;
-        wall_seconds = off_s;
-        messages_per_sec = r_off.Ldlp_model.Simrun.throughput;
-        imisses_per_msg = r_off.Ldlp_model.Simrun.imisses_per_msg;
-        dmisses_per_msg = r_off.Ldlp_model.Simrun.dmisses_per_msg;
-        allocs_per_msg = per totals.Ldlp_obs.Metrics.t_minor_words;
-        p50_latency_s = r_off.Ldlp_model.Simrun.p50_latency;
-        p99_latency_s = r_off.Ldlp_model.Simrun.p99_latency;
-        mean_batch = r_off.Ldlp_model.Simrun.mean_batch;
-      },
-      off_s,
-      on_s,
-      r_off )
+    (name, r_off, off_s, on_s, !allocs)
   in
   let measured = List.map measure hotpath_configs in
-  let hots = List.map (fun (h, _, _, _) -> h) measured in
-  let off_total = List.fold_left (fun a (_, o, _, _) -> a +. o) 0.0 measured in
-  let on_total = List.fold_left (fun a (_, _, o, _) -> a +. o) 0.0 measured in
+  let total pick = List.fold_left (fun a m -> a +. pick m) 0.0 measured in
+  let off_total = total (fun (_, _, off, _, _) -> off)
+  and on_total = total (fun (_, _, _, on, _) -> on) in
   let overhead_pct =
     if off_total > 0.0 then (on_total -. off_total) /. off_total *. 100.0
     else 0.0
   in
-  let json =
-    Ldlp_report.Bench_json.render_hotpath ~rate:hotpath_rate ~seed
-      ~metrics_overhead_pct:overhead_pct hots
-  in
-  (match Ldlp_report.Bench_json.parse_hotpath json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_hotpath.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "Hot path @ %.0f msg/s (%d runs x %.2f s, seed %d)\n"
-    hotpath_rate params.Ldlp_model.Params.runs
-    params.Ldlp_model.Params.seconds seed;
-  Printf.printf "%-14s %9s %10s %10s %10s %11s %11s\n" "discipline" "msgs"
-    "msg/s" "imiss/msg" "dmiss/msg" "allocs/msg" "p99 lat";
-  List.iter
-    (fun (h : Ldlp_report.Bench_json.hot) ->
-      Printf.printf "%-14s %9d %10.0f %10.2f %10.2f %11.1f %9.2f ms\n"
-        h.Ldlp_report.Bench_json.h_name h.Ldlp_report.Bench_json.messages
-        h.Ldlp_report.Bench_json.messages_per_sec
-        h.Ldlp_report.Bench_json.imisses_per_msg
-        h.Ldlp_report.Bench_json.dmisses_per_msg
-        h.Ldlp_report.Bench_json.allocs_per_msg
-        (h.Ldlp_report.Bench_json.p99_latency_s *. 1e3))
-    hots;
-  Printf.printf "metrics-on overhead: %+.1f%% wall clock\n" overhead_pct;
   (* Cross-direction amortisation: under duplex, reply traffic generated
      while draining a receive batch descends the transmit nodes of the
      same pass, so LDLP pays far fewer transmit-side working-set reloads
      per wire message than the per-message conventional schedule. *)
-  let amort (r : Ldlp_model.Simrun.result) =
-    if r.Ldlp_model.Simrun.tx_runs = 0 then 0.0
-    else
-      float_of_int r.Ldlp_model.Simrun.tx_msgs
-      /. float_of_int r.Ldlp_model.Simrun.tx_runs
-  in
   List.iter
-    (fun (h, _, _, r) ->
+    (fun (name, (r : Ldlp_model.Simrun.result), _, _, _) ->
       if r.Ldlp_model.Simrun.tx_runs > 0 then
         Printf.printf
           "%-20s cross-direction amortisation: %.2f wire msgs per tx-side \
            switch (%d msgs / %d switches)\n"
-          h.Ldlp_report.Bench_json.h_name (amort r)
+          name
+          (float_of_int r.Ldlp_model.Simrun.tx_msgs
+          /. float_of_int r.Ldlp_model.Simrun.tx_runs)
           r.Ldlp_model.Simrun.tx_msgs r.Ldlp_model.Simrun.tx_runs)
     measured;
-  let check_pair what (conv : Ldlp_report.Bench_json.hot)
-      (ldlp : Ldlp_report.Bench_json.hot) =
-    if
-      ldlp.Ldlp_report.Bench_json.imisses_per_msg
-      >= conv.Ldlp_report.Bench_json.imisses_per_msg
-    then begin
-      Printf.eprintf
-        "FAIL: LDLP should take fewer instruction misses per message than \
-         conventional%s (got %.2f vs %.2f)\n"
-        what ldlp.Ldlp_report.Bench_json.imisses_per_msg
-        conv.Ldlp_report.Bench_json.imisses_per_msg;
-      exit 1
-    end
+  let imisses name =
+    List.find_map
+      (fun (n, (r : Ldlp_model.Simrun.result), _, _, _) ->
+        if n = name then Some r.Ldlp_model.Simrun.imisses_per_msg else None)
+      measured
+    |> Option.get
   in
-  (match hots with
-  | [ conv; ldlp; conv_dx; ldlp_dx ] ->
-    check_pair "" conv ldlp;
-    check_pair " on the duplex host" conv_dx ldlp_dx
-  | _ -> assert false);
-  gate_hotpath
-    (List.map
-       (fun (h : Ldlp_report.Bench_json.hot) ->
-         ( h.Ldlp_report.Bench_json.h_name,
-           ( h.Ldlp_report.Bench_json.allocs_per_msg,
-             h.Ldlp_report.Bench_json.messages_per_sec ) ))
-       hots);
-  Printf.printf "allocation and throughput budgets: ok\n";
-  Printf.printf "wrote %s\n" out
-
-(* ------------------------------------------------------------------ *)
-(* Section 1c': the regression gate alone (`--alloc-gate`).            *)
-(* ------------------------------------------------------------------ *)
+  let fewer_imisses what conv ldlp =
+    if imisses ldlp >= imisses conv then
+      [
+        Printf.sprintf
+          "LDLP should take fewer instruction misses per message than \
+           conventional%s (got %.2f vs %.2f)"
+          what (imisses ldlp) (imisses conv);
+      ]
+    else []
+  in
+  let row (name, (r : Ldlp_model.Simrun.result), off_s, _, allocs) =
+    Schema.
+      [
+        S name; I r.Ldlp_model.Simrun.processed; F off_s;
+        F r.Ldlp_model.Simrun.throughput; F r.Ldlp_model.Simrun.imisses_per_msg;
+        F r.Ldlp_model.Simrun.dmisses_per_msg; F allocs;
+        F r.Ldlp_model.Simrun.p50_latency; F r.Ldlp_model.Simrun.p99_latency;
+        F r.Ldlp_model.Simrun.mean_batch;
+      ]
+  in
+  {
+    doc =
+      Some
+        ( Schema.hotpath,
+          Schema.
+            [ F hotpath_rate; I seed; F overhead_pct; Rows (List.map row measured) ]
+        );
+    failures =
+      fewer_imisses "" "conventional" "ldlp"
+      @ fewer_imisses " on the duplex host" "conventional-duplex" "ldlp-duplex"
+      @ hotpath_failures
+          (List.map
+             (fun (name, (r : Ldlp_model.Simrun.result), _, _, allocs) ->
+               (name, (allocs, r.Ldlp_model.Simrun.throughput)))
+             measured);
+  }
 
 (* Q.93B signalling stack: minor words per caller message through
    [Layers.stack] under an LDLP receive chain, counting everything the
@@ -489,47 +370,25 @@ let q93b_stack_words () =
   ignore (run ());
   run ()
 
-(* One metrics-on run per configuration — allocs/msg and simulated
-   throughput are deterministic, so a single run measures them exactly;
-   skipping the best-of-5 wall-clock sampling of the full hot-path
-   report makes the gate cheap enough to sit inside `make check`. *)
+(* The regression gate alone (`--alloc-gate`): one metrics-on run per
+   configuration — allocs/msg and simulated throughput are deterministic,
+   so a single run measures them exactly; skipping the best-of-5
+   wall-clock sampling of the full hot-path report makes the gate cheap
+   enough to sit inside `make check`. *)
 let bench_alloc_gate () =
-  let params = quick in
-  let make_source rng =
-    Ldlp_traffic.Source.limit_time
-      (Ldlp_traffic.Poisson.source ~rng ~rate:hotpath_rate
-         ~size:params.Ldlp_model.Params.msg_bytes ())
-      params.Ldlp_model.Params.seconds
+  let rows =
+    List.map
+      (fun ((name, _, _) as config) ->
+        let r, allocs = metered config in
+        (name, (allocs, r.Ldlp_model.Simrun.throughput)))
+      hotpath_configs
   in
-  let names = Ldlp_model.Simrun.layer_names params in
-  let duplex_names = Ldlp_core.Engine.duplex_layer_names names in
-  let measure (name, direction, discipline) =
-    let sheet_names =
-      match direction with `Duplex -> duplex_names | _ -> names
-    in
-    let m = Ldlp_obs.Metrics.create ~label:name ~layer_names:sheet_names in
-    let r =
-      Ldlp_obs.Obs.with_enabled true (fun () ->
-          Ldlp_model.Simrun.run_avg ~direction ~params ~discipline ~seed
-            ~make_source ~metrics:m ())
-    in
-    let totals = Ldlp_obs.Metrics.totals m in
-    let allocs =
-      if r.Ldlp_model.Simrun.processed = 0 then 0.0
-      else
-        float_of_int totals.Ldlp_obs.Metrics.t_minor_words
-        /. float_of_int r.Ldlp_model.Simrun.processed
-    in
-    (name, (allocs, r.Ldlp_model.Simrun.throughput))
-  in
-  let rows = List.map measure hotpath_configs in
   Printf.printf "Allocation gate @ %.0f msg/s (seed %d)\n" hotpath_rate seed;
   Printf.printf "%-20s %12s %12s\n" "discipline" "allocs/msg" "msg/s";
   List.iter
     (fun (name, (allocs, rate)) ->
       Printf.printf "%-20s %12.2f %12.1f\n" name allocs rate)
     rows;
-  gate_hotpath rows;
   (* Sharded pipeline: minor words per delivered message through the full
      per-group stack + handoff path, run inline on this domain so the GC
      counter sees every allocation.  The budget covers the whole pipeline
@@ -558,135 +417,76 @@ let bench_alloc_gate () =
   let _, delivered, _ = Ldlp_shard.Stackwork.totals r in
   let shard_allocs = (w1 -. w0) /. float_of_int (max 1 delivered) in
   Printf.printf "%-20s %12.2f %12s\n" "shard-pipeline" shard_allocs "-";
-  if not (Ldlp_shard.Stackwork.ledger_ok r) then begin
-    Printf.eprintf "FAIL: shard-pipeline gate run broke its own ledger\n";
-    exit 1
-  end;
-  if shard_allocs >= shard_alloc_budget then begin
-    Printf.eprintf
-      "FAIL: shard pipeline allocates %.2f minor words per delivered message \
-       (budget < %.0f)\n"
-      shard_allocs shard_alloc_budget;
-    exit 1
-  end;
   let q93b = q93b_stack_words () in
   Printf.printf "%-20s %12.2f %12s\n" "q93b-stack" q93b "-";
-  if q93b >= q93b_alloc_budget then begin
-    Printf.eprintf
-      "FAIL: Q.93B stack allocates %.2f minor words per message with %d \
-       calls held (budget < %.0f)\n"
-      q93b q93b_held q93b_alloc_budget;
-    exit 1
-  end;
-  Printf.printf "allocation and throughput budgets: ok\n"
+  let gate ok msg = if ok then [] else [ msg ] in
+  {
+    doc = None;
+    failures =
+      hotpath_failures rows
+      @ gate
+          (Ldlp_shard.Stackwork.ledger_ok r)
+          "shard-pipeline gate run broke its own ledger"
+      @ gate
+          (shard_allocs < shard_alloc_budget)
+          (Printf.sprintf
+             "shard pipeline allocates %.2f minor words per delivered message \
+              (budget < %.0f)"
+             shard_allocs shard_alloc_budget)
+      @ gate (q93b < q93b_alloc_budget)
+          (Printf.sprintf
+             "Q.93B stack allocates %.2f minor words per message with %d \
+              calls held (budget < %.0f)"
+             q93b q93b_held q93b_alloc_budget);
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Section 1d: chaos-soak loss ladder -> BENCH_soak.json.              *)
-(* ------------------------------------------------------------------ *)
-
-(* One tcpmini echo soak (LDLP discipline) per frame-loss rate,
-   symmetric on both directions of the link: how goodput decays and
-   retransmissions grow as the paper's lossless-LAN assumption is
-   relaxed.  Fully deterministic — simulated time, seeded impairment. *)
+(* Chaos-soak loss ladder -> BENCH_soak.json.  One tcpmini echo soak
+   (LDLP discipline) per frame-loss rate, symmetric on both directions of
+   the link: how goodput decays and retransmissions grow as the paper's
+   lossless-LAN assumption is relaxed.  Fully deterministic — simulated
+   time, seeded impairment. *)
 
 let soak_rates = [ 0.0; 0.01; 0.02; 0.05; 0.1 ]
 let soak_chunks = 32
 let soak_chunk_bytes = 64
 
-let bench_soak ~out () =
-  let rows = Ldlp_soak.Soak.loss_ladder ~seed ~rates:soak_rates in
-  let srows =
-    List.map
-      (fun (r : Ldlp_soak.Soak.ladder_row) ->
-        {
-          Ldlp_report.Bench_json.sr_loss = r.Ldlp_soak.Soak.loss;
-          sr_goodput = r.Ldlp_soak.Soak.goodput;
-          sr_retransmits = r.Ldlp_soak.Soak.ladder_retransmits;
-          sr_completion_s = r.Ldlp_soak.Soak.ladder_completion;
-          sr_ok = r.Ldlp_soak.Soak.ok;
-        })
-      rows
+let bench_soak () =
+  let module Soak = Ldlp_soak.Soak in
+  let rows = Soak.loss_ladder ~seed ~rates:soak_rates in
+  let row (r : Soak.ladder_row) =
+    Schema.
+      [
+        F r.Soak.loss; F r.Soak.goodput; I r.Soak.ladder_retransmits;
+        F r.Soak.ladder_completion; B r.Soak.ok;
+      ]
   in
-  let json =
-    Ldlp_report.Bench_json.render_soak ~seed ~chunks:soak_chunks
-      ~chunk_bytes:soak_chunk_bytes srows
-  in
-  (match Ldlp_report.Bench_json.parse_soak json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_soak.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "Loss ladder: %d x %d-byte echo chunks, LDLP discipline (seed %d)\n"
-    soak_chunks soak_chunk_bytes seed;
-  Printf.printf "%-8s %16s %8s %14s %4s\n" "loss" "goodput" "rexmt"
-    "completion" "ok";
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.soak_row) ->
-      Printf.printf "%6.1f%% %12.0f B/s %8d %12.4f s %4s\n"
-        (r.Ldlp_report.Bench_json.sr_loss *. 100.0)
-        r.Ldlp_report.Bench_json.sr_goodput
-        r.Ldlp_report.Bench_json.sr_retransmits
-        r.Ldlp_report.Bench_json.sr_completion_s
-        (if r.Ldlp_report.Bench_json.sr_ok then "ok" else "FAIL"))
-    srows;
-  if not (List.for_all (fun r -> r.Ldlp_report.Bench_json.sr_ok) srows) then begin
-    prerr_endline "FAIL: a soak ladder rung lost integrity or leaked mbufs";
-    exit 1
-  end;
-  Printf.printf "wrote %s\n" out
+  {
+    doc =
+      Some
+        ( Schema.soak,
+          Schema.
+            [ I seed; I soak_chunks; I soak_chunk_bytes; Rows (List.map row rows) ]
+        );
+    failures =
+      (if List.for_all (fun (r : Soak.ladder_row) -> r.Soak.ok) rows then []
+       else [ "a soak ladder rung lost integrity or leaked mbufs" ]);
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Section 1e: mesh sweep -> BENCH_mesh.json.                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Host-count sweep of the many-host mesh: pristine spread rows at each
-   size, one chaos row (the soak rung — faults active, leak audit on the
-   message pool) at the middle size, and a Q.93B call-storm row per size
-   against the paper's 10,000 pairs/s goal.  Everything runs on the
-   simulator's two clocks, so the sweep is deterministic and the gates
-   below are exact, not statistical. *)
+(* Mesh sweep -> BENCH_mesh.json.  Host-count sweep of the many-host mesh:
+   pristine spread rows at each size, one chaos row (the soak rung —
+   faults active, leak audit on the message pool) at the middle size, and
+   a Q.93B call-storm row per size against the paper's 10,000 pairs/s
+   goal.  Everything runs on the simulator's two clocks, so the sweep is
+   deterministic and the gates below are exact, not statistical. *)
 
 let mesh_hosts = [ 64; 256; 1024 ]
 let mesh_chaos_hosts = 256
+let mesh_degree = 4
 
-let bench_mesh ~out () =
+let bench_mesh () =
   let module Mesh = Ldlp_mesh.Mesh in
-  let degree = 4 in
-  let spread_row tag (s : Mesh.spread) =
-    let cfg = s.Mesh.s_config in
-    {
-      Ldlp_report.Bench_json.mr_hosts = cfg.Mesh.hosts;
-      mr_wiring = Mesh.wiring_name s.Mesh.s_wiring ^ tag;
-      mr_delivered = s.Mesh.reach;
-      mr_p50_s = Ldlp_sim.Hist.percentile s.Mesh.latency 0.50;
-      mr_p90_s = Ldlp_sim.Hist.percentile s.Mesh.latency 0.90;
-      mr_p99_s = Ldlp_sim.Hist.percentile s.Mesh.latency 0.99;
-      mr_max_s = Ldlp_sim.Hist.max s.Mesh.latency;
-      mr_mean_s = Ldlp_sim.Hist.mean s.Mesh.latency;
-      mr_reloads = s.Mesh.reloads;
-      mr_mean_batch = s.Mesh.mean_batch;
-      mr_cpu_s = s.Mesh.cpu_seconds;
-      mr_ok = s.Mesh.s_conserved && s.Mesh.leak_free;
-    }
-  in
-  let storm_row hosts (t : Mesh.storm) =
-    {
-      Ldlp_report.Bench_json.ms_hosts = hosts;
-      ms_wiring = Mesh.wiring_name t.Mesh.t_wiring;
-      ms_pairs = t.Mesh.pairs;
-      ms_calls = t.Mesh.calls_requested;
-      ms_completed = t.Mesh.calls_completed;
-      ms_wire_pairs_per_s = Mesh.storm_wire_rate t;
-      ms_cpu_us_per_pair = Mesh.storm_cpu_us_per_pair t;
-      ms_cpu_pairs_per_s = Mesh.storm_cpu_rate t;
-      ms_ok = t.Mesh.t_conserved && t.Mesh.t_leak_free;
-    }
-  in
-  let failed = ref false in
-  let fail fmt = Printf.ksprintf (fun s -> Printf.eprintf "FAIL: %s\n" s;
-                                   failed := true) fmt in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let reloads_of wiring spreads =
     match
       List.find_opt (fun (s : Mesh.spread) -> s.Mesh.s_wiring = wiring) spreads
@@ -715,7 +515,7 @@ let bench_mesh ~out () =
       fail "%s: LDLP reloads %d not below conventional %d" what ldlp conv
   in
   let sweep hosts =
-    let cfg = Mesh.config ~hosts ~degree ~seed () in
+    let cfg = Mesh.config ~hosts ~degree:mesh_degree ~seed () in
     let pristine = Mesh.compare_spread cfg in
     check_spreads (Printf.sprintf "mesh %d-host pristine" hosts) pristine;
     let chaos =
@@ -733,208 +533,124 @@ let bench_mesh ~out () =
           fail "mesh %d-host storm [%s] conservation/leak audit" hosts
             (Mesh.wiring_name t.Mesh.t_wiring))
       storms;
-    ( List.map (spread_row "") pristine @ List.map (spread_row "+chaos") chaos,
-      List.map (storm_row hosts) storms )
+    (hosts, pristine, chaos, storms)
   in
-  let swept = List.map sweep mesh_hosts in
-  let spread = List.concat_map fst swept in
-  let storm = List.concat_map snd swept in
-  let json =
-    Ldlp_report.Bench_json.render_mesh ~seed ~degree
-      ~goal_pairs_per_s:Mesh.goal_pairs_per_sec ~spread ~storm
-  in
-  (match Ldlp_report.Bench_json.parse_mesh json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_mesh.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "Mesh sweep (degree %d, seed %d; chaos row at %d hosts)\n"
-    degree seed mesh_chaos_hosts;
-  Printf.printf "%-6s %-12s %9s %8s %8s %8s %9s %7s %10s %4s\n" "hosts"
-    "wiring" "delivered" "p50" "p90" "p99" "reloads" "batch" "cpu" "ok";
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.mesh_row) ->
-      Printf.printf "%-6d %-12s %9d %7ss %7ss %7ss %9d %7.1f %9ss %4s\n"
-        r.Ldlp_report.Bench_json.mr_hosts r.Ldlp_report.Bench_json.mr_wiring
-        r.Ldlp_report.Bench_json.mr_delivered
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.mr_p50_s)
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.mr_p90_s)
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.mr_p99_s)
-        r.Ldlp_report.Bench_json.mr_reloads
-        r.Ldlp_report.Bench_json.mr_mean_batch
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.mr_cpu_s)
-        (if r.Ldlp_report.Bench_json.mr_ok then "ok" else "FAIL"))
-    spread;
-  Printf.printf "\nQ.93B call storms (goal %.0f pairs/s)\n"
-    Mesh.goal_pairs_per_sec;
-  Printf.printf "%-6s %-8s %6s %6s %5s %13s %12s %12s %4s\n" "hosts" "wiring"
-    "pairs" "calls" "done" "wire-pairs/s" "cpu-us/pair" "cpu-pairs/s" "ok";
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.mesh_storm_row) ->
-      Printf.printf "%-6d %-8s %6d %6d %5d %13.0f %12.1f %12.0f %4s\n"
-        r.Ldlp_report.Bench_json.ms_hosts r.Ldlp_report.Bench_json.ms_wiring
-        r.Ldlp_report.Bench_json.ms_pairs r.Ldlp_report.Bench_json.ms_calls
-        r.Ldlp_report.Bench_json.ms_completed
-        r.Ldlp_report.Bench_json.ms_wire_pairs_per_s
-        r.Ldlp_report.Bench_json.ms_cpu_us_per_pair
-        r.Ldlp_report.Bench_json.ms_cpu_pairs_per_s
-        (if r.Ldlp_report.Bench_json.ms_ok then "ok" else "FAIL"))
-    storm;
-  if !failed then begin
-    prerr_endline "FAIL: mesh sweep gates did not hold";
-    exit 1
-  end;
-  Printf.printf "conservation, equivalence and reload gates: ok\n";
-  Printf.printf "wrote %s\n" out
+  let points = List.map sweep mesh_hosts in
+  {
+    doc =
+      Some
+        (Schema.mesh, Ldlp_report.Report.mesh_doc ~seed ~degree:mesh_degree points);
+    failures = List.rev !failures;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Section 1f: sharded call storm -> BENCH_shards.json.                *)
-(* ------------------------------------------------------------------ *)
-
-(* The same Q.93B call storm at 1, 2 and 4 shards.  Two rates per row:
-   the wall clock (machine-dependent, so the speedup gate only fires on
-   multi-core hosts) and the deterministic aggregate CPU-limited rate,
-   completed pairs over the busiest shard's modeled CPU seconds — the
-   placement-invariant number that must improve with shard count on any
-   machine.  Every sharded row is checked for exact equality with the
-   single-domain reference before any rate is trusted, and the JSON is
-   written even when a gate fails so CI keeps the artifact. *)
+(* Sharded call storm -> BENCH_shards.json.  The same Q.93B call storm at
+   1, 2 and 4 shards.  Two rates per row: the wall clock
+   (machine-dependent, so the speedup gate only fires on multi-core hosts)
+   and the deterministic aggregate CPU-limited rate, completed pairs over
+   the busiest shard's modeled CPU seconds — the placement-invariant number
+   that must improve with shard count on any machine.  Every sharded row
+   is checked for exact equality with the single-domain reference before
+   any rate is trusted. *)
 
 let shards_hosts = 256
 let shards_degree = 4
 let shards_counts = [ 1; 2; 4 ]
 
-let bench_shards ~out () =
+let bench_shards () =
   let module Mesh = Ldlp_mesh.Mesh in
   let cfg = Mesh.config ~hosts:shards_hosts ~degree:shards_degree ~seed () in
   let wiring = Mesh.Duplex in
   let base = Mesh.run_storm ~wiring cfg in
-  let time_best f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let row shards =
-    let sh, wall = time_best (fun () -> Mesh.run_storm_sharded ~wiring ~shards cfg) in
+  (* One (shards, wall seconds, CPU-limited pairs/s, ok, document row) per
+     shard count. *)
+  let run n =
+    let sh, wall_s =
+      best_of 3 (fun () -> Mesh.run_storm_sharded ~wiring ~shards:n cfg)
+    in
     let s = sh.Mesh.ss_storm in
     let cpu_max = Array.fold_left Float.max 0.0 sh.Mesh.ss_cpu_per_shard in
-    {
-      Ldlp_report.Bench_json.sh_shards = shards;
-      sh_components = sh.Mesh.ss_components;
-      sh_completed = s.Mesh.calls_completed;
-      sh_wall_s = wall;
-      sh_wall_pairs_per_s =
-        (if wall > 0.0 then float_of_int s.Mesh.calls_completed /. wall else 0.0);
-      sh_cpu_s_max = cpu_max;
-      sh_cpu_pairs_per_s =
-        (if cpu_max > 0.0 then float_of_int s.Mesh.calls_completed /. cpu_max
-         else 0.0);
-      sh_ok = s = base && s.Mesh.t_conserved && s.Mesh.t_leak_free;
-    }
+    let rate secs =
+      if secs > 0.0 then float_of_int s.Mesh.calls_completed /. secs else 0.0
+    in
+    let ok = s = base && s.Mesh.t_conserved && s.Mesh.t_leak_free in
+    ( n,
+      wall_s,
+      rate cpu_max,
+      ok,
+      Schema.
+        [
+          I n; I sh.Mesh.ss_components; I s.Mesh.calls_completed; F wall_s;
+          F (rate wall_s); F cpu_max; F (rate cpu_max); B ok;
+        ] )
   in
-  let rows = List.map row shards_counts in
+  let runs = List.map run shards_counts in
   let cores = Domain.recommended_domain_count () in
-  let json =
-    Ldlp_report.Bench_json.render_shards ~seed ~hosts:shards_hosts
-      ~degree:shards_degree ~pairs:base.Mesh.pairs ~host_cores:cores rows
-  in
-  (match Ldlp_report.Bench_json.parse_shards json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_shards.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "Sharded call storm: %d hosts, %d pairs, %d calls, %s wiring (seed %d, %d \
-     cores)\n"
-    shards_hosts base.Mesh.pairs base.Mesh.calls_requested
-    (Mesh.wiring_name wiring) seed cores;
-  Printf.printf "%-7s %11s %5s %10s %13s %13s %4s\n" "shards" "components"
-    "done" "wall" "wall-pairs/s" "cpu-pairs/s" "ok";
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.shard_row) ->
-      Printf.printf "%-7d %11d %5d %9ss %13.0f %13.0f %4s\n"
-        r.Ldlp_report.Bench_json.sh_shards r.Ldlp_report.Bench_json.sh_components
-        r.Ldlp_report.Bench_json.sh_completed
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.sh_wall_s)
-        r.Ldlp_report.Bench_json.sh_wall_pairs_per_s
-        r.Ldlp_report.Bench_json.sh_cpu_pairs_per_s
-        (if r.Ldlp_report.Bench_json.sh_ok then "ok" else "FAIL"))
-    rows;
-  let failed = ref false in
-  let fail fmt =
-    Printf.ksprintf (fun s -> Printf.eprintf "FAIL: %s\n" s; failed := true) fmt
-  in
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.shard_row) ->
-      if not r.Ldlp_report.Bench_json.sh_ok then
-        fail "shards=%d diverged from the single-domain reference"
-          r.Ldlp_report.Bench_json.sh_shards)
-    rows;
-  (match rows with
-  | one :: rest ->
-    List.iter
-      (fun (r : Ldlp_report.Bench_json.shard_row) ->
-        if
-          r.Ldlp_report.Bench_json.sh_cpu_pairs_per_s
-          <= one.Ldlp_report.Bench_json.sh_cpu_pairs_per_s
-        then
-          fail
-            "shards=%d aggregate CPU rate %.0f pairs/s not above the \
-             single-shard %.0f"
-            r.Ldlp_report.Bench_json.sh_shards
-            r.Ldlp_report.Bench_json.sh_cpu_pairs_per_s
-            one.Ldlp_report.Bench_json.sh_cpu_pairs_per_s)
-      rest;
-    (* Wall clock is only meaningful with real parallel hardware; on a
-       single-core runner the sharded run adds domain overhead for no
-       wall-time return, so the gate stays off. *)
-    if cores >= 2 && rest <> [] then begin
+  Printf.printf "Sharded call storm: %d calls, %s wiring, %d cores\n"
+    base.Mesh.calls_requested (Mesh.wiring_name wiring) cores;
+  let failures =
+    List.filter_map
+      (fun (shards, _, _, ok, _) ->
+        if ok then None
+        else
+          Some
+            (Printf.sprintf "shards=%d diverged from the single-domain reference"
+               shards))
+      runs
+    @
+    match runs with
+    | (_, one_wall, one_cpu, _, _) :: rest ->
+      List.filter_map
+        (fun (shards, _, cpu, _, _) ->
+          if cpu > one_cpu then None
+          else
+            Some
+              (Printf.sprintf
+                 "shards=%d aggregate CPU rate %.0f pairs/s not above the \
+                  single-shard %.0f"
+                 shards cpu one_cpu))
+        rest
+      @
+      (* Wall clock is only meaningful with real parallel hardware; on a
+         single-core runner the sharded run adds domain overhead for no
+         wall-time return, so the gate stays off. *)
       let best_wall =
-        List.fold_left
-          (fun a (r : Ldlp_report.Bench_json.shard_row) ->
-            Float.min a r.Ldlp_report.Bench_json.sh_wall_s)
-          infinity rest
+        List.fold_left (fun a (_, w, _, _, _) -> Float.min a w) infinity rest
       in
-      if best_wall >= one.Ldlp_report.Bench_json.sh_wall_s *. 1.05 then
-        fail
-          "no sharded wall-clock win on a %d-core host: best %.4f s vs %.4f s \
-           single-shard"
-          cores best_wall one.Ldlp_report.Bench_json.sh_wall_s
-    end
-  | [] -> fail "no rows");
-  if !failed then begin
-    prerr_endline "FAIL: sharded storm gates did not hold (JSON still written)";
-    exit 1
-  end;
-  Printf.printf "equality, conservation and scaling gates: ok\n";
-  Printf.printf "wrote %s\n" out
+      if cores >= 2 && rest <> [] && best_wall >= one_wall *. 1.05 then
+        [
+          Printf.sprintf
+            "no sharded wall-clock win on a %d-core host: best %.4f s vs %.4f s \
+             single-shard"
+            cores best_wall one_wall;
+        ]
+      else []
+    | [] -> [ "no rows" ]
+  in
+  {
+    doc =
+      Some
+        ( Schema.shards,
+          Schema.
+            [
+              I seed; I shards_hosts; I shards_degree; I base.Mesh.pairs;
+              I cores; Rows (List.map (fun (_, _, _, _, row) -> row) runs);
+            ] );
+    failures;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Section 1g2: flow-table locality study -> BENCH_flows.json.         *)
-(* ------------------------------------------------------------------ *)
-
-(* The Jain-style destination-locality study at scale: one Flowmix
-   arrival stream per flow count (10k / 100k / 1M concurrent flows),
-   replayed against the unified flow table under every replacement
-   scheme, conventionally and LDLP batch-sorted.  Gates: the flowtable
-   differential oracle, cross-scheme + cross-discipline delivered-state
-   equivalence (digests), counter conservation, and strictly fewer
-   modeled D-misses/lookup for LDLP at 100k and 1M flows.  The JSON is
-   written before the gates run so CI keeps the artifact on failure. *)
+(* Flow-table locality study -> BENCH_flows.json.  The Jain-style
+   destination-locality study at scale: one Flowmix arrival stream per
+   flow count (10k / 100k / 1M concurrent flows), replayed against the
+   unified flow table under every replacement scheme, conventionally and
+   LDLP batch-sorted.  Gates: the flowtable differential oracle,
+   cross-scheme + cross-discipline delivered-state equivalence (digests),
+   counter conservation, and strictly fewer modeled D-misses/lookup for
+   LDLP at 100k and 1M flows. *)
 
 let flows_counts = [ 10_000; 100_000; 1_000_000 ]
 
-let bench_flows ~out () =
+let bench_flows () =
   let module Study = Ldlp_flowtable.Study in
-  let module Ft = Ldlp_flowtable.Flowtable in
   let config = Study.bench in
   let rows =
     List.concat_map
@@ -963,78 +679,64 @@ let bench_flows ~out () =
     in
     conserved && equivalent && wins
   in
-  let jrows =
-    List.map
-      (fun r ->
-        {
-          Ldlp_report.Bench_json.fl_flows = r.Study.r_flows;
-          fl_scheme = Ft.scheme_name r.Study.r_scheme;
-          fl_ldlp = r.Study.r_ldlp;
-          fl_lookups = r.Study.r_lookups;
-          fl_model_misses = r.Study.r_model_misses;
-          fl_misses_per_lookup = Study.misses_per_lookup r;
-          fl_evictions = r.Study.r_model_evictions;
-          fl_digest = r.Study.r_digest;
-          fl_ok = row_ok r;
-        })
-      rows
+  let discipline r = if r.Study.r_ldlp then "ldlp" else "conv" in
+  let scheme r = Ldlp_flowtable.Flowtable.scheme_name r.Study.r_scheme in
+  let row r =
+    Schema.
+      [
+        I r.Study.r_flows; S (scheme r); S (discipline r); I r.Study.r_lookups;
+        I r.Study.r_model_misses; F (Study.misses_per_lookup r);
+        I r.Study.r_model_evictions; I r.Study.r_digest; B (row_ok r);
+      ]
   in
-  let json =
-    Ldlp_report.Bench_json.render_flows ~seed ~slots:config.Study.slots
-      ~batch:config.Study.batch jrows
-  in
-  (match Ldlp_report.Bench_json.parse_flows json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_flows.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
   print_endline (Study.render ~config ~rows ~seed ());
   print_newline ();
-  let failed = ref false in
-  let fail fmt =
-    Printf.ksprintf (fun s -> Printf.eprintf "FAIL: %s\n" s; failed := true) fmt
+  let oracle =
+    match Ldlp_check.Flowtable_oracle.run ~seed ~cases:25 with
+    | Ok n ->
+      Printf.printf "flowtable differential: %d random workloads OK\n" n;
+      []
+    | Error e -> [ "flowtable oracle: " ^ e ]
   in
-  (match Ldlp_check.Flowtable_oracle.run ~seed ~cases:25 with
-  | Ok n -> Printf.printf "flowtable differential: %d random workloads OK\n" n
-  | Error e -> fail "flowtable oracle: %s" e);
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.flow_row) ->
-      if not r.Ldlp_report.Bench_json.fl_ok then
-        fail "%s/%s at %d flows failed its row gate"
-          r.Ldlp_report.Bench_json.fl_scheme
-          (if r.Ldlp_report.Bench_json.fl_ldlp then "ldlp" else "conv")
-          r.Ldlp_report.Bench_json.fl_flows)
-    jrows;
-  if !failed then begin
-    prerr_endline "FAIL: flow-table gates did not hold (JSON still written)";
-    exit 1
-  end;
-  Printf.printf
-    "equivalence, conservation and LDLP D-miss gates: ok (100k and 1M flows)\n";
-  Printf.printf "wrote %s\n" out
+  {
+    doc =
+      Some
+        ( Schema.flows,
+          Schema.
+            [
+              I seed; I config.Study.slots; I config.Study.batch;
+              Rows (List.map row rows);
+            ] );
+    failures =
+      oracle
+      @ List.filter_map
+          (fun r ->
+            if row_ok r then None
+            else
+              Some
+                (Printf.sprintf "%s/%s at %d flows failed its row gate" (scheme r)
+                   (discipline r) r.Study.r_flows))
+          rows;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Section 1g: crash/restart recovery -> BENCH_recovery.json.          *)
-(* ------------------------------------------------------------------ *)
-
-(* The Q.93B call storm under a crash-rate ladder: every wiring runs
-   the same seeded lifecycle plan per rung (25%, 50%, 100% of hosts
-   crashing twice inside the horizon) through the deterministic
-   retry/backoff/admission engine.  Gates: extended conservation + leak
-   freedom + eventual completion per row, cross-wiring agreement on the
-   outcome multisets per rung, and a goodput floor under the heaviest
-   rung.  The JSON is written before the gates exit so CI keeps the
-   artifact on failure. *)
+(* Crash/restart recovery -> BENCH_recovery.json.  The Q.93B call storm
+   under a crash-rate ladder: every wiring runs the same seeded lifecycle
+   plan per rung (25%, 50%, 100% of hosts crashing twice inside the
+   horizon) through the deterministic retry/backoff/admission engine.
+   Gates: extended conservation + leak freedom + eventual completion per
+   row, cross-wiring agreement on the outcome multisets per rung, and a
+   goodput floor under the heaviest rung. *)
 
 let recovery_hosts = 32
 let recovery_degree = 4
 let recovery_victims = [ (0.25, "+v25"); (0.5, "+v50"); (1.0, "+v100") ]
 
-let bench_recovery ~out () =
+let bench_recovery () =
   let module Mesh = Ldlp_mesh.Mesh in
   let module Plan = Ldlp_fault.Plan in
-  let rung (victims, tag) =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let rung (victims, suffix) =
     let lifecycle =
       Plan.lifecycle ~victims ~episodes:2 ~min_outage:0.002 ~mean_outage:0.01
         ~flap:0.25 ~seed:(seed lxor 0x6c696665) ~hosts:recovery_hosts
@@ -1046,110 +748,90 @@ let bench_recovery ~out () =
     in
     let storms = Mesh.compare_storm ~calls_per_pair:6 cfg in
     let episodes = Plan.lifecycle_episodes lifecycle in
-    let row (t : Mesh.storm) =
-      let ttr = Mesh.storm_ttr_sorted t in
-      {
-        Ldlp_report.Bench_json.rr_wiring = Mesh.wiring_name t.Mesh.t_wiring ^ tag;
-        rr_crash_episodes = episodes;
-        rr_calls = t.Mesh.calls_requested;
-        rr_completed = t.Mesh.calls_completed;
-        rr_abandoned = t.Mesh.calls_abandoned;
-        rr_retried = t.Mesh.calls_retried;
-        rr_deferred = t.Mesh.setups_deferred;
-        rr_goodput_pairs_per_s = Mesh.storm_goodput t;
-        rr_retry_amplification = Mesh.storm_retry_amplification t;
-        rr_ttr_p50_s = Mesh.ttr_percentile ttr 0.50;
-        rr_ttr_p99_s = Mesh.ttr_percentile ttr 0.99;
-        rr_ok = t.Mesh.t_conserved && t.Mesh.t_leak_free && Mesh.storm_complete t;
-      }
-    in
-    (tag, storms, List.map row storms)
+    (* Cross-wiring agreement per rung: same outcome multiset, retries and
+       deferrals whatever the scheduling discipline. *)
+    (match storms with
+    | first :: rest ->
+      List.iter
+        (fun (t : Mesh.storm) ->
+          if
+            t.Mesh.pair_done <> first.Mesh.pair_done
+            || t.Mesh.pair_abandoned <> first.Mesh.pair_abandoned
+            || t.Mesh.calls_retried <> first.Mesh.calls_retried
+            || t.Mesh.setups_deferred <> first.Mesh.setups_deferred
+          then
+            fail "rung %s: %s disagrees with %s on the recovery outcome" suffix
+              (Mesh.wiring_name t.Mesh.t_wiring)
+              (Mesh.wiring_name first.Mesh.t_wiring))
+        rest
+    | [] -> fail "rung %s: no storms" suffix);
+    List.map
+      (fun (t : Mesh.storm) ->
+        let wiring = Mesh.wiring_name t.Mesh.t_wiring ^ suffix in
+        let ok = t.Mesh.t_conserved && t.Mesh.t_leak_free && Mesh.storm_complete t in
+        let goodput = Mesh.storm_goodput t in
+        if not ok then fail "%s: conservation/leak/completion gate" wiring;
+        (* Goodput floor: even with every host crashing twice, at least half
+           the offered calls must complete and goodput must stay positive. *)
+        if 2 * t.Mesh.calls_completed < t.Mesh.calls_requested then
+          fail "%s: only %d/%d calls completed under crashes" wiring
+            t.Mesh.calls_completed t.Mesh.calls_requested;
+        if goodput <= 0.0 then fail "%s: zero goodput under crashes" wiring;
+        let ttr = Mesh.storm_ttr_sorted t in
+        Schema.
+          [
+            S wiring; I episodes; I t.Mesh.calls_requested;
+            I t.Mesh.calls_completed; I t.Mesh.calls_abandoned;
+            I t.Mesh.calls_retried; I t.Mesh.setups_deferred; F goodput;
+            F (Mesh.storm_retry_amplification t);
+            F (Mesh.ttr_percentile ttr 0.50); F (Mesh.ttr_percentile ttr 0.99);
+            B ok;
+          ])
+      storms
   in
-  let rungs = List.map rung recovery_victims in
-  let rows = List.concat_map (fun (_, _, rs) -> rs) rungs in
-  let json =
-    Ldlp_report.Bench_json.render_recovery ~seed ~hosts:recovery_hosts
-      ~degree:recovery_degree rows
+  let rows = List.concat_map rung recovery_victims in
+  {
+    doc =
+      Some
+        ( Schema.recovery,
+          Schema.[ I seed; I recovery_hosts; I recovery_degree; Rows rows ] );
+    failures = List.rev !failures;
+  }
+
+(* Writes [doc] to [path] after checking it against its own schema, then
+   prints its header members and each of its row arrays as a table. *)
+let emit path (schema, values) =
+  let text = Schema.render schema values in
+  let doc =
+    match Schema.parse schema text with
+    | Ok doc -> doc
+    | Error e -> failwith (path ^ " fails its own schema: " ^ e)
   in
-  (match Ldlp_report.Bench_json.parse_recovery json with
-  | Ok _ -> ()
-  | Error e -> failwith ("BENCH_recovery.json fails its own schema: " ^ e));
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "Crash/restart recovery: %d hosts, degree %d, seed %d, %d crash rungs\n"
-    recovery_hosts recovery_degree seed (List.length recovery_victims);
-  Printf.printf "%-13s %8s %6s %5s %9s %7s %8s %10s %6s %8s %8s %4s\n" "wiring"
-    "episodes" "calls" "done" "abandoned" "retries" "deferred" "goodput/s"
-    "amp" "ttr-p50" "ttr-p99" "ok";
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.recovery_row) ->
-      Printf.printf "%-13s %8d %6d %5d %9d %7d %8d %10.0f %5.2fx %7ss %7ss %4s\n"
-        r.Ldlp_report.Bench_json.rr_wiring
-        r.Ldlp_report.Bench_json.rr_crash_episodes
-        r.Ldlp_report.Bench_json.rr_calls r.Ldlp_report.Bench_json.rr_completed
-        r.Ldlp_report.Bench_json.rr_abandoned
-        r.Ldlp_report.Bench_json.rr_retried
-        r.Ldlp_report.Bench_json.rr_deferred
-        r.Ldlp_report.Bench_json.rr_goodput_pairs_per_s
-        r.Ldlp_report.Bench_json.rr_retry_amplification
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.rr_ttr_p50_s)
-        (Ldlp_sim.Table.fmt_si r.Ldlp_report.Bench_json.rr_ttr_p99_s)
-        (if r.Ldlp_report.Bench_json.rr_ok then "ok" else "FAIL"))
-    rows;
-  let failed = ref false in
-  let fail fmt =
-    Printf.ksprintf (fun s -> Printf.eprintf "FAIL: %s\n" s; failed := true) fmt
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let cell = function
+    | Json.Num s | Json.Str s -> s
+    | Json.Bool b -> string_of_bool b
+    | _ -> "-"
   in
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.recovery_row) ->
-      if not r.Ldlp_report.Bench_json.rr_ok then
-        fail "%s: conservation/leak/completion gate"
-          r.Ldlp_report.Bench_json.rr_wiring)
-    rows;
-  (* Cross-wiring agreement per rung: same outcome multiset, retries and
-     deferrals whatever the scheduling discipline. *)
-  List.iter
-    (fun (tag, storms, _) ->
-      match storms with
-      | (first : Mesh.storm) :: rest ->
-        List.iter
-          (fun (t : Mesh.storm) ->
-            if
-              t.Mesh.pair_done <> first.Mesh.pair_done
-              || t.Mesh.pair_abandoned <> first.Mesh.pair_abandoned
-              || t.Mesh.calls_retried <> first.Mesh.calls_retried
-              || t.Mesh.setups_deferred <> first.Mesh.setups_deferred
-            then
-              fail "rung %s: %s disagrees with %s on the recovery outcome" tag
-                (Mesh.wiring_name t.Mesh.t_wiring)
-                (Mesh.wiring_name first.Mesh.t_wiring))
-          rest
-      | [] -> fail "rung %s: no storms" tag)
-    rungs;
-  (* Goodput floor: even with every host crashing twice, at least half
-     the offered calls must complete and goodput must stay positive. *)
-  List.iter
-    (fun (r : Ldlp_report.Bench_json.recovery_row) ->
-      if 2 * r.Ldlp_report.Bench_json.rr_completed < r.Ldlp_report.Bench_json.rr_calls
-      then
-        fail "%s: only %d/%d calls completed under crashes"
-          r.Ldlp_report.Bench_json.rr_wiring
-          r.Ldlp_report.Bench_json.rr_completed
-          r.Ldlp_report.Bench_json.rr_calls;
-      if r.Ldlp_report.Bench_json.rr_goodput_pairs_per_s <= 0.0 then
-        fail "%s: zero goodput under crashes" r.Ldlp_report.Bench_json.rr_wiring)
-    rows;
-  if !failed then begin
-    prerr_endline "FAIL: recovery gates did not hold (JSON still written)";
-    exit 1
-  end;
-  Printf.printf "conservation, equivalence, completion and goodput gates: ok\n";
-  Printf.printf "wrote %s\n" out
+  (match doc with
+  | Json.Obj members ->
+    List.iter
+      (function
+        | key, Json.Arr (Json.Obj first :: _ as rows) ->
+          Printf.printf "%s:\n%s" key
+            (Ldlp_sim.Table.render ~header:(List.map fst first)
+               (List.map
+                  (function
+                    | Json.Obj row -> List.map (fun (_, v) -> cell v) row
+                    | _ -> [])
+                  rows))
+        | key, v -> Printf.printf "%s: %s\n" key (cell v))
+      members
+  | _ -> ());
+  Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Section 2: Bechamel tests.                                          *)
+(* Section 3: Bechamel tests.                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* One reduced-size generator invocation per table/figure. *)
@@ -1405,26 +1087,35 @@ let run_benchmarks () =
         r2)
     rows
 
+(* Each experiment: its flag, the file its document goes to, and its run. *)
+let experiments =
+  [
+    ("--sweeps", Some "BENCH_sweeps.json", bench_sweeps);
+    ("--hotpath", Some "BENCH_hotpath.json", bench_hotpath);
+    ("--alloc-gate", None, bench_alloc_gate);
+    ("--soak", Some "BENCH_soak.json", bench_soak);
+    ("--mesh", Some "BENCH_mesh.json", bench_mesh);
+    ("--shards", Some "BENCH_shards.json", bench_shards);
+    ("--recovery", Some "BENCH_recovery.json", bench_recovery);
+    ("--flows", Some "BENCH_flows.json", bench_flows);
+  ]
+
 let () =
-  let bench_only = Array.exists (( = ) "--bench-only") Sys.argv in
-  let repro_only = Array.exists (( = ) "--repro-only") Sys.argv in
-  let sweeps_only = Array.exists (( = ) "--sweeps") Sys.argv in
-  let hotpath_only = Array.exists (( = ) "--hotpath") Sys.argv in
-  let alloc_gate_only = Array.exists (( = ) "--alloc-gate") Sys.argv in
-  let soak_only = Array.exists (( = ) "--soak") Sys.argv in
-  let mesh_only = Array.exists (( = ) "--mesh") Sys.argv in
-  let shards_only = Array.exists (( = ) "--shards") Sys.argv in
-  let recovery_only = Array.exists (( = ) "--recovery") Sys.argv in
-  let flows_only = Array.exists (( = ) "--flows") Sys.argv in
-  if flows_only then bench_flows ~out:"BENCH_flows.json" ()
-  else if recovery_only then bench_recovery ~out:"BENCH_recovery.json" ()
-  else if shards_only then bench_shards ~out:"BENCH_shards.json" ()
-  else if mesh_only then bench_mesh ~out:"BENCH_mesh.json" ()
-  else if sweeps_only then bench_sweeps ~out:"BENCH_sweeps.json" ()
-  else if hotpath_only then bench_hotpath ~out:"BENCH_hotpath.json" ()
-  else if alloc_gate_only then bench_alloc_gate ()
-  else if soak_only then bench_soak ~out:"BENCH_soak.json" ()
-  else begin
-    if not bench_only then reproduce ();
-    if not repro_only then run_benchmarks ()
-  end
+  let has flag = Array.exists (( = ) flag) Sys.argv in
+  match List.find_opt (fun (flag, _, _) -> has flag) experiments with
+  | Some (flag, out, run) ->
+    let o = run () in
+    (* The document is written before any gate can fail, so a failing run
+       leaves its numbers behind. *)
+    (match (out, o.doc) with
+    | Some path, Some doc -> emit path doc
+    | _ -> ());
+    List.iter (Printf.eprintf "FAIL: %s\n") o.failures;
+    if o.failures <> [] then begin
+      Printf.eprintf "FAIL: %s gates did not hold\n" flag;
+      exit 1
+    end;
+    Printf.printf "%s gates: ok\n" flag
+  | None ->
+    if not (has "--bench-only") then reproduce ();
+    if not (has "--repro-only") then run_benchmarks ()

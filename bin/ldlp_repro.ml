@@ -1,8 +1,11 @@
 (* CLI for regenerating every table and figure of the paper at chosen
-   fidelity.  `ldlp_repro all` prints everything at quick fidelity;
-   `ldlp_repro fig6 --full` runs the paper's 100 layouts x 1 second. *)
+   fidelity.  The figure subcommands and `all` come from the figure
+   registry ([Ldlp_report.Registry]).  `ldlp_repro all` prints everything
+   at quick fidelity; `ldlp_repro fig6 --full` runs the paper's 100
+   layouts x 1 second. *)
 
 open Cmdliner
+open Ldlp_report
 
 let params ~full ~runs ~seconds =
   let base = if full then Ldlp_model.Params.paper else Ldlp_model.Params.quick in
@@ -48,113 +51,12 @@ let domains_t =
 
 let out s = print_string s; print_newline ()
 
-let run_table1 seed = out (Ldlp_report.Report.table1 (Ldlp_model.Figures.table1 ~seed ()))
-
-let run_table3 seed = out (Ldlp_report.Report.table3 (Ldlp_model.Figures.table3 ~seed ()))
-
-let run_fig1 seed =
-  let phases, funcs = Ldlp_model.Figures.figure1 ~seed () in
-  out (Ldlp_report.Report.figure1 phases funcs)
-
-let run_fig5 ?domains params seed =
-  out
-    (Ldlp_report.Report.fig5
-       (Ldlp_model.Figures.rate_sweep ?domains ~params ~seed ()))
-
-let run_fig6 ?domains params seed =
-  out
-    (Ldlp_report.Report.fig6
-       (Ldlp_model.Figures.rate_sweep ?domains ~params ~seed ()))
-
-let run_fig56 ?domains params seed =
-  let points = Ldlp_model.Figures.rate_sweep ?domains ~params ~seed () in
-  out (Ldlp_report.Report.fig5 points);
-  out (Ldlp_report.Report.fig6 points)
-
-let run_fig7 ?domains params seed =
-  out
-    (Ldlp_report.Report.fig7
-       (Ldlp_model.Figures.clock_sweep ?domains ~params ~seed ()))
-
-let run_fig8 () = out (Ldlp_report.Report.fig8 (Ldlp_model.Figures.fig8 ()))
-
-let run_blocking () =
-  let p = Ldlp_model.Params.paper in
-  let stack =
-    {
-      Ldlp_core.Blocking.layer_code_bytes =
-        List.init p.Ldlp_model.Params.layers (fun _ ->
-            p.Ldlp_model.Params.layer_code_bytes);
-      layer_data_bytes =
-        List.init p.Ldlp_model.Params.layers (fun _ ->
-            p.Ldlp_model.Params.layer_data_bytes);
-      msg_bytes = p.Ldlp_model.Params.msg_bytes;
-      cycles_per_msg =
-        p.Ldlp_model.Params.layers
-        * Ldlp_model.Params.cycles_per_layer p
-            ~msg_bytes:p.Ldlp_model.Params.msg_bytes;
-    }
-  in
-  out
-    (Ldlp_report.Report.blocking
-       (Ldlp_core.Blocking.recommend Ldlp_core.Blocking.paper_machine stack))
-
-let run_ablations ?domains params seed =
-  out
-    (Ldlp_report.Report.ablation_batch
-       (Ldlp_model.Figures.ablation_batch ?domains ~params ~seed ()));
-  out
-    (Ldlp_report.Report.ablation_density
-       (Ldlp_model.Figures.ablation_density ?domains ~params ~seed ()));
-  out
-    (Ldlp_report.Report.ablation_linesize
-       (Ldlp_model.Figures.ablation_linesize ?domains ~params ~seed ()));
-  out (Ldlp_report.Report.ablation_dilution (Ldlp_model.Figures.ablation_dilution ()));
-  out (Ldlp_report.Report.ablation_relayout (Ldlp_model.Figures.ablation_relayout ()));
-  out
-    (Ldlp_report.Report.ablation_associativity
-       (Ldlp_model.Figures.ablation_associativity ?domains ~params ~seed ()));
-  out
-    (Ldlp_report.Report.ablation_prefetch
-       (Ldlp_model.Figures.ablation_prefetch ?domains ~params ~seed ()));
-  out
-    (Ldlp_report.Report.ablation_unified
-       (Ldlp_model.Figures.ablation_unified ?domains ~params ~seed ()));
-  out
-    (Ldlp_report.Report.ablation_layout
-       (Ldlp_model.Figures.ablation_layout ?domains ~params ~seed ()))
-
-let run_tcpstack ?domains seed =
-  out
-    (Ldlp_report.Report.extension_tcp_stack
-       (Ldlp_model.Figures.extension_tcp_stack ?domains ~seed ()))
-
-let run_granularity ?domains seed =
-  out
-    (Ldlp_report.Report.ablation_granularity
-       (Ldlp_model.Figures.ablation_granularity ?domains ~seed ()))
-
-let run_txside ?domains params seed =
-  out
-    (Ldlp_report.Report.extension_txside
-       (Ldlp_model.Figures.extension_txside ?domains ~params ~seed ()))
-
-let run_ilp ?domains params seed =
-  out
-    (Ldlp_report.Report.comparison_ilp
-       (Ldlp_model.Figures.comparison_ilp ?domains ~params ~seed ()))
-
-let run_goal ?domains seed =
-  out
-    (Ldlp_report.Report.extension_goal
-       (Ldlp_model.Figures.extension_goal ?domains ~seed ()))
-
 let run_stats ?domains ~json ~rate params seed =
   if json then
-    out
-      (Ldlp_report.Bench_json.render_stats
-         (Ldlp_report.Report.observability_sheets ?domains ~params ~seed ~rate ()))
-  else out (Ldlp_report.Report.observability ?domains ~params ~seed ~rate ())
+    print_string
+      (Schema.render Schema.stats
+         (Report.stats_doc (Report.observability_sheets ?domains ~params ~seed ~rate ())))
+  else out (Report.observability ?domains ~params ~seed ~rate ())
 
 let run_selftest domains =
   let domains = Option.value ~default:2 domains in
@@ -184,50 +86,18 @@ let run_mesh ?domains ~hosts ~degree ~broadcasts ~json_path seed =
   let chaos = Mesh.compare_spread ?domains ccfg in
   let storms = Mesh.compare_storm ?domains base in
   print_string (Mesh.render base ~pristine ~chaos ~storms);
-  let spread_row tag (s : Mesh.spread) =
-    {
-      Ldlp_report.Bench_json.mr_hosts = hosts;
-      mr_wiring = Mesh.wiring_name s.Mesh.s_wiring ^ tag;
-      mr_delivered = s.Mesh.reach;
-      mr_p50_s = Ldlp_sim.Hist.percentile s.Mesh.latency 0.50;
-      mr_p90_s = Ldlp_sim.Hist.percentile s.Mesh.latency 0.90;
-      mr_p99_s = Ldlp_sim.Hist.percentile s.Mesh.latency 0.99;
-      mr_max_s = Ldlp_sim.Hist.max s.Mesh.latency;
-      mr_mean_s = Ldlp_sim.Hist.mean s.Mesh.latency;
-      mr_reloads = s.Mesh.reloads;
-      mr_mean_batch = s.Mesh.mean_batch;
-      mr_cpu_s = s.Mesh.cpu_seconds;
-      mr_ok = s.Mesh.s_conserved && s.Mesh.leak_free;
-    }
-  in
-  let storm_row (t : Mesh.storm) =
-    {
-      Ldlp_report.Bench_json.ms_hosts = hosts;
-      ms_wiring = Mesh.wiring_name t.Mesh.t_wiring;
-      ms_pairs = t.Mesh.pairs;
-      ms_calls = t.Mesh.calls_requested;
-      ms_completed = t.Mesh.calls_completed;
-      ms_wire_pairs_per_s = Mesh.storm_wire_rate t;
-      ms_cpu_us_per_pair = Mesh.storm_cpu_us_per_pair t;
-      ms_cpu_pairs_per_s = Mesh.storm_cpu_rate t;
-      ms_ok = t.Mesh.t_conserved && t.Mesh.t_leak_free;
-    }
-  in
   let json =
-    Ldlp_report.Bench_json.render_mesh ~seed ~degree
-      ~goal_pairs_per_s:Mesh.goal_pairs_per_sec
-      ~spread:
-        (List.map (spread_row "") pristine @ List.map (spread_row "+chaos") chaos)
-      ~storm:(List.map storm_row storms)
+    Schema.render Schema.mesh
+      (Report.mesh_doc ~seed ~degree [ (hosts, pristine, chaos, storms) ])
   in
-  (match Ldlp_report.Bench_json.parse_mesh json with
+  (match Schema.parse Schema.mesh json with
   | Ok _ -> ()
   | Error e ->
     prerr_endline ("BENCH_mesh.json failed its own schema check: " ^ e);
     exit 1);
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
+  let dir = Filename.dirname json_path in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin json_path (fun oc -> output_string oc json);
   Printf.printf "\nwrote %s\n" json_path;
   (* Oracles: conservation per wiring and cross-wiring equivalence on the
      chaos run (the interesting one — faults active). *)
@@ -484,62 +354,40 @@ let run_hurst path =
       horizon
       (Ldlp_traffic.Hurst.of_packets ~bin:(horizon /. 1024.0) ~horizon shifted)
 
-let run_all ?domains params seed =
-  run_table1 42;
-  run_table3 42;
-  run_fig1 42;
-  run_fig56 ?domains params seed;
-  run_fig7 ?domains params seed;
-  run_fig8 ();
-  run_blocking ();
-  run_ablations ?domains params seed;
-  run_txside ?domains params seed;
-  run_ilp ?domains params seed;
-  run_goal ?domains seed;
-  run_granularity ?domains seed;
-  run_tcpstack ?domains seed
-
-let with_params f =
-  Term.(
-    const (fun full runs seconds seed domains ->
-        f ?domains (params ~full ~runs ~seconds) seed)
-    $ full_t $ runs_t $ seconds_t $ seed_t $ domains_t)
-
-let with_seed_domains f =
-  Term.(const (fun seed domains -> f ?domains seed) $ seed_t $ domains_t)
-
 let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
+(* A figure subcommand prints its registry entries against one context,
+   and takes the options of the most demanding of them. *)
+let figure_cmd name doc figures =
+  let run ?domains ?params ?seed () =
+    let ctx = Registry.context ?domains ?params ?seed () in
+    List.iter (fun (f : Registry.t) -> out (f.render ctx)) figures
+  in
+  let inputs =
+    List.fold_left (fun acc (f : Registry.t) -> max acc f.inputs) Registry.Fixed figures
+  in
+  cmd name doc
+    (match inputs with
+    | Registry.Fixed -> Term.(const (fun () -> run ()) $ const ())
+    | Seeded -> Term.(const (fun seed domains -> run ?domains ~seed ()) $ seed_t $ domains_t)
+    | Swept ->
+      Term.(
+        const (fun full runs seconds seed domains ->
+            run ?domains ~params:(params ~full ~runs ~seconds) ~seed ())
+        $ full_t $ runs_t $ seconds_t $ seed_t $ domains_t))
+
+let figure_cmds =
+  List.filter_map
+    (fun (f : Registry.t) ->
+      match List.filter (fun (g : Registry.t) -> g.command = f.command) Registry.all with
+      | first :: _ as group when first == f -> Some (figure_cmd f.command f.doc group)
+      | _ -> None)
+    Registry.all
+  @ [ figure_cmd "all" "Every table and figure, in order." Registry.all ]
+
 let cmds =
-  [
-    cmd "table1" "Working-set breakdown of the TCP receive path (Table 1)."
-      Term.(const run_table1 $ seed_t);
-    cmd "table3" "Cache-line-size sensitivity (Table 3)."
-      Term.(const run_table3 $ seed_t);
-    cmd "fig1" "Per-phase / per-function working-set map (Figure 1)."
-      Term.(const run_fig1 $ seed_t);
-    cmd "fig5" "Cache misses per message vs arrival rate (Figure 5)."
-      (with_params run_fig5);
-    cmd "fig6" "Latency vs arrival rate (Figure 6)." (with_params run_fig6);
-    cmd "fig7" "Latency vs CPU clock, self-similar traffic (Figure 7)."
-      (with_params run_fig7);
-    cmd "fig8" "Checksum cache-effects study (Figure 8)."
-      Term.(const run_fig8 $ const ());
-    cmd "blocking" "Analytic blocking-factor recommendation (Section 3.2)."
-      Term.(const run_blocking $ const ());
-    cmd "ablations" "Batch-policy, code-density, line-size and dilution ablations."
-      (with_params run_ablations);
-    cmd "txside" "Transmit-side LDLP extension experiment."
-      (with_params run_txside);
-    cmd "ilp" "Conventional vs ILP vs LDLP comparison (Figures 2/3)."
-      (with_params run_ilp);
-    cmd "granularity" "Layer-granularity / grouping ablation (Section 6)."
-      (with_seed_domains run_granularity);
-    cmd "tcpstack" "LDLP on the real Table 1 TCP/IP footprints (Section 6)."
-      (with_seed_domains run_tcpstack);
-    cmd "goal" "Section 1 signalling performance goal check."
-      (with_seed_domains run_goal);
-    cmd "all" "Everything." (with_params run_all);
+  figure_cmds
+  @ [
     cmd "stats"
       "Per-layer observability counters (cycles, stalls, i/d/w-misses, \
        quanta, queue peaks) for Conventional vs LDLP under Poisson load, \
@@ -573,7 +421,7 @@ let cmds =
        wirings (conventional, LDLP, full-duplex LDLP), print the \
        arrival-latency CDF figure (pristine and chaos-impaired), run the \
        Q.93B call storm against the paper's 10 000 pairs/s goal, write \
-       BENCH_mesh.json, and assert the conservation + cross-wiring \
+       its mesh JSON document, and assert the conservation + cross-wiring \
        equivalence oracles.  Nonzero exit on any failure."
       Term.(
         const (fun seed domains hosts degree broadcasts json_path ->
@@ -588,8 +436,12 @@ let cmds =
             & info [ "broadcasts" ] ~doc:"Broadcasts to flood through the mesh.")
         $ Arg.(
             value
-            & opt string "BENCH_mesh.json"
-            & info [ "o"; "json" ] ~doc:"Where to write the mesh JSON document."));
+            & opt string "_bench/BENCH_mesh.json"
+            & info [ "o"; "json" ]
+                ~doc:
+                  "Where to write the mesh JSON document.  The committed \
+                   $(b,BENCH_mesh.json) is the host-count sweep that \
+                   $(b,bench/main.exe --mesh) writes."));
     cmd "recovery"
       "Crash/restart fault injection: run the Q.93B call storm under a \
        seeded host lifecycle plan (crashes, restarts, flapping) with the \

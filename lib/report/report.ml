@@ -683,3 +683,69 @@ let observability ?domains ?(params = Params.quick) ?(seed = 1996)
      s, Poisson %.0f msg/s, %d B)\n\n"
     seed params.Params.runs params.Params.seconds rate params.Params.msg_bytes
   ^ String.concat "\n" (List.map Metrics.render sheets)
+
+(* ---------- document contents ---------- *)
+
+let stats_doc sheets =
+  let module H = Ldlp_obs.Histogram in
+  let hist h =
+    Schema.(
+      Rec [ I (H.count h); F (H.mean h); I (H.median h); I (H.quantile h 0.99); I (H.max_value h) ])
+  in
+  let layer (l : Metrics.layer) =
+    Schema.
+      [
+        S l.Metrics.l_name; I l.Metrics.handled; I l.Metrics.quanta;
+        I l.Metrics.exec_cycles; I l.Metrics.stall_cycles; I l.Metrics.imisses;
+        I l.Metrics.dmisses; I l.Metrics.wmisses; I l.Metrics.queue_peak;
+      ]
+  in
+  let sheet m =
+    Schema.
+      [
+        S (Metrics.label m); I (Metrics.messages m); I (Metrics.batches m);
+        Rows (List.init (Metrics.nlayers m) (fun i -> layer (Metrics.layer m i)));
+        Rows (List.map (fun (name, v) -> [ S name; I v ]) (Metrics.scalars m));
+        hist (Metrics.batch_hist m); hist (Metrics.depth_hist m);
+        hist (Metrics.latency_hist m);
+      ]
+  in
+  [ Schema.Rows (List.map sheet sheets) ]
+
+let mesh_doc ~seed ~degree points =
+  let module Mesh = Ldlp_mesh.Mesh in
+  let module Hist = Ldlp_sim.Hist in
+  let spread hosts suffix (s : Mesh.spread) =
+    let lat = s.Mesh.latency in
+    Schema.
+      [
+        I hosts; S (Mesh.wiring_name s.Mesh.s_wiring ^ suffix); I s.Mesh.reach;
+        F (Hist.percentile lat 0.50); F (Hist.percentile lat 0.90);
+        F (Hist.percentile lat 0.99); F (Hist.max lat); F (Hist.mean lat);
+        I s.Mesh.reloads; F s.Mesh.mean_batch; F s.Mesh.cpu_seconds;
+        B (s.Mesh.s_conserved && s.Mesh.leak_free);
+      ]
+  in
+  let storm hosts (t : Mesh.storm) =
+    Schema.
+      [
+        I hosts; S (Mesh.wiring_name t.Mesh.t_wiring); I t.Mesh.pairs;
+        I t.Mesh.calls_requested; I t.Mesh.calls_completed;
+        F (Mesh.storm_wire_rate t); F (Mesh.storm_cpu_us_per_pair t);
+        F (Mesh.storm_cpu_rate t); B (t.Mesh.t_conserved && t.Mesh.t_leak_free);
+      ]
+  in
+  Schema.
+    [
+      I seed; I degree; F Mesh.goal_pairs_per_sec;
+      Rows
+        (List.concat_map
+           (fun (hosts, pristine, chaos, _) ->
+             List.map (spread hosts "") pristine
+             @ List.map (spread hosts "+chaos") chaos)
+           points);
+      Rows
+        (List.concat_map
+           (fun (hosts, _, _, storms) -> List.map (storm hosts) storms)
+           points);
+    ]

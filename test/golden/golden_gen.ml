@@ -1,13 +1,16 @@
 (* Golden-figure generator: writes the canonical quick-fidelity text
-   rendering of every table and figure to <name>.out in the current
-   directory.  The dune rules in this directory diff each .out against the
-   committed <name>.expected snapshot; `make promote` (dune promote)
-   updates the snapshots after an intentional change.
+   rendering of every figure in the registry, plus the observability,
+   soak, mesh, fault-plan, recovery, flow-table and shard figures, to
+   <name>.out in the current directory.  The dune rules in this directory
+   diff each .out against the committed <name>.expected snapshot; `make
+   promote` (dune promote) updates the snapshots after an intentional
+   change.
 
-   Everything here must be deterministic across hosts: fixed seed, quick
-   fidelity, and domains = 1 so the sweep engine takes the sequential
-   path (the parallel path is byte-identical by selftest, but pinning one
-   domain keeps the goldens independent of host core count). *)
+   Everything here must be deterministic across hosts: fixed seed (the
+   trace-derived figures read the calibrated trace), quick fidelity, and
+   domains = 1 so the sweep engine takes the sequential path (the
+   parallel path is byte-identical by selftest, but pinning one domain
+   keeps the goldens independent of host core count). *)
 
 let seed = 1996
 
@@ -20,61 +23,12 @@ let write name s =
       Out_channel.output_string oc s;
       Out_channel.output_char oc '\n')
 
-let blocking_report () =
-  let p = Ldlp_model.Params.paper in
-  let stack =
-    {
-      Ldlp_core.Blocking.layer_code_bytes =
-        List.init p.Ldlp_model.Params.layers (fun _ ->
-            p.Ldlp_model.Params.layer_code_bytes);
-      layer_data_bytes =
-        List.init p.Ldlp_model.Params.layers (fun _ ->
-            p.Ldlp_model.Params.layer_data_bytes);
-      msg_bytes = p.Ldlp_model.Params.msg_bytes;
-      cycles_per_msg =
-        p.Ldlp_model.Params.layers
-        * Ldlp_model.Params.cycles_per_layer p
-            ~msg_bytes:p.Ldlp_model.Params.msg_bytes;
-    }
-  in
-  Ldlp_report.Report.blocking
-    (Ldlp_core.Blocking.recommend Ldlp_core.Blocking.paper_machine stack)
-
 let () =
-  let module F = Ldlp_model.Figures in
-  let module R = Ldlp_report.Report in
-  write "table1" (R.table1 (F.table1 ~seed ()));
-  write "table3" (R.table3 (F.table3 ~seed ()));
-  (let phases, funcs = F.figure1 ~seed () in
-   write "fig1" (R.figure1 phases funcs));
-  (let points = F.rate_sweep ~domains ~params ~seed () in
-   write "fig5" (R.fig5 points);
-   write "fig6" (R.fig6 points));
-  write "fig7" (R.fig7 (F.clock_sweep ~domains ~params ~seed ()));
-  write "fig8" (R.fig8 (F.fig8 ()));
-  write "blocking" (blocking_report ());
-  write "ablation_batch" (R.ablation_batch (F.ablation_batch ~domains ~params ~seed ()));
-  write "ablation_density"
-    (R.ablation_density (F.ablation_density ~domains ~params ~seed ()));
-  write "ablation_linesize"
-    (R.ablation_linesize (F.ablation_linesize ~domains ~params ~seed ()));
-  write "ablation_dilution" (R.ablation_dilution (F.ablation_dilution ()));
-  write "ablation_relayout" (R.ablation_relayout (F.ablation_relayout ()));
-  write "ablation_associativity"
-    (R.ablation_associativity (F.ablation_associativity ~domains ~params ~seed ()));
-  write "ablation_prefetch"
-    (R.ablation_prefetch (F.ablation_prefetch ~domains ~params ~seed ()));
-  write "ablation_unified"
-    (R.ablation_unified (F.ablation_unified ~domains ~params ~seed ()));
-  write "ablation_layout"
-    (R.ablation_layout (F.ablation_layout ~domains ~params ~seed ()));
-  write "txside" (R.extension_txside (F.extension_txside ~domains ~params ~seed ()));
-  write "ilp" (R.comparison_ilp (F.comparison_ilp ~domains ~params ~seed ()));
-  write "goal" (R.extension_goal (F.extension_goal ~domains ~seed ()));
-  write "granularity"
-    (R.ablation_granularity (F.ablation_granularity ~domains ~seed ()));
-  write "tcpstack" (R.extension_tcp_stack (F.extension_tcp_stack ~domains ~seed ()));
-  write "stats" (R.observability ~domains ~params ~seed ());
+  let ctx = Ldlp_report.Registry.context ~domains ~params ~seed () in
+  List.iter
+    (fun (f : Ldlp_report.Registry.t) -> write f.name (f.render ctx))
+    Ldlp_report.Registry.all;
+  write "stats" (Ldlp_report.Report.observability ~domains ~params ~seed ());
   write "soak"
     (Ldlp_soak.Soak.render
        (Ldlp_soak.Soak.run_all ~domains

@@ -310,142 +310,99 @@ let test_recovery_on_pristine_all_complete () =
 (* BENCH_mesh.json schema roundtrip.                                   *)
 (* ------------------------------------------------------------------ *)
 
-let sample_rows =
-  [
-    {
-      Ldlp_report.Bench_json.mr_hosts = 64;
-      mr_wiring = "ldlp+chaos";
-      mr_delivered = 1008;
-      mr_p50_s = 1.26e-3;
-      mr_p90_s = 2.0e-3;
-      mr_p99_s = 2.51e-3;
-      mr_max_s = 3.2e-3;
-      mr_mean_s = 1.3e-3;
-      mr_reloads = 3988;
-      mr_mean_batch = 3.2;
-      mr_cpu_s = 0.235;
-      mr_ok = true;
-    };
-  ]
+module Json = Ldlp_report.Json
+module Schema = Ldlp_report.Schema
 
-let sample_storms =
-  [
-    {
-      Ldlp_report.Bench_json.ms_hosts = 64;
-      ms_wiring = "duplex";
-      ms_pairs = 8;
-      ms_calls = 32;
-      ms_completed = 32;
-      ms_wire_pairs_per_s = 10847.0;
-      ms_cpu_us_per_pair = 1213.6;
-      ms_cpu_pairs_per_s = 824.0;
-      ms_ok = true;
-    };
-  ]
+let is_err = function Error _ -> true | Ok _ -> false
+
+let spread_row ?(wiring = "ldlp+chaos") () =
+  Schema.
+    [
+      I 64; S wiring; I 1008; F 1.26e-3; F 2.0e-3; F 2.51e-3; F 3.2e-3; F 1.3e-3;
+      I 3988; F 3.2; F 0.235; B true;
+    ]
+
+let storm_row ?(completed = 32) () =
+  Schema.
+    [ I 64; S "duplex"; I 8; I 32; I completed; F 10847.0; F 1213.6; F 824.0; B true ]
+
+let mesh_doc ?(seed = 1996) spread storm =
+  Schema.render Schema.mesh
+    Schema.[ I seed; I 4; F 10_000.0; Rows spread; Rows storm ]
 
 let test_mesh_json_roundtrip () =
-  let json =
-    Ldlp_report.Bench_json.render_mesh ~seed:1996 ~degree:4
-      ~goal_pairs_per_s:10_000.0 ~spread:sample_rows ~storm:sample_storms
-  in
-  match Ldlp_report.Bench_json.parse_mesh json with
+  let json = mesh_doc [ spread_row () ] [ storm_row () ] in
+  match Schema.parse Schema.mesh json with
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
   | Ok doc ->
-    checki "seed" 1996 doc.Ldlp_report.Bench_json.md_seed;
-    checki "degree" 4 doc.Ldlp_report.Bench_json.md_degree;
-    Alcotest.(check (float 1e-9))
-      "goal" 10_000.0 doc.Ldlp_report.Bench_json.md_goal_pairs_per_s;
-    (match (doc.Ldlp_report.Bench_json.mesh_rows, sample_rows) with
-    | [ got ], [ want ] ->
-      checkb "spread row survives" true (got = want)
+    checki "seed" 1996 (Json.int doc "seed");
+    checki "degree" 4 (Json.int doc "degree");
+    Alcotest.(check (float 1e-9)) "goal" 10_000.0 (Json.num doc "goal_pairs_per_s");
+    (match (Json.arr doc "spread", Json.arr doc "storm") with
+    | [ spread ], [ storm ] ->
+      Alcotest.(check string) "spread wiring" "ldlp+chaos" (Json.str spread "wiring");
+      Alcotest.(check (float 0.0)) "spread p50" 1.26e-3 (Json.num spread "p50_s");
+      checki "storm completed" 32 (Json.int storm "completed");
+      checkb "storm ok" true (Json.bool storm "ok")
     | _ -> Alcotest.fail "row count");
-    (match (doc.Ldlp_report.Bench_json.mesh_storms, sample_storms) with
-    | [ got ], [ want ] -> checkb "storm row survives" true (got = want)
-    | _ -> Alcotest.fail "storm count")
+    Alcotest.(check string) "reprints byte-identically" json (Json.to_string doc)
 
 let test_mesh_json_rejects_bad () =
-  let is_err = function Error _ -> true | Ok _ -> false in
-  checkb "empty doc rejected" true
-    (is_err (Ldlp_report.Bench_json.parse_mesh "{}"));
+  checkb "empty doc rejected" true (is_err (Schema.parse Schema.mesh "{}"));
   checkb "wrong schema tag rejected" true
     (is_err
-       (Ldlp_report.Bench_json.parse_mesh
+       (Schema.parse Schema.mesh
           {|{"schema": "ldlp-bench-soak/1", "seed": 1, "degree": 4,
              "goal_pairs_per_s": 10000, "spread": [], "storm": []}|}));
-  let bad_row =
-    Ldlp_report.Bench_json.render_mesh ~seed:1 ~degree:4
-      ~goal_pairs_per_s:10_000.0
-      ~spread:
-        [ { (List.hd sample_rows) with Ldlp_report.Bench_json.mr_wiring = "" } ]
-      ~storm:[]
-  in
   checkb "empty wiring rejected" true
-    (is_err (Ldlp_report.Bench_json.parse_mesh bad_row))
+    (is_err (Schema.parse Schema.mesh (mesh_doc [ spread_row ~wiring:"" () ] [])));
+  checkb "overfull storm rejected" true
+    (is_err (Schema.parse Schema.mesh (mesh_doc [] [ storm_row ~completed:33 () ])))
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_recovery.json schema roundtrip.                               *)
 (* ------------------------------------------------------------------ *)
 
-let sample_recovery =
-  [
-    {
-      Ldlp_report.Bench_json.rr_wiring = "duplex+v100";
-      rr_crash_episodes = 88;
-      rr_calls = 24;
-      rr_completed = 24;
-      rr_abandoned = 0;
-      rr_retried = 9;
-      rr_deferred = 2;
-      rr_goodput_pairs_per_s = 1103.0;
-      rr_retry_amplification = 1.375;
-      rr_ttr_p50_s = 9.03e-3;
-      rr_ttr_p99_s = 9.5e-3;
-      rr_ok = true;
-    };
-  ]
+let recovery_row ?(wiring = "duplex+v100") ?(completed = 24) ?(abandoned = 0)
+    ?(amplification = 1.375) () =
+  Schema.
+    [
+      S wiring; I 88; I 24; I completed; I abandoned; I 9; I 2; F 1103.0;
+      F amplification; F 9.03e-3; F 9.5e-3; B true;
+    ]
+
+let recovery_doc ?(seed = 1996) rows =
+  Schema.render Schema.recovery Schema.[ I seed; I 32; I 4; Rows rows ]
 
 let test_recovery_json_roundtrip () =
-  let json =
-    Ldlp_report.Bench_json.render_recovery ~seed:1996 ~hosts:32 ~degree:4
-      sample_recovery
-  in
-  match Ldlp_report.Bench_json.parse_recovery json with
+  let json = recovery_doc [ recovery_row () ] in
+  match Schema.parse Schema.recovery json with
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
   | Ok doc ->
-    checki "seed" 1996 doc.Ldlp_report.Bench_json.rd_seed;
-    checki "hosts" 32 doc.Ldlp_report.Bench_json.rd_hosts;
-    checki "degree" 4 doc.Ldlp_report.Bench_json.rd_degree;
-    (match (doc.Ldlp_report.Bench_json.recovery_rows, sample_recovery) with
-    | [ got ], [ want ] -> checkb "recovery row survives" true (got = want)
-    | _ -> Alcotest.fail "row count")
+    checki "seed" 1996 (Json.int doc "seed");
+    checki "hosts" 32 (Json.int doc "hosts");
+    checki "degree" 4 (Json.int doc "degree");
+    (match Json.arr doc "rows" with
+    | [ row ] ->
+      Alcotest.(check string) "wiring" "duplex+v100" (Json.str row "wiring");
+      Alcotest.(check (float 0.0))
+        "amplification" 1.375 (Json.num row "retry_amplification")
+    | _ -> Alcotest.fail "row count");
+    Alcotest.(check string) "reprints byte-identically" json (Json.to_string doc)
 
 let test_recovery_json_rejects_bad () =
-  let is_err = function Error _ -> true | Ok _ -> false in
-  checkb "empty doc rejected" true
-    (is_err (Ldlp_report.Bench_json.parse_recovery "{}"));
+  checkb "empty doc rejected" true (is_err (Schema.parse Schema.recovery "{}"));
   checkb "wrong schema tag rejected" true
     (is_err
-       (Ldlp_report.Bench_json.parse_recovery
+       (Schema.parse Schema.recovery
           {|{"schema": "ldlp-bench-mesh/1", "seed": 1, "hosts": 32,
              "degree": 4, "rows": []}|}));
-  let forged f =
-    Ldlp_report.Bench_json.render_recovery ~seed:1 ~hosts:32 ~degree:4
-      [ f (List.hd sample_recovery) ]
-  in
+  let forged row = Schema.parse Schema.recovery (recovery_doc ~seed:1 [ row ]) in
   checkb "overfull outcome rejected" true
-    (is_err
-       (Ldlp_report.Bench_json.parse_recovery
-          (forged (fun r ->
-               { r with Ldlp_report.Bench_json.rr_completed = 20; rr_abandoned = 5 }))));
+    (is_err (forged (recovery_row ~completed:20 ~abandoned:5 ())));
   checkb "amplification below one rejected" true
-    (is_err
-       (Ldlp_report.Bench_json.parse_recovery
-          (forged (fun r ->
-               { r with Ldlp_report.Bench_json.rr_retry_amplification = 0.5 }))));
-  checkb "empty wiring rejected" true
-    (is_err
-       (Ldlp_report.Bench_json.parse_recovery
-          (forged (fun r -> { r with Ldlp_report.Bench_json.rr_wiring = "" }))))
+    (is_err (forged (recovery_row ~amplification:0.5 ())));
+  checkb "empty wiring rejected" true (is_err (forged (recovery_row ~wiring:"" ())))
 
 let suite =
   [

@@ -88,40 +88,47 @@ let test_ablation_renders () =
   in
   check "txside title" true (contains tx "transmit-side")
 
-(* ---------- Bench_json ---------- *)
+(* ---------- BENCH documents ---------- *)
 
-let sample_sweeps =
-  [
-    {
-      Ldlp_report.Bench_json.name = "rate_sweep";
-      points = 3;
-      seq_seconds = 1.25;
-      par_seconds = 0.5;
-      domains = 4;
-    };
-    {
-      Ldlp_report.Bench_json.name = "clock \"odd\" name\n";
-      points = 0;
-      seq_seconds = 0.0;
-      par_seconds = 0.0;
-      domains = 1;
-    };
-  ]
+module Json = Ldlp_report.Json
+module Schema = Ldlp_report.Schema
+
+let reject schema what text =
+  match Schema.parse schema text with
+  | Ok _ -> Alcotest.failf "%s unexpectedly accepted" what
+  | Error _ -> ()
+
+let sweep_row name points seq par domains =
+  let speedup = if par > 0.0 then seq /. par else 0.0 in
+  Schema.[ S name; I points; F seq; F par; I domains; F speedup ]
 
 let test_bench_json_roundtrip () =
-  let text = Ldlp_report.Bench_json.render ~host_cores:8 ~sweeps:sample_sweeps in
-  match Ldlp_report.Bench_json.parse text with
+  let text =
+    Schema.render Schema.sweeps
+      Schema.
+        [
+          I 8; I 4;
+          Rows
+            [
+              sweep_row "rate_sweep" 3 1.25 0.5 4;
+              sweep_row "clock \"odd\" name\n" 0 0.0 0.0 1;
+            ];
+        ]
+  in
+  match Schema.parse Schema.sweeps text with
   | Error e -> Alcotest.failf "render output failed its own schema: %s" e
   | Ok doc ->
-    Alcotest.(check int) "host_cores" 8 doc.Ldlp_report.Bench_json.host_cores;
-    check "sweeps roundtrip" true (doc.Ldlp_report.Bench_json.sweeps = sample_sweeps)
+    Alcotest.(check int) "host_cores" 8 (Json.int doc "host_cores");
+    (match Json.arr doc "sweeps" with
+    | [ rate; odd ] ->
+      Alcotest.(check (float 0.0)) "seq_seconds" 1.25 (Json.num rate "seq_seconds");
+      Alcotest.(check (float 0.0)) "speedup" 2.5 (Json.num rate "speedup");
+      Alcotest.(check string) "escaped name" "clock \"odd\" name\n" (Json.str odd "name")
+    | _ -> Alcotest.fail "sweep count");
+    Alcotest.(check string) "reprints byte-identically" text (Json.to_string doc)
 
 let test_bench_json_rejects () =
-  let reject what text =
-    match Ldlp_report.Bench_json.parse text with
-    | Ok _ -> Alcotest.failf "%s unexpectedly accepted" what
-    | Error _ -> ()
-  in
+  let reject = reject Schema.sweeps in
   reject "garbage" "not json";
   reject "wrong schema"
     "{\"schema\": \"other/9\", \"host_cores\": 1, \"default_domains\": 1, \
@@ -135,13 +142,105 @@ let test_bench_json_rejects () =
      \"seq_seconds\": 2.0, \"par_seconds\": 1.0, \"domains\": 2, \
      \"speedup\": 9.0}]}";
   (* A hand-written but valid document must parse: the reader accepts any
-     JSON layout, not just the writer's pretty-printing. *)
+     JSON layout, not just the printer's. *)
   match
-    Ldlp_report.Bench_json.parse
+    Schema.parse Schema.sweeps
       "{\"schema\":\"ldlp-bench-sweeps/1\",\"host_cores\":2,\"default_domains\":2,\"sweeps\":[]}"
   with
-  | Ok doc -> Alcotest.(check int) "compact layout" 2 doc.Ldlp_report.Bench_json.host_cores
+  | Ok doc -> Alcotest.(check int) "compact layout" 2 (Json.int doc "host_cores")
   | Error e -> Alcotest.failf "compact layout rejected: %s" e
+
+(* Every committed BENCH file must pass its schema and print back byte for
+   byte: numbers keep their literal text, and integers read back exactly
+   (the flows digests need all 63 bits). *)
+let test_committed_bench_files () =
+  let read file = In_channel.with_open_bin ("../" ^ file) In_channel.input_all in
+  List.iter
+    (fun (file, schema) ->
+      let text = read file in
+      match Schema.parse schema text with
+      | Error e -> Alcotest.failf "%s: %s" file e
+      | Ok doc ->
+        Alcotest.(check string) (file ^ " reprints") text (Json.to_string doc))
+    [
+      ("BENCH_sweeps.json", Schema.sweeps);
+      ("BENCH_hotpath.json", Schema.hotpath);
+      ("BENCH_soak.json", Schema.soak);
+      ("BENCH_mesh.json", Schema.mesh);
+      ("BENCH_shards.json", Schema.shards);
+      ("BENCH_recovery.json", Schema.recovery);
+      ("BENCH_flows.json", Schema.flows);
+    ];
+  List.iter
+    (fun row ->
+      Alcotest.(check bool)
+        "digest read back exactly" true
+        (Json.member row "digest" = Json.Num (string_of_int (Json.int row "digest"))))
+    (Json.arr (Result.get_ok (Schema.parse Schema.flows (read "BENCH_flows.json"))) "rows")
+
+let soak_row ?(loss = 0.01) ?(goodput = 2345.5) ?(retransmits = 3)
+    ?(completion = 0.25) () =
+  Schema.[ F loss; F goodput; I retransmits; F completion; B true ]
+
+let soak_doc rows = Schema.render Schema.soak Schema.[ I 1996; I 32; I 64; Rows rows ]
+
+let test_soak_json_rejects () =
+  (match Schema.parse Schema.soak (soak_doc [ soak_row (); soak_row ~loss:0.0 () ]) with
+  | Ok doc -> Alcotest.(check int) "rungs" 2 (List.length (Json.arr doc "ladder"))
+  | Error e -> Alcotest.failf "valid ladder rejected: %s" e);
+  let reject_row what row =
+    reject Schema.soak what (soak_doc [ soak_row (); row ])
+  in
+  reject_row "loss of one" (soak_row ~loss:1.0 ());
+  reject_row "negative loss" (soak_row ~loss:(-0.01) ());
+  reject_row "negative goodput" (soak_row ~goodput:(-1.0) ());
+  reject_row "negative retransmits" (soak_row ~retransmits:(-1) ());
+  reject_row "negative completion" (soak_row ~completion:(-0.5) ());
+  reject Schema.soak "non-integer retransmits"
+    "{\"schema\": \"ldlp-bench-soak/1\", \"seed\": 1, \"chunks\": 32, \
+     \"chunk_bytes\": 64, \"ladder\": [{\"loss\": 0.0, \
+     \"goodput_bytes_per_s\": 1.0, \"retransmits\": 2.5, \"completion_s\": \
+     0.1, \"ok\": true}]}"
+
+let flow_row ?(discipline = "ldlp") ?(lookups = 65536) ?(misses = 19078)
+    ?misses_per_lookup () =
+  let mpl =
+    match misses_per_lookup with
+    | Some m -> m
+    | None -> float_of_int misses /. float_of_int lookups
+  in
+  Schema.
+    [
+      I 10_000; S "direct"; S discipline; I lookups; I misses; F mpl; I 18822;
+      I (-3119138207619443039); B true;
+    ]
+
+let flows_doc rows = Schema.render Schema.flows Schema.[ I 1996; I 256; I 1024; Rows rows ]
+
+let test_flows_json_roundtrip () =
+  let text = flows_doc [ flow_row ~discipline:"conv" (); flow_row () ] in
+  match Schema.parse Schema.flows text with
+  | Error e -> Alcotest.failf "render output failed its own schema: %s" e
+  | Ok doc ->
+    Alcotest.(check int) "slots" 256 (Json.int doc "slots");
+    List.iter
+      (fun row ->
+        Alcotest.(check int)
+          "63-bit digest survives" (-3119138207619443039) (Json.int row "digest"))
+      (Json.arr doc "rows");
+    Alcotest.(check string) "reprints byte-identically" text (Json.to_string doc)
+
+let test_flows_json_rejects () =
+  let reject_row what row =
+    reject Schema.flows what (flows_doc [ flow_row (); row ])
+  in
+  reject_row "misses above lookups" (flow_row ~lookups:100 ~misses:101 ());
+  reject_row "negative misses" (flow_row ~misses:(-1) ());
+  reject_row "misses_per_lookup off its ratio" (flow_row ~misses_per_lookup:0.9 ());
+  reject_row "unknown discipline" (flow_row ~discipline:"batch" ());
+  reject_row "no lookups" (flow_row ~lookups:0 ~misses:0 ~misses_per_lookup:0.0 ());
+  reject Schema.flows "bad header"
+    (Schema.render Schema.flows Schema.[ I 1996; I 0; I 1024; Rows [ flow_row () ] ])
 
 (* ---------- Observability: stats text + JSON documents ---------- *)
 
@@ -173,79 +272,59 @@ let test_observability_domain_independent () =
 
 let test_stats_json_roundtrip () =
   let sheets = tiny_sheets () in
-  let text = Ldlp_report.Bench_json.render_stats sheets in
-  match Ldlp_report.Bench_json.parse_stats text with
-  | Error e -> Alcotest.failf "render_stats output failed its schema: %s" e
+  let text = Schema.render Schema.stats (Ldlp_report.Report.stats_doc sheets) in
+  match Schema.parse Schema.stats text with
+  | Error e -> Alcotest.failf "stats document failed its schema: %s" e
   | Ok doc ->
     (* Two discipline sheets plus the fault-replay and flow-table
        scalar sheets. *)
+    let docs = Json.arr doc "sheets" in
     Alcotest.(check int)
       "one sheet per discipline plus the fault and flow sheets" 4
-      (List.length doc.Ldlp_report.Bench_json.stats_sheets);
+      (List.length docs);
     List.iter2
-      (fun m (s : Ldlp_report.Bench_json.stats_sheet) ->
-        Alcotest.(check string)
-          "label" (Ldlp_obs.Metrics.label m)
-          s.Ldlp_report.Bench_json.s_label;
+      (fun m s ->
+        Alcotest.(check string) "label" (Ldlp_obs.Metrics.label m) (Json.str s "label");
         Alcotest.(check int)
-          "messages" (Ldlp_obs.Metrics.messages m)
-          s.Ldlp_report.Bench_json.s_messages;
+          "messages" (Ldlp_obs.Metrics.messages m) (Json.int s "messages");
         let t = Ldlp_obs.Metrics.totals m in
         Alcotest.(check int)
           "imisses survive the roundtrip" t.Ldlp_obs.Metrics.t_imisses
           (List.fold_left
-             (fun acc (l : Ldlp_report.Bench_json.layer_row) ->
-               acc + l.Ldlp_report.Bench_json.lr_imisses)
-             0 s.Ldlp_report.Bench_json.s_layers))
-      sheets doc.Ldlp_report.Bench_json.stats_sheets
+             (fun acc l -> acc + Json.int l "imisses")
+             0 (Json.arr s "layers")))
+      sheets docs
 
-let sample_hots =
-  [
-    {
-      Ldlp_report.Bench_json.h_name = "conventional";
-      messages = 8000;
-      wall_seconds = 0.21;
-      messages_per_sec = 3500.0;
-      imisses_per_msg = 960.0;
-      dmisses_per_msg = 29.4;
-      allocs_per_msg = 25.0;
-      p50_latency_s = 0.13;
-      p99_latency_s = 0.14;
-      mean_batch = 1.0;
-    };
-    {
-      Ldlp_report.Bench_json.h_name = "ldlp";
-      messages = 13000;
-      wall_seconds = 0.11;
-      messages_per_sec = 8700.0;
-      imisses_per_msg = 85.4;
-      dmisses_per_msg = 65.5;
-      allocs_per_msg = 25.0;
-      p50_latency_s = 0.002;
-      p99_latency_s = 0.02;
-      mean_batch = 11.0;
-    };
-  ]
+let hot_row name messages wall rate imisses =
+  Schema.
+    [
+      S name; I messages; F wall; F rate; F imisses; F 29.4; F 25.0; F 0.13;
+      F 0.14; F 1.0;
+    ]
+
+let hotpath_doc rows =
+  Schema.render Schema.hotpath Schema.[ F 9000.0; I 1996; F 3.5; Rows rows ]
 
 let test_hotpath_json_roundtrip () =
   let text =
-    Ldlp_report.Bench_json.render_hotpath ~rate:9000.0 ~seed:1996
-      ~metrics_overhead_pct:3.5 sample_hots
+    hotpath_doc
+      [
+        hot_row "conventional" 8000 0.21 3500.0 960.0;
+        hot_row "ldlp" 13000 0.11 8700.0 85.4;
+      ]
   in
-  match Ldlp_report.Bench_json.parse_hotpath text with
-  | Error e -> Alcotest.failf "render_hotpath output failed its schema: %s" e
+  match Schema.parse Schema.hotpath text with
+  | Error e -> Alcotest.failf "hotpath document failed its schema: %s" e
   | Ok doc ->
-    Alcotest.(check (float 1e-9)) "rate" 9000.0 doc.Ldlp_report.Bench_json.hd_rate;
-    Alcotest.(check int) "seed" 1996 doc.Ldlp_report.Bench_json.hd_seed;
-    check "disciplines roundtrip" true
-      (doc.Ldlp_report.Bench_json.hots = sample_hots)
+    Alcotest.(check (float 1e-9)) "rate" 9000.0 (Json.num doc "rate");
+    Alcotest.(check int) "seed" 1996 (Json.int doc "seed");
+    Alcotest.(check (list string))
+      "disciplines" [ "conventional"; "ldlp" ]
+      (List.map (fun r -> Json.str r "name") (Json.arr doc "disciplines"));
+    Alcotest.(check string) "reprints byte-identically" text (Json.to_string doc)
 
 let test_hotpath_json_rejects () =
-  let reject what text =
-    match Ldlp_report.Bench_json.parse_hotpath text with
-    | Ok _ -> Alcotest.failf "%s unexpectedly accepted" what
-    | Error _ -> ()
-  in
+  let reject = reject Schema.hotpath in
   reject "garbage" "nope";
   reject "wrong schema"
     "{\"schema\": \"ldlp-stats/1\", \"rate\": 1.0, \"seed\": 1, \
@@ -256,7 +335,8 @@ let test_hotpath_json_rejects () =
      \"messages\": -1, \"wall_seconds\": 0.1, \"messages_per_sec\": 1.0, \
      \"imisses_per_msg\": 1.0, \"dmisses_per_msg\": 1.0, \"allocs_per_msg\": \
      1.0, \"p50_latency_s\": 0.1, \"p99_latency_s\": 0.1, \"mean_batch\": \
-     1.0}]}"
+     1.0}]}";
+  reject "negative wall clock" (hotpath_doc [ hot_row "x" 1 (-0.1) 1.0 1.0 ])
 
 let suite =
   [
@@ -278,4 +358,10 @@ let suite =
       test_hotpath_json_roundtrip;
     Alcotest.test_case "hotpath json rejects bad input" `Quick
       test_hotpath_json_rejects;
+    Alcotest.test_case "committed BENCH files reprint exactly" `Quick
+      test_committed_bench_files;
+    Alcotest.test_case "soak json rejects bad input" `Quick test_soak_json_rejects;
+    Alcotest.test_case "flows json roundtrip" `Quick test_flows_json_roundtrip;
+    Alcotest.test_case "flows json rejects bad input" `Quick
+      test_flows_json_rejects;
   ]

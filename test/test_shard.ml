@@ -351,75 +351,59 @@ let test_echo_metrics_merge () =
 
 (* ---------- BENCH_shards.json schema roundtrip ---------- *)
 
-let sample_shard_rows =
-  [
-    {
-      Ldlp_report.Bench_json.sh_shards = 1;
-      sh_components = 27;
-      sh_completed = 128;
-      sh_wall_s = 0.036;
-      sh_wall_pairs_per_s = 3556.0;
-      sh_cpu_s_max = 0.158;
-      sh_cpu_pairs_per_s = 810.127;
-      sh_ok = true;
-    };
-    {
-      Ldlp_report.Bench_json.sh_shards = 4;
-      sh_components = 27;
-      sh_completed = 128;
-      sh_wall_s = 0.012;
-      sh_wall_pairs_per_s = 10666.7;
-      sh_cpu_s_max = 0.0531;
-      sh_cpu_pairs_per_s = 2410.547;
-      sh_ok = true;
-    };
-  ]
+module Json = Ldlp_report.Json
+module Schema = Ldlp_report.Schema
+
+let shard_row ?cpu_pairs_per_s n wall cpu_s_max =
+  let cpu_rate =
+    Option.value cpu_pairs_per_s ~default:(128.0 /. cpu_s_max)
+  in
+  Schema.
+    [
+      I n; I 27; I 128; F wall; F (128.0 /. wall); F cpu_s_max; F cpu_rate;
+      B true;
+    ]
+
+let shards_doc ?(hosts = 256) rows =
+  Schema.render Schema.shards Schema.[ I 1996; I hosts; I 4; I 32; I 8; Rows rows ]
 
 let test_shards_json_roundtrip () =
-  let json =
-    Ldlp_report.Bench_json.render_shards ~seed:1996 ~hosts:256 ~degree:4
-      ~pairs:32 ~host_cores:8 sample_shard_rows
-  in
-  match Ldlp_report.Bench_json.parse_shards json with
+  let json = shards_doc [ shard_row 1 0.036 0.158; shard_row 4 0.012 0.0531 ] in
+  match Schema.parse Schema.shards json with
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
   | Ok doc ->
-    checki "seed" 1996 doc.Ldlp_report.Bench_json.shd_seed;
-    checki "hosts" 256 doc.Ldlp_report.Bench_json.shd_hosts;
-    checki "pairs" 32 doc.Ldlp_report.Bench_json.shd_pairs;
-    checki "host cores" 8 doc.Ldlp_report.Bench_json.shd_host_cores;
-    checki "rows survive" 2 (List.length doc.Ldlp_report.Bench_json.shard_rows);
+    checki "seed" 1996 (Json.int doc "seed");
+    checki "hosts" 256 (Json.int doc "hosts");
+    checki "pairs" 32 (Json.int doc "pairs");
+    checki "host cores" 8 (Json.int doc "host_cores");
+    let rows = Json.arr doc "rows" in
+    checki "rows survive" 2 (List.length rows);
     List.iter2
-      (fun (got : Ldlp_report.Bench_json.shard_row) want ->
-        checki "shards" want.Ldlp_report.Bench_json.sh_shards
-          got.Ldlp_report.Bench_json.sh_shards;
-        checki "completed" want.Ldlp_report.Bench_json.sh_completed
-          got.Ldlp_report.Bench_json.sh_completed;
-        check "ok flag" want.Ldlp_report.Bench_json.sh_ok
-          got.Ldlp_report.Bench_json.sh_ok)
-      doc.Ldlp_report.Bench_json.shard_rows sample_shard_rows
+      (fun row shards ->
+        checki "shards" shards (Json.int row "shards");
+        checki "completed" 128 (Json.int row "completed");
+        check "ok flag" true (Json.bool row "ok"))
+      rows [ 1; 4 ];
+    Alcotest.(check string) "reprints byte-identically" json (Json.to_string doc)
 
 let test_shards_json_rejects_bad () =
   let is_err = function Error _ -> true | Ok _ -> false in
-  check "empty doc rejected" true
-    (is_err (Ldlp_report.Bench_json.parse_shards "{}"));
+  check "empty doc rejected" true (is_err (Schema.parse Schema.shards "{}"));
   check "wrong schema tag rejected" true
     (is_err
-       (Ldlp_report.Bench_json.parse_shards
+       (Schema.parse Schema.shards
           {|{"schema": "ldlp-bench-mesh/1", "seed": 1, "hosts": 4,
              "degree": 2, "pairs": 1, "host_cores": 1, "rows": []}|}));
   (* A cpu rate inconsistent with completed/cpu_s_max is a forged row. *)
-  let forged =
-    Ldlp_report.Bench_json.render_shards ~seed:1 ~hosts:4 ~degree:2 ~pairs:1
-      ~host_cores:1
-      [
-        {
-          (List.hd sample_shard_rows) with
-          Ldlp_report.Bench_json.sh_cpu_pairs_per_s = 99_999.0;
-        };
-      ]
-  in
   check "inconsistent cpu rate rejected" true
-    (is_err (Ldlp_report.Bench_json.parse_shards forged))
+    (is_err
+       (Schema.parse Schema.shards
+          (shards_doc [ shard_row ~cpu_pairs_per_s:99_999.0 1 0.036 0.158 ])));
+  check "zero shards rejected" true
+    (is_err (Schema.parse Schema.shards (shards_doc [ shard_row 0 0.036 0.158 ])));
+  check "single-host header rejected" true
+    (is_err
+       (Schema.parse Schema.shards (shards_doc ~hosts:1 [ shard_row 1 0.036 0.158 ])))
 
 let suite =
   [
