@@ -370,6 +370,153 @@ let q93b_stack_words () =
   ignore (run ());
   run ()
 
+(* tcpmini stack: minor words per received segment through a server
+   [Host.duplex] under LDLP, counting everything the path allocates (the
+   received mbuf and message, the three receive layers, the ACKs they
+   send, the application's read and echo, and the wire).  The client side
+   is scripted: [tcp_rpcs] 64 B requests over [tcp_conns] connections
+   established in set-up, visited in a scrambled order, each request
+   acknowledging every earlier response on its connection; frames arrive
+   in bursts of 32, and the server echoes each request back.  With int32
+   sequence numbers, a fresh result record and reply list per segment, a
+   [Queue]-of-chunks socket buffer and a copying frame builder the stack
+   allocated ~260 words per segment here; the allocation-light path
+   allocates ~65, so a budget of 130 catches a return to the old shape
+   with headroom. *)
+let tcp_conns = 4096
+
+let tcp_rpcs = 8 * tcp_conns
+
+let tcp_alloc_budget = 130.0
+
+let tcp_server_ip = Ldlp_packet.Addr.Ipv4.of_string "192.0.2.1"
+
+let tcp_client_ip = Ldlp_packet.Addr.Ipv4.of_string "192.0.2.10"
+
+let tcp_port conn = 10_000 + conn
+
+(* Request k goes to connection [tcp_conn k]: a bijection on each block of
+   [tcp_conns] requests, so every connection carries [tcp_rpcs / tcp_conns]
+   and consecutive requests use different connections. *)
+let tcp_conn k = k * 1031 land (tcp_conns - 1)
+
+(* The scripted client's frames: each connection's SYN and handshake ACK,
+   and the requests, all built once as bytes. *)
+let tcp_script pool host =
+  let open Ldlp_packet in
+  let frame ~conn ~seq ~ack ~flags ?payload () =
+    let m =
+      Ldlp_tcpmini.Host.client_frame host ~src_ip:tcp_client_ip
+        ~src_port:(tcp_port conn) ~dst_port:80 ~seq ~ack ~flags ?payload ()
+    in
+    let raw = Ldlp_buf.Mbuf.to_bytes m in
+    Ldlp_buf.Mbuf.free pool m;
+    raw
+  in
+  let client_iss = 5000 and server_iss = Ldlp_tcpmini.Tcp_input.initial_send_seq in
+  let syns =
+    Array.init tcp_conns (fun c ->
+        frame ~conn:c ~seq:client_iss ~ack:0 ~flags:Tcp.flag_syn ())
+  in
+  let acks =
+    Array.init tcp_conns (fun c ->
+        frame ~conn:c ~seq:(client_iss + 1) ~ack:(server_iss + 1) ~flags:Tcp.flag_ack ())
+  in
+  let sent = Array.make tcp_conns 0 in
+  let requests =
+    Array.init tcp_rpcs (fun k ->
+        let c = tcp_conn k in
+        let n = sent.(c) in
+        sent.(c) <- n + 1;
+        frame ~conn:c
+          ~seq:(client_iss + 1 + (64 * n))
+          ~ack:(server_iss + 1 + (64 * n))
+          ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
+          ~payload:(Bytes.make 64 (Char.chr (65 + (k mod 26))))
+          ())
+  in
+  (syns, acks, requests)
+
+(* Minor words per received segment over one fresh server, after one
+   warm-up server; exits on a stack that mishandles the script. *)
+let tcp_stack_words () =
+  let open Ldlp_tcpmini in
+  let module Engine = Ldlp_core.Engine in
+  let module Msg = Ldlp_core.Msg in
+  let run () =
+    let pool = Ldlp_buf.Pool.create () in
+    let mp = Msg.pool () in
+    let host =
+      Host.create ~pool ~msg_pool:mp
+        ~mac:(Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:01")
+        ~ip:tcp_server_ip ()
+    in
+    ignore (Host.listen host ~port:80);
+    let syns, acks, requests = tcp_script pool host in
+    let responses = ref 0 in
+    let eng =
+      Host.duplex host
+        ~discipline:(Engine.Ldlp Ldlp_core.Batch.paper_default)
+        ~wire:(fun m -> Ldlp_buf.Mbuf.free pool m)
+        ()
+    in
+    let inject node raw =
+      let m = Ldlp_buf.Mbuf.of_bytes pool raw in
+      Engine.inject eng ~node
+        (Msg.acquire mp ~arrival:0. ~size:(Bytes.length raw) (Host.wrap host m))
+    in
+    let rx raw = inject (Engine.duplex_rx_entry eng) raw in
+    Array.iter rx syns;
+    Engine.run eng;
+    Array.iter rx acks;
+    Engine.run eng;
+    let pcbs =
+      Array.init tcp_conns (fun c ->
+          Pcb.find (Host.table host) ~local_port:80 ~rip:tcp_client_ip
+            ~rport:(tcp_port c))
+    in
+    (* The application: echo every complete request as a response. *)
+    let serve c =
+      let pcb = pcbs.(c) in
+      while Sockbuf.length pcb.Pcb.sockbuf >= 64 do
+        match Host.send host pcb (Sockbuf.read pcb.Pcb.sockbuf 64) with
+        | Some frame ->
+          incr responses;
+          Engine.inject eng ~node:(Engine.duplex_tx_entry eng)
+            (Msg.acquire mp ~arrival:0. ~size:(Ldlp_buf.Mbuf.length frame)
+               (Host.wrap host frame))
+        | None -> ()
+      done
+    in
+    let delivered0 = (Host.counters host).Host.delivered_bytes in
+    let w0 = Gc.minor_words () in
+    for burst = 0 to (tcp_rpcs / 32) - 1 do
+      for k = 32 * burst to (32 * burst) + 31 do
+        rx requests.(k)
+      done;
+      Engine.run eng;
+      for k = 32 * burst to (32 * burst) + 31 do
+        serve (tcp_conn k)
+      done;
+      Engine.run eng
+    done;
+    let words = Gc.minor_words () -. w0 in
+    let ps = Ldlp_buf.Pool.stats pool in
+    if
+      Array.exists (fun p -> p.Pcb.state <> Pcb.Established) pcbs
+      || (Host.counters host).Host.delivered_bytes - delivered0 <> 64 * tcp_rpcs
+      || !responses <> tcp_rpcs
+      || ps.Ldlp_buf.Pool.small_in_use + ps.Ldlp_buf.Pool.cluster_in_use <> 0
+      || (Msg.pool_stats mp).Msg.p_outstanding <> 0
+    then begin
+      Printf.eprintf "FAIL: tcp-stack gate run mishandled its RPC script\n";
+      exit 1
+    end;
+    words /. float_of_int tcp_rpcs
+  in
+  ignore (run ());
+  run ()
+
 (* The regression gate alone (`--alloc-gate`): one metrics-on run per
    configuration — allocs/msg and simulated throughput are deterministic,
    so a single run measures them exactly; skipping the best-of-5
@@ -419,6 +566,8 @@ let bench_alloc_gate () =
   Printf.printf "%-20s %12.2f %12s\n" "shard-pipeline" shard_allocs "-";
   let q93b = q93b_stack_words () in
   Printf.printf "%-20s %12.2f %12s\n" "q93b-stack" q93b "-";
+  let tcp = tcp_stack_words () in
+  Printf.printf "%-20s %12.2f %12s\n" "tcp-stack" tcp "-";
   let gate ok msg = if ok then [] else [ msg ] in
   {
     doc = None;
@@ -437,7 +586,12 @@ let bench_alloc_gate () =
           (Printf.sprintf
              "Q.93B stack allocates %.2f minor words per message with %d \
               calls held (budget < %.0f)"
-             q93b q93b_held q93b_alloc_budget);
+             q93b q93b_held q93b_alloc_budget)
+      @ gate (tcp < tcp_alloc_budget)
+          (Printf.sprintf
+             "tcpmini stack allocates %.2f minor words per received segment \
+              over %d connections (budget < %.0f)"
+             tcp tcp_conns tcp_alloc_budget);
   }
 
 (* Chaos-soak loss ladder -> BENCH_soak.json.  One tcpmini echo soak

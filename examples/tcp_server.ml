@@ -57,7 +57,7 @@ let run ~discipline n =
     (* Handshake. *)
     inject
       (Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80
-         ~seq:100l ~ack:0l ~flags:Tcp.flag_syn ());
+         ~seq:100 ~ack:0 ~flags:Tcp.flag_syn ());
     let syn_ack_seq =
       match drain () with
       | [ (h, _) ] -> h.Tcp.seq
@@ -65,16 +65,16 @@ let run ~discipline n =
     in
     inject
       (Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80
-         ~seq:101l ~ack:(Tcp.seq_add syn_ack_seq 1) ~flags:Tcp.flag_ack ());
+         ~seq:101 ~ack:(Tcp.seq_add syn_ack_seq 1) ~flags:Tcp.flag_ack ());
     ignore (drain ());
     (* Request: two segments, so the delayed-ACK policy fires exactly once. *)
     inject
       (Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80
-         ~seq:101l ~ack:0l ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
+         ~seq:101 ~ack:0 ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
          ~payload:(Bytes.of_string "GET /object HT") ());
     inject
       (Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80
-         ~seq:115l ~ack:0l ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
+         ~seq:115 ~ack:0 ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
          ~payload:(Bytes.of_string "TP/1.0\r\n\r\n") ());
     ignore (drain ());
     (* Serve: read the request from the socket buffer, send 512 bytes. *)
@@ -92,7 +92,7 @@ let run ~discipline n =
       (* Teardown from the client. *)
       inject
         (Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80
-           ~seq:125l ~ack:0l ~flags:(Tcp.flag_fin lor Tcp.flag_ack) ());
+           ~seq:125 ~ack:0 ~flags:(Tcp.flag_fin lor Tcp.flag_ack) ());
       ignore (drain ());
       Pcb.drop (Host.table host) pcb
     | _ -> failwith "request not delivered");

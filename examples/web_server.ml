@@ -31,7 +31,7 @@ let build_request ~seq path =
       Pkt.Tcp.src_port = 32768;
       dst_port = 80;
       seq;
-      ack = 0l;
+      ack = 0;
       data_offset = 5;
       flags = Pkt.Tcp.flag_ack lor Pkt.Tcp.flag_psh;
       window = 8760;
@@ -162,7 +162,7 @@ let () =
   let requests () =
     List.init n (fun i ->
         build_request
-          ~seq:(Int32.of_int (1 + i))
+          ~seq:(1 + i)
           (Printf.sprintf "/doc/%d.html" i))
   in
   let show name (dt, served, bad, replies, bytes_out, stats) =

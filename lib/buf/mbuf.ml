@@ -71,14 +71,9 @@ let nsegs m =
   let rec go acc = function None -> acc | Some m -> go (acc + 1) m.next in
   go 0 (Some m)
 
-let iter_segments m f =
-  let rec go = function
-    | None -> ()
-    | Some m ->
-      if m.len > 0 then f m.data m.off m.len;
-      go m.next
-  in
-  go (Some m)
+let rec fold_segments m f acc =
+  let acc = if m.len > 0 then f acc m.data m.off m.len else acc in
+  match m.next with None -> acc | Some n -> fold_segments n f acc
 
 let last m =
   let rec go m = match m.next with None -> m | Some n -> go n in
@@ -119,14 +114,6 @@ let of_bytes pool ?(leading = lead_space) b =
   head
 
 let of_string pool ?leading s = of_bytes pool ?leading (Bytes.of_string s)
-
-let to_bytes m =
-  let out = Bytes.create (length m) in
-  let pos = ref 0 in
-  iter_segments m (fun data off len ->
-      Bytes.blit data off out !pos len;
-      pos := !pos + len);
-  out
 
 let rec get_byte_from m pos =
   if pos < m.len then Char.code (Bytes.get m.data (m.off + pos))
@@ -185,38 +172,54 @@ let adj m n =
     go keep (Some m)
   end
 
-let blit_to_bytes m ~pos ~(dst : bytes) ~dst_off ~len =
+(* [blit_from] and [copy_to] walk the chain by toplevel recursion on the
+   segment itself: every received segment's socket-buffer fill and every
+   header write goes through them, and a local [go] over [Some m] would
+   allocate a closure and an option per call. *)
+let rec blit_from m pos dst dst_off len =
+  if pos >= m.len then begin
+    match m.next with
+    | Some n -> blit_from n (pos - m.len) dst dst_off len
+    | None -> invalid "blit_to_bytes: range beyond end"
+  end
+  else begin
+    let n = min len (m.len - pos) in
+    Bytes.blit m.data (m.off + pos) dst dst_off n;
+    if len - n > 0 then
+      match m.next with
+      | Some next -> blit_from next 0 dst (dst_off + n) (len - n)
+      | None -> invalid "blit_to_bytes: range beyond end"
+  end
+
+let blit_to_bytes m ~pos dst ~dst_off ~len =
   if pos < 0 || len < 0 then invalid "blit_to_bytes: bad range";
-  let rec go pos dst_off len = function
-    | None -> if len > 0 then invalid "blit_to_bytes: range beyond end"
-    | Some m ->
-      if pos >= m.len then go (pos - m.len) dst_off len m.next
-      else begin
-        let n = min len (m.len - pos) in
-        Bytes.blit m.data (m.off + pos) dst dst_off n;
-        if len - n > 0 then go 0 (dst_off + n) (len - n) m.next
-      end
-  in
-  go pos dst_off len (Some m)
+  if len > 0 then blit_from m pos dst dst_off len
 
 let copy_out m ~pos ~len =
   let out = Bytes.create len in
-  blit_to_bytes m ~pos ~dst:out ~dst_off:0 ~len;
+  blit_to_bytes m ~pos out ~dst_off:0 ~len;
   out
 
-let copy_into m ~pos ~(src : bytes) ~src_off ~len =
+let to_bytes m = copy_out m ~pos:0 ~len:(length m)
+
+let rec copy_to m pos src src_off len =
+  if pos >= m.len then begin
+    match m.next with
+    | Some n -> copy_to n (pos - m.len) src src_off len
+    | None -> invalid "copy_into: range beyond end"
+  end
+  else begin
+    let n = min len (m.len - pos) in
+    Bytes.blit src src_off m.data (m.off + pos) n;
+    if len - n > 0 then
+      match m.next with
+      | Some next -> copy_to next 0 src (src_off + n) (len - n)
+      | None -> invalid "copy_into: range beyond end"
+  end
+
+let copy_into m ~pos src ~src_off ~len =
   if pos < 0 || len < 0 then invalid "copy_into: bad range";
-  let rec go pos src_off len = function
-    | None -> if len > 0 then invalid "copy_into: range beyond end"
-    | Some m ->
-      if pos >= m.len then go (pos - m.len) src_off len m.next
-      else begin
-        let n = min len (m.len - pos) in
-        Bytes.blit src src_off m.data (m.off + pos) n;
-        if len - n > 0 then go 0 (src_off + n) (len - n) m.next
-      end
-  in
-  go pos src_off len (Some m)
+  if len > 0 then copy_to m pos src src_off len
 
 let pullup pool m n =
   if n < 0 || n > msize then invalid "pullup: %d out of range" n;
@@ -225,7 +228,7 @@ let pullup pool m n =
   else begin
     let head = get pool in
     head.off <- 0;
-    blit_to_bytes m ~pos:0 ~dst:head.data ~dst_off:0 ~len:n;
+    blit_to_bytes m ~pos:0 head.data ~dst_off:0 ~len:n;
     head.len <- n;
     (* Drop the consumed prefix from the old chain and free empty leaders. *)
     adj m n;
@@ -271,9 +274,3 @@ let split pool m n =
 let concat a b =
   (last a).next <- Some b;
   a
-
-(* Re-expose wrappers matching the interface's labelled signature. *)
-let copy_into m ~pos src ~src_off ~len = copy_into m ~pos ~src ~src_off ~len
-
-let blit_to_bytes m ~pos dst ~dst_off ~len =
-  blit_to_bytes m ~pos ~dst ~dst_off ~len

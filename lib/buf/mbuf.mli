@@ -74,9 +74,11 @@ val seg_off : t -> int
 val get_byte : t -> int -> int
 (** Byte at logical offset, walking the chain. *)
 
-val iter_segments : t -> (bytes -> int -> int -> unit) -> unit
-(** [iter_segments m f] calls [f data off len] for each non-empty segment in
-    order.  This is the zero-copy traversal used by the checksum code. *)
+val fold_segments : t -> ('a -> bytes -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_segments m f acc] threads [acc] through [f acc data off len] for
+    each non-empty segment in order.  This is the zero-copy traversal the
+    chain checksum uses: with a toplevel [f] and an immediate [acc], a
+    traversal allocates nothing. *)
 
 (** {1 Mutation} *)
 
@@ -106,9 +108,12 @@ val append_bytes : Pool.t -> t -> bytes -> unit
 (** Copy bytes onto the end of the chain, extending it as needed. *)
 
 val copy_into : t -> pos:int -> bytes -> src_off:int -> len:int -> unit
-(** Overwrite [len] payload bytes at logical offset [pos]. *)
+(** Overwrite [len] payload bytes at logical offset [pos].  Allocates
+    nothing. *)
 
 val copy_out : t -> pos:int -> len:int -> bytes
 (** Copy [len] payload bytes starting at logical offset [pos]. *)
 
 val blit_to_bytes : t -> pos:int -> bytes -> dst_off:int -> len:int -> unit
+(** Copy [len] payload bytes starting at logical offset [pos] into the
+    buffer at [dst_off].  Allocates nothing. *)

@@ -29,12 +29,13 @@ module Mac = struct
   let is_broadcast t = String.equal t broadcast
 
   (* Compare against 6 raw bytes in place — the hot receive path's
-     address filter must not extract a substring per frame. *)
-  let equal_at t b off =
-    let rec go i =
-      i >= 6 || (Bytes.get b (off + i) = String.unsafe_get t i && go (i + 1))
-    in
-    off >= 0 && off + 6 <= Bytes.length b && go 0
+     address filter must not extract a substring per frame, nor allocate
+     the closure a local loop over [t], [b] and [off] would. *)
+  let rec equal_from t b off i =
+    i >= 6
+    || (Bytes.get b (off + i) = String.unsafe_get t i && equal_from t b off (i + 1))
+
+  let equal_at t b off = off >= 0 && off + 6 <= Bytes.length b && equal_from t b off 0
 
   let is_broadcast_at b off = equal_at broadcast b off
 
@@ -56,6 +57,14 @@ module Ipv4 = struct
     Bytes.get_int32_be b off
 
   let write t b off = Bytes.set_int32_be b off t
+
+  (* Two 16-bit reads against the unboxed address: no [int32] is boxed,
+     whatever the caller's inlining. *)
+  let equal_at t b off =
+    off >= 0
+    && off + 4 <= Bytes.length b
+    && (Bytes.get_uint16_be b off lsl 16) lor Bytes.get_uint16_be b (off + 2)
+       = Int32.to_int t land 0xFFFFFFFF
 
   let of_string s =
     match String.split_on_char '.' s with

@@ -23,7 +23,7 @@ module Mac : sig
   val equal_at : t -> bytes -> int -> bool
   (** [equal_at t b off] is [equal t (of_bytes b off)] without the
       extraction (false, not an exception, when the range is out of
-      bounds) — the receive path's address filter. *)
+      bounds) — the receive path's address filter.  Allocates nothing. *)
 
   val is_broadcast_at : bytes -> int -> bool
   (** [equal_at broadcast]. *)
@@ -42,6 +42,11 @@ module Ipv4 : sig
   val of_bytes : bytes -> int -> t
 
   val write : t -> bytes -> int -> unit
+
+  val equal_at : t -> bytes -> int -> bool
+  (** [equal_at t b off] is [equal t (of_bytes b off)] without boxing the
+      address read (false when the range is out of bounds).  Allocates
+      nothing. *)
 
   val of_string : string -> t
   (** Parse dotted quad; raises [Invalid_argument] otherwise. *)

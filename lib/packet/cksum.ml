@@ -31,31 +31,34 @@ let finish sum = lnot (fold16 sum) land 0xFFFF
 
 let simple buf off len = finish (partial buf off len)
 
+let word buf k = (byte buf k lsl 8) + byte buf (k + 1)
+
 (* The "elaborate" routine: 16 network-order words (32 bytes) per iteration,
    then an 8-byte loop, then the tail — structurally like 4.4BSD in_cksum,
-   whose unrolling is exactly what inflates its code footprint. *)
+   whose unrolling is exactly what inflates its code footprint.  [word] is
+   toplevel: a local one would be a closure over [buf] allocated per
+   call. *)
 let unrolled_partial buf off len =
   check_range buf off len;
   let sum = ref 0 in
   let i = ref off in
   let stop = off + len in
-  let word k = (byte buf k lsl 8) + byte buf (k + 1) in
   while stop - !i >= 32 do
     let k = !i in
     sum :=
-      !sum + word k + word (k + 2) + word (k + 4) + word (k + 6)
-      + word (k + 8) + word (k + 10) + word (k + 12) + word (k + 14)
-      + word (k + 16) + word (k + 18) + word (k + 20) + word (k + 22)
-      + word (k + 24) + word (k + 26) + word (k + 28) + word (k + 30);
+      !sum + word buf k + word buf (k + 2) + word buf (k + 4) + word buf (k + 6)
+      + word buf (k + 8) + word buf (k + 10) + word buf (k + 12) + word buf (k + 14)
+      + word buf (k + 16) + word buf (k + 18) + word buf (k + 20) + word buf (k + 22)
+      + word buf (k + 24) + word buf (k + 26) + word buf (k + 28) + word buf (k + 30);
     i := !i + 32
   done;
   while stop - !i >= 8 do
     let k = !i in
-    sum := !sum + word k + word (k + 2) + word (k + 4) + word (k + 6);
+    sum := !sum + word buf k + word buf (k + 2) + word buf (k + 4) + word buf (k + 6);
     i := !i + 8
   done;
   while !i + 1 < stop do
-    sum := !sum + word !i;
+    sum := !sum + word buf !i;
     i := !i + 2
   done;
   if !i < stop then sum := !sum + (byte buf !i lsl 8);
@@ -68,16 +71,20 @@ let swap16 v = ((v land 0xFF) lsl 8) lor (v lsr 8)
 (* Chain checksum: ones-complement sums commute with byte swapping, so a
    segment starting at an odd payload offset is summed normally and its
    folded contribution swapped — the classic 4.4BSD trick for odd-length
-   mbufs. *)
-let chain_with seg_partial m =
-  let acc = ref 0 and odd = ref false in
-  Ldlp_buf.Mbuf.iter_segments m (fun data off len ->
-      let part = fold16 (seg_partial data off len) in
-      let part = if !odd then swap16 part else part in
-      acc := !acc + part;
-      if len land 1 = 1 then odd := not !odd);
-  finish !acc
+   mbufs.  The fold state is one immediate int, the running sum shifted
+   left once with the odd-offset flag in bit 0, and the two per-segment
+   steps are toplevel functions, so checksumming a chain allocates
+   nothing. *)
+let step part acc len =
+  let part = fold16 part in
+  let odd = acc land 1 in
+  let part = if odd = 1 then swap16 part else part in
+  (((acc lsr 1) + part) lsl 1) lor (odd lxor (len land 1))
 
-let simple_chain m = chain_with partial m
+let simple_step acc data off len = step (partial data off len) acc len
 
-let unrolled_chain m = chain_with unrolled_partial m
+let unrolled_step acc data off len = step (unrolled_partial data off len) acc len
+
+let simple_chain m = finish (Ldlp_buf.Mbuf.fold_segments m simple_step 0 lsr 1)
+
+let unrolled_chain m = finish (Ldlp_buf.Mbuf.fold_segments m unrolled_step 0 lsr 1)

@@ -20,7 +20,8 @@ val unrolled : bytes -> int -> int -> int
 
 val simple_chain : Ldlp_buf.Mbuf.t -> int
 (** Checksum an mbuf chain without linearising it, handling odd-length
-    segments with byte-swapped carry as 4.4BSD does. *)
+    segments with byte-swapped carry as 4.4BSD does.  Allocates
+    nothing. *)
 
 val unrolled_chain : Ldlp_buf.Mbuf.t -> int
 

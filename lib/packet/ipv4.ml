@@ -114,6 +114,8 @@ let src_at buf off = Addr.Ipv4.of_bytes buf (off + 12)
 
 let dst_at buf off = Addr.Ipv4.of_bytes buf (off + 16)
 
+let dst_equal addr buf off = Addr.Ipv4.equal_at addr buf (off + 16)
+
 let check_at ?(verify_checksum = true) buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin

@@ -76,6 +76,10 @@ val src_at : bytes -> int -> Addr.Ipv4.t
 
 val dst_at : bytes -> int -> Addr.Ipv4.t
 
+val dst_equal : Addr.Ipv4.t -> bytes -> int -> bool
+(** [dst_equal addr buf off] compares the destination of the header at
+    [off] against [addr] without boxing it. *)
+
 val write :
   tos:int ->
   total_length:int ->

@@ -1,8 +1,8 @@
 type header = {
   src_port : int;
   dst_port : int;
-  seq : int32;
-  ack : int32;
+  seq : int;
+  ack : int;
   data_offset : int;
   flags : int;
   window : int;
@@ -39,6 +39,14 @@ let set16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
 
+(* Sequence numbers travel as immediate ints in [0, 2^32): read and
+   written as two 16-bit halves, never through a boxed [int32]. *)
+let get32 buf off = (get16 buf off lsl 16) lor get16 buf (off + 2)
+
+let set32 buf off v =
+  set16 buf off (v lsr 16);
+  set16 buf (off + 2) v
+
 let parse buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin
@@ -50,8 +58,8 @@ let parse buf off len =
         ( {
             src_port = get16 buf off;
             dst_port = get16 buf (off + 2);
-            seq = Bytes.get_int32_be buf (off + 4);
-            ack = Bytes.get_int32_be buf (off + 8);
+            seq = get32 buf (off + 4);
+            ack = get32 buf (off + 8);
             data_offset;
             flags = Char.code (Bytes.get buf (off + 13)) land 0x3F;
             window = get16 buf (off + 14);
@@ -69,9 +77,9 @@ let src_port_at buf off = get16 buf off
 
 let dst_port_at buf off = get16 buf (off + 2)
 
-let seq_at buf off = Bytes.get_int32_be buf (off + 4)
+let seq_at buf off = get32 buf (off + 4)
 
-let ack_at buf off = Bytes.get_int32_be buf (off + 8)
+let ack_at buf off = get32 buf (off + 8)
 
 let data_offset_at buf off = Char.code (Bytes.get buf (off + 12)) lsr 4
 
@@ -94,8 +102,8 @@ let write ~src_port ~dst_port ~seq ~ack ~data_offset ~flags ~window ~urgent buf
     off =
   set16 buf off src_port;
   set16 buf (off + 2) dst_port;
-  Bytes.set_int32_be buf (off + 4) seq;
-  Bytes.set_int32_be buf (off + 8) ack;
+  set32 buf (off + 4) seq;
+  set32 buf (off + 8) ack;
   Bytes.set buf (off + 12) (Char.chr ((data_offset land 0xF) lsl 4));
   Bytes.set buf (off + 13) (Char.chr (flags land 0x3F));
   set16 buf (off + 14) window;
@@ -105,8 +113,8 @@ let write ~src_port ~dst_port ~seq ~ack ~data_offset ~flags ~window ~urgent buf
 let build h buf off =
   set16 buf off h.src_port;
   set16 buf (off + 2) h.dst_port;
-  Bytes.set_int32_be buf (off + 4) h.seq;
-  Bytes.set_int32_be buf (off + 8) h.ack;
+  set32 buf (off + 4) h.seq;
+  set32 buf (off + 8) h.ack;
   Bytes.set buf (off + 12) (Char.chr ((h.data_offset land 0xF) lsl 4));
   Bytes.set buf (off + 13) (Char.chr (h.flags land 0x3F));
   set16 buf (off + 14) h.window;
@@ -117,25 +125,32 @@ let checksum ~src ~dst buf off len =
   let pseudo = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_tcp ~len in
   Cksum.finish (pseudo + Cksum.partial buf off len)
 
-let verify_checksum ~src ~dst m =
+(* The checksum of the segment held in a chain, pseudo-header included:
+   [simple_chain] complements its sum, so undo that to combine the two
+   raw sums. *)
+let chain_checksum ~src ~dst m =
   let len = Ldlp_buf.Mbuf.length m in
   let pseudo = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_tcp ~len in
-  (* finish(pseudo + segment) must be zero; compute via a flat copy of the
-     pseudo-header plus the chain sum. *)
-  let seg = Cksum.simple_chain m in
-  (* simple_chain already complements; undo to combine raw sums. *)
-  let seg_raw = lnot seg land 0xFFFF in
-  Cksum.finish (pseudo + seg_raw) = 0
+  Cksum.finish (pseudo + (lnot (Cksum.simple_chain m) land 0xFFFF))
+
+let verify_checksum ~src ~dst m = chain_checksum ~src ~dst m = 0
+
+let store_chain_checksum ~src ~dst m =
+  let buf = Ldlp_buf.Mbuf.seg_data m and off = Ldlp_buf.Mbuf.seg_off m in
+  set16 buf (off + 16) 0;
+  set16 buf (off + 16) (chain_checksum ~src ~dst m)
 
 let store_checksum ~src ~dst buf off len =
   set16 buf (off + 16) 0;
   let c = checksum ~src ~dst buf off len in
   set16 buf (off + 16) c
 
-let seq_diff a b = Int32.to_int (Int32.sub a b)
+(* RFC 793 modular arithmetic on sequence numbers held as ints in
+   [0, 2^32): the signed 32-bit distance, sign-extended by hand. *)
+let seq_diff a b = ((a - b + 0x8000_0000) land 0xFFFF_FFFF) - 0x8000_0000
 
 let seq_lt a b = seq_diff a b < 0
 
 let seq_leq a b = seq_diff a b <= 0
 
-let seq_add a n = Int32.add a (Int32.of_int n)
+let seq_add a n = (a + n) land 0xFFFF_FFFF

@@ -3,8 +3,8 @@
 type header = {
   src_port : int;
   dst_port : int;
-  seq : int32;
-  ack : int32;
+  seq : int;  (** In [[0, 2^32)]. *)
+  ack : int;
   data_offset : int;  (** Header length in 32-bit words. *)
   flags : int;  (** Bitwise-or of the [flag_*] constants. *)
   window : int;
@@ -44,8 +44,8 @@ val build : header -> bytes -> int -> unit
 (** {1 Cursor access}
 
     Field reads straight off the wire bytes and a record-free writer —
-    the hot-path alternative to {!parse}/{!build} that touches the heap
-    only for the (boxed) [int32] sequence numbers.  The [*_at] accessors
+    the hot-path alternative to {!parse}/{!build}, touching no heap: the
+    sequence numbers are immediate ints.  The [*_at] accessors
     perform {e no} validation; call {!check_at} first (it runs exactly
     the checks {!parse} runs) or only use them on buffers this module
     built.  Property-tested byte-for-byte equivalent to the record API
@@ -60,9 +60,9 @@ val src_port_at : bytes -> int -> int
 
 val dst_port_at : bytes -> int -> int
 
-val seq_at : bytes -> int -> int32
+val seq_at : bytes -> int -> int
 
-val ack_at : bytes -> int -> int32
+val ack_at : bytes -> int -> int
 
 val data_offset_at : bytes -> int -> int
 
@@ -75,8 +75,8 @@ val urgent_at : bytes -> int -> int
 val write :
   src_port:int ->
   dst_port:int ->
-  seq:int32 ->
-  ack:int32 ->
+  seq:int ->
+  ack:int ->
   data_offset:int ->
   flags:int ->
   window:int ->
@@ -85,7 +85,8 @@ val write :
   int ->
   unit
 (** {!build} from scalar fields: writes the same 20 bytes (checksum field
-    zeroed) without an intermediate [header] record. *)
+    zeroed) without an intermediate [header] record.  [seq] and [ack] are
+    written modulo 2^32. *)
 
 val checksum :
   src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> bytes -> int -> int -> int
@@ -99,13 +100,22 @@ val verify_checksum :
 val store_checksum : src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> bytes -> int -> int -> unit
 (** Compute and store the checksum of the segment at [off..off+len). *)
 
-(** Modular 32-bit sequence comparison (RFC 793 arithmetic). *)
+val store_chain_checksum :
+  src:Addr.Ipv4.t -> dst:Addr.Ipv4.t -> Ldlp_buf.Mbuf.t -> unit
+(** Compute and store the checksum of the segment held in a chain whose
+    20-byte fixed header lies in the head mbuf (see
+    {!Ldlp_buf.Mbuf.contiguous}), summing the payload where it lies.
+    Allocates nothing. *)
 
-val seq_lt : int32 -> int32 -> bool
+(** Modular 32-bit sequence arithmetic (RFC 793) on sequence numbers held
+    as immediate ints in [[0, 2^32)]. *)
 
-val seq_leq : int32 -> int32 -> bool
+val seq_lt : int -> int -> bool
 
-val seq_add : int32 -> int -> int32
+val seq_leq : int -> int -> bool
 
-val seq_diff : int32 -> int32 -> int
-(** [seq_diff a b] is the signed distance [a - b]. *)
+val seq_add : int -> int -> int
+(** [seq_add a n] is [a + n] modulo 2^32. *)
+
+val seq_diff : int -> int -> int
+(** [seq_diff a b] is the signed 32-bit distance [a - b]. *)

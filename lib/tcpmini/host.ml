@@ -28,11 +28,17 @@ type t = {
   gateway_mac : Pkt.Addr.Mac.t;
   pcbs : Pcb.table;
   reasm : Pkt.Reasm.t option;
-  mutable c : counters;
+  out : Tcp_input.outcome;  (* the TCP layer's per-segment scratch *)
+  mutable n_frames_in : int;
+  mutable n_non_ip : int;
+  mutable n_non_tcp : int;
+  mutable n_bad_ip : int;
+  mutable n_delivered_bytes : int;
+  mutable n_retransmits : int;
   mutable ident : int;
   mutable timers : timers option;
-  (* Scalar mirrors of [counters] on an attached metric sheet (dummy refs
-     otherwise), bumped through the gated [Metrics.add_scalar]. *)
+  (* Scalar mirrors of the counters on an attached metric sheet (dummy
+     refs otherwise), bumped through the gated [Metrics.add_scalar]. *)
   frames_in_sc : int ref;
   non_ip_sc : int ref;
   non_tcp_sc : int ref;
@@ -54,15 +60,13 @@ let create ~pool ?msg_pool ~mac ~ip ?(gateway_mac = Pkt.Addr.Mac.broadcast)
     gateway_mac;
     pcbs = Pcb.create_table ();
     reasm = (if reassemble then Some (Pkt.Reasm.create ()) else None);
-    c =
-      {
-        frames_in = 0;
-        non_ip = 0;
-        non_tcp = 0;
-        bad_ip = 0;
-        delivered_bytes = 0;
-        retransmits = 0;
-      };
+    out = Tcp_input.create_outcome ();
+    n_frames_in = 0;
+    n_non_ip = 0;
+    n_non_tcp = 0;
+    n_bad_ip = 0;
+    n_delivered_bytes = 0;
+    n_retransmits = 0;
     ident = 0;
     timers = None;
     frames_in_sc = sc "frames_in";
@@ -81,33 +85,28 @@ let table t = t.pcbs
 
 let ip t = t.my_ip
 
-let counters t = t.c
+let counters t =
+  {
+    frames_in = t.n_frames_in;
+    non_ip = t.n_non_ip;
+    non_tcp = t.n_non_tcp;
+    bad_ip = t.n_bad_ip;
+    delivered_bytes = t.n_delivered_bytes;
+    retransmits = t.n_retransmits;
+  }
 
-(* Headers are written with the cursor writers straight into the chain's
-   leading space — no scratch header buffer, no header records — and are
-   byte-identical to what the [encapsulate] record path produced. *)
-let build_frame t ~dst_ip segment =
-  let m = Mbuf.of_bytes t.pool segment in
+(* Every frame this host transmits is built here, by the one frame
+   builder, with the next IP identification. *)
+let frame t ~dst ~src_port ~dst_port ~seq ~ack ~flags ~window payload =
   t.ident <- (t.ident + 1) land 0xFFFF;
-  let total_length = Mbuf.length m + Pkt.Ipv4.header_bytes in
-  let m = Mbuf.prepend m Pkt.Ipv4.header_bytes in
-  Pkt.Ipv4.write ~tos:0 ~total_length ~ident:t.ident ~dont_fragment:true
-    ~more_fragments:false ~fragment_offset:0 ~ttl:64
-    ~protocol:Pkt.Ipv4.proto_tcp ~src:t.my_ip ~dst:dst_ip (Mbuf.seg_data m)
-    (Mbuf.seg_off m);
-  let m = Mbuf.prepend m Pkt.Ethernet.header_bytes in
-  Pkt.Ethernet.write ~dst:t.gateway_mac ~src:t.mac
-    ~ethertype:Pkt.Ethernet.ethertype_ipv4 (Mbuf.seg_data m) (Mbuf.seg_off m);
-  m
+  Tcp_output.frame t.pool ~eth_src:t.mac ~eth_dst:t.gateway_mac ~src:t.my_ip
+    ~dst ~ident:t.ident ~src_port ~dst_port ~seq ~ack ~flags ~window payload
 
-let reply_frame t (r : Tcp_input.reply) =
-  let segment =
-    Tcp_output.build ~src:t.my_ip ~dst:r.Tcp_input.dst
-      ~src_port:r.Tcp_input.src_port ~dst_port:r.Tcp_input.dst_port
-      ~seq:r.Tcp_input.seq ~ack:r.Tcp_input.ack ~flags:r.Tcp_input.flags
-      ~window:r.Tcp_input.window ()
-  in
-  build_frame t ~dst_ip:r.Tcp_input.dst segment
+let reply_frame t (o : Tcp_input.outcome) =
+  frame t ~dst:o.Tcp_input.reply_dst ~src_port:o.Tcp_input.reply_src_port
+    ~dst_port:o.Tcp_input.reply_dst_port ~seq:o.Tcp_input.reply_seq
+    ~ack:o.Tcp_input.reply_ack ~flags:o.Tcp_input.reply_flags
+    ~window:o.Tcp_input.reply_window Bytes.empty
 
 (* ---------- loss recovery (only active once timers are attached) ---------- *)
 
@@ -123,18 +122,16 @@ let seg_frame t (pcb : Pcb.t) (s : Pcb.seg) =
   | None -> None
   | Some (rip, rport) ->
     let has_ack = s.Pcb.seg_flags land Pkt.Tcp.flag_ack <> 0 in
-    let segment =
-      Tcp_output.build ~src:t.my_ip ~dst:rip ~src_port:pcb.Pcb.local_port
-        ~dst_port:rport ~seq:s.Pcb.seg_seq
-        ~ack:(if has_ack then pcb.Pcb.rcv_nxt else 0l)
-        ~flags:s.Pcb.seg_flags
-        ~window:(Sockbuf.space pcb.Pcb.sockbuf)
-        ~payload:s.Pcb.seg_payload ()
-    in
-    Some (build_frame t ~dst_ip:rip segment)
+    Some
+      (frame t ~dst:rip ~src_port:pcb.Pcb.local_port ~dst_port:rport
+         ~seq:s.Pcb.seg_seq
+         ~ack:(if has_ack then pcb.Pcb.rcv_nxt else 0)
+         ~flags:s.Pcb.seg_flags
+         ~window:(Sockbuf.space pcb.Pcb.sockbuf)
+         s.Pcb.seg_payload)
 
 let count_retransmit t =
-  t.c <- { t.c with retransmits = t.c.retransmits + 1 };
+  t.n_retransmits <- t.n_retransmits + 1;
   Metrics.add_scalar t.retransmits_sc 1
 
 let retransmit_seg t pcb (s : Pcb.seg) ~now =
@@ -197,14 +194,12 @@ let arm_delack t (pcb : Pcb.t) =
                  && (pcb.Pcb.state = Pcb.Established
                     || pcb.Pcb.state = Pcb.Close_wait) ->
             pcb.Pcb.delayed_ack <- 0;
-            let segment =
-              Tcp_output.build ~src:t.my_ip ~dst:rip
-                ~src_port:pcb.Pcb.local_port ~dst_port:rport
-                ~seq:pcb.Pcb.snd_nxt ~ack:pcb.Pcb.rcv_nxt
-                ~flags:Pkt.Tcp.flag_ack
-                ~window:(Sockbuf.space pcb.Pcb.sockbuf) ()
-            in
-            tm.tx (build_frame t ~dst_ip:rip segment)
+            tm.tx
+              (frame t ~dst:rip ~src_port:pcb.Pcb.local_port ~dst_port:rport
+                 ~seq:pcb.Pcb.snd_nxt ~ack:pcb.Pcb.rcv_nxt
+                 ~flags:Pkt.Tcp.flag_ack
+                 ~window:(Sockbuf.space pcb.Pcb.sockbuf)
+                 Bytes.empty)
           | _ -> ())
     end
 
@@ -217,28 +212,57 @@ let track_tx t (pcb : Pcb.t) ~seq ~flags payload =
     arm_rtx t pcb
 
 (* Post-input recovery hook, run after the TCP layer has processed a
-   segment for [pcb]: emit a pending fast retransmit, keep the
-   retransmission timer armed while data is outstanding, and arm the
-   delayed-ACK timer when an ACK is owed. *)
-let recovery_frames t (pcb : Pcb.t) ~now =
-  match t.timers with
-  | None -> []
-  | Some _ ->
-    let fast =
-      if pcb.Pcb.fast_retx_pending then begin
-        pcb.Pcb.fast_retx_pending <- false;
-        match Pcb.oldest_unacked pcb with
-        | None -> []
-        | Some s -> (
-          match retransmit_seg t pcb s ~now with
-          | Some frame -> [ frame ]
-          | None -> [])
-      end
-      else []
-    in
-    arm_rtx t pcb;
-    arm_delack t pcb;
-    fast
+   segment for [pcb]: keep the retransmission timer armed while data is
+   outstanding, arm the delayed-ACK timer when an ACK is owed, and return
+   the pending fast retransmit, if any. *)
+let recovery_frame t (pcb : Pcb.t) ~now =
+  let fast =
+    if pcb.Pcb.fast_retx_pending then begin
+      pcb.Pcb.fast_retx_pending <- false;
+      match Pcb.oldest_unacked pcb with
+      | None -> None
+      | Some s -> retransmit_seg t pcb s ~now
+    end
+    else None
+  in
+  arm_rtx t pcb;
+  arm_delack t pcb;
+  fast
+
+let send_down t msg frame =
+  (* Outbound frames draw their message from the host's pool when one is
+     attached (released again at the wire/consume sinks); without a pool,
+     the pre-pooling copy-on-write behavior. *)
+  let item = { buf = frame; src_ip = t.my_ip } in
+  let size = Mbuf.length frame in
+  Core.Layer.Send_down
+    (match t.msg_pool with
+    | Some mp -> Core.Msg.acquire mp ~arrival:msg.Core.Msg.arrival ~size item
+    | None -> Core.Msg.with_payload msg item ~size)
+
+(* The TCP layer's answer with timers attached: a SYN-ACK is tracked like
+   data (it consumes sequence space and must survive loss), and the
+   reply, if any, goes down before a fast retransmission. *)
+let recovery_actions t msg (o : Tcp_input.outcome) =
+  let reply =
+    if o.Tcp_input.reply then begin
+      if o.Tcp_input.reply_flags land Pkt.Tcp.flag_syn <> 0 && o.Tcp_input.pcb != Pcb.none
+      then
+        track_tx t o.Tcp_input.pcb ~seq:o.Tcp_input.reply_seq
+          ~flags:o.Tcp_input.reply_flags Bytes.empty;
+      Some (send_down t msg (reply_frame t o))
+    end
+    else None
+  in
+  let fast =
+    if o.Tcp_input.pcb == Pcb.none then None
+    else recovery_frame t o.Tcp_input.pcb ~now:msg.Core.Msg.arrival
+  in
+  match (reply, fast) with
+  | None, None -> Core.Layer.consume_only
+  | Some r, None -> [ Core.Layer.Consume; r ]
+  | None, Some f -> [ Core.Layer.Consume; send_down t msg f ]
+  | Some r, Some f -> [ Core.Layer.Consume; r; send_down t msg f ]
 
 let layers t =
   let consume_bad m =
@@ -249,7 +273,7 @@ let layers t =
     Core.Layer.v ~name:"ether"
       ~fp:(Core.Layer.footprint ~code_bytes:4480 ~data_bytes:864 ())
       (fun msg ->
-        t.c <- { t.c with frames_in = t.c.frames_in + 1 };
+        t.n_frames_in <- t.n_frames_in + 1;
         Metrics.add_scalar t.frames_in_sc 1;
         let m = msg.Core.Msg.payload.buf in
         if Mbuf.contiguous m Pkt.Ethernet.header_bytes then begin
@@ -266,7 +290,7 @@ let layers t =
             Core.Layer.up_only
           end
           else begin
-            t.c <- { t.c with non_ip = t.c.non_ip + 1 };
+            t.n_non_ip <- t.n_non_ip + 1;
             Metrics.add_scalar t.non_ip_sc 1;
             consume_bad m
           end
@@ -280,7 +304,7 @@ let layers t =
                     || Pkt.Addr.Mac.is_broadcast h.Pkt.Ethernet.dst) ->
             Core.Layer.up_only
           | Ok _ | Error _ ->
-            t.c <- { t.c with non_ip = t.c.non_ip + 1 };
+            t.n_non_ip <- t.n_non_ip + 1;
             Metrics.add_scalar t.non_ip_sc 1;
             consume_bad m)
   in
@@ -305,7 +329,7 @@ let layers t =
              | Error _ -> false)
           && Pkt.Ipv4.protocol_at buf off = Pkt.Ipv4.proto_tcp
           && Pkt.Ipv4.frag_at buf off land 0x3FFF = 0
-          && Pkt.Addr.Ipv4.equal (Pkt.Ipv4.dst_at buf off) t.my_ip
+          && Pkt.Ipv4.dst_equal t.my_ip buf off
           && Pkt.Ipv4.total_length_at buf off <= len
         in
         if fast then begin
@@ -344,15 +368,15 @@ let layers t =
             Core.Layer.up_only
           | Pkt.Reasm.Pending -> Core.Layer.consume_only
           | Pkt.Reasm.Rejected _ ->
-            t.c <- { t.c with bad_ip = t.c.bad_ip + 1 };
+            t.n_bad_ip <- t.n_bad_ip + 1;
             Metrics.add_scalar t.bad_ip_sc 1;
             Core.Layer.consume_only)
         | Ok h when h.Pkt.Ipv4.protocol <> Pkt.Ipv4.proto_tcp ->
-          t.c <- { t.c with non_tcp = t.c.non_tcp + 1 };
+          t.n_non_tcp <- t.n_non_tcp + 1;
           Metrics.add_scalar t.non_tcp_sc 1;
           consume_bad m
         | Ok _ | Error _ ->
-          t.c <- { t.c with bad_ip = t.c.bad_ip + 1 };
+          t.n_bad_ip <- t.n_bad_ip + 1;
           Metrics.add_scalar t.bad_ip_sc 1;
           consume_bad m)
   in
@@ -360,48 +384,18 @@ let layers t =
     Core.Layer.v ~name:"tcp"
       ~fp:(Core.Layer.footprint ~code_bytes:5536 ~data_bytes:544 ())
       (fun msg ->
-        let m = msg.Core.Msg.payload.buf in
-        let o =
-          Tcp_input.segment_arrived t.pcbs ~my_ip:t.my_ip
-            ~src_ip:msg.Core.Msg.payload.src_ip ~pool:t.pool
-            ~now:msg.Core.Msg.arrival m
-        in
-        t.c <- { t.c with delivered_bytes = t.c.delivered_bytes + o.Tcp_input.delivered };
+        let o = t.out in
+        Tcp_input.segment_arrived t.pcbs o ~my_ip:t.my_ip
+          ~src_ip:msg.Core.Msg.payload.src_ip ~pool:t.pool
+          ~now:msg.Core.Msg.arrival msg.Core.Msg.payload.buf;
+        t.n_delivered_bytes <- t.n_delivered_bytes + o.Tcp_input.delivered;
         Metrics.add_scalar t.delivered_bytes_sc o.Tcp_input.delivered;
-        let send_down frame =
-          (* Outbound frames draw their message from the host's pool when
-             one is attached (released again at the wire/consume sinks);
-             without a pool, the pre-pooling copy-on-write behavior. *)
-          let item = { buf = frame; src_ip = t.my_ip } in
-          let size = Mbuf.length frame in
-          Core.Layer.Send_down
-            (match t.msg_pool with
-            | Some mp ->
-              Core.Msg.acquire mp ~arrival:msg.Core.Msg.arrival ~size item
-            | None -> Core.Msg.with_payload msg item ~size)
-        in
-        let downs =
-          List.map
-            (fun (r : Tcp_input.reply) ->
-              (* A SYN-bearing reply (the SYN-ACK) consumes sequence space
-                 and must survive loss like data does. *)
-              (if r.Tcp_input.flags land Pkt.Tcp.flag_syn <> 0 then
-                 match o.Tcp_input.pcb with
-                 | Some pcb ->
-                   track_tx t pcb ~seq:r.Tcp_input.seq ~flags:r.Tcp_input.flags
-                     Bytes.empty
-                 | None -> ());
-              send_down (reply_frame t r))
-            o.Tcp_input.replies
-        in
-        let recovery =
-          match o.Tcp_input.pcb with
-          | Some pcb ->
-            List.map send_down
-              (recovery_frames t pcb ~now:msg.Core.Msg.arrival)
-          | None -> []
-        in
-        Core.Layer.Consume :: (downs @ recovery))
+        match t.timers with
+        | Some _ -> recovery_actions t msg o
+        | None ->
+          if o.Tcp_input.reply then
+            [ Core.Layer.Consume; send_down t msg (reply_frame t o) ]
+          else Core.Layer.consume_only)
   in
   [ ether; ip_layer; tcp ]
 
@@ -435,64 +429,42 @@ let connect t ~dst:(dst_ip, dst_port) ~src_port =
   in
   pcb.Pcb.snd_nxt <- Tcp_input.initial_send_seq;
   pcb.Pcb.snd_una <- Tcp_input.initial_send_seq;
-  let segment =
-    Tcp_output.build ~src:t.my_ip ~dst:dst_ip ~src_port ~dst_port
-      ~seq:pcb.Pcb.snd_nxt ~ack:0l ~flags:Pkt.Tcp.flag_syn
-      ~window:(Sockbuf.space pcb.Pcb.sockbuf) ()
+  let syn =
+    frame t ~dst:dst_ip ~src_port ~dst_port ~seq:pcb.Pcb.snd_nxt ~ack:0
+      ~flags:Pkt.Tcp.flag_syn ~window:(Sockbuf.space pcb.Pcb.sockbuf) Bytes.empty
   in
   track_tx t pcb ~seq:pcb.Pcb.snd_nxt ~flags:Pkt.Tcp.flag_syn Bytes.empty;
   pcb.Pcb.snd_nxt <- Pkt.Tcp.seq_add pcb.Pcb.snd_nxt 1;
-  (pcb, build_frame t ~dst_ip segment)
+  (pcb, syn)
 
 let send t (pcb : Pcb.t) payload =
   match (pcb.Pcb.state, pcb.Pcb.remote) with
   | (Pcb.Established | Pcb.Close_wait), Some (rip, rport) ->
     let seq = pcb.Pcb.snd_nxt in
     let flags = Pkt.Tcp.flag_ack lor Pkt.Tcp.flag_psh in
-    let segment =
-      Tcp_output.build ~src:t.my_ip ~dst:rip ~src_port:pcb.Pcb.local_port
-        ~dst_port:rport ~seq ~ack:pcb.Pcb.rcv_nxt ~flags
+    let data =
+      frame t ~dst:rip ~src_port:pcb.Pcb.local_port ~dst_port:rport ~seq
+        ~ack:pcb.Pcb.rcv_nxt ~flags
         ~window:(Sockbuf.space pcb.Pcb.sockbuf)
-        ~payload ()
+        payload
     in
     pcb.Pcb.snd_nxt <- Pkt.Tcp.seq_add pcb.Pcb.snd_nxt (Bytes.length payload);
-    if t.timers <> None then begin
+    (match t.timers with
+    | None -> ()
+    | Some _ ->
       (* The segment piggybacks the newest ACK, so nothing is owed. *)
       pcb.Pcb.delayed_ack <- 0;
-      track_tx t pcb ~seq ~flags payload
-    end;
-    Some (build_frame t ~dst_ip:rip segment)
+      track_tx t pcb ~seq ~flags payload);
+    Some data
   | _ -> None
+
+let client_mac = Pkt.Addr.Mac.of_string "02:00:00:00:00:aa"
 
 let client_frame t ~src_ip ~src_port ~dst_port ~seq ~ack ~flags
     ?(payload = Bytes.empty) () =
-  let segment =
-    Tcp_output.build ~src:src_ip ~dst:t.my_ip ~src_port ~dst_port ~seq ~ack
-      ~flags ~window:8760 ~payload ()
-  in
-  let m = Mbuf.of_bytes t.pool segment in
-  let m =
-    Pkt.Ipv4.encapsulate m
-      {
-        Pkt.Ipv4.ihl = 5;
-        tos = 0;
-        total_length = 0;
-        ident = 0;
-        dont_fragment = true;
-        more_fragments = false;
-        fragment_offset = 0;
-        ttl = 64;
-        protocol = Pkt.Ipv4.proto_tcp;
-        src = src_ip;
-        dst = t.my_ip;
-      }
-  in
-  Pkt.Ethernet.encapsulate m
-    {
-      Pkt.Ethernet.dst = t.mac;
-      src = Pkt.Addr.Mac.of_string "02:00:00:00:00:aa";
-      ethertype = Pkt.Ethernet.ethertype_ipv4;
-    }
+  Tcp_output.frame t.pool ~eth_src:client_mac ~eth_dst:t.mac ~src:src_ip
+    ~dst:t.my_ip ~ident:0 ~src_port ~dst_port ~seq ~ack ~flags ~window:8760
+    payload
 
 let parse_tx t item =
   let m = item.buf in

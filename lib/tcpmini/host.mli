@@ -5,7 +5,17 @@
 
     The host consumes raw Ethernet frames (as mbuf chains) and produces
     raw Ethernet frames (ACKs, SYN-ACKs, RSTs) through the stack's
-    downward sink. *)
+    downward sink.
+
+    The receive-and-ACK path allocates only what it hands out.  The layers
+    read headers in place, count into mutable fields, and answer with the
+    static {!Ldlp_core.Layer.up_only}/{!Ldlp_core.Layer.consume_only}, or
+    [[Consume; Send_down reply]] when the TCP layer answers a segment;
+    {!Tcp_input} writes each segment's result into one scratch outcome per
+    host; and every frame the host transmits (replies, {!send},
+    {!connect}, retransmissions, delayed ACKs and {!client_frame}) comes
+    from {!Tcp_output.frame}, which copies the payload once into pooled
+    mbufs and writes all three headers into their leading space. *)
 
 type t
 
@@ -98,6 +108,7 @@ type counters = {
 }
 
 val counters : t -> counters
+(** A snapshot of the host's counters. *)
 
 (** {1 Loss recovery}
 
@@ -150,13 +161,15 @@ val client_frame :
   src_ip:Ldlp_packet.Addr.Ipv4.t ->
   src_port:int ->
   dst_port:int ->
-  seq:int32 ->
-  ack:int32 ->
+  seq:int ->
+  ack:int ->
   flags:int ->
   ?payload:bytes ->
   unit ->
   Ldlp_buf.Mbuf.t
-(** A complete, checksummed Ethernet+IP+TCP frame addressed to this host. *)
+(** A complete, checksummed Ethernet+IP+TCP frame addressed to this host,
+    as a client at [src_ip] (MAC 02:00:00:00:00:aa, IP identification 0,
+    window 8760) would send it. *)
 
 val parse_tx :
   t -> item -> (Ldlp_packet.Tcp.header * bytes) option

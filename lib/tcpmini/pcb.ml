@@ -12,7 +12,7 @@ let state_name = function
   | Closed -> "closed"
 
 type seg = {
-  seg_seq : int32;
+  seg_seq : int;
   seg_flags : int;
   seg_payload : bytes;
   mutable seg_sent_at : float;
@@ -23,10 +23,10 @@ type t = {
   local_port : int;
   mutable remote : (Ipv4.t * int) option;
   mutable state : state;
-  mutable irs : int32;
-  mutable rcv_nxt : int32;
-  mutable snd_nxt : int32;
-  mutable snd_una : int32;
+  mutable irs : int;
+  mutable rcv_nxt : int;
+  mutable snd_nxt : int;
+  mutable snd_una : int;
   mutable delayed_ack : int;
   sockbuf : Sockbuf.t;
   rto : Rto.t;
@@ -53,38 +53,30 @@ type stats = {
 type table = {
   conns : (key, t) Flowtable.t;
   listeners : (int, t) Hashtbl.t;
-  mutable cache : (key * t) option;  (* the paper's single-entry PCB cache *)
-  mutable s : stats;
+  (* The paper's single-entry PCB cache, as mutable fields: refilling it
+     on every table hit must not allocate.  [cache_pcb == none] when
+     empty. *)
+  mutable cache_port : int;
+  mutable cache_rip : Ipv4.t;
+  mutable cache_rport : int;
+  mutable cache_pcb : t;
+  mutable lookups : int;
+  mutable cache_hits : int;
+  mutable table_hits : int;
+  mutable misses : int;
+  mutable allocated : int;
+  mutable freed : int;
 }
-
-let create_table () =
-  {
-    (* [buckets] matches the Hashtbl.create 64 this table replaced, so the
-       exact backing store behaves identically; the modeled front cache
-       rides behind the paper's one-entry cache. *)
-    conns = Flowtable.create ~buckets:64 ~name:"tcp-pcb" ();
-    listeners = Hashtbl.create 8;
-    cache = None;
-    s =
-      {
-        lookups = 0;
-        cache_hits = 0;
-        table_hits = 0;
-        misses = 0;
-        allocated = 0;
-        freed = 0;
-      };
-  }
 
 let fresh ~local_port ~state ?(hiwat = 16384) () =
   {
     local_port;
     remote = None;
     state;
-    irs = 0l;
-    rcv_nxt = 0l;
-    snd_nxt = 1l;
-    snd_una = 1l;
+    irs = 0;
+    rcv_nxt = 0;
+    snd_nxt = 1;
+    snd_una = 1;
     delayed_ack = 0;
     sockbuf = Sockbuf.create ~hiwat ();
     rto = Rto.create ();
@@ -95,85 +87,122 @@ let fresh ~local_port ~state ?(hiwat = 16384) () =
     delack_armed = false;
   }
 
+let none = fresh ~local_port:(-1) ~state:Closed ()
+
+let create_table () =
+  {
+    (* [buckets] matches the Hashtbl.create 64 this table replaced, so the
+       exact backing store behaves identically; the modeled front cache
+       rides behind the paper's one-entry cache. *)
+    conns = Flowtable.create ~buckets:64 ~name:"tcp-pcb" ();
+    listeners = Hashtbl.create 8;
+    cache_port = -1;
+    cache_rip = Ipv4.of_int32 0l;
+    cache_rport = -1;
+    cache_pcb = none;
+    lookups = 0;
+    cache_hits = 0;
+    table_hits = 0;
+    misses = 0;
+    allocated = 0;
+    freed = 0;
+  }
+
 let listen table ~port ?hiwat () =
   if Hashtbl.mem table.listeners port then
     invalid_arg (Printf.sprintf "Pcb.listen: port %d already bound" port);
   let pcb = fresh ~local_port:port ~state:Listen ?hiwat () in
   Hashtbl.replace table.listeners port pcb;
-  table.s <- { table.s with allocated = table.s.allocated + 1 };
+  table.allocated <- table.allocated + 1;
   pcb
 
-let key ~local_port ~remote:(rip, rport) = (local_port, Ipv4.to_int32 rip, rport)
+let key ~local_port rip rport = (local_port, Ipv4.to_int32 rip, rport)
 
-let lookup table ~local_port ~remote =
-  table.s <- { table.s with lookups = table.s.lookups + 1 };
-  let k = key ~local_port ~remote in
-  match table.cache with
-  | Some (ck, pcb) when ck = k ->
-    table.s <- { table.s with cache_hits = table.s.cache_hits + 1 };
-    Some pcb
-  | _ -> (
-    match Flowtable.lookup table.conns k with
+let cache table ~local_port rip rport pcb =
+  table.cache_port <- local_port;
+  table.cache_rip <- rip;
+  table.cache_rport <- rport;
+  table.cache_pcb <- pcb
+
+let cached table ~local_port rip rport =
+  table.cache_pcb != none
+  && table.cache_port = local_port
+  && table.cache_rport = rport
+  && Ipv4.equal table.cache_rip rip
+
+let find table ~local_port ~rip ~rport =
+  table.lookups <- table.lookups + 1;
+  if cached table ~local_port rip rport then begin
+    table.cache_hits <- table.cache_hits + 1;
+    table.cache_pcb
+  end
+  else
+    match Flowtable.lookup table.conns (key ~local_port rip rport) with
     | Some pcb ->
-      table.cache <- Some (k, pcb);
-      table.s <- { table.s with table_hits = table.s.table_hits + 1 };
-      Some pcb
-    | None ->
+      cache table ~local_port rip rport pcb;
+      table.table_hits <- table.table_hits + 1;
+      pcb
+    | None -> (
       (* A listener match is still a connection-table miss: the segment
          took the slow path through demultiplexing. *)
-      table.s <- { table.s with misses = table.s.misses + 1 };
-      Hashtbl.find_opt table.listeners local_port)
+      table.misses <- table.misses + 1;
+      match Hashtbl.find_opt table.listeners local_port with
+      | Some l -> l
+      | None -> none)
+
+let lookup table ~local_port ~remote:(rip, rport) =
+  let pcb = find table ~local_port ~rip ~rport in
+  if pcb == none then None else Some pcb
+
+let connect table ~local_port ~remote:((rip, rport) as remote) ~state ~hiwat =
+  let pcb = fresh ~local_port ~state ~hiwat () in
+  pcb.remote <- Some remote;
+  Flowtable.insert table.conns (key ~local_port rip rport) pcb;
+  cache table ~local_port rip rport pcb;
+  table.allocated <- table.allocated + 1;
+  pcb
 
 let insert_connection table ~listener ~remote =
-  let pcb =
-    fresh ~local_port:listener.local_port ~state:Syn_received
-      ~hiwat:(Sockbuf.hiwat listener.sockbuf) ()
-  in
-  pcb.remote <- Some remote;
-  let k = key ~local_port:listener.local_port ~remote in
-  Flowtable.insert table.conns k pcb;
-  table.cache <- Some (k, pcb);
-  table.s <- { table.s with allocated = table.s.allocated + 1 };
-  pcb
+  connect table ~local_port:listener.local_port ~remote ~state:Syn_received
+    ~hiwat:(Sockbuf.hiwat listener.sockbuf)
 
-let insert_active table ~local_port ~remote ?(hiwat = 16384) () =
-  let k = key ~local_port ~remote in
-  if Flowtable.mem table.conns k then
+let insert_active table ~local_port ~remote:((rip, rport) as remote) ?(hiwat = 16384) () =
+  if Flowtable.mem table.conns (key ~local_port rip rport) then
     invalid_arg "Pcb.insert_active: connection exists";
-  let pcb = fresh ~local_port ~state:Syn_sent ~hiwat () in
-  pcb.remote <- Some remote;
-  Flowtable.insert table.conns k pcb;
-  table.cache <- Some (k, pcb);
-  table.s <- { table.s with allocated = table.s.allocated + 1 };
-  pcb
+  connect table ~local_port ~remote ~state:Syn_sent ~hiwat
 
 let drop table pcb =
   match pcb.remote with
   | None -> ()
-  | Some remote ->
-    let k = key ~local_port:pcb.local_port ~remote in
-    Flowtable.remove table.conns k;
-    (match table.cache with
-    | Some (ck, _) when ck = k -> table.cache <- None
-    | _ -> ());
+  | Some (rip, rport) ->
+    Flowtable.remove table.conns (key ~local_port:pcb.local_port rip rport);
+    if cached table ~local_port:pcb.local_port rip rport then table.cache_pcb <- none;
     pcb.state <- Closed;
-    table.s <- { table.s with freed = table.s.freed + 1 }
+    table.freed <- table.freed + 1
 
 let connections table = Flowtable.length table.conns
 
-let stats table = table.s
+let stats table =
+  {
+    lookups = table.lookups;
+    cache_hits = table.cache_hits;
+    table_hits = table.table_hits;
+    misses = table.misses;
+    allocated = table.allocated;
+    freed = table.freed;
+  }
 
 let flowtable table = table.conns
 
 let metrics_scalars m table =
   let module Metrics = Ldlp_obs.Metrics in
   let set n v = Metrics.scalar m ("flow." ^ n) := v in
-  set "lookups" table.s.lookups;
-  set "cache_hits" table.s.cache_hits;
-  set "table_hits" table.s.table_hits;
-  set "misses" table.s.misses;
-  set "allocated" table.s.allocated;
-  set "freed" table.s.freed;
+  set "lookups" table.lookups;
+  set "cache_hits" table.cache_hits;
+  set "table_hits" table.table_hits;
+  set "misses" table.misses;
+  set "allocated" table.allocated;
+  set "freed" table.freed;
   Flowtable.metrics_scalars ~prefix:"flow.table" m table.conns
 
 (* ---------- retransmission bookkeeping ---------- *)
@@ -184,7 +213,7 @@ let seg_span s =
   + if s.seg_flags land Tcp.flag_fin <> 0 then 1 else 0
 
 let track pcb ~now ~seq ~flags payload =
-  if not (List.exists (fun s -> Int32.equal s.seg_seq seq) pcb.retx) then
+  if not (List.exists (fun s -> s.seg_seq = seq) pcb.retx) then
     pcb.retx <-
       pcb.retx
       @ [
@@ -205,23 +234,29 @@ type ack_class = Ack_new of float option | Ack_duplicate | Ack_old
 
 let on_ack pcb ~now ack =
   if Tcp.seq_lt pcb.snd_una ack && Tcp.seq_leq ack pcb.snd_nxt then begin
-    let acked, rest =
-      List.partition
-        (fun s -> Tcp.seq_leq (Tcp.seq_add s.seg_seq (seg_span s)) ack)
-        pcb.retx
-    in
-    pcb.retx <- rest;
     pcb.snd_una <- ack;
     pcb.dupacks <- 0;
     Rto.reset_backoff pcb.rto;
-    (* Karn's rule: only a segment transmitted exactly once yields an RTT
-       sample (take the newest fully covered one). *)
-    let sample =
-      List.fold_left
-        (fun acc s -> if s.seg_rexmits = 0 then Some (now -. s.seg_sent_at) else acc)
-        None acked
-    in
-    Ack_new sample
+    match pcb.retx with
+    | [] ->
+      (* Nothing tracked (no timers attached): a constant, so the
+         per-segment ACK path allocates nothing. *)
+      Ack_new None
+    | retx ->
+      let acked, rest =
+        List.partition
+          (fun s -> Tcp.seq_leq (Tcp.seq_add s.seg_seq (seg_span s)) ack)
+          retx
+      in
+      pcb.retx <- rest;
+      (* Karn's rule: only a segment transmitted exactly once yields an
+         RTT sample (take the newest fully covered one). *)
+      let sample =
+        List.fold_left
+          (fun acc s -> if s.seg_rexmits = 0 then Some (now -. s.seg_sent_at) else acc)
+          None acked
+      in
+      Ack_new sample
   end
-  else if Int32.equal ack pcb.snd_una then Ack_duplicate
+  else if ack = pcb.snd_una then Ack_duplicate
   else Ack_old

@@ -5,7 +5,13 @@
     connections keyed by the (local port, remote address, remote port)
     tuple, fronted by a one-entry cache of the last connection that
     received a segment.  Statistics expose the cache hit rate so the
-    fast-path behaviour is observable. *)
+    fast-path behaviour is observable.
+
+    Sequence numbers are immediate ints in [[0, 2^32)] (see
+    {!Ldlp_packet.Tcp.seq_add}), so a long-lived PCB holds no boxed
+    [int32] for the minor GC to promote; the cache and the counters are
+    mutable fields, and {!find} returns the sentinel {!none} rather than
+    an option. *)
 
 type state =
   | Listen
@@ -18,7 +24,7 @@ type state =
 val state_name : state -> string
 
 type seg = {
-  seg_seq : int32;
+  seg_seq : int;
   seg_flags : int;
   seg_payload : bytes;
   mutable seg_sent_at : float;  (** Last (re)transmission time. *)
@@ -32,10 +38,10 @@ type t = {
   mutable remote : (Ldlp_packet.Addr.Ipv4.t * int) option;
       (** None while listening. *)
   mutable state : state;
-  mutable irs : int32;  (** Initial receive sequence number. *)
-  mutable rcv_nxt : int32;
-  mutable snd_nxt : int32;
-  mutable snd_una : int32;  (** Oldest unacknowledged sequence number. *)
+  mutable irs : int;  (** Initial receive sequence number. *)
+  mutable rcv_nxt : int;
+  mutable snd_nxt : int;
+  mutable snd_una : int;  (** Oldest unacknowledged sequence number. *)
   mutable delayed_ack : int;
       (** Segments received since the last ACK was sent; 4.4BSD acks every
           second data segment. *)
@@ -69,10 +75,18 @@ val listen : table -> port:int -> ?hiwat:int -> unit -> t
 (** Install a listening PCB; raises [Invalid_argument] if the port is
     taken. *)
 
+val none : t
+(** The sentinel {!find} returns when no PCB matches (compare with [==]);
+    it is never in a table. *)
+
+val find :
+  table -> local_port:int -> rip:Ldlp_packet.Addr.Ipv4.t -> rport:int -> t
+(** Connection lookup with the one-entry cache: an exact match first (from
+    cache, then table), else a listener on [local_port], else {!none}. *)
+
 val lookup :
   table -> local_port:int -> remote:Ldlp_packet.Addr.Ipv4.t * int -> t option
-(** Connection lookup with the one-entry cache: an exact match first (from
-    cache, then table), else a listener on [local_port]. *)
+(** {!find} as an option. *)
 
 val insert_connection :
   table -> listener:t -> remote:Ldlp_packet.Addr.Ipv4.t * int -> t
@@ -94,6 +108,7 @@ val drop : table -> t -> unit
 val connections : table -> int
 
 val stats : table -> stats
+(** A snapshot of the counters. *)
 
 val flowtable : table -> (int * int32 * int, t) Ldlp_flowtable.Flowtable.t
 (** The unified flow table backing the connection lookup path (for
@@ -112,7 +127,7 @@ val seg_span : seg -> int
 (** Sequence space a segment occupies: payload bytes plus one for SYN and
     one for FIN. *)
 
-val track : t -> now:float -> seq:int32 -> flags:int -> bytes -> unit
+val track : t -> now:float -> seq:int -> flags:int -> bytes -> unit
 (** Remember a transmitted segment for retransmission (no-op if a segment
     with that sequence number is already tracked). *)
 
@@ -129,7 +144,8 @@ type ack_class =
   | Ack_duplicate  (** ACK for exactly [snd_una] — a potential dup-ACK. *)
   | Ack_old  (** Outside the window; ignore. *)
 
-val on_ack : t -> now:float -> int32 -> ack_class
+val on_ack : t -> now:float -> int -> ack_class
 (** Process an incoming ACK value against the retransmission queue.  On
     new data: releases covered segments, resets [dupacks] and the RTO
-    backoff. *)
+    backoff.  With nothing tracked it allocates nothing: new data is the
+    constant [Ack_new None]. *)

@@ -1,14 +1,14 @@
 type t = {
   hiwat : int;
-  chunks : bytes Queue.t;
+  mutable ring : bytes;  (* [Bytes.empty] until the first append *)
+  mutable head : int;  (* ring offset of the first unread byte *)
   mutable len : int;
   mutable wakeups : int;
-  mutable read_off : int;  (* consumed prefix of the front chunk *)
 }
 
 let create ?(hiwat = 16384) () =
   if hiwat <= 0 then invalid_arg "Sockbuf.create: hiwat must be positive";
-  { hiwat; chunks = Queue.create (); len = 0; wakeups = 0; read_off = 0 }
+  { hiwat; ring = Bytes.empty; head = 0; len = 0; wakeups = 0 }
 
 let hiwat t = t.hiwat
 
@@ -16,34 +16,67 @@ let length t = t.len
 
 let space t = max 0 (t.hiwat - t.len)
 
-let append t data =
-  let accept = min (Bytes.length data) (space t) in
+let wakeups t = t.wakeups
+
+(* A connection that only ever holds small messages keeps a small ring:
+   thousands of idle connections must not each pin [hiwat] bytes. *)
+let min_ring = 64
+
+(* Copy the [n] oldest unread bytes, in order, to the front of [dst]. *)
+let copy_front t dst n =
+  let first = min n (Bytes.length t.ring - t.head) in
+  Bytes.blit t.ring t.head dst 0 first;
+  Bytes.blit t.ring 0 dst first (n - first)
+
+(* Grow the ring, doubling up to [hiwat], until [n] more bytes fit. *)
+let reserve t n =
+  let need = t.len + n in
+  if need > Bytes.length t.ring then begin
+    let cap = ref (max min_ring (Bytes.length t.ring)) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let ring = Bytes.create (min t.hiwat !cap) in
+    copy_front t ring t.len;
+    t.ring <- ring;
+    t.head <- 0
+  end
+
+(* The two sources a ring is filled from, as toplevel functions so that
+   passing one allocates nothing. *)
+let blit_bytes src pos dst dst_off n = Bytes.blit src pos dst dst_off n
+
+let blit_mbuf m pos dst dst_off n = Ldlp_buf.Mbuf.blit_to_bytes m ~pos dst ~dst_off ~len:n
+
+let push t src pos n blit =
+  let accept = min n (space t) in
   if accept > 0 then begin
-    if t.len = 0 then t.wakeups <- t.wakeups + 1;
-    Queue.push (Bytes.sub data 0 accept) t.chunks;
+    if t.len = 0 then begin
+      t.wakeups <- t.wakeups + 1;
+      t.head <- 0
+    end;
+    reserve t accept;
+    let cap = Bytes.length t.ring in
+    let tail = t.head + t.len in
+    let tail = if tail >= cap then tail - cap else tail in
+    let first = min accept (cap - tail) in
+    blit src pos t.ring tail first;
+    blit src (pos + first) t.ring 0 (accept - first);
     t.len <- t.len + accept
   end;
   accept
 
+let append t data = push t data 0 (Bytes.length data) blit_bytes
+
+let append_mbuf t m ~pos ~len = push t m pos len blit_mbuf
+
 let read t n =
   let n = min n t.len in
   let out = Bytes.create n in
-  let pos = ref 0 in
-  while !pos < n do
-    let front = Queue.peek t.chunks in
-    let avail = Bytes.length front - t.read_off in
-    let take = min avail (n - !pos) in
-    Bytes.blit front t.read_off out !pos take;
-    pos := !pos + take;
-    t.read_off <- t.read_off + take;
-    if t.read_off = Bytes.length front then begin
-      ignore (Queue.pop t.chunks);
-      t.read_off <- 0
-    end
-  done;
+  copy_front t out n;
+  let head = t.head + n in
+  t.head <- (if head >= Bytes.length t.ring then head - Bytes.length t.ring else head);
   t.len <- t.len - n;
   out
 
 let read_all t = read t t.len
-
-let wakeups t = t.wakeups

@@ -3,7 +3,13 @@
 
     Bytes appended by the protocol accumulate until the application reads
     them; a high-water mark bounds occupancy and determines the window the
-    protocol advertises. *)
+    protocol advertises.
+
+    The buffer is one byte ring, allocated on the first append and
+    doubled, up to [hiwat], when an append does not fit.  Appends copy
+    straight into it, from bytes or from an mbuf chain, so a connection in
+    steady state allocates nothing per segment; only {!read} allocates,
+    the bytes it hands out. *)
 
 type t
 
@@ -21,6 +27,12 @@ val space : t -> int
 val append : t -> bytes -> int
 (** [append sb data] appends as much of [data] as fits; returns the number
     of bytes accepted. *)
+
+val append_mbuf : t -> Ldlp_buf.Mbuf.t -> pos:int -> len:int -> int
+(** [append_mbuf sb m ~pos ~len] appends as much of the [len] payload
+    bytes at logical offset [pos] of chain [m] as fits, copying them once,
+    straight from the chain; returns the number accepted.  The chain is
+    not consumed. *)
 
 val read : t -> int -> bytes
 (** [read sb n] removes and returns up to [n] bytes (the [soreceive]

@@ -181,13 +181,11 @@ let test_get_byte_beyond () =
      with Mbuf.Invalid _ -> true);
   Mbuf.free p m
 
-let test_iter_segments_skips_empty () =
+let test_fold_segments_skips_empty () =
   let p = pool () in
   let m = Mbuf.of_string p "abcdef" in
   Mbuf.adj m 6;
-  let segs = ref 0 in
-  Mbuf.iter_segments m (fun _ _ _ -> incr segs);
-  checki "no non-empty segments" 0 !segs;
+  checki "no non-empty segments" 0 (Mbuf.fold_segments m (fun n _ _ _ -> n + 1) 0);
   Mbuf.free p m
 
 let test_append_bytes () =
@@ -262,6 +260,28 @@ let test_mbuf_cycle_alloc () =
     Alcotest.failf "%d of_bytes/free cycles of a 40 B frame allocated %.1f words each"
       cycles (dw /. float_of_int cycles)
 
+(* The chain copies every received segment's socket-buffer fill and
+   every header write go through: walking a multi-segment chain must not
+   allocate a closure or an option per call. *)
+let test_chain_copies_zero_alloc () =
+  let p = pool () in
+  let m =
+    Mbuf.concat (Mbuf.of_bytes p (Bytes.make 100 'a')) (Mbuf.of_bytes p (Bytes.make 300 'b'))
+  in
+  check "spans several mbufs" true (Mbuf.nsegs m >= 3);
+  let dst = Bytes.create 400 in
+  Mbuf.blit_to_bytes m ~pos:0 dst ~dst_off:0 ~len:400;
+  let w0 = Gc.minor_words () in
+  for i = 1 to cycles do
+    Mbuf.blit_to_bytes m ~pos:(i land 63) dst ~dst_off:0 ~len:300;
+    Mbuf.copy_into m ~pos:(i land 63) dst ~src_off:0 ~len:300
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  Mbuf.free p m;
+  if dw > 16.0 then
+    Alcotest.failf
+      "%d blit_to_bytes/copy_into pairs over a chain allocated %.0f minor words" cycles dw
+
 let suite =
   [
     Alcotest.test_case "roundtrip small" `Quick test_roundtrip_small;
@@ -280,11 +300,13 @@ let suite =
     Alcotest.test_case "copy out" `Quick test_copy_out;
     Alcotest.test_case "copy into" `Quick test_copy_into;
     Alcotest.test_case "get_byte beyond" `Quick test_get_byte_beyond;
-    Alcotest.test_case "iter skips empty" `Quick test_iter_segments_skips_empty;
+    Alcotest.test_case "iter skips empty" `Quick test_fold_segments_skips_empty;
     Alcotest.test_case "append bytes" `Quick test_append_bytes;
     Alcotest.test_case "pool stats" `Quick test_pool_stats;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     QCheck_alcotest.to_alcotest prop_free_balances;
     Alcotest.test_case "pool cycle allocates nothing" `Quick test_pool_cycle_zero_alloc;
     Alcotest.test_case "mbuf cycle allocates one record" `Quick test_mbuf_cycle_alloc;
+    Alcotest.test_case "chain copies allocate nothing" `Quick
+      test_chain_copies_zero_alloc;
   ]

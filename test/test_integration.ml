@@ -29,7 +29,7 @@ let build_segment ~seq payload =
       Tcp.src_port = 5001;
       dst_port = 80;
       seq;
-      ack = 0l;
+      ack = 0;
       data_offset = 5;
       flags = Tcp.flag_ack;
       window = 8760;
@@ -68,7 +68,7 @@ let build_segment ~seq payload =
 let tcp_stack () =
   let open Ldlp_core in
   let sockbuf = Buffer.create 256 in
-  let rcv_nxt = ref 1l in
+  let rcv_nxt = ref 1 in
   let acks = ref [] in
   let bad = ref 0 in
   let ether =
@@ -114,7 +114,7 @@ let tcp_stack () =
             Ldlp_buf.Mbuf.adj m (h.Ldlp_packet.Tcp.data_offset * 4);
             let data = Ldlp_buf.Mbuf.to_bytes m in
             Ldlp_buf.Mbuf.free pool m;
-            if Int32.equal h.Ldlp_packet.Tcp.seq !rcv_nxt then begin
+            if h.Ldlp_packet.Tcp.seq = !rcv_nxt then begin
               Buffer.add_bytes sockbuf data;
               rcv_nxt :=
                 Ldlp_packet.Tcp.seq_add h.Ldlp_packet.Tcp.seq (Bytes.length data);
@@ -147,7 +147,7 @@ let segments_of_chunks chunks =
       (fun (seq, acc) chunk ->
         let m = build_segment ~seq chunk in
         (Ldlp_packet.Tcp.seq_add seq (String.length chunk), m :: acc))
-      (1l, []) chunks
+      (1, []) chunks
   in
   List.rev segs
 
@@ -263,13 +263,13 @@ let demux_host ~discipline queries segments =
           Ldlp_buf.Mbuf.free pool m;
           [ Layer.Consume ])
   in
+  let out = Ldlp_tcpmini.Tcp_input.create_outcome () in
   let tcp =
     Layer.v ~name:"tcp" (fun msg ->
         let m, src, _ = msg.Msg.payload in
-        let o =
-          Ldlp_tcpmini.Tcp_input.segment_arrived pcbs ~my_ip ~src_ip:src ~pool m
-        in
-        tcp_replies := !tcp_replies + List.length o.Ldlp_tcpmini.Tcp_input.replies;
+        Ldlp_tcpmini.Tcp_input.segment_arrived pcbs out ~my_ip ~src_ip:src ~pool
+          ~now:0.0 m;
+        if out.Ldlp_tcpmini.Tcp_input.reply then incr tcp_replies;
         [ Layer.Consume ])
   in
   let udp =
@@ -324,34 +324,11 @@ let test_demux_host_tcp_and_dns () =
            (Ldlp_dnslite.Name.of_string "a.example"))
     in
     let syn_frame i =
-      let seg =
-        Ldlp_tcpmini.Tcp_output.build ~src:src_ip ~dst:my_ip
-          ~src_port:(3000 + i) ~dst_port:80 ~seq:50l ~ack:0l
-          ~flags:Ldlp_packet.Tcp.flag_syn ~window:8760 ()
-      in
-      let m = Ldlp_buf.Mbuf.of_bytes pool seg in
-      let m =
-        Ldlp_packet.Ipv4.encapsulate m
-          {
-            Ldlp_packet.Ipv4.ihl = 5;
-            tos = 0;
-            total_length = 0;
-            ident = i;
-            dont_fragment = true;
-            more_fragments = false;
-            fragment_offset = 0;
-            ttl = 64;
-            protocol = Ldlp_packet.Ipv4.proto_tcp;
-            src = src_ip;
-            dst = my_ip;
-          }
-      in
-      Ldlp_packet.Ethernet.encapsulate m
-        {
-          Ldlp_packet.Ethernet.dst = Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:01";
-          src = Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:aa";
-          ethertype = Ldlp_packet.Ethernet.ethertype_ipv4;
-        }
+      Ldlp_tcpmini.Tcp_output.frame pool
+        ~eth_src:(Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:aa")
+        ~eth_dst:(Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:01")
+        ~src:src_ip ~dst:my_ip ~ident:i ~src_port:(3000 + i) ~dst_port:80
+        ~seq:50 ~ack:0 ~flags:Ldlp_packet.Tcp.flag_syn ~window:8760 Bytes.empty
     in
     (List.init 10 dns_frame, List.init 10 syn_frame)
   in

@@ -63,6 +63,48 @@ let prop_chain_eq_flat_with_splits =
       Ldlp_buf.Mbuf.free pool joined;
       r)
 
+(* Allocation pins for the per-frame helpers, in the manner of the buf
+   suite's "pool cycle allocates nothing": each runs [cycles] times, and
+   the only words allowed are the ones the two [Gc.minor_words] reads
+   produce. *)
+let cycles = 10_000
+
+let check_no_alloc what f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    f ()
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then
+    Alcotest.failf "%d calls of %s allocated %.0f minor words" cycles what dw
+
+let test_chain_checksum_zero_alloc () =
+  let b = Bytes.init 301 (fun i -> Char.chr (i land 0xFF)) in
+  let m = Ldlp_buf.Mbuf.of_bytes pool b in
+  check "odd-length multi-segment chain" true (Ldlp_buf.Mbuf.nsegs m >= 2);
+  check_no_alloc "Cksum.simple_chain" (fun () -> ignore (Cksum.simple_chain m));
+  check_no_alloc "Cksum.unrolled_chain" (fun () -> ignore (Cksum.unrolled_chain m));
+  let src = Addr.Ipv4.of_string "10.0.0.1" and dst = Addr.Ipv4.of_string "10.0.0.2" in
+  check_no_alloc "Tcp.verify_checksum" (fun () ->
+      ignore (Tcp.verify_checksum ~src ~dst m));
+  Ldlp_buf.Mbuf.free pool m
+
+let test_address_filters_zero_alloc () =
+  let mac = Addr.Mac.of_string "02:00:00:00:00:01" in
+  let ip = Addr.Ipv4.of_string "192.0.2.1" in
+  let b = Bytes.make 40 '\000' in
+  Addr.Mac.write mac b 0;
+  Addr.Ipv4.write ip b 30;
+  check "mac matches" true (Addr.Mac.equal_at mac b 0);
+  check "ipv4 matches" true (Addr.Ipv4.equal_at ip b 30);
+  check "ipv4 differs" false (Addr.Ipv4.equal_at ip b 29);
+  check "ipv4 out of range" false (Addr.Ipv4.equal_at ip b 37);
+  check_no_alloc "Addr.Mac.equal_at" (fun () -> ignore (Addr.Mac.equal_at mac b 0));
+  check_no_alloc "Addr.Mac.is_broadcast_at" (fun () ->
+      ignore (Addr.Mac.is_broadcast_at b 0));
+  check_no_alloc "Addr.Ipv4.equal_at" (fun () -> ignore (Addr.Ipv4.equal_at ip b 30))
+
 let test_cksum_footprints () =
   checki "paper simple footprint" 288 Cksum.code_bytes_simple;
   checki "paper elaborate footprint" 992 Cksum.code_bytes_unrolled
@@ -207,8 +249,8 @@ let tcp_header =
   {
     Tcp.src_port = 1234;
     dst_port = 80;
-    seq = 0x01020304l;
-    ack = 0x0A0B0C0Dl;
+    seq = 0x01020304;
+    ack = 0xFA0B0C0D;
     data_offset = 5;
     flags = Tcp.flag_ack lor Tcp.flag_psh;
     window = 8760;
@@ -224,7 +266,8 @@ let test_tcp_roundtrip () =
     checki "offset" 20 off;
     checki "sport" 1234 h'.Tcp.src_port;
     checki "dport" 80 h'.Tcp.dst_port;
-    check "seq" true (Int32.equal tcp_header.Tcp.seq h'.Tcp.seq);
+    checki "seq" tcp_header.Tcp.seq h'.Tcp.seq;
+    checki "ack above 2^31" tcp_header.Tcp.ack h'.Tcp.ack;
     check "ack flag" true (Tcp.has_flag h' Tcp.flag_ack);
     check "psh flag" true (Tcp.has_flag h' Tcp.flag_psh);
     check "syn unset" false (Tcp.has_flag h' Tcp.flag_syn);
@@ -246,24 +289,28 @@ let test_tcp_checksum_roundtrip () =
   Ldlp_buf.Mbuf.free pool m
 
 let test_tcp_seq_arithmetic () =
-  check "lt" true (Tcp.seq_lt 1l 2l);
-  check "wraparound lt" true (Tcp.seq_lt 0xFFFFFFFFl 5l);
-  check "wraparound not lt" false (Tcp.seq_lt 5l 0xFFFFFFFFl);
-  check "leq self" true (Tcp.seq_leq 7l 7l);
-  check "add wraps" true (Int32.equal (Tcp.seq_add 0xFFFFFFFFl 2) 1l);
-  checki "diff" 10 (Tcp.seq_diff 15l 5l);
-  checki "diff wrap" 6 (Tcp.seq_diff 5l 0xFFFFFFFFl)
+  check "lt" true (Tcp.seq_lt 1 2);
+  check "wraparound lt" true (Tcp.seq_lt 0xFFFFFFFF 5);
+  check "wraparound not lt" false (Tcp.seq_lt 5 0xFFFFFFFF);
+  check "leq self" true (Tcp.seq_leq 7 7);
+  check "leq across wrap" true (Tcp.seq_leq 0xFFFFFFF0 0x10);
+  checki "add wraps" 1 (Tcp.seq_add 0xFFFFFFFF 2);
+  checki "add negative wraps" 0xFFFFFFFF (Tcp.seq_add 0 (-1));
+  checki "diff" 10 (Tcp.seq_diff 15 5);
+  checki "diff wrap" 6 (Tcp.seq_diff 5 0xFFFFFFFF);
+  checki "diff wrap negative" (-6) (Tcp.seq_diff 0xFFFFFFFF 5);
+  checki "half-space distance is negative" (-0x80000000) (Tcp.seq_diff 0x80000000 0)
 
+(* Pairs within 10^6 of each other, anywhere in the sequence space —
+   including straddling 2^32. *)
 let prop_tcp_seq_total_order_window =
   QCheck.Test.make ~name:"seq comparison antisymmetric for close values"
     ~count:300
-    QCheck.(pair (int_bound 1000000) (int_bound 1000000))
-    (fun (a, b) ->
-      let a = Int32.of_int a and b = Int32.of_int b in
-      if Int32.equal a b then Tcp.seq_leq a b && Tcp.seq_leq b a
-      else Tcp.seq_lt a b <> Tcp.seq_lt b a)
-
-(* ---------- udp ---------- *)
+    QCheck.(triple (int_bound 1000000) (int_bound 1000000) (int_bound 0xFFFFFFFF))
+    (fun (a, b, base) ->
+      let a = Tcp.seq_add base a and b = Tcp.seq_add base b in
+      if a = b then Tcp.seq_leq a b && Tcp.seq_leq b a
+      else Tcp.seq_lt a b <> Tcp.seq_lt b a && Tcp.seq_add b (Tcp.seq_diff a b) = a)
 
 let test_udp_roundtrip () =
   let src = Addr.Ipv4.of_string "10.0.0.1"
@@ -506,8 +553,8 @@ let tcp_gen =
   QCheck.Gen.(
     let* src_port = int_bound 0xFFFF in
     let* dst_port = int_bound 0xFFFF in
-    let* seq = map Int32.of_int (int_bound 0x3FFFFFFF) in
-    let* ack = map Int32.of_int (int_bound 0x3FFFFFFF) in
+    let* seq = int_bound 0xFFFFFFFF in
+    let* ack = int_bound 0xFFFFFFFF in
     let* data_offset = int_range 5 15 in
     let* flags = int_bound 0x3F in
     let* window = int_bound 0xFFFF in
@@ -517,7 +564,7 @@ let tcp_gen =
 let tcp_arb =
   QCheck.make
     ~print:(fun h ->
-      Printf.sprintf "%d -> %d seq %ld ack %ld do %d flags %#x" h.Tcp.src_port
+      Printf.sprintf "%d -> %d seq %d ack %d do %d flags %#x" h.Tcp.src_port
         h.Tcp.dst_port h.Tcp.seq h.Tcp.ack h.Tcp.data_offset h.Tcp.flags)
     tcp_gen
 
@@ -631,8 +678,8 @@ let prop_tcp_cursor_equiv =
       && Tcp.check_at b1 0 64 = Ok (h.Tcp.data_offset * 4)
       && Tcp.src_port_at b1 0 = h.Tcp.src_port
       && Tcp.dst_port_at b1 0 = h.Tcp.dst_port
-      && Int32.equal (Tcp.seq_at b1 0) h.Tcp.seq
-      && Int32.equal (Tcp.ack_at b1 0) h.Tcp.ack
+      && Tcp.seq_at b1 0 = h.Tcp.seq
+      && Tcp.ack_at b1 0 = h.Tcp.ack
       && Tcp.data_offset_at b1 0 = h.Tcp.data_offset
       && Tcp.flags_at b1 0 = h.Tcp.flags
       && Tcp.window_at b1 0 = h.Tcp.window
@@ -647,6 +694,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chain_eq_flat;
     QCheck_alcotest.to_alcotest prop_chain_eq_flat_with_splits;
     Alcotest.test_case "cksum footprints" `Quick test_cksum_footprints;
+    Alcotest.test_case "chain checksum allocates nothing" `Quick
+      test_chain_checksum_zero_alloc;
+    Alcotest.test_case "address filters allocate nothing" `Quick
+      test_address_filters_zero_alloc;
     Alcotest.test_case "mac roundtrip" `Quick test_mac_roundtrip;
     Alcotest.test_case "ipv4 addr roundtrip" `Quick test_ipv4_roundtrip;
     Alcotest.test_case "bad addresses" `Quick test_bad_addresses;

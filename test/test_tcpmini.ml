@@ -41,13 +41,117 @@ let test_sockbuf_wakeups () =
   ignore (Sockbuf.append sb (Bytes.of_string "c"));
   checki "wakeup after drain" 2 (Sockbuf.wakeups sb)
 
+(* Random interleavings of appends (from bytes, and from multi-segment
+   mbuf chains at an offset), partial reads and empty reads, checked
+   after every step against a [Buffer] model: bytes come out in order,
+   an append accepts exactly what fits under [hiwat] (0 when full),
+   [space] and [length] agree, and [wakeups] counts the appends that
+   found the buffer empty.  Small [hiwat]s fill the buffer; reads
+   between appends make the ring wrap and the appends grow it. *)
+type sockbuf_op = Append of string | Append_chain of int * string list | Read of int
+
+let sockbuf_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun s -> Append s) (string_size (0 -- 90)));
+        ( 3,
+          map2
+            (fun pre parts -> Append_chain (pre, parts))
+            (0 -- 70)
+            (list_size (1 -- 4) (string_size (0 -- 150))) );
+        (3, map (fun n -> Read n) (0 -- 200));
+      ])
+
+let show_sockbuf_op = function
+  | Append s -> Printf.sprintf "Append %d" (String.length s)
+  | Append_chain (pre, parts) ->
+    Printf.sprintf "Append_chain (%d, [%s])" pre
+      (String.concat "; " (List.map (fun p -> string_of_int (String.length p)) parts))
+  | Read n -> Printf.sprintf "Read %d" n
+
 let prop_sockbuf_fifo =
-  QCheck.Test.make ~name:"sockbuf preserves byte order" ~count:200
-    QCheck.(list_of_size Gen.(0 -- 10) (QCheck.string_of_size Gen.(0 -- 50)))
-    (fun chunks ->
-      let sb = Sockbuf.create ~hiwat:100000 () in
-      List.iter (fun c -> ignore (Sockbuf.append sb (Bytes.of_string c))) chunks;
-      Bytes.to_string (Sockbuf.read_all sb) = String.concat "" chunks)
+  QCheck.Test.make ~name:"sockbuf preserves byte order" ~count:300
+    (QCheck.make
+       ~print:(fun (hiwat, ops) ->
+         Printf.sprintf "hiwat %d: %s" hiwat
+           (String.concat ", " (List.map show_sockbuf_op ops)))
+       QCheck.Gen.(pair (1 -- 600) (list_size (0 -- 40) sockbuf_op_gen)))
+    (fun (hiwat, ops) ->
+      let pool = Ldlp_buf.Pool.create () in
+      let sb = Sockbuf.create ~hiwat () in
+      let model = Buffer.create 64 and wakeups = ref 0 in
+      let push data accepted =
+        let fits = min (String.length data) (hiwat - Buffer.length model) in
+        if fits > 0 && Buffer.length model = 0 then incr wakeups;
+        Buffer.add_string model (String.sub data 0 fits);
+        accepted = fits
+      in
+      let step = function
+        | Append data -> push data (Sockbuf.append sb (Bytes.of_string data))
+        | Append_chain (pre, parts) ->
+          (* One chain per part, concatenated; the payload starts [pre]
+             bytes in, as a segment's does after its headers. *)
+          let chain =
+            List.fold_left
+              (fun m part -> Ldlp_buf.Mbuf.concat m (Ldlp_buf.Mbuf.of_string pool part))
+              (Ldlp_buf.Mbuf.of_string pool (String.make pre 'h'))
+              parts
+          in
+          let data = String.concat "" parts in
+          let accepted =
+            Sockbuf.append_mbuf sb chain ~pos:pre ~len:(String.length data)
+          in
+          Ldlp_buf.Mbuf.free pool chain;
+          push data accepted
+        | Read n ->
+          let got = Bytes.to_string (Sockbuf.read sb n) in
+          let want = Buffer.sub model 0 (min n (Buffer.length model)) in
+          let rest =
+            Buffer.sub model (String.length want)
+              (Buffer.length model - String.length want)
+          in
+          Buffer.clear model;
+          Buffer.add_string model rest;
+          got = want
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Sockbuf.length sb = Buffer.length model
+          && Sockbuf.space sb = hiwat - Buffer.length model
+          && Sockbuf.wakeups sb = !wakeups)
+        ops
+      && Bytes.to_string (Sockbuf.read_all sb) = Buffer.contents model
+      && Sockbuf.length sb = 0)
+
+(* Once the ring has grown, a connection in steady state allocates
+   nothing to fill it from an mbuf: the words a fill-and-read cycle costs
+   are those of the bytes [read] hands out.  100 bytes stay resident, so
+   the ring (grown to 256) wraps at a moving phase. *)
+let test_sockbuf_ring_fill_zero_alloc () =
+  let pool = Ldlp_buf.Pool.create () in
+  let m = Ldlp_buf.Mbuf.of_string pool (String.make 84 'p') in
+  let sb = Sockbuf.create () in
+  ignore (Sockbuf.append sb (Bytes.make 100 'r'));
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let cycle () =
+    ignore (Sockbuf.append_mbuf sb m ~pos:20 ~len:64);
+    ignore (Sys.opaque_identity (Sockbuf.read sb 64))
+  in
+  let handout () = ignore (Sys.opaque_identity (Bytes.create 64)) in
+  let dw = words cycle and base = words handout in
+  checki "resident bytes" 100 (Sockbuf.length sb);
+  if dw > base +. 16. then
+    Alcotest.failf
+      "10000 fill/read cycles allocated %.0f minor words (the reads' bytes: %.0f)" dw base
 
 (* ---------- Pcb ---------- *)
 
@@ -138,17 +242,17 @@ let run_frames ?(discipline = Ldlp_core.Engine.Conventional) host frames =
 
 let handshake host ~src_port =
   let syn =
-    Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80 ~seq:100l
-      ~ack:0l ~flags:Tcp.flag_syn ()
+    Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80 ~seq:100
+      ~ack:0 ~flags:Tcp.flag_syn ()
   in
   match run_frames host [ syn ] with
   | [ (h, _) ] ->
     check "syn-ack" true (Tcp.has_flag h Tcp.flag_syn && Tcp.has_flag h Tcp.flag_ack);
-    check "acks isn+1" true (Int32.equal h.Tcp.ack 101l);
+    check "acks isn+1" true (h.Tcp.ack = 101);
     (* Complete with the handshake ACK. *)
     let ack =
       Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80
-        ~seq:101l
+        ~seq:101
         ~ack:(Tcp.seq_add h.Tcp.seq 1)
         ~flags:Tcp.flag_ack ()
     in
@@ -157,7 +261,7 @@ let handshake host ~src_port =
   | l -> Alcotest.failf "expected 1 syn-ack, got %d replies" (List.length l)
 
 let data_frame host ~src_port ~seq payload =
-  Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80 ~seq ~ack:0l
+  Host.client_frame host ~src_ip:client_ip ~src_port ~dst_port:80 ~seq ~ack:0
     ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
     ~payload:(Bytes.of_string payload) ()
 
@@ -172,14 +276,14 @@ let test_data_delivery_and_delayed_ack () =
   let _, host = make_host () in
   ignore (Host.listen host ~port:80);
   ignore (handshake host ~src_port:4000);
-  let seg1 = data_frame host ~src_port:4000 ~seq:101l "hello " in
-  let seg2 = data_frame host ~src_port:4000 ~seq:107l "world!" in
+  let seg1 = data_frame host ~src_port:4000 ~seq:101 "hello " in
+  let seg2 = data_frame host ~src_port:4000 ~seq:107 "world!" in
   let replies = run_frames host [ seg1; seg2 ] in
   (* 4.4BSD acks every second data segment: exactly one ACK for two. *)
   checki "one delayed ack for two segments" 1 (List.length replies);
   (match replies with
   | [ (h, _) ] ->
-    check "cumulative" true (Int32.equal h.Tcp.ack (Int32.of_int (101 + 12)))
+    check "cumulative" true (h.Tcp.ack = 101 + 12)
   | _ -> ());
   (* Data is in the socket buffer of the connection. *)
   (match
@@ -196,9 +300,9 @@ let test_out_of_order_dup_ack () =
   ignore (Host.listen host ~port:80);
   ignore (handshake host ~src_port:4001);
   (* Skip ahead: segment at seq 200 when 101 is expected. *)
-  let ooo = data_frame host ~src_port:4001 ~seq:200l "xxxx" in
+  let ooo = data_frame host ~src_port:4001 ~seq:200 "xxxx" in
   (match run_frames host [ ooo ] with
-  | [ (h, _) ] -> check "dup-ack at rcv_nxt" true (Int32.equal h.Tcp.ack 101l)
+  | [ (h, _) ] -> check "dup-ack at rcv_nxt" true (h.Tcp.ack = 101)
   | l -> Alcotest.failf "expected dup-ack, got %d" (List.length l));
   (* Nothing delivered. *)
   match
@@ -213,10 +317,10 @@ let test_fin_moves_to_close_wait () =
   ignore (handshake host ~src_port:4002);
   let fin =
     Host.client_frame host ~src_ip:client_ip ~src_port:4002 ~dst_port:80
-      ~seq:101l ~ack:0l ~flags:(Tcp.flag_fin lor Tcp.flag_ack) ()
+      ~seq:101 ~ack:0 ~flags:(Tcp.flag_fin lor Tcp.flag_ack) ()
   in
   (match run_frames host [ fin ] with
-  | [ (h, _) ] -> check "fin acked" true (Int32.equal h.Tcp.ack 102l)
+  | [ (h, _) ] -> check "fin acked" true (h.Tcp.ack = 102)
   | l -> Alcotest.failf "expected fin-ack, got %d" (List.length l));
   match
     Pcb.lookup (Host.table host) ~local_port:80 ~remote:(client_ip, 4002)
@@ -231,14 +335,14 @@ let test_rst_tears_down () =
   checki "connected" 1 (Pcb.connections (Host.table host));
   let rst =
     Host.client_frame host ~src_ip:client_ip ~src_port:4003 ~dst_port:80
-      ~seq:101l ~ack:0l ~flags:Tcp.flag_rst ()
+      ~seq:101 ~ack:0 ~flags:Tcp.flag_rst ()
   in
   checki "no reply to rst" 0 (List.length (run_frames host [ rst ]));
   checki "torn down" 0 (Pcb.connections (Host.table host))
 
 let test_no_listener_rst () =
   let _, host = make_host () in
-  let seg = data_frame host ~src_port:4004 ~seq:1l "to-nowhere" in
+  let seg = data_frame host ~src_port:4004 ~seq:1 "to-nowhere" in
   match run_frames host [ seg ] with
   | [ (h, _) ] -> check "rst" true (Tcp.has_flag h Tcp.flag_rst)
   | l -> Alcotest.failf "expected RST, got %d replies" (List.length l)
@@ -247,7 +351,7 @@ let test_corrupt_checksum_dropped () =
   let _, host = make_host () in
   ignore (Host.listen host ~port:80);
   ignore (handshake host ~src_port:4005);
-  let seg = data_frame host ~src_port:4005 ~seq:101l "valid-data" in
+  let seg = data_frame host ~src_port:4005 ~seq:101 "valid-data" in
   (* Corrupt a payload byte after checksumming. *)
   let len = Ldlp_buf.Mbuf.length seg in
   Ldlp_buf.Mbuf.copy_into seg ~pos:(len - 1) (Bytes.of_string "X") ~src_off:0 ~len:1;
@@ -264,26 +368,26 @@ let test_window_respected () =
   ignore (Pcb.listen (Host.table host) ~port:81 ~hiwat:8 ());
   let syn =
     Host.client_frame host ~src_ip:client_ip ~src_port:4006 ~dst_port:81
-      ~seq:100l ~ack:0l ~flags:Tcp.flag_syn ()
+      ~seq:100 ~ack:0 ~flags:Tcp.flag_syn ()
   in
   (match run_frames host [ syn ] with
   | [ (h, _) ] ->
     checki "advertised window = hiwat" 8 h.Tcp.window;
     let ack =
       Host.client_frame host ~src_ip:client_ip ~src_port:4006 ~dst_port:81
-        ~seq:101l ~ack:(Tcp.seq_add h.Tcp.seq 1) ~flags:Tcp.flag_ack ()
+        ~seq:101 ~ack:(Tcp.seq_add h.Tcp.seq 1) ~flags:Tcp.flag_ack ()
     in
     ignore (run_frames host [ ack ])
   | _ -> Alcotest.fail "no syn-ack");
   (* 12 bytes into an 8-byte window: slow path, partial accept. *)
   let seg =
     Host.client_frame host ~src_ip:client_ip ~src_port:4006 ~dst_port:81
-      ~seq:101l ~ack:0l ~flags:Tcp.flag_ack
+      ~seq:101 ~ack:0 ~flags:Tcp.flag_ack
       ~payload:(Bytes.of_string "0123456789ab") ()
   in
   (match run_frames host [ seg ] with
   | [ (h, _) ] ->
-    check "acks only accepted bytes" true (Int32.equal h.Tcp.ack 109l);
+    check "acks only accepted bytes" true (h.Tcp.ack = 109);
     checki "window closed" 0 h.Tcp.window
   | l -> Alcotest.failf "expected ack, got %d" (List.length l));
   match
@@ -292,6 +396,193 @@ let test_window_respected () =
   | Some pcb ->
     checks "prefix kept" "01234567" (Bytes.to_string (Sockbuf.read_all pcb.Pcb.sockbuf))
   | None -> Alcotest.fail "no pcb"
+
+(* ---------- TCP options ---------- *)
+
+(* A client frame whose TCP header carries [options] (a multiple of four
+   bytes), built with the record encoders. *)
+let frame_with_options pool host ~src_port ~seq ~flags ~options payload =
+  let open Ldlp_packet in
+  let hdr = Tcp.header_bytes + String.length options in
+  let seg = Bytes.create (hdr + String.length payload) in
+  Tcp.write ~src_port ~dst_port:80 ~seq ~ack:0 ~data_offset:(hdr / 4) ~flags
+    ~window:8760 ~urgent:0 seg 0;
+  Bytes.blit_string options 0 seg Tcp.header_bytes (String.length options);
+  Bytes.blit_string payload 0 seg hdr (String.length payload);
+  Tcp.store_checksum ~src:client_ip ~dst:(Host.ip host) seg 0 (Bytes.length seg);
+  let m =
+    Ipv4.encapsulate (Ldlp_buf.Mbuf.of_bytes pool seg)
+      {
+        Ipv4.ihl = 5;
+        tos = 0;
+        total_length = 0;
+        ident = 0;
+        dont_fragment = true;
+        more_fragments = false;
+        fragment_offset = 0;
+        ttl = 64;
+        protocol = Ipv4.proto_tcp;
+        src = client_ip;
+        dst = Host.ip host;
+      }
+  in
+  Ethernet.encapsulate m
+    {
+      Ethernet.dst = Addr.Mac.of_string "02:00:00:00:00:01";
+      src = Addr.Mac.of_string "02:00:00:00:00:aa";
+      ethertype = Ethernet.ethertype_ipv4;
+    }
+
+let mss_1460 = "\002\004\005\180"
+
+(* NOP, NOP, then timestamps (kind 8, length 10): 12 bytes. *)
+let timestamps = "\001\001\008\010\000\000\000\042\000\000\000\007"
+
+let test_syn_with_mss_answered () =
+  let pool, host = make_host () in
+  ignore (Host.listen host ~port:80);
+  Tcp_input.reset_stats ();
+  let syn =
+    frame_with_options pool host ~src_port:4100 ~seq:100 ~flags:Tcp.flag_syn
+      ~options:mss_1460 ""
+  in
+  (match run_frames host [ syn ] with
+  | [ (h, _) ] ->
+    check "syn-ack" true (Tcp.has_flag h Tcp.flag_syn && Tcp.has_flag h Tcp.flag_ack);
+    checki "acks isn+1" 101 h.Tcp.ack
+  | l -> Alcotest.failf "expected 1 syn-ack, got %d replies" (List.length l));
+  checki "not dropped" 0 (Tcp_input.stats ()).Tcp_input.drops;
+  checki "connection created" 1 (Pcb.connections (Host.table host))
+
+let test_options_skipped_on_data () =
+  let pool, host = make_host () in
+  ignore (Host.listen host ~port:80);
+  ignore (handshake host ~src_port:4101);
+  let seg =
+    frame_with_options pool host ~src_port:4101 ~seq:101
+      ~flags:(Tcp.flag_ack lor Tcp.flag_psh) ~options:timestamps "payload"
+  in
+  let seg2 = data_frame host ~src_port:4101 ~seq:108 "!" in
+  (match run_frames host [ seg; seg2 ] with
+  | [ (h, _) ] -> checki "acks the payload bytes only" (101 + 8) h.Tcp.ack
+  | l -> Alcotest.failf "expected one ack, got %d" (List.length l));
+  checki "delivered bytes" 8 (Host.counters host).Host.delivered_bytes;
+  match Pcb.lookup (Host.table host) ~local_port:80 ~remote:(client_ip, 4101) with
+  | Some pcb ->
+    checks "only the payload delivered" "payload!"
+      (Bytes.to_string (Sockbuf.read_all pcb.Pcb.sockbuf))
+  | None -> Alcotest.fail "no pcb"
+
+(* ---------- the frame builder against the record encoders ---------- *)
+
+type frame_case = {
+  f_src : int;
+  f_dst : int;
+  f_ident : int;
+  f_sport : int;
+  f_dport : int;
+  f_seq : int;
+  f_ack : int;
+  f_flags : int;
+  f_window : int;
+  f_payload : string;
+}
+
+let frame_case_gen =
+  QCheck.Gen.(
+    (* Sequence numbers anywhere, but mostly within 2^16 of the wrap. *)
+    let seq_gen =
+      frequency
+        [ (1, int_bound 0xFFFFFFFF); (3, map (fun d -> 0xFFFFFFFF - d) (int_bound 0xFFFF)) ]
+    in
+    let* f_src = int_bound 0xFFFFFFFF in
+    let* f_dst = int_bound 0xFFFFFFFF in
+    let* f_ident = int_bound 0xFFFF in
+    let* f_sport = int_bound 0xFFFF in
+    let* f_dport = int_bound 0xFFFF in
+    let* f_seq = seq_gen in
+    let* f_ack = seq_gen in
+    let* f_flags = int_bound 0x3F in
+    let* f_window = int_bound 0x2FFFF in
+    let+ f_payload = string_size (0 -- 300) in
+    {
+      f_src;
+      f_dst;
+      f_ident;
+      f_sport;
+      f_dport;
+      f_seq;
+      f_ack;
+      f_flags;
+      f_window;
+      f_payload;
+    })
+
+let prop_frame_builder_equals_encoders =
+  QCheck.Test.make ~name:"tcp_output frame = record encoders, byte for byte"
+    ~count:500
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "seq %#x ack %#x flags %#x window %#x payload %d B" c.f_seq
+           c.f_ack c.f_flags c.f_window (String.length c.f_payload))
+       frame_case_gen)
+    (fun c ->
+      let open Ldlp_packet in
+      let pool = Ldlp_buf.Pool.create () in
+      let ip x = Addr.Ipv4.of_int32 (Int32.of_int x) in
+      let src = ip c.f_src and dst = ip c.f_dst in
+      let eth_src = Addr.Mac.of_string "02:00:00:00:00:0a"
+      and eth_dst = Addr.Mac.of_string "02:00:00:00:00:0b" in
+      let built =
+        Tcp_output.frame pool ~eth_src ~eth_dst ~src ~dst ~ident:c.f_ident
+          ~src_port:c.f_sport ~dst_port:c.f_dport ~seq:c.f_seq ~ack:c.f_ack
+          ~flags:c.f_flags ~window:c.f_window (Bytes.of_string c.f_payload)
+      in
+      let len = Tcp.header_bytes + String.length c.f_payload in
+      let seg = Bytes.create len in
+      Tcp.build
+        {
+          Tcp.src_port = c.f_sport;
+          dst_port = c.f_dport;
+          seq = c.f_seq;
+          ack = c.f_ack;
+          data_offset = 5;
+          flags = c.f_flags;
+          window = min c.f_window 0xFFFF;
+          urgent = 0;
+        }
+        seg 0;
+      Bytes.blit_string c.f_payload 0 seg Tcp.header_bytes (String.length c.f_payload);
+      Bytes.set_uint16_be seg 16 (Tcp.checksum ~src ~dst seg 0 len);
+      let reference =
+        Ethernet.encapsulate
+          (Ipv4.encapsulate (Ldlp_buf.Mbuf.of_bytes pool seg)
+             {
+               Ipv4.ihl = 5;
+               tos = 0;
+               total_length = 0;
+               ident = c.f_ident;
+               dont_fragment = true;
+               more_fragments = false;
+               fragment_offset = 0;
+               ttl = 64;
+               protocol = Ipv4.proto_tcp;
+               src;
+               dst;
+             })
+          { Ethernet.dst = eth_dst; src = eth_src; ethertype = Ethernet.ethertype_ipv4 }
+      in
+      (* Payloads over 64 B spill past the head mbuf: into a second mbuf,
+         or a cluster past 192 B. *)
+      let segs_ok =
+        Ldlp_buf.Mbuf.nsegs built = if String.length c.f_payload > 64 then 2 else 1
+      in
+      let same =
+        Bytes.equal (Ldlp_buf.Mbuf.to_bytes built) (Ldlp_buf.Mbuf.to_bytes reference)
+      in
+      Ldlp_buf.Mbuf.free pool built;
+      Ldlp_buf.Mbuf.free pool reference;
+      segs_ok && same)
 
 let test_ldlp_equals_conventional () =
   let run discipline =
@@ -304,7 +595,7 @@ let test_ldlp_equals_conventional () =
         (fun (seq, acc) c ->
           ( Tcp.seq_add seq (String.length c),
             data_frame host ~src_port:5000 ~seq c :: acc ))
-        (101l, []) chunks
+        (101, []) chunks
     in
     let replies = run_frames ~discipline host (List.rev frames) in
     let data =
@@ -329,7 +620,7 @@ let test_pcb_cache_effective_on_stream () =
   let table_stats_before = Pcb.stats (Host.table host) in
   let frames =
     List.mapi
-      (fun i c -> data_frame host ~src_port:6000 ~seq:(Tcp.seq_add 101l (8 * i)) c)
+      (fun i c -> data_frame host ~src_port:6000 ~seq:(Tcp.seq_add 101 (8 * i)) c)
       (List.init 50 (fun i -> Printf.sprintf "chunk%03d" i))
   in
   ignore (run_frames host frames);
@@ -352,7 +643,7 @@ let prop_stream_reassembly =
           (fun (seq, acc) c ->
             ( Tcp.seq_add seq (String.length c),
               data_frame host ~src_port:7000 ~seq c :: acc ))
-          (101l, []) chunks
+          (101, []) chunks
       in
       ignore (run_frames host (List.rev frames));
       match
@@ -367,12 +658,12 @@ let prop_stream_reassembly =
 let fragmented_frames host ~src_port ~seq payload =
   (* Build the TCP segment, then hand-fragment it across 3 IP fragments. *)
   let open Ldlp_packet in
-  let segment =
-    Ldlp_tcpmini.Tcp_output.build ~src:client_ip ~dst:(Host.ip host)
-      ~src_port ~dst_port:80 ~seq ~ack:0l
-      ~flags:(Tcp.flag_ack lor Tcp.flag_psh) ~window:8760
-      ~payload:(Bytes.of_string payload) ()
-  in
+  let segment = Bytes.create (Tcp.header_bytes + String.length payload) in
+  Tcp.write ~src_port ~dst_port:80 ~seq ~ack:0 ~data_offset:5
+    ~flags:(Tcp.flag_ack lor Tcp.flag_psh) ~window:8760 ~urgent:0 segment 0;
+  Bytes.blit_string payload 0 segment Tcp.header_bytes (String.length payload);
+  Tcp.store_checksum ~src:client_ip ~dst:(Host.ip host) segment 0
+    (Bytes.length segment);
   let header =
     {
       Ipv4.ihl = 5;
@@ -413,7 +704,7 @@ let test_fragmented_segment_reassembled () =
   ignore (Host.listen host ~port:80);
   ignore (handshake host ~src_port:8000);
   let payload = String.init 150 (fun i -> Char.chr (65 + (i mod 26))) in
-  let frags = fragmented_frames host ~src_port:8000 ~seq:101l payload in
+  let frags = fragmented_frames host ~src_port:8000 ~seq:101 payload in
   check "actually fragmented" true (List.length frags > 1);
   ignore (run_frames host frags);
   match
@@ -434,7 +725,7 @@ let test_fragments_dropped_without_reassembly () =
   ignore (Host.listen host ~port:80);
   ignore (handshake host ~src_port:8001);
   let payload = String.make 150 'z' in
-  let frags = fragmented_frames host ~src_port:8001 ~seq:101l payload in
+  let frags = fragmented_frames host ~src_port:8001 ~seq:101 payload in
   check "actually fragmented" true (List.length frags > 1);
   ignore (run_frames host frags);
   let c = Host.counters host in
@@ -549,31 +840,31 @@ let test_pcb_track_and_karn () =
   let l = Pcb.listen t ~port:80 () in
   let pcb = Pcb.insert_connection t ~listener:l ~remote:(ipa "10.0.0.9", 1) in
   pcb.Pcb.state <- Pcb.Established;
-  pcb.Pcb.snd_una <- 100l;
-  pcb.Pcb.snd_nxt <- 100l;
-  Pcb.track pcb ~now:1.0 ~seq:100l ~flags:Tcp.flag_ack (Bytes.make 10 'x');
-  pcb.Pcb.snd_nxt <- 110l;
+  pcb.Pcb.snd_una <- 100;
+  pcb.Pcb.snd_nxt <- 100;
+  Pcb.track pcb ~now:1.0 ~seq:100 ~flags:Tcp.flag_ack (Bytes.make 10 'x');
+  pcb.Pcb.snd_nxt <- 110;
   checki "one unacked" 1 (Pcb.unacked pcb);
   (* A segment transmitted exactly once yields an RTT sample... *)
-  (match Pcb.on_ack pcb ~now:1.5 110l with
+  (match Pcb.on_ack pcb ~now:1.5 110 with
   | Pcb.Ack_new (Some s) -> checkf "sample = ack - send time" 0.5 s
   | _ -> Alcotest.fail "expected Ack_new with a sample");
   (* ...a retransmitted one must not (Karn's rule). *)
-  Pcb.track pcb ~now:2.0 ~seq:110l ~flags:Tcp.flag_ack (Bytes.make 5 'y');
-  pcb.Pcb.snd_nxt <- 115l;
+  Pcb.track pcb ~now:2.0 ~seq:110 ~flags:Tcp.flag_ack (Bytes.make 5 'y');
+  pcb.Pcb.snd_nxt <- 115;
   (match Pcb.oldest_unacked pcb with
   | Some s ->
     s.Pcb.seg_rexmits <- 1;
     s.Pcb.seg_sent_at <- 2.6
   | None -> Alcotest.fail "no tracked segment");
-  (match Pcb.on_ack pcb ~now:3.0 115l with
+  (match Pcb.on_ack pcb ~now:3.0 115 with
   | Pcb.Ack_new None -> ()
   | Pcb.Ack_new (Some _) -> Alcotest.fail "Karn's rule violated"
   | _ -> Alcotest.fail "expected Ack_new");
   checki "queue drained" 0 (Pcb.unacked pcb);
   (* An ack below snd_una is old; an ack at snd_una is a duplicate. *)
-  check "old" true (Pcb.on_ack pcb ~now:3.0 100l = Pcb.Ack_old);
-  check "duplicate" true (Pcb.on_ack pcb ~now:3.0 115l = Pcb.Ack_duplicate)
+  check "old" true (Pcb.on_ack pcb ~now:3.0 100 = Pcb.Ack_old);
+  check "duplicate" true (Pcb.on_ack pcb ~now:3.0 115 = Pcb.Ack_duplicate)
 
 (* ---------- Loss recovery through the host timers ---------- *)
 
@@ -654,7 +945,7 @@ let test_retransmission_timeout_and_backoff () =
   (* The ack finally lands: queue drains, backoff resets, timer goes quiet. *)
   let ack =
     Host.client_frame host ~src_ip:client_ip ~src_port:9000 ~dst_port:80
-      ~seq:101l ~ack:pcb.Pcb.snd_nxt ~flags:Tcp.flag_ack ()
+      ~seq:101 ~ack:pcb.Pcb.snd_nxt ~flags:Tcp.flag_ack ()
   in
   checki "no reply to the ack" 0 (List.length (run_frames host [ ack ]));
   checki "queue drained" 0 (Pcb.unacked pcb);
@@ -675,7 +966,7 @@ let test_fast_retransmit_on_third_dupack () =
   | None -> Alcotest.fail "send refused");
   let dup () =
     Host.client_frame host ~src_ip:client_ip ~src_port:9001 ~dst_port:80
-      ~seq:101l ~ack:pcb.Pcb.snd_una ~flags:Tcp.flag_ack ()
+      ~seq:101 ~ack:pcb.Pcb.snd_una ~flags:Tcp.flag_ack ()
   in
   checki "1st dup-ack: silent" 0 (List.length (run_frames host [ dup () ]));
   checki "2nd dup-ack: silent" 0 (List.length (run_frames host [ dup () ]));
@@ -697,7 +988,7 @@ let test_delayed_ack_timer () =
   ignore (handshake host ~src_port:9002);
   check "delack below min_rto" true (Host.delack_timeout < Rto.min_rto);
   (* A single data segment: 4.4BSD waits for a second one... *)
-  let seg = data_frame host ~src_port:9002 ~seq:101l "hi" in
+  let seg = data_frame host ~src_port:9002 ~seq:101 "hi" in
   checki "no immediate ack" 0 (List.length (run_frames host [ seg ]));
   checki "nothing transmitted yet" 0 (List.length !txed);
   (* ...but the delayed-ACK timer bounds the wait. *)
@@ -708,7 +999,7 @@ let test_delayed_ack_timer () =
     | Some (h, payload) ->
       check "pure ack" true
         (Tcp.has_flag h Tcp.flag_ack && not (Tcp.has_flag h Tcp.flag_psh));
-      check "acks the segment" true (Int32.equal h.Tcp.ack 103l);
+      check "acks the segment" true (h.Tcp.ack = 103);
       checki "no payload" 0 (Bytes.length payload)
     | None -> Alcotest.fail "unparseable delayed ack")
   | l -> Alcotest.failf "expected 1 delayed ack, got %d" (List.length l));
@@ -727,15 +1018,15 @@ let test_pure_ack_never_answered () =
   let pcb = established_pcb host ~src_port:9003 in
   let pure_ack ~ack =
     Host.client_frame host ~src_ip:client_ip ~src_port:9003 ~dst_port:80
-      ~seq:101l ~ack ~flags:Tcp.flag_ack ()
+      ~seq:101 ~ack ~flags:Tcp.flag_ack ()
   in
   checki "window-update ack: silent" 0
     (List.length (run_frames host [ pure_ack ~ack:pcb.Pcb.snd_nxt ]));
   checki "duplicate ack: silent" 0
     (List.length (run_frames host [ pure_ack ~ack:pcb.Pcb.snd_una ]));
   (* A segment that occupies sequence space still gets its ACK. *)
-  let seg = data_frame host ~src_port:9003 ~seq:101l "oo" in
-  let seg2 = data_frame host ~src_port:9003 ~seq:103l "xx" in
+  let seg = data_frame host ~src_port:9003 ~seq:101 "oo" in
+  let seg2 = data_frame host ~src_port:9003 ~seq:103 "xx" in
   checki "data still acked" 1 (List.length (run_frames host [ seg; seg2 ]))
 
 (* ---------- Parser hardening: mutation fuzz over the stack ---------- *)
@@ -754,7 +1045,7 @@ let test_truncation_and_garbage_counted () =
   checki "runt: no reply" 0 (List.length (run_frames host [ runt ]));
   checki "runt counted non_ip" 1 (Host.counters host).Host.non_ip;
   (* Valid Ethernet, garbage IP. *)
-  let seg = data_frame host ~src_port:9200 ~seq:101l "x" in
+  let seg = data_frame host ~src_port:9200 ~seq:101 "x" in
   let b = Ldlp_buf.Mbuf.to_bytes seg in
   Ldlp_buf.Mbuf.free pool seg;
   let garbage_ip = Bytes.sub b 0 16 in
@@ -797,7 +1088,7 @@ let prop_mutated_frames_never_raise =
       ignore (Host.listen host ~port:80);
       ignore (handshake host ~src_port:9100);
       let baseline = pool_in_use pool in
-      let frame = data_frame host ~src_port:9100 ~seq:101l payload in
+      let frame = data_frame host ~src_port:9100 ~seq:101 payload in
       let b = Ldlp_buf.Mbuf.to_bytes frame in
       Ldlp_buf.Mbuf.free pool frame;
       let len = Bytes.length b in
@@ -825,6 +1116,8 @@ let suite =
     Alcotest.test_case "sockbuf hiwat" `Quick test_sockbuf_hiwat;
     Alcotest.test_case "sockbuf wakeups" `Quick test_sockbuf_wakeups;
     QCheck_alcotest.to_alcotest prop_sockbuf_fifo;
+    Alcotest.test_case "sockbuf ring fill allocates nothing" `Quick
+      test_sockbuf_ring_fill_zero_alloc;
     Alcotest.test_case "pcb listen/lookup" `Quick test_pcb_listen_and_lookup;
     Alcotest.test_case "pcb double listen" `Quick test_pcb_double_listen_rejected;
     Alcotest.test_case "pcb cache hits" `Quick test_pcb_cache_hits;
@@ -837,6 +1130,9 @@ let suite =
     Alcotest.test_case "no listener -> rst" `Quick test_no_listener_rst;
     Alcotest.test_case "bad checksum dropped" `Quick test_corrupt_checksum_dropped;
     Alcotest.test_case "window respected" `Quick test_window_respected;
+    Alcotest.test_case "syn with mss option answered" `Quick test_syn_with_mss_answered;
+    Alcotest.test_case "options skipped on data" `Quick test_options_skipped_on_data;
+    QCheck_alcotest.to_alcotest prop_frame_builder_equals_encoders;
     Alcotest.test_case "ldlp = conventional" `Quick test_ldlp_equals_conventional;
     Alcotest.test_case "pcb cache on stream" `Quick test_pcb_cache_effective_on_stream;
     QCheck_alcotest.to_alcotest prop_stream_reassembly;
