@@ -91,8 +91,8 @@ flows: build
 #               allocations per message; LDLP must win on i-misses and the
 #               allocation budgets and throughput floors must hold
 #   alloc-gate  the hot-path budgets alone plus the shard-pipeline,
-#               Q.93B-stack and tcpmini-stack allocation budgets, writes no
-#               file (cheap enough for `make check`)
+#               Q.93B-stack, tcpmini-stack and mesh-storm allocation
+#               budgets, writes no file (cheap enough for `make check`)
 #   soak        goodput / retransmission loss ladder
 #   mesh        64/256/1024-host sweep: conservation, equivalence, reloads
 #   shards      call storm at 1/2/4 shards: equality with one domain and

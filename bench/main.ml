@@ -517,6 +517,44 @@ let tcp_stack_words () =
   ignore (run ());
   run ()
 
+(* Mesh call storm: minor words per completed call through
+   [Mesh.run_storm_sharded] on one shard, topology generation included:
+   a 256-host, degree-4 duplex storm (the --shards mesh) of
+   [mesh_pairs] pairs x [mesh_calls] calls under [Mesh.chaos_plan], so
+   the impairment engines drop, duplicate, corrupt and reorder.  With a
+   topology generated twice per storm by boxed-int64 draws, tuple-entry
+   events, record-copy impairment counters and a binary search per
+   transmitted copy it allocated ~52,200 words per call here; generated
+   once, with allocation-free draws and event queue, it allocates
+   ~3,450, so a budget of 7,000 catches a return to any of them. *)
+let mesh_pairs = 32
+
+let mesh_calls = 8
+
+let mesh_alloc_budget = 7000.0
+
+(* Minor words per completed call over one storm, after one warm-up
+   storm; exits on a storm that does not complete every call. *)
+let mesh_storm_words () =
+  let module Mesh = Ldlp_mesh.Mesh in
+  let cfg = Mesh.config ~hosts:256 ~degree:4 ~seed ~plan:Mesh.chaos_plan () in
+  let run () =
+    Mesh.run_storm_sharded ~wiring:Mesh.Duplex ~shards:1 ~pairs:mesh_pairs
+      ~calls_per_pair:mesh_calls cfg
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let s = (run ()).Mesh.ss_storm in
+  let words = Gc.minor_words () -. w0 in
+  if
+    s.Mesh.calls_completed <> mesh_pairs * mesh_calls
+    || not (s.Mesh.t_conserved && s.Mesh.t_leak_free)
+  then begin
+    Printf.eprintf "FAIL: mesh-storm gate run did not complete its storm\n";
+    exit 1
+  end;
+  words /. float_of_int s.Mesh.calls_completed
+
 (* The regression gate alone (`--alloc-gate`): one metrics-on run per
    configuration — allocs/msg and simulated throughput are deterministic,
    so a single run measures them exactly; skipping the best-of-5
@@ -568,6 +606,8 @@ let bench_alloc_gate () =
   Printf.printf "%-20s %12.2f %12s\n" "q93b-stack" q93b "-";
   let tcp = tcp_stack_words () in
   Printf.printf "%-20s %12.2f %12s\n" "tcp-stack" tcp "-";
+  let mesh = mesh_storm_words () in
+  Printf.printf "%-20s %12.2f %12s\n" "mesh-storm" mesh "-";
   let gate ok msg = if ok then [] else [ msg ] in
   {
     doc = None;
@@ -591,7 +631,12 @@ let bench_alloc_gate () =
           (Printf.sprintf
              "tcpmini stack allocates %.2f minor words per received segment \
               over %d connections (budget < %.0f)"
-             tcp tcp_conns tcp_alloc_budget);
+             tcp tcp_conns tcp_alloc_budget)
+      @ gate (mesh < mesh_alloc_budget)
+          (Printf.sprintf
+             "mesh call storm allocates %.2f minor words per completed call \
+              (budget < %.0f)"
+             mesh mesh_alloc_budget);
   }
 
 (* Chaos-soak loss ladder -> BENCH_soak.json.  One tcpmini echo soak

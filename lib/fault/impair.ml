@@ -13,18 +13,6 @@ type stats = {
   flushed : int;
 }
 
-let zero_stats =
-  {
-    offered = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    corrupted = 0;
-    reordered = 0;
-    down_dropped = 0;
-    flushed = 0;
-  }
-
 module Reorder = struct
   type 'a item = { value : 'a; mutable countdown : int; deadline : float }
 
@@ -51,7 +39,8 @@ module Reorder = struct
     List.map (fun i -> i.value) out
 
   let push t ~hold ~deadline v =
-    let out = age t in
+    (* Nothing held, nothing to age: the common case skips the partition. *)
+    let out = match t.items with [] -> [] | _ -> age t in
     if hold then begin
       t.items <- t.items @ [ { value = v; countdown = t.window; deadline } ];
       out
@@ -69,6 +58,8 @@ module Reorder = struct
     out
 end
 
+(* The counters are mutable fields, bumped in place on every frame;
+   [stats] builds the immutable snapshot. *)
 type 'a t = {
   plan : Plan.t;
   rng : Rng.t;
@@ -76,7 +67,14 @@ type 'a t = {
   corrupt : 'a -> 'a;
   free : 'a -> unit;
   reorder : 'a emission Reorder.buf;
-  mutable s : stats;
+  mutable offered : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable corrupted : int;
+  mutable reordered : int;
+  mutable down_dropped : int;
+  mutable flushed : int;
 }
 
 let create ?(clone = Fun.id) ?(corrupt = Fun.id) ?(free = ignore) ?(seed = 1996)
@@ -89,16 +87,33 @@ let create ?(clone = Fun.id) ?(corrupt = Fun.id) ?(free = ignore) ?(seed = 1996)
     corrupt;
     free;
     reorder = Reorder.create ~window:(max 1 plan.Plan.reorder_window);
-    s = zero_stats;
+    offered = 0;
+    delivered = 0;
+    dropped = 0;
+    duplicated = 0;
+    corrupted = 0;
+    reordered = 0;
+    down_dropped = 0;
+    flushed = 0;
   }
 
-let stats t = t.s
+let stats t =
+  {
+    offered = t.offered;
+    delivered = t.delivered;
+    dropped = t.dropped;
+    duplicated = t.duplicated;
+    corrupted = t.corrupted;
+    reordered = t.reordered;
+    down_dropped = t.down_dropped;
+    flushed = t.flushed;
+  }
 
 let held t = Reorder.held t.reorder
 
 let next_deadline t = Reorder.next_deadline t.reorder
 
-let count_delivered t n = t.s <- { t.s with delivered = t.s.delivered + n }
+let count_delivered t n = t.delivered <- t.delivered + n
 
 (* Corruption and jitter apply per copy; the RNG draw order (drop, dup,
    then corrupt/jitter/reorder per copy) is part of the replayable
@@ -106,7 +121,7 @@ let count_delivered t n = t.s <- { t.s with delivered = t.s.delivered + n }
 let emit t frame =
   let frame =
     if t.plan.Plan.corrupt > 0.0 && Rng.bool t.rng t.plan.Plan.corrupt then begin
-      t.s <- { t.s with corrupted = t.s.corrupted + 1 };
+      t.corrupted <- t.corrupted + 1;
       t.corrupt frame
     end
     else frame
@@ -116,38 +131,36 @@ let emit t frame =
   in
   { frame; delay }
 
+(* One copy through corruption, jitter and the reorder window. *)
+let pass_copy t ~now f =
+  let em = emit t f in
+  let hold = t.plan.Plan.reorder > 0.0 && Rng.bool t.rng t.plan.Plan.reorder in
+  if hold then t.reordered <- t.reordered + 1;
+  Reorder.push t.reorder ~hold ~deadline:(now +. t.plan.Plan.hold_timeout) em
+
 let send t ~now frame =
-  t.s <- { t.s with offered = t.s.offered + 1 };
+  t.offered <- t.offered + 1;
   if not (Plan.link_up t.plan now) then begin
-    t.s <- { t.s with down_dropped = t.s.down_dropped + 1 };
+    t.down_dropped <- t.down_dropped + 1;
     t.free frame;
     []
   end
   else if t.plan.Plan.drop > 0.0 && Rng.bool t.rng t.plan.Plan.drop then begin
-    t.s <- { t.s with dropped = t.s.dropped + 1 };
+    t.dropped <- t.dropped + 1;
     t.free frame;
     []
   end
   else begin
-    let copies =
-      if t.plan.Plan.dup > 0.0 && Rng.bool t.rng t.plan.Plan.dup then begin
-        t.s <- { t.s with duplicated = t.s.duplicated + 1 };
-        [ frame; t.clone frame ]
-      end
-      else [ frame ]
-    in
     let out =
-      List.concat_map
-        (fun f ->
-          let em = emit t f in
-          let hold =
-            t.plan.Plan.reorder > 0.0 && Rng.bool t.rng t.plan.Plan.reorder
-          in
-          if hold then t.s <- { t.s with reordered = t.s.reordered + 1 };
-          Reorder.push t.reorder ~hold
-            ~deadline:(now +. t.plan.Plan.hold_timeout)
-            em)
-        copies
+      if t.plan.Plan.dup > 0.0 && Rng.bool t.rng t.plan.Plan.dup then begin
+        t.duplicated <- t.duplicated + 1;
+        (* The clone is taken before the original passes [corrupt], which
+           may mutate it in place. *)
+        let copy = t.clone frame in
+        let first = pass_copy t ~now frame in
+        first @ pass_copy t ~now copy
+      end
+      else pass_copy t ~now frame
     in
     count_delivered t (List.length out);
     out
@@ -160,11 +173,11 @@ let release_due t ~now =
 
 let flush t =
   let out = Reorder.flush t.reorder in
-  t.s <- { t.s with flushed = t.s.flushed + List.length out };
+  t.flushed <- t.flushed + List.length out;
   out
 
 let drop_frame t frame =
-  t.s <- { t.s with dropped = t.s.dropped + 1 };
+  t.dropped <- t.dropped + 1;
   t.free frame
 
 (* Per-cause counters as an Obs.Metrics scalar sheet: a no-op unless the
@@ -174,12 +187,12 @@ let metrics_scalars ?(prefix = "fault.") m t =
   let put name v =
     Ldlp_obs.Metrics.add_scalar (Ldlp_obs.Metrics.scalar m (prefix ^ name)) v
   in
-  put "offered" t.s.offered;
-  put "delivered" t.s.delivered;
-  put "dropped" t.s.dropped;
-  put "duplicated" t.s.duplicated;
-  put "corrupted" t.s.corrupted;
-  put "reorder_held" t.s.reordered;
-  put "down_dropped" t.s.down_dropped;
-  put "flushed" t.s.flushed;
+  put "offered" t.offered;
+  put "delivered" t.delivered;
+  put "dropped" t.dropped;
+  put "duplicated" t.duplicated;
+  put "corrupted" t.corrupted;
+  put "reorder_held" t.reordered;
+  put "down_dropped" t.down_dropped;
+  put "flushed" t.flushed;
   put "still_held" (held t)

@@ -68,6 +68,8 @@ val drop_frame : 'a t -> 'a -> unit
     at delivery time): frees it and counts it in [dropped]. *)
 
 val stats : 'a t -> stats
+(** A snapshot of the counters, which the engine keeps as mutable fields
+    and bumps in place. *)
 
 val metrics_scalars : ?prefix:string -> Ldlp_obs.Metrics.t -> 'a t -> unit
 (** Publish the per-cause counters (drops, duplicates, corruptions,

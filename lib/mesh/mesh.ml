@@ -38,6 +38,8 @@ let config ?(hosts = 64) ?(degree = 4) ?(seed = 1996) ?(broadcasts = 16)
     invalid_arg "Mesh.config: need 1 <= degree < hosts";
   if hosts * degree mod 2 <> 0 then
     invalid_arg "Mesh.config: hosts * degree must be even";
+  if degree = 1 && hosts > 2 then
+    invalid_arg "Mesh.config: degree 1 on more than 2 hosts is never connected";
   if broadcasts < 0 then invalid_arg "Mesh.config: broadcasts < 0";
   if payload_bytes < 0 then invalid_arg "Mesh.config: payload_bytes < 0";
   if link_latency <= 0.0 then invalid_arg "Mesh.config: link_latency <= 0";
@@ -71,10 +73,10 @@ let mac_fp =
 
 let relay_fp = Layer.footprint ()
 
-let reload_seconds (fp : Layer.footprint) =
+let[@inline] reload_seconds (fp : Layer.footprint) =
   float_of_int (fp.Layer.code_bytes / line_bytes * miss_cycles) /. clock_hz
 
-let exec_seconds (fp : Layer.footprint) size =
+let[@inline] exec_seconds (fp : Layer.footprint) size =
   (float_of_int fp.Layer.cycles_per_msg
   +. (fp.Layer.cycles_per_byte *. float_of_int size))
   /. clock_hz
@@ -135,12 +137,14 @@ type hostm = {
          behaviour when no host ever crashes. *)
   mutable h_service_due : bool;
   mutable h_last_node : int;
-  mutable h_cpu : float;
-      (* Modeled CPU charged to this host.  Folding these in host order
-         gives a shard-count-independent total: a host runs entirely on
-         one shard, so the per-host value is exact, and the fold order is
-         fixed — unlike [net.cpu], whose event-order accumulation is not
-         FP-associative across a shard split. *)
+}
+
+(* The modeled CPU accumulators, updated on every handler invocation.  An
+   all-float record stores its fields unboxed; a float field beside
+   non-float ones would box a fresh float on every store. *)
+type clock = {
+  mutable elapsed : float;  (* modeled CPU time in the current quantum *)
+  mutable cpu : float;
 }
 
 type net = {
@@ -152,8 +156,13 @@ type net = {
   link_dst : int array;
   flush_at : float array;  (* armed reorder-flush deadline, infinity = none *)
   mutable hosts_arr : hostm array;
-  mutable elapsed : float;  (* modeled CPU time in the current quantum *)
-  mutable cpu : float;
+  clock : clock;
+  host_cpu : float array;
+      (* Modeled CPU charged to each host.  Folding these in host order
+         gives a shard-count-independent total: a host runs entirely on
+         one shard, so the per-host value is exact, and the fold order is
+         fixed — unlike [clock.cpu], whose event-order accumulation is not
+         FP-associative across a shard split. *)
   mutable reloads : int;
   mutable handled : int;
   mutable arrived : int;
@@ -194,25 +203,26 @@ let make_impair cfg li =
    the event timeline — and with it each link's impairment stream — is
    identical for every wiring of the same config. *)
 let rec transmit net ~src f =
-  Array.iter
-    (fun d ->
-      if d <> f.from_host && (f.dst < 0 || f.dst = d) then begin
-        let li = Topology.directed_index net.topo ~src ~dst:d in
-        let copy = { f with from_host = src; hops = f.hops + 1; pbase = f.penalty } in
-        let ems = Impair.send net.impairs.(li) ~now:(Sim.now net.sim) copy in
-        schedule_emissions net d ems;
-        arm_flush net li
-      end)
-    (Topology.neighbors net.topo src)
-
-and schedule_emissions net d ems =
   let now = Sim.now net.sim in
-  List.iter
-    (fun (e : frame Impair.emission) ->
-      Sim.at net.sim
-        (now +. net.cfg.link_latency +. e.Impair.delay)
-        (fun () -> deliver net d e.Impair.frame))
-    ems
+  let adj = net.topo.Topology.adj.(src) and links = net.topo.Topology.links.(src) in
+  for i = 0 to Array.length adj - 1 do
+    let d = adj.(i) in
+    if d <> f.from_host && (f.dst < 0 || f.dst = d) then begin
+      let li = links.(i) in
+      let copy = { f with from_host = src; hops = f.hops + 1; pbase = f.penalty } in
+      schedule_emissions net ~now d (Impair.send net.impairs.(li) ~now copy);
+      arm_flush net li
+    end
+  done
+
+and schedule_emissions net ~now d = function
+  | [] -> ()
+  | (e : frame Impair.emission) :: rest ->
+    let g = e.Impair.frame in
+    Sim.at net.sim
+      (now +. net.cfg.link_latency +. e.Impair.delay)
+      (fun () -> deliver net d g);
+    schedule_emissions net ~now d rest
 
 and arm_flush net li =
   match Impair.next_deadline net.impairs.(li) with
@@ -227,8 +237,9 @@ and arm_flush net li =
 
 and fire_flush net li =
   net.flush_at.(li) <- infinity;
-  let ems = Impair.release_due net.impairs.(li) ~now:(Sim.now net.sim) in
-  schedule_emissions net net.link_dst.(li) ems;
+  let now = Sim.now net.sim in
+  let ems = Impair.release_due net.impairs.(li) ~now in
+  schedule_emissions net ~now net.link_dst.(li) ems;
   arm_flush net li
 
 and deliver net d g =
@@ -257,23 +268,25 @@ and service net d =
   let h = net.hosts_arr.(d) in
   h.h_service_due <- false;
   h.h_last_node <- -1;
-  net.elapsed <- 0.0;
+  net.clock.elapsed <- 0.0;
   drain_parked h;
   Engine.run h.h_eng;
-  net.cpu <- net.cpu +. net.elapsed;
-  h.h_cpu <- h.h_cpu +. net.elapsed
+  charge net d
+
+and charge net d =
+  net.clock.cpu <- net.clock.cpu +. net.clock.elapsed;
+  net.host_cpu.(d) <- net.host_cpu.(d) +. net.clock.elapsed
 
 (* A CPU quantum that is not triggered by frame arrival (origination,
    protocol timer): charge whatever [k] submits plus the engine drain. *)
 let with_service net d k =
   let h = net.hosts_arr.(d) in
   h.h_last_node <- -1;
-  net.elapsed <- 0.0;
+  net.clock.elapsed <- 0.0;
   drain_parked h;
   k ();
   Engine.run h.h_eng;
-  net.cpu <- net.cpu +. net.elapsed;
-  h.h_cpu <- h.h_cpu +. net.elapsed
+  charge net d
 
 (* Crash: liveness off, parked frames (the NIC's volatile state) are
    ledgered and their pool slots reclaimed, the duplicate-suppression
@@ -334,7 +347,7 @@ let app_sink net h m =
     net.delivered <- net.delivered + 1;
     net.per_host.(h) <- net.per_host.(h) + 1;
     net.per_broadcast.(b) <- net.per_broadcast.(b) + 1;
-    Hist.add net.hist (now -. f.born +. f.pbase +. net.elapsed)
+    Hist.add net.hist (now -. f.born +. f.pbase +. net.clock.elapsed)
   | Sig pid ->
     net.sig_delivered <- net.sig_delivered + 1;
     net.on_sig pid h now f);
@@ -345,23 +358,23 @@ let on_handled net h node (layer : frame Layer.t) m =
   if node <> hh.h_last_node then begin
     hh.h_last_node <- node;
     net.reloads <- net.reloads + 1;
-    net.elapsed <- net.elapsed +. reload_seconds layer.Layer.fp
+    net.clock.elapsed <- net.clock.elapsed +. reload_seconds layer.Layer.fp
   end;
   net.handled <- net.handled + 1;
-  net.elapsed <- net.elapsed +. exec_seconds layer.Layer.fp m.Msg.size
+  net.clock.elapsed <- net.clock.elapsed +. exec_seconds layer.Layer.fp m.Msg.size
 
 (* The classic wirings transmit per message: every wire-bound message
    traverses relay and mac transmit code afresh. *)
 let classic_tx_charge net size =
   net.reloads <- net.reloads + 2;
   net.handled <- net.handled + 2;
-  net.elapsed <-
-    net.elapsed +. reload_seconds relay_fp +. exec_seconds relay_fp size
+  net.clock.elapsed <-
+    net.clock.elapsed +. reload_seconds relay_fp +. exec_seconds relay_fp size
     +. reload_seconds mac_fp +. exec_seconds mac_fp size
 
 let wire_exit net src m =
   let f = m.Msg.payload in
-  f.penalty <- f.pbase +. net.elapsed;
+  f.penalty <- f.pbase +. net.clock.elapsed;
   Msg.release net.pool m;
   transmit net ~src f
 
@@ -387,12 +400,11 @@ let make_host net wiring h =
       h_submit =
         (fun ~now:_ f ->
           classic_tx_charge net f.fbytes;
-          f.penalty <- f.pbase +. net.elapsed;
+          f.penalty <- f.pbase +. net.clock.elapsed;
           transmit net ~src:h f);
       h_parked = Queue.create ();
       h_service_due = false;
       h_last_node = -1;
-      h_cpu = 0.0;
     }
   | Duplex ->
     let e =
@@ -413,11 +425,12 @@ let make_host net wiring h =
       h_parked = Queue.create ();
       h_service_due = false;
       h_last_node = -1;
-      h_cpu = 0.0;
     }
 
-let make_net ~wiring cfg =
-  let topo = Topology.generate ~hosts:cfg.hosts ~degree:cfg.degree ~seed:cfg.seed in
+let generate_topology cfg =
+  Topology.generate ~hosts:cfg.hosts ~degree:cfg.degree ~seed:cfg.seed
+
+let make_net ~wiring ~topo cfg =
   let nl = 2 * Topology.edge_count topo in
   let link_dst = Array.make nl 0 in
   Array.iteri
@@ -435,8 +448,8 @@ let make_net ~wiring cfg =
       link_dst;
       flush_at = Array.make nl infinity;
       hosts_arr = [||];
-      elapsed = 0.0;
-      cpu = 0.0;
+      clock = { elapsed = 0.0; cpu = 0.0 };
+      host_cpu = Array.make cfg.hosts 0.0;
       reloads = 0;
       handled = 0;
       arrived = 0;
@@ -541,7 +554,7 @@ type spread = {
 }
 
 let run_spread ~wiring cfg =
-  let net = make_net ~wiring cfg in
+  let net = make_net ~wiring ~topo:(generate_topology cfg) cfg in
   let rng = Rng.create ~seed:(cfg.seed lxor 0x6d657368) in
   for b = 0 to cfg.broadcasts - 1 do
     let origin = Rng.int rng cfg.hosts in
@@ -590,7 +603,7 @@ let run_spread ~wiring cfg =
     handled = net.handled;
     reloads = net.reloads;
     mean_batch = batch_mean net;
-    cpu_seconds = net.cpu;
+    cpu_seconds = net.clock.cpu;
     wire_seconds = Sim.now net.sim;
   }
 
@@ -703,13 +716,14 @@ let storm_pair_count ~topo ?pairs cfg =
    fact {!run_storm_sharded} exploits. *)
 (* Returns the storm plus the per-host modeled-CPU vector the sharded
    merge needs for an FP-exact total. *)
-let run_storm_core ~wiring ~sel ?recovery ?pairs ?(calls_per_pair = 4) cfg =
+let run_storm_core ~wiring ~topo ~sel ?recovery ?pairs ?(calls_per_pair = 4) cfg
+    =
   (* The retry engine turns on with an explicit policy or whenever hosts
      can die; the legacy driver below is untouched otherwise, so every
      pre-crash golden stays byte-identical. *)
   let rec_on = recovery <> None || Array.length cfg.lifecycle > 0 in
   let rc = Option.value recovery ~default:default_recovery in
-  let net = make_net ~wiring cfg in
+  let net = make_net ~wiring ~topo cfg in
   let ne = Topology.edge_count net.topo in
   let np = storm_pair_count ~topo:net.topo ?pairs cfg in
   let prs =
@@ -1067,17 +1081,16 @@ let run_storm_core ~wiring ~sel ?recovery ?pairs ?(calls_per_pair = 4) cfg =
     t_leak_free = pstats.Msg.p_outstanding = 0;
     storm_wire_seconds =
       Array.fold_left (fun a pr -> Float.max a pr.last_done) 0.0 prs;
-    storm_cpu_seconds =
-      Array.fold_left (fun a h -> a +. h.h_cpu) 0.0 net.hosts_arr;
+    storm_cpu_seconds = Array.fold_left ( +. ) 0.0 net.host_cpu;
     pair_done = Array.map (fun pr -> pr.completed) prs;
     pair_abandoned = Array.map (fun pr -> pr.abandoned) prs;
     ttr_samples = Array.map (fun pr -> List.rev pr.ttr) prs;
   },
-  Array.map (fun h -> h.h_cpu) net.hosts_arr
+  net.host_cpu
 
 let run_storm ~wiring ?recovery ?pairs ?calls_per_pair cfg =
   fst
-    (run_storm_core ~wiring
+    (run_storm_core ~wiring ~topo:(generate_topology cfg)
        ~sel:(fun _ -> true)
        ?recovery ?pairs ?calls_per_pair cfg)
 
@@ -1144,9 +1157,8 @@ let merge_causes a b =
 
 let run_storm_sharded ~wiring ~shards ?recovery ?pairs ?calls_per_pair cfg =
   if shards < 1 then invalid_arg "Mesh.run_storm_sharded: shards < 1";
-  let topo =
-    Topology.generate ~hosts:cfg.hosts ~degree:cfg.degree ~seed:cfg.seed
-  in
+  (* Generated once: every shard reads the same immutable topology. *)
+  let topo = generate_topology cfg in
   let np = storm_pair_count ~topo ?pairs cfg in
   let comp_of, ncomps = storm_components ~topo ~np in
   (* Whole components go to one shard: two pairs sharing a host co-batch
@@ -1158,7 +1170,7 @@ let run_storm_sharded ~wiring ~shards ?recovery ?pairs ?calls_per_pair cfg =
   let parts =
     Ldlp_par.Pool.map_array ~domains:shards
       (fun s ->
-        run_storm_core ~wiring
+        run_storm_core ~wiring ~topo
           ~sel:(fun k -> shard_of_pair k = s)
           ?recovery ?pairs ?calls_per_pair cfg)
       (Array.init shards Fun.id)

@@ -22,25 +22,32 @@ type t = private {
   adj : int array array;
       (** [adj.(h)] lists [h]'s neighbours in ascending order;
           [Array.length adj.(h) = degree] for every [h]. *)
+  links : int array array;
+      (** [links.(h).(i)] is the {!directed_index} of the link from [h]
+          to [adj.(h).(i)], so a sender walks its two rows side by side
+          instead of searching the edge array. *)
 }
 
 val generate : hosts:int -> degree:int -> seed:int -> t
 (** Raises [Invalid_argument] unless [2 <= hosts], [1 <= degree < hosts]
     and [hosts * degree] is even (a [degree]-regular graph on [hosts]
-    vertices exists exactly under these conditions).  Degree 1 and 2 are
-    accepted (a perfect matching / union of cycles) but may need many
-    redraws to come out connected; the spread experiments use
-    [degree >= 3], where almost every draw is already connected. *)
-
-val neighbors : t -> int -> int array
-(** [neighbors t h] is [t.adj.(h)] (not a copy; do not mutate). *)
+    vertices exists exactly under these conditions), and also for degree
+    1 on more than 2 hosts: that graph is a perfect matching, never
+    connected.  Degree 2 (a union of cycles) may need many redraws to
+    come out connected; the spread experiments use [degree >= 3].  The
+    generator redraws up to 1,000,000 times, enough for every dense
+    small graph the property suite draws (degree 5 on 6 to 16 hosts,
+    where a simple draw can be rarer than one in 10,000), and raises
+    [Invalid_argument] if none is simple and connected.  A draw allocates
+    nothing. *)
 
 val edge_count : t -> int
 
 val directed_index : t -> src:int -> dst:int -> int
 (** A dense index in [[0, 2 * edge_count)] for the directed link
-    [src -> dst]; raises [Invalid_argument] if the edge does not exist.
-    Used to key per-direction impairment engines and their seeds. *)
+    [src -> dst]: [2 * p] from the lower host of [edges.(p)], [2 * p + 1]
+    from the higher.  Raises [Invalid_argument] if the edge does not
+    exist.  Keys per-direction impairment engines and their seeds. *)
 
 val is_connected : t -> bool
 (** Always true for {!generate} output; exposed so the property suite

@@ -185,12 +185,15 @@ let call_deadlines t =
       | None -> acc)
     t.calls []
 
+let earliest_timer _ call acc =
+  match call.timer with Some (_, d) -> Float.min acc d | None -> acc
+
+(* A fold, not a list of the timers: the mesh asks after every outcome. *)
 let next_deadline t =
-  let timers =
-    Option.to_list (Sscop_conn.next_deadline t.sscop)
-    @ List.map (fun (_, _, d) -> d) (call_deadlines t)
-  in
-  match timers with [] -> None | ds -> Some (List.fold_left Float.min infinity ds)
+  let calls = Flowtable.fold earliest_timer t.calls infinity in
+  match Sscop_conn.next_deadline t.sscop with
+  | Some d -> Some (Float.min d calls)
+  | None -> if calls < infinity then Some calls else None
 
 let tick t ~now =
   (* SSCOP timers first. *)

@@ -60,6 +60,8 @@ val tick : t -> now:float -> outcome
 (** Fire due timers (SSCOP polls/retransmissions, T303, T308). *)
 
 val next_deadline : t -> float option
+(** The earliest armed timer, SSCOP's or a call's T303/T308; [None] when
+    none is armed.  A fold over the call table: no list is built. *)
 
 val call_state : t -> call_ref:int -> Fsm.state option
 

@@ -1,42 +1,47 @@
 type t = {
   queue : (unit -> unit) Heap.t;
-  mutable now : float;
+  (* One-cell float arrays, not mutable float fields: a float field in a
+     record with non-float fields is boxed on every store. *)
+  now : float array;
+  next : float array;  (* the earliest queued time, for [run ~until] *)
   mutable stopped : bool;
 }
 
-let create () = { queue = Heap.create (); now = 0.0; stopped = false }
+let create () =
+  { queue = Heap.create (); now = [| 0.0 |]; next = [| 0.0 |]; stopped = false }
 
-let now t = t.now
+let now t = t.now.(0)
 
 let at t time f =
-  if time < t.now then
+  if time < t.now.(0) then
     invalid_arg
-      (Printf.sprintf "Engine.at: time %g is before now %g" time t.now);
+      (Printf.sprintf "Engine.at: time %g is before now %g" time t.now.(0));
   Heap.push t.queue time f
 
-let after t dt f = at t (t.now +. dt) f
+let after t dt f = at t (t.now.(0) +. dt) f
 
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    t.now <- time;
+  if Heap.peek_key t.queue t.now then begin
+    let f = Heap.pop_min t.queue in
     f ();
     true
+  end
+  else false
 
 let run ?until t =
   t.stopped <- false;
-  let continue = ref true in
-  while !continue && not t.stopped do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some (time, _) -> (
-      match until with
-      | Some limit when time > limit ->
-        t.now <- limit;
+  match until with
+  | None -> while (not t.stopped) && step t do () done
+  | Some limit ->
+    let continue = ref true in
+    while !continue && not t.stopped do
+      if not (Heap.peek_key t.queue t.next) then continue := false
+      else if t.next.(0) > limit then begin
+        t.now.(0) <- limit;
         continue := false
-      | _ -> ignore (step t))
-  done
+      end
+      else ignore (step t)
+    done
 
 let pending t = Heap.size t.queue
 

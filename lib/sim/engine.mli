@@ -1,6 +1,10 @@
 (** Discrete-event simulation engine: a virtual clock and a time-ordered
-    queue of callbacks.  Events scheduled for the same instant fire in the
-    order they were scheduled. *)
+    queue of callbacks ({!Heap}).  Events scheduled for the same instant
+    fire in the order they were scheduled.
+
+    Scheduling with {!at} and dispatching with {!run} or {!step}
+    allocate nothing beyond the caller's closure and the boxed float it
+    passes as the time; {!after} boxes the time it computes. *)
 
 type t
 

@@ -65,10 +65,13 @@ let source ~rng ?(config = default) ?(sizes = Sizes.ethernet_mix) () =
     let at = next_packet src in
     Ldlp_sim.Heap.push heap at src
   done;
+  let key = [| 0.0 |] in
   Source.make (fun () ->
-      match Ldlp_sim.Heap.pop heap with
-      | None -> None
-      | Some (at, src) ->
+      if not (Ldlp_sim.Heap.peek_key heap key) then None
+      else begin
+        let at = key.(0) in
+        let src = Ldlp_sim.Heap.pop_min heap in
         let next = next_packet src in
         Ldlp_sim.Heap.push heap next src;
-        Some { Source.at; size = Sizes.sample rng sizes })
+        Some { Source.at; size = Sizes.sample rng sizes }
+      end)

@@ -200,6 +200,26 @@ let test_impair_corrupt_hook () =
   check "roughly half" true
     (List.length corrupted > 25 && List.length corrupted < 75)
 
+(* A duplicate is cloned before the original passes [corrupt], which may
+   mutate the frame in place (the mesh's does): each copy's corruption is
+   its own draw, so some corrupted originals have clean copies. *)
+let test_impair_clone_before_corrupt () =
+  let imp =
+    Impair.create ~seed:5
+      ~clone:(fun r -> ref !r)
+      ~corrupt:(fun r ->
+        r := true;
+        r)
+      (Plan.v ~dup:0.9 ~corrupt:0.5 ())
+  in
+  let split = ref 0 in
+  for i = 0 to 199 do
+    match Impair.send imp ~now:(float_of_int i *. 1e-3) (ref false) with
+    | [ a; b ] -> if !(a.Impair.frame) && not !(b.Impair.frame) then incr split
+    | _ -> ()
+  done;
+  check "corrupted original, clean copy" true (!split > 0)
+
 let test_impair_drop_frame () =
   let freed = ref [] in
   let imp =
@@ -381,6 +401,8 @@ let suite =
     Alcotest.test_case "impair down episode" `Quick test_impair_down_episode;
     Alcotest.test_case "impair conservation" `Quick test_impair_conservation;
     Alcotest.test_case "impair corrupt hook" `Quick test_impair_corrupt_hook;
+    Alcotest.test_case "impair clones before corrupting" `Quick
+      test_impair_clone_before_corrupt;
     Alcotest.test_case "impair drop_frame" `Quick test_impair_drop_frame;
     Alcotest.test_case "impair release_due" `Quick test_impair_release_due;
     Alcotest.test_case "impair deterministic replay" `Quick

@@ -85,6 +85,41 @@ let test_topology_rejects_infeasible () =
   checkb "degree zero disconnects" true (raises (fun () ->
       ignore (Topology.generate ~hosts:4 ~degree:0 ~seed:1)))
 
+(* Dense small graphs exist but are rare draws: at a 10,000-attempt
+   budget these triples raised "no simple connected graph" (a QCheck run
+   of the properties above drew hosts=8 degree=5 seed=269). *)
+let test_topology_dense_seeds () =
+  List.iter
+    (fun (hosts, degree, seed) ->
+      let name = Printf.sprintf "hosts=%d degree=%d seed=%d" hosts degree seed in
+      let t = Topology.generate ~hosts ~degree ~seed in
+      let e = t.Topology.edges in
+      checki (name ^ " edges") (hosts * degree / 2) (Array.length e);
+      checkb (name ^ " simple, canonical") true
+        (Array.for_all (fun (u, v) -> u < v) e
+        && Array.for_all Fun.id
+             (Array.init (Array.length e - 1) (fun i -> compare e.(i) e.(i + 1) < 0)));
+      checkb (name ^ " degree-exact") true
+        (Array.for_all (fun row -> Array.length row = degree) t.Topology.adj);
+      checkb (name ^ " connected") true (Topology.is_connected t))
+    [ (8, 5, 269); (6, 5, 297); (8, 5, 4) ]
+
+(* Degree 1 on more than 2 hosts is a perfect matching, never connected:
+   rejected up front rather than after the whole redraw budget. *)
+let test_topology_rejects_degree_one () =
+  List.iter
+    (fun hosts ->
+      match Topology.generate ~hosts ~degree:1 ~seed:1 with
+      | _ -> Alcotest.failf "degree 1 on %d hosts accepted" hosts
+      | exception Invalid_argument msg ->
+        checkb
+          (Printf.sprintf "degree 1 on %d hosts: %s" hosts msg)
+          true
+          (String.starts_with ~prefix:"Topology.generate: degree 1" msg))
+    [ 4; 64 ];
+  let t = Topology.generate ~hosts:2 ~degree:1 ~seed:1 in
+  checkb "degree 1 on 2 hosts is the one edge" true (t.Topology.edges = [| (0, 1) |])
+
 (* ------------------------------------------------------------------ *)
 (* Mesh determinism: byte-identical renders.                           *)
 (* ------------------------------------------------------------------ *)
@@ -225,6 +260,43 @@ let crash_cfg =
       (Ldlp_fault.Plan.lifecycle ~victims:1.0 ~episodes:2 ~min_outage:0.002
          ~mean_outage:0.01 ~seed:7 ~hosts:16 ~horizon:0.02 ())
     ()
+
+(* One 1,024-host storm under the chaos plan, pinned to its full result:
+   calls, every cause of the ledger, the wire and CPU seconds to the bit,
+   and the per-pair completions.  The values were recorded from the
+   implementation with a boxed-int64 RNG, a tuple-entry event heap, one
+   topology per shard and a binary search per transmitted copy, so the
+   allocation-light wire path is held to the same storm, frame for
+   frame.  Two shards share the generated topology. *)
+let test_storm_chaos_1024_pinned () =
+  let cfg = Mesh.config ~hosts:1024 ~degree:4 ~seed:1996 ~plan:Mesh.chaos_plan () in
+  let r =
+    Mesh.run_storm_sharded ~wiring:Mesh.Duplex ~shards:2 ~pairs:128 ~calls_per_pair:8
+      cfg
+  in
+  let s = r.Mesh.ss_storm and c = r.Mesh.ss_storm.Mesh.t_causes in
+  let calls =
+    Printf.sprintf "%d/%d failed=%d abandoned=%d retried=%d deferred=%d"
+      s.Mesh.calls_completed s.Mesh.calls_requested s.Mesh.calls_failed
+      s.Mesh.calls_abandoned s.Mesh.calls_retried s.Mesh.setups_deferred
+  in
+  Alcotest.(check string) "calls" "1024/1024 failed=0 abandoned=0 retried=0 deferred=0" calls;
+  Alcotest.(check string)
+    "cause ledger"
+    "offered=14859 dropped=739 down=0 dup=284 corrupt=9 reorder=1425 flushed=0 \
+     crashed=0 arrived=14404 badframe=9 dupdrop=0 lost=0 delivered=0 sig=14395"
+    (Printf.sprintf
+       "offered=%d dropped=%d down=%d dup=%d corrupt=%d reorder=%d flushed=%d \
+        crashed=%d arrived=%d badframe=%d dupdrop=%d lost=%d delivered=%d sig=%d"
+       c.Mesh.offered c.Mesh.fault_dropped c.Mesh.down_dropped c.Mesh.duplicated
+       c.Mesh.corrupted c.Mesh.reordered c.Mesh.flushed c.Mesh.crashed c.Mesh.arrived
+       c.Mesh.corrupt_dropped c.Mesh.dup_dropped c.Mesh.lost_in_crash
+       c.Mesh.delivered c.Mesh.sig_delivered);
+  Alcotest.(check string)
+    "wire and cpu seconds" "0x1.9cc985f06f693p+0 0x1.8aa961a333206p+0"
+    (Printf.sprintf "%h %h" s.Mesh.storm_wire_seconds s.Mesh.storm_cpu_seconds);
+  Alcotest.(check (array int)) "pair_done" (Array.make 128 8) s.Mesh.pair_done;
+  checkb "conserved and leak-free" true (s.Mesh.t_conserved && s.Mesh.t_leak_free)
 
 let test_recovery_eventual_completion () =
   List.iter
@@ -412,6 +484,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_directed_index;
     Alcotest.test_case "topology rejects infeasible params" `Quick
       test_topology_rejects_infeasible;
+    Alcotest.test_case "topology dense small graphs generate" `Quick
+      test_topology_dense_seeds;
+    Alcotest.test_case "topology rejects degree 1 beyond 2 hosts" `Quick
+      test_topology_rejects_degree_one;
     Alcotest.test_case "render is byte-identical across runs" `Quick
       test_render_byte_identical;
     Alcotest.test_case "render is domain-count invariant" `Quick
@@ -431,6 +507,8 @@ let suite =
       test_storm_deterministic;
     Alcotest.test_case "sharded storm equals single-domain" `Quick
       test_storm_sharded_equals_single;
+    Alcotest.test_case "1024-host chaos storm pinned" `Quick
+      test_storm_chaos_1024_pinned;
     Alcotest.test_case "recovery: every call completes or is abandoned" `Quick
       test_recovery_eventual_completion;
     Alcotest.test_case "recovery: crash plan injects real failures" `Quick

@@ -11,6 +11,16 @@ let checkf msg a b = Alcotest.(check (float 1e-9)) msg a b
 
 (* ---------- Heap ---------- *)
 
+(* Option views of the heap's allocation-free [peek_key]/[pop_min]. *)
+let pop h =
+  let cell = [| 0.0 |] in
+  if Heap.peek_key h cell then
+    let k = cell.(0) in
+    Some (k, Heap.pop_min h)
+  else None
+
+let peek h = match Heap.to_sorted_list h with [] -> None | kv :: _ -> Some kv
+
 let test_heap_basic () =
   let h = Heap.create () in
   check "fresh heap empty" true (Heap.is_empty h);
@@ -19,19 +29,19 @@ let test_heap_basic () =
   Heap.push h 2.0 "b";
   checki "size" 3 (Heap.size h);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "peek min" (Some (1.0, "a")) (Heap.peek h);
+    "peek min" (Some (1.0, "a")) (peek h);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "pop min" (Some (1.0, "a")) (Heap.pop h);
+    "pop min" (Some (1.0, "a")) (pop h);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "pop next" (Some (2.0, "b")) (Heap.pop h);
+    "pop next" (Some (2.0, "b")) (pop h);
   Alcotest.(check (option (pair (float 0.0) string)))
-    "pop last" (Some (3.0, "c")) (Heap.pop h);
-  check "empty after drain" true (Heap.pop h = None)
+    "pop last" (Some (3.0, "c")) (pop h);
+  check "empty after drain" true (pop h = None)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.push h 1.0 v) [ 1; 2; 3; 4; 5 ];
-  let order = List.init 5 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 5 (fun _ -> snd (Option.get (pop h))) in
   Alcotest.(check (list int)) "ties pop in insertion order" [ 1; 2; 3; 4; 5 ] order
 
 let test_heap_clear () =
@@ -54,7 +64,7 @@ let prop_heap_sorts =
       let h = Heap.create () in
       List.iter (fun k -> Heap.push h k k) keys;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
+        match pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
       in
       drain [] = List.sort compare keys)
 
@@ -67,14 +77,85 @@ let prop_heap_fifo_ties =
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h (float_of_int k) (k, i)) keys;
       let rec drain acc =
-        match Heap.pop h with
+        match pop h with
         | None -> List.rev acc
         | Some (_, v) -> drain (v :: acc)
       in
       let inserted = List.mapi (fun i k -> (k, i)) keys in
       drain [] = List.stable_sort (fun (a, _) (b, _) -> compare a b) inserted)
 
+(* [capacity] sizes the backing arrays: pushes up to it allocate nothing
+   past the first, which sizes the value array.  Counted as minor plus
+   direct-major words, since a grown array this large skips the minor
+   heap; the tolerance covers the [Gc.counters] reads. *)
+let words_allocated () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_heap_capacity () =
+  let h = Heap.create ~capacity:4096 () in
+  Heap.push h 1.0 0;
+  let w0 = words_allocated () in
+  for i = 1 to 4095 do
+    Heap.push h 1.0 i
+  done;
+  let dw = words_allocated () -. w0 in
+  if dw > 32.0 then
+    Alcotest.failf "4095 pushes into a 4096-capacity heap allocated %.0f words" dw;
+  checki "all held" 4096 (Heap.size h)
+
 (* ---------- Rng ---------- *)
+
+(* The first draws of four seeds, recorded from the boxed-int64
+   implementation: the unboxed state must keep every stream bit for bit,
+   or every generated input and figure would move. *)
+let test_rng_pinned () =
+  List.iter
+    (fun (seed, a, b, i1000, imax, f, e, child, after) ->
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      let r = Rng.create ~seed in
+      Alcotest.(check int64) (name "int64 #1") a (Rng.int64 r);
+      Alcotest.(check int64) (name "int64 #2") b (Rng.int64 r);
+      checki (name "int 1000") i1000 (Rng.int r 1000);
+      checki (name "int max_int") imax (Rng.int r max_int);
+      Alcotest.(check (float 0.0)) (name "float") f (Rng.float r 1.0);
+      Alcotest.(check (float 0.0)) (name "exponential") e (Rng.exponential r ~mean:2.0);
+      let c = Rng.split r in
+      Alcotest.(check int64) (name "split child") child (Rng.int64 c);
+      Alcotest.(check int64) (name "parent after split") after (Rng.int64 r))
+    [
+      ( 0, 5987356902031041503L, 7051070477665621255L, 180, 211316841551650330,
+        0x1.409d75e94bdd4p-2, 0x1.003fe1b513144p-2, 3791664082557377893L,
+        -2849859482894481063L );
+      ( 1996, 3182049385916724945L, -8490628615883724469L, 61, 3586823161419522529,
+        0x1.a6db30ae5e246p-2, 0x1.cb60a56abbd99p-4, -1953487479987914288L,
+        -2295956192576590429L );
+      ( -5, 2519103389350875876L, -3804030898414190368L, 166, 3557956584131104291,
+        0x1.c530be92d713ap-2, 0x1.2fb17263b4a7cp-1, -6431029380768156053L,
+        780879283203075492L );
+      ( max_int, 5042704402088116674L, -4346585348570061276L, 416,
+        2651003317969226783, 0x1.ee9cfc754da18p-4, 0x1.366c77d819e57p+0,
+        -3004138355605647839L, 1696139565964319462L );
+    ]
+
+(* A draw that returns an immediate allocates nothing: the state is
+   unboxed.  The tolerance covers the two [Gc.minor_words] reads. *)
+let test_rng_zero_alloc () =
+  let r = Rng.create ~seed:11 in
+  let a = Array.init 64 Fun.id in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 1000;
+    if Rng.bool r 0.5 then incr acc
+  done;
+  for _ = 1 to 100 do
+    Rng.shuffle r a
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then
+    Alcotest.failf "10,000 int+bool draws and 100 shuffles allocated %.0f minor words" dw;
+  check "draws used" true (!acc > 0)
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
@@ -278,6 +359,165 @@ let test_engine_stop () =
   Engine.run e;
   checki "stopped after first" 1 !fired
 
+(* The event queue against a reference: a list of pending events in
+   scheduling order, the next one found by a stable sort on time — so
+   equal times dispatch in scheduling order.  A program interleaves
+   [at] (also in the past, which must raise), [after], [step],
+   [run ~until] and [run]; a dispatched event may schedule follow-ups
+   from inside its callback.  Both sides log every dispatch (event id and
+   clock) and the clock and queue length after every operation. *)
+type q_op =
+  | Q_at of float * float list  (* absolute time, follow-up delays *)
+  | Q_after of float * float list
+  | Q_step
+  | Q_until of float
+  | Q_run
+
+let q_op_print = function
+  | Q_at (t, k) ->
+    Printf.sprintf "at %g [%s]" t (String.concat ";" (List.map string_of_float k))
+  | Q_after (t, k) ->
+    Printf.sprintf "after %g [%s]" t (String.concat ";" (List.map string_of_float k))
+  | Q_step -> "step"
+  | Q_until t -> Printf.sprintf "until %g" t
+  | Q_run -> "run"
+
+let arb_q_program =
+  let open QCheck.Gen in
+  (* Halves on a short range, so equal times are common. *)
+  let time = map (fun k -> float_of_int k *. 0.5) (int_bound 8) in
+  let kids = list_size (int_bound 2) (map (fun k -> float_of_int k *. 0.5) (int_bound 2)) in
+  let op =
+    frequency
+      [
+        (4, map2 (fun t k -> Q_at (t, k)) time kids);
+        (4, map2 (fun t k -> Q_after (t, k)) time kids);
+        (2, return Q_step);
+        (2, map (fun t -> Q_until t) time);
+        (1, return Q_run);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat ", " (List.map q_op_print ops))
+    (list_size (int_bound 60) op)
+
+type q_log = Fired of int * float | After_op of float * int | Raised
+
+let q_reference ops =
+  let now = ref 0.0 and pending = ref [] and next_id = ref 0 and log = ref [] in
+  let schedule t kids =
+    pending := !pending @ [ (t, !next_id, kids) ];
+    incr next_id
+  in
+  let next () =
+    match List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) !pending with
+    | [] -> None
+    | ((_, id, _) as ev) :: _ ->
+      Some (ev, List.filter (fun (_, id', _) -> id' <> id) !pending)
+  in
+  let step () =
+    match next () with
+    | None -> false
+    | Some ((t, id, kids), rest) ->
+      pending := rest;
+      now := t;
+      log := Fired (id, t) :: !log;
+      List.iter (fun dt -> schedule (!now +. dt) []) kids;
+      true
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Q_at (t, kids) -> if t < !now then log := Raised :: !log else schedule t kids
+      | Q_after (dt, kids) -> schedule (!now +. dt) kids
+      | Q_step -> ignore (step ())
+      | Q_until limit ->
+        let continue = ref true in
+        while !continue do
+          match next () with
+          | None -> continue := false
+          | Some ((t, _, _), _) ->
+            if t > limit then begin
+              now := limit;
+              continue := false
+            end
+            else ignore (step ())
+        done
+      | Q_run -> while step () do () done);
+      log := After_op (!now, List.length !pending) :: !log)
+    ops;
+  List.rev !log
+
+let q_engine ops =
+  let e = Engine.create () in
+  let next_id = ref 0 and log = ref [] in
+  (* An id is used only once [at] has accepted the event. *)
+  let rec schedule_at t kids =
+    let id = !next_id in
+    Engine.at e t (fun () ->
+        log := Fired (id, Engine.now e) :: !log;
+        List.iter (fun dt -> schedule_after dt) kids);
+    incr next_id
+  and schedule_after dt =
+    let id = !next_id in
+    Engine.after e dt (fun () -> log := Fired (id, Engine.now e) :: !log);
+    incr next_id
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Q_at (t, kids) -> (
+        try schedule_at t kids with Invalid_argument _ -> log := Raised :: !log)
+      | Q_after (dt, kids) -> schedule_at (Engine.now e +. dt) kids
+      | Q_step -> ignore (Engine.step e)
+      | Q_until limit -> Engine.run ~until:limit e
+      | Q_run -> Engine.run e);
+      log := After_op (Engine.now e, Engine.pending e) :: !log)
+    ops;
+  List.rev !log
+
+let prop_engine_dispatch_order =
+  QCheck.Test.make ~name:"engine dispatch order equals a stable sort by time"
+    ~count:300 arb_q_program (fun ops -> q_engine ops = q_reference ops)
+
+(* Scheduling and dispatch allocate nothing but the caller's closure and
+   the boxed time it passes: here both exist before the measurement, the
+   times as a list of boxed floats.  The tolerance covers the two
+   [Gc.minor_words] reads. *)
+let rec schedule_all e f = function
+  | [] -> ()
+  | t :: rest ->
+    Engine.at e t f;
+    schedule_all e f rest
+
+let test_engine_zero_alloc () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let f () = incr fired in
+  (* Round [k]: 1,000 events over [100k, 100k + 96], ties included, half
+     dispatched by [run ~until], some by [step], the rest by [run]. *)
+  let rounds =
+    Array.init 4 (fun k -> List.init 1000 (fun i -> float_of_int ((100 * k) + (i mod 97))))
+  in
+  let limits = Array.init 4 (fun k -> Some (float_of_int ((100 * k) + 50))) in
+  let round k =
+    schedule_all e f rounds.(k);
+    Engine.run ?until:limits.(k) e;
+    for _ = 1 to 100 do
+      ignore (Engine.step e)
+    done;
+    Engine.run e
+  in
+  round 0;
+  let w0 = Gc.minor_words () in
+  round 1;
+  round 2;
+  round 3;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then
+    Alcotest.failf "scheduling and dispatching 3,000 events allocated %.0f minor words" dw;
+  checki "every event fired" 4000 !fired
+
 (* ---------- Table / Chart ---------- *)
 
 let contains hay needle =
@@ -330,6 +570,7 @@ let suite =
     Alcotest.test_case "heap to_sorted_list" `Quick test_heap_to_sorted_list;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_fifo_ties;
+    Alcotest.test_case "heap capacity pre-sizes its arrays" `Quick test_heap_capacity;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     QCheck_alcotest.to_alcotest prop_rng_deterministic;
     QCheck_alcotest.to_alcotest prop_rng_distinct_seeds;
@@ -341,6 +582,8 @@ let suite =
     Alcotest.test_case "rng geometric" `Quick test_rng_geometric;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutation;
+    Alcotest.test_case "rng first draws pinned" `Quick test_rng_pinned;
+    Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_zero_alloc;
     Alcotest.test_case "stats known values" `Quick test_stats_known;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     QCheck_alcotest.to_alcotest prop_stats_merge;
@@ -353,6 +596,9 @@ let suite =
     Alcotest.test_case "engine chained" `Quick test_engine_schedule_during_run;
     Alcotest.test_case "engine past raises" `Quick test_engine_past_raises;
     Alcotest.test_case "engine stop" `Quick test_engine_stop;
+    QCheck_alcotest.to_alcotest prop_engine_dispatch_order;
+    Alcotest.test_case "engine schedule and dispatch allocate nothing" `Quick
+      test_engine_zero_alloc;
     Alcotest.test_case "table render" `Quick test_table_render';
     Alcotest.test_case "table tsv" `Quick test_table_tsv;
     Alcotest.test_case "fmt si" `Quick test_fmt_si;
