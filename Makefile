@@ -1,10 +1,10 @@
 # Local CI gate.  `make check` = build + formatting + tests (unit,
-# property and golden-figure) + a 2-domain determinism selftest of the
-# parallel sweep engine + the differential-oracle replay.
+# property and golden-figure) + the 1-vs-2-domain determinism comparison
+# + the differential-oracle replay.
 
 DOMAINS ?= 2
 
-.PHONY: all build test fmt promote selftest oracle engine-parity soak soak-duplex mesh shards recovery flows check
+.PHONY: all build test fmt promote selftest determinism oracle engine-parity soak soak-duplex mesh shards recovery flows check
 
 all: build
 
@@ -25,6 +25,30 @@ promote:
 
 selftest: build
 	dune exec bin/ldlp_repro.exe -- selftest --domains $(DOMAINS)
+
+# Same seed, same bytes, at any domain count.  Every parallel path (the
+# sweeps' Pool.map, the sharded mesh storm, Shard.run) runs on an
+# Ldlp_par.Pool.Gang, while the goldens run at one domain, so this runs
+# every figure, the mesh (figure and JSON), recovery and both soak
+# wirings at --domains 1 and 2 into the gitignored _bench/ and
+# byte-compares the two trees.
+REPRO = ./_build/default/bin/ldlp_repro.exe
+DET = _bench/determinism
+
+determinism: build
+	rm -rf $(DET) && mkdir -p $(DET)/1 $(DET)/2
+	set -e; for d in 1 2; do \
+	  $(REPRO) all --domains $$d > $(DET)/$$d/all.txt; \
+	  $(REPRO) mesh --seed 1996 --domains $$d -o $(DET)/BENCH_mesh.json \
+	    > $(DET)/$$d/mesh.txt; \
+	  mv $(DET)/BENCH_mesh.json $(DET)/$$d/; \
+	  $(REPRO) recovery --seed 1996 --domains $$d > $(DET)/$$d/recovery.txt; \
+	  $(REPRO) soak --seed 1996 --scenarios 25 --domains $$d > $(DET)/$$d/soak.txt; \
+	  $(REPRO) soak --seed 1996 --scenarios 25 --duplex --domains $$d \
+	    > $(DET)/$$d/soak-duplex.txt; \
+	done
+	diff -r $(DET)/1 $(DET)/2
+	@echo "determinism OK: all, mesh, recovery, soak, soak --duplex identical at 1 and 2 domains"
 
 # Differential oracles + LDLP_CHECK invariant sweep on the real model.
 oracle: build
@@ -105,5 +129,5 @@ flows: build
 bench-%: build
 	dune exec bench/main.exe -- --$*
 
-check: build fmt test selftest oracle engine-parity bench-alloc-gate soak soak-duplex mesh shards recovery flows
+check: build fmt test determinism oracle engine-parity bench-alloc-gate soak soak-duplex mesh shards recovery flows
 	@echo "check OK"

@@ -3,17 +3,11 @@ module Shard = Ldlp_shard.Shard
 module Stackwork = Ldlp_shard.Stackwork
 module Shard_echo = Ldlp_shard.Shard_echo
 
-type placement = {
-  pl_shards : int;
-  pl_policy : Shard.Policy.t;
-  pl_capacity : int;
-  pl_seed : int;
-}
+type placement = { pl_shards : int; pl_policy : Shard.Policy.t }
 
 let pp_placement ppf p =
-  Format.fprintf ppf "shards=%d policy=%s capacity=%d seed=%d" p.pl_shards
+  Format.fprintf ppf "shards=%d policy=%s" p.pl_shards
     (Shard.Policy.name p.pl_policy)
-    p.pl_capacity p.pl_seed
 
 let placements ~rng =
   let n = 3 + Rng.int rng 3 in
@@ -21,20 +15,15 @@ let placements ~rng =
       {
         pl_shards = 2 + Rng.int rng 4;
         pl_policy = (if Rng.bool rng 0.5 then Shard.Policy.Affinity else Shard.Policy.Hash);
-        pl_capacity = (match Rng.int rng 3 with 0 -> 1 | 1 -> 2 | _ -> 64);
-        pl_seed = Rng.int rng 1000;
       })
 
 let differential spec pls =
   let base = Stackwork.run ~shards:1 spec in
   if not (Stackwork.ledger_ok base) then
-    Error "inline reference (shards=1) fails its own conservation ledger"
+    Error "single-shard reference fails its own conservation ledger"
   else
     let check pl =
-      let r =
-        Stackwork.run ~policy:pl.pl_policy ~shard_seed:pl.pl_seed
-          ~capacity:pl.pl_capacity ~shards:pl.pl_shards spec
-      in
+      let r = Stackwork.run ~policy:pl.pl_policy ~shards:pl.pl_shards spec in
       match Stackwork.diff_reports base r with
       | Some d -> Error (Format.asprintf "[%a] %s" pp_placement pl d)
       | None ->
@@ -56,25 +45,19 @@ let echo_differential ~seed =
   else
     let rec go = function
       | [] -> Ok ()
-      | (shards, capacity, shard_seed, policy) :: rest ->
-        let r = Shard_echo.run ~policy ~shard_seed ~capacity ~shards cfg in
+      | (shards, policy) :: rest ->
+        let r = Shard_echo.run ~policy ~shards cfg in
         if not (Shard_echo.equal_reports base r) then
-          Error
-            (Printf.sprintf
-               "echo replay diverged at shards=%d capacity=%d seed=%d" shards
-               capacity shard_seed)
+          Error (Printf.sprintf "echo replay diverged at shards=%d" shards)
         else if not (Shard_echo.all_ok r) then
-          Error
-            (Printf.sprintf
-               "echo replay not clean at shards=%d capacity=%d seed=%d" shards
-               capacity shard_seed)
+          Error (Printf.sprintf "echo replay not clean at shards=%d" shards)
         else go rest
     in
     go
       [
-        (2, 64, 0, Shard.Policy.Affinity);
-        (3, 2, 9, Shard.Policy.Hash);
-        (4, 1, 17, Shard.Policy.Affinity);
+        (2, Shard.Policy.Affinity);
+        (3, Shard.Policy.Hash);
+        (4, Shard.Policy.Affinity);
       ]
 
 let run_random ~seed ~cases =

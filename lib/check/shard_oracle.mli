@@ -2,12 +2,12 @@
 
     The sharding contract ({!Ldlp_shard.Shard}) is that a run is a pure
     function of [(config, seed, workload)] and {e not} of its placement:
-    shard count, handoff ring capacity, drain-rotation seed and placement
-    policy may change scheduling interleavings between domains, but never
-    anything observable.  This module makes that contract executable the
-    same way {!Sched_oracle} does for scheduling disciplines: run a
-    workload at [shards = 1] (the inline reference) and replay it across
-    shard counts, capacities, seeds and policies, then compare
+    shard count and placement policy may change scheduling interleavings
+    between domains, but never anything observable.  This module makes
+    that contract executable the same way {!Sched_oracle} does for
+    scheduling disciplines: run a workload at [shards = 1] (the
+    single-domain reference) and replay it across shard counts and
+    policies, then compare
 
     - per-group delivered-byte streams (digest lists, in delivery order);
     - the handoff wire multiset [(src, dst, tag, ttl)];
@@ -21,24 +21,18 @@
     fixed-seed {!Ldlp_shard.Shard_echo} TCP echo exchange replayed at
     several shard counts. *)
 
-type placement = {
-  pl_shards : int;
-  pl_policy : Ldlp_shard.Shard.Policy.t;
-  pl_capacity : int;  (** Handoff ring capacity. *)
-  pl_seed : int;  (** Handoff drain-rotation seed. *)
-}
+type placement = { pl_shards : int; pl_policy : Ldlp_shard.Shard.Policy.t }
 
 val pp_placement : Format.formatter -> placement -> unit
 
 val placements : rng:Ldlp_sim.Rng.t -> placement list
-(** 3-5 random placements: shards in 2-5, both policies, capacities down
-    to 1 (maximal backpressure), varied drain seeds. *)
+(** 3-5 random placements: shards in 2-5, both policies. *)
 
 val differential :
   Ldlp_shard.Stackwork.spec -> placement list -> (unit, string) result
-(** Run the spec inline ([shards = 1]), then under every placement, and
+(** Run the spec on one shard, then under every placement, and
     compare reports; [Error] carries the offending placement and the
-    first difference.  Also asserts the inline reference itself passes
+    first difference.  Also asserts the single-shard reference itself passes
     the conservation ledger. *)
 
 val run_random : seed:int -> cases:int -> (int, string) result

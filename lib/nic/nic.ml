@@ -1,4 +1,5 @@
 module Metrics = Ldlp_obs.Metrics
+module Rqueue = Ldlp_core.Rqueue
 
 type irq_mode = Per_frame | Coalesced of int
 
@@ -10,9 +11,14 @@ type stats = {
   interrupts : int;
 }
 
+(* Each ring is an [Rqueue] under the adaptor's own slot bound: a push
+   at [rx_slots]/[tx_slots] is refused (the caller counts the drop), so
+   the queue's own growth stops at the bound. *)
 type 'a t = {
-  rx : 'a Ring.t;
-  tx : 'a Ring.t;
+  rx : 'a Rqueue.t;
+  tx : 'a Rqueue.t;
+  rx_slots : int;
+  tx_slots : int;
   irq : irq_mode;
   mutable since_irq : int;  (* frames received since the last interrupt *)
   mutable pending : bool;
@@ -31,12 +37,16 @@ let create ?(rx_slots = 64) ?(tx_slots = 64) ?(irq = Per_frame) ?metrics () =
   (match irq with
   | Coalesced n when n <= 0 -> invalid_arg "Nic.create: coalescing must be positive"
   | _ -> ());
+  if rx_slots <= 0 || tx_slots <= 0 then
+    invalid_arg "Nic.create: slots must be positive";
   let sc name =
     match metrics with None -> ref 0 | Some m -> Metrics.scalar m name
   in
   {
-    rx = Ring.create ~slots:rx_slots;
-    tx = Ring.create ~slots:tx_slots;
+    rx = Rqueue.create ();
+    tx = Rqueue.create ();
+    rx_slots;
+    tx_slots;
     irq;
     since_irq = 0;
     pending = false;
@@ -49,6 +59,19 @@ let create ?(rx_slots = 64) ?(tx_slots = 64) ?(irq = Per_frame) ?metrics () =
     interrupts_sc = sc "interrupts";
   }
 
+let push q ~slots v =
+  if Rqueue.length q >= slots then false
+  else begin
+    Rqueue.push q v;
+    true
+  end
+
+let pop q = if Rqueue.is_empty q then None else Some (Rqueue.pop q)
+
+let pop_all q =
+  let rec go acc = if Rqueue.is_empty q then List.rev acc else go (Rqueue.pop q :: acc) in
+  go []
+
 let raise_irq t =
   if not t.pending then begin
     t.pending <- true;
@@ -58,16 +81,17 @@ let raise_irq t =
   t.since_irq <- 0
 
 let deliver t frame =
-  if Ring.push t.rx frame then begin
+  if push t.rx ~slots:t.rx_slots frame then begin
     t.s <- { t.s with rx_frames = t.s.rx_frames + 1 };
     Metrics.add_scalar t.rx_frames_sc 1;
     (match t.metrics with
     | None -> ()
-    | Some m -> Metrics.arrival m ~depth:(Ring.length t.rx));
+    | Some m -> Metrics.arrival m ~depth:(Rqueue.length t.rx));
     t.since_irq <- t.since_irq + 1;
     (match t.irq with
     | Per_frame -> raise_irq t
-    | Coalesced n -> if t.since_irq >= n || Ring.is_full t.rx then raise_irq t);
+    | Coalesced n ->
+      if t.since_irq >= n || Rqueue.length t.rx = t.rx_slots then raise_irq t);
     true
   end
   else begin
@@ -77,7 +101,7 @@ let deliver t frame =
   end
 
 let wire_take t =
-  let v = Ring.pop t.tx in
+  let v = pop t.tx in
   if v <> None then begin
     t.s <- { t.s with tx_frames = t.s.tx_frames + 1 };
     Metrics.add_scalar t.tx_frames_sc 1
@@ -85,7 +109,7 @@ let wire_take t =
   v
 
 let wire_take_all t =
-  let frames = Ring.pop_all t.tx in
+  let frames = pop_all t.tx in
   let n = List.length frames in
   t.s <- { t.s with tx_frames = t.s.tx_frames + n };
   Metrics.add_scalar t.tx_frames_sc n;
@@ -97,11 +121,11 @@ let ack_irq t =
   t.pending <- false;
   t.since_irq <- 0
 
-let rx_available t = Ring.length t.rx
+let rx_available t = Rqueue.length t.rx
 
 let take_all t =
   ack_irq t;
-  let frames = Ring.pop_all t.rx in
+  let frames = pop_all t.rx in
   (match t.metrics with
   | None -> ()
   | Some m ->
@@ -110,10 +134,10 @@ let take_all t =
     if n > 0 then Metrics.batch_run m n);
   frames
 
-let take t = Ring.pop t.rx
+let take t = pop t.rx
 
 let transmit t frame =
-  if Ring.push t.tx frame then true
+  if push t.tx ~slots:t.tx_slots frame then true
   else begin
     t.s <- { t.s with tx_drops = t.s.tx_drops + 1 };
     Metrics.add_scalar t.tx_drops_sc 1;

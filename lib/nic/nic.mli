@@ -1,5 +1,9 @@
-(** A simulated network adaptor: receive and transmit descriptor rings
-    plus an interrupt model.
+(** A simulated network adaptor: bounded receive and transmit
+    descriptor rings plus an interrupt model.  Each ring is a
+    {!Ldlp_core.Rqueue} bounded at its slot count: a push to a full ring
+    is refused and counted as a drop, never blocked — the behaviour the
+    paper assumes when it says "when messages arrive, they are buffered
+    in the adaptor hardware".
 
     The paper's on-line LDLP algorithm assumes the adaptor buffers
     arriving messages and the stack periodically "takes all available
@@ -31,7 +35,9 @@ val create :
   ?metrics:Ldlp_obs.Metrics.t ->
   unit ->
   'a t
-(** Defaults: 64-slot rings, [Per_frame] interrupts.
+(** Defaults: 64-slot rings, [Per_frame] interrupts.  Raises
+    [Invalid_argument] on a non-positive slot count or coalescing
+    factor.
 
     [metrics] (no layer rows needed) receives, while the {!Ldlp_obs.Obs}
     gate is on: the "rx_frames"/"rx_drops"/"tx_frames"/"tx_drops"/

@@ -12,7 +12,12 @@
     bucket holding the rank-th smallest value, clamped to the true
     maximum, so it never under-reports and never exceeds the observed
     range).  The QCheck suite in [test/test_obs.ml] pins these contracts
-    against a naive sorted-array reference. *)
+    against a naive sorted-array reference.
+
+    It prints the [stats] golden's [p50<=]/[p99<=].  {!Ldlp_sim.Hist}
+    (float, log-scale) stays beside it: its buckets give different
+    quantiles for the same samples, so neither can replace the other
+    without moving those outputs. *)
 
 type t
 

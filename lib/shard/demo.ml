@@ -28,18 +28,17 @@ let render_stackwork buf ~seed =
     [
       ("shards=1", base);
       ("shards=2", Stackwork.run ~shards:2 spec);
-      ("shards=4 cap=2 seed=9", Stackwork.run ~shards:4 ~capacity:2 ~shard_seed:9 spec);
+      ("shards=4", Stackwork.run ~shards:4 spec);
       ("shards=4 hash", Stackwork.run ~shards:4 ~policy:Shard.Policy.Hash spec);
     ]
   in
   List.iter
     (fun (name, r) ->
       let inj, del, cons = Stackwork.totals r in
-      let h = r.Stackwork.r_stats.Shard.rs_handoff in
       add buf
-        "  %-21s rounds=%-3d inj=%-3d del=%-3d cons=%-3d xfer=%-3d refusals=%-2d maxocc=%-2d replay=%s ledger=%s\n"
+        "  %-21s rounds=%-3d inj=%-3d del=%-3d cons=%-3d xfer=%-3d replay=%s ledger=%s\n"
         name r.Stackwork.r_stats.Shard.rs_rounds inj del cons
-        h.Handoff.transferred h.Handoff.ring_refusals h.Handoff.max_occupancy
+        r.Stackwork.r_stats.Shard.rs_transferred
         (b2s (Stackwork.equal_reports base r))
         (b2s (Stackwork.ledger_ok r)))
     variants;
@@ -71,10 +70,10 @@ let render_echo buf ~seed =
         (b2s (Shard_echo.equal_reports base r))
         (b2s (Shard_echo.all_ok r))
         r.Shard_echo.e_stats.Shard.rs_rounds
-        r.Shard_echo.e_stats.Shard.rs_handoff.Handoff.transferred)
+        r.Shard_echo.e_stats.Shard.rs_transferred)
     [
       ("shards=2", Shard_echo.run ~shards:2 cfg);
-      ("shards=4 cap=2 seed=9", Shard_echo.run ~shards:4 ~capacity:2 ~shard_seed:9 cfg);
+      ("shards=4", Shard_echo.run ~shards:4 cfg);
       ("shards=3 hash", Shard_echo.run ~shards:3 ~policy:Shard.Policy.Hash cfg);
     ]
 

@@ -5,109 +5,48 @@ type 'a item = {
   it_value : 'a;
 }
 
-(* rings.(src * shards + dst) carries src -> dst; overflow.(src * shards
-   + dst) holds items a full ring refused, in send order (a Buffer-style
-   reversed list).  The overflow cell is written only by [src]'s domain
-   during a round and read only by [dst]'s domain in a later round; the
-   driver's barrier orders the two, so no atomics are needed there.
-
-   [n_sent]/[n_received] are per-shard counters with the same
-   discipline: written by the owning domain, read by the coordinator at
-   a barrier to decide quiescence (sent = received and all rings empty
-   means nothing is in flight). *)
+(* outbox.(src * shards + dst) holds what [src] sent to [dst] since the
+   last drain, newest first.  A cell is written only by [src]'s domain in
+   a step phase and read only by [dst]'s domain in the next drain phase;
+   the round loop's barrier orders the two.  [n_received.(dst)] is written
+   only by [dst]'s domain. *)
 type 'a t = {
   n : int;
-  rings : 'a item Ring.t array;
-  overflow : 'a item list ref array;
-  n_sent : int array;
+  outbox : 'a item list array;
   n_received : int array;
-  cap : int;
-  rot_seed : int;
 }
 
-let create ~shards ?(capacity = 64) ?(seed = 0) () =
+let create ~shards =
   if shards < 1 then invalid_arg "Handoff.create: shards < 1";
-  if capacity < 1 then invalid_arg "Handoff.create: capacity < 1";
   {
     n = shards;
-    rings = Array.init (shards * shards) (fun _ -> Ring.create ~capacity ());
-    overflow = Array.init (shards * shards) (fun _ -> ref []);
-    n_sent = Array.make shards 0;
+    outbox = Array.make (shards * shards) [];
     n_received = Array.make shards 0;
-    cap = capacity;
-    rot_seed = seed;
   }
 
-let shards t = t.n
-
 let send t ~src_shard ~dst_shard ~src_group ~seq ~dst_group value =
-  let it = { it_src_group = src_group; it_seq = seq; it_dst_group = dst_group;
-             it_value = value }
-  in
   let i = (src_shard * t.n) + dst_shard in
-  if not (Ring.try_push t.rings.(i) it) then begin
-    let ov = t.overflow.(i) in
-    ov := it :: !ov
-  end;
-  t.n_sent.(src_shard) <- t.n_sent.(src_shard) + 1
+  t.outbox.(i) <-
+    { it_src_group = src_group; it_seq = seq; it_dst_group = dst_group;
+      it_value = value }
+    :: t.outbox.(i)
 
 let compare_item a b =
   match compare a.it_src_group b.it_src_group with
   | 0 -> compare a.it_seq b.it_seq
   | c -> c
 
-let receive t ~dst_shard ~round =
-  (* Seeded rotation of the source-drain order.  The final sort makes
-     the result invariant to it — the rotation exists so the replay
-     tests can vary capacity/seed and watch the output stay fixed. *)
-  let start = (t.rot_seed + round) mod t.n in
-  let start = if start < 0 then start + t.n else start in
+let receive t ~dst_shard =
   let acc = ref [] in
-  for k = 0 to t.n - 1 do
-    let src = (start + k) mod t.n in
+  for src = 0 to t.n - 1 do
     let i = (src * t.n) + dst_shard in
-    let r = t.rings.(i) in
-    let rec drain () =
-      match Ring.pop_opt r with
-      | Some it ->
-        acc := it :: !acc;
-        drain ()
-      | None -> ()
-    in
-    drain ();
-    let ov = t.overflow.(i) in
-    List.iter (fun it -> acc := it :: !acc) (List.rev !ov);
-    ov := []
+    acc := List.rev_append t.outbox.(i) !acc;
+    t.outbox.(i) <- []
   done;
   let items = List.stable_sort compare_item !acc in
-  t.n_received.(dst_shard) <-
-    t.n_received.(dst_shard) + List.length items;
+  t.n_received.(dst_shard) <- t.n_received.(dst_shard) + List.length items;
   items
 
-let sent t ~shard = t.n_sent.(shard)
+let pending t = Array.exists (fun box -> box <> []) t.outbox
 
-let received t ~shard = t.n_received.(shard)
-
-type stats = {
-  transferred : int;
-  ring_refusals : int;
-  max_occupancy : int;
-  capacity : int;
-  seed : int;
-}
-
-let stats t =
-  let transferred = Array.fold_left ( + ) 0 t.n_received in
-  let refusals = ref 0 and occ = ref 0 in
-  Array.iter
-    (fun r ->
-      refusals := !refusals + Ring.refusals r;
-      if Ring.max_occupancy r > !occ then occ := Ring.max_occupancy r)
-    t.rings;
-  {
-    transferred;
-    ring_refusals = !refusals;
-    max_occupancy = !occ;
-    capacity = t.cap;
-    seed = t.rot_seed;
-  }
+let transferred t = Array.fold_left ( + ) 0 t.n_received

@@ -1,29 +1,29 @@
-(** Seeded, bounded, replayable inter-shard handoff.
+(** Replayable inter-shard handoff: one outbox list per ordered shard
+    pair.
 
-    One bounded SPSC {!Ring} per ordered shard pair carries items from
-    the producing shard's domain to the consuming shard's domain; a ring
-    that fills refuses the push and the item is parked in a per-pair
-    overflow list instead — {b backpressure never drops}, it only defers
-    to the next barrier.
+    A shard's step phase appends to its outboxes; the destination
+    collects them in the next drain phase, after {!Shard.run}'s barrier.
+    Nothing is ever refused or dropped, and the barrier is the only
+    synchronisation: an outbox is written by one domain and read by
+    another only on opposite sides of it.
 
     {2 Determinism}
 
     Every item is tagged with its source {e group} (the placement-
     independent flow identity) and a per-group sequence number, and
-    {!receive} sorts each round's deliveries by [(src_group, seq)].
-    Because that key is unique and placement-independent, the delivered
-    order is a pure function of {e what was sent}, not of shard count,
-    ring capacity, or the seeded rotation in which the rings happen to
-    be drained — which is exactly the property the cross-shard
-    differential oracle pins.  The seed only rotates the (output-
-    invariant) drain order so tests can vary it freely.
+    {!receive} stable-sorts each round's deliveries by
+    [(src_group, seq)].  Because that key is unique and
+    placement-independent, the delivered order is a pure function of
+    {e what was sent}, not of the shard count or of which shard sent
+    it — which is exactly the property the cross-shard differential
+    oracle pins.
 
     {2 Domain discipline}
 
     [send] may be called only by the owning domain of [src_shard];
-    [receive] only by the owning domain of [dst_shard], and only in a
-    round later than the sends it collects (the driver's barrier
-    provides the ordering).  [stats] wants quiescence (after joins). *)
+    [receive] only by the owning domain of [dst_shard], and only after a
+    barrier that follows the sends it collects.  [pending] and
+    [transferred] want a barrier too. *)
 
 type 'a item = {
   it_src_group : int;
@@ -34,11 +34,8 @@ type 'a item = {
 
 type 'a t
 
-val create : shards:int -> ?capacity:int -> ?seed:int -> unit -> 'a t
-(** [capacity] (default 64, ≥ 1) bounds each of the [shards * shards]
-    rings; [seed] (default 0) picks the drain rotation. *)
-
-val shards : 'a t -> int
+val create : shards:int -> 'a t
+(** Raises [Invalid_argument] unless [shards >= 1]. *)
 
 val send :
   'a t ->
@@ -49,27 +46,14 @@ val send :
   dst_group:int ->
   'a ->
   unit
-(** Enqueue for the destination shard; on a full ring the item goes to
-    the overflow list (counted in {!stats} as a refusal, still delivered
-    next round). *)
+(** Append to the [src_shard -> dst_shard] outbox. *)
 
-val receive : 'a t -> dst_shard:int -> round:int -> 'a item list
-(** All items addressed to [dst_shard] that were sent before the current
-    barrier, sorted by [(src_group, seq)].  Clears what it returns. *)
+val receive : 'a t -> dst_shard:int -> 'a item list
+(** Everything sent to [dst_shard] before the current barrier, sorted by
+    [(src_group, seq)].  Empties the outboxes it reads. *)
 
-val sent : 'a t -> shard:int -> int
-(** Items [shard] has sent so far (its producer-side counter). *)
+val pending : 'a t -> bool
+(** Some outbox holds an item no [receive] has collected yet. *)
 
-val received : 'a t -> shard:int -> int
-(** Items [shard] has received so far. *)
-
-type stats = {
-  transferred : int;  (** Items that completed the handoff. *)
-  ring_refusals : int;  (** Pushes deferred through overflow. *)
-  max_occupancy : int;  (** Highest single-ring occupancy seen. *)
-  capacity : int;
-  seed : int;
-}
-
-val stats : 'a t -> stats
-(** Aggregate over all rings; call at quiescence. *)
+val transferred : 'a t -> int
+(** Items collected by [receive] so far, over all shards. *)

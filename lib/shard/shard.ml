@@ -34,41 +34,25 @@ type run_stats = {
   rs_groups : int;
   rs_policy : Policy.t;
   rs_rounds : int;
-  rs_handoff : Handoff.stats;
+  rs_transferred : int;
 }
 
-(* Barrier state.  The coordinator publishes the phase workers may run
-   ([go]) plus a stop flag; workers report completion by bumping
-   [done_count].  Everything is written and read under [mu], so the
-   mutex also carries the happens-before edges that let the coordinator
-   read each worker's plain counters at the barrier.
+let max_rounds = 100_000
 
-   Each round is TWO barriered sub-phases: first every shard drains its
-   incoming handoff items (phase [2r]), then — only once all drains are
-   done — every shard delivers and steps, emitting new items (phase
-   [2r + 1]).  Without the middle barrier a fast shard's round-r
-   emissions could be drained by a slower shard still in its round-r
-   receive, arriving a round early and breaking the placement-invariant
-   schedule the whole design rests on. *)
-type control = {
-  mu : Mutex.t;
-  cv : Condition.t;
-  mutable go : int;
-  mutable stop : bool;
-  mutable done_count : int;
-}
-
-let default_max_rounds = 100_000
-
-let run ?(policy = Policy.Affinity) ?(seed = 0) ?(capacity = 64)
-    ?(max_rounds = default_max_rounds) ~shards ~groups ~make () =
+(* Each round is two gang runs: every shard first drains its incoming
+   handoff, then — only once all drains are done — delivers and steps,
+   emitting new items.  Without the barrier between them a fast shard's
+   round-r emissions could be drained by a slower shard still in its
+   round-r drain, arriving a round early and breaking the
+   placement-invariant schedule the whole design rests on. *)
+let run ?(policy = Policy.Affinity) ~shards ~groups ~make () =
   if shards < 1 then invalid_arg "Shard.run: shards < 1";
   if groups < 1 then invalid_arg "Shard.run: groups < 1";
   let assign = Policy.plan policy ~shards ~groups in
   let members w =
     List.filter (fun g -> assign.(g) = w) (List.init groups Fun.id)
   in
-  let h = Handoff.create ~shards ~capacity ~seed () in
+  let h = Handoff.create ~shards in
   (* Per-group sequence counters.  A group lives on exactly one shard,
      so each cell is only ever touched by that shard's domain. *)
   let seqs = Array.make groups 0 in
@@ -82,164 +66,39 @@ let run ?(policy = Policy.Affinity) ?(seed = 0) ?(capacity = 64)
     Handoff.send h ~src_shard:w ~dst_shard:assign.(dst_group)
       ~src_group ~seq ~dst_group v
   in
-  let inflight () =
-    let s = ref 0 in
-    for w = 0 to shards - 1 do
-      s := !s + Handoff.sent h ~shard:w - Handoff.received h ~shard:w
-    done;
-    !s
-  in
-  if shards = 1 then begin
-    (* Inline: the same receive/deliver/step cycle through the same
-       handoff, minus the domains and the barrier. *)
-    let worker = make ~shard:0 ~groups:(members 0) ~emit:(emit_from 0) in
-    let rec go round =
-      if round >= max_rounds then
-        failwith "Shard.run: no quiescence within max_rounds";
-      let items = Handoff.receive h ~dst_shard:0 ~round in
-      List.iter
-        (fun it ->
-          worker.w_deliver ~src_group:it.Handoff.it_src_group
-            ~dst_group:it.Handoff.it_dst_group it.Handoff.it_value)
-        items;
-      let more = worker.w_step ~round in
-      if more || inflight () > 0 then go (round + 1) else round + 1
-    in
-    let rounds = go 0 in
-    let result = worker.w_finish () in
-    ( [| result |],
-      {
-        rs_shards = 1;
-        rs_groups = groups;
-        rs_policy = policy;
-        rs_rounds = rounds;
-        rs_handoff = Handoff.stats h;
-      } )
-  end
-  else begin
-    let ctl =
-      { mu = Mutex.create (); cv = Condition.create (); go = -1;
-        stop = false; done_count = 0 }
-    in
-    let wants_more = Array.make shards true in
-    let results = Array.make shards None in
-    let errors = Array.make shards None in
-    let body w =
-      let worker =
-        try Some (make ~shard:w ~groups:(members w) ~emit:(emit_from w))
-        with e ->
-          errors.(w) <- Some (e, Printexc.get_raw_backtrace ());
-          None
+  let workers = Array.make shards None in
+  let inboxes = Array.make shards [] in
+  let wants_more = Array.make shards false in
+  let results = Array.make shards None in
+  Ldlp_par.Pool.Gang.with_gang ~domains:shards (fun gang ->
+      let each = Ldlp_par.Pool.Gang.run gang in
+      each (fun w ->
+          workers.(w) <- Some (make ~shard:w ~groups:(members w) ~emit:(emit_from w)));
+      let worker w = Option.get workers.(w) in
+      let rec go round =
+        if round >= max_rounds then
+          Printf.ksprintf failwith "Shard.run: no quiescence within %d rounds"
+            max_rounds;
+        each (fun w -> inboxes.(w) <- Handoff.receive h ~dst_shard:w);
+        each (fun w ->
+            let wk = worker w in
+            List.iter
+              (fun it ->
+                wk.w_deliver ~src_group:it.Handoff.it_src_group
+                  ~dst_group:it.Handoff.it_dst_group it.Handoff.it_value)
+              inboxes.(w);
+            inboxes.(w) <- [];
+            wants_more.(w) <- wk.w_step ~round);
+        if Array.exists Fun.id wants_more || Handoff.pending h then go (round + 1)
+        else round + 1
       in
-      (* Wait for phase [target]; [true] means stop instead. *)
-      let await target =
-        Mutex.lock ctl.mu;
-        while ctl.go < target && not ctl.stop do
-          Condition.wait ctl.cv ctl.mu
-        done;
-        let stop = ctl.stop in
-        Mutex.unlock ctl.mu;
-        stop
-      in
-      let arrive () =
-        Mutex.lock ctl.mu;
-        ctl.done_count <- ctl.done_count + 1;
-        Condition.broadcast ctl.cv;
-        Mutex.unlock ctl.mu
-      in
-      let guarded f =
-        match worker with
-        | Some worker when errors.(w) = None -> (
-          try f worker
-          with e ->
-            errors.(w) <- Some (e, Printexc.get_raw_backtrace ());
-            false)
-        | _ -> false
-      in
-      let rec loop round =
-        if await (2 * round) then
-          ignore
-            (guarded (fun worker ->
-                 results.(w) <- Some (worker.w_finish ());
-                 true))
-        else begin
-          (* Phase A: drain only — emissions happen strictly after every
-             shard has finished receiving. *)
-          let items = ref [] in
-          ignore
-            (guarded (fun _ ->
-                 items := Handoff.receive h ~dst_shard:w ~round;
-                 true));
-          arrive ();
-          ignore (await ((2 * round) + 1));
-          (* Phase B: deliver the drained items, then run local work. *)
-          let more =
-            guarded (fun worker ->
-                List.iter
-                  (fun it ->
-                    worker.w_deliver ~src_group:it.Handoff.it_src_group
-                      ~dst_group:it.Handoff.it_dst_group it.Handoff.it_value)
-                  !items;
-                worker.w_step ~round)
-          in
-          wants_more.(w) <- more;
-          arrive ();
-          loop (round + 1)
-        end
-      in
-      loop 0
-    in
-    let domains = Array.init shards (fun w -> Domain.spawn (fun () -> body w)) in
-    let release target =
-      Mutex.lock ctl.mu;
-      ctl.go <- target;
-      Condition.broadcast ctl.cv;
-      while ctl.done_count < shards do
-        Condition.wait ctl.cv ctl.mu
-      done;
-      ctl.done_count <- 0;
-      Mutex.unlock ctl.mu
-    in
-    let rec coordinate round =
-      release (2 * round);
-      release ((2 * round) + 1);
-      (* The mutex hand-off above ordered every worker's writes before
-         these reads. *)
-      let failed = Array.exists (fun e -> e <> None) errors in
-      let quiescent =
-        (not (Array.exists Fun.id wants_more)) && inflight () = 0
-      in
-      if failed || quiescent then round + 1
-      else if round + 1 >= max_rounds then (
-        Mutex.lock ctl.mu;
-        ctl.stop <- true;
-        Condition.broadcast ctl.cv;
-        Mutex.unlock ctl.mu;
-        Array.iter Domain.join domains;
-        failwith "Shard.run: no quiescence within max_rounds")
-      else coordinate (round + 1)
-    in
-    let rounds = coordinate 0 in
-    Mutex.lock ctl.mu;
-    ctl.stop <- true;
-    Condition.broadcast ctl.cv;
-    Mutex.unlock ctl.mu;
-    Array.iter Domain.join domains;
-    (match
-       Array.to_seq errors |> Seq.filter_map Fun.id |> Seq.uncons
-     with
-    | Some ((e, bt), _) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    ( Array.map
-        (function
-          | Some r -> r
-          | None -> failwith "Shard.run: missing shard result")
-        results,
-      {
-        rs_shards = shards;
-        rs_groups = groups;
-        rs_policy = policy;
-        rs_rounds = rounds;
-        rs_handoff = Handoff.stats h;
-      } )
-  end
+      let rounds = go 0 in
+      each (fun w -> results.(w) <- Some ((worker w).w_finish ()));
+      ( Array.map Option.get results,
+        {
+          rs_shards = shards;
+          rs_groups = groups;
+          rs_policy = policy;
+          rs_rounds = rounds;
+          rs_transferred = Handoff.transferred h;
+        } ))

@@ -1,17 +1,19 @@
-(** Sharded data-path driver: N engine domains in lockstep rounds over a
-    deterministic inter-shard {!Handoff}.
+(** Sharded data path: N engine pipelines in lockstep rounds over
+    a deterministic inter-shard {!Handoff}, one member of an
+    {!Ldlp_par.Pool.Gang} per shard.
 
     {2 Model}
 
     Work is partitioned by {e group} — the placement-independent flow
     identity (a connection, a call pair, a host).  A {!Policy} maps each
-    group to a shard; each shard runs on its own domain over strictly
-    domain-local mutable state (its own [Msg.pool]s, queues and metric
-    sheets).  Execution is bulk-synchronous: in every round each shard
-    first {e delivers} the handoff items addressed to its groups (in the
-    canonical [(src_group, seq)] order), then {e steps} its local
-    engines to quiescence, emitting any cross-group traffic into the
-    handoff; a barrier separates rounds.
+    group to a shard; each shard runs on its own gang member's domain
+    over strictly domain-local mutable state (its own [Msg.pool]s, queues
+    and metric sheets).  Execution is bulk-synchronous: in every round
+    each shard first {e drains} the handoff items addressed to its groups
+    and, after a barrier, {e delivers} them (in the canonical
+    [(src_group, seq)] order), then {e steps} its local engines to
+    quiescence, emitting any cross-group traffic into the handoff; a
+    barrier separates rounds.
 
     {2 Why a run is a pure function of [(config, seed, shards)]}
 
@@ -22,9 +24,9 @@
     not the round-by-round schedule any single group observes.  By
     induction over rounds, every group's delivery sequence — and with it
     each shard-local engine's entire evolution — is invariant to the
-    shard count, the ring capacity and the drain seed.  [shards = 1]
-    consequently reproduces the multi-shard output byte for byte, which
-    is what the differential oracle in [lib/check] replays. *)
+    shard count and the placement policy.  [shards = 1] consequently
+    reproduces the multi-shard output byte for byte, which is what the
+    differential oracle in [lib/check] replays. *)
 
 module Policy : sig
   type t =
@@ -45,7 +47,7 @@ module Policy : sig
 end
 
 (** One shard's callbacks, constructed by [make] {e on the shard's own
-    domain} so every piece of mutable state it closes over is
+    domain}, which runs every later callback of that shard too so every piece of mutable state it closes over is
     domain-local.  [emit ~src_group ~dst_group v] (handed to [make])
     may be called from [w_deliver] and [w_step]; [src_group] must be one
     of the shard's own groups. *)
@@ -66,14 +68,11 @@ type run_stats = {
   rs_groups : int;
   rs_policy : Policy.t;
   rs_rounds : int;  (** Rounds executed before quiescence. *)
-  rs_handoff : Handoff.stats;
+  rs_transferred : int;  (** Handoff items delivered. *)
 }
 
 val run :
   ?policy:Policy.t ->
-  ?seed:int ->
-  ?capacity:int ->
-  ?max_rounds:int ->
   shards:int ->
   groups:int ->
   make:
@@ -84,10 +83,10 @@ val run :
   unit ->
   'r array * run_stats
 (** Drive to quiescence: stop at the first barrier where no shard wants
-    more rounds and the handoff is empty (sent = received).  Results are
-    shard-indexed.  [shards = 1] runs inline on the calling domain (no
-    domain is spawned) through the very same handoff code path.
-    Defaults: [Affinity], seed 0, capacity 64, [max_rounds] 100_000
-    (raises [Failure] if exceeded).  If a worker callback raises, every
-    shard still reaches the final barrier, the domains are joined, and
-    the lowest shard's exception is re-raised. *)
+    more rounds and the handoff is empty.  Results are shard-indexed.
+    Every shard count takes the same round loop on a gang of [shards]
+    members; [shards = 1] spawns no domain.  Default policy [Affinity].
+    Raises [Failure] after 100_000 rounds without quiescence.  If [make]
+    or a worker callback raises, every shard still finishes that phase,
+    the helper domains are joined, and the lowest shard's exception is
+    re-raised. *)

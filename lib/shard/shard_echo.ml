@@ -111,8 +111,7 @@ type ep = {
   mutable completion_round : int;
 }
 
-let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
-    ~shards cfg =
+let run ?(policy = Shard.Policy.Affinity) ~shards cfg =
   let groups = 2 * cfg.conns in
   let ipv4 = Ldlp_packet.Addr.Ipv4.of_string in
   let make ~shard ~groups:mine ~emit =
@@ -295,8 +294,8 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
        (the spawn edge publishes it) and restore after the joins. *)
     if cfg.with_metrics then
       Ldlp_obs.Obs.with_enabled true (fun () ->
-          Shard.run ~policy ~seed:shard_seed ~capacity ~shards ~groups ~make ())
-    else Shard.run ~policy ~seed:shard_seed ~capacity ~shards ~groups ~make ()
+          Shard.run ~policy ~shards ~groups ~make ())
+    else Shard.run ~policy ~shards ~groups ~make ()
   in
   let expected =
     Array.init cfg.conns (fun conn ->

@@ -58,13 +58,9 @@ type report = {
           shape on every shard), when [with_metrics]. *)
 }
 
-val run :
-  ?policy:Shard.Policy.t ->
-  ?shard_seed:int ->
-  ?capacity:int ->
-  shards:int ->
-  config ->
-  report
+val run : ?policy:Shard.Policy.t -> shards:int -> config -> report
+(** Run the exchange on [shards] domains ([1] = the calling domain
+    alone). *)
 
 val all_ok : report -> bool
 (** Every connection completed with integrity and without leaks. *)

@@ -169,8 +169,7 @@ let layer_of_behaviour i behaviour =
           ]
         else [ Layer.Deliver_up msg ])
 
-let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
-    ~shards spec =
+let run ?(policy = Shard.Policy.Affinity) ~shards spec =
   validate_crash spec;
   let groups = spec.sp_groups in
   let make ~shard:_ ~groups:mine ~emit =
@@ -216,8 +215,8 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
     (* [w_deliver] carries no round, but every delivery sits between
        step [r - 1] and step [r] of its destination, so the round a
        delivery belongs to is the last stepped round plus one — a global
-       property of the barrier (and of the inline path), independent of
-       where the groups are placed. *)
+       property of the round loop, independent of where the groups are
+       placed. *)
     let last_step = ref (-1) in
     {
       Shard.w_deliver =
@@ -266,9 +265,7 @@ let run ?(policy = Shard.Policy.Affinity) ?(shard_seed = 0) ?(capacity = 64)
             states);
     }
   in
-  let results, stats =
-    Shard.run ~policy ~seed:shard_seed ~capacity ~shards ~groups ~make ()
-  in
+  let results, stats = Shard.run ~policy ~shards ~groups ~make () in
   let by_group = Array.make groups None in
   Array.iter
     (fun reports ->

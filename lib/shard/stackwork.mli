@@ -10,10 +10,9 @@
 
     Everything observable — per-group delivered-stream digests, the
     emitted wire multiset, the conservation ledger, pool leak counts —
-    is a pure function of [(spec, shards … any)].  {!run} with different
-    shard counts must produce identical {!report}s (modulo
-    [r_stats]); the oracle in [lib/check] and the QCheck suite both pin
-    exactly that. *)
+    is a pure function of [spec] alone: {!run} at any shard count and
+    policy must produce identical {!report}s (modulo [r_stats]); the
+    oracle in [lib/check] and the QCheck suite both pin exactly that. *)
 
 type behaviour = Pass | Consume_every of int | Reply_every of int
 
@@ -75,16 +74,10 @@ type report = {
   r_stats : Shard.run_stats;
 }
 
-val run :
-  ?policy:Shard.Policy.t ->
-  ?shard_seed:int ->
-  ?capacity:int ->
-  shards:int ->
-  spec ->
-  report
-(** Execute the workload on [shards] domains ([1] = inline).
-    [shard_seed]/[capacity] vary only the handoff's internal drain
-    rotation and ring bound — the report must not change with them. *)
+val run : ?policy:Shard.Policy.t -> shards:int -> spec -> report
+(** Execute the workload on [shards] domains ([1] = the calling domain
+    alone).  The policy only moves groups between shards — the report
+    must not change with it. *)
 
 val wire_multiset : report -> (int * int * int * int) list
 (** Sorted multiset of [(src_group, dst_group, tag, ttl)] over every

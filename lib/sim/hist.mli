@@ -1,7 +1,13 @@
 (** Logarithmically bucketed histogram for latency-like quantities that span
     many orders of magnitude (the paper's latency axes run from 100 us to
     1 s).  Percentiles are approximate to within one bucket
-    (default 20 buckets per decade, i.e. ~12% relative error bound). *)
+    (default 20 buckets per decade, i.e. ~12% relative error bound).
+
+    It prints the modeled latency percentiles in the [fig6] and [mesh]
+    goldens and in [BENCH_mesh]/[BENCH_hotpath].  {!Ldlp_obs.Histogram}
+    (integer, power-of-two) stays beside it: its buckets give different
+    quantiles for the same samples, so neither can replace the other
+    without moving those outputs. *)
 
 type t
 

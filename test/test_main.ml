@@ -12,7 +12,7 @@ let () =
       ("rqueue", Test_rqueue.suite);
       ("msgpool", Test_msgpool.suite);
       ("engine", Test_engine.suite);
-      ("graphsched", Test_graphsched.suite);
+      ("graphsched", Test_engine_graph.suite);
       ("nic", Test_nic.suite);
       ("flowtable", Test_flowtable.suite);
       ("tcpmini", Test_tcpmini.suite);

@@ -7,45 +7,42 @@ let check = Alcotest.(check bool)
 
 let checki = Alcotest.(check int)
 
-(* ---------- Ring ---------- *)
-
-let test_ring_fifo () =
-  let r = Ring.create ~slots:4 in
-  check "empty" true (Ring.is_empty r);
-  check "push 1" true (Ring.push r 1);
-  check "push 2" true (Ring.push r 2);
-  Alcotest.(check (option int)) "peek" (Some 1) (Ring.peek r);
-  Alcotest.(check (option int)) "pop" (Some 1) (Ring.pop r);
-  Alcotest.(check (option int)) "pop" (Some 2) (Ring.pop r);
-  check "drained" true (Ring.pop r = None)
+(* ---------- Rings ---------- *)
 
 let test_ring_full () =
-  let r = Ring.create ~slots:2 in
-  check "1" true (Ring.push r 1);
-  check "2" true (Ring.push r 2);
-  check "full refuses" false (Ring.push r 3);
-  check "is_full" true (Ring.is_full r);
-  ignore (Ring.pop r);
-  check "room again" true (Ring.push r 3);
-  Alcotest.(check (list int)) "order preserved" [ 2; 3 ] (Ring.pop_all r)
-
-let test_ring_wraparound () =
-  let r = Ring.create ~slots:3 in
-  for round = 0 to 9 do
-    check "push a" true (Ring.push r (round * 2));
-    check "push b" true (Ring.push r ((round * 2) + 1));
-    Alcotest.(check (option int)) "pop a" (Some (round * 2)) (Ring.pop r);
-    Alcotest.(check (option int)) "pop b" (Some ((round * 2) + 1)) (Ring.pop r)
-  done;
-  check "empty at end" true (Ring.is_empty r)
+  (* Both rings refuse at their slot bound, take a frame again once one
+     leaves, and keep FIFO order across the refusal. *)
+  let nic = Nic.create ~rx_slots:2 ~tx_slots:2 () in
+  check "rx 1" true (Nic.deliver nic 1);
+  check "rx 2" true (Nic.deliver nic 2);
+  check "rx full refuses" false (Nic.deliver nic 3);
+  Alcotest.(check (option int)) "take" (Some 1) (Nic.take nic);
+  check "rx room again" true (Nic.deliver nic 3);
+  Alcotest.(check (list int)) "rx order preserved" [ 2; 3 ] (Nic.take_all nic);
+  Alcotest.(check (option int)) "rx empty" None (Nic.take nic);
+  check "tx 1" true (Nic.transmit nic 1);
+  check "tx 2" true (Nic.transmit nic 2);
+  check "tx full refuses" false (Nic.transmit nic 3);
+  Alcotest.(check (option int)) "wire take" (Some 1) (Nic.wire_take nic);
+  check "tx room again" true (Nic.transmit nic 3);
+  Alcotest.(check (list int)) "tx order preserved" [ 2; 3 ] (Nic.wire_take_all nic);
+  let s = Nic.stats nic in
+  checki "rx drops" 1 s.Nic.rx_drops;
+  checki "tx drops" 1 s.Nic.tx_drops;
+  let rejected f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check "rx_slots = 0 rejected" true (rejected (fun () -> Nic.create ~rx_slots:0 ()));
+  check "tx_slots = 0 rejected" true (rejected (fun () -> Nic.create ~tx_slots:0 ()))
 
 let prop_ring_fifo =
   QCheck.Test.make ~name:"ring preserves order of accepted pushes" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let r = Ring.create ~slots:16 in
-      let accepted = List.filter (fun x -> Ring.push r x) xs in
-      Ring.pop_all r = accepted)
+      let nic = Nic.create ~rx_slots:16 ~tx_slots:16 () in
+      let rx = List.filter (Nic.deliver nic) xs in
+      let tx = List.filter (Nic.transmit nic) xs in
+      List.length rx = min 16 (List.length xs)
+      && Nic.take_all nic = rx
+      && Nic.wire_take_all nic = tx)
 
 (* ---------- Nic ---------- *)
 
@@ -168,9 +165,7 @@ let test_nic_service_into_sched () =
 
 let suite =
   [
-    Alcotest.test_case "ring fifo" `Quick test_ring_fifo;
     Alcotest.test_case "ring full" `Quick test_ring_full;
-    Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
     Alcotest.test_case "nic rx/drops" `Quick test_nic_rx_and_drops;
     Alcotest.test_case "nic ring full: stats and metrics agree" `Quick

@@ -1,4 +1,5 @@
-(* Tests for the domain-based work pool behind the parallel sweep engine. *)
+(* Tests for the domain-based work pool behind the parallel sweep engine,
+   and for the gang it and the sharded data path run on. *)
 
 open Ldlp_par
 
@@ -72,22 +73,90 @@ let test_explicit_domains_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_map_reduce_ordered () =
-  (* A non-commutative combine: input-order folding is observable. *)
-  Alcotest.(check string)
-    "ordered fold" "123456789"
-    (Pool.map_reduce ~domains:4 ~map:string_of_int
-       ~combine:(fun acc s -> acc ^ s)
-       ~init:""
-       [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]);
-  checki "sum" 55
-    (Pool.map_reduce ~domains:3 ~map:Fun.id ~combine:( + ) ~init:0
-       (List.init 11 Fun.id))
-
 let test_map_array () =
   Alcotest.(check (array int))
     "array map" [| 1; 4; 9 |]
     (Pool.map_array ~domains:2 (fun x -> x * x) [| 1; 2; 3 |])
+
+(* ---------- Gang ---------- *)
+
+module Gang = Pool.Gang
+
+let test_gang_each_member_once () =
+  let calls = Array.make 4 0 in
+  Gang.with_gang ~domains:4 (fun gang ->
+      for _ = 1 to 5 do
+        Gang.run gang (fun w -> calls.(w) <- calls.(w) + 1)
+      done);
+  Alcotest.(check (array int)) "five runs, once each" [| 5; 5; 5; 5 |] calls
+
+let test_gang_member_keeps_its_domain () =
+  let self = Domain.self () in
+  let first = Array.make 3 self in
+  Gang.with_gang ~domains:3 (fun gang ->
+      Gang.run gang (fun w -> first.(w) <- Domain.self ());
+      for _ = 1 to 10 do
+        Gang.run gang (fun w ->
+            if Domain.self () <> first.(w) then
+              failwith (Printf.sprintf "member %d changed domain" w))
+      done);
+  check "member 0 is the caller" true (first.(0) = self);
+  check "helpers are distinct domains" true
+    (first.(1) <> self && first.(2) <> self && first.(1) <> first.(2))
+
+let test_gang_writes_visible_next_run () =
+  let n = 4 in
+  let cells = Array.make n 0 and sums = Array.make n 0 in
+  Gang.with_gang ~domains:n (fun gang ->
+      for r = 1 to 50 do
+        Gang.run gang (fun w -> cells.(w) <- (100 * r) + w);
+        Gang.run gang (fun w -> sums.(w) <- Array.fold_left ( + ) 0 cells);
+        Array.iteri
+          (fun w s ->
+            checki (Printf.sprintf "run %d, member %d" r w) ((400 * r) + 6) s)
+          sums
+      done)
+
+let test_gang_lowest_exception_after_all () =
+  let returned = Array.make 4 false in
+  Gang.with_gang ~domains:4 (fun gang ->
+      (match
+         Gang.run gang (fun w ->
+             if w = 3 then Unix.sleepf 0.02;
+             returned.(w) <- true;
+             if w >= 1 then failwith (Printf.sprintf "m%d" w))
+       with
+      | () -> Alcotest.fail "no exception surfaced"
+      | exception Failure m ->
+        Alcotest.(check string) "lowest raising member" "m1" m;
+        check "every member returned first" true (Array.for_all Fun.id returned));
+      let clean = Array.make 4 false in
+      Gang.run gang (fun w -> clean.(w) <- true);
+      check "next run is clean" true (Array.for_all Fun.id clean))
+
+let test_gang_joins_helpers_on_raise () =
+  (* 600 helpers over the loop: a leaked one would hit OCaml 5.1's
+     128-domain limit long before the end. *)
+  for i = 1 to 200 do
+    match
+      Gang.with_gang ~domains:4 (fun gang ->
+          Gang.run gang (fun w -> if w = 2 then failwith "m2"))
+    with
+    | () -> Alcotest.failf "gang %d: no exception surfaced" i
+    | exception Failure m -> Alcotest.(check string) "member 2 raised" "m2" m
+  done
+
+let test_gang_single_member () =
+  let self = Domain.self () in
+  let ran = ref [] in
+  Gang.with_gang ~domains:1 (fun gang ->
+      Gang.run gang (fun w -> ran := (w, Domain.self ()) :: !ran));
+  check "one member, on the calling domain" true (!ran = [ (0, self) ]);
+  check "zero members rejected" true
+    (try
+       Gang.with_gang ~domains:0 ignore;
+       false
+     with Invalid_argument _ -> true)
 
 let test_coarse_work_not_slower () =
   (* Regression pin for the sweep-speedup fix: with coarse tasks (>= 10 ms
@@ -131,8 +200,19 @@ let suite =
     Alcotest.test_case "LDLP_DOMAINS parsing" `Quick test_env_parsing;
     Alcotest.test_case "explicit domains validated" `Quick
       test_explicit_domains_validation;
-    Alcotest.test_case "map_reduce input order" `Quick test_map_reduce_ordered;
     Alcotest.test_case "map_array" `Quick test_map_array;
+    Alcotest.test_case "gang runs each member once" `Quick
+      test_gang_each_member_once;
+    Alcotest.test_case "gang member keeps its domain" `Quick
+      test_gang_member_keeps_its_domain;
+    Alcotest.test_case "gang writes visible next run" `Quick
+      test_gang_writes_visible_next_run;
+    Alcotest.test_case "gang raises lowest member, after all" `Quick
+      test_gang_lowest_exception_after_all;
+    Alcotest.test_case "gang joins helpers when body raises" `Quick
+      test_gang_joins_helpers_on_raise;
+    Alcotest.test_case "gang of one runs on the caller" `Quick
+      test_gang_single_member;
     Alcotest.test_case "coarse 2-domain map not slower" `Slow
       test_coarse_work_not_slower;
   ]

@@ -1,94 +1,13 @@
-(* Tests for the sharded data path (lib/shard): the SPSC handoff ring,
-   the replayable inter-shard handoff, the BSP shard driver, and the two
-   cross-shard workloads (stackwork, tcpmini echo) whose results must be
-   byte-identical at every shard count. *)
+(* Tests for the sharded data path (lib/shard): the replayable
+   inter-shard handoff, the BSP round loop of [Shard.run], and the two
+   cross-shard workloads (stackwork, tcpmini echo) whose results must
+   be byte-identical at every shard count. *)
 
 open Ldlp_shard
 
 let check = Alcotest.(check bool)
 
 let checki = Alcotest.(check int)
-
-(* ---------- Ring: SPSC differential vs a stdlib Queue ---------- *)
-
-let prop_ring_differential =
-  QCheck.Test.make ~name:"ring push/pop tracks a reference queue" ~count:200
-    QCheck.(pair (int_range 1 8) (small_list (int_bound 2)))
-    (fun (capacity, ops) ->
-      let ring = Ring.create ~capacity () in
-      let q = Queue.create () in
-      let next = ref 0 in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 | 1 ->
-            (* Push: the ring must accept below capacity, refuse at it. *)
-            let accepted = Ring.try_push ring !next in
-            if accepted <> (Queue.length q < capacity) then
-              QCheck.Test.fail_reportf "push %s at occupancy %d/%d"
-                (if accepted then "accepted" else "refused")
-                (Queue.length q) capacity;
-            if accepted then Queue.push !next q;
-            incr next
-          | _ -> (
-            match (Ring.pop_opt ring, Queue.take_opt q) with
-            | None, None -> ()
-            | Some a, Some b when a = b -> ()
-            | got, want ->
-              QCheck.Test.fail_reportf "pop %s, reference %s"
-                (match got with None -> "None" | Some v -> string_of_int v)
-                (match want with None -> "None" | Some v -> string_of_int v)))
-        ops;
-      (* Drain: everything the reference holds comes out, in order. *)
-      Queue.iter
-        (fun want ->
-          match Ring.pop_opt ring with
-          | Some got when got = want -> ()
-          | _ -> QCheck.Test.fail_report "drain order diverged")
-        q;
-      Ring.pop_opt ring = None)
-
-let test_ring_backpressure () =
-  let ring = Ring.create ~capacity:3 () in
-  List.iter (fun i -> check "accepted" true (Ring.try_push ring i)) [ 0; 1; 2 ];
-  check "full ring refuses" false (Ring.try_push ring 3);
-  check "still refusing" false (Ring.try_push ring 4);
-  checki "refusals counted" 2 (Ring.refusals ring);
-  checki "pushes counted" 3 (Ring.pushes ring);
-  checki "watermark" 3 (Ring.max_occupancy ring);
-  (* Nothing was dropped: exactly the accepted items come back out. *)
-  Alcotest.(check (list int))
-    "fifo, no loss" [ 0; 1; 2 ]
-    (List.filter_map (fun _ -> Ring.pop_opt ring) [ (); (); () ]);
-  check "empty after drain" true (Ring.pop_opt ring = None);
-  (* Capacity is a bound on occupancy, not total throughput. *)
-  check "reusable after drain" true (Ring.try_push ring 99);
-  check "value intact" true (Ring.pop_opt ring = Some 99)
-
-let test_ring_cross_domain () =
-  (* One producer domain, consumer on the calling domain: every pushed
-     item arrives exactly once, in order, through the atomic indices. *)
-  let ring = Ring.create ~capacity:4 () in
-  let n = 10_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          while not (Ring.try_push ring i) do
-            Domain.cpu_relax ()
-          done
-        done)
-  in
-  let got = ref 0 in
-  while !got < n do
-    match Ring.pop_opt ring with
-    | Some v ->
-      if v <> !got then Alcotest.failf "out of order: got %d want %d" v !got;
-      incr got
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  checki "all items crossed" n !got;
-  check "empty at the end" true (Ring.pop_opt ring = None)
 
 (* ---------- Handoff: deterministic drain order ---------- *)
 
@@ -104,60 +23,62 @@ let handoff_send h ~shards items =
 
 let test_handoff_order_invariant () =
   (* The same item set must arrive sorted by (src_group, seq) whatever
-     the shard count, ring capacity or drain-rotation seed. *)
+     the shard count. *)
   let items =
     [
       (2, 0, 0, "c0"); (0, 0, 1, "a0"); (1, 1, 0, "b1"); (0, 1, 2, "a1");
       (1, 0, 2, "b0"); (2, 1, 1, "c1"); (0, 2, 0, "a2");
     ]
   in
-  let deliver ~shards ~capacity ~seed =
-    let h = Handoff.create ~shards ~capacity ~seed () in
+  let deliver ~shards =
+    let h = Handoff.create ~shards in
     handoff_send h ~shards items;
-    List.concat_map
-      (fun dst ->
-        List.map
-          (fun (it : _ Handoff.item) ->
-            (it.Handoff.it_src_group, it.Handoff.it_seq, it.Handoff.it_value))
-          (Handoff.receive h ~dst_shard:dst ~round:1))
-      (List.init shards Fun.id)
-    |> List.sort compare
+    check "pending before the drain" true (Handoff.pending h);
+    let got =
+      List.concat_map
+        (fun dst ->
+          List.map
+            (fun (it : _ Handoff.item) ->
+              (it.Handoff.it_src_group, it.Handoff.it_seq, it.Handoff.it_value))
+            (Handoff.receive h ~dst_shard:dst))
+        (List.init shards Fun.id)
+    in
+    check "nothing pending after the drain" false (Handoff.pending h);
+    checki "every item transferred" (List.length items) (Handoff.transferred h);
+    List.sort compare got
   in
-  let reference = deliver ~shards:1 ~capacity:64 ~seed:0 in
+  let reference = deliver ~shards:1 in
   List.iter
-    (fun (shards, capacity, seed) ->
+    (fun shards ->
       Alcotest.(check (list (triple int int string)))
-        (Printf.sprintf "shards=%d cap=%d seed=%d" shards capacity seed)
-        reference
-        (deliver ~shards ~capacity ~seed))
-    [ (3, 64, 0); (3, 1, 0); (3, 64, 17); (2, 2, 5); (7, 1, 123) ];
+        (Printf.sprintf "shards=%d" shards)
+        reference (deliver ~shards))
+    [ 2; 3; 7 ];
   (* And per destination shard the order is exactly (src_group, seq). *)
-  let h = Handoff.create ~shards:3 ~capacity:2 ~seed:9 () in
+  let h = Handoff.create ~shards:3 in
   handoff_send h ~shards:3 items;
-  let to0 = Handoff.receive h ~dst_shard:0 ~round:1 in
+  let to0 = Handoff.receive h ~dst_shard:0 in
   Alcotest.(check (list (pair int int)))
     "dst shard 0 sorted by (src_group, seq)"
     [ (0, 2); (1, 1); (2, 0) ]
     (List.map (fun (it : _ Handoff.item) -> (it.Handoff.it_src_group, it.Handoff.it_seq)) to0)
 
-let test_handoff_overflow_never_drops () =
-  (* Capacity-1 rings under a burst: refusals pile into overflow, and
-     every item still arrives exactly once. *)
+let test_handoff_burst_never_drops () =
+  (* A 50-item burst between two shards arrives exactly once, in
+     sequence. *)
   let shards = 2 in
-  let h = Handoff.create ~shards ~capacity:1 ~seed:3 () in
+  let h = Handoff.create ~shards in
   let n = 50 in
   for seq = 0 to n - 1 do
     Handoff.send h ~src_shard:0 ~dst_shard:1 ~src_group:0 ~seq ~dst_group:1 seq
   done;
-  let got = Handoff.receive h ~dst_shard:1 ~round:1 in
-  checki "all delivered despite refusals" n (List.length got);
+  let got = Handoff.receive h ~dst_shard:1 in
   Alcotest.(check (list int))
-    "in sequence order"
+    "each item once, in sequence order"
     (List.init n Fun.id)
     (List.map (fun (it : _ Handoff.item) -> it.Handoff.it_value) got);
-  let st = Handoff.stats h in
-  checki "transferred" n st.Handoff.transferred;
-  check "refusals recorded" true (st.Handoff.ring_refusals > 0)
+  checki "transferred" n (Handoff.transferred h);
+  check "drained" true (Handoff.receive h ~dst_shard:1 = [])
 
 (* ---------- Msg pools: per-shard ownership ---------- *)
 
@@ -182,12 +103,10 @@ let test_pool_leak_audit_and_cross_release () =
 (* ---------- Stackwork: placement invariance ---------- *)
 
 let prop_stackwork_placement_invariant =
-  QCheck.Test.make
-    ~name:"stackwork run is invariant to shards/capacity/seed/policy"
+  QCheck.Test.make ~name:"stackwork run is invariant to shards/policy"
     ~count:60
-    QCheck.(
-      quad (int_bound 100_000) (int_range 2 5) (int_range 1 3) (int_bound 50))
-    (fun (seed, shards, capacity, shard_seed) ->
+    QCheck.(pair (int_bound 100_000) (int_range 2 5))
+    (fun (seed, shards) ->
       let spec = Stackwork.random_spec ~seed () in
       let base = Stackwork.run ~shards:1 spec in
       if not (Stackwork.ledger_ok base) then
@@ -195,7 +114,7 @@ let prop_stackwork_placement_invariant =
       let policy =
         if seed land 1 = 0 then Shard.Policy.Affinity else Shard.Policy.Hash
       in
-      let r = Stackwork.run ~policy ~shard_seed ~capacity ~shards spec in
+      let r = Stackwork.run ~policy ~shards spec in
       (match Stackwork.diff_reports base r with
       | None -> ()
       | Some d -> QCheck.Test.fail_reportf "%s" d);
@@ -258,9 +177,8 @@ let prop_stackwork_crash_placement_invariant =
   QCheck.Test.make
     ~name:"stackwork crash plans are invariant to shards/placement"
     ~count:60
-    QCheck.(
-      quad (int_bound 100_000) (int_range 2 5) (int_range 1 3) (int_bound 50))
-    (fun (seed, shards, capacity, shard_seed) ->
+    QCheck.(pair (int_bound 100_000) (int_range 2 5))
+    (fun (seed, shards) ->
       let spec = Stackwork.random_spec ~crash:true ~seed () in
       let base = Stackwork.run ~shards:1 spec in
       if not (Stackwork.ledger_ok base) then
@@ -268,7 +186,7 @@ let prop_stackwork_crash_placement_invariant =
       let policy =
         if seed land 1 = 0 then Shard.Policy.Affinity else Shard.Policy.Hash
       in
-      let r = Stackwork.run ~policy ~shard_seed ~capacity ~shards spec in
+      let r = Stackwork.run ~policy ~shards spec in
       (match Stackwork.diff_reports base r with
       | None -> ()
       | Some d -> QCheck.Test.fail_reportf "%s" d);
@@ -290,11 +208,13 @@ let test_stackwork_crash_validation () =
          ignore (Stackwork.run ~shards:1 (with_crash [ (0, 1, 3); (0, 2, 4) ]))))
 
 let test_shard_driver_error_propagates () =
-  (* A worker raising on a non-zero shard must surface on the caller. *)
-  let boom shards =
+  (* A worker raising on the last shard, in [make] or in a later step,
+     must surface on the caller. *)
+  let boom ~in_make shards =
     ignore
       (Shard.run ~shards ~groups:4
          ~make:(fun ~shard ~groups:_ ~emit:_ ->
+           if in_make && shard = shards - 1 then failwith "boom";
            {
              Shard.w_deliver = (fun ~src_group:_ ~dst_group:_ (_ : int) -> ());
              w_step =
@@ -306,15 +226,15 @@ let test_shard_driver_error_propagates () =
          ())
   in
   List.iter
-    (fun shards ->
+    (fun (in_make, shards) ->
       check
-        (Printf.sprintf "shards=%d" shards)
+        (Printf.sprintf "shards=%d in_make=%b" shards in_make)
         true
         (try
-           boom shards;
+           boom ~in_make shards;
            false
          with Failure m -> m = "boom"))
-    [ 1; 3 ]
+    [ (false, 1); (false, 3); (true, 1); (true, 3) ]
 
 (* ---------- Echo: the full tcpmini exchange across shards ---------- *)
 
@@ -323,19 +243,15 @@ let test_echo_placement_invariant () =
   let base = Shard_echo.run ~shards:1 cfg in
   check "reference completes cleanly" true (Shard_echo.all_ok base);
   List.iter
-    (fun (shards, capacity, shard_seed, policy) ->
-      let r = Shard_echo.run ~policy ~shard_seed ~capacity ~shards cfg in
+    (fun (shards, policy) ->
+      let r = Shard_echo.run ~policy ~shards cfg in
       check
-        (Printf.sprintf "byte-identical at shards=%d cap=%d" shards capacity)
+        (Printf.sprintf "byte-identical at shards=%d" shards)
         true
         (Shard_echo.equal_reports base r);
       check (Printf.sprintf "clean at shards=%d" shards) true
         (Shard_echo.all_ok r))
-    [
-      (2, 64, 0, Shard.Policy.Affinity);
-      (3, 1, 11, Shard.Policy.Hash);
-      (6, 2, 4, Shard.Policy.Affinity);
-    ]
+    [ (2, Shard.Policy.Affinity); (3, Shard.Policy.Hash); (6, Shard.Policy.Affinity) ]
 
 let test_echo_metrics_merge () =
   let cfg = Shard_echo.config ~conns:2 ~chunks:4 ~with_metrics:true () in
@@ -407,15 +323,10 @@ let test_shards_json_rejects_bad () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_ring_differential;
-    Alcotest.test_case "ring backpressure never drops" `Quick
-      test_ring_backpressure;
-    Alcotest.test_case "ring crosses domains intact" `Quick
-      test_ring_cross_domain;
     Alcotest.test_case "handoff drain order is placement-invariant" `Quick
       test_handoff_order_invariant;
-    Alcotest.test_case "handoff overflow never drops" `Quick
-      test_handoff_overflow_never_drops;
+    Alcotest.test_case "handoff burst never drops" `Quick
+      test_handoff_burst_never_drops;
     Alcotest.test_case "per-shard pools: leaks and cross-release" `Quick
       test_pool_leak_audit_and_cross_release;
     QCheck_alcotest.to_alcotest prop_stackwork_placement_invariant;
