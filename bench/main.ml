@@ -7,10 +7,10 @@
       alongside.  `bin/ldlp_repro` exposes the same figures with
       full-fidelity knobs (`--full` = 100 layouts x 1 s).
 
-   2. {b Experiments} — one flag each, listed in [experiments] at the
-      bottom.  Each runs, writes its schema-checked BENCH_*.json document,
-      prints the document's rows, and exits nonzero when one of its gates
-      fails.
+   2. {b Host measurements} — one flag each, listed in [experiments] at
+      the bottom.  Each runs, writes and prints its schema-checked
+      BENCH_*.json document, and exits nonzero when a gate fails.  The
+      seeded experiments (soak, mesh, recovery, flows) are `ldlp_repro`'s.
 
    3. {b Microbenchmarks} — one Bechamel [Test.make] per table/figure (a
       reduced-size run of its generator, so regressions in the simulator
@@ -20,7 +20,6 @@
 
 open Bechamel
 open Toolkit
-module Json = Ldlp_report.Json
 module Schema = Ldlp_report.Schema
 
 let quick = Ldlp_model.Params.quick
@@ -639,109 +638,6 @@ let bench_alloc_gate () =
              mesh mesh_alloc_budget);
   }
 
-(* Chaos-soak loss ladder -> BENCH_soak.json.  One tcpmini echo soak
-   (LDLP discipline) per frame-loss rate, symmetric on both directions of
-   the link: how goodput decays and retransmissions grow as the paper's
-   lossless-LAN assumption is relaxed.  Fully deterministic — simulated
-   time, seeded impairment. *)
-
-let soak_rates = [ 0.0; 0.01; 0.02; 0.05; 0.1 ]
-let soak_chunks = 32
-let soak_chunk_bytes = 64
-
-let bench_soak () =
-  let module Soak = Ldlp_soak.Soak in
-  let rows = Soak.loss_ladder ~seed ~rates:soak_rates in
-  let row (r : Soak.ladder_row) =
-    Schema.
-      [
-        F r.Soak.loss; F r.Soak.goodput; I r.Soak.ladder_retransmits;
-        F r.Soak.ladder_completion; B r.Soak.ok;
-      ]
-  in
-  {
-    doc =
-      Some
-        ( Schema.soak,
-          Schema.
-            [ I seed; I soak_chunks; I soak_chunk_bytes; Rows (List.map row rows) ]
-        );
-    failures =
-      (if List.for_all (fun (r : Soak.ladder_row) -> r.Soak.ok) rows then []
-       else [ "a soak ladder rung lost integrity or leaked mbufs" ]);
-  }
-
-(* Mesh sweep -> BENCH_mesh.json.  Host-count sweep of the many-host mesh:
-   pristine spread rows at each size, one chaos row (the soak rung —
-   faults active, leak audit on the message pool) at the middle size, and
-   a Q.93B call-storm row per size against the paper's 10,000 pairs/s
-   goal.  Everything runs on the simulator's two clocks, so the sweep is
-   deterministic and the gates below are exact, not statistical. *)
-
-let mesh_hosts = [ 64; 256; 1024 ]
-let mesh_chaos_hosts = 256
-let mesh_degree = 4
-
-let bench_mesh () =
-  let module Mesh = Ldlp_mesh.Mesh in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let reloads_of wiring spreads =
-    match
-      List.find_opt (fun (s : Mesh.spread) -> s.Mesh.s_wiring = wiring) spreads
-    with
-    | Some s -> s.Mesh.reloads
-    | None -> 0
-  in
-  let check_spreads what spreads =
-    List.iter
-      (fun (s : Mesh.spread) ->
-        match Ldlp_check.Mesh_oracle.conservation s with
-        | Ok () -> ()
-        | Error d ->
-          fail "%s [%s] conservation: %s" what
-            (Mesh.wiring_name s.Mesh.s_wiring)
-            (Format.asprintf "%a" Ldlp_check.Mesh_oracle.pp_divergence d))
-      spreads;
-    (match Ldlp_check.Mesh_oracle.equivalence spreads with
-    | Ok () -> ()
-    | Error d ->
-      fail "%s equivalence: %s" what
-        (Format.asprintf "%a" Ldlp_check.Mesh_oracle.pp_divergence d));
-    let conv = reloads_of Mesh.Conv spreads
-    and ldlp = reloads_of Mesh.Ldlp spreads in
-    if ldlp >= conv then
-      fail "%s: LDLP reloads %d not below conventional %d" what ldlp conv
-  in
-  let sweep hosts =
-    let cfg = Mesh.config ~hosts ~degree:mesh_degree ~seed () in
-    let pristine = Mesh.compare_spread cfg in
-    check_spreads (Printf.sprintf "mesh %d-host pristine" hosts) pristine;
-    let chaos =
-      if hosts <> mesh_chaos_hosts then []
-      else begin
-        let c = Mesh.compare_spread { cfg with Mesh.plan = Mesh.chaos_plan } in
-        check_spreads (Printf.sprintf "mesh %d-host chaos" hosts) c;
-        c
-      end
-    in
-    let storms = Mesh.compare_storm cfg in
-    List.iter
-      (fun (t : Mesh.storm) ->
-        if not (t.Mesh.t_conserved && t.Mesh.t_leak_free) then
-          fail "mesh %d-host storm [%s] conservation/leak audit" hosts
-            (Mesh.wiring_name t.Mesh.t_wiring))
-      storms;
-    (hosts, pristine, chaos, storms)
-  in
-  let points = List.map sweep mesh_hosts in
-  {
-    doc =
-      Some
-        (Schema.mesh, Ldlp_report.Report.mesh_doc ~seed ~degree:mesh_degree points);
-    failures = List.rev !failures;
-  }
-
 (* Sharded call storm -> BENCH_shards.json.  The same Q.93B call storm at
    1, 2 and 4 shards.  Two rates per row: the wall clock
    (machine-dependent, so the speedup gate only fires on multi-core hosts)
@@ -836,198 +732,6 @@ let bench_shards () =
             ] );
     failures;
   }
-
-(* Flow-table locality study -> BENCH_flows.json.  The Jain-style
-   destination-locality study at scale: one Flowmix arrival stream per
-   flow count (10k / 100k / 1M concurrent flows), replayed against the
-   unified flow table under every replacement scheme, conventionally and
-   LDLP batch-sorted.  Gates: the flowtable differential oracle,
-   cross-scheme + cross-discipline delivered-state equivalence (digests),
-   counter conservation, and strictly fewer modeled D-misses/lookup for
-   LDLP at 100k and 1M flows. *)
-
-let flows_counts = [ 10_000; 100_000; 1_000_000 ]
-
-let bench_flows () =
-  let module Study = Ldlp_flowtable.Study in
-  let config = Study.bench in
-  let rows =
-    List.concat_map
-      (fun flows -> Study.run ~config ~flows ~seed ())
-      flows_counts
-  in
-  let conv_of r =
-    List.find
-      (fun c ->
-        c.Study.r_flows = r.Study.r_flows
-        && c.Study.r_scheme = r.Study.r_scheme
-        && not c.Study.r_ldlp)
-      rows
-  in
-  let row_ok r =
-    let conv = conv_of r in
-    let conserved =
-      r.Study.r_found = r.Study.r_lookups
-      && r.Study.r_model_hits + r.Study.r_model_misses = r.Study.r_lookups
-    in
-    let equivalent = r.Study.r_digest = conv.Study.r_digest in
-    let wins =
-      (not r.Study.r_ldlp)
-      || r.Study.r_flows < 100_000
-      || r.Study.r_model_misses < conv.Study.r_model_misses
-    in
-    conserved && equivalent && wins
-  in
-  let discipline r = if r.Study.r_ldlp then "ldlp" else "conv" in
-  let scheme r = Ldlp_flowtable.Flowtable.scheme_name r.Study.r_scheme in
-  let row r =
-    Schema.
-      [
-        I r.Study.r_flows; S (scheme r); S (discipline r); I r.Study.r_lookups;
-        I r.Study.r_model_misses; F (Study.misses_per_lookup r);
-        I r.Study.r_model_evictions; I r.Study.r_digest; B (row_ok r);
-      ]
-  in
-  print_endline (Study.render ~config ~rows ~seed ());
-  print_newline ();
-  let oracle =
-    match Ldlp_check.Flowtable_oracle.run ~seed ~cases:25 with
-    | Ok n ->
-      Printf.printf "flowtable differential: %d random workloads OK\n" n;
-      []
-    | Error e -> [ "flowtable oracle: " ^ e ]
-  in
-  {
-    doc =
-      Some
-        ( Schema.flows,
-          Schema.
-            [
-              I seed; I config.Study.slots; I config.Study.batch;
-              Rows (List.map row rows);
-            ] );
-    failures =
-      oracle
-      @ List.filter_map
-          (fun r ->
-            if row_ok r then None
-            else
-              Some
-                (Printf.sprintf "%s/%s at %d flows failed its row gate" (scheme r)
-                   (discipline r) r.Study.r_flows))
-          rows;
-  }
-
-(* Crash/restart recovery -> BENCH_recovery.json.  The Q.93B call storm
-   under a crash-rate ladder: every wiring runs the same seeded lifecycle
-   plan per rung (25%, 50%, 100% of hosts crashing twice inside the
-   horizon) through the deterministic retry/backoff/admission engine.
-   Gates: extended conservation + leak freedom + eventual completion per
-   row, cross-wiring agreement on the outcome multisets per rung, and a
-   goodput floor under the heaviest rung. *)
-
-let recovery_hosts = 32
-let recovery_degree = 4
-let recovery_victims = [ (0.25, "+v25"); (0.5, "+v50"); (1.0, "+v100") ]
-
-let bench_recovery () =
-  let module Mesh = Ldlp_mesh.Mesh in
-  let module Plan = Ldlp_fault.Plan in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let rung (victims, suffix) =
-    let lifecycle =
-      Plan.lifecycle ~victims ~episodes:2 ~min_outage:0.002 ~mean_outage:0.01
-        ~flap:0.25 ~seed:(seed lxor 0x6c696665) ~hosts:recovery_hosts
-        ~horizon:0.02 ()
-    in
-    let cfg =
-      Mesh.config ~hosts:recovery_hosts ~degree:recovery_degree ~seed
-        ~lifecycle ()
-    in
-    let storms = Mesh.compare_storm ~calls_per_pair:6 cfg in
-    let episodes = Plan.lifecycle_episodes lifecycle in
-    (* Cross-wiring agreement per rung: same outcome multiset, retries and
-       deferrals whatever the scheduling discipline. *)
-    (match storms with
-    | first :: rest ->
-      List.iter
-        (fun (t : Mesh.storm) ->
-          if
-            t.Mesh.pair_done <> first.Mesh.pair_done
-            || t.Mesh.pair_abandoned <> first.Mesh.pair_abandoned
-            || t.Mesh.calls_retried <> first.Mesh.calls_retried
-            || t.Mesh.setups_deferred <> first.Mesh.setups_deferred
-          then
-            fail "rung %s: %s disagrees with %s on the recovery outcome" suffix
-              (Mesh.wiring_name t.Mesh.t_wiring)
-              (Mesh.wiring_name first.Mesh.t_wiring))
-        rest
-    | [] -> fail "rung %s: no storms" suffix);
-    List.map
-      (fun (t : Mesh.storm) ->
-        let wiring = Mesh.wiring_name t.Mesh.t_wiring ^ suffix in
-        let ok = t.Mesh.t_conserved && t.Mesh.t_leak_free && Mesh.storm_complete t in
-        let goodput = Mesh.storm_goodput t in
-        if not ok then fail "%s: conservation/leak/completion gate" wiring;
-        (* Goodput floor: even with every host crashing twice, at least half
-           the offered calls must complete and goodput must stay positive. *)
-        if 2 * t.Mesh.calls_completed < t.Mesh.calls_requested then
-          fail "%s: only %d/%d calls completed under crashes" wiring
-            t.Mesh.calls_completed t.Mesh.calls_requested;
-        if goodput <= 0.0 then fail "%s: zero goodput under crashes" wiring;
-        let ttr = Mesh.storm_ttr_sorted t in
-        Schema.
-          [
-            S wiring; I episodes; I t.Mesh.calls_requested;
-            I t.Mesh.calls_completed; I t.Mesh.calls_abandoned;
-            I t.Mesh.calls_retried; I t.Mesh.setups_deferred; F goodput;
-            F (Mesh.storm_retry_amplification t);
-            F (Mesh.ttr_percentile ttr 0.50); F (Mesh.ttr_percentile ttr 0.99);
-            B ok;
-          ])
-      storms
-  in
-  let rows = List.concat_map rung recovery_victims in
-  {
-    doc =
-      Some
-        ( Schema.recovery,
-          Schema.[ I seed; I recovery_hosts; I recovery_degree; Rows rows ] );
-    failures = List.rev !failures;
-  }
-
-(* Writes [doc] to [path] after checking it against its own schema, then
-   prints its header members and each of its row arrays as a table. *)
-let emit path (schema, values) =
-  let text = Schema.render schema values in
-  let doc =
-    match Schema.parse schema text with
-    | Ok doc -> doc
-    | Error e -> failwith (path ^ " fails its own schema: " ^ e)
-  in
-  Out_channel.with_open_bin path (fun oc -> output_string oc text);
-  let cell = function
-    | Json.Num s | Json.Str s -> s
-    | Json.Bool b -> string_of_bool b
-    | _ -> "-"
-  in
-  (match doc with
-  | Json.Obj members ->
-    List.iter
-      (function
-        | key, Json.Arr (Json.Obj first :: _ as rows) ->
-          Printf.printf "%s:\n%s" key
-            (Ldlp_sim.Table.render ~header:(List.map fst first)
-               (List.map
-                  (function
-                    | Json.Obj row -> List.map (fun (_, v) -> cell v) row
-                    | _ -> [])
-                  rows))
-        | key, v -> Printf.printf "%s: %s\n" key (cell v))
-      members
-  | _ -> ());
-  Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Section 3: Bechamel tests.                                          *)
@@ -1292,22 +996,33 @@ let experiments =
     ("--sweeps", Some "BENCH_sweeps.json", bench_sweeps);
     ("--hotpath", Some "BENCH_hotpath.json", bench_hotpath);
     ("--alloc-gate", None, bench_alloc_gate);
-    ("--soak", Some "BENCH_soak.json", bench_soak);
-    ("--mesh", Some "BENCH_mesh.json", bench_mesh);
     ("--shards", Some "BENCH_shards.json", bench_shards);
-    ("--recovery", Some "BENCH_recovery.json", bench_recovery);
-    ("--flows", Some "BENCH_flows.json", bench_flows);
   ]
 
+(* Any other argument is refused, so a mistyped or retired flag cannot
+   fall through to the full reproduction and pass without a gate. *)
 let () =
-  let has flag = Array.exists (( = ) flag) Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let known =
+    List.map (fun (flag, _, _) -> flag) experiments @ [ "--bench-only"; "--repro-only" ]
+  in
+  (match List.filter (fun a -> not (List.mem a known)) args with
+  | [] -> ()
+  | unknown ->
+    List.iter (Printf.eprintf "unknown argument: %s\n") unknown;
+    Printf.eprintf
+      "known flags: %s\n(soak, mesh, recovery and flows run through \
+       `ldlp_repro <name>`)\n"
+      (String.concat " " known);
+    exit 2);
+  let has flag = List.mem flag args in
   match List.find_opt (fun (flag, _, _) -> has flag) experiments with
   | Some (flag, out, run) ->
     let o = run () in
     (* The document is written before any gate can fail, so a failing run
        leaves its numbers behind. *)
     (match (out, o.doc) with
-    | Some path, Some doc -> emit path doc
+    | Some path, Some doc -> Ldlp_report.Experiment.write path doc
     | _ -> ());
     List.iter (Printf.eprintf "FAIL: %s\n") o.failures;
     if o.failures <> [] then begin

@@ -1,8 +1,8 @@
 (* CLI for regenerating every table and figure of the paper at chosen
-   fidelity.  The figure subcommands and `all` come from the figure
-   registry ([Ldlp_report.Registry]).  `ldlp_repro all` prints everything
-   at quick fidelity; `ldlp_repro fig6 --full` runs the paper's 100
-   layouts x 1 second. *)
+   fidelity, and every seeded experiment.  The figure subcommands and `all`
+   come from [Ldlp_report.Registry], the experiment subcommands from
+   [Ldlp_report.Experiment].  `ldlp_repro all` prints everything at quick
+   fidelity; `ldlp_repro fig6 --full` runs the paper's 100 layouts x 1 s. *)
 
 open Cmdliner
 open Ldlp_report
@@ -67,94 +67,6 @@ let run_selftest domains =
     prerr_endline "selftest FAILED: parallel sweep diverged from sequential";
     exit 1
   end
-
-let run_soak ?domains ~duplex seed count =
-  let scs = Ldlp_soak.Soak.scenarios ~seed ~count in
-  let reports = Ldlp_soak.Soak.run_all ?domains ~duplex scs in
-  if duplex then print_endline "(full-duplex hosts)";
-  print_string (Ldlp_soak.Soak.render reports);
-  if not (List.for_all Ldlp_soak.Soak.report_ok reports) then begin
-    prerr_endline "soak FAILED: see table above";
-    exit 1
-  end
-
-let run_mesh ?domains ~hosts ~degree ~broadcasts ~json_path seed =
-  let module Mesh = Ldlp_mesh.Mesh in
-  let base = Mesh.config ~hosts ~degree ~seed ~broadcasts () in
-  let pristine = Mesh.compare_spread ?domains base in
-  let ccfg = { base with Mesh.plan = Mesh.chaos_plan } in
-  let chaos = Mesh.compare_spread ?domains ccfg in
-  let storms = Mesh.compare_storm ?domains base in
-  print_string (Mesh.render base ~pristine ~chaos ~storms);
-  let json =
-    Schema.render Schema.mesh
-      (Report.mesh_doc ~seed ~degree [ (hosts, pristine, chaos, storms) ])
-  in
-  (match Schema.parse Schema.mesh json with
-  | Ok _ -> ()
-  | Error e ->
-    prerr_endline ("BENCH_mesh.json failed its own schema check: " ^ e);
-    exit 1);
-  let dir = Filename.dirname json_path in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Out_channel.with_open_bin json_path (fun oc -> output_string oc json);
-  Printf.printf "\nwrote %s\n" json_path;
-  (* Oracles: conservation per wiring and cross-wiring equivalence on the
-     chaos run (the interesting one — faults active). *)
-  let ok = ref true in
-  List.iter
-    (fun (s : Mesh.spread) ->
-      match Ldlp_check.Mesh_oracle.conservation s with
-      | Ok () -> ()
-      | Error d ->
-        ok := false;
-        Format.eprintf "mesh conservation [%s] FAILED: %a@."
-          (Mesh.wiring_name s.Mesh.s_wiring)
-          Ldlp_check.Mesh_oracle.pp_divergence d)
-    (pristine @ chaos);
-  (match Ldlp_check.Mesh_oracle.equivalence chaos with
-  | Ok () -> ()
-  | Error d ->
-    ok := false;
-    Format.eprintf "mesh equivalence FAILED: %a@."
-      Ldlp_check.Mesh_oracle.pp_divergence d);
-  List.iter
-    (fun (t : Mesh.storm) ->
-      if not (t.Mesh.t_conserved && t.Mesh.t_leak_free) then begin
-        ok := false;
-        Printf.eprintf "mesh storm [%s] conservation/leak FAILED\n"
-          (Mesh.wiring_name t.Mesh.t_wiring)
-      end)
-    storms;
-  if not !ok then begin
-    prerr_endline "mesh FAILED: see above";
-    exit 1
-  end
-
-(* The canonical crash plan for the recovery figure, oracle and bench:
-   half the hosts die twice inside a 20 ms horizon, outages 2-20 ms —
-   long enough to kill attempts mid-flight, short enough that the retry
-   budget usually outlives them. *)
-let recovery_config ~hosts ~degree ~seed =
-  Ldlp_mesh.Mesh.config ~hosts ~degree ~seed
-    ~lifecycle:
-      (Ldlp_fault.Plan.lifecycle ~victims:0.5 ~episodes:2 ~min_outage:0.002
-         ~mean_outage:0.01 ~flap:0.25 ~seed:(seed lxor 0x6c696665) ~hosts
-         ~horizon:0.02 ())
-    ()
-
-let run_recovery ?domains ~hosts ~degree seed =
-  let module Mesh = Ldlp_mesh.Mesh in
-  let cfg = recovery_config ~hosts ~degree ~seed in
-  let storms = Mesh.compare_storm ?domains ~calls_per_pair:6 cfg in
-  print_string (Mesh.render_recovery cfg ~storms);
-  match Ldlp_check.Recovery_oracle.run ?domains ~calls_per_pair:6 cfg with
-  | Ok n ->
-    Printf.printf "recovery oracle: %d checks, no divergence\nrecovery OK\n" n
-  | Error d ->
-    Format.eprintf "recovery oracle FAILED: %a@."
-      Ldlp_check.Recovery_oracle.pp_divergence d;
-    exit 1
 
 let run_check seed =
   let fail fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt in
@@ -232,55 +144,12 @@ let run_check seed =
      host lifecycle plan. *)
   (match
      Ldlp_check.Recovery_oracle.run ~calls_per_pair:6
-       (recovery_config ~hosts:16 ~degree:3 ~seed)
+       (Experiment.crash_config ~victims:0.5 ~hosts:16 ~degree:3 ~seed)
    with
   | Ok n -> Printf.printf "recovery oracle: %d checks, no divergence\n" n
   | Error d ->
     fail "recovery oracle FAILED: %a" Ldlp_check.Recovery_oracle.pp_divergence d);
   print_endline "check OK"
-
-let run_flows seed =
-  let module Study = Ldlp_flowtable.Study in
-  let fail fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt in
-  let config = Study.quick in
-  let rows =
-    List.concat_map
-      (fun flows -> Study.run ~config ~flows ~seed ())
-      [ 10_000; 100_000 ]
-  in
-  print_endline (Study.render ~config ~rows ~seed ());
-  print_newline ();
-  (* Oracle: model fidelity, exactness, charging, cross-scheme laws. *)
-  (match Ldlp_check.Flowtable_oracle.run ~seed ~cases:25 with
-  | Ok n -> Printf.printf "flowtable differential: %d random workloads OK\n" n
-  | Error e -> fail "flowtable differential FAILED: %s" e);
-  (* Equivalence and the locality gate at the largest figure point: the
-     full 10k/100k/1M bench gate lives in `bench --flows`. *)
-  List.iter
-    (fun r ->
-      let conv =
-        List.find
-          (fun c ->
-            c.Study.r_flows = r.Study.r_flows
-            && c.Study.r_scheme = r.Study.r_scheme
-            && not c.Study.r_ldlp)
-          rows
-      in
-      if r.Study.r_ldlp then begin
-        if r.Study.r_digest <> conv.Study.r_digest then
-          fail "flows: delivered-state digest differs (%s, %d flows)"
-            (Ldlp_flowtable.Flowtable.scheme_name r.Study.r_scheme)
-            r.Study.r_flows;
-        if
-          r.Study.r_flows >= 100_000
-          && r.Study.r_model_misses >= conv.Study.r_model_misses
-        then
-          fail "flows: LDLP not winning on D-misses (%s, %d flows)"
-            (Ldlp_flowtable.Flowtable.scheme_name r.Study.r_scheme)
-            r.Study.r_flows
-      end)
-    rows;
-  print_endline "flows OK"
 
 let run_shards seed =
   print_string (Ldlp_shard.Demo.render ~seed);
@@ -385,8 +254,28 @@ let figure_cmds =
     Registry.all
   @ [ figure_cmd "all" "Every table and figure, in order." Registry.all ]
 
+(* An experiment subcommand prints its figure, writes its document, and
+   exits 1 when a gate fails. *)
+let experiment_cmd (e : Experiment.t) =
+  let run seed domains path =
+    let o = e.run ?domains ~seed () in
+    print_string (String.trim o.text ^ "\n\n");
+    Experiment.write path o.doc;
+    List.iter (Printf.eprintf "FAIL: %s\n") o.failures;
+    if o.failures <> [] then exit 1;
+    Printf.printf "%s OK\n" e.name
+  in
+  cmd e.name (e.doc ^ "  Nonzero exit on any failure.")
+    Term.(
+      const run $ seed_t $ domains_t
+      $ Arg.(
+          value
+          & opt string ("BENCH_" ^ e.name ^ ".json")
+          & info [ "o" ] ~docv:"PATH" ~doc:"Where to write the JSON document."))
+
 let cmds =
   figure_cmds
+  @ List.map experiment_cmd Experiment.all
   @ [
     cmd "stats"
       "Per-layer observability counters (cycles, stalls, i/d/w-misses, \
@@ -415,81 +304,12 @@ let cmds =
       "Assert that the parallel sweep engine reproduces the sequential \
        results exactly (same seeds, same tables)."
       Term.(const run_selftest $ domains_t);
-    cmd "mesh"
-      "Many-host mesh simulation: flood seeded broadcasts over a \
-       random-regular topology of full protocol stacks under all three \
-       wirings (conventional, LDLP, full-duplex LDLP), print the \
-       arrival-latency CDF figure (pristine and chaos-impaired), run the \
-       Q.93B call storm against the paper's 10 000 pairs/s goal, write \
-       its mesh JSON document, and assert the conservation + cross-wiring \
-       equivalence oracles.  Nonzero exit on any failure."
-      Term.(
-        const (fun seed domains hosts degree broadcasts json_path ->
-            run_mesh ?domains ~hosts ~degree ~broadcasts ~json_path seed)
-        $ seed_t $ domains_t
-        $ Arg.(value & opt int 64 & info [ "hosts" ] ~doc:"Number of hosts.")
-        $ Arg.(
-            value & opt int 4
-            & info [ "degree" ] ~doc:"Links per host (regular topology).")
-        $ Arg.(
-            value & opt int 16
-            & info [ "broadcasts" ] ~doc:"Broadcasts to flood through the mesh.")
-        $ Arg.(
-            value
-            & opt string "_bench/BENCH_mesh.json"
-            & info [ "o"; "json" ]
-                ~doc:
-                  "Where to write the mesh JSON document.  The committed \
-                   $(b,BENCH_mesh.json) is the host-count sweep that \
-                   $(b,bench/main.exe --mesh) writes."));
-    cmd "recovery"
-      "Crash/restart fault injection: run the Q.93B call storm under a \
-       seeded host lifecycle plan (crashes, restarts, flapping) with the \
-       deterministic retry/backoff/admission engine, print the recovery \
-       figure (goodput, retry amplification, time-to-recover), and assert \
-       the recovery oracle: extended conservation, eventual completion, \
-       cross-wiring equivalence, leak freedom, determinism and shard-merge \
-       exactness.  Nonzero exit on any failure."
-      Term.(
-        const (fun seed domains hosts degree ->
-            run_recovery ?domains ~hosts ~degree seed)
-        $ seed_t $ domains_t
-        $ Arg.(value & opt int 32 & info [ "hosts" ] ~doc:"Number of hosts.")
-        $ Arg.(
-            value & opt int 4
-            & info [ "degree" ] ~doc:"Links per host (regular topology)."));
     cmd "shards"
       "Sharded data path: print the deterministic placement/replay figure, \
        run the cross-shard differential oracle over random workloads, and \
        assert the 4-shard call storm merges to exactly the single-domain \
        result.  Nonzero exit on any failure."
       Term.(const run_shards $ seed_t);
-    cmd "flows"
-      "Flow-table data-locality study: print the Jain-style misses/lookup \
-       figure (conventional vs LDLP batch-sorted lookup per replacement \
-       scheme at 10k/100k flows), run the flowtable differential oracle, \
-       and assert cross-scheme delivered-state equivalence plus the LDLP \
-       D-miss win at 100k flows.  Nonzero exit on any failure."
-      Term.(const run_flows $ seed_t);
-    cmd "soak"
-      "Chaos soak: run the tcpmini echo exchange over seeded impaired \
-       links (loss, duplication, corruption, reordering, down episodes, \
-       intake shedding) under both scheduling disciplines, asserting \
-       byte-stream integrity, mbuf-pool leak freedom and \
-       Conventional/LDLP equivalence.  Nonzero exit on any failure."
-      Term.(
-        const (fun seed domains count duplex -> run_soak ?domains ~duplex seed count)
-        $ seed_t $ domains_t
-        $ Arg.(
-            value & opt int 10
-            & info [ "scenarios" ] ~doc:"Number of chaos scenarios to run.")
-        $ Arg.(
-            value & flag
-            & info [ "duplex" ]
-                ~doc:
-                  "Run each host's receive and transmit sides under one \
-                   full-duplex LDLP engine instead of the classic receive \
-                   chain."));
     Cmd.v
       (Cmd.info "selfsim"
          ~doc:

@@ -47,4 +47,4 @@ val run : seed:int -> cases:int -> (int, string) result
 (** [cases] random op lists, each replayed under every scheme at varied
     slot counts with cross-scheme delivered-state digests compared, then
     a Flowmix trace-driven conv-vs-batch equivalence pass per scheme.
-    Used by [ldlp_repro check] and [bench --flows]. *)
+    Used by [ldlp_repro check] and [ldlp_repro flows]. *)

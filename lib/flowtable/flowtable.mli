@@ -1,9 +1,10 @@
 (** Unified flow-key → state lookup table.
 
-    One lookup path for every piece of per-flow state in the tree — TCP
-    PCBs ({!Ldlp_tcpmini.Pcb}), Q.93B call records ({!Ldlp_sigproto.Uni}),
-    DNS zones and transactions ({!Ldlp_dnslite}) — sized for millions of
-    concurrent flows.
+    The lookup path for TCP PCBs ({!Ldlp_tcpmini.Pcb}), Q.93B call
+    records at the UNI endpoints ({!Ldlp_sigproto.Uni}) and DNS zones and
+    transactions ({!Ldlp_dnslite}), sized for millions of concurrent
+    flows.  The signalling switch ({!Ldlp_sigproto.Switch}) keeps its
+    call legs in a private [Hashtbl.Make] table instead.
 
     Correctness and cost are deliberately split:
 

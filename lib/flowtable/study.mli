@@ -47,7 +47,7 @@ val run : ?config:config -> flows:int -> seed:int -> unit -> row list
 (** All schemes × both disciplines over one [flows]-flow stream.  Within
     the returned rows every (scheme, discipline) pair saw the same
     arrival stream, so digests must agree — [Ldlp_check.Flowtable_oracle]
-    and the [bench --flows] gate both check that, plus conservation
+    and the [ldlp_repro flows] gate both check that, plus conservation
     ([found = lookups], [model_hits + model_misses = lookups]). *)
 
 val render : ?config:config -> rows:row list -> seed:int -> unit -> string

@@ -711,41 +711,3 @@ let stats_doc sheets =
       ]
   in
   [ Schema.Rows (List.map sheet sheets) ]
-
-let mesh_doc ~seed ~degree points =
-  let module Mesh = Ldlp_mesh.Mesh in
-  let module Hist = Ldlp_sim.Hist in
-  let spread hosts suffix (s : Mesh.spread) =
-    let lat = s.Mesh.latency in
-    Schema.
-      [
-        I hosts; S (Mesh.wiring_name s.Mesh.s_wiring ^ suffix); I s.Mesh.reach;
-        F (Hist.percentile lat 0.50); F (Hist.percentile lat 0.90);
-        F (Hist.percentile lat 0.99); F (Hist.max lat); F (Hist.mean lat);
-        I s.Mesh.reloads; F s.Mesh.mean_batch; F s.Mesh.cpu_seconds;
-        B (s.Mesh.s_conserved && s.Mesh.leak_free);
-      ]
-  in
-  let storm hosts (t : Mesh.storm) =
-    Schema.
-      [
-        I hosts; S (Mesh.wiring_name t.Mesh.t_wiring); I t.Mesh.pairs;
-        I t.Mesh.calls_requested; I t.Mesh.calls_completed;
-        F (Mesh.storm_wire_rate t); F (Mesh.storm_cpu_us_per_pair t);
-        F (Mesh.storm_cpu_rate t); B (t.Mesh.t_conserved && t.Mesh.t_leak_free);
-      ]
-  in
-  Schema.
-    [
-      I seed; I degree; F Mesh.goal_pairs_per_sec;
-      Rows
-        (List.concat_map
-           (fun (hosts, pristine, chaos, _) ->
-             List.map (spread hosts "") pristine
-             @ List.map (spread hosts "+chaos") chaos)
-           points);
-      Rows
-        (List.concat_map
-           (fun (hosts, _, _, storms) -> List.map (storm hosts) storms)
-           points);
-    ]

@@ -95,15 +95,3 @@ val stats_doc : Ldlp_obs.Metrics.t list -> Schema.value list
 (** {!Schema.stats} contents for a list of metric sheets: per-layer
     counter rows, scalars and batch/depth/latency histogram summaries
     (count, mean, p50, p99, max). *)
-
-val mesh_doc :
-  seed:int ->
-  degree:int ->
-  (int * Ldlp_mesh.Mesh.spread list * Ldlp_mesh.Mesh.spread list
-  * Ldlp_mesh.Mesh.storm list)
-  list ->
-  Schema.value list
-(** {!Schema.mesh} contents for a list of sweep points
-    [(hosts, pristine, chaos, storms)]: one spread row per pristine and
-    chaos run (the chaos wiring tagged ["+chaos"]) and one storm row per
-    call storm, against the paper's 10 000 pairs/s goal. *)

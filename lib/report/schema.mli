@@ -1,5 +1,6 @@
 (** The machine-readable documents: [ldlp_repro stats --json] and the
-    seven [BENCH_*.json] files that [bench/main.exe] writes.
+    seven [BENCH_*.json] files, four written by the [ldlp_repro]
+    experiments ({!Experiment}) and three by [bench/main.exe].
 
     Each document is described once, as data: its schema tag, its header
     and row fields in order with the format each is printed in, and the

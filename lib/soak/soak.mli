@@ -107,5 +107,5 @@ type ladder_row = {
 
 val loss_ladder : seed:int -> rates:float list -> ladder_row list
 (** One full-chaos-free soak per loss rate (drop only), for
-    [bench --soak]: how goodput decays and retransmissions grow as the
+    [ldlp_repro soak]: how goodput decays and retransmissions grow as the
     lossless-LAN assumption is relaxed. *)

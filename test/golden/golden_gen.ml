@@ -107,7 +107,7 @@ let () =
    let storms = Mesh.compare_storm ~domains ~calls_per_pair:6 cfg in
    write "recovery" (String.trim (Mesh.render_recovery cfg ~storms)));
   (* Flow-table locality: the Jain-style scheme comparison at the two
-     quick-fidelity points (the 1M-flow point lives in `bench --flows`). *)
+     quick-fidelity points (the 1M-flow point lives in `ldlp_repro flows`). *)
   (let module Study = Ldlp_flowtable.Study in
    let config = Study.quick in
    let rows =

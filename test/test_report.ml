@@ -153,8 +153,10 @@ let test_bench_json_rejects () =
 (* Every committed BENCH file must pass its schema and print back byte for
    byte: numbers keep their literal text, and integers read back exactly
    (the flows digests need all 63 bits). *)
+let read_committed file = In_channel.with_open_bin ("../" ^ file) In_channel.input_all
+
 let test_committed_bench_files () =
-  let read file = In_channel.with_open_bin ("../" ^ file) In_channel.input_all in
+  let read = read_committed in
   List.iter
     (fun (file, schema) ->
       let text = read file in
@@ -338,6 +340,20 @@ let test_hotpath_json_rejects () =
      1.0}]}";
   reject "negative wall clock" (hotpath_doc [ hot_row "x" 1 (-0.1) 1.0 1.0 ])
 
+(* An experiment entry at seed 1996 passes every gate and rebuilds its
+   committed document byte for byte.  Flows (about 6 s, for its 1M-flow
+   point) is left to `make check`. *)
+let test_experiment name () =
+  let e =
+    List.find (fun (e : Ldlp_report.Experiment.t) -> e.name = name)
+      Ldlp_report.Experiment.all
+  in
+  let o = e.run ~seed:1996 () in
+  Alcotest.(check (list string)) (name ^ " gates") [] o.failures;
+  let file = "BENCH_" ^ name ^ ".json" in
+  let schema, values = o.doc in
+  Alcotest.(check string) file (read_committed file) (Schema.render schema values)
+
 let suite =
   [
     Alcotest.test_case "table1 render" `Quick test_table1_render;
@@ -364,4 +380,10 @@ let suite =
     Alcotest.test_case "flows json roundtrip" `Quick test_flows_json_roundtrip;
     Alcotest.test_case "flows json rejects bad input" `Quick
       test_flows_json_rejects;
+    Alcotest.test_case "soak experiment matches BENCH file" `Quick
+      (test_experiment "soak");
+    Alcotest.test_case "recovery experiment matches BENCH file" `Quick
+      (test_experiment "recovery");
+    Alcotest.test_case "mesh experiment matches BENCH file" `Quick
+      (test_experiment "mesh");
   ]
