@@ -32,7 +32,7 @@ selftest: build
 	dune exec bin/ldlp_repro.exe -- selftest --domains $(DOMAINS)
 
 # Same seed, same bytes, at any domain count.  Every parallel path (the
-# sweeps' Pool.map, the sharded mesh storm, Shard.run) runs on an
+# sweeps' Pool.map, the sharded mesh storm's Pool.map_array) runs on an
 # Ldlp_par.Pool.Gang, while the goldens run at one domain, so this runs
 # every figure and the soak, mesh and recovery experiments (figure and
 # document) at --domains 1 and 2 into the gitignored _bench/ and
@@ -66,11 +66,10 @@ engine-parity: build
 $(EXPERIMENTS): build
 	$(REPRO) $@ --seed 1996 --domains $(DOMAINS)
 
-# Sharded data path: the placement/replay figure, the cross-shard
-# differential oracle over random workloads (delivered streams, wire
-# multisets, conservation ledgers identical at every shard count), and
-# the 4-shard call storm checked for exact equality with the
-# single-domain run.
+# The sharded call storm (Ldlp_report.Shards) at 1, 2 and 4 shards: its
+# figure, and its gates: every row equal to the single-domain storm,
+# conserved and leak-free, and the CPU-limited rate rising with the
+# shard count.
 shards: build
 	dune exec bin/ldlp_repro.exe -- shards --seed 1996
 
@@ -82,11 +81,11 @@ shards: build
 #   hotpath     conventional vs LDLP misses, throughput, latency and real
 #               allocations per message; LDLP must win on i-misses and the
 #               allocation budgets and throughput floors must hold
-#   alloc-gate  the hot-path budgets alone plus the shard-pipeline,
-#               Q.93B-stack, tcpmini-stack and mesh-storm allocation
-#               budgets, writes no file (cheap enough for `make check`)
-#   shards      call storm at 1/2/4 shards: equality with one domain and
-#               CPU-limited scaling (wall clock gated on multi-core hosts)
+#   alloc-gate  the hot-path budgets alone plus the Q.93B-stack,
+#               tcpmini-stack and mesh-storm allocation budgets, writes no
+#               file (cheap enough for `make check`)
+#   shards      the `make shards` storm and gates, each row also timed on
+#               the wall clock (gated on multi-core hosts)
 bench-%: build
 	dune exec bench/main.exe -- --$*
 

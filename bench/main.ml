@@ -518,7 +518,7 @@ let tcp_stack_words () =
 
 (* Mesh call storm: minor words per completed call through
    [Mesh.run_storm_sharded] on one shard, topology generation included:
-   a 256-host, degree-4 duplex storm (the --shards mesh) of
+   a duplex storm on the sharded storm's mesh ([Ldlp_report.Shards]) of
    [mesh_pairs] pairs x [mesh_calls] calls under [Mesh.chaos_plan], so
    the impairment engines drop, duplicate, corrupt and reorder.  With a
    topology generated twice per storm by boxed-int64 draws, tuple-entry
@@ -536,7 +536,9 @@ let mesh_alloc_budget = 7000.0
    storm; exits on a storm that does not complete every call. *)
 let mesh_storm_words () =
   let module Mesh = Ldlp_mesh.Mesh in
-  let cfg = Mesh.config ~hosts:256 ~degree:4 ~seed ~plan:Mesh.chaos_plan () in
+  let cfg =
+    { (Ldlp_report.Shards.config ~seed) with Mesh.plan = Mesh.chaos_plan }
+  in
   let run () =
     Mesh.run_storm_sharded ~wiring:Mesh.Duplex ~shards:1 ~pairs:mesh_pairs
       ~calls_per_pair:mesh_calls cfg
@@ -573,34 +575,6 @@ let bench_alloc_gate () =
     (fun (name, (allocs, rate)) ->
       Printf.printf "%-20s %12.2f %12.1f\n" name allocs rate)
     rows;
-  (* Sharded pipeline: minor words per delivered message through the full
-     per-group stack + handoff path, run inline on this domain so the GC
-     counter sees every allocation.  The budget covers the whole pipeline
-     (pooled messages, handoff items, digest strings, report) — at ~133
-     words/msg today, 192 leaves headroom while still catching a lost
-     pool or a boxing regression. *)
-  let shard_alloc_budget = 192.0 in
-  let shard_spec =
-    let groups = 4 in
-    {
-      Ldlp_shard.Stackwork.sp_groups = groups;
-      sp_layers =
-        Array.init groups (fun _ ->
-            Ldlp_shard.Stackwork.[ Pass; Reply_every 4; Pass ]);
-      sp_policy = Ldlp_core.Batch.paper_default;
-      sp_init =
-        Array.init groups (fun g -> List.init 128 (fun i -> ((g * 1000) + i, 3)));
-      sp_seed = seed;
-      sp_crash = [];
-    }
-  in
-  ignore (Ldlp_shard.Stackwork.run ~shards:1 shard_spec);
-  let w0 = Gc.minor_words () in
-  let r = Ldlp_shard.Stackwork.run ~shards:1 shard_spec in
-  let w1 = Gc.minor_words () in
-  let _, delivered, _ = Ldlp_shard.Stackwork.totals r in
-  let shard_allocs = (w1 -. w0) /. float_of_int (max 1 delivered) in
-  Printf.printf "%-20s %12.2f %12s\n" "shard-pipeline" shard_allocs "-";
   let q93b = q93b_stack_words () in
   Printf.printf "%-20s %12.2f %12s\n" "q93b-stack" q93b "-";
   let tcp = tcp_stack_words () in
@@ -612,15 +586,6 @@ let bench_alloc_gate () =
     doc = None;
     failures =
       hotpath_failures rows
-      @ gate
-          (Ldlp_shard.Stackwork.ledger_ok r)
-          "shard-pipeline gate run broke its own ledger"
-      @ gate
-          (shard_allocs < shard_alloc_budget)
-          (Printf.sprintf
-             "shard pipeline allocates %.2f minor words per delivered message \
-              (budget < %.0f)"
-             shard_allocs shard_alloc_budget)
       @ gate (q93b < q93b_alloc_budget)
           (Printf.sprintf
              "Q.93B stack allocates %.2f minor words per message with %d \
@@ -638,99 +603,39 @@ let bench_alloc_gate () =
              mesh mesh_alloc_budget);
   }
 
-(* Sharded call storm -> BENCH_shards.json.  The same Q.93B call storm at
-   1, 2 and 4 shards.  Two rates per row: the wall clock
-   (machine-dependent, so the speedup gate only fires on multi-core hosts)
-   and the deterministic aggregate CPU-limited rate, completed pairs over
-   the busiest shard's modeled CPU seconds — the placement-invariant number
-   that must improve with shard count on any machine.  Every sharded row
-   is checked for exact equality with the single-domain reference before
-   any rate is trusted. *)
-
-let shards_hosts = 256
-let shards_degree = 4
-let shards_counts = [ 1; 2; 4 ]
-
+(* Sharded call storm -> BENCH_shards.json: the rows and deterministic
+   gates of [Ldlp_report.Shards], each row's storm also timed on the wall
+   clock (best of 3).  Wall clock is only meaningful with real parallel
+   hardware: on a single-core host the sharded runs add domain overhead
+   for no wall-time return, so that gate stays off there. *)
 let bench_shards () =
-  let module Mesh = Ldlp_mesh.Mesh in
-  let cfg = Mesh.config ~hosts:shards_hosts ~degree:shards_degree ~seed () in
-  let wiring = Mesh.Duplex in
-  let base = Mesh.run_storm ~wiring cfg in
-  (* One (shards, wall seconds, CPU-limited pairs/s, ok, document row) per
-     shard count. *)
-  let run n =
-    let sh, wall_s =
-      best_of 3 (fun () -> Mesh.run_storm_sharded ~wiring ~shards:n cfg)
-    in
-    let s = sh.Mesh.ss_storm in
-    let cpu_max = Array.fold_left Float.max 0.0 sh.Mesh.ss_cpu_per_shard in
-    let rate secs =
-      if secs > 0.0 then float_of_int s.Mesh.calls_completed /. secs else 0.0
-    in
-    let ok = s = base && s.Mesh.t_conserved && s.Mesh.t_leak_free in
-    ( n,
-      wall_s,
-      rate cpu_max,
-      ok,
-      Schema.
-        [
-          I n; I sh.Mesh.ss_components; I s.Mesh.calls_completed; F wall_s;
-          F (rate wall_s); F cpu_max; F (rate cpu_max); B ok;
-        ] )
+  let module Shards = Ldlp_report.Shards in
+  let s = Shards.run ~seed in
+  let wall_s =
+    List.map
+      (fun (r : Shards.row) ->
+        snd (best_of 3 (fun () -> Shards.storm ~seed ~shards:r.shards)))
+      s.rows
   in
-  let runs = List.map run shards_counts in
   let cores = Domain.recommended_domain_count () in
-  Printf.printf "Sharded call storm: %d calls, %s wiring, %d cores\n"
-    base.Mesh.calls_requested (Mesh.wiring_name wiring) cores;
-  let failures =
-    List.filter_map
-      (fun (shards, _, _, ok, _) ->
-        if ok then None
-        else
-          Some
-            (Printf.sprintf "shards=%d diverged from the single-domain reference"
-               shards))
-      runs
-    @
-    match runs with
-    | (_, one_wall, one_cpu, _, _) :: rest ->
-      List.filter_map
-        (fun (shards, _, cpu, _, _) ->
-          if cpu > one_cpu then None
-          else
-            Some
-              (Printf.sprintf
-                 "shards=%d aggregate CPU rate %.0f pairs/s not above the \
-                  single-shard %.0f"
-                 shards cpu one_cpu))
-        rest
-      @
-      (* Wall clock is only meaningful with real parallel hardware; on a
-         single-core runner the sharded run adds domain overhead for no
-         wall-time return, so the gate stays off. *)
-      let best_wall =
-        List.fold_left (fun a (_, w, _, _, _) -> Float.min a w) infinity rest
-      in
-      if cores >= 2 && rest <> [] && best_wall >= one_wall *. 1.05 then
+  Printf.printf "Sharded call storm, wall clock on %d cores\n" cores;
+  let wall_gate =
+    match wall_s with
+    | one :: (_ :: _ as rest) ->
+      let best = List.fold_left Float.min infinity rest in
+      if cores >= 2 && best >= one *. 1.05 then
         [
           Printf.sprintf
             "no sharded wall-clock win on a %d-core host: best %.4f s vs %.4f s \
              single-shard"
-            cores best_wall one_wall;
+            cores best one;
         ]
       else []
-    | [] -> [ "no rows" ]
+    | _ -> []
   in
   {
-    doc =
-      Some
-        ( Schema.shards,
-          Schema.
-            [
-              I seed; I shards_hosts; I shards_degree; I base.Mesh.pairs;
-              I cores; Rows (List.map (fun (_, _, _, _, row) -> row) runs);
-            ] );
-    failures;
+    doc = Some (Shards.doc s ~host_cores:cores ~wall_s);
+    failures = s.failures @ wall_gate;
   }
 
 (* ------------------------------------------------------------------ *)

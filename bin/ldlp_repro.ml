@@ -94,7 +94,7 @@ let run_check seed =
          same naive reference. *)
       ("full-LRU", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:256 ());
     ];
-  (* 1b. The unified flow table against its naive references: model
+  (* 2. The unified flow table against its naive references: model
      fidelity per scheme, exact delivered state, charge accounting and
      cross-scheme equivalence. *)
   (match Ldlp_check.Flowtable_oracle.run ~seed ~cases:25 with
@@ -104,12 +104,12 @@ let run_check seed =
        schemes, no divergence\n"
       n
   | Error e -> fail "flowtable differential FAILED: %s" e);
-  (* 2. Scheduler equivalence: Conventional vs LDLP over random stacks. *)
+  (* 3. Scheduler equivalence: Conventional vs LDLP over random stacks. *)
   let cases = 200 in
   (match Ldlp_check.Sched_oracle.run_random ~seed ~cases with
   | Ok n -> Printf.printf "sched equivalence: %d random workloads, no divergence\n" n
   | Error e -> fail "sched equivalence FAILED: %s" e);
-  (* 3. LDLP_CHECK invariants on the real model, every discipline. *)
+  (* 4. LDLP_CHECK invariants on the real model, every discipline. *)
   Ldlp_core.Invariant.set_enabled true;
   let params =
     { Ldlp_model.Params.quick with Ldlp_model.Params.runs = 2; seconds = 0.05 }
@@ -133,12 +133,6 @@ let run_check seed =
          ("ldlp", Ldlp_model.Simrun.Ldlp);
        ]
    with Ldlp_core.Invariant.Violation what -> fail "invariant VIOLATED: %s" what);
-  (* 4. Sharded data path: placement invariance over random workloads. *)
-  (match Ldlp_check.Shard_oracle.run_random ~seed ~cases:30 with
-  | Ok n ->
-    Printf.printf
-      "shard differential: %d random workloads + echo replay, no divergence\n" n
-  | Error e -> fail "shard differential FAILED: %s" e);
   (* 5. Crash/restart recovery: conservation, eventual completion,
      cross-wiring equivalence and shard-merge exactness under a seeded
      host lifecycle plan. *)
@@ -152,31 +146,10 @@ let run_check seed =
   print_endline "check OK"
 
 let run_shards seed =
-  print_string (Ldlp_shard.Demo.render ~seed);
-  print_newline ();
-  (* Differential oracle: placement invariance over random workloads. *)
-  (match Ldlp_check.Shard_oracle.run_random ~seed ~cases:10 with
-  | Ok n ->
-    Printf.printf "shard differential: %d random workloads, no divergence\n" n
-  | Error e ->
-    Printf.eprintf "shard differential FAILED: %s\n" e;
-    exit 1);
-  (* Sharded call storm: the merged 4-shard result must equal the
-     single-domain run, field for field. *)
-  let module Mesh = Ldlp_mesh.Mesh in
-  let cfg = Mesh.config ~hosts:32 ~degree:4 ~seed () in
-  let base = Mesh.run_storm ~wiring:Mesh.Duplex cfg in
-  let sh = Mesh.run_storm_sharded ~wiring:Mesh.Duplex ~shards:4 cfg in
-  let s = sh.Mesh.ss_storm in
-  if s <> base then begin
-    Printf.eprintf "sharded storm diverged from the single-domain run\n";
-    exit 1
-  end;
-  Printf.printf
-    "sharded storm: %d pairs over %d components, shards=4 equals shards=1 \
-     (completed=%d conserved=%b leak_free=%b)\n"
-    s.Mesh.pairs sh.Mesh.ss_components s.Mesh.calls_completed s.Mesh.t_conserved
-    s.Mesh.t_leak_free;
+  let s = Shards.run ~seed in
+  print_string (String.trim s.text ^ "\n\n");
+  List.iter (Printf.eprintf "FAIL: %s\n") s.failures;
+  if s.failures <> [] then exit 1;
   print_endline "shards OK"
 
 let run_selfsim seed seconds path =
@@ -296,19 +269,24 @@ let cmds =
             & info [ "rate" ] ~doc:"Poisson arrival rate in messages/second."));
     cmd "check"
       "Differential oracles: replay random access streams through the \
-       production cache and a naive LRU reference, assert Conventional and \
-       LDLP scheduling are behaviourally equivalent on random stacks, and \
-       run the cycle model with LDLP_CHECK invariants enabled."
+       production cache and a naive LRU reference, replay random flow-table \
+       workloads against its naive references, assert Conventional and LDLP \
+       scheduling are behaviourally equivalent on random stacks, run the \
+       cycle model with LDLP_CHECK invariants enabled, and run the \
+       crash-recovery oracle on a 16-host call storm.  Nonzero exit on any \
+       failure."
       Term.(const run_check $ seed_t);
     cmd "selftest"
       "Assert that the parallel sweep engine reproduces the sequential \
        results exactly (same seeds, same tables)."
       Term.(const run_selftest $ domains_t);
     cmd "shards"
-      "Sharded data path: print the deterministic placement/replay figure, \
-       run the cross-shard differential oracle over random workloads, and \
-       assert the 4-shard call storm merges to exactly the single-domain \
-       result.  Nonzero exit on any failure."
+      "Sharded call storm: the Q.93B call storm of BENCH_shards.json at 1, \
+       2 and 4 shards, with each row's components, completed calls, busiest \
+       shard's modeled CPU seconds and CPU-limited pairs/s.  Gates: every \
+       row equals the single-domain storm, conserves messages and leaks \
+       nothing, and the CPU-limited rate rises with the shard count.  \
+       Nonzero exit on any failure."
       Term.(const run_shards $ seed_t);
     Cmd.v
       (Cmd.info "selfsim"

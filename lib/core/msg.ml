@@ -12,10 +12,11 @@ let heap_state = -1
 (* Message ids are drawn from a per-domain counter (Domain.DLS), so the
    id sequence each domain observes is deterministic regardless of what
    other domains do — a process-global counter would be a data race the
-   moment two shards acquire concurrently, and its interleaving would
-   differ run to run.  Ids are unique within a domain, which is all the
-   engine ever relies on (scheduling is by queue position and priority,
-   never by id); nothing compares ids across domains. *)
+   moment two domains acquire concurrently (two shards of the sharded
+   mesh storm, two scenarios of a parallel soak), and its interleaving
+   would differ run to run.  Ids are unique within a domain, which is
+   all the engine ever relies on (scheduling is by queue position and
+   priority, never by id); nothing compares ids across domains. *)
 let id_counter = Domain.DLS.new_key (fun () -> ref 0)
 
 let fresh_id () =

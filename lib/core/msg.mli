@@ -74,8 +74,9 @@ val acquire : 'a pool -> ?flow:int -> arrival:float -> size:int -> 'a -> 'a t
 val release : 'a pool -> 'a t -> unit
 (** Return a message to the freelist.  Raises [Invalid_argument] on a
     heap message, a double release, or a message owned by a different
-    pool (pools are single-domain structures; in a sharded data path
-    every shard owns its own pool and a cross-shard release is a bug,
-    not a transfer).  The message must not be used afterwards. *)
+    pool (pools are single-domain structures: each shard of the sharded
+    mesh storm and each scenario of a parallel soak owns its own pool,
+    and a release into another pool is a bug, not a transfer).  The
+    message must not be used afterwards. *)
 
 val pool_stats : 'a pool -> pool_stats

@@ -91,8 +91,10 @@ let slots t = t.tbl_slots
 let attach_memsys t m = t.memsys <- m
 
 (* Domain-local tripwire, same discipline as [Ldlp_core.Msg] pools: the
-   first guarded access claims the table (per-shard tables are created
-   inside their worker domain, so the claim lands on the owning shard). *)
+   first guarded access claims the table (a parallel soak builds each
+   scenario's PCB tables, and the sharded mesh storm each shard's [Uni]
+   call tables, inside the domain that runs them, so the claim lands on
+   that domain). *)
 let guard t =
   let me = (Domain.self () :> int) in
   if t.owner < 0 then t.owner <- me

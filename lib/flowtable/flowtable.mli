@@ -26,10 +26,12 @@
     conflicting flows land adjacently and the batch amortises D-misses
     exactly as layer batching amortises I-misses.
 
-    Tables are domain-local, per the shard ownership rules: the first
-    guarded access claims the table for the calling domain and any access
-    from another domain raises [Invalid_argument] — the same tripwire
-    discipline as [Ldlp_core.Msg] pools. *)
+    Tables are domain-local: the first guarded access claims the table
+    for the calling domain and any access from another domain raises
+    [Invalid_argument] — the same tripwire discipline as [Ldlp_core.Msg]
+    pools.  A parallel soak builds tcpmini hosts, PCB tables included, on
+    helper domains, and the sharded mesh storm builds each shard's [Uni]
+    call tables on its own domain. *)
 
 type scheme =
   | Direct  (** Direct-mapped: [slots] sets of 1 way. *)

@@ -1,4 +1,5 @@
-(** The flow-table data-locality study (ROADMAP item 4; Jain DEC-TR-592).
+(** The flow-table data-locality study (EXPERIMENTS, "Flow-table
+    locality"; Jain DEC-TR-592).
 
     Replays one deterministic {!Ldlp_traffic.Flowmix} arrival stream
     against a populated {!Flowtable} under every scheme, twice: [conv]

@@ -36,11 +36,15 @@ val resolve_domains : ?domains:int -> unit -> int
 
     Member 0 is the calling domain; member [w >= 1] is one helper domain,
     spawned by the gang's first {!run}, that runs member [w]'s part of
-    every job for the gang's whole life.  A member's state can therefore
-    stay domain-local across jobs — the sharded data path
-    ({!Ldlp_shard}) relies on it for [Flowtable]'s owner tripwire and
-    the per-domain [Tcp_input] counters.  No other module in the library
-    spawns a domain. *)
+    every job for the gang's whole life, so a member's state can stay
+    domain-local across jobs.  Each task of {!map_array} runs start to
+    finish on one member, and state it builds stays on that domain:
+    [Soak.run_all]'s {!map} builds tcpmini hosts on helper domains, with
+    their PCB [Flowtable]s (whose owner tripwire raises on access from
+    another domain) and per-domain [Tcp_input] counters, and
+    [Mesh.run_storm_sharded] runs each shard's [Uni] hosts, call tables
+    included, and message pool on its own member.  No other module in
+    the library spawns a domain. *)
 module Gang : sig
   type t
 

@@ -43,11 +43,11 @@ type counters = {
   mutable n_drops : int;
 }
 
-(* Per-domain counters (Domain.DLS): a sharded data path runs one host
-   group per domain, and a shared record here would be both racy and
-   misleading (counts smeared across shards).  Each domain sees exactly
-   its own stack's counts; [stats]/[reset_stats] act on the calling
-   domain. *)
+(* Per-domain counters (Domain.DLS): a parallel soak ([Soak.run_all])
+   runs tcpmini hosts on several domains at once, and a shared record
+   here would be both racy and misleading (counts smeared across
+   scenarios).  Each domain sees exactly its own hosts' counts;
+   [stats]/[reset_stats] act on the calling domain. *)
 let counters_key =
   Domain.DLS.new_key (fun () ->
       { n_fastpath = 0; n_slowpath = 0; n_acks = 0; n_drops = 0 })

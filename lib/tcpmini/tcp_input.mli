@@ -73,8 +73,8 @@ val segment_arrived :
 type stats = { fastpath_hits : int; slowpath : int; acks_sent : int; drops : int }
 
 val stats : unit -> stats
-(** Per-domain counters (reset with {!reset_stats}) — each domain of a
-    sharded data path sees only its own stack's counts; coarse but handy
-    for examples and tests. *)
+(** Per-domain counters (reset with {!reset_stats}) — each domain that
+    runs hosts, such as a helper domain of a parallel soak, sees only its
+    own hosts' counts; coarse but handy for examples and tests. *)
 
 val reset_stats : unit -> unit

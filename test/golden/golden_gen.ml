@@ -1,10 +1,10 @@
 (* Golden-figure generator: writes the canonical quick-fidelity text
    rendering of every figure in the registry, plus the observability,
-   soak, mesh, fault-plan, recovery, flow-table and shard figures, to
-   <name>.out in the current directory.  The dune rules in this directory
-   diff each .out against the committed <name>.expected snapshot; `make
-   promote` (dune promote) updates the snapshots after an intentional
-   change.
+   soak, mesh, fault-plan, recovery, flow-table and sharded-storm
+   figures, to <name>.out in the current directory.  The dune rules in
+   this directory diff each .out against the committed <name>.expected
+   snapshot; `make promote` (dune promote) updates the snapshots after an
+   intentional change.
 
    Everything here must be deterministic across hosts: fixed seed (the
    trace-derived figures read the calibrated trace), quick fidelity, and
@@ -116,13 +116,7 @@ let () =
        [ 10_000; 100_000 ]
    in
    write "flows" (String.trim (Study.render ~config ~rows ~seed ())));
-  (* Sharded data path: placement plan + fixed-seed replays. *)
-  let shards_fig = Ldlp_shard.Demo.render ~seed in
-  let shards_fig =
-    (* [write] adds the final newline itself. *)
-    if String.length shards_fig > 0
-       && shards_fig.[String.length shards_fig - 1] = '\n'
-    then String.sub shards_fig 0 (String.length shards_fig - 1)
-    else shards_fig
-  in
-  write "shards" shards_fig
+  (* The sharded call storm at 1, 2 and 4 shards: it runs on that many
+     domains whatever [domains] says, and its figure is the same on any
+     host. *)
+  write "shards" (String.trim (Ldlp_report.Shards.run ~seed).text)

@@ -28,5 +28,4 @@ let () =
       ("integration", Test_integration.suite);
       ("check", Test_check.suite);
       ("mesh", Test_mesh.suite);
-      ("shard", Test_shard.suite);
     ]

@@ -1,7 +1,7 @@
 (* State-guard tests for the message pool: the [pool_state] discipline
-   that makes double releases loud, the LIFO recycling that keeps the
-   hot path cache-warm, and the acquire/release ledger checked against a
-   naive reference free-list over random traces. *)
+   that makes double and cross-pool releases loud, the LIFO recycling
+   that keeps the hot path cache-warm, and the acquire/release ledger
+   checked against a naive reference free-list over random traces. *)
 
 open Ldlp_core
 
@@ -135,6 +135,22 @@ let prop_live_records_distinct =
       in
       distinct !live)
 
+(* Each sharded-storm shard owns its own pool: a release into another
+   pool is a bug, not a transfer, and must leave that pool untouched. *)
+let test_pool_leak_audit_and_cross_release () =
+  let a = Msg.pool ~capacity:4 ~dummy:0 () in
+  let b = Msg.pool ~capacity:4 ~dummy:0 () in
+  let m = Msg.acquire a ~arrival:0.0 ~size:64 7 in
+  checki "outstanding while held" 1 (Msg.pool_stats a).Msg.p_outstanding;
+  checkb "cross-pool release raises" true
+    (try
+       Msg.release b m;
+       false
+     with Invalid_argument _ -> true);
+  checki "victim pool untouched" 0 (Msg.pool_stats b).Msg.p_outstanding;
+  Msg.release a m;
+  checki "leak-free at quiescence" 0 (Msg.pool_stats a).Msg.p_outstanding
+
 let suite =
   [
     Alcotest.test_case "double release raises" `Quick test_double_release_raises;
@@ -145,4 +161,6 @@ let suite =
     Alcotest.test_case "prefilled pool ledger" `Quick test_prefilled_pool;
     QCheck_alcotest.to_alcotest prop_ledger_vs_reference;
     QCheck_alcotest.to_alcotest prop_live_records_distinct;
+    Alcotest.test_case "per-shard pools: leaks and cross-release" `Quick
+      test_pool_leak_audit_and_cross_release;
   ]

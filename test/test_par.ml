@@ -1,5 +1,6 @@
-(* Tests for the domain-based work pool behind the parallel sweep engine,
-   and for the gang it and the sharded data path run on. *)
+(* Tests for the domain-based work pool behind the parallel sweeps, the
+   parallel soak and the sharded mesh storm, and for the gang it runs
+   on. *)
 
 open Ldlp_par
 

@@ -244,6 +244,50 @@ let test_flows_json_rejects () =
   reject Schema.flows "bad header"
     (Schema.render Schema.flows Schema.[ I 1996; I 0; I 1024; Rows [ flow_row () ] ])
 
+let shard_row ?cpu_pairs_per_s n wall cpu_s_max =
+  let cpu_rate =
+    Option.value cpu_pairs_per_s ~default:(128.0 /. cpu_s_max)
+  in
+  Schema.
+    [
+      I n; I 27; I 128; F wall; F (128.0 /. wall); F cpu_s_max; F cpu_rate;
+      B true;
+    ]
+
+let shards_doc ?(hosts = 256) rows =
+  Schema.render Schema.shards Schema.[ I 1996; I hosts; I 4; I 32; I 8; Rows rows ]
+
+let test_shards_json_roundtrip () =
+  let json = shards_doc [ shard_row 1 0.036 0.158; shard_row 4 0.012 0.0531 ] in
+  match Schema.parse Schema.shards json with
+  | Error e -> Alcotest.failf "roundtrip failed: %s" e
+  | Ok doc ->
+    Alcotest.(check int) "seed" 1996 (Json.int doc "seed");
+    Alcotest.(check int) "hosts" 256 (Json.int doc "hosts");
+    Alcotest.(check int) "pairs" 32 (Json.int doc "pairs");
+    Alcotest.(check int) "host cores" 8 (Json.int doc "host_cores");
+    let rows = Json.arr doc "rows" in
+    Alcotest.(check int) "rows survive" 2 (List.length rows);
+    List.iter2
+      (fun row shards ->
+        Alcotest.(check int) "shards" shards (Json.int row "shards");
+        Alcotest.(check int) "completed" 128 (Json.int row "completed");
+        check "ok flag" true (Json.bool row "ok"))
+      rows [ 1; 4 ];
+    Alcotest.(check string) "reprints byte-identically" json (Json.to_string doc)
+
+let test_shards_json_rejects_bad () =
+  let reject = reject Schema.shards in
+  reject "empty doc" "{}";
+  reject "wrong schema tag"
+    {|{"schema": "ldlp-bench-mesh/1", "seed": 1, "hosts": 4,
+       "degree": 2, "pairs": 1, "host_cores": 1, "rows": []}|};
+  (* A cpu rate inconsistent with completed/cpu_s_max is a forged row. *)
+  reject "inconsistent cpu rate"
+    (shards_doc [ shard_row ~cpu_pairs_per_s:99_999.0 1 0.036 0.158 ]);
+  reject "zero shards" (shards_doc [ shard_row 0 0.036 0.158 ]);
+  reject "single-host header" (shards_doc ~hosts:1 [ shard_row 1 0.036 0.158 ])
+
 (* ---------- Observability: stats text + JSON documents ---------- *)
 
 let tiny_sheets () =
@@ -354,6 +398,37 @@ let test_experiment name () =
   let schema, values = o.doc in
   Alcotest.(check string) file (read_committed file) (Schema.render schema values)
 
+(* The sharded storm at seed 1996 passes its gates and gives every
+   modeled field of the committed BENCH_shards.json, so a modeled change
+   that does not re-commit the document fails here.  The host fields
+   (host_cores and the wall columns) are not compared. *)
+let test_shards_bench_file () =
+  let module Shards = Ldlp_report.Shards in
+  let s = Shards.run ~seed:1996 in
+  Alcotest.(check (list string)) "shards gates" [] s.failures;
+  let parse text = Result.get_ok (Schema.parse Schema.shards text) in
+  let committed = parse (read_committed "BENCH_shards.json") in
+  let ours =
+    let schema, values =
+      Shards.doc s ~host_cores:1 ~wall_s:(List.map (fun _ -> 0.0) s.rows)
+    in
+    parse (Schema.render schema values)
+  in
+  let same keys a b =
+    List.iter
+      (fun k ->
+        Alcotest.(check string) k
+          (Json.to_string (Json.member a k))
+          (Json.to_string (Json.member b k)))
+      keys
+  in
+  same [ "seed"; "hosts"; "degree"; "pairs" ] committed ours;
+  let rows doc = Json.arr doc "rows" in
+  Alcotest.(check int) "rows" (List.length (rows committed)) (List.length (rows ours));
+  List.iter2
+    (same [ "shards"; "components"; "completed"; "cpu_s_max"; "cpu_pairs_per_s"; "ok" ])
+    (rows committed) (rows ours)
+
 let suite =
   [
     Alcotest.test_case "table1 render" `Quick test_table1_render;
@@ -380,10 +455,16 @@ let suite =
     Alcotest.test_case "flows json roundtrip" `Quick test_flows_json_roundtrip;
     Alcotest.test_case "flows json rejects bad input" `Quick
       test_flows_json_rejects;
+    Alcotest.test_case "BENCH_shards.json roundtrip" `Quick
+      test_shards_json_roundtrip;
+    Alcotest.test_case "BENCH_shards.json rejects bad docs" `Quick
+      test_shards_json_rejects_bad;
     Alcotest.test_case "soak experiment matches BENCH file" `Quick
       (test_experiment "soak");
     Alcotest.test_case "recovery experiment matches BENCH file" `Quick
       (test_experiment "recovery");
     Alcotest.test_case "mesh experiment matches BENCH file" `Quick
       (test_experiment "mesh");
+    Alcotest.test_case "shards storm matches BENCH file" `Quick
+      test_shards_bench_file;
   ]
