@@ -380,8 +380,16 @@ let q93b_stack_words () =
    sequence numbers, a fresh result record and reply list per segment, a
    [Queue]-of-chunks socket buffer and a copying frame builder the stack
    allocated ~260 words per segment here; the allocation-light path
-   allocates ~65, so a budget of 130 catches a return to the old shape
-   with headroom. *)
+   allocated ~65, and ~54 since a response settles the ACK its request
+   owed and the IP header check returns an int, so a budget of 130
+   catches a return to the old shape with headroom.
+
+   The same run counts the server's pure ACKs, and must count none: each
+   burst's 32 requests go to 32 distinct connections ([tcp_conn] is a
+   bijection), and every one is answered after the burst by a response
+   that carries its ACK, so no second segment ever finds an ACK owed.
+   A stack whose data sends leave the delayed ACK owed sends one pure ACK
+   per two requests (16,384 here). *)
 let tcp_conns = 4096
 
 let tcp_rpcs = 8 * tcp_conns
@@ -436,8 +444,9 @@ let tcp_script pool host =
   in
   (syns, acks, requests)
 
-(* Minor words per received segment over one fresh server, after one
-   warm-up server; exits on a stack that mishandles the script. *)
+(* Minor words per received segment and the pure ACKs sent over one
+   fresh server, after one warm-up server; exits on a stack that
+   mishandles the script. *)
 let tcp_stack_words () =
   let open Ldlp_tcpmini in
   let module Engine = Ldlp_core.Engine in
@@ -488,6 +497,7 @@ let tcp_stack_words () =
       done
     in
     let delivered0 = (Host.counters host).Host.delivered_bytes in
+    let acks0 = (Tcp_input.stats ()).Tcp_input.acks_sent in
     let w0 = Gc.minor_words () in
     for burst = 0 to (tcp_rpcs / 32) - 1 do
       for k = 32 * burst to (32 * burst) + 31 do
@@ -500,6 +510,7 @@ let tcp_stack_words () =
       Engine.run eng
     done;
     let words = Gc.minor_words () -. w0 in
+    let acks = (Tcp_input.stats ()).Tcp_input.acks_sent - acks0 in
     let ps = Ldlp_buf.Pool.stats pool in
     if
       Array.exists (fun p -> p.Pcb.state <> Pcb.Established) pcbs
@@ -511,7 +522,7 @@ let tcp_stack_words () =
       Printf.eprintf "FAIL: tcp-stack gate run mishandled its RPC script\n";
       exit 1
     end;
-    words /. float_of_int tcp_rpcs
+    (words /. float_of_int tcp_rpcs, acks)
   in
   ignore (run ());
   run ()
@@ -577,8 +588,9 @@ let bench_alloc_gate () =
     rows;
   let q93b = q93b_stack_words () in
   Printf.printf "%-20s %12.2f %12s\n" "q93b-stack" q93b "-";
-  let tcp = tcp_stack_words () in
-  Printf.printf "%-20s %12.2f %12s\n" "tcp-stack" tcp "-";
+  let tcp, tcp_acks = tcp_stack_words () in
+  Printf.printf "%-20s %12.2f %12s  (%d pure ACKs over %d RPCs)\n" "tcp-stack"
+    tcp "-" tcp_acks tcp_rpcs;
   let mesh = mesh_storm_words () in
   Printf.printf "%-20s %12.2f %12s\n" "mesh-storm" mesh "-";
   let gate ok msg = if ok then [] else [ msg ] in
@@ -596,6 +608,11 @@ let bench_alloc_gate () =
              "tcpmini stack allocates %.2f minor words per received segment \
               over %d connections (budget < %.0f)"
              tcp tcp_conns tcp_alloc_budget)
+      @ gate (tcp_acks = 0)
+          (Printf.sprintf
+             "tcpmini server sent %d pure ACKs over %d RPCs whose responses \
+              carry every ACK owed (expected 0)"
+             tcp_acks tcp_rpcs)
       @ gate (mesh < mesh_alloc_budget)
           (Printf.sprintf
              "mesh call storm allocates %.2f minor words per completed call \

@@ -86,7 +86,7 @@ let append_bytes pool m b =
   while !pos < total do
     let space = trailing_space !tail in
     if space > 0 then begin
-      let n = min space (total - !pos) in
+      let n = Int.min space (total - !pos) in
       Bytes.blit b !pos !tail.data (!tail.off + !tail.len) n;
       !tail.len <- !tail.len + n;
       pos := !pos + n
@@ -136,7 +136,7 @@ let prepend m n =
   else invalid "prepend: no leading space for %d bytes (have %d)" n m.off
 
 let rec trim_front m n =
-  let take = min n m.len in
+  let take = Int.min n m.len in
   m.off <- m.off + take;
   m.len <- m.len - take;
   let n = n - take in
@@ -183,7 +183,7 @@ let rec blit_from m pos dst dst_off len =
     | None -> invalid "blit_to_bytes: range beyond end"
   end
   else begin
-    let n = min len (m.len - pos) in
+    let n = Int.min len (m.len - pos) in
     Bytes.blit m.data (m.off + pos) dst dst_off n;
     if len - n > 0 then
       match m.next with
@@ -209,7 +209,7 @@ let rec copy_to m pos src src_off len =
     | None -> invalid "copy_into: range beyond end"
   end
   else begin
-    let n = min len (m.len - pos) in
+    let n = Int.min len (m.len - pos) in
     Bytes.blit src src_off m.data (m.off + pos) n;
     if len - n > 0 then
       match m.next with

@@ -50,7 +50,7 @@ let release t c b =
   if c.nfree < t.max_free then begin
     if c.nfree = Array.length c.free then begin
       let grown =
-        Array.make (min t.max_free (max 16 (2 * c.nfree))) Bytes.empty
+        Array.make (Int.min t.max_free (Int.max 16 (2 * c.nfree))) Bytes.empty
       in
       Array.blit c.free 0 grown 0 c.nfree;
       c.free <- grown

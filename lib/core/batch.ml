@@ -26,7 +26,7 @@ let limit policy ~len ~size =
     | All -> len
     | Fixed n ->
       if n < 1 then invalid_arg "Batch.limit: Fixed n must be >= 1";
-      min n len
+      Int.min n len
     | Dcache_fit { cache_bytes; per_msg_overhead } ->
       dcache_count ~len ~size ~per_msg_overhead ~cache_bytes 0 0
 

@@ -85,7 +85,7 @@ let recommend m s =
   (* Candidate batches: 1 .. what fits in the D-cache (at least 1); pick
      the miss-minimising one (the estimate is monotone in practice, but a
      scan is cheap and robust). *)
-  let fit = max 1 (m.dcache_bytes / s.msg_bytes) in
+  let fit = Int.max 1 (m.dcache_bytes / s.msg_bytes) in
   let best = ref 1 and best_misses = ref (misses_per_msg m s ~batch:1) in
   for b = 2 to fit do
     let mm = misses_per_msg m s ~batch:b in

@@ -132,7 +132,7 @@ let mk_node ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route =
 let add_node t ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route =
   let n = mk_node ~layer ~use_tx ~priority ~entry ~up_route ~to_route ~down_route in
   if t.nnodes = Array.length t.nodes then begin
-    let grown = Array.make (max 4 (2 * Array.length t.nodes)) n in
+    let grown = Array.make (Int.max 4 (2 * Array.length t.nodes)) n in
     Array.blit t.nodes 0 grown 0 t.nnodes;
     t.nodes <- grown
   end;
@@ -158,7 +158,7 @@ let add_layer t ?(above = []) layer =
     match parents with
     | [] -> 0
     | ps ->
-      1 + List.fold_left (fun d (_, p) -> min d (-t.nodes.(p).priority)) max_int ps
+      1 + List.fold_left (fun d (_, p) -> Int.min d (-t.nodes.(p).priority)) max_int ps
   in
   let up_route =
     match parents with
@@ -301,7 +301,7 @@ and route t target m ~recurse =
 
 let record_batch t n =
   t.batches <- t.batches + 1;
-  t.max_batch <- max t.max_batch n;
+  t.max_batch <- Int.max t.max_batch n;
   t.total_batched <- t.total_batched + n;
   match t.metrics with None -> () | Some mt -> Metrics.batch_run mt n
 

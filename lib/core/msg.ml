@@ -112,7 +112,7 @@ let release p m =
      recycled slot does not pin the previous payload. *)
   (match p.dummy with Some d -> m.payload <- d | None -> ());
   if p.nfree = Array.length p.free then begin
-    let grown = Array.make (max 16 (2 * Array.length p.free)) m in
+    let grown = Array.make (Int.max 16 (2 * Array.length p.free)) m in
     Array.blit p.free 0 grown 0 p.nfree;
     p.free <- grown
   end;

@@ -10,7 +10,7 @@ let is_empty q = q.len = 0
 
 let grow q fill =
   let cap = Array.length q.buf in
-  let grown = Array.make (max initial_capacity (2 * cap)) fill in
+  let grown = Array.make (Int.max initial_capacity (2 * cap)) fill in
   for k = 0 to q.len - 1 do
     grown.(k) <- q.buf.((q.head + k) mod cap)
   done;

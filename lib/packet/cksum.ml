@@ -13,7 +13,25 @@ let fold16 sum =
   done;
   !s
 
-let byte buf i = Char.code (Bytes.unsafe_get buf i)
+let swap16 v = ((v land 0xFF) lsl 8) lor (v lsr 8)
+
+(* Each 16-bit word is read with one native-endian load.  On a
+   little-endian host that load sees the network-order word byte-swapped,
+   and ones-complement sums commute with byte swapping (RFC 1071 §2(B)):
+   the swapped words are summed as they are and the folded sum is swapped
+   once at the end.  A trailing odd byte is the high byte of a
+   network-order word, so it goes into the low byte of a swapped one.  On
+   a big-endian host the loads are network order and nothing is swapped.
+   The result is therefore the network-order sum itself (big-endian) or
+   its fold (little-endian); [finish] gives the same checksum for both,
+   alone or added to other partial sums. *)
+external word : bytes -> int -> int = "%caml_bytes_get16u"
+
+let odd_byte buf i =
+  let b = Char.code (Bytes.unsafe_get buf i) in
+  if Sys.big_endian then b lsl 8 else b
+
+let settle sum = if Sys.big_endian then sum else swap16 (fold16 sum)
 
 let partial buf off len =
   check_range buf off len;
@@ -21,23 +39,19 @@ let partial buf off len =
   let i = ref off in
   let stop = off + len in
   while !i + 1 < stop do
-    sum := !sum + (byte buf !i lsl 8) + byte buf (!i + 1);
+    sum := !sum + word buf !i;
     i := !i + 2
   done;
-  if !i < stop then sum := !sum + (byte buf !i lsl 8);
-  !sum
+  if !i < stop then sum := !sum + odd_byte buf !i;
+  settle !sum
 
 let finish sum = lnot (fold16 sum) land 0xFFFF
 
 let simple buf off len = finish (partial buf off len)
 
-let word buf k = (byte buf k lsl 8) + byte buf (k + 1)
-
-(* The "elaborate" routine: 16 network-order words (32 bytes) per iteration,
-   then an 8-byte loop, then the tail — structurally like 4.4BSD in_cksum,
-   whose unrolling is exactly what inflates its code footprint.  [word] is
-   toplevel: a local one would be a closure over [buf] allocated per
-   call. *)
+(* The "elaborate" routine: 16 words (32 bytes) per iteration, then an
+   8-byte loop, then the tail — structurally like 4.4BSD in_cksum, whose
+   unrolling is exactly what inflates its code footprint. *)
 let unrolled_partial buf off len =
   check_range buf off len;
   let sum = ref 0 in
@@ -61,12 +75,10 @@ let unrolled_partial buf off len =
     sum := !sum + word buf !i;
     i := !i + 2
   done;
-  if !i < stop then sum := !sum + (byte buf !i lsl 8);
-  !sum
+  if !i < stop then sum := !sum + odd_byte buf !i;
+  settle !sum
 
 let unrolled buf off len = finish (unrolled_partial buf off len)
-
-let swap16 v = ((v land 0xFF) lsl 8) lor (v lsr 8)
 
 (* Chain checksum: ones-complement sums commute with byte swapping, so a
    segment starting at an odd payload offset is summed normally and its

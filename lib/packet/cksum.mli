@@ -26,8 +26,14 @@ val simple_chain : Ldlp_buf.Mbuf.t -> int
 val unrolled_chain : Ldlp_buf.Mbuf.t -> int
 
 val partial : bytes -> int -> int -> int
-(** Raw (unfolded, uncomplemented) 32-bit partial sum, for pseudo-header
-    combination. *)
+(** Uncomplemented partial sum of the range's network-order 16-bit words,
+    for pseudo-header combination: the plain sum on a big-endian host,
+    its 16-bit fold on a little-endian one (each word is one native
+    load, and the sum is swapped back once).  Either way {!finish} of it,
+    alone or added to other partial sums, is the same checksum. *)
+
+val unrolled_partial : bytes -> int -> int -> int
+(** {!partial} computed with {!unrolled}'s loop. *)
 
 val finish : int -> int
 (** Fold a partial sum to 16 bits and complement. *)

@@ -116,19 +116,21 @@ let dst_at buf off = Addr.Ipv4.of_bytes buf (off + 16)
 
 let dst_equal addr buf off = Addr.Ipv4.equal_at addr buf (off + 16)
 
+(* An int, not a [result]: the receive fast path runs this per datagram,
+   and an [Ok] would be a heap block each time. *)
 let check_at ?(verify_checksum = true) buf off len =
-  if len < header_bytes then Error (`Too_short len)
+  if len < header_bytes then -1
   else begin
     let b0 = Char.code (Bytes.get buf off) in
-    let version = b0 lsr 4 and ihl = b0 land 0xF in
-    if version <> 4 then Error (`Bad_version version)
-    else if ihl < 5 then Error (`Bad_field "ihl < 5")
-    else if len < ihl * 4 then Error (`Too_short len)
-    else if total_length_at buf off < ihl * 4 then
-      Error (`Bad_field "total_length < header")
-    else if verify_checksum && Cksum.simple buf off (ihl * 4) <> 0 then
-      Error `Bad_checksum
-    else Ok (off + (ihl * 4))
+    let ihl = b0 land 0xF in
+    if
+      b0 lsr 4 <> 4
+      || ihl < 5
+      || len < ihl * 4
+      || total_length_at buf off < ihl * 4
+      || (verify_checksum && Cksum.simple buf off (ihl * 4) <> 0)
+    then -1
+    else ihl * 4
   end
 
 let write ~tos ~total_length ~ident ~dont_fragment ~more_fragments
@@ -154,7 +156,7 @@ let strip ?verify_checksum m =
   let len = Ldlp_buf.Mbuf.length m in
   if len < header_bytes then Error (`Too_short len)
   else begin
-    let hdr_max = min len 60 in
+    let hdr_max = Int.min len 60 in
     let hdr = Ldlp_buf.Mbuf.copy_out m ~pos:0 ~len:hdr_max in
     match parse ?verify_checksum hdr 0 hdr_max with
     | Error _ as e -> e

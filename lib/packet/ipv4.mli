@@ -50,11 +50,11 @@ val is_fragment : header -> bool
     exactly the checks {!parse} runs.  Property-tested byte-for-byte
     equivalent to the record API in the test suite. *)
 
-val check_at :
-  ?verify_checksum:bool -> bytes -> int -> int -> (int, error) result
+val check_at : ?verify_checksum:bool -> bytes -> int -> int -> int
 (** [check_at buf off len] validates like {!parse} (version, header
-    length, total length, checksum) and returns the payload offset
-    without building a [header]. *)
+    length, total length, checksum) and returns the header length in
+    bytes, or -1 if {!parse} would return an error.  It builds no
+    [header] and allocates nothing. *)
 
 val ihl_at : bytes -> int -> int
 

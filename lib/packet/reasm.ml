@@ -19,7 +19,7 @@ let fragment ~mtu ~header ~payload =
     let rec go off acc =
       if off >= total then List.rev acc
       else begin
-        let len = min data_per_frag (total - off) in
+        let len = Int.min data_per_frag (total - off) in
         let last = off + len >= total in
         let h =
           {

@@ -90,12 +90,10 @@ let window_at buf off = get16 buf (off + 14)
 let urgent_at buf off = get16 buf (off + 18)
 
 let check_at buf off len =
-  if len < header_bytes then Error (`Too_short len)
+  if len < header_bytes then -1
   else begin
-    let data_offset = data_offset_at buf off in
-    if data_offset < 5 then Error (`Bad_field "data_offset < 5")
-    else if len < data_offset * 4 then Error (`Too_short len)
-    else Ok (off + (data_offset * 4))
+    let hdr_len = 4 * data_offset_at buf off in
+    if hdr_len < header_bytes || hdr_len > len then -1 else hdr_len
   end
 
 let write ~src_port ~dst_port ~seq ~ack ~data_offset ~flags ~window ~urgent buf

@@ -51,10 +51,13 @@ val build : header -> bytes -> int -> unit
     built.  Property-tested byte-for-byte equivalent to the record API
     in the test suite. *)
 
-val check_at : bytes -> int -> int -> (int, error) result
+val check_at : bytes -> int -> int -> int
 (** [check_at buf off len] validates the header at [off] the way
-    {!parse} does (length, data-offset sanity) and returns the payload
-    offset, without building a [header]. *)
+    {!parse} does (length, data-offset sanity) and returns the header
+    length in bytes, options included, or -1 if {!parse} would return an
+    error.  It builds no [header] and allocates nothing; only the first
+    {!header_bytes} bytes at [off] are read, and only when [len] covers
+    them. *)
 
 val src_port_at : bytes -> int -> int
 

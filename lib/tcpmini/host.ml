@@ -318,15 +318,14 @@ let layers t =
           (* Cursor fast path: an option-free, unfragmented TCP datagram
              for this host whose header sits in the head mbuf — checked
              and stripped in place (same validation [Ipv4.strip] runs,
-             including the checksum).  Anything else falls through to the
-             record path untouched; [check_at] mutates nothing. *)
+             including the checksum; over exactly [header_bytes],
+             [check_at] passes only an option-free header).  Anything
+             else falls through to the record path untouched; [check_at]
+             mutates nothing. *)
           Mbuf.contiguous m Pkt.Ipv4.header_bytes
           &&
           let buf = Mbuf.seg_data m and off = Mbuf.seg_off m in
-          Pkt.Ipv4.ihl_at buf off = 5
-          && (match Pkt.Ipv4.check_at buf off Pkt.Ipv4.header_bytes with
-             | Ok _ -> true
-             | Error _ -> false)
+          Pkt.Ipv4.check_at buf off Pkt.Ipv4.header_bytes > 0
           && Pkt.Ipv4.protocol_at buf off = Pkt.Ipv4.proto_tcp
           && Pkt.Ipv4.frag_at buf off land 0x3FFF = 0
           && Pkt.Ipv4.dst_equal t.my_ip buf off
@@ -449,12 +448,11 @@ let send t (pcb : Pcb.t) payload =
         payload
     in
     pcb.Pcb.snd_nxt <- Pkt.Tcp.seq_add pcb.Pcb.snd_nxt (Bytes.length payload);
-    (match t.timers with
-    | None -> ()
-    | Some _ ->
-      (* The segment piggybacks the newest ACK, so nothing is owed. *)
-      pcb.Pcb.delayed_ack <- 0;
-      track_tx t pcb ~seq ~flags payload);
+    (* The segment piggybacks the newest ACK, so nothing is owed, timers
+       or not (4.4BSD's [tcp_output] clears its delayed-ACK flag on every
+       segment that carries an ACK). *)
+    pcb.Pcb.delayed_ack <- 0;
+    track_tx t pcb ~seq ~flags payload;
     Some data
   | _ -> None
 
@@ -476,11 +474,11 @@ let parse_tx t item =
       | Error _ -> None
       | Ok _ -> (
         let len = Mbuf.length m in
-        let hdr = Mbuf.copy_out m ~pos:0 ~len:(min len Pkt.Tcp.header_bytes) in
+        let hdr = Mbuf.copy_out m ~pos:0 ~len:(Int.min len Pkt.Tcp.header_bytes) in
         match Pkt.Tcp.parse hdr 0 (Bytes.length hdr) with
         | Error _ -> None
         | Ok (h, _) ->
-          let data_off = min len (h.Pkt.Tcp.data_offset * 4) in
+          let data_off = Int.min len (h.Pkt.Tcp.data_offset * 4) in
           let payload = Mbuf.copy_out m ~pos:data_off ~len:(len - data_off) in
           Some (h, payload)))
   in

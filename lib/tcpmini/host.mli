@@ -150,7 +150,9 @@ val connect :
 
 val send : t -> Pcb.t -> bytes -> Ldlp_buf.Mbuf.t option
 (** Application send: build a data segment (with PSH|ACK) on an
-    established connection, advancing [snd_nxt].  Returns the complete
+    established connection, advancing [snd_nxt].  The segment
+    acknowledges everything received, so it settles any delayed ACK the
+    connection owes, with or without timers.  Returns the complete
     Ethernet frame to transmit, or [None] if the connection cannot send
     (listening/closed). *)
 

@@ -31,9 +31,9 @@ let rto t =
     if t.srtt < 0.0 then initial_rto
     else Float.max min_rto (t.srtt +. (4.0 *. t.rttvar))
   in
-  Float.min max_rto (base *. float_of_int (1 lsl min t.shift 16))
+  Float.min max_rto (base *. float_of_int (1 lsl Int.min t.shift 16))
 
-let backoff t = t.shift <- min (t.shift + 1) 16
+let backoff t = t.shift <- Int.min (t.shift + 1) 16
 
 let backoff_count t = t.shift
 

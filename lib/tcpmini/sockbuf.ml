@@ -14,7 +14,7 @@ let hiwat t = t.hiwat
 
 let length t = t.len
 
-let space t = max 0 (t.hiwat - t.len)
+let space t = Int.max 0 (t.hiwat - t.len)
 
 let wakeups t = t.wakeups
 
@@ -24,7 +24,7 @@ let min_ring = 64
 
 (* Copy the [n] oldest unread bytes, in order, to the front of [dst]. *)
 let copy_front t dst n =
-  let first = min n (Bytes.length t.ring - t.head) in
+  let first = Int.min n (Bytes.length t.ring - t.head) in
   Bytes.blit t.ring t.head dst 0 first;
   Bytes.blit t.ring 0 dst first (n - first)
 
@@ -32,11 +32,11 @@ let copy_front t dst n =
 let reserve t n =
   let need = t.len + n in
   if need > Bytes.length t.ring then begin
-    let cap = ref (max min_ring (Bytes.length t.ring)) in
+    let cap = ref (Int.max min_ring (Bytes.length t.ring)) in
     while !cap < need do
       cap := 2 * !cap
     done;
-    let ring = Bytes.create (min t.hiwat !cap) in
+    let ring = Bytes.create (Int.min t.hiwat !cap) in
     copy_front t ring t.len;
     t.ring <- ring;
     t.head <- 0
@@ -49,7 +49,7 @@ let blit_bytes src pos dst dst_off n = Bytes.blit src pos dst dst_off n
 let blit_mbuf m pos dst dst_off n = Ldlp_buf.Mbuf.blit_to_bytes m ~pos dst ~dst_off ~len:n
 
 let push t src pos n blit =
-  let accept = min n (space t) in
+  let accept = Int.min n (space t) in
   if accept > 0 then begin
     if t.len = 0 then begin
       t.wakeups <- t.wakeups + 1;
@@ -59,7 +59,7 @@ let push t src pos n blit =
     let cap = Bytes.length t.ring in
     let tail = t.head + t.len in
     let tail = if tail >= cap then tail - cap else tail in
-    let first = min accept (cap - tail) in
+    let first = Int.min accept (cap - tail) in
     blit src pos t.ring tail first;
     blit src (pos + first) t.ring 0 (accept - first);
     t.len <- t.len + accept
@@ -71,7 +71,7 @@ let append t data = push t data 0 (Bytes.length data) blit_bytes
 let append_mbuf t m ~pos ~len = push t m pos len blit_mbuf
 
 let read t n =
-  let n = min n t.len in
+  let n = Int.min n t.len in
   let out = Bytes.create n in
   copy_front t out n;
   let head = t.head + n in

@@ -301,15 +301,10 @@ let segment_arrived table o ~my_ip ~src_ip ~pool ~now m =
   end
   else begin
     let seg_len = Mbuf.length m in
-    let m = Mbuf.pullup pool m (min seg_len Tcp.header_bytes) in
-    (* [Tcp.check_at]'s validation, without its result box: a fixed
-       header, then a data offset of at least 5 words that fits in the
-       segment.  Options are pulled up with the header and skipped. *)
-    let hdr_len =
-      if seg_len < Tcp.header_bytes then 0
-      else 4 * Tcp.data_offset_at (Mbuf.seg_data m) (Mbuf.seg_off m)
-    in
-    if hdr_len < Tcp.header_bytes || hdr_len > seg_len then begin
+    let m = Mbuf.pullup pool m (Int.min seg_len Tcp.header_bytes) in
+    (* Options are pulled up with the header and skipped. *)
+    let hdr_len = Tcp.check_at (Mbuf.seg_data m) (Mbuf.seg_off m) seg_len in
+    if hdr_len < 0 then begin
       Mbuf.free pool m;
       drop o Pcb.none `Parse_failed
     end

@@ -8,7 +8,7 @@ let frame pool ~eth_src ~eth_dst ~src ~dst ~ident ~src_port ~dst_port ~seq ~ack
   let m = Mbuf.prepend m Pkt.Tcp.header_bytes in
   let segment = Mbuf.length m in
   Pkt.Tcp.write ~src_port ~dst_port ~seq ~ack ~data_offset:5 ~flags
-    ~window:(min window 0xFFFF) ~urgent:0 (Mbuf.seg_data m) (Mbuf.seg_off m);
+    ~window:(Int.min window 0xFFFF) ~urgent:0 (Mbuf.seg_data m) (Mbuf.seg_off m);
   Pkt.Tcp.store_chain_checksum ~src ~dst m;
   let m = Mbuf.prepend m Pkt.Ipv4.header_bytes in
   Pkt.Ipv4.write ~tos:0 ~total_length:(segment + Pkt.Ipv4.header_bytes) ~ident

@@ -63,6 +63,99 @@ let prop_chain_eq_flat_with_splits =
       Ldlp_buf.Mbuf.free pool joined;
       r)
 
+(* The checksum routines against a byte-at-a-time reference: the plain
+   sum of the range's big-endian 16-bit words, a trailing odd byte being
+   the high byte of a last word.  The routines load whole words in host
+   byte order and may return the sum folded, so only [Cksum.finish] of a
+   sum, alone or with a pseudo-header sum added, is compared. *)
+let reference_partial b off len =
+  let s = ref 0 in
+  for k = 0 to len - 1 do
+    let v = Char.code (Bytes.get b (off + k)) in
+    s := !s + if k land 1 = 0 then v lsl 8 else v
+  done;
+  !s
+
+(* Random bytes, or one repeated 0x00 or 0xFF byte (the all-zero and
+   all-ones sums, where a fold could answer 0 for 0xFFFF), at an odd or
+   even offset, with a random pseudo-header sum of [pseudo_header_sum]'s
+   range. *)
+let cksum_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 1500 >>= fun len ->
+    int_range 0 3 >>= fun off ->
+    let size = off + len + 3 in
+    frequency
+      [
+        (4, string_size ~gen:char (return size));
+        (1, map (String.make size) (oneofl [ '\000'; '\255' ]));
+      ]
+    >>= fun s ->
+    int_range 0 0x5FFFF >|= fun pseudo -> (Bytes.of_string s, off, len, pseudo)
+  in
+  QCheck.make
+    ~print:(fun (b, off, len, pseudo) ->
+      Printf.sprintf "off=%d len=%d pseudo=%#x bytes=%S" off len pseudo
+        (Bytes.to_string b))
+    gen
+
+let prop_partial_eq_reference =
+  QCheck.Test.make ~name:"partial sums = byte-wise big-endian reference"
+    ~count:500 cksum_case_arb (fun (b, off, len, pseudo) ->
+      let expect = reference_partial b off len in
+      List.for_all
+        (fun partial ->
+          let p = partial b off len in
+          Cksum.finish p = Cksum.finish expect
+          && Cksum.finish (pseudo + p) = Cksum.finish (pseudo + expect))
+        [ Cksum.partial; Cksum.unrolled_partial ])
+
+(* [b] as an mbuf chain cut at each of [cuts] (taken modulo its length),
+   so that pieces of odd length and at odd offsets occur. *)
+let chain_cut_at b cuts =
+  let len = Bytes.length b in
+  let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (len + 1)) cuts) in
+  let rec go m base = function
+    | [] -> m
+    | c :: rest ->
+      let front, back = Ldlp_buf.Mbuf.split pool m (c - base) in
+      Ldlp_buf.Mbuf.concat front (go back c rest)
+  in
+  go (Ldlp_buf.Mbuf.of_bytes pool b) 0 cuts
+
+(* A segment in a chain cut at random points: [simple_chain] equals the
+   reference, and [Tcp.verify_checksum] agrees with it.  When [fix] is
+   set and the segment is long enough, the checksum field (bytes 16-17)
+   is first filled in from the reference, so both verdicts occur. *)
+let prop_chain_and_verify_eq_reference =
+  QCheck.Test.make ~name:"chain checksum and TCP verify = byte-wise reference"
+    ~count:300
+    QCheck.(triple cksum_case_arb (list_of_size Gen.(0 -- 4) (int_bound 1500)) bool)
+    (fun ((b, off, len, _), cuts, fix) ->
+      let seg = Bytes.sub b off len in
+      let src = Addr.Ipv4.of_string "10.0.0.1"
+      and dst = Addr.Ipv4.of_string "192.0.2.77" in
+      let pseudo =
+        Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_tcp ~len
+      in
+      if fix && len >= Tcp.header_bytes then begin
+        Bytes.set seg 16 '\000';
+        Bytes.set seg 17 '\000';
+        let c = Cksum.finish (pseudo + reference_partial seg 0 len) in
+        Bytes.set seg 16 (Char.chr (c lsr 8));
+        Bytes.set seg 17 (Char.chr (c land 0xFF))
+      end;
+      let expect = reference_partial seg 0 len in
+      let m = chain_cut_at seg cuts in
+      let r =
+        Cksum.simple_chain m = Cksum.finish expect
+        && Tcp.verify_checksum ~src ~dst m = (Cksum.finish (pseudo + expect) = 0)
+        && ((not (fix && len >= Tcp.header_bytes)) || Tcp.verify_checksum ~src ~dst m)
+      in
+      Ldlp_buf.Mbuf.free pool m;
+      r)
+
 (* Allocation pins for the per-frame helpers, in the manner of the buf
    suite's "pool cycle allocates nothing": each runs [cycles] times, and
    the only words allowed are the ones the two [Gc.minor_words] reads
@@ -655,7 +748,7 @@ let prop_ipv4_cursor_equiv =
         lor h.Ipv4.fragment_offset
       in
       Bytes.equal b1 b2
-      && Ipv4.check_at b1 0 20 = Ok 20
+      && Ipv4.check_at b1 0 20 = 20
       && Ipv4.ihl_at b1 0 = 5
       && Ipv4.tos_at b1 0 = h.Ipv4.tos
       && Ipv4.total_length_at b1 0 = h.Ipv4.total_length
@@ -675,7 +768,7 @@ let prop_tcp_cursor_equiv =
         ~seq:h.Tcp.seq ~ack:h.Tcp.ack ~data_offset:h.Tcp.data_offset
         ~flags:h.Tcp.flags ~window:h.Tcp.window ~urgent:h.Tcp.urgent b2 0;
       Bytes.equal b1 b2
-      && Tcp.check_at b1 0 64 = Ok (h.Tcp.data_offset * 4)
+      && Tcp.check_at b1 0 64 = h.Tcp.data_offset * 4
       && Tcp.src_port_at b1 0 = h.Tcp.src_port
       && Tcp.dst_port_at b1 0 = h.Tcp.dst_port
       && Tcp.seq_at b1 0 = h.Tcp.seq
@@ -693,6 +786,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_simple_eq_unrolled;
     QCheck_alcotest.to_alcotest prop_chain_eq_flat;
     QCheck_alcotest.to_alcotest prop_chain_eq_flat_with_splits;
+    QCheck_alcotest.to_alcotest prop_partial_eq_reference;
+    QCheck_alcotest.to_alcotest prop_chain_and_verify_eq_reference;
     Alcotest.test_case "cksum footprints" `Quick test_cksum_footprints;
     Alcotest.test_case "chain checksum allocates nothing" `Quick
       test_chain_checksum_zero_alloc;

@@ -1029,6 +1029,28 @@ let test_pure_ack_never_answered () =
   let seg2 = data_frame host ~src_port:9003 ~seq:103 "xx" in
   checki "data still acked" 1 (List.length (run_frames host [ seg; seg2 ]))
 
+let test_send_settles_owed_ack () =
+  (* Without timers: a lone data segment owes an ACK, and the data the
+     host sends next carries it, so nothing is owed after the send — as
+     4.4BSD's tcp_output clears its delayed-ACK flag on every segment
+     that carries an ACK.  The next data segment starts a new pair
+     rather than drawing a pure ACK. *)
+  let _, host = make_host () in
+  ignore (Host.listen host ~port:80);
+  ignore (handshake host ~src_port:9004);
+  let pcb = established_pcb host ~src_port:9004 in
+  checki "first segment: no reply" 0
+    (List.length (run_frames host [ data_frame host ~src_port:9004 ~seq:101 "ping" ]));
+  (match Host.send host pcb (Bytes.of_string "pong") with
+  | Some f -> (
+    match Host.parse_tx host (Host.wrap host f) with
+    | Some (h, _) -> check "the response acks the segment" true (h.Tcp.ack = 105)
+    | None -> Alcotest.fail "unparseable response")
+  | None -> Alcotest.fail "send refused");
+  checki "nothing owed after the send" 0 pcb.Pcb.delayed_ack;
+  checki "second segment: no pure ack" 0
+    (List.length (run_frames host [ data_frame host ~src_port:9004 ~seq:105 "ping" ]))
+
 (* ---------- Parser hardening: mutation fuzz over the stack ---------- *)
 
 let pool_in_use pool =
@@ -1154,6 +1176,8 @@ let suite =
     Alcotest.test_case "delayed-ack timer" `Quick test_delayed_ack_timer;
     Alcotest.test_case "pure ack never answered" `Quick
       test_pure_ack_never_answered;
+    Alcotest.test_case "a data send settles the owed ACK without timers" `Quick
+      test_send_settles_owed_ack;
     Alcotest.test_case "truncation/garbage counted and freed" `Quick
       test_truncation_and_garbage_counted;
     QCheck_alcotest.to_alcotest prop_mutated_frames_never_raise;
