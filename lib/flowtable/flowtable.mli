@@ -4,7 +4,10 @@
     records at the UNI endpoints ({!Ldlp_sigproto.Uni}) and DNS zones and
     transactions ({!Ldlp_dnslite}), sized for millions of concurrent
     flows.  The signalling switch ({!Ldlp_sigproto.Switch}) keeps its
-    call legs in a private [Hashtbl.Make] table instead.
+    call legs in a {!Flat} table instead: packed int keys, int values,
+    no heap block per entry.  [Flat] is meant to become this table's
+    backing store once the UNI endpoints' timer scan no longer depends
+    on the backing store's iteration order (see {!iter}).
 
     Correctness and cost are deliberately split:
 

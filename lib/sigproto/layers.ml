@@ -67,13 +67,15 @@ let rec replies_down msg sscop_for = function
     :: replies_down msg sscop_for rest
 
 let stack ~pool ~switch ?(acks = true) () =
-  let sscops : (int, Sscop.t) Hashtbl.t = Hashtbl.create 8 in
+  (* One SSCOP state per one-byte port tag, made on first use. *)
+  let sscops = Array.make 256 None in
   let sscop_for port =
-    match Hashtbl.find sscops port with
-    | s -> s
-    | exception Not_found ->
+    if port < 0 || port > 0xFF then invalid_arg "Layers.sscop_for: bad port";
+    match sscops.(port) with
+    | Some s -> s
+    | None ->
       let s = Sscop.create () in
-      Hashtbl.add sscops port s;
+      sscops.(port) <- Some s;
       s
   in
   let link =

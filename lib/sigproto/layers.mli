@@ -47,7 +47,10 @@ val encode_tx : sscop_for:(int -> Sscop.t) -> port:int -> Sigmsg.t -> int * byte
 
 type stack = {
   layers : item Ldlp_core.Layer.t list;
-  sscop_for : int -> Sscop.t;  (** Per-port receive/transmit SSCOP state. *)
+  sscop_for : int -> Sscop.t;
+      (** Per-port receive/transmit SSCOP state, made on first use and
+          found by indexing an array with the one-byte port tag.  Raises
+          [Invalid_argument] for a port outside [[0, 255]]. *)
   switch : Switch.t;
 }
 

@@ -17,9 +17,14 @@
     [from_originator = true]; the callee's (Down leg, whose reference the
     switch allocated) carry [false].  Because the flag is part of the key,
     a call routed back out of its own ingress port with the same reference
-    value (a hairpin) keeps two distinct legs.  The table is a
-    [Hashtbl.Make] over [int] with an integer hash, and the counters are
-    mutable fields: a message allocates nothing for the lookup. *)
+    value (a hairpin) keeps two distinct legs.
+
+    A call is one row of int columns (both leg keys, both half-calls' FSM
+    states, the VCI and whether its connect was counted), numbered from a
+    free list, and an {!Ldlp_flowtable.Flat} table maps both leg keys to
+    the row.  No live call holds a heap block: a message allocates
+    nothing for the lookup, and a switch holding thousands of calls gives
+    the GC nothing to promote or follow. *)
 
 type t
 

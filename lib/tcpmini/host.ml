@@ -10,6 +10,7 @@ type counters = {
   bad_ip : int;
   delivered_bytes : int;
   retransmits : int;
+  timeout_drops : int;
 }
 
 type item = { mutable buf : Mbuf.t; mutable src_ip : Pkt.Addr.Ipv4.t }
@@ -35,6 +36,7 @@ type t = {
   mutable n_bad_ip : int;
   mutable n_delivered_bytes : int;
   mutable n_retransmits : int;
+  mutable n_timeout_drops : int;
   mutable ident : int;
   mutable timers : timers option;
   (* Scalar mirrors of the counters on an attached metric sheet (dummy
@@ -67,6 +69,7 @@ let create ~pool ?msg_pool ~mac ~ip ?(gateway_mac = Pkt.Addr.Mac.broadcast)
     n_bad_ip = 0;
     n_delivered_bytes = 0;
     n_retransmits = 0;
+    n_timeout_drops = 0;
     ident = 0;
     timers = None;
     frames_in_sc = sc "frames_in";
@@ -93,6 +96,7 @@ let counters t =
     bad_ip = t.n_bad_ip;
     delivered_bytes = t.n_delivered_bytes;
     retransmits = t.n_retransmits;
+    timeout_drops = t.n_timeout_drops;
   }
 
 (* Every frame this host transmits is built here, by the one frame
@@ -143,6 +147,11 @@ let retransmit_seg t pcb (s : Pcb.seg) ~now =
     count_retransmit t;
     Some frame
 
+(* 4.4BSD's TCP_MAXRXTSHIFT: an expiry that finds the oldest segment
+   already backed off this many times without an ACK of new data drops
+   the connection instead of retransmitting again. *)
+let max_rxt_shift = 12
+
 (* The retransmission timer is armed on demand (a self-rescheduling tick
    would keep the discrete-event engine from ever quiescing): one event
    per PCB at the oldest unacked segment's deadline.  When it fires
@@ -172,13 +181,20 @@ and rtx_fire t (pcb : Pcb.t) =
       | None -> ()
       | Some s ->
         let now = tm.now () in
-        if s.Pcb.seg_sent_at +. Rto.rto pcb.Pcb.rto <= now +. 1e-9 then begin
-          (match retransmit_seg t pcb s ~now with
-          | Some frame -> tm.tx frame
-          | None -> ());
-          Rto.backoff pcb.Pcb.rto
-        end;
-        arm_rtx t pcb)
+        let due = s.Pcb.seg_sent_at +. Rto.rto pcb.Pcb.rto <= now +. 1e-9 in
+        if due && Rto.backoff_count pcb.Pcb.rto >= max_rxt_shift then begin
+          Pcb.drop t.pcbs pcb;
+          t.n_timeout_drops <- t.n_timeout_drops + 1
+        end
+        else begin
+          if due then begin
+            (match retransmit_seg t pcb s ~now with
+            | Some frame -> tm.tx frame
+            | None -> ());
+            Rto.backoff pcb.Pcb.rto
+          end;
+          arm_rtx t pcb
+        end)
 
 let arm_delack t (pcb : Pcb.t) =
   match t.timers with

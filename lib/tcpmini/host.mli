@@ -105,6 +105,9 @@ type counters = {
   bad_ip : int;
   delivered_bytes : int;
   retransmits : int;  (** Segments re-sent by timeout or fast retransmit. *)
+  timeout_drops : int;
+      (** Connections dropped by the retransmission timer (see
+          {!attach_timers}). *)
 }
 
 val counters : t -> counters
@@ -130,7 +133,10 @@ val attach_timers :
     - a retransmission timer per connection re-sends the oldest unacked
       segment when its {!Rto} deadline passes, with exponential backoff
       (armed on demand, so an idle host schedules nothing and the
-      discrete-event engine can quiesce);
+      discrete-event engine can quiesce).  After 12 backoffs with no new
+      data acknowledged (4.4BSD's [TCP_MAXRXTSHIFT]), the next expiry
+      drops the connection ({!Pcb.drop}), arms nothing more and counts
+      a [timeout_drops];
     - the third duplicate ACK triggers a fast retransmit;
     - delayed ACKs are bounded by a 40 ms timer instead of waiting
       indefinitely for a second segment.

@@ -659,6 +659,37 @@ let test_switch_many_calls () =
   checki "200 connected" 200 (Switch.stats sw).Switch.calls_connected;
   checki "200 active" 200 (Switch.active_calls sw)
 
+(* A call is a row of int columns and two slots of a flat table, so with
+   12,000 calls held a lifecycle leaves nothing in the minor heap that
+   outlives it: promoted words come only from replies that happen to be
+   live when a minor collection runs.  A record and two table cells per
+   call promote ~15 words per lifecycle. *)
+let test_switch_held_calls_promote_nothing () =
+  let held = 12_000 and lifecycles = 20_000 in
+  let sw = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+  let set_up call_ref =
+    ignore
+      (Switch.handle sw ~port:1
+         (Sigmsg.v ~call_ref Sigmsg.Setup [ Ie.called_party "x" ]));
+    ignore (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref Sigmsg.Connect_ack []))
+  in
+  for k = 1 to held do
+    set_up k
+  done;
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for k = held + 1 to held + lifecycles do
+    set_up k;
+    ignore
+      (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref:(k - held) Sigmsg.Release []))
+  done;
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. p0 in
+  checki "calls held" held (Switch.active_calls sw);
+  checki "every lifecycle released" lifecycles (Switch.stats sw).Switch.calls_released;
+  check
+    (Printf.sprintf "%.0f words promoted over %d lifecycles" promoted lifecycles)
+    true
+    (promoted < float_of_int lifecycles)
+
 let prop_switch_random_valid_scripts =
   (* Drive the switch with randomly interleaved *valid* call scripts
      (setup, connect-ack, release at staggered positions across many call
@@ -756,6 +787,18 @@ let test_layers_no_acks_option () =
   Ldlp_core.Engine.run sched;
   (* Without sscop acks: only CALL_PROCEEDING + forwarded SETUP. *)
   checki "two transmissions, no ack" 2 !downs
+
+let test_layers_sscop_for_bad_port () =
+  let st = Layers.stack ~pool ~switch:(make_switch ()) () in
+  List.iter
+    (fun port ->
+      Alcotest.check_raises
+        (Printf.sprintf "port %d rejected" port)
+        (Invalid_argument "Layers.sscop_for: bad port")
+        (fun () -> ignore (st.Layers.sscop_for port)))
+    [ 256; -1 ];
+  check "one state per port" true (st.Layers.sscop_for 255 == st.Layers.sscop_for 255);
+  check "ports apart" true (st.Layers.sscop_for 0 != st.Layers.sscop_for 255)
 
 let test_layers_ldlp_equals_conventional () =
   let frames = setup_frames ~port:1 ~count:20 "b:1" in
@@ -981,9 +1024,13 @@ let suite =
     Alcotest.test_case "switch missing IE" `Quick test_switch_missing_called_party;
     Alcotest.test_case "switch unknown callref" `Quick test_switch_unknown_callref;
     Alcotest.test_case "switch many calls" `Quick test_switch_many_calls;
+    Alcotest.test_case "switch held calls promote nothing" `Quick
+      test_switch_held_calls_promote_nothing;
     QCheck_alcotest.to_alcotest prop_switch_random_valid_scripts;
     Alcotest.test_case "layers end to end" `Quick test_layers_end_to_end;
     Alcotest.test_case "layers acks disabled" `Quick test_layers_no_acks_option;
+    Alcotest.test_case "layers sscop_for rejects ports outside a byte" `Quick
+      test_layers_sscop_for_bad_port;
     QCheck_alcotest.to_alcotest prop_layers_wire_bytes;
     Alcotest.test_case "layers ldlp = conventional" `Quick
       test_layers_ldlp_equals_conventional;

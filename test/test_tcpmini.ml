@@ -1051,6 +1051,31 @@ let test_send_settles_owed_ack () =
   checki "second segment: no pure ack" 0
     (List.length (run_frames host [ data_frame host ~src_port:9004 ~seq:105 "ping" ]))
 
+(* A connect whose every frame is lost: the SYN is retransmitted with
+   backoff 12 times, and the next expiry drops the connection (4.4BSD's
+   TCP_MAXRXTSHIFT) and arms nothing more, so the event list drains.  A
+   timer that backs off forever never lets it drain, so the clock runs a
+   bounded number of 100 s steps. *)
+let test_retransmission_limit_drops () =
+  let pool, host = make_host () in
+  let clk, txed = attach_fake_timers host in
+  let pcb, syn = Host.connect host ~dst:(client_ip, 80) ~src_port:5555 in
+  Ldlp_buf.Mbuf.free pool syn;
+  let steps = ref 0 in
+  while clk.Fake_clock.events <> [] && !steps < 50 do
+    incr steps;
+    Fake_clock.advance clk (clk.Fake_clock.now +. 100.0);
+    List.iter (Ldlp_buf.Mbuf.free pool) !txed;
+    txed := []
+  done;
+  check "no timer left" true (clk.Fake_clock.events = []);
+  check "retransmission timer disarmed" false pcb.Pcb.rtx_armed;
+  check "closed" true (pcb.Pcb.state = Pcb.Closed);
+  checki "12 backoffs" 12 (Rto.backoff_count pcb.Pcb.rto);
+  checki "12 retransmissions" 12 (Host.counters host).Host.retransmits;
+  checki "one timeout drop counted" 1 (Host.counters host).Host.timeout_drops;
+  checki "connection gone from the table" 0 (Pcb.connections (Host.table host))
+
 (* ---------- Parser hardening: mutation fuzz over the stack ---------- *)
 
 let pool_in_use pool =
@@ -1178,6 +1203,8 @@ let suite =
       test_pure_ack_never_answered;
     Alcotest.test_case "a data send settles the owed ACK without timers" `Quick
       test_send_settles_owed_ack;
+    Alcotest.test_case "retransmission limit drops the connection" `Quick
+      test_retransmission_limit_drops;
     Alcotest.test_case "truncation/garbage counted and freed" `Quick
       test_truncation_and_garbage_counted;
     QCheck_alcotest.to_alcotest prop_mutated_frames_never_raise;
