@@ -800,20 +800,6 @@ let test_switch_lifecycle = switch_lifecycle ~held:0
 
 let test_switch_lifecycle_held = switch_lifecycle ~held:12_000
 
-let test_dns_server =
-  let srv =
-    Ldlp_dnslite.Server.create
-      ~zone:[ ("www.example.com", "93.184.216.34") ]
-      ()
-  in
-  let query =
-    Ldlp_dnslite.Dnsmsg.encode
-      (Ldlp_dnslite.Dnsmsg.query ~id:1
-         (Ldlp_dnslite.Name.of_string "www.example.com"))
-  in
-  Test.make ~name:"dns:query+response"
-    (Staged.stage (fun () -> Ldlp_dnslite.Server.handle srv query))
-
 let test_sscop_roundtrip =
   let a = Ldlp_sigproto.Sscop.create () and b = Ldlp_sigproto.Sscop.create () in
   let payload = Bytes.create 100 in
@@ -889,7 +875,6 @@ let tests =
       test_sigmsg_codec;
       test_switch_lifecycle;
       test_switch_lifecycle_held;
-      test_dns_server;
       test_sscop_roundtrip;
       test_reassembly;
       test_sched_conventional;

@@ -23,13 +23,11 @@ type stats = {
 
 type ('k, 'v) t = {
   tbl_name : string;
-  tbl_scheme : scheme;
-  tbl_slots : int;
   entry_bytes : int;
   set_mask : int; (* sets - 1, for the batch sort key *)
   rep : Replace.t; (* front-cache model over slot hashes *)
   backing : ('k, 'v) Hashtbl.t; (* exact; correctness never depends on rep *)
-  mutable memsys : Memsys.t option;
+  memsys : Memsys.t option;
   mutable owner : int; (* -1 = unclaimed; else domain id *)
   mutable lookups : int;
   mutable found : int;
@@ -64,8 +62,6 @@ let create ?(scheme = Set_assoc 4) ?(slots = 1024) ?(entry_bytes = 64)
     invalid_arg "Flowtable.create: sets must be a power of two";
   {
     tbl_name = name;
-    tbl_scheme = scheme;
-    tbl_slots = slots;
     entry_bytes;
     set_mask = sets - 1;
     rep = Replace.create ~sets ~ways;
@@ -81,14 +77,6 @@ let create ?(scheme = Set_assoc 4) ?(slots = 1024) ?(entry_bytes = 64)
     removes = 0;
     ev_base = 0;
   }
-
-let name t = t.tbl_name
-
-let scheme t = t.tbl_scheme
-
-let slots t = t.tbl_slots
-
-let attach_memsys t m = t.memsys <- m
 
 (* Domain-local tripwire, same discipline as [Ldlp_core.Msg] pools: the
    first guarded access claims the table (a parallel soak builds each
@@ -169,8 +157,6 @@ let lookup_batch t keys =
   out
 
 let length t = Hashtbl.length t.backing
-
-let iter f t = Hashtbl.iter f t.backing
 
 let fold f t acc = Hashtbl.fold f t.backing acc
 

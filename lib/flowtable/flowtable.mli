@@ -1,13 +1,12 @@
 (** Unified flow-key → state lookup table.
 
-    The lookup path for TCP PCBs ({!Ldlp_tcpmini.Pcb}), Q.93B call
-    records at the UNI endpoints ({!Ldlp_sigproto.Uni}) and DNS zones and
-    transactions ({!Ldlp_dnslite}), sized for millions of concurrent
-    flows.  The signalling switch ({!Ldlp_sigproto.Switch}) keeps its
-    call legs in a {!Flat} table instead: packed int keys, int values,
-    no heap block per entry.  [Flat] is meant to become this table's
-    backing store once the UNI endpoints' timer scan no longer depends
-    on the backing store's iteration order (see {!iter}).
+    The lookup path for TCP PCBs ({!Ldlp_tcpmini.Pcb}) and Q.93B call
+    records at the UNI endpoints ({!Ldlp_sigproto.Uni}), sized for
+    millions of concurrent flows.  The signalling switch
+    ({!Ldlp_sigproto.Switch}) keeps its call legs in a {!Flat} table
+    instead: packed int keys, int values, no heap block per entry.
+    [Flat] is meant to become this table's backing store, so no caller
+    may depend on the order in which {!fold} visits entries.
 
     Correctness and cost are deliberately split:
 
@@ -72,19 +71,9 @@ val create :
   ('k, 'v) t
 (** Defaults: [scheme = Set_assoc 4], [slots = 1024], [entry_bytes = 64],
     [buckets = 64], no memory system.  [slots] must be a power of two and
-    divisible by the associativity.  [buckets] is the initial bucket count
-    of the exact backing table; callers replacing a bare [Hashtbl] pass
-    their previous [Hashtbl.create] size so iteration order is preserved
-    (see {!iter}). *)
-
-val name : _ t -> string
-
-val scheme : _ t -> scheme
-
-val slots : _ t -> int
-
-val attach_memsys : _ t -> Ldlp_cache.Memsys.t option -> unit
-(** Route model-miss charging into (or detach it from) a memory system. *)
+    divisible by the associativity.  [buckets] sizes the exact backing
+    table up front, a hint for callers that know how many flows they will
+    hold. *)
 
 val lookup : ('k, 'v) t -> 'k -> 'v option
 
@@ -104,13 +93,8 @@ val lookup_batch : ('k, 'v) t -> 'k array -> 'v option array
 
 val length : _ t -> int
 
-val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
-(** Iterate the backing store.  Order contract: identical to a plain
-    [Hashtbl] created with [buckets] and driven with the same op sequence
-    — callers that fold for event ordering (mesh signalling deadlines)
-    keep their pre-flowtable order byte for byte. *)
-
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
+(** Fold over the backing store, in no specified order. *)
 
 val flush_cache : _ t -> unit
 (** Invalidate the front-cache model (cold lookup path).  The backing

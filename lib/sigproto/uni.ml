@@ -36,9 +36,8 @@ let create ?sscop ?(t303 = 4.0) ?(t308 = 30.0) () =
     sscop = Sscop_conn.create ?config:sscop ();
     t303;
     t308;
-    (* [buckets] matches the Hashtbl.create 16 this map replaced: the
-       backing store's fold order — which drives tick/deadline event
-       ordering in the mesh storms — is preserved byte for byte. *)
+    (* An endpoint holds few calls, and a mesh storm builds two per
+       call pair. *)
     calls = Flowtable.create ~buckets:16 ~name:"uni-calls" ();
     ready = false;
   }
@@ -177,13 +176,20 @@ let on_wire t ~now frame =
     (base ++ { empty with events = link_events })
     o.Sscop_conn.deliveries
 
+(* The calls with a running timer, in ascending call-reference order, so
+   that expiries fire in an order the table's layout cannot change. *)
 let call_deadlines t =
-  Flowtable.fold
-    (fun call_ref call acc ->
-      match call.timer with
-      | Some (_, d) -> (call_ref, call, d) :: acc
-      | None -> acc)
-    t.calls []
+  let timed =
+    Flowtable.fold
+      (fun call_ref call acc ->
+        match call.timer with
+        | Some (_, d) -> (call_ref, call, d) :: acc
+        | None -> acc)
+      t.calls []
+  in
+  match timed with
+  | [] | [ _ ] -> timed (* [List.sort] allocates closures even here *)
+  | _ -> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) timed
 
 let earliest_timer _ call acc =
   match call.timer with Some (_, d) -> Float.min acc d | None -> acc

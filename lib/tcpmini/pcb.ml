@@ -91,10 +91,8 @@ let none = fresh ~local_port:(-1) ~state:Closed ()
 
 let create_table () =
   {
-    (* [buckets] matches the Hashtbl.create 64 this table replaced, so the
-       exact backing store behaves identically; the modeled front cache
-       rides behind the paper's one-entry cache. *)
-    conns = Flowtable.create ~buckets:64 ~name:"tcp-pcb" ();
+    (* The modeled front cache rides behind the paper's one-entry cache. *)
+    conns = Flowtable.create ~name:"tcp-pcb" ();
     listeners = Hashtbl.create 8;
     cache_port = -1;
     cache_rip = Ipv4.of_int32 0l;
@@ -191,8 +189,6 @@ let stats table =
     allocated = table.allocated;
     freed = table.freed;
   }
-
-let flowtable table = table.conns
 
 let metrics_scalars m table =
   let module Metrics = Ldlp_obs.Metrics in

@@ -110,10 +110,6 @@ val connections : table -> int
 val stats : table -> stats
 (** A snapshot of the counters. *)
 
-val flowtable : table -> (int * int32 * int, t) Ldlp_flowtable.Flowtable.t
-(** The unified flow table backing the connection lookup path (for
-    attaching a memory system or reading the modeled-locality stats). *)
-
 val metrics_scalars : Ldlp_obs.Metrics.t -> table -> unit
 (** Set the [flow.*] scalars (lookup split, allocation balance) and the
     [flow.table.*] scalars (modeled front-cache behaviour) on a sheet. *)

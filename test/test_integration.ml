@@ -20,6 +20,33 @@ let src_ip = Ldlp_packet.Addr.Ipv4.of_string "10.0.0.1"
 
 let dst_ip = Ldlp_packet.Addr.Ipv4.of_string "10.0.0.2"
 
+(* A transport segment behind IPv4 and Ethernet headers. *)
+let ip_frame ~protocol ~ident ~src ~dst seg =
+  let open Ldlp_packet in
+  let m =
+    Ipv4.encapsulate
+      (Ldlp_buf.Mbuf.of_bytes pool seg)
+      {
+        Ipv4.ihl = 5;
+        tos = 0;
+        total_length = 0;
+        ident;
+        dont_fragment = true;
+        more_fragments = false;
+        fragment_offset = 0;
+        ttl = 64;
+        protocol;
+        src;
+        dst;
+      }
+  in
+  Ethernet.encapsulate m
+    {
+      Ethernet.dst = Addr.Mac.of_string "02:00:00:00:00:02";
+      src = Addr.Mac.of_string "02:00:00:00:00:01";
+      ethertype = Ethernet.ethertype_ipv4;
+    }
+
 let build_segment ~seq payload =
   let open Ldlp_packet in
   let tcp_len = Tcp.header_bytes + String.length payload in
@@ -38,29 +65,7 @@ let build_segment ~seq payload =
     seg 0;
   Bytes.blit_string payload 0 seg Tcp.header_bytes (String.length payload);
   Tcp.store_checksum ~src:src_ip ~dst:dst_ip seg 0 tcp_len;
-  let m = Ldlp_buf.Mbuf.of_bytes pool seg in
-  let m =
-    Ipv4.encapsulate m
-      {
-        Ipv4.ihl = 5;
-        tos = 0;
-        total_length = 0;
-        ident = 7;
-        dont_fragment = true;
-        more_fragments = false;
-        fragment_offset = 0;
-        ttl = 64;
-        protocol = Ipv4.proto_tcp;
-        src = src_ip;
-        dst = dst_ip;
-      }
-  in
-  Ethernet.encapsulate m
-    {
-      Ethernet.dst = Addr.Mac.of_string "02:00:00:00:00:02";
-      src = Addr.Mac.of_string "02:00:00:00:00:01";
-      ethertype = Ethernet.ethertype_ipv4;
-    }
+  ip_frame ~protocol:Ipv4.proto_tcp ~ident:7 ~src:src_ip ~dst:dst_ip seg
 
 (* The receive stack: ether -> ip -> tcp.  The TCP layer verifies the
    checksum, appends in-order payload to a socket buffer, and sends an ACK
@@ -207,21 +212,18 @@ let test_tcp_path_mixed_traffic () =
   checki "arp dropped" 1 bad;
   checki "both consumed" 2 stats.Ldlp_core.Engine.consumed
 
-(* ---------- demultiplexing host: TCP and DNS behind one IP layer ------- *)
+(* ---------- demultiplexing host: TCP and UDP behind one IP layer ------- *)
 
 (* The Section 3.2 graph case on real protocols: ether -> ip -> {tcp, udp},
-   where the TCP branch is the tcpmini engine and the UDP branch the
-   DNS-lite server, all scheduled as one engine graph under both
-   disciplines. *)
-let demux_host ~discipline queries segments =
+   where the TCP branch is the tcpmini engine and the UDP branch counts
+   checksum-verified datagrams, all scheduled as one engine graph under
+   both disciplines. *)
+let demux_host ~discipline datagrams segments =
   let open Ldlp_core in
   let my_ip = Ldlp_packet.Addr.Ipv4.of_string "10.5.0.1" in
   let pcbs = Ldlp_tcpmini.Pcb.create_table () in
   ignore (Ldlp_tcpmini.Pcb.listen pcbs ~port:80 ());
-  let dns =
-    Ldlp_dnslite.Server.create ~zone:[ ("a.example", "10.5.0.9") ] ()
-  in
-  let tcp_replies = ref 0 and dns_replies = ref 0 in
+  let tcp_replies = ref 0 and udp_verified = ref 0 in
   (* Payload: the chain plus the IP source/protocol recorded on the way
      up.  (Per-message state must live in the payload under blocked
      scheduling.) *)
@@ -278,14 +280,10 @@ let demux_host ~discipline queries segments =
         let flat = Ldlp_buf.Mbuf.to_bytes m in
         Ldlp_buf.Mbuf.free pool m;
         (match Ldlp_packet.Udp.parse flat 0 (Bytes.length flat) with
-        | Ok (h, off)
+        | Ok (h, _)
           when Ldlp_packet.Udp.verify_checksum ~src ~dst:my_ip flat 0
                  h.Ldlp_packet.Udp.length ->
-          let payload =
-            Bytes.sub flat off (h.Ldlp_packet.Udp.length - off)
-          in
-          if Ldlp_dnslite.Server.handle dns payload <> None then
-            incr dns_replies
+          incr udp_verified
         | _ -> ());
         [ Layer.Consume ])
   in
@@ -297,31 +295,29 @@ let demux_host ~discipline queries segments =
     Engine.inject g ~node:ether
       (Msg.make ~size:(Ldlp_buf.Mbuf.length m) (m, my_ip, 0))
   in
-  (* Interleave DNS queries and TCP SYNs. *)
+  (* Interleave UDP datagrams and TCP SYNs. *)
   List.iter2
-    (fun q s ->
-      inject q;
+    (fun d s ->
+      inject d;
       inject s)
-    queries segments;
+    datagrams segments;
   Engine.run g;
   let s = Engine.stats g in
-  (!tcp_replies, !dns_replies, s, Ldlp_tcpmini.Pcb.connections pcbs)
+  (!tcp_replies, !udp_verified, s, Ldlp_tcpmini.Pcb.connections pcbs)
 
-let test_demux_host_tcp_and_dns () =
+let test_demux_host_tcp_and_udp () =
   let my_ip = Ldlp_packet.Addr.Ipv4.of_string "10.5.0.1" in
   let make_inputs () =
-    let dns_frame i =
-      (* Reuse the dnshost frame builder via a throwaway host config. *)
-      let h =
-        Ldlp_dnslite.Dnshost.create ~pool
-          ~mac:(Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:01")
-          ~ip:my_ip
-          ~server:(Ldlp_dnslite.Server.create ~zone:[] ())
-          ()
-      in
-      Ldlp_dnslite.Dnshost.client_query h ~src_ip:src_ip ~src_port:(2000 + i)
-        (Ldlp_dnslite.Dnsmsg.query ~id:i
-           (Ldlp_dnslite.Name.of_string "a.example"))
+    let udp_frame i =
+      let open Ldlp_packet in
+      let payload = Printf.sprintf "datagram %d" i in
+      let len = String.length payload in
+      let dgram = Bytes.create (Udp.header_bytes + len) in
+      Bytes.blit_string payload 0 dgram Udp.header_bytes len;
+      Udp.build
+        { Udp.src_port = 2000 + i; dst_port = 53; length = 0 }
+        ~src:src_ip ~dst:my_ip dgram 0 ~payload_len:len;
+      ip_frame ~protocol:Ipv4.proto_udp ~ident:i ~src:src_ip ~dst:my_ip dgram
     in
     let syn_frame i =
       Ldlp_tcpmini.Tcp_output.frame pool
@@ -330,22 +326,22 @@ let test_demux_host_tcp_and_dns () =
         ~src:src_ip ~dst:my_ip ~ident:i ~src_port:(3000 + i) ~dst_port:80
         ~seq:50 ~ack:0 ~flags:Ldlp_packet.Tcp.flag_syn ~window:8760 Bytes.empty
     in
-    (List.init 10 dns_frame, List.init 10 syn_frame)
+    (List.init 10 udp_frame, List.init 10 syn_frame)
   in
   let run discipline =
-    let queries, syns = make_inputs () in
-    demux_host ~discipline queries syns
+    let datagrams, syns = make_inputs () in
+    demux_host ~discipline datagrams syns
   in
-  let t1, d1, s1, conns1 = run Ldlp_core.Engine.Conventional in
+  let t1, u1, s1, conns1 = run Ldlp_core.Engine.Conventional in
   checki "10 syn-acks" 10 t1;
-  checki "10 dns replies" 10 d1;
+  checki "10 udp datagrams verified" 10 u1;
   checki "10 connections" 10 conns1;
   checki "no misroutes" 0 s1.Ldlp_core.Engine.misrouted;
-  let t2, d2, _, conns2 =
+  let t2, u2, _, conns2 =
     run (Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
   in
   checki "ldlp same tcp" t1 t2;
-  checki "ldlp same dns" d1 d2;
+  checki "ldlp same udp" u1 u2;
   checki "ldlp same connections" conns1 conns2
 
 (* ---------- Two-switch signalling network ---------- *)
@@ -472,7 +468,7 @@ let suite =
     Alcotest.test_case "tcp path corruption" `Quick
       test_tcp_path_corrupted_segment_dropped;
     Alcotest.test_case "tcp path mixed traffic" `Quick test_tcp_path_mixed_traffic;
-    Alcotest.test_case "demux host tcp+dns" `Quick test_demux_host_tcp_and_dns;
+    Alcotest.test_case "demux host tcp+udp" `Quick test_demux_host_tcp_and_udp;
     Alcotest.test_case "two-switch call" `Quick test_two_switch_call;
     Alcotest.test_case "analytic vs simulated" `Slow
       test_blocking_model_matches_simulation;

@@ -18,7 +18,6 @@ let () =
       ("tcpmini", Test_tcpmini.suite);
       ("sigproto", Test_sigproto.suite);
       ("uni", Test_uni.suite);
-      ("dnslite", Test_dnslite.suite);
       ("model", Test_model.suite);
       ("netsim", Test_netsim.suite);
       ("fault", Test_fault.suite);

@@ -1,6 +1,8 @@
 (* Tests for the report renderers: every table/figure printer must embed
    the paper-comparison anchors and render without raising on real
-   generator output. *)
+   generator output.  Also the documents committed at the project root:
+   the BENCH files parse and reprint, and the docs name only paths that
+   exist. *)
 
 let check = Alcotest.(check bool)
 
@@ -150,11 +152,19 @@ let test_bench_json_rejects () =
   | Ok doc -> Alcotest.(check int) "compact layout" 2 (Json.int doc "host_cores")
   | Error e -> Alcotest.failf "compact layout rejected: %s" e
 
+(* The project root is the current directory when the suite runs from
+   the checkout, and its parent under `dune runtest`, which runs in the
+   build tree's test/ with the root files its rule depends on. *)
+let root =
+  if Sys.file_exists "dune-project" then Filename.current_dir_name
+  else Filename.parent_dir_name
+
+let read_committed file =
+  In_channel.with_open_bin (Filename.concat root file) In_channel.input_all
+
 (* Every committed BENCH file must pass its schema and print back byte for
    byte: numbers keep their literal text, and integers read back exactly
    (the flows digests need all 63 bits). *)
-let read_committed file = In_channel.with_open_bin ("../" ^ file) In_channel.input_all
-
 let test_committed_bench_files () =
   let read = read_committed in
   List.iter
@@ -179,6 +189,61 @@ let test_committed_bench_files () =
         "digest read back exactly" true
         (Json.member row "digest" = Json.Num (string_of_int (Json.int row "digest"))))
     (Json.arr (Result.get_ok (Schema.parse Schema.flows (read "BENCH_flows.json"))) "rows")
+
+(* The lib/ and examples/*.ml paths a text names.  A path starts at "lib/"
+   or "examples/" with no path character before it and runs to the first
+   character that cannot be in one; a full stop ending a sentence is not
+   part of it. *)
+let named_paths text =
+  let path_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | '/' -> true
+    | _ -> false
+  in
+  let n = String.length text in
+  let at i prefix =
+    i + String.length prefix <= n
+    && String.sub text i (String.length prefix) = prefix
+  in
+  let rec stop j = if j < n && path_char text.[j] then stop (j + 1) else j in
+  let rec trim p =
+    if String.ends_with ~suffix:"." p then trim (String.sub p 0 (String.length p - 1))
+    else p
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if (i = 0 || not (path_char text.[i - 1])) && (at i "lib/" || at i "examples/")
+    then
+      let j = stop i in
+      let p = trim (String.sub text i (j - i)) in
+      go j
+        (if String.starts_with ~prefix:"lib/" p || String.ends_with ~suffix:".ml" p
+         then p :: acc
+         else acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let missing_paths text =
+  List.filter
+    (fun p -> not (Sys.file_exists (Filename.concat root p)))
+    (named_paths text)
+
+(* ROADMAP and CHANGES are history, and name deleted code on purpose. *)
+let test_docs_name_existing_paths () =
+  Alcotest.(check (list string))
+    "paths found" [ "lib/shard"; "lib/"; "examples/quickstart.ml" ]
+    (named_paths
+       "`lib/shard`. The only spawn in lib/, see examples/quickstart.ml; \
+        not stdlib/x, mylib/y or examples/quickstart.exe.");
+  Alcotest.(check (list string))
+    "a deleted library is missing" [ "lib/shard" ]
+    (missing_paths "The sharded storm ran in `lib/shard`, beside lib/mesh.");
+  List.iter
+    (fun doc ->
+      Alcotest.(check (list string))
+        (doc ^ " names only existing paths") []
+        (missing_paths (read_committed doc)))
+    [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md"; ".claude/skills/verify/SKILL.md" ]
 
 let soak_row ?(loss = 0.01) ?(goodput = 2345.5) ?(retransmits = 3)
     ?(completion = 0.25) () =
@@ -451,6 +516,8 @@ let suite =
       test_hotpath_json_rejects;
     Alcotest.test_case "committed BENCH files reprint exactly" `Quick
       test_committed_bench_files;
+    Alcotest.test_case "docs name existing lib and example paths" `Quick
+      test_docs_name_existing_paths;
     Alcotest.test_case "soak json rejects bad input" `Quick test_soak_json_rejects;
     Alcotest.test_case "flows json roundtrip" `Quick test_flows_json_roundtrip;
     Alcotest.test_case "flows json rejects bad input" `Quick

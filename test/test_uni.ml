@@ -108,6 +108,31 @@ let test_t303_retransmits_then_fails () =
   check "setup was retransmitted before giving up" true retransmitted;
   checki "call cleared" 0 (Uni.active_calls a)
 
+(* Two calls whose T303 timers expire at one instant fail in ascending
+   call-reference order, whatever order the call table keeps them in. *)
+let test_expiry_order () =
+  let a, b = linked () in
+  ignore b;
+  List.iter
+    (fun call_ref -> ignore (Result.get_ok (Uni.originate a ~now:0.0 ~call_ref [])))
+    [ 2; 3 ];
+  let rec drive n =
+    if n > 40 then Alcotest.fail "calls never failed"
+    else
+      match Uni.next_deadline a with
+      | None -> Alcotest.fail "deadline disappeared before failure"
+      | Some d -> (
+        match
+          List.filter_map
+            (function Uni.Call_failed (r, _) -> Some r | _ -> None)
+            (Uni.tick a ~now:d).Uni.events
+        with
+        | [] -> drive (n + 1)
+        | failed -> failed)
+  in
+  Alcotest.(check (list int)) "failed in call-reference order" [ 2; 3 ] (drive 0);
+  checki "calls cleared" 0 (Uni.active_calls a)
+
 let test_t303_cancelled_by_response () =
   let a, b = connected_pair () in
   ignore b;
@@ -185,6 +210,8 @@ let suite =
     Alcotest.test_case "originate requires link" `Quick test_originate_requires_link;
     Alcotest.test_case "busy call ref" `Quick test_busy_call_ref;
     Alcotest.test_case "t303 retransmit then fail" `Quick test_t303_retransmits_then_fails;
+    Alcotest.test_case "expired calls fire in call-reference order" `Quick
+      test_expiry_order;
     Alcotest.test_case "t303 cancelled by answer" `Quick test_t303_cancelled_by_response;
     Alcotest.test_case "sscop recovers lost setup" `Quick test_sscop_recovers_lost_setup;
     Alcotest.test_case "link down on starvation" `Quick test_link_down_reported;
