@@ -7,7 +7,7 @@
     scans the arrays' words without following any of them.  A lookup
     returns the entry's slot, or [-1] when the key is absent, never an
     option.  This is the structure {!Ldlp_sigproto.Switch} keeps its call
-    legs in.
+    legs in, and each {!Ldlp_sigproto.Uni} endpoint its calls.
 
     Keys are non-negative ints; callers pack several fields into one
     (the switch packs port, call-reference flag and call reference).  A

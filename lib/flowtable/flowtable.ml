@@ -80,9 +80,8 @@ let create ?(scheme = Set_assoc 4) ?(slots = 1024) ?(entry_bytes = 64)
 
 (* Domain-local tripwire, same discipline as [Ldlp_core.Msg] pools: the
    first guarded access claims the table (a parallel soak builds each
-   scenario's PCB tables, and the sharded mesh storm each shard's [Uni]
-   call tables, inside the domain that runs them, so the claim lands on
-   that domain). *)
+   scenario's PCB tables inside the domain that runs them, so the claim
+   lands on that domain). *)
 let guard t =
   let me = (Domain.self () :> int) in
   if t.owner < 0 then t.owner <- me

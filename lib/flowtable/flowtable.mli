@@ -1,12 +1,13 @@
 (** Unified flow-key → state lookup table.
 
-    The lookup path for TCP PCBs ({!Ldlp_tcpmini.Pcb}) and Q.93B call
-    records at the UNI endpoints ({!Ldlp_sigproto.Uni}), sized for
-    millions of concurrent flows.  The signalling switch
-    ({!Ldlp_sigproto.Switch}) keeps its call legs in a {!Flat} table
-    instead: packed int keys, int values, no heap block per entry.
-    [Flat] is meant to become this table's backing store, so no caller
-    may depend on the order in which {!fold} visits entries.
+    The lookup path for TCP PCBs ({!Ldlp_tcpmini.Pcb}) and the flow study
+    ({!Study}), sized for millions of concurrent flows.  The signalling
+    switch ({!Ldlp_sigproto.Switch}) and the UNI endpoints
+    ({!Ldlp_sigproto.Uni}) keep their calls as rows of int columns found
+    through a {!Flat} table instead: int keys, int values, no heap block
+    per entry, and no front-cache model.  [Flat] is meant to become this
+    table's backing store, so no caller may depend on the order in which
+    {!fold} visits entries.
 
     Correctness and cost are deliberately split:
 
@@ -32,8 +33,7 @@
     for the calling domain and any access from another domain raises
     [Invalid_argument] — the same tripwire discipline as [Ldlp_core.Msg]
     pools.  A parallel soak builds tcpmini hosts, PCB tables included, on
-    helper domains, and the sharded mesh storm builds each shard's [Uni]
-    call tables on its own domain. *)
+    helper domains. *)
 
 type scheme =
   | Direct  (** Direct-mapped: [slots] sets of 1 way. *)

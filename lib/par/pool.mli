@@ -42,9 +42,9 @@ val resolve_domains : ?domains:int -> unit -> int
     [Soak.run_all]'s {!map} builds tcpmini hosts on helper domains, with
     their PCB [Flowtable]s (whose owner tripwire raises on access from
     another domain) and per-domain [Tcp_input] counters, and
-    [Mesh.run_storm_sharded] runs each shard's [Uni] hosts, call tables
-    included, and message pool on its own member.  No other module in
-    the library spawns a domain. *)
+    [Mesh.run_storm_sharded] runs each shard's [Uni] endpoints (whose
+    calls carry the same owner tripwire) and message pool on its own
+    member.  No other module in the library spawns a domain. *)
 module Gang : sig
   type t
 

@@ -11,7 +11,20 @@
       considered dead and cleared locally.
 
     Like {!Sscop_conn}, the machine is clocked by the caller and returns
-    the frames to transmit instead of performing IO. *)
+    the frames to transmit instead of performing IO.
+
+    Each call is a row of int columns (call reference, FSM state,
+    supervision timer and its retransmission count, which end originated
+    it), found through a {!Ldlp_flowtable.Flat} table by call reference;
+    its deadline sits in an unboxed float array and its SETUP IEs in one
+    more array, the only heap value a call holds.  Released rows are
+    reused.
+
+    An endpoint is domain-local: the first call to an operation that
+    looks a call up ({!originate}, {!abort}, {!accept}, {!hangup},
+    {!call_state}, a delivery through {!on_wire}, an expiry in {!tick})
+    claims it for the calling domain, and any such call from another
+    domain raises [Invalid_argument]. *)
 
 type t
 
@@ -61,7 +74,8 @@ val tick : t -> now:float -> outcome
 
 val next_deadline : t -> float option
 (** The earliest armed timer, SSCOP's or a call's T303/T308; [None] when
-    none is armed.  A fold over the call table: no list is built. *)
+    none is armed.  A loop over the rows' deadlines: nothing is built but
+    the result. *)
 
 val call_state : t -> call_ref:int -> Fsm.state option
 

@@ -4,8 +4,13 @@
     (earliest timestamp) is popped first.  Ties are broken by insertion order
     (FIFO), which keeps simulations deterministic.
 
-    Keys, insertion sequence numbers and values sit in three parallel
-    arrays, so once the arrays have grown, {!push}, {!peek_key} and
+    Keys, insertion sequence numbers and int handles sit in three
+    parallel arrays kept in heap order; the values sit in a slab indexed
+    by handle, with the free handles kept as a stack, and never move.  A
+    sift moves only floats and ints, so {!push} stores its value once,
+    {!pop_min} reads it once, and no sift level pays the GC's write
+    barrier.  A popped value stays in the slab until a push takes its
+    handle again.  Once the arrays have grown, {!push}, {!peek_key} and
     {!pop_min} allocate nothing.  The minimum key comes back through a
     caller's float cell rather than as a return value, because a float
     returned across modules is boxed. *)

@@ -83,7 +83,7 @@ let geometric t ~p =
     let u = 1.0 -. unit_float t in
     1 + int_of_float (log u /. log (1.0 -. p))
 
-let shuffle t a =
+let shuffle t (a : int array) =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = a.(i) in

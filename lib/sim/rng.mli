@@ -41,5 +41,6 @@ val geometric : t -> p:float -> int
 (** Number of Bernoulli(p) trials up to and including the first success
     (support 1, 2, ...). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
+val shuffle : t -> int array -> unit
+(** In-place Fisher-Yates shuffle.  Over ints, so a swap stores two
+    immediates and makes no [caml_modify]. *)

@@ -84,13 +84,53 @@ let prop_heap_fifo_ties =
       let inserted = List.mapi (fun i k -> (k, i)) keys in
       drain [] = List.stable_sort (fun (a, _) (b, _) -> compare a b) inserted)
 
+(* Pushes and pops interleaved, with boxed values: every pop returns the
+   very value a stable sort of the held entries by key puts first, and
+   what is left drains in that order.  Pops free value slots that later
+   pushes take again, which pushing everything before popping never
+   does; the heap starts at capacity 1, so it also grows while slots are
+   free.  Draws of 0..8 push that key, 9..12 pop. *)
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"heap = stable sort on random interleaved push/pop"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (int_bound 12))
+    (fun ops ->
+      let h = Heap.create ~capacity:1 () in
+      let held = ref [] (* in insertion order *) in
+      let first () =
+        List.hd (List.stable_sort (fun (a, _) (b, _) -> compare a b) !held)
+      in
+      let popped_first () =
+        match pop h with
+        | None -> false
+        | Some (k, v) ->
+          let e = first () in
+          held := List.filter (fun x -> x != e) !held;
+          v == e && k = float_of_int (fst e)
+      in
+      let rec run i = function
+        | [] -> true
+        | op :: rest ->
+          (if op <= 8 then begin
+             let v = (op, string_of_int i) in
+             Heap.push h (float_of_int op) v;
+             held := !held @ [ v ];
+             true
+           end
+           else if !held = [] then pop h = None
+           else popped_first ())
+          && run (i + 1) rest
+      in
+      let rec drain () = !held = [] || (popped_first () && drain ()) in
+      run 0 ops && drain () && Heap.is_empty h)
+
 (* [capacity] sizes the backing arrays: pushes up to it allocate nothing
    past the first, which sizes the value array.  Counted as minor plus
    direct-major words, since a grown array this large skips the minor
-   heap; the tolerance covers the [Gc.counters] reads. *)
+   heap; the tolerance covers the [Gc] reads. *)
 let words_allocated () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let test_heap_capacity () =
   let h = Heap.create ~capacity:4096 () in
@@ -570,6 +610,7 @@ let suite =
     Alcotest.test_case "heap to_sorted_list" `Quick test_heap_to_sorted_list;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_fifo_ties;
+    QCheck_alcotest.to_alcotest prop_heap_interleaved;
     Alcotest.test_case "heap capacity pre-sizes its arrays" `Quick test_heap_capacity;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     QCheck_alcotest.to_alcotest prop_rng_deterministic;

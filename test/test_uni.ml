@@ -202,6 +202,125 @@ let test_link_down_reported () =
   starve 0.0 0;
   check "link down" false (Uni.link_ready a)
 
+(* Words allocated so far, minor plus direct-major: an array of more than
+   256 words goes straight into the major heap, and [Gc.minor_words]
+   alone would not see it.  The minor count is [Gc.minor_words], since
+   [Gc.counters]' undercounts what the current minor heap holds. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let words_allocated () = Gc.minor_words () +. direct_major_words ()
+
+(* 300 calls held at once on one endpoint pair, each in a row of its own;
+   a second round of 300 reuses the released rows, so it grows nothing:
+   the rows for 600 calls would be a 5,120-word int array, allocated
+   straight into the major heap. *)
+let test_many_calls_reuse_rows () =
+  let a, b = linked () in
+  let round first =
+    let refs = List.init 300 (fun i -> first + i) in
+    List.iter
+      (fun call_ref ->
+        let out = Result.get_ok (Uni.originate a ~now:0.1 ~call_ref []) in
+        ignore (splice ~now:0.1 a b out))
+      refs;
+    checki "a holds 300 calls before any answer" 300 (Uni.active_calls a);
+    List.iter
+      (fun call_ref ->
+        let out = Result.get_ok (Uni.accept b ~now:0.2 ~call_ref) in
+        ignore (splice ~now:0.2 b a out))
+      refs;
+    List.iter
+      (fun call_ref ->
+        if
+          Uni.call_state a ~call_ref <> Some Fsm.Active
+          || Uni.call_state b ~call_ref <> Some Fsm.Active
+        then Alcotest.failf "call %d is not active at both ends" call_ref)
+      refs;
+    List.iter
+      (fun call_ref ->
+        let out = Result.get_ok (Uni.hangup a ~now:0.3 ~call_ref) in
+        ignore (splice ~now:0.3 a b out))
+      refs;
+    checki "a released every call" 0 (Uni.active_calls a);
+    checki "b released every call" 0 (Uni.active_calls b)
+  in
+  round 1;
+  let m0 = direct_major_words () in
+  round 1001;
+  let dm = direct_major_words () -. m0 in
+  if dm > 0.0 then
+    Alcotest.failf
+      "the second round of 300 calls allocated %.0f direct-major words: its \
+       rows were not reused"
+      dm
+
+(* [next_deadline] is the earliest armed T303 or T308 over every call,
+   wherever its row lies, and moves when that call is answered.  A's
+   frames reach B in order, each when the test delivers it; SSCOP's own
+   timers are pushed past 1,000 s so that only the calls' show. *)
+let test_next_deadline_earliest_call () =
+  let slow =
+    {
+      Sscop_conn.default_config with
+      Sscop_conn.poll_interval = 1000.0;
+      response_timeout = 1000.0;
+    }
+  in
+  let a = Uni.create ~sscop:slow () and b = Uni.create ~sscop:slow () in
+  ignore (splice ~now:0.0 a b (Uni.link_up a ~now:0.0));
+  let deadline what expected =
+    Alcotest.(check (option (float 1e-9)))
+      what (Some expected) (Uni.next_deadline a)
+  in
+  let setup call_ref now = Result.get_ok (Uni.originate a ~now ~call_ref []) in
+  let s1 = setup 1 0.1 and s2 = setup 2 0.2 and s3 = setup 3 0.3 in
+  deadline "call 1's T303" 4.1;
+  (* B answers each SETUP it receives with CALL_PROCEEDING. *)
+  ignore (splice ~now:0.4 a b s1);
+  deadline "call 2's T303, once call 1 is answered" 4.2;
+  ignore (splice ~now:0.5 a b s2);
+  deadline "call 3's T303, once call 2 is answered" 4.3;
+  (* Call 1's RELEASE stays on A's side, so its T308 stays armed. *)
+  let release = Result.get_ok (Uni.hangup a ~now:0.6 ~call_ref:1) in
+  deadline "call 3's T303 before call 1's T308" 4.3;
+  ignore (splice ~now:0.7 a b s3);
+  deadline "call 1's T308, once call 3 is answered" 30.6;
+  ignore (splice ~now:0.8 a b release);
+  check "no call timer once call 1 is released" true
+    (match Uni.next_deadline a with None -> true | Some d -> d >= 1000.0)
+
+(* Creating an endpoint allocates its SSCOP connection, an empty call
+   index and its record; rows come with the first call.  A 1,024-slot
+   front-cache model's tag array alone would be 1,025 words. *)
+let test_create_cost () =
+  let w0 = words_allocated () in
+  let u = Uni.create () in
+  let dw = words_allocated () -. w0 in
+  ignore (Sys.opaque_identity u);
+  if dw >= 400.0 then
+    Alcotest.failf
+      "creating a UNI endpoint allocated %.0f words (budget < 400)" dw
+
+(* The first access claims an endpoint for its domain; a read or a call
+   placed from any other domain raises, and the owner carries on. *)
+let test_ownership_tripwire () =
+  let a, _ = linked () in
+  ignore (Result.get_ok (Uni.originate a ~now:0.1 ~call_ref:1 []));
+  let raises what f =
+    let raised () =
+      match f () with _ -> false | exception Invalid_argument _ -> true
+    in
+    if not (Domain.join (Domain.spawn raised)) then
+      Alcotest.failf "%s from another domain did not raise" what
+  in
+  raises "call_state" (fun () -> ignore (Uni.call_state a ~call_ref:1));
+  raises "originate" (fun () ->
+      ignore (Uni.originate a ~now:0.2 ~call_ref:2 []));
+  check "owner still works after the tripwire fired" true
+    (Uni.call_state a ~call_ref:1 = Some Fsm.Call_initiated)
+
 let suite =
   [
     Alcotest.test_case "link establishment" `Quick test_link_establishment;
@@ -215,4 +334,12 @@ let suite =
     Alcotest.test_case "t303 cancelled by answer" `Quick test_t303_cancelled_by_response;
     Alcotest.test_case "sscop recovers lost setup" `Quick test_sscop_recovers_lost_setup;
     Alcotest.test_case "link down on starvation" `Quick test_link_down_reported;
+    Alcotest.test_case "300 calls held, then 300 more in the freed rows" `Quick
+      test_many_calls_reuse_rows;
+    Alcotest.test_case "next deadline is the earliest call timer" `Quick
+      test_next_deadline_earliest_call;
+    Alcotest.test_case "a UNI endpoint costs under 400 words to create" `Quick
+      test_create_cost;
+    Alcotest.test_case "an endpoint raises when touched from another domain"
+      `Quick test_ownership_tripwire;
   ]
