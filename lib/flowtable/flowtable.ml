@@ -79,9 +79,7 @@ let create ?(scheme = Set_assoc 4) ?(slots = 1024) ?(entry_bytes = 64)
   }
 
 (* Domain-local tripwire, same discipline as [Ldlp_core.Msg] pools: the
-   first guarded access claims the table (a parallel soak builds each
-   scenario's PCB tables inside the domain that runs them, so the claim
-   lands on that domain). *)
+   first guarded access claims the table for its domain. *)
 let guard t =
   let me = (Domain.self () :> int) in
   if t.owner < 0 then t.owner <- me
@@ -133,8 +131,6 @@ let remove t k =
   model_access t (Hashtbl.hash k);
   Hashtbl.remove t.backing k
 
-let mem t k = match lookup t k with Some _ -> true | None -> false
-
 let lookup_batch t keys =
   guard t;
   let n = Array.length keys in
@@ -156,8 +152,6 @@ let lookup_batch t keys =
   out
 
 let length t = Hashtbl.length t.backing
-
-let fold f t acc = Hashtbl.fold f t.backing acc
 
 let flush_cache t = Replace.flush t.rep
 
@@ -184,17 +178,3 @@ let reset_stats t =
   t.ev_base <- Replace.evictions t.rep
 
 let owner t = if t.owner < 0 then None else Some t.owner
-
-let metrics_scalars ~prefix m t =
-  let module Metrics = Ldlp_obs.Metrics in
-  let set n v = Metrics.scalar m (prefix ^ "." ^ n) := v in
-  let s = stats t in
-  set "lookups" s.lookups;
-  set "found" s.found;
-  set "missing" s.missing;
-  set "model_hits" s.model_hits;
-  set "model_misses" s.model_misses;
-  set "model_evictions" s.model_evictions;
-  set "inserts" s.inserts;
-  set "removes" s.removes;
-  set "entries" (length t)

@@ -1,13 +1,12 @@
-(** Unified flow-key → state lookup table.
+(** Flow-key → state lookup table with a modeled front cache.
 
-    The lookup path for TCP PCBs ({!Ldlp_tcpmini.Pcb}) and the flow study
-    ({!Study}), sized for millions of concurrent flows.  The signalling
-    switch ({!Ldlp_sigproto.Switch}) and the UNI endpoints
-    ({!Ldlp_sigproto.Uni}) keep their calls as rows of int columns found
-    through a {!Flat} table instead: int keys, int values, no heap block
-    per entry, and no front-cache model.  [Flat] is meant to become this
-    table's backing store, so no caller may depend on the order in which
-    {!fold} visits entries.
+    The table behind the flow study ({!Study}) and its differential
+    oracle ([Ldlp_check.Flowtable_oracle]), sized for millions of
+    concurrent flows.  No protocol stack looks up through it: TCP PCBs
+    ({!Ldlp_tcpmini.Pcb}), the signalling switch's call legs
+    ({!Ldlp_sigproto.Switch}) and the UNI endpoints' calls
+    ({!Ldlp_sigproto.Uni}) are rows found through a {!Flat} table: int
+    keys, int values, no heap block per entry and no front-cache model.
 
     Correctness and cost are deliberately split:
 
@@ -32,8 +31,7 @@
     Tables are domain-local: the first guarded access claims the table
     for the calling domain and any access from another domain raises
     [Invalid_argument] — the same tripwire discipline as [Ldlp_core.Msg]
-    pools.  A parallel soak builds tcpmini hosts, PCB tables included, on
-    helper domains. *)
+    pools. *)
 
 type scheme =
   | Direct  (** Direct-mapped: [slots] sets of 1 way. *)
@@ -82,8 +80,6 @@ val insert : ('k, 'v) t -> 'k -> 'v -> unit
 
 val remove : ('k, 'v) t -> 'k -> unit
 
-val mem : ('k, 'v) t -> 'k -> bool
-
 val lookup_batch : ('k, 'v) t -> 'k array -> 'v option array
 (** LDLP batch-sorted lookup: processes the batch ordered by (flow slot,
     slot hash) so duplicate and slot-conflicting keys are adjacent for the
@@ -92,9 +88,6 @@ val lookup_batch : ('k, 'v) t -> 'k array -> 'v option array
     modeled hit/miss split differs. *)
 
 val length : _ t -> int
-
-val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
-(** Fold over the backing store, in no specified order. *)
 
 val flush_cache : _ t -> unit
 (** Invalidate the front-cache model (cold lookup path).  The backing
@@ -106,8 +99,3 @@ val reset_stats : _ t -> unit
 
 val owner : _ t -> int option
 (** Domain that has claimed this table, if any (diagnostics/tests). *)
-
-val metrics_scalars : prefix:string -> Ldlp_obs.Metrics.t -> _ t -> unit
-(** Register and set [prefix ^ ".lookups"], [".found"], [".missing"],
-    [".model_hits"], [".model_misses"], [".model_evictions"],
-    [".inserts"], [".removes"], [".entries"] on a metric sheet. *)

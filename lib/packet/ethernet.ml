@@ -17,22 +17,13 @@ let parse buf off len =
   else
     let dst = Addr.Mac.of_bytes buf off in
     let src = Addr.Mac.of_bytes buf (off + 6) in
-    let ethertype = Char.code (Bytes.get buf (off + 12)) lsl 8
-                    lor Char.code (Bytes.get buf (off + 13)) in
+    let ethertype = Bytes.get_uint16_be buf (off + 12) in
     Ok ({ dst; src; ethertype }, off + header_bytes)
-
-let build h buf off =
-  Addr.Mac.write h.dst buf off;
-  Addr.Mac.write h.src buf (off + 6);
-  Bytes.set buf (off + 12) (Char.chr (h.ethertype lsr 8));
-  Bytes.set buf (off + 13) (Char.chr (h.ethertype land 0xFF))
 
 (* Cursor accessors: the frame header has no variable-length parts, so
    the only check needed before using these is [len >= header_bytes]. *)
 
-let ethertype_at buf off =
-  Char.code (Bytes.get buf (off + 12)) lsl 8
-  lor Char.code (Bytes.get buf (off + 13))
+let ethertype_at buf off = Bytes.get_uint16_be buf (off + 12)
 
 (* MAC comparisons against the raw frame, without the 6-byte substring
    [Addr.Mac.of_bytes] would allocate. *)
@@ -40,11 +31,16 @@ let dst_equal mac buf off = Addr.Mac.equal_at mac buf off
 
 let dst_is_broadcast buf off = Addr.Mac.is_broadcast_at buf off
 
+(* An ethertype is 16 bits: one that is not raises rather than being
+   cut to its low bits. *)
 let write ~dst ~src ~ethertype buf off =
+  if ethertype lsr 16 <> 0 then
+    invalid_arg (Printf.sprintf "Ethernet.write: ethertype %d" ethertype);
   Addr.Mac.write dst buf off;
   Addr.Mac.write src buf (off + 6);
-  Bytes.set buf (off + 12) (Char.chr (ethertype lsr 8));
-  Bytes.set buf (off + 13) (Char.chr (ethertype land 0xFF))
+  Bytes.set_uint16_be buf (off + 12) ethertype
+
+let build h buf off = write ~dst:h.dst ~src:h.src ~ethertype:h.ethertype buf off
 
 let strip m =
   let len = Ldlp_buf.Mbuf.length m in

@@ -24,7 +24,8 @@ val parse : bytes -> int -> int -> (header * int, error) result
     header and the offset of the payload. *)
 
 val build : header -> bytes -> int -> unit
-(** Write a header at an offset (caller supplies room). *)
+(** Write a header at an offset (caller supplies room).  Raises
+    [Invalid_argument] if the ethertype is outside [[0, 0xFFFF]]. *)
 
 (** {1 Cursor access}
 
@@ -42,7 +43,8 @@ val dst_equal : Addr.Mac.t -> bytes -> int -> bool
 val dst_is_broadcast : bytes -> int -> bool
 
 val write : dst:Addr.Mac.t -> src:Addr.Mac.t -> ethertype:int -> bytes -> int -> unit
-(** {!build} from scalar fields. *)
+(** {!build} from scalar fields; raises [Invalid_argument] as {!build}
+    does. *)
 
 val strip : Ldlp_buf.Mbuf.t -> (header, error) result
 (** Parse the header at the front of the chain and trim it off. *)

@@ -32,39 +32,32 @@ let pp_error ppf = function
   | `Bad_checksum -> Format.fprintf ppf "bad header checksum"
   | `Bad_field f -> Format.fprintf ppf "bad field: %s" f
 
-let get16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let set16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
-
 let parse ?(verify_checksum = true) buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin
-    let b0 = Char.code (Bytes.get buf off) in
+    let b0 = Bytes.get_uint8 buf off in
     let version = b0 lsr 4 and ihl = b0 land 0xF in
     if version <> 4 then Error (`Bad_version version)
     else if ihl < 5 then Error (`Bad_field "ihl < 5")
     else if len < ihl * 4 then Error (`Too_short len)
     else begin
-      let total_length = get16 buf (off + 2) in
+      let total_length = Bytes.get_uint16_be buf (off + 2) in
       if total_length < ihl * 4 then Error (`Bad_field "total_length < header")
       else if verify_checksum && Cksum.simple buf off (ihl * 4) <> 0 then
         Error `Bad_checksum
       else begin
-        let frag = get16 buf (off + 6) in
+        let frag = Bytes.get_uint16_be buf (off + 6) in
         Ok
           ( {
               ihl;
-              tos = Char.code (Bytes.get buf (off + 1));
+              tos = Bytes.get_uint8 buf (off + 1);
               total_length;
-              ident = get16 buf (off + 4);
+              ident = Bytes.get_uint16_be buf (off + 4);
               dont_fragment = frag land 0x4000 <> 0;
               more_fragments = frag land 0x2000 <> 0;
               fragment_offset = frag land 0x1FFF;
-              ttl = Char.code (Bytes.get buf (off + 8));
-              protocol = Char.code (Bytes.get buf (off + 9));
+              ttl = Bytes.get_uint8 buf (off + 8);
+              protocol = Bytes.get_uint8 buf (off + 9);
               src = Addr.Ipv4.of_bytes buf (off + 12);
               dst = Addr.Ipv4.of_bytes buf (off + 16);
             },
@@ -73,42 +66,24 @@ let parse ?(verify_checksum = true) buf off len =
     end
   end
 
-let build h buf off =
-  Bytes.set buf off (Char.chr ((4 lsl 4) lor 5));
-  Bytes.set buf (off + 1) (Char.chr (h.tos land 0xFF));
-  set16 buf (off + 2) h.total_length;
-  set16 buf (off + 4) h.ident;
-  let frag =
-    (if h.dont_fragment then 0x4000 else 0)
-    lor (if h.more_fragments then 0x2000 else 0)
-    lor (h.fragment_offset land 0x1FFF)
-  in
-  set16 buf (off + 6) frag;
-  Bytes.set buf (off + 8) (Char.chr (h.ttl land 0xFF));
-  Bytes.set buf (off + 9) (Char.chr (h.protocol land 0xFF));
-  set16 buf (off + 10) 0;
-  Addr.Ipv4.write h.src buf (off + 12);
-  Addr.Ipv4.write h.dst buf (off + 16);
-  set16 buf (off + 10) (Cksum.simple buf off header_bytes)
-
 let is_fragment h = h.more_fragments || h.fragment_offset > 0
 
 (* Cursor accessors: unvalidated field reads off the wire bytes — call
    [check_at] (same checks as [parse]) before trusting any of them. *)
 
-let ihl_at buf off = Char.code (Bytes.get buf off) land 0xF
+let ihl_at buf off = Bytes.get_uint8 buf off land 0xF
 
-let tos_at buf off = Char.code (Bytes.get buf (off + 1))
+let tos_at buf off = Bytes.get_uint8 buf (off + 1)
 
-let total_length_at buf off = get16 buf (off + 2)
+let total_length_at buf off = Bytes.get_uint16_be buf (off + 2)
 
-let ident_at buf off = get16 buf (off + 4)
+let ident_at buf off = Bytes.get_uint16_be buf (off + 4)
 
-let frag_at buf off = get16 buf (off + 6)
+let frag_at buf off = Bytes.get_uint16_be buf (off + 6)
 
-let ttl_at buf off = Char.code (Bytes.get buf (off + 8))
+let ttl_at buf off = Bytes.get_uint8 buf (off + 8)
 
-let protocol_at buf off = Char.code (Bytes.get buf (off + 9))
+let protocol_at buf off = Bytes.get_uint8 buf (off + 9)
 
 let src_at buf off = Addr.Ipv4.of_bytes buf (off + 12)
 
@@ -121,7 +96,7 @@ let dst_equal addr buf off = Addr.Ipv4.equal_at addr buf (off + 16)
 let check_at ?(verify_checksum = true) buf off len =
   if len < header_bytes then -1
   else begin
-    let b0 = Char.code (Bytes.get buf off) in
+    let b0 = Bytes.get_uint8 buf off in
     let ihl = b0 land 0xF in
     if
       b0 lsr 4 <> 4
@@ -135,22 +110,28 @@ let check_at ?(verify_checksum = true) buf off len =
 
 let write ~tos ~total_length ~ident ~dont_fragment ~more_fragments
     ~fragment_offset ~ttl ~protocol ~src ~dst buf off =
-  Bytes.set buf off (Char.chr ((4 lsl 4) lor 5));
-  Bytes.set buf (off + 1) (Char.chr (tos land 0xFF));
-  set16 buf (off + 2) total_length;
-  set16 buf (off + 4) ident;
+  Bytes.set_uint8 buf off ((4 lsl 4) lor 5);
+  Bytes.set_uint8 buf (off + 1) (tos land 0xFF);
+  Bytes.set_uint16_be buf (off + 2) (total_length land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 4) (ident land 0xFFFF);
   let frag =
     (if dont_fragment then 0x4000 else 0)
     lor (if more_fragments then 0x2000 else 0)
     lor (fragment_offset land 0x1FFF)
   in
-  set16 buf (off + 6) frag;
-  Bytes.set buf (off + 8) (Char.chr (ttl land 0xFF));
-  Bytes.set buf (off + 9) (Char.chr (protocol land 0xFF));
-  set16 buf (off + 10) 0;
+  Bytes.set_uint16_be buf (off + 6) frag;
+  Bytes.set_uint8 buf (off + 8) (ttl land 0xFF);
+  Bytes.set_uint8 buf (off + 9) (protocol land 0xFF);
+  Bytes.set_uint16_be buf (off + 10) 0;
   Addr.Ipv4.write src buf (off + 12);
   Addr.Ipv4.write dst buf (off + 16);
-  set16 buf (off + 10) (Cksum.simple buf off header_bytes)
+  Bytes.set_uint16_be buf (off + 10) (Cksum.simple buf off header_bytes)
+
+let build h buf off =
+  write ~tos:h.tos ~total_length:h.total_length ~ident:h.ident
+    ~dont_fragment:h.dont_fragment ~more_fragments:h.more_fragments
+    ~fragment_offset:h.fragment_offset ~ttl:h.ttl ~protocol:h.protocol
+    ~src:h.src ~dst:h.dst buf off
 
 let strip ?verify_checksum m =
   let len = Ldlp_buf.Mbuf.length m in

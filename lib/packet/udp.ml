@@ -9,37 +9,34 @@ let pp_error ppf = function
   | `Bad_checksum -> Format.fprintf ppf "bad UDP checksum"
   | `Bad_field f -> Format.fprintf ppf "bad field: %s" f
 
-let get16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let set16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
-
 let parse buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin
-    let length = get16 buf (off + 4) in
+    let length = Bytes.get_uint16_be buf (off + 4) in
     if length < header_bytes then Error (`Bad_field "length < 8")
     else if length > len then Error (`Too_short len)
     else
       Ok
-        ( { src_port = get16 buf off; dst_port = get16 buf (off + 2); length },
+        ( {
+            src_port = Bytes.get_uint16_be buf off;
+            dst_port = Bytes.get_uint16_be buf (off + 2);
+            length;
+          },
           off + header_bytes )
   end
 
 let build h ~src ~dst buf off ~payload_len =
   let length = payload_len + header_bytes in
-  set16 buf off h.src_port;
-  set16 buf (off + 2) h.dst_port;
-  set16 buf (off + 4) length;
-  set16 buf (off + 6) 0;
+  Bytes.set_uint16_be buf off (h.src_port land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 2) (h.dst_port land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 4) (length land 0xFFFF);
+  Bytes.set_uint16_be buf (off + 6) 0;
   let pseudo =
     Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.proto_udp ~len:length
   in
   let c = Cksum.finish (pseudo + Cksum.partial buf off length) in
   (* RFC 768: a computed zero checksum is transmitted as all ones. *)
-  set16 buf (off + 6) (if c = 0 then 0xFFFF else c)
+  Bytes.set_uint16_be buf (off + 6) (if c = 0 then 0xFFFF else c)
 
 let verify_checksum ~src ~dst buf off len =
   let pseudo =

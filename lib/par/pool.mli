@@ -40,8 +40,8 @@ val resolve_domains : ?domains:int -> unit -> int
     domain-local across jobs.  Each task of {!map_array} runs start to
     finish on one member, and state it builds stays on that domain:
     [Soak.run_all]'s {!map} builds tcpmini hosts on helper domains, with
-    their PCB [Flowtable]s (whose owner tripwire raises on access from
-    another domain) and per-domain [Tcp_input] counters, and
+    their PCB tables (whose owner tripwire raises on access from another
+    domain) and per-domain [Tcp_input] counters, and
     [Mesh.run_storm_sharded] runs each shard's [Uni] endpoints (whose
     calls carry the same owner tripwire) and message pool on its own
     member.  No other module in the library spawns a domain. *)

@@ -587,13 +587,14 @@ let fault_sheet ~seed =
   Ldlp_fault.Impair.metrics_scalars m imp;
   m
 
-(* The unified flow table's lookup split as a scalar sheet: a
-   deterministic tcpmini replay — one listener, a fleet of accepted
-   connections, then a lookup stream that mixes repeat traffic (one-entry
-   cache hits), connection changes (table hits) and unknown remotes
-   (misses, the slow demultiplexing path).  The [flow.table.*] scalars
-   underneath are the modeled front-cache ledger charged to the memory
-   system in the `flows` study.  All simulated — identical on any host. *)
+(* The PCB table's lookup split as a scalar sheet: a deterministic
+   tcpmini replay — one listener, a fleet of accepted connections, then a
+   lookup stream that mixes repeat traffic (one-entry cache hits),
+   connection changes (table hits) and unknown remotes (misses, the slow
+   demultiplexing path).  The [flow.table.*] scalars underneath count the
+   table behind the cache: its lookups, hits and misses, inserts, removes
+   and entries.  It has no modeled front cache; the `flows` study keeps
+   that ledger.  All simulated — identical on any host. *)
 let flow_sheet ~seed =
   let module Pcb = Ldlp_tcpmini.Pcb in
   let module Ipv4 = Ldlp_packet.Addr.Ipv4 in

@@ -37,9 +37,7 @@ type t = {
   mutable delack_armed : bool;
 }
 
-module Flowtable = Ldlp_flowtable.Flowtable
-
-type key = int * int32 * int (* local port, remote ip, remote port *)
+module Flat = Ldlp_flowtable.Flat
 
 type stats = {
   lookups : int;
@@ -50,8 +48,17 @@ type stats = {
   freed : int;
 }
 
+(* A connection's key is 64 bits (remote address, local port, remote
+   port) and a [Flat] key 62, so there are four [Flat] tables, one per
+   value of the address's top two bits, each keyed by the other 62: the
+   address's bits 0-29, then the local port, then the remote port.  A
+   table maps a key to the PCB's row in [rows].  A free row holds [none]
+   and [next.(row)] is the next free row (-1 for none). *)
 type table = {
-  conns : (key, t) Flowtable.t;
+  index : Flat.t array;
+  mutable rows : t array;
+  mutable next : int array;
+  mutable free : int;  (* first free row, -1 for none *)
   listeners : (int, t) Hashtbl.t;
   (* The paper's single-entry PCB cache, as mutable fields: refilling it
      on every table hit must not allocate.  [cache_pcb == none] when
@@ -60,12 +67,19 @@ type table = {
   mutable cache_rip : Ipv4.t;
   mutable cache_rport : int;
   mutable cache_pcb : t;
+  mutable owner : int;  (* -1 until the first table access claims it *)
   mutable lookups : int;
   mutable cache_hits : int;
   mutable table_hits : int;
   mutable misses : int;
   mutable allocated : int;
   mutable freed : int;
+  (* The table behind the cache: its lookups (the cache's misses and
+     [insert_active]'s check) and how many found a connection, and its
+     inserts.  Its removes are [freed]. *)
+  mutable probes : int;
+  mutable found : int;
+  mutable inserts : int;
 }
 
 let fresh ~local_port ~state ?(hiwat = 16384) () =
@@ -91,19 +105,25 @@ let none = fresh ~local_port:(-1) ~state:Closed ()
 
 let create_table () =
   {
-    (* The modeled front cache rides behind the paper's one-entry cache. *)
-    conns = Flowtable.create ~name:"tcp-pcb" ();
+    index = Array.init 4 (fun _ -> Flat.create ());
+    rows = [||];
+    next = [||];
+    free = -1;
     listeners = Hashtbl.create 8;
     cache_port = -1;
     cache_rip = Ipv4.of_int32 0l;
     cache_rport = -1;
     cache_pcb = none;
+    owner = -1;
     lookups = 0;
     cache_hits = 0;
     table_hits = 0;
     misses = 0;
     allocated = 0;
     freed = 0;
+    probes = 0;
+    found = 0;
+    inserts = 0;
   }
 
 let listen table ~port ?hiwat () =
@@ -114,7 +134,47 @@ let listen table ~port ?hiwat () =
   table.allocated <- table.allocated + 1;
   pcb
 
-let key ~local_port rip rport = (local_port, Ipv4.to_int32 rip, rport)
+(* Domain-local, like a [Ldlp_core.Msg] pool: the first table access
+   claims the table for the calling domain, and an access from any other
+   domain raises.  A parallel soak builds each scenario's hosts inside
+   the domain that runs them, so the claim lands on that domain. *)
+let guard table =
+  let me = (Domain.self () :> int) in
+  if table.owner <> me then
+    if table.owner < 0 then table.owner <- me
+    else
+      invalid_arg
+        (Printf.sprintf "Pcb: table owned by domain %d, accessed from domain %d"
+           table.owner me)
+
+let ports_fit local_port rport = (local_port lor rport) lsr 16 = 0
+
+(* A remote address as an int: bits 0-31 hold the address. *)
+let addr rip = Int32.to_int (Ipv4.to_int32 rip)
+
+(* The [Flat] table for an address, and the key in it of a connection
+   whose ports fit in 16 bits. *)
+let index table a = table.index.((a lsr 30) land 3)
+
+let key a ~local_port rport =
+  ((a land 0x3FFF_FFFF) lsl 32) lor (local_port lsl 16) lor rport
+
+(* The connection's row, or -1. *)
+let locate table ~local_port rip rport =
+  guard table;
+  if not (ports_fit local_port rport) then -1
+  else
+    let a = addr rip in
+    let index = index table a in
+    let slot = Flat.find index (key a ~local_port rport) in
+    if slot < 0 then -1 else Flat.value index slot
+
+(* [locate], counted as a lookup in the table behind the cache. *)
+let probe table ~local_port rip rport =
+  table.probes <- table.probes + 1;
+  let r = locate table ~local_port rip rport in
+  if r >= 0 then table.found <- table.found + 1;
+  r
 
 let cache table ~local_port rip rport pcb =
   table.cache_port <- local_port;
@@ -135,28 +195,60 @@ let find table ~local_port ~rip ~rport =
     table.cache_pcb
   end
   else
-    match Flowtable.lookup table.conns (key ~local_port rip rport) with
-    | Some pcb ->
+    let r = probe table ~local_port rip rport in
+    if r >= 0 then begin
+      let pcb = table.rows.(r) in
       cache table ~local_port rip rport pcb;
       table.table_hits <- table.table_hits + 1;
       pcb
-    | None -> (
+    end
+    else begin
       (* A listener match is still a connection-table miss: the segment
          took the slow path through demultiplexing. *)
       table.misses <- table.misses + 1;
       match Hashtbl.find_opt table.listeners local_port with
       | Some l -> l
-      | None -> none)
+      | None -> none
+    end
 
 let lookup table ~local_port ~remote:(rip, rport) =
   let pcb = find table ~local_port ~rip ~rport in
   if pcb == none then None else Some pcb
 
+(* When no row is free, the rows double (from 16) and the new ones make
+   up the free list. *)
+let grow table =
+  let n = Array.length table.rows in
+  let grown = Int.max 16 (2 * n) in
+  let rows = Array.make grown none in
+  Array.blit table.rows 0 rows 0 n;
+  table.rows <- rows;
+  table.next <- Array.init grown (fun r -> if r + 1 < grown then r + 1 else -1);
+  table.free <- n
+
 let connect table ~local_port ~remote:((rip, rport) as remote) ~state ~hiwat =
+  guard table;
+  if not (ports_fit local_port rport) then
+    invalid_arg
+      (Printf.sprintf "Pcb: port outside [0, 65535] (local %d, remote %d)"
+         local_port rport);
   let pcb = fresh ~local_port ~state ~hiwat () in
   pcb.remote <- Some remote;
-  Flowtable.insert table.conns (key ~local_port rip rport) pcb;
+  let a = addr rip in
+  let index = index table a and k = key a ~local_port rport in
+  let slot = Flat.find index k in
+  (* A listener cloned again for a connection that has a row replaces
+     the row's PCB. *)
+  if slot >= 0 then table.rows.(Flat.value index slot) <- pcb
+  else begin
+    if table.free < 0 then grow table;
+    let r = table.free in
+    table.free <- table.next.(r);
+    table.rows.(r) <- pcb;
+    Flat.add index k r
+  end;
   cache table ~local_port rip rport pcb;
+  table.inserts <- table.inserts + 1;
   table.allocated <- table.allocated + 1;
   pcb
 
@@ -165,20 +257,30 @@ let insert_connection table ~listener ~remote =
     ~hiwat:(Sockbuf.hiwat listener.sockbuf)
 
 let insert_active table ~local_port ~remote:((rip, rport) as remote) ?(hiwat = 16384) () =
-  if Flowtable.mem table.conns (key ~local_port rip rport) then
+  if ports_fit local_port rport && probe table ~local_port rip rport >= 0 then
     invalid_arg "Pcb.insert_active: connection exists";
   connect table ~local_port ~remote ~state:Syn_sent ~hiwat
 
+(* Only the PCB a row holds is released: dropping one again, after its
+   connection was reopened, leaves the new connection alone. *)
 let drop table pcb =
   match pcb.remote with
   | None -> ()
   | Some (rip, rport) ->
-    Flowtable.remove table.conns (key ~local_port:pcb.local_port rip rport);
-    if cached table ~local_port:pcb.local_port rip rport then table.cache_pcb <- none;
-    pcb.state <- Closed;
-    table.freed <- table.freed + 1
+    let r = locate table ~local_port:pcb.local_port rip rport in
+    if r >= 0 && table.rows.(r) == pcb then begin
+      let a = addr rip in
+      Flat.remove (index table a) (key a ~local_port:pcb.local_port rport);
+      table.rows.(r) <- none;
+      table.next.(r) <- table.free;
+      table.free <- r;
+      if table.cache_pcb == pcb then table.cache_pcb <- none;
+      table.freed <- table.freed + 1
+    end;
+    pcb.state <- Closed
 
-let connections table = Flowtable.length table.conns
+let connections table =
+  Array.fold_left (fun n index -> n + Flat.length index) 0 table.index
 
 let stats table =
   {
@@ -199,7 +301,12 @@ let metrics_scalars m table =
   set "misses" table.misses;
   set "allocated" table.allocated;
   set "freed" table.freed;
-  Flowtable.metrics_scalars ~prefix:"flow.table" m table.conns
+  set "table.lookups" table.probes;
+  set "table.found" table.found;
+  set "table.missing" (table.probes - table.found);
+  set "table.inserts" table.inserts;
+  set "table.removes" table.freed;
+  set "table.entries" (connections table)
 
 (* ---------- retransmission bookkeeping ---------- *)
 

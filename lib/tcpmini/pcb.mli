@@ -1,11 +1,24 @@
 (** Protocol control blocks and their lookup table.
 
     The paper's traced path notes "the single-entry PCB cache hits" on its
-    fast path; this table reproduces that structure: a hash table of
-    connections keyed by the (local port, remote address, remote port)
-    tuple, fronted by a one-entry cache of the last connection that
-    received a segment.  Statistics expose the cache hit rate so the
-    fast-path behaviour is observable.
+    fast path; this table reproduces that structure: a table of
+    connections keyed by (remote address, local port, remote port),
+    fronted by a one-entry cache of the last connection that received a
+    segment.  Statistics expose the cache hit rate so the fast-path
+    behaviour is observable.
+
+    Behind the cache, connected PCBs sit in an array of rows numbered
+    from a free list, and {!Ldlp_flowtable.Flat} tables map a packed int
+    key to the row: four of them, picked by the address's top two bits,
+    each keyed by the address's other 30 bits and the two 16-bit ports.
+    A lookup hashes one int and compares ints; it allocates nothing.
+    Ports outside [[0, 65535]] are never in the table: inserting one
+    raises, and a lookup with one finds no connection.
+
+    A table is domain-local, like a [Ldlp_core.Msg] pool: the first
+    access past the cache (lookup, insert or drop) claims it for the
+    calling domain, and such an access from any other domain raises
+    [Invalid_argument].
 
     Sequence numbers are immediate ints in [[0, 2^32)] (see
     {!Ldlp_packet.Tcp.seq_add}), so a long-lived PCB holds no boxed
@@ -90,7 +103,9 @@ val lookup :
 
 val insert_connection :
   table -> listener:t -> remote:Ldlp_packet.Addr.Ipv4.t * int -> t
-(** Clone a listener into a connected PCB for [remote]. *)
+(** Clone a listener into a connected PCB for [remote], replacing any
+    PCB the table holds for that connection.  Raises [Invalid_argument]
+    if the listener's port or the remote port is outside [[0, 65535]]. *)
 
 val insert_active :
   table ->
@@ -100,10 +115,13 @@ val insert_active :
   unit ->
   t
 (** Active open: a [Syn_sent] PCB for an outgoing connection.  Raises
-    [Invalid_argument] if the (port, remote) pair is taken. *)
+    [Invalid_argument] if the (port, remote) pair is taken or a port is
+    outside [[0, 65535]]. *)
 
 val drop : table -> t -> unit
-(** Remove a connected PCB (RST or full close). *)
+(** Remove a connected PCB (RST or full close) and mark it [Closed].  A
+    PCB the table no longer holds (dropped already, or replaced) is only
+    marked [Closed]. *)
 
 val connections : table -> int
 
@@ -112,7 +130,8 @@ val stats : table -> stats
 
 val metrics_scalars : Ldlp_obs.Metrics.t -> table -> unit
 (** Set the [flow.*] scalars (lookup split, allocation balance) and the
-    [flow.table.*] scalars (modeled front-cache behaviour) on a sheet. *)
+    [flow.table.*] scalars (the table behind the cache: [lookups],
+    [found], [missing], [inserts], [removes], [entries]) on a sheet. *)
 
 (** {1 Retransmission bookkeeping}
 

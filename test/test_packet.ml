@@ -778,6 +778,158 @@ let prop_tcp_cursor_equiv =
       && Tcp.window_at b1 0 = h.Tcp.window
       && Tcp.urgent_at b1 0 = h.Tcp.urgent)
 
+(* ---------- header fields against a byte-at-a-time reference ---------- *)
+
+(* The codecs read and write a 16-bit field as one load or store, and a
+   single byte through [Bytes.get_uint8]/[set_uint8].  The reference goes
+   a byte at a time through [Char], as the codecs once did: a 16-bit
+   field is its value's low 16 bits, high byte first. *)
+let ref_get8 b i = Char.code (Bytes.get b i)
+
+let ref_set8 b i v = Bytes.set b i (Char.chr (v land 0xFF))
+
+let ref_get16 b i = (ref_get8 b i lsl 8) lor ref_get8 b (i + 1)
+
+let ref_set16 b i v =
+  ref_set8 b i (v lsr 8);
+  ref_set8 b (i + 1) v
+
+let ref_get32 b i = (ref_get16 b i lsl 16) lor ref_get16 b (i + 2)
+
+let ref_set32 b i v =
+  ref_set16 b i (v lsr 16);
+  ref_set16 b (i + 2) v
+
+let ref_tcp_write ~src_port ~dst_port ~seq ~ack ~data_offset ~flags ~window
+    ~urgent b off =
+  ref_set16 b off src_port;
+  ref_set16 b (off + 2) dst_port;
+  ref_set32 b (off + 4) seq;
+  ref_set32 b (off + 8) ack;
+  ref_set8 b (off + 12) ((data_offset land 0xF) lsl 4);
+  ref_set8 b (off + 13) (flags land 0x3F);
+  ref_set16 b (off + 14) window;
+  ref_set16 b (off + 16) 0;
+  ref_set16 b (off + 18) urgent
+
+let ref_ipv4_write ~tos ~total_length ~ident ~dont_fragment ~more_fragments
+    ~fragment_offset ~ttl ~protocol ~src ~dst b off =
+  let addr a = Int32.to_int (Addr.Ipv4.to_int32 a) in
+  ref_set8 b off 0x45;
+  ref_set8 b (off + 1) tos;
+  ref_set16 b (off + 2) total_length;
+  ref_set16 b (off + 4) ident;
+  ref_set16 b (off + 6)
+    ((if dont_fragment then 0x4000 else 0)
+    lor (if more_fragments then 0x2000 else 0)
+    lor (fragment_offset land 0x1FFF));
+  ref_set8 b (off + 8) ttl;
+  ref_set8 b (off + 9) protocol;
+  ref_set16 b (off + 10) 0;
+  ref_set32 b (off + 12) (addr src);
+  ref_set32 b (off + 16) (addr dst);
+  let rec fold s = if s > 0xFFFF then fold ((s land 0xFFFF) + (s lsr 16)) else s in
+  ref_set16 b (off + 10) (lnot (fold (reference_partial b off 20)))
+
+(* Raises [Invalid_argument] on an ethertype outside 16 bits, as
+   [Char.chr] does on a high byte above 0xFF. *)
+let ref_ethernet_write ~dst ~src ~ethertype b off =
+  Addr.Mac.write dst b off;
+  Addr.Mac.write src b (off + 6);
+  Bytes.set b (off + 12) (Char.chr (ethertype lsr 8));
+  Bytes.set b (off + 13) (Char.chr (ethertype land 0xFF))
+
+type field_case = {
+  off : int;
+  fill : string;  (* the buffer's bytes before a write *)
+  v : int array;  (* the 15 field values, in [prop_header_fields]'s order *)
+  df : bool;
+  mf : bool;
+  macs : Addr.Mac.t * Addr.Mac.t;
+  ips : Addr.Ipv4.t * Addr.Ipv4.t;
+}
+
+(* Field values past 16 bits and below zero, and headers at offsets 0-3
+   of a buffer of random bytes: a writer that keeps a high bit, swaps a
+   field's bytes or touches a byte outside its header fails, and so does
+   a reader that does any of that. *)
+let field_case_arb =
+  let open QCheck.Gen in
+  let field =
+    frequency
+      [
+        (4, int_bound 0xFFFF);
+        (1, int_range 0x1_0000 0xFFFF_FFFF);
+        (1, int_range (-0xFFFF_FFFF) (-1));
+        (1, int);
+      ]
+  in
+  let gen =
+    let* off = int_range 0 3 in
+    let* fill = string_size ~gen:char (return (off + 24)) in
+    let* v = array_size (return 15) field in
+    let* df = bool in
+    let* mf = bool in
+    let* macs = pair mac_gen mac_gen in
+    let+ ips = pair ip_gen ip_gen in
+    { off; fill; v; df; mf; macs; ips }
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "off=%d df=%b mf=%b fields=[%s] fill=%S" c.off c.df c.mf
+        (String.concat "; " (Array.to_list (Array.map string_of_int c.v)))
+        c.fill)
+    gen
+
+let prop_header_fields =
+  QCheck.Test.make ~name:"header writers and readers = byte-wise reference"
+    ~count:500 field_case_arb (fun c ->
+      let off = c.off and v = c.v in
+      (* The bytes [write] leaves in a copy of the fill, or [None] when it
+         raises [Invalid_argument]. *)
+      let written write =
+        let b = Bytes.of_string c.fill in
+        match write b with () -> Some b | exception Invalid_argument _ -> None
+      in
+      let agree codec reference =
+        Option.equal Bytes.equal (written codec) (written reference)
+      in
+      let tcp write b =
+        write ~src_port:v.(0) ~dst_port:v.(1) ~seq:v.(2) ~ack:v.(3)
+          ~data_offset:v.(4) ~flags:v.(5) ~window:v.(6) ~urgent:v.(7) b off
+      in
+      let ipv4 write b =
+        write ~tos:v.(8) ~total_length:v.(9) ~ident:v.(10) ~dont_fragment:c.df
+          ~more_fragments:c.mf ~fragment_offset:v.(11) ~ttl:v.(12)
+          ~protocol:v.(13) ~src:(fst c.ips) ~dst:(snd c.ips) b off
+      in
+      let ethernet write b =
+        write ~dst:(fst c.macs) ~src:(snd c.macs) ~ethertype:v.(14) b off
+      in
+      let b = Bytes.of_string c.fill in
+      let addr a = Int32.to_int (Addr.Ipv4.to_int32 a) land 0xFFFF_FFFF in
+      agree (tcp Tcp.write) (tcp ref_tcp_write)
+      && agree (ipv4 Ipv4.write) (ipv4 ref_ipv4_write)
+      && agree (ethernet Ethernet.write) (ethernet ref_ethernet_write)
+      && Tcp.src_port_at b off = ref_get16 b off
+      && Tcp.dst_port_at b off = ref_get16 b (off + 2)
+      && Tcp.seq_at b off = ref_get32 b (off + 4)
+      && Tcp.ack_at b off = ref_get32 b (off + 8)
+      && Tcp.data_offset_at b off = ref_get8 b (off + 12) lsr 4
+      && Tcp.flags_at b off = ref_get8 b (off + 13) land 0x3F
+      && Tcp.window_at b off = ref_get16 b (off + 14)
+      && Tcp.urgent_at b off = ref_get16 b (off + 18)
+      && Ipv4.ihl_at b off = ref_get8 b off land 0xF
+      && Ipv4.tos_at b off = ref_get8 b (off + 1)
+      && Ipv4.total_length_at b off = ref_get16 b (off + 2)
+      && Ipv4.ident_at b off = ref_get16 b (off + 4)
+      && Ipv4.frag_at b off = ref_get16 b (off + 6)
+      && Ipv4.ttl_at b off = ref_get8 b (off + 8)
+      && Ipv4.protocol_at b off = ref_get8 b (off + 9)
+      && addr (Ipv4.src_at b off) = ref_get32 b (off + 12)
+      && addr (Ipv4.dst_at b off) = ref_get32 b (off + 16)
+      && Ethernet.ethertype_at b off = ref_get16 b (off + 12))
+
 let suite =
   [
     Alcotest.test_case "cksum rfc1071 example" `Quick test_cksum_rfc1071_example;
@@ -814,6 +966,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ethernet_cursor_equiv;
     QCheck_alcotest.to_alcotest prop_ipv4_cursor_equiv;
     QCheck_alcotest.to_alcotest prop_tcp_cursor_equiv;
+    QCheck_alcotest.to_alcotest prop_header_fields;
     QCheck_alcotest.to_alcotest prop_udp_build_parse;
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "udp too short" `Quick test_udp_too_short;

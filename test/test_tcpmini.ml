@@ -207,6 +207,209 @@ let test_pcb_drop () =
   | Some pcb -> check "listener again" true (pcb == l)
   | None -> Alcotest.fail "lookup after drop"
 
+(* The table against a [Hashtbl] reference, over random sequences of
+   active opens, accepted connections, lookups and drops.  The keys come
+   from addresses that differ only in bits 30 and 31 (which pick one of
+   the four flat tables) and from ports at 0 and 65535 and that differ
+   only in bits 14 and 15, each port as local and as remote: a packing
+   that drops or narrows a field, or swaps the ports, makes two live keys
+   collide.  The key space is small, so drops are followed by inserts
+   that reuse the freed rows; a PCB dropped again, after its connection
+   was reopened, must leave the new one alone. *)
+let pcb_addrs = Array.map ipa [| "10.0.0.1"; "74.0.0.1"; "138.0.0.1"; "202.0.0.1" |]
+
+let pcb_ports = [| 0; 0x3FFF; 0x4000; 0xC000; 0xFFFF |]
+
+type pcb_op =
+  | Active of (int * int * int)
+  | Accept of (int * int * int)
+  | Find of (int * int * int)
+  | Drop of (int * int * int)
+  | Drop_again of int  (* an earlier dropped PCB, by index *)
+
+let pcb_ops_arb =
+  let open QCheck.Gen in
+  let key =
+    triple
+      (int_bound (Array.length pcb_addrs - 1))
+      (int_bound (Array.length pcb_ports - 1))
+      (int_bound (Array.length pcb_ports - 1))
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Active k) key);
+        (2, map (fun k -> Accept k) key);
+        (4, map (fun k -> Find k) key);
+        (2, map (fun k -> Drop k) key);
+        (1, map (fun i -> Drop_again i) nat);
+      ]
+  in
+  let print = function
+    | Active (a, l, r) -> Printf.sprintf "active %d/%d/%d" a l r
+    | Accept (a, l, r) -> Printf.sprintf "accept %d/%d/%d" a l r
+    | Find (a, l, r) -> Printf.sprintf "find %d/%d/%d" a l r
+    | Drop (a, l, r) -> Printf.sprintf "drop %d/%d/%d" a l r
+    | Drop_again i -> Printf.sprintf "drop-again %d" i
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (20 -- 300) op)
+
+let prop_pcb_table_eq_reference =
+  QCheck.Test.make ~name:"pcb table = Hashtbl reference" ~count:300 pcb_ops_arb
+    (fun ops ->
+      let t = Pcb.create_table () in
+      let reference = Hashtbl.create 64 and listeners = Hashtbl.create 8 in
+      let dropped = ref [] in
+      let listener port =
+        match Hashtbl.find_opt listeners port with
+        | Some l -> l
+        | None ->
+          let l = Pcb.listen t ~port () in
+          Hashtbl.replace listeners port l;
+          l
+      in
+      let remote (a, _, r) = (pcb_addrs.(a), pcb_ports.(r)) in
+      let expected ((_, l, _) as k) =
+        match Hashtbl.find_opt reference k with
+        | Some pcb -> pcb
+        | None -> (
+          match Hashtbl.find_opt listeners pcb_ports.(l) with
+          | Some l -> l
+          | None -> Pcb.none)
+      in
+      let finds k =
+        let rip, rport = remote k in
+        let (_, l, _) = k in
+        Pcb.find t ~local_port:pcb_ports.(l) ~rip ~rport == expected k
+      in
+      let step = function
+        | Active ((_, l, _) as k) -> (
+          match
+            Pcb.insert_active t ~local_port:pcb_ports.(l) ~remote:(remote k) ()
+          with
+          | pcb ->
+            let fresh = not (Hashtbl.mem reference k) in
+            Hashtbl.replace reference k pcb;
+            fresh && pcb.Pcb.state = Pcb.Syn_sent
+          | exception Invalid_argument _ -> Hashtbl.mem reference k)
+        | Accept ((_, l, _) as k) ->
+          let pcb =
+            Pcb.insert_connection t ~listener:(listener pcb_ports.(l))
+              ~remote:(remote k)
+          in
+          Hashtbl.replace reference k pcb;
+          pcb.Pcb.state = Pcb.Syn_received
+        | Find k -> finds k
+        | Drop k -> (
+          match Hashtbl.find_opt reference k with
+          | None -> true
+          | Some pcb ->
+            Pcb.drop t pcb;
+            Hashtbl.remove reference k;
+            dropped := pcb :: !dropped;
+            pcb.Pcb.state = Pcb.Closed)
+        | Drop_again i -> (
+          match !dropped with
+          | [] -> true
+          | d ->
+            Pcb.drop t (List.nth d (i mod List.length d));
+            true)
+      in
+      let every_key f =
+        let ok = ref true in
+        Array.iteri
+          (fun a _ ->
+            Array.iteri
+              (fun l _ ->
+                Array.iteri (fun r _ -> ok := !ok && f (a, l, r)) pcb_ports)
+              pcb_ports)
+          pcb_addrs;
+        !ok
+      in
+      List.for_all
+        (fun op -> step op && Pcb.connections t = Hashtbl.length reference)
+        ops
+      && every_key finds)
+
+(* The key packs each port in 16 bits: an insert with a port outside
+   [0, 65535] raises and leaves the table as it was, and a lookup with
+   one finds no connection. *)
+let test_pcb_port_range () =
+  let t = Pcb.create_table () in
+  let rip = ipa "10.0.0.9" in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (local_port, rport) ->
+      raises
+        (Printf.sprintf "insert_active %d -> %d" local_port rport)
+        (fun () -> Pcb.insert_active t ~local_port ~remote:(rip, rport) ()))
+    [ (65536, 80); (-1, 80); (80, 65536); (80, -1); (0x1_0000_0050, 80) ];
+  let wide = Pcb.listen t ~port:70000 () in
+  raises "insert_connection on port 70000" (fun () ->
+      Pcb.insert_connection t ~listener:wide ~remote:(rip, 1234));
+  checki "no connection inserted" 0 (Pcb.connections t);
+  (* Port 80 + 2^16 must not alias port 80. *)
+  ignore (Pcb.insert_active t ~local_port:80 ~remote:(rip, 1234) ());
+  check "a port past 16 bits finds no connection" true
+    (Pcb.find t ~local_port:(80 + 0x1_0000) ~rip ~rport:1234 == Pcb.none
+    && Pcb.find t ~local_port:80 ~rip ~rport:(1234 + 0x1_0000) == Pcb.none)
+
+(* The lookups that miss the one-entry cache and hit the table allocate
+   nothing: no key tuple, no option, no closure.  The tolerance covers
+   only the boxed floats the two [Gc.minor_words] reads produce. *)
+let test_pcb_table_hit_zero_alloc () =
+  let t = Pcb.create_table () in
+  let conns = 64 in
+  let rips =
+    Array.init conns (fun i ->
+        ipa (Printf.sprintf "%d.0.0.%d" (10 + (64 * (i land 3))) (1 + i)))
+  in
+  for i = 0 to conns - 1 do
+    ignore (Pcb.insert_active t ~local_port:(40_000 + i) ~remote:(rips.(i), 80) ())
+  done;
+  let hits0 = (Pcb.stats t).Pcb.table_hits in
+  let w0 = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    let i = k * 37 land (conns - 1) in
+    ignore
+      (Sys.opaque_identity
+         (Pcb.find t ~local_port:(40_000 + i) ~rip:rips.(i) ~rport:80))
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  checki "every lookup a table hit" 10_000 ((Pcb.stats t).Pcb.table_hits - hits0);
+  if dw > 16.0 then
+    Alcotest.failf "10000 PCB table hits allocated %.0f minor words" dw
+
+(* The first table access claims the table for its domain; a lookup past
+   the cache, an insert or a drop from another domain raises, and the
+   owner carries on. *)
+let test_pcb_ownership_tripwire () =
+  let t = Pcb.create_table () in
+  let rip = ipa "10.0.0.9" in
+  let a = Pcb.insert_active t ~local_port:5000 ~remote:(rip, 80) () in
+  ignore (Pcb.insert_active t ~local_port:5001 ~remote:(rip, 80) ());
+  let raises what f =
+    let raised () =
+      match f () with _ -> false | exception Invalid_argument _ -> true
+    in
+    if not (Domain.join (Domain.spawn raised)) then
+      Alcotest.failf "%s from another domain did not raise" what
+  in
+  raises "find" (fun () -> ignore (Pcb.find t ~local_port:5000 ~rip ~rport:80));
+  raises "insert_active" (fun () ->
+      ignore (Pcb.insert_active t ~local_port:5002 ~remote:(rip, 80) ()));
+  raises "drop" (fun () -> Pcb.drop t a);
+  check "owner still finds its connection" true
+    (Pcb.find t ~local_port:5000 ~rip ~rport:80 == a);
+  checki "nothing changed" 2 (Pcb.connections t)
+
 (* ---------- Host / tcp_input end-to-end ---------- *)
 
 let client_ip = ipa "10.1.0.2"
@@ -1169,6 +1372,11 @@ let suite =
     Alcotest.test_case "pcb double listen" `Quick test_pcb_double_listen_rejected;
     Alcotest.test_case "pcb cache hits" `Quick test_pcb_cache_hits;
     Alcotest.test_case "pcb drop" `Quick test_pcb_drop;
+    QCheck_alcotest.to_alcotest prop_pcb_table_eq_reference;
+    Alcotest.test_case "pcb ports outside 16 bits" `Quick test_pcb_port_range;
+    Alcotest.test_case "pcb table hits allocate nothing" `Quick
+      test_pcb_table_hit_zero_alloc;
+    Alcotest.test_case "pcb ownership tripwire" `Quick test_pcb_ownership_tripwire;
     Alcotest.test_case "handshake" `Quick test_handshake;
     Alcotest.test_case "data + delayed ack" `Quick test_data_delivery_and_delayed_ack;
     Alcotest.test_case "out of order dup-ack" `Quick test_out_of_order_dup_ack;
