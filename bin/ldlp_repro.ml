@@ -90,20 +90,20 @@ let run_check seed =
       ("2-way", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:2 ());
       ("4-way", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:4 ());
       (* One set, LRU over all lines: the shared Replace machinery's
-         LRU-stack geometry (the flowtable's third scheme), covered by the
-         same naive reference. *)
+         LRU-stack geometry (the flow study's third scheme), covered by
+         the same naive reference. *)
       ("full-LRU", Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes:32 ~associativity:256 ());
     ];
-  (* 2. The unified flow table against its naive references: model
-     fidelity per scheme, exact delivered state, charge accounting and
-     cross-scheme equivalence. *)
-  (match Ldlp_check.Flowtable_oracle.run ~seed ~cases:25 with
+  (* 2. The flow study against its naive reference: every scheme's
+     hits, misses and evictions in both disciplines, and the delivered
+     states, on random small configurations. *)
+  (match Ldlp_check.Flows_oracle.run ~seed ~cases:25 with
   | Ok n ->
     Printf.printf
-      "flowtable differential: %d random workloads + trace replay, all \
-       schemes, no divergence\n"
+      "flows differential: %d random study configs, all schemes, no \
+       divergence\n"
       n
-  | Error e -> fail "flowtable differential FAILED: %s" e);
+  | Error e -> fail "flows differential FAILED: %s" e);
   (* 3. Scheduler equivalence: Conventional vs LDLP over random stacks. *)
   let cases = 200 in
   (match Ldlp_check.Sched_oracle.run_random ~seed ~cases with

@@ -1,6 +1,7 @@
 (* The tag state and LRU/direct-mapped machinery live in [Replace] (shared
-   with the flow table); this module adds the address-to-line mapping and
-   the hit/miss counters the cost model reads. *)
+   with the flow study's front-cache model); this module adds the
+   address-to-line mapping and the hit/miss counters the cost model
+   reads. *)
 
 type t = {
   cfg : Config.t;

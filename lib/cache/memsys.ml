@@ -86,14 +86,6 @@ let read_data t ~addr ~len =
   | None -> ()
   | Some f -> f (Read_data { addr; len; misses = m })
 
-let charge_read t ~addr ~len ~misses =
-  if misses < 0 then invalid_arg "Memsys.charge_read: negative misses";
-  t.dmisses <- t.dmisses + misses;
-  t.stall <- t.stall + (misses * (Cache.config t.dcache).Config.miss_penalty);
-  match t.probe with
-  | None -> ()
-  | Some f -> f (Read_data { addr; len; misses })
-
 let write_data t ~addr ~len =
   let m = Cache.touch_range t.dcache ~addr ~len in
   t.wmisses <- t.wmisses + m;

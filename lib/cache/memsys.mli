@@ -61,15 +61,6 @@ val fetch_code : t -> addr:int -> len:int -> unit
 
 val read_data : t -> addr:int -> len:int -> unit
 
-val charge_read : t -> addr:int -> len:int -> misses:int -> unit
-(** Charge [misses] externally-modeled data-read misses (each stalling for
-    the D-cache miss penalty) without touching the simulated D-cache tags.
-    Fires the same [Read_data] probe event as {!read_data}, so observers
-    cannot tell a charged miss from a simulated one.  Used by components
-    that model their own reference locality — e.g. the flow table's
-    per-scheme lookup model ([Ldlp_flowtable.Flowtable]) — to route their
-    D-miss accounting through the shared memory system. *)
-
 val write_data : t -> addr:int -> len:int -> unit
 
 val execute : t -> int -> unit

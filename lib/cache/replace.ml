@@ -4,10 +4,10 @@
    order: way 0 is most recently used; eviction takes the last way.
 
    This module is the one replacement engine behind both the cache
-   simulator ([Cache], keys = line numbers) and the flow table
-   ([Ldlp_flowtable.Flowtable], keys = slot hashes), so the differential
-   oracle over [Cache] exercises the same code the flowtable charges
-   D-misses with. *)
+   simulator ([Cache], keys = line numbers) and the flow study's modeled
+   front cache ([Ldlp_flowtable.Study], keys = slot hashes), so the
+   differential oracle over [Cache] exercises the same code the study
+   counts D-misses with. *)
 
 type t = {
   sets : int;

@@ -1,5 +1,5 @@
-(** Set-associative LRU replacement state, shared by {!Cache} and
-    [Ldlp_flowtable.Flowtable].
+(** Set-associative LRU replacement state, shared by {!Cache} and the
+    flow study ([Ldlp_flowtable.Study]).
 
     A replacement array is [sets * ways] integer tags (-1 = invalid), each
     set kept in LRU order: way 0 is most recently used, eviction takes the
@@ -8,7 +8,7 @@
     on the hot path.
 
     Keys are arbitrary non-negative integers (cache line numbers for
-    {!Cache}, flow-slot hashes for the flowtable); the set index is
+    {!Cache}, flow-slot hashes for the study); the set index is
     [key land (sets - 1)], so [sets] must be a power of two. *)
 
 type t
@@ -50,7 +50,7 @@ val occupancy : t -> int
 
 val evictions : t -> int
 (** Number of miss installs that displaced a valid entry (misses while the
-    victim way was already filled).  Lets the flowtable report modeled
+    victim way was already filled).  Lets the flow study report modeled
     evictions without a second tag sweep; {!Cache} ignores it. *)
 
 val iter : t -> (int -> unit) -> unit

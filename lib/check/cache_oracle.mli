@@ -17,9 +17,6 @@ type t
 
 val create : Ldlp_cache.Config.t -> t
 
-val access : t -> int -> bool
-(** Reference one byte address; [true] on hit, installs on miss. *)
-
 val access_line : t -> int -> bool
 
 val touch_range : t -> addr:int -> len:int -> int
@@ -46,8 +43,6 @@ type op =
   | Touch_range of { addr : int; len : int }
   | Probe of int  (** [resident] on a byte address (no state change). *)
   | Flush
-
-val pp_op : Format.formatter -> op -> unit
 
 val random_ops :
   rng:Ldlp_sim.Rng.t -> ?hot_lines:int -> ?cold_span:int -> int -> op list

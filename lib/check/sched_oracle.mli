@@ -39,8 +39,6 @@ type spec = {
           exercises partial batches and arrival/processing races. *)
 }
 
-val pp_spec : Format.formatter -> spec -> unit
-
 type trace = {
   visits : int list array;
       (** [visits.(i)]: engine nodes visited by msg [i] and by the replies
@@ -62,46 +60,14 @@ val equivalent : spec -> (unit, string) result
 (** Run the spec under [Conventional] and [Ldlp spec.policy] and compare;
     [Error] carries a human-readable description of the first mismatch. *)
 
-(** {1 Transmit-side oracle}
-
-    The same behaviours installed as [handle_tx] drive an
-    {!Ldlp_core.Engine.tx_chain}: [Pass] forwards toward the wire,
-    [Consume_every] absorbs, [Reply_every] loops a completion
-    notification upward before forwarding. *)
-
-val run_spec_tx : Ldlp_core.Engine.discipline -> spec -> trace
-
-val conserved_tx : Ldlp_core.Engine.stats -> pending:int -> bool
-(** [injected = to_down + consumed] (loopback notifications are fresh
-    messages, not submissions) and batches cover every submission. *)
-
-val equivalent_tx : spec -> (unit, string) result
-(** Visit-multiset, terminal-count, per-flow wire-order and conservation
-    equivalence for the transmit chain under both disciplines. *)
-
-(** {1 Duplex oracle} *)
-
-val run_spec_duplex : Ldlp_core.Engine.discipline -> spec -> trace
-(** The spec's receive behaviours over an {!Ldlp_core.Engine.duplex}:
-    replies cross into the same layer's transmit node and descend the
-    passthrough transmit side to the wire; [visits] range over the [2n]
-    duplex nodes. *)
-
-val equivalent_duplex : spec -> (unit, string) result
-(** Visit-multiset (across both directions), terminal-count, per-flow
-    delivery-order, wire-multiset and conservation equivalence
-    ([injected = to_up + consumed + misrouted]; every reply reaches the
-    wire) for the duplex engine under both disciplines.  Wire {e order}
-    is deliberately unconstrained: replies originating at different
-    receive layers may interleave differently, just as the receive
-    oracle never constrains down-sink order. *)
-
 val random_spec : rng:Ldlp_sim.Rng.t -> spec
 (** 1-6 layers with mixed behaviours, 0-80 messages over 1-4 flows with
     sizes from 0 to 4 KB, a random batch policy, random interleaving. *)
 
 val run_random : seed:int -> cases:int -> (int, string) result
-(** Check [cases] random specs — each through {!equivalent},
-    {!equivalent_tx} {e and} {!equivalent_duplex}; [Ok cases] or the
-    first failure, prefixed with the offending spec.  Used by
-    [ldlp_repro check]. *)
+(** Check [cases] random specs, each three ways: through {!equivalent},
+    with the same behaviours as transmit handlers on an
+    {!Ldlp_core.Engine.tx_chain}, and with the receive behaviours over an
+    {!Ldlp_core.Engine.duplex}, whose replies descend the transmit side
+    to the wire.  [Ok cases] or the first failure, prefixed with the
+    offending spec.  Used by [ldlp_repro check]. *)

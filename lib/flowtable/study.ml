@@ -1,9 +1,26 @@
 module Rng = Ldlp_sim.Rng
 module Flowmix = Ldlp_traffic.Flowmix
+module Replace = Ldlp_cache.Replace
+
+type scheme = Direct | Set_assoc of int | Lru_stack
+
+let scheme_name = function
+  | Direct -> "direct"
+  | Set_assoc w -> Printf.sprintf "assoc%d" w
+  | Lru_stack -> "lru"
+
+let all_schemes = [ Direct; Set_assoc 4; Lru_stack ]
+
+(* (sets, ways) of a [slots]-entry front cache. *)
+let geometry scheme slots =
+  match scheme with
+  | Direct -> (slots, 1)
+  | Set_assoc w -> (slots / w, w)
+  | Lru_stack -> (1, slots)
 
 type row = {
   r_flows : int;
-  r_scheme : Flowtable.scheme;
+  r_scheme : scheme;
   r_ldlp : bool;
   r_lookups : int;
   r_found : int;
@@ -43,25 +60,55 @@ let bench = { quick with lookups = 65536 }
    arrival position) produces a different digest. *)
 let digest_add acc v = (acc * 1000003) + Hashtbl.hash v
 
-let replay table ~ldlp ~batch arrivals =
-  Flowtable.flush_cache table;
-  Flowtable.reset_stats table;
+(* One (scheme, discipline) pass: a fresh front cache of the scheme's
+   geometry over the slot hashes, the exact [store] behind it.  Flows
+   colliding on a hash alias in the model, as addresses alias in a real
+   D-cache, and cost nothing for correctness.  The LDLP pass sorts each
+   batch by (set, slot hash, arrival), so same-flow repeats become
+   adjacent and same-set conflicts are grouped; results land in arrival
+   position either way. *)
+let replay store ~flows ~scheme ~slots ~ldlp ~batch arrivals hashes =
+  let sets, ways = geometry scheme slots in
+  let front = Replace.create ~sets ~ways in
   let n = Array.length arrivals in
-  let digest = ref 0 in
+  let delivered = Array.make n None in
+  let hits = ref 0 in
+  let lookup i =
+    if Replace.access front hashes.(i) then incr hits;
+    let slot = Flat.find store arrivals.(i) in
+    if slot >= 0 then delivered.(i) <- Some (Flat.value store slot)
+  in
   if not ldlp then
-    Array.iter
-      (fun k -> digest := digest_add !digest (Flowtable.lookup table k))
-      arrivals
+    for i = 0 to n - 1 do
+      lookup i
+    done
   else begin
+    let set i = hashes.(i) land (sets - 1) in
+    let by_slot a b =
+      if set a <> set b then compare (set a) (set b)
+      else if hashes.(a) <> hashes.(b) then compare hashes.(a) hashes.(b)
+      else compare a b
+    in
     let off = ref 0 in
     while !off < n do
-      let len = min batch (n - !off) in
-      let out = Flowtable.lookup_batch table (Array.sub arrivals !off len) in
-      Array.iter (fun v -> digest := digest_add !digest v) out;
-      off := !off + len
+      let order = Array.init (Int.min batch (n - !off)) (fun j -> !off + j) in
+      Array.sort by_slot order;
+      Array.iter lookup order;
+      off := !off + Array.length order
     done
   end;
-  !digest
+  {
+    r_flows = flows;
+    r_scheme = scheme;
+    r_ldlp = ldlp;
+    r_lookups = n;
+    r_found =
+      Array.fold_left (fun c v -> if Option.is_some v then c + 1 else c) 0 delivered;
+    r_model_hits = !hits;
+    r_model_misses = n - !hits;
+    r_model_evictions = Replace.evictions front;
+    r_digest = Array.fold_left digest_add 0 delivered;
+  }
 
 let run ?(config = quick) ~flows ~seed () =
   let rng = Rng.create ~seed in
@@ -75,37 +122,21 @@ let run ?(config = quick) ~flows ~seed () =
       }
   in
   let arrivals = Flowmix.stream mix config.lookups in
+  let hashes = Array.map Hashtbl.hash arrivals in
+  (* Every flow is connected before the replay: the study measures
+     lookup locality, not connection setup. *)
+  let store = Flat.create () in
+  for k = 0 to flows - 1 do
+    Flat.add store k k
+  done;
   List.concat_map
     (fun scheme ->
-      let table =
-        Flowtable.create ~scheme ~slots:config.slots
-          ~buckets:(min flows 65536)
-          ~name:(Printf.sprintf "study-%s" (Flowtable.scheme_name scheme))
-          ()
-      in
-      (* Every flow is connected before the replay: the study measures
-         lookup locality, not connection setup. *)
-      for k = 0 to flows - 1 do
-        Flowtable.insert table k k
-      done;
       List.map
         (fun ldlp ->
-          let digest = replay table ~ldlp ~batch:config.batch arrivals in
-          let s = Flowtable.stats table in
-          {
-            r_flows = flows;
-            r_scheme = scheme;
-            r_ldlp = ldlp;
-            r_lookups = s.Flowtable.lookups;
-            r_found = s.Flowtable.found;
-            r_model_hits = s.Flowtable.model_hits;
-            r_model_misses = s.Flowtable.model_misses;
-            r_model_evictions = s.Flowtable.model_evictions;
-            r_digest = digest;
-          })
+          replay store ~flows ~scheme ~slots:config.slots ~ldlp
+            ~batch:config.batch arrivals hashes)
         [ false; true ])
-    Flowtable.all_schemes
-
+    all_schemes
 let render ?(config = quick) ~rows ~seed () =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -137,11 +168,11 @@ let render ?(config = quick) ~rows ~seed () =
           Buffer.add_string b
             (Printf.sprintf
                "  %-9d %-8s %8.4f   %8.4f   %9d   %5.2fx%s\n" flows
-               (Flowtable.scheme_name scheme)
+               (scheme_name scheme)
                cm lm ldlp.r_model_evictions
                (if lm > 0.0 then cm /. lm else 0.0)
                (if conv.r_digest = ldlp.r_digest then "" else "  DIGEST MISMATCH")))
-        Flowtable.all_schemes)
+        all_schemes)
     flows_list;
   Buffer.add_string b
     "\n  Delivered states are scheme- and discipline-independent (exact \

@@ -2,11 +2,16 @@
     locality"; Jain DEC-TR-592).
 
     Replays one deterministic {!Ldlp_traffic.Flowmix} arrival stream
-    against a populated {!Flowtable} under every scheme, twice: [conv]
-    looks flows up one at a time in arrival order; [ldlp] runs the same
-    stream through {!Flowtable.lookup_batch} in [batch]-sized receive
-    batches.  The delivered states are identical by construction; the
-    modeled D-misses per lookup are the figure.
+    against one exact store, a {!Flat} table holding every flow [k] as
+    [k -> k], the table the protocol stacks find their live state in.  In
+    front of it sits a modeled cache of flow slots: each (scheme,
+    discipline) pass starts a fresh {!Ldlp_cache.Replace} of that scheme's
+    geometry and references [Hashtbl.hash k] in it for every lookup.
+    [conv] looks flows up one at a time in arrival order; [ldlp] takes
+    the stream in [batch]-sized receive batches and looks each batch up
+    in (set, slot hash, arrival) order.  The delivered states are
+    identical by construction; the modeled D-misses per lookup are the
+    figure.
 
     Defaults put the modeled front cache ([slots = 256] entries) below
     the interleave width ([sources = 512] senders), the regime Jain's
@@ -15,9 +20,20 @@
     locality is poor even though per-flow trains are long — exactly the
     gap batch-sorting recovers. *)
 
+type scheme =
+  | Direct  (** Direct-mapped: [slots] sets of 1 way. *)
+  | Set_assoc of int  (** N-way set-associative, LRU within a set. *)
+  | Lru_stack  (** One full-LRU stack over all [slots] entries. *)
+
+val scheme_name : scheme -> string
+(** ["direct"], ["assoc4"] (etc.), ["lru"]. *)
+
+val all_schemes : scheme list
+(** The schemes the study compares: [Direct; Set_assoc 4; Lru_stack]. *)
+
 type row = {
   r_flows : int;
-  r_scheme : Flowtable.scheme;
+  r_scheme : scheme;
   r_ldlp : bool;  (** false = conventional order, true = batch-sorted. *)
   r_lookups : int;
   r_found : int;
@@ -45,11 +61,13 @@ val bench : config
 (** Bench fidelity: 65536 lookups. *)
 
 val run : ?config:config -> flows:int -> seed:int -> unit -> row list
-(** All schemes × both disciplines over one [flows]-flow stream.  Within
-    the returned rows every (scheme, discipline) pair saw the same
-    arrival stream, so digests must agree — [Ldlp_check.Flowtable_oracle]
-    and the [ldlp_repro flows] gate both check that, plus conservation
-    ([found = lookups], [model_hits + model_misses = lookups]). *)
+(** All schemes × both disciplines over one [flows]-flow stream, in
+    {!all_schemes} order, conventional first.  Within the returned rows
+    every (scheme, discipline) pair saw the same arrival stream, so
+    digests must agree — [Ldlp_check.Flows_oracle] and the
+    [ldlp_repro flows] gate both check that, plus conservation
+    ([found = lookups], [model_hits + model_misses = lookups]).  Raises
+    [Invalid_argument] unless [slots] is a power of two of at least 4. *)
 
 val render : ?config:config -> rows:row list -> seed:int -> unit -> string
 (** The paper-style figure: misses/lookup per scheme and flow count,

@@ -264,10 +264,11 @@ let flows =
     doc =
       "Flow-table data-locality study at 10k, 100k and 1M flows: modeled \
        D-misses per lookup, conventional vs LDLP batch-sorted, per \
-       replacement scheme.  Gates: the flowtable differential oracle, \
-       per-row conservation, delivered-state digest equality and the LDLP \
-       D-miss win from 100k flows up.  The study has no parallel path, so \
-       it ignores --domains.";
+       replacement scheme.  Gates: the flows oracle (the study against a \
+       naive reference on random small configurations), per-row \
+       conservation, delivered-state digest equality and the LDLP D-miss \
+       win from 100k flows up.  The study has no parallel path, so it \
+       ignores --domains.";
     run =
       (fun ?domains:_ ~seed () ->
         let module Study = Ldlp_flowtable.Study in
@@ -297,7 +298,7 @@ let flows =
              || r.Study.r_model_misses < conv.Study.r_model_misses)
         in
         let discipline r = if r.Study.r_ldlp then "ldlp" else "conv" in
-        let scheme r = Ldlp_flowtable.Flowtable.scheme_name r.Study.r_scheme in
+        let scheme r = Study.scheme_name r.Study.r_scheme in
         let row r =
           Schema.
             [
@@ -316,8 +317,8 @@ let flows =
                   Rows (List.map row rows);
                 ] );
           failures =
-            oracle "flowtable oracle" Format.pp_print_string
-              (Ldlp_check.Flowtable_oracle.run ~seed ~cases:25)
+            oracle "flows oracle" Format.pp_print_string
+              (Ldlp_check.Flows_oracle.run ~seed ~cases:25)
             @ List.concat_map
                 (fun r ->
                   gate (row_ok r)

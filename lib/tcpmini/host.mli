@@ -57,7 +57,8 @@ val create :
     per-layer columns alongside. *)
 
 val listen : t -> port:int -> Pcb.t
-(** Open a listening socket; incoming connections clone it. *)
+(** Open a listening socket; incoming connections clone it.  Raises
+    [Invalid_argument] if the port is taken or outside [[0, 65535]]. *)
 
 val layers : t -> item Ldlp_core.Layer.t list
 (** The stack, bottom-first: ether, ip, tcp.  Under an

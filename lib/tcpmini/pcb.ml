@@ -126,7 +126,11 @@ let create_table () =
     inserts = 0;
   }
 
+let ports_fit local_port rport = (local_port lor rport) lsr 16 = 0
+
 let listen table ~port ?hiwat () =
+  if not (ports_fit port 0) then
+    invalid_arg (Printf.sprintf "Pcb.listen: port %d outside [0, 65535]" port);
   if Hashtbl.mem table.listeners port then
     invalid_arg (Printf.sprintf "Pcb.listen: port %d already bound" port);
   let pcb = fresh ~local_port:port ~state:Listen ?hiwat () in
@@ -146,8 +150,6 @@ let guard table =
       invalid_arg
         (Printf.sprintf "Pcb: table owned by domain %d, accessed from domain %d"
            table.owner me)
-
-let ports_fit local_port rport = (local_port lor rport) lsr 16 = 0
 
 (* A remote address as an int: bits 0-31 hold the address. *)
 let addr rip = Int32.to_int (Ipv4.to_int32 rip)

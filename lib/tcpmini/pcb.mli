@@ -12,8 +12,8 @@
     key to the row: four of them, picked by the address's top two bits,
     each keyed by the address's other 30 bits and the two 16-bit ports.
     A lookup hashes one int and compares ints; it allocates nothing.
-    Ports outside [[0, 65535]] are never in the table: inserting one
-    raises, and a lookup with one finds no connection.
+    Ports outside [[0, 65535]] are never in the table: listening on one
+    or inserting one raises, and a lookup with one finds no connection.
 
     A table is domain-local, like a [Ldlp_core.Msg] pool: the first
     access past the cache (lookup, insert or drop) claims it for the
@@ -86,7 +86,7 @@ val create_table : unit -> table
 
 val listen : table -> port:int -> ?hiwat:int -> unit -> t
 (** Install a listening PCB; raises [Invalid_argument] if the port is
-    taken. *)
+    taken or outside [[0, 65535]]. *)
 
 val none : t
 (** The sentinel {!find} returns when no PCB matches (compare with [==]);

@@ -9,7 +9,7 @@
     packets of the same flow land [sources] positions apart and the
     arrival order has far worse temporal locality than the traffic
     itself.  That gap is exactly what LDLP batch-sorted lookup recovers
-    ([Ldlp_flowtable.Flowtable.lookup_batch]).
+    (the flow study, [Ldlp_flowtable.Study]).
 
     Deterministic: the stream is a pure function of the {!Ldlp_sim.Rng}
     stream and the config. *)

@@ -1,188 +1,39 @@
-(* Tests for the unified flow table: QCheck laws over the exact backing
-   store, the LDLP batch path, the seeded eviction stream, and the
-   per-domain ownership tripwire. *)
-
-module Ft = Ldlp_flowtable.Flowtable
+(* Tests for lib/flowtable: the flow study against its naive reference,
+   and Flat, the open-addressing int table that the study's store and
+   the protocol stacks' live state are kept in. *)
 
 let check = Alcotest.(check bool)
 
 let checki = Alcotest.(check int)
 
-let schemes = Ft.all_schemes
+(* ---------- Study: the flow-table locality figure ---------- *)
 
-(* Interpret integer triples as table ops against a plain Hashtbl
-   reference, failing on any delivered-state divergence; returns the
-   table, the reference and an order-sensitive digest of everything the
-   lookups delivered. *)
-let interp ?(slots = 64) scheme ops =
-  let t = Ft.create ~scheme ~slots ~name:"qcheck" () in
-  let reference : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let digest = ref 0 in
+(* Every row of the study, at random small configurations, equals a
+   replay of the same arrival stream through per-set MRU lists and a
+   store that answers each flow with its own key. *)
+let prop_study_matches_reference =
+  QCheck.Test.make ~name:"study rows = naive per-set MRU reference" ~count:8
+    QCheck.small_nat (fun seed ->
+      match Ldlp_check.Flows_oracle.run ~seed ~cases:1 with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+(* A front cache whose sets would not be a power of two is refused:
+   1000 slots direct-mapped, and 2 slots in 4 ways. *)
+let test_study_slots_validation () =
+  let module Study = Ldlp_flowtable.Study in
   List.iter
-    (fun (tag, k, v) ->
-      let k = k land 1023 in
-      match tag land 3 with
-      | 0 ->
-        Ft.insert t k v;
-        Hashtbl.replace reference k v
-      | 1 ->
-        Ft.remove t k;
-        Hashtbl.remove reference k
-      | _ ->
-        let got = Ft.lookup t k in
-        if got <> Hashtbl.find_opt reference k then
-          QCheck.Test.fail_reportf "%s: lookup %d diverges from reference"
-            (Ft.scheme_name scheme) k;
-        digest := (!digest * 1000003) + Hashtbl.hash got)
-    ops;
-  (t, reference, !digest)
-
-let op_triple = QCheck.(triple small_int small_int small_int)
-
-(* Insert/lookup/remove roundtrips are exact under every scheme, and the
-   stat ledger obeys its conservation laws whatever the op mix. *)
-let prop_roundtrip =
-  QCheck.Test.make ~name:"exact roundtrips + conservation, every scheme"
-    ~count:100
-    QCheck.(list op_triple)
-    (fun ops ->
-      List.for_all
-        (fun scheme ->
-          let t, reference, _ = interp scheme ops in
-          let s = Ft.stats t in
-          Ft.length t = Hashtbl.length reference
-          && s.Ft.found + s.Ft.missing = s.Ft.lookups
-          && s.Ft.model_hits + s.Ft.model_misses
-             = s.Ft.lookups + s.Ft.inserts + s.Ft.removes
-          && s.Ft.model_evictions <= s.Ft.model_misses)
-        schemes)
-
-(* The front cache is a cost model only: delivered states are identical
-   across schemes (exactness by construction). *)
-let prop_scheme_independent =
-  QCheck.Test.make ~name:"delivered states are scheme-independent" ~count:100
-    QCheck.(list op_triple)
-    (fun ops ->
-      match
-        List.map
-          (fun scheme ->
-            let _, _, d = interp scheme ops in
-            d)
-          schemes
-      with
-      | [] -> true
-      | d :: rest -> List.for_all (( = ) d) rest)
-
-(* The LDLP batch path reorders only the modeled accesses, never the
-   delivered results. *)
-let prop_batch_matches_unsorted =
-  QCheck.Test.make ~name:"batch-sorted lookup = one-at-a-time lookup"
-    ~count:100
-    QCheck.(pair (list op_triple) (list small_int))
-    (fun (ops, keys) ->
-      let keys = Array.of_list (List.map (fun k -> k land 1023) keys) in
-      List.for_all
-        (fun scheme ->
-          let t, _, _ = interp scheme ops in
-          Ft.lookup_batch t keys = Array.map (fun k -> Ft.lookup t k) keys)
-        schemes)
-
-(* A seeded workload produces the same modeled hit/miss/eviction counts
-   on every replay — the eviction stream is a function of the seed. *)
-let eviction_counts ~seed scheme =
-  let module R = Ldlp_sim.Rng in
-  let rng = R.create ~seed in
-  let t = Ft.create ~scheme ~slots:64 ~name:"evict" () in
-  for k = 0 to 255 do
-    Ft.insert t k (k * 7)
-  done;
-  Ft.flush_cache t;
-  Ft.reset_stats t;
-  for _ = 1 to 2048 do
-    ignore (Ft.lookup t (R.int rng 256))
-  done;
-  let s = Ft.stats t in
-  (s.Ft.model_hits, s.Ft.model_misses, s.Ft.model_evictions)
-
-let prop_seeded_eviction =
-  QCheck.Test.make ~name:"eviction stream is seed-deterministic" ~count:50
-    QCheck.small_int (fun seed ->
-      List.for_all
-        (fun scheme ->
-          let a = eviction_counts ~seed scheme in
-          let b = eviction_counts ~seed scheme in
-          let _, misses, evictions = a in
-          (* 256 hot keys over 64 modeled slots must actually evict. *)
-          a = b && misses > 0 && evictions > 0)
-        schemes)
-
-(* ---------- Domains ---------- *)
-
-(* Each worker builds its own domain-local table (the shard discipline)
-   and replays a per-index seeded workload; the merged result must not
-   depend on the worker count. *)
-let domain_run ~domains =
-  Ldlp_par.Pool.map ~domains
-    (fun i ->
-      let module R = Ldlp_sim.Rng in
-      let rng = R.create ~seed:(41 + i) in
-      let t = Ft.create ~slots:128 ~name:(Printf.sprintf "dom-%d" i) () in
-      let digest = ref 0 in
-      for k = 0 to 511 do
-        Ft.insert t k (k * 3)
-      done;
-      for _ = 1 to 4096 do
-        let k = R.int rng 768 in
-        digest := (!digest * 1000003) + Hashtbl.hash (Ft.lookup t k)
-      done;
-      let s = Ft.stats t in
-      (!digest, s.Ft.model_hits, s.Ft.model_misses, s.Ft.model_evictions))
-    (List.init 6 Fun.id)
-
-let test_domains_identical () =
-  check "1 domain = 3 domains" true
-    (domain_run ~domains:1 = domain_run ~domains:3)
-
-(* Cross-domain access to a claimed table raises — the same tripwire
-   discipline as Msg pools, so a shard can never silently read another
-   shard's flow state. *)
-let test_ownership_tripwire () =
-  let t : (int, int) Ft.t = Ft.create ~name:"tripwire" () in
-  Ft.insert t 1 10;
-  check "first guarded access claims an owner" true (Ft.owner t <> None);
-  (match
-     Domain.join
-       (Domain.spawn (fun () ->
-            match Ft.lookup t 1 with
-            | _ -> Error "cross-domain access did not raise"
-            | exception Invalid_argument _ -> Ok ()))
-   with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  check "owner still works after the tripwire fired" true
-    (Ft.lookup t 1 = Some 10)
-
-(* ---------- Units ---------- *)
-
-let test_create_validation () =
-  Alcotest.check_raises "non-pow2 slots"
-    (Invalid_argument "Flowtable.create: slots must be a power of two")
-    (fun () -> ignore (Ft.create ~slots:1000 ~name:"bad" () : (int, int) Ft.t));
-  Alcotest.check_raises "indivisible associativity"
-    (Invalid_argument "Flowtable.create: slots not divisible by associativity")
-    (fun () ->
-      ignore
-        (Ft.create ~scheme:(Ft.Set_assoc 3) ~slots:64 ~name:"bad" ()
-          : (int, int) Ft.t))
-
-let test_flush_preserves_backing () =
-  let t = Ft.create ~name:"flush" () in
-  Ft.insert t 5 50;
-  Ft.flush_cache t;
-  check "backing survives a cache flush" true (Ft.lookup t 5 = Some 50);
-  let s = Ft.stats t in
-  (* Insert missed cold, then the post-flush lookup missed again. *)
-  checki "both guarded ops modeled as misses" 2 s.Ft.model_misses
+    (fun slots ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d slots" slots)
+        (Invalid_argument "Replace.create: sets must be a power of two")
+        (fun () ->
+          ignore
+            (Study.run
+               ~config:{ Study.quick with slots; lookups = 64 }
+               ~flows:10 ~seed:1 ()
+              : Study.row list)))
+    [ 1000; 2 ]
 
 (* ---------- Flat: the open-addressing int table ---------- *)
 
@@ -308,14 +159,7 @@ let suite =
     Alcotest.test_case "flat spreads keys differing in high bits" `Quick
       test_flat_spreads_high_bits;
     QCheck_alcotest.to_alcotest prop_flat_matches_hashtbl;
-    Alcotest.test_case "create validation" `Quick test_create_validation;
-    Alcotest.test_case "flush keeps backing store" `Quick
-      test_flush_preserves_backing;
-    Alcotest.test_case "ownership tripwire" `Quick test_ownership_tripwire;
-    Alcotest.test_case "1-domain = 3-domain replay" `Quick
-      test_domains_identical;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_scheme_independent;
-    QCheck_alcotest.to_alcotest prop_batch_matches_unsorted;
-    QCheck_alcotest.to_alcotest prop_seeded_eviction;
+    QCheck_alcotest.to_alcotest prop_study_matches_reference;
+    Alcotest.test_case "study rejects slots that are not a power of two"
+      `Quick test_study_slots_validation;
   ]

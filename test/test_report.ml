@@ -190,10 +190,14 @@ let test_committed_bench_files () =
         (Json.member row "digest" = Json.Num (string_of_int (Json.int row "digest"))))
     (Json.arr (Result.get_ok (Schema.parse Schema.flows (read "BENCH_flows.json"))) "rows")
 
+(* A full stop ending a sentence is not part of the name before it. *)
+let rec trim p =
+  if String.ends_with ~suffix:"." p then trim (String.sub p 0 (String.length p - 1))
+  else p
+
 (* The lib/ and examples/*.ml paths a text names.  A path starts at "lib/"
    or "examples/" with no path character before it and runs to the first
-   character that cannot be in one; a full stop ending a sentence is not
-   part of it. *)
+   character that cannot be in one. *)
 let named_paths text =
   let path_char = function
     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | '/' -> true
@@ -205,10 +209,6 @@ let named_paths text =
     && String.sub text i (String.length prefix) = prefix
   in
   let rec stop j = if j < n && path_char text.[j] then stop (j + 1) else j in
-  let rec trim p =
-    if String.ends_with ~suffix:"." p then trim (String.sub p 0 (String.length p - 1))
-    else p
-  in
   let rec go i acc =
     if i >= n then List.rev acc
     else if (i = 0 || not (path_char text.[i - 1])) && (at i "lib/" || at i "examples/")
@@ -228,6 +228,82 @@ let missing_paths text =
     (fun p -> not (Sys.file_exists (Filename.concat root p)))
     (named_paths text)
 
+(* The targets a text runs with make: the word after each "make " that
+   does not end a longer word.  Placeholders such as [make <name>] and
+   [make bench-<name>] name no target. *)
+let named_targets text =
+  let word_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
+    | _ -> false
+  in
+  let target_char c = word_char c || String.contains ".%<>" c in
+  let n = String.length text in
+  let rec stop j = if j < n && target_char text.[j] then stop (j + 1) else j in
+  let rec go i acc =
+    if i + 5 > n then List.rev acc
+    else if String.sub text i 5 = "make " && (i = 0 || not (word_char text.[i - 1]))
+    then
+      let j = stop (i + 5) in
+      let t = trim (String.sub text (i + 5) (j - i - 5)) in
+      go j (if t = "" || String.contains t '<' then acc else t :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* The targets a Makefile defines: the words before the colon of each
+   rule, a [$(NAME)] word standing for the words NAME is defined as. *)
+let makefile_targets makefile =
+  let words s = List.filter (( <> ) "") (String.split_on_char ' ' s) in
+  let lines =
+    List.filter
+      (fun l -> l <> "" && l.[0] <> '\t' && l.[0] <> '#')
+      (String.split_on_char '\n' makefile)
+  in
+  let rule l =
+    match String.index_opt l ':' with
+    | Some i
+      when (i + 1 = String.length l || l.[i + 1] <> '=')
+           && not (String.contains (String.sub l 0 i) '=') ->
+      Some (words (String.sub l 0 i))
+    | _ -> None
+  in
+  (* [NAME = words], and [?=], [:=] and [+=] alike. *)
+  let definition l =
+    match String.index_opt l '=' with
+    | Some i when Option.is_none (rule l) ->
+      let name = String.trim (String.sub l 0 i) in
+      let k = String.length name - 1 in
+      let name = if k >= 0 && String.contains "?:+" name.[k] then String.sub name 0 k else name in
+      Some (String.trim name, words (String.sub l (i + 1) (String.length l - i - 1)))
+    | _ -> None
+  in
+  let defs = List.filter_map definition lines in
+  let expand w =
+    let n = String.length w in
+    if n > 3 && String.starts_with ~prefix:"$(" w && w.[n - 1] = ')' then
+      Option.value ~default:[ w ] (List.assoc_opt (String.sub w 2 (n - 3)) defs)
+    else [ w ]
+  in
+  List.concat_map (fun l -> List.concat_map expand (Option.value ~default:[] (rule l))) lines
+
+(* A target with a [%] is a pattern rule: it matches any name with a
+   non-empty stem in the [%]'s place. *)
+let target_matches target name =
+  match String.index_opt target '%' with
+  | None -> target = name
+  | Some i ->
+    let prefix = String.sub target 0 i
+    and suffix = String.sub target (i + 1) (String.length target - i - 1) in
+    String.length name > String.length prefix + String.length suffix
+    && String.starts_with ~prefix name
+    && String.ends_with ~suffix name
+
+let missing_targets ~makefile text =
+  let targets = makefile_targets makefile in
+  List.filter
+    (fun name -> not (List.exists (fun t -> target_matches t name) targets))
+    (named_targets text)
+
 (* ROADMAP and CHANGES are history, and name deleted code on purpose. *)
 let test_docs_name_existing_paths () =
   Alcotest.(check (list string))
@@ -238,11 +314,25 @@ let test_docs_name_existing_paths () =
   Alcotest.(check (list string))
     "a deleted library is missing" [ "lib/shard" ]
     (missing_paths "The sharded storm ran in `lib/shard`, beside lib/mesh.");
+  Alcotest.(check (list string))
+    "targets found" [ "check"; "bench-hotpath"; "flows" ]
+    (named_targets
+       "`make check`, make bench-hotpath.  Not `make <name>` or `make \
+        bench-<name>`; to remake a document, `make flows`.");
+  let makefile = read_committed "Makefile" in
+  Alcotest.(check (list string))
+    "undefined targets are missing" [ "flowtable"; "bench-" ]
+    (missing_targets ~makefile
+       "`make flowtable`, `make flows`, `make bench-sweeps`, `make bench-`, \
+        `make check`.");
   List.iter
     (fun doc ->
+      let text = read_committed doc in
       Alcotest.(check (list string))
-        (doc ^ " names only existing paths") []
-        (missing_paths (read_committed doc)))
+        (doc ^ " names only existing paths") [] (missing_paths text);
+      Alcotest.(check (list string))
+        (doc ^ " names only defined make targets") []
+        (missing_targets ~makefile text))
     [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md"; ".claude/skills/verify/SKILL.md" ]
 
 let soak_row ?(loss = 0.01) ?(goodput = 2345.5) ?(retransmits = 3)
@@ -450,8 +540,7 @@ let test_hotpath_json_rejects () =
   reject "negative wall clock" (hotpath_doc [ hot_row "x" 1 (-0.1) 1.0 1.0 ])
 
 (* An experiment entry at seed 1996 passes every gate and rebuilds its
-   committed document byte for byte.  Flows (about 6 s, for its 1M-flow
-   point) is left to `make check`. *)
+   committed document byte for byte. *)
 let test_experiment name () =
   let e =
     List.find (fun (e : Ldlp_report.Experiment.t) -> e.name = name)
@@ -532,6 +621,8 @@ let suite =
       (test_experiment "recovery");
     Alcotest.test_case "mesh experiment matches BENCH file" `Quick
       (test_experiment "mesh");
+    Alcotest.test_case "flows experiment matches BENCH file" `Quick
+      (test_experiment "flows");
     Alcotest.test_case "shards storm matches BENCH file" `Quick
       test_shards_bench_file;
   ]

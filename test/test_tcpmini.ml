@@ -334,9 +334,9 @@ let prop_pcb_table_eq_reference =
         ops
       && every_key finds)
 
-(* The key packs each port in 16 bits: an insert with a port outside
-   [0, 65535] raises and leaves the table as it was, and a lookup with
-   one finds no connection. *)
+(* The key packs each port in 16 bits: a listen or an insert with a port
+   outside [0, 65535] raises and leaves the table as it was, and a lookup
+   with one finds no connection. *)
 let test_pcb_port_range () =
   let t = Pcb.create_table () in
   let rip = ipa "10.0.0.9" in
@@ -351,9 +351,11 @@ let test_pcb_port_range () =
         (Printf.sprintf "insert_active %d -> %d" local_port rport)
         (fun () -> Pcb.insert_active t ~local_port ~remote:(rip, rport) ()))
     [ (65536, 80); (-1, 80); (80, 65536); (80, -1); (0x1_0000_0050, 80) ];
-  let wide = Pcb.listen t ~port:70000 () in
-  raises "insert_connection on port 70000" (fun () ->
-      Pcb.insert_connection t ~listener:wide ~remote:(rip, 1234));
+  raises "listen on port 70000" (fun () -> Pcb.listen t ~port:70000 ());
+  raises "listen on port -1" (fun () -> Pcb.listen t ~port:(-1) ());
+  let listener = Pcb.listen t ~port:8080 () in
+  raises "insert_connection from port 65536" (fun () ->
+      Pcb.insert_connection t ~listener ~remote:(rip, 65536));
   checki "no connection inserted" 0 (Pcb.connections t);
   (* Port 80 + 2^16 must not alias port 80. *)
   ignore (Pcb.insert_active t ~local_port:80 ~remote:(rip, 1234) ());
