@@ -10,9 +10,8 @@ exception Invalid of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
+(* Size of an mbuf's internal data area, as in 4.4BSD. *)
 let msize = 128
-
-let cluster_size = 2048
 
 (* Spare leading space reserved in a fresh small mbuf so protocol layers can
    prepend headers without allocating (4.4BSD reserves max_linkhdr +

@@ -12,12 +12,6 @@
 
 type t
 
-val msize : int
-(** Size of an mbuf's internal data area (128 bytes, as in 4.4BSD). *)
-
-val cluster_size : int
-(** Size of an external cluster data area (2048 bytes). *)
-
 exception Invalid of string
 (** Raised on out-of-range offsets/lengths. *)
 
@@ -95,7 +89,7 @@ val adj : t -> int -> unit
 val pullup : Pool.t -> t -> int -> t
 (** [pullup pool m n] rearranges the chain so its first [n] bytes are
     contiguous in the first mbuf, copying at most [n] bytes ([n] must be
-    <= {!msize}).  Returns the new head. *)
+    <= 128, the size of an mbuf's data area).  Returns the new head. *)
 
 val split : Pool.t -> t -> int -> t * t
 (** [split pool m n] severs the chain after [n] payload bytes, copying the

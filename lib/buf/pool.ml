@@ -84,9 +84,3 @@ let stats t =
     peak_small = t.small.peak;
     peak_cluster = t.cluster.peak;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "small: %d alloc / %d free / %d live (peak %d); cluster: %d alloc / %d free / %d live (peak %d)"
-    s.small_allocs s.small_frees s.small_in_use s.peak_small s.cluster_allocs
-    s.cluster_frees s.cluster_in_use s.peak_cluster

@@ -37,5 +37,3 @@ val release_cluster : t -> bytes -> unit
 
 val stats : t -> stats
 (** A snapshot of the counters. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -30,7 +30,3 @@ let line_of_addr t addr = addr / t.line_bytes
 let lines_in_range t ~addr ~len =
   if len <= 0 then 0
   else line_of_addr t (addr + len - 1) - line_of_addr t addr + 1
-
-let pp ppf t =
-  Format.fprintf ppf "%dB/%dB-line/%d-way/%dcyc" t.size_bytes t.line_bytes
-    t.associativity t.miss_penalty

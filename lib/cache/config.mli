@@ -35,5 +35,3 @@ val line_of_addr : t -> int -> int
 
 val lines_in_range : t -> addr:int -> len:int -> int
 (** How many distinct lines a byte range touches. *)
-
-val pp : Format.formatter -> t -> unit

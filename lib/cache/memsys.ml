@@ -18,7 +18,7 @@ type t = {
   icache : Cache.t;
   dcache : Cache.t;
   prefetch_discount : float;
-  mutable clock_hz : float;
+  clock_hz : float;
   mutable imisses : int;
   mutable dmisses : int;
   mutable wmisses : int;
@@ -48,16 +48,6 @@ let create ?(icache = Config.paper_default) ?(dcache = Config.paper_default)
   }
 
 let set_probe t p = t.probe <- p
-
-let clock_hz t = t.clock_hz
-
-let set_clock_hz t hz =
-  if hz <= 0.0 then invalid_arg "Memsys.set_clock_hz: clock must be positive";
-  t.clock_hz <- hz
-
-let icache t = t.icache
-
-let dcache t = t.dcache
 
 let fetch_code t ~addr ~len =
   let m = Cache.touch_range t.icache ~addr ~len in

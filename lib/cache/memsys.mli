@@ -48,14 +48,6 @@ val create :
     "some processors can prefetch instructions from the second level
     cache to hide some of the cache miss cost". *)
 
-val clock_hz : t -> float
-
-val set_clock_hz : t -> float -> unit
-
-val icache : t -> Cache.t
-
-val dcache : t -> Cache.t
-
 val fetch_code : t -> addr:int -> len:int -> unit
 (** Reference a code byte range through the I-cache, charging stalls. *)
 

@@ -33,10 +33,6 @@ let create ~sets ~ways =
     evictions = 0;
   }
 
-let sets t = t.sets
-
-let ways t = t.ways
-
 let access t key =
   let set = key land t.mask in
   if t.ways = 1 then begin

@@ -17,10 +17,6 @@ val create : sets:int -> ways:int -> t
 (** Raises [Invalid_argument] unless [sets] is a power of two and
     [ways >= 1]. *)
 
-val sets : t -> int
-
-val ways : t -> int
-
 val access : t -> int -> bool
 (** [access t key] simulates one reference to [key]: [true] on a hit
     (promoting [key] to MRU in its set), [false] on a miss (installing

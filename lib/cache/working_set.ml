@@ -63,5 +63,3 @@ let union a b =
   u
 
 let iter_ranges t f = IMap.iter (fun s e -> f s (e - s)) t.ivals
-
-let clear t = t.ivals <- IMap.empty

@@ -24,5 +24,3 @@ val union : t -> t -> t
 
 val iter_ranges : t -> (int -> int -> unit) -> unit
 (** Iterate maximal touched ranges as [(addr, len)], ascending. *)
-
-val clear : t -> unit

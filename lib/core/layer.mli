@@ -35,16 +35,13 @@ type 'a action =
           allocated list and the steady-state path allocates nothing. *)
   | Down
       (** Send {e the message being handled} downward, unchanged — the
-          allocation-free counterpart of [Send_down msg] ({!down_only}). *)
+          allocation-free counterpart of [Send_down msg]. *)
 
 val up_only : 'a action list
 (** The static list [[Up]].  Return this (rather than writing
     [[ Deliver_up msg ]]) from handlers that pass the message up
     unchanged; it lives in static data, so the handler allocates zero
     minor words. *)
-
-val down_only : 'a action list
-(** The static list [[Down]]. *)
 
 val consume_only : 'a action list
 (** The static list [[Consume]]. *)

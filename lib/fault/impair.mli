@@ -96,6 +96,4 @@ module Reorder : sig
   val flush : 'a buf -> 'a list
 
   val held : 'a buf -> int
-
-  val next_deadline : 'a buf -> float option
 end

@@ -98,6 +98,8 @@ type causes = {
   sig_delivered : int;
 }
 
+(* No copy lost silently: every copy offered to a link and every copy
+   that arrived is accounted for by a recorded cause. *)
 let conserved c =
   c.offered + c.duplicated
   = c.arrived + c.fault_dropped + c.down_dropped + c.flushed + c.crashed
@@ -1304,17 +1306,6 @@ let storm_complete t =
 
 (* Rendering: everything below is byte-deterministic (fixed formats, no
    wall clock, no hashing) — the golden snapshot diffs it verbatim. *)
-
-let latency_percentiles s =
-  [
-    ("p10", Hist.percentile s.latency 0.10);
-    ("p25", Hist.percentile s.latency 0.25);
-    ("p50", Hist.percentile s.latency 0.50);
-    ("p75", Hist.percentile s.latency 0.75);
-    ("p90", Hist.percentile s.latency 0.90);
-    ("p99", Hist.percentile s.latency 0.99);
-    ("max", Hist.max s.latency);
-  ]
 
 let ok_cell b = if b then "ok" else "FAIL"
 

@@ -101,15 +101,6 @@ type causes = {
   sig_delivered : int;  (** Call-storm frames handed to an endpoint. *)
 }
 
-val conserved : causes -> bool
-(** No copy lost silently: every copy offered to a link is delivered,
-    dropped with a recorded cause, or flushed at teardown
-    ([offered + duplicated
-      = arrived + fault_dropped + down_dropped + flushed + crashed]),
-    and every arrived copy is delivered or dropped with a recorded cause
-    ([arrived = delivered + sig_delivered + dup_dropped
-      + corrupt_dropped + lost_in_crash]). *)
-
 type spread = {
   s_wiring : wiring;
   s_config : config;
@@ -276,10 +267,6 @@ val storm_complete : storm -> bool
 
 (** {1 Rendering} *)
 
-val latency_percentiles : spread -> (string * float) list
-(** [(label, seconds)] for the fixed percentile grid used by the tables
-    (p10 p25 p50 p75 p90 p99 max). *)
-
 val render :
   config ->
   pristine:spread list ->
@@ -292,12 +279,7 @@ val render :
     delivered-or-dropped cause ledger, and the call-storm table against
     the 10 000 pairs/s goal.  Deterministic — keep it so. *)
 
-val recovery_table : storm list -> string
-(** Per-wiring recovery summary: completions, abandonments, retries,
-    deferred admissions, goodput, retry amplification, TTR p50/p99 and
-    an [ok] column ([conserved && leak_free && complete]). *)
-
 val render_recovery : config -> storms:storm list -> string
 (** The golden-snapshotted recovery figure: lifecycle and link-plan
-    description, {!recovery_table}, and the delivered-or-abandoned
+    description, a per-wiring recovery table, and the delivered-or-abandoned
     cause ledger per wiring.  Deterministic — keep it so. *)

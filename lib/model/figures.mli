@@ -37,8 +37,6 @@ val clock_sweep :
 (** Figure 7: self-similar Ethernet-like arrivals (the Bellcore-trace
     substitute), latency vs CPU clock.  Default clocks: 10..80 MHz. *)
 
-val default_clocks_mhz : float list
-
 val fig8 : ?step:int -> unit -> Cksum_study.point list
 
 (** {1 Tables from the TCP/IP trace} *)

@@ -59,8 +59,6 @@ let run_service node =
 
 let nic n = n.nic
 
-let name n = n.name
-
 let connect _t a b ~latency ?(loss = 0.0) ?(seed = 1996) ?impair_ab ?impair_ba
     () =
   if latency < 0.0 then invalid_arg "Netsim.connect: negative latency";

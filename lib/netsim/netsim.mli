@@ -47,8 +47,6 @@ val add_node :
 
 val nic : 'a node -> 'a Ldlp_nic.Nic.t
 
-val name : 'a node -> string
-
 val connect :
   'a t ->
   'a node ->

@@ -59,8 +59,6 @@ val wire_take_all : 'a t -> 'a list
 
 val irq_pending : 'a t -> bool
 
-val ack_irq : 'a t -> unit
-
 val rx_available : 'a t -> int
 
 val take_all : 'a t -> 'a list

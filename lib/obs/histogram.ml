@@ -106,13 +106,6 @@ let equal a b =
   a.counts = b.counts && a.count = b.count && a.sum = b.sum && a.vmin = b.vmin
   && a.vmax = b.vmax
 
-let clear t =
-  Array.fill t.counts 0 nbuckets 0;
-  t.count <- 0;
-  t.sum <- 0;
-  t.vmin <- max_int;
-  t.vmax <- min_int
-
 let buckets t =
   let acc = ref [] in
   for b = nbuckets - 1 downto 0 do

@@ -61,8 +61,6 @@ val merge : t -> t -> t
 
 val equal : t -> t -> bool
 
-val clear : t -> unit
-
 val buckets : t -> (int * int * int) list
 (** Non-empty buckets as [(lo, hi, count)], ascending. *)
 

@@ -114,8 +114,6 @@ let span t name =
     t.spans <- t.spans @ [ s ];
     s
 
-let spans t = t.spans
-
 (* ---------- hot-path recorders (no-ops while the gate is off) ---------- *)
 
 let arrival t ~depth =
@@ -237,17 +235,6 @@ let merge ~label a b =
   merge_into ~dst:t a;
   merge_into ~dst:t b;
   t
-
-let clear t =
-  Array.iteri (fun i l -> t.layers.(i) <- fresh_layer l.l_name) t.layers;
-  Histogram.clear t.batch;
-  Histogram.clear t.depth;
-  Histogram.clear t.latency_ns;
-  t.messages <- 0;
-  t.batches <- 0;
-  t.last_layer <- -1;
-  List.iter (fun (_, r) -> r := 0) t.scalars;
-  List.iter Span.clear t.spans
 
 (* The default rendering is fully deterministic for a deterministic run:
    simulated cycles, cache misses, batch/queue/latency histograms.  Host

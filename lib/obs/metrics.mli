@@ -44,8 +44,6 @@ val nlayers : t -> int
 
 val layer : t -> int -> layer
 
-val layer_names : t -> string list
-
 val messages : t -> int
 
 val batches : t -> int
@@ -69,8 +67,6 @@ val scalars : t -> (string * int) list
 
 val span : t -> string -> Span.t
 (** Find-or-create a named span. *)
-
-val spans : t -> Span.t list
 
 (** {1 Hot-path recorders — all no-ops while {!Obs.enabled} is false} *)
 
@@ -120,8 +116,6 @@ val merge_into : dst:t -> t -> unit
     equivalent to having recorded both streams into one sheet. *)
 
 val merge : label:string -> t -> t -> t
-
-val clear : t -> unit
 
 val render : ?host:bool -> t -> string
 (** Deterministic text rendering (for a deterministic run): per-layer

@@ -6,8 +6,6 @@ let enabled_ref =
 
 let enabled () = !enabled_ref
 
-let set_enabled b = enabled_ref := b
-
 let with_enabled b f =
   let was = !enabled_ref in
   enabled_ref := b;

@@ -14,8 +14,6 @@
 
 val enabled : unit -> bool
 
-val set_enabled : bool -> unit
-
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** [with_enabled b f] runs [f] with the gate forced to [b], restoring the
     previous state afterwards (also on exceptions). *)

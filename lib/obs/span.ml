@@ -36,11 +36,6 @@ let merge_into ~dst src =
   dst.total_ns <- dst.total_ns + src.total_ns;
   dst.minor_words <- dst.minor_words + src.minor_words
 
-let clear t =
-  t.calls <- 0;
-  t.total_ns <- 0;
-  t.minor_words <- 0
-
 let summary t =
   Printf.sprintf "%s: calls=%d total=%.3f ms minor-words=%d" t.name t.calls
     (float_of_int t.total_ns /. 1e6)

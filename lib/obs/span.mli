@@ -31,6 +31,4 @@ val time : t -> (unit -> 'a) -> 'a
 val merge_into : dst:t -> t -> unit
 (** Sum [src] into [dst]; the names must match. *)
 
-val clear : t -> unit
-
 val summary : t -> string

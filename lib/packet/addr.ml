@@ -40,8 +40,6 @@ module Mac = struct
   let is_broadcast_at b off = equal_at broadcast b off
 
   let equal = String.equal
-
-  let compare = String.compare
 end
 
 module Ipv4 = struct
@@ -85,6 +83,4 @@ module Ipv4 = struct
     Printf.sprintf "%d.%d.%d.%d" (octet 24) (octet 16) (octet 8) (octet 0)
 
   let equal = Int32.equal
-
-  let compare = Int32.compare
 end

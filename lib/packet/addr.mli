@@ -27,8 +27,6 @@ module Mac : sig
 
   val is_broadcast_at : bytes -> int -> bool
   (** [equal_at broadcast]. *)
-
-  val compare : t -> t -> int
 end
 
 module Ipv4 : sig
@@ -54,6 +52,4 @@ module Ipv4 : sig
   val to_string : t -> string
 
   val equal : t -> t -> bool
-
-  val compare : t -> t -> int
 end

@@ -8,10 +8,6 @@ let ethertype_arp = 0x0806
 
 type error = [ `Too_short of int | `Bad_field of string ]
 
-let pp_error ppf = function
-  | `Too_short n -> Format.fprintf ppf "frame too short (%d bytes)" n
-  | `Bad_field f -> Format.fprintf ppf "bad field: %s" f
-
 let parse buf off len =
   if len < header_bytes then Error (`Too_short len)
   else

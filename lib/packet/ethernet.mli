@@ -17,8 +17,6 @@ val ethertype_arp : int
 
 type error = [ `Too_short of int | `Bad_field of string ]
 
-val pp_error : Format.formatter -> error -> unit
-
 val parse : bytes -> int -> int -> (header * int, error) result
 (** [parse buf off len] reads a header at [off]; on success returns the
     header and the offset of the payload. *)

@@ -14,8 +14,6 @@ type header = {
 
 let header_bytes = 20
 
-let proto_icmp = 1
-
 let proto_tcp = 6
 
 let proto_udp = 17
@@ -25,12 +23,6 @@ type error =
   | `Bad_version of int
   | `Bad_checksum
   | `Bad_field of string ]
-
-let pp_error ppf = function
-  | `Too_short n -> Format.fprintf ppf "datagram too short (%d bytes)" n
-  | `Bad_version v -> Format.fprintf ppf "bad IP version %d" v
-  | `Bad_checksum -> Format.fprintf ppf "bad header checksum"
-  | `Bad_field f -> Format.fprintf ppf "bad field: %s" f
 
 let parse ?(verify_checksum = true) buf off len =
   if len < header_bytes then Error (`Too_short len)

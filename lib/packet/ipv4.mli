@@ -18,8 +18,6 @@ type header = {
 val header_bytes : int
 (** Minimum header size, 20. *)
 
-val proto_icmp : int
-
 val proto_tcp : int
 
 val proto_udp : int
@@ -29,8 +27,6 @@ type error =
   | `Bad_version of int
   | `Bad_checksum
   | `Bad_field of string ]
-
-val pp_error : Format.formatter -> error -> unit
 
 val parse : ?verify_checksum:bool -> bytes -> int -> int -> (header * int, error) result
 (** [parse buf off len] validates version, header length, total length and

@@ -21,16 +21,9 @@ let flag_psh = 0x08
 
 let flag_ack = 0x10
 
-let flag_urg = 0x20
-
 let has_flag h f = h.flags land f <> 0
 
 type error = [ `Too_short of int | `Bad_checksum | `Bad_field of string ]
-
-let pp_error ppf = function
-  | `Too_short n -> Format.fprintf ppf "segment too short (%d bytes)" n
-  | `Bad_checksum -> Format.fprintf ppf "bad TCP checksum"
-  | `Bad_field f -> Format.fprintf ppf "bad field: %s" f
 
 (* Sequence numbers travel as immediate ints in [0, 2^32): read and
    written as two 16-bit halves, never through a boxed [int32]. *)

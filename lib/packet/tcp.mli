@@ -24,13 +24,9 @@ val flag_psh : int
 
 val flag_ack : int
 
-val flag_urg : int
-
 val has_flag : header -> int -> bool
 
 type error = [ `Too_short of int | `Bad_checksum | `Bad_field of string ]
-
-val pp_error : Format.formatter -> error -> unit
 
 val parse : bytes -> int -> int -> (header * int, error) result
 (** Parse without checksum verification (the checksum covers the payload and

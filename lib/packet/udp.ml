@@ -4,11 +4,6 @@ let header_bytes = 8
 
 type error = [ `Too_short of int | `Bad_checksum | `Bad_field of string ]
 
-let pp_error ppf = function
-  | `Too_short n -> Format.fprintf ppf "datagram too short (%d bytes)" n
-  | `Bad_checksum -> Format.fprintf ppf "bad UDP checksum"
-  | `Bad_field f -> Format.fprintf ppf "bad field: %s" f
-
 let parse buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin

@@ -7,8 +7,6 @@ val header_bytes : int
 
 type error = [ `Too_short of int | `Bad_checksum | `Bad_field of string ]
 
-val pp_error : Format.formatter -> error -> unit
-
 val parse : bytes -> int -> int -> (header * int, error) result
 
 val build :

@@ -18,8 +18,6 @@ type state =
   | Active
   | Release_request  (** RELEASE sent, awaiting completion. *)
 
-val state_name : state -> string
-
 val code : state -> int
 (** The state's position in the declaration above, from 0, for storage
     in an int column ({!Switch} keeps both half-calls' states that way). *)

@@ -2,19 +2,13 @@ type t = { id : int; data : string }
 
 let id_called_party = 0x70
 
-let id_calling_party = 0x6C
-
 let id_qos = 0x5C
 
 let id_vpcvci = 0x5A
 
 let id_cause = 0x08
 
-let id_aal_params = 0x58
-
 let called_party addr = { id = id_called_party; data = addr }
-
-let calling_party addr = { id = id_calling_party; data = addr }
 
 let qos cls =
   if cls < 0 || cls > 255 then invalid_arg "Ie.qos: class out of range";
@@ -37,20 +31,7 @@ let rec find id = function
   | [] -> None
   | ie :: rest -> if ie.id = id then Some ie else find id rest
 
-let get_vpc_vci ie =
-  if ie.id <> id_vpcvci || String.length ie.data <> 3 then None
-  else
-    Some
-      ( Char.code ie.data.[0],
-        (Char.code ie.data.[1] lsl 8) lor Char.code ie.data.[2] )
-
-let get_u8 ie = if String.length ie.data = 1 then Some (Char.code ie.data.[0]) else None
-
 type error = [ `Truncated | `Bad_length of int ]
-
-let pp_error ppf = function
-  | `Truncated -> Format.fprintf ppf "truncated information element"
-  | `Bad_length n -> Format.fprintf ppf "bad element length %d" n
 
 let encoded_length ies =
   List.fold_left (fun acc ie -> acc + 3 + String.length ie.data) 0 ies

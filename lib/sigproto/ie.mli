@@ -8,20 +8,8 @@ type t = { id : int; data : string }
 
 val id_called_party : int
 
-val id_calling_party : int
-
-val id_qos : int
-
-val id_vpcvci : int
-
-val id_cause : int
-
-val id_aal_params : int
-
 val called_party : string -> t
 (** Address as an opaque string (e.g. ["switch-b:12"]). *)
-
-val calling_party : string -> t
 
 val qos : int -> t
 (** QoS class 0-255. *)
@@ -33,14 +21,7 @@ val cause : int -> t
 
 val find : int -> t list -> t option
 
-val get_vpc_vci : t -> (int * int) option
-(** Decode a {!vpc_vci} element's payload. *)
-
-val get_u8 : t -> int option
-
 type error = [ `Truncated | `Bad_length of int ]
-
-val pp_error : Format.formatter -> error -> unit
 
 val encoded_length : t list -> int
 

@@ -46,6 +46,7 @@ type t = {
   ies : Ie.t list;
 }
 
+(* Q.93B's. *)
 let protocol_discriminator = 0x09
 
 let header_bytes = 8
@@ -62,14 +63,6 @@ type error =
   | `Unknown_type of int
   | `Bad_length of int
   | Ie.error ]
-
-let pp_error ppf = function
-  | `Too_short n -> Format.fprintf ppf "message too short (%d bytes)" n
-  | `Bad_discriminator d -> Format.fprintf ppf "bad protocol discriminator 0x%02x" d
-  | `Bad_call_ref_length n -> Format.fprintf ppf "bad call reference length %d" n
-  | `Unknown_type c -> Format.fprintf ppf "unknown message type 0x%02x" c
-  | `Bad_length n -> Format.fprintf ppf "bad message length %d" n
-  | #Ie.error as e -> Ie.pp_error ppf e
 
 let encoded_length t = header_bytes + Ie.encoded_length t.ies
 

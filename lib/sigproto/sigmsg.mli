@@ -20,10 +20,6 @@ type msg_type =
   | Status
   | Status_enquiry
 
-val msg_type_code : msg_type -> int
-
-val msg_type_of_code : int -> msg_type option
-
 val msg_type_name : msg_type -> string
 
 type t = {
@@ -35,12 +31,6 @@ type t = {
 
 val v : ?from_originator:bool -> call_ref:int -> msg_type -> Ie.t list -> t
 
-val header_bytes : int
-(** 8. *)
-
-val protocol_discriminator : int
-(** 0x09 (Q.93B). *)
-
 type error =
   [ `Too_short of int
   | `Bad_discriminator of int
@@ -48,8 +38,6 @@ type error =
   | `Unknown_type of int
   | `Bad_length of int
   | Ie.error ]
-
-val pp_error : Format.formatter -> error -> unit
 
 val encoded_length : t -> int
 

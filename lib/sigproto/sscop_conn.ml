@@ -1,11 +1,5 @@
 type state = Idle | Outgoing | Ready | Ending
 
-let state_name = function
-  | Idle -> "idle"
-  | Outgoing -> "outgoing"
-  | Ready -> "ready"
-  | Ending -> "ending"
-
 type config = {
   poll_interval : float;
   response_timeout : float;

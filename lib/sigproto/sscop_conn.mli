@@ -14,8 +14,6 @@
 
 type state = Idle | Outgoing | Ready | Ending
 
-val state_name : state -> string
-
 type config = {
   poll_interval : float;  (** Keep-alive POLL period while data is unacked. *)
   response_timeout : float;  (** BGN/END/POLL response deadline. *)
@@ -35,8 +33,6 @@ type outcome = {
   to_send : bytes list;  (** Frames to put on the wire. *)
   events : event list;
 }
-
-val no_outcome : outcome
 
 type t
 

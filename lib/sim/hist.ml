@@ -35,8 +35,6 @@ let count t = Stats.count t.exact
 
 let mean t = Stats.mean t.exact
 
-let min t = Stats.min t.exact
-
 let max t = Stats.max t.exact
 
 let percentile t p =
@@ -68,10 +66,6 @@ let merge_into ~dst src =
   then invalid_arg "Hist.merge_into: geometry mismatch";
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   Stats.copy_into ~dst:dst.exact (Stats.merge dst.exact src.exact)
-
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  Stats.clear t.exact
 
 let buckets t =
   let acc = ref [] in

@@ -20,8 +20,6 @@ val count : t -> int
 
 val mean : t -> float
 
-val min : t -> float
-
 val max : t -> float
 
 val percentile : t -> float -> float
@@ -33,8 +31,6 @@ val merge_into : dst:t -> t -> unit
 (** Accumulate another histogram's samples.  Both must share the same
     geometry (created with the same bounds); raises [Invalid_argument]
     otherwise. *)
-
-val clear : t -> unit
 
 val buckets : t -> (float * int) list
 (** [(bucket_upper_bound, count)] for non-empty buckets, ascending. *)

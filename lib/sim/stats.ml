@@ -23,13 +23,9 @@ let mean t = if t.n = 0 then 0.0 else t.mean
 
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min t = t.min_v
 
 let max t = t.max_v
-
-let total t = t.mean *. float_of_int t.n
 
 let merge a b =
   if a.n = 0 then { b with n = b.n }
@@ -55,14 +51,3 @@ let copy_into ~dst src =
   dst.m2 <- src.m2;
   dst.min_v <- src.min_v;
   dst.max_v <- src.max_v
-
-let clear t =
-  t.n <- 0;
-  t.mean <- 0.0;
-  t.m2 <- 0.0;
-  t.min_v <- infinity;
-  t.max_v <- neg_infinity
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.n (mean t)
-    (stddev t) t.min_v t.max_v

@@ -15,22 +15,14 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance (n-1 denominator); 0. for fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** [infinity] when empty. *)
 
 val max : t -> float
 (** [neg_infinity] when empty. *)
 
-val total : t -> float
-
 val merge : t -> t -> t
 (** Combine two summaries as if all samples were added to one. *)
 
 val copy_into : dst:t -> t -> unit
 (** Overwrite [dst]'s state with another summary's. *)
-
-val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -45,14 +45,6 @@ let tsv ~header rows =
   List.iter line rows;
   Buffer.contents buf
 
-let fmt_float x =
-  if x = 0.0 then "0"
-  else if Float.is_integer x && Float.abs x < 1e9 then
-    Printf.sprintf "%.0f" x
-  else if Float.abs x >= 0.01 && Float.abs x < 1e6 then
-    Printf.sprintf "%.4g" x
-  else Printf.sprintf "%.3e" x
-
 let fmt_si x =
   let ax = Float.abs x in
   let value, suffix =

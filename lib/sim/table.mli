@@ -6,9 +6,6 @@ val render : header:string list -> string list list -> string
 
 val tsv : header:string list -> string list list -> string
 
-val fmt_float : float -> string
-(** Compact general-purpose float formatting for table cells. *)
-
 val fmt_si : float -> string
 (** Engineering notation with an SI suffix (e.g. ["1.5k"], ["250u"]),
     matching the paper's axis labels (us/ms/s). *)

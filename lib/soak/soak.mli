@@ -64,10 +64,6 @@ type outcome = {
   reordered : int;
 }
 
-val outcome_ok : scenario -> outcome -> bool
-(** [completed && integrity && leak_free], plus zero retransmissions when
-    the plan is pristine and no crash episode is scheduled. *)
-
 type report = {
   scenario : scenario;
   conventional : outcome;

@@ -3,14 +3,6 @@ module Tcp = Ldlp_packet.Tcp
 
 type state = Listen | Syn_sent | Syn_received | Established | Close_wait | Closed
 
-let state_name = function
-  | Listen -> "listen"
-  | Syn_sent -> "syn-sent"
-  | Syn_received -> "syn-received"
-  | Established -> "established"
-  | Close_wait -> "close-wait"
-  | Closed -> "closed"
-
 type seg = {
   seg_seq : int;
   seg_flags : int;

@@ -34,8 +34,6 @@ type state =
   | Close_wait  (** Peer sent FIN; we still may deliver buffered data. *)
   | Closed
 
-val state_name : state -> string
-
 type seg = {
   seg_seq : int;
   seg_flags : int;
@@ -137,10 +135,6 @@ val metrics_scalars : Ldlp_obs.Metrics.t -> table -> unit
 
     Pure sequence-space accounting; the timers that drive it live in
     {!Host}. *)
-
-val seg_span : seg -> int
-(** Sequence space a segment occupies: payload bytes plus one for SYN and
-    one for FIN. *)
 
 val track : t -> now:float -> seq:int -> flags:int -> bytes -> unit
 (** Remember a transmitted segment for retransmission (no-op if a segment

@@ -11,8 +11,6 @@ type t = {
   fn : string;
 }
 
-let kind_name = function Code -> "code" | Load -> "load" | Store -> "store"
-
 let phase_name = function
   | Entry -> "entry"
   | Packet_intr -> "pkt intr"

@@ -20,8 +20,6 @@ type t = {
   fn : string;  (** Function name for code references; [""] for data. *)
 }
 
-val kind_name : kind -> string
-
 val phase_name : phase -> string
 
 val phases : phase list

@@ -17,10 +17,6 @@ let add t e =
 
 let length t = t.len
 
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Tracebuf.get: out of range";
-  t.data.(i)
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f t.data.(i)
@@ -32,5 +28,3 @@ let fold t ~init ~f =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let clear t = t.len <- 0

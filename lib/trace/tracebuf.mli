@@ -8,10 +8,6 @@ val add : t -> Event.t -> unit
 
 val length : t -> int
 
-val get : t -> int -> Event.t
-
 val iter : t -> (Event.t -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-
-val clear : t -> unit

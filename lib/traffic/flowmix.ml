@@ -5,8 +5,6 @@ type config = {
   mean_train : float;
 }
 
-let default ~flows = { flows; sources = 256; alpha = 1.1; mean_train = 8.0 }
-
 let validate c =
   if c.flows <= 0 then invalid_arg "Flowmix: flows must be positive";
   if c.sources <= 0 then invalid_arg "Flowmix: sources must be positive";
@@ -42,8 +40,6 @@ let create ~rng cfg =
     srcs = Array.init cfg.sources (fun _ -> { flow = 0; left = 0 });
     cursor = 0;
   }
-
-let config t = t.cfg
 
 (* First index with cdf.(i) >= u: popular flows get low ranks. *)
 let zipf t =

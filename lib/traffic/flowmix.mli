@@ -21,17 +21,9 @@ type config = {
   mean_train : float;  (** Mean packets per train ([>= 1]). *)
 }
 
-val default : flows:int -> config
-(** 256 sources, Zipf exponent 1.1, mean train length 8. *)
-
 type t
 
 val create : rng:Ldlp_sim.Rng.t -> config -> t
 
-val config : t -> config
-
-val next : t -> int
-(** Next flow key in arrival order, in [\[0, flows)]. *)
-
 val stream : t -> int -> int array
-(** [stream t n] is the next [n] arrivals. *)
+(** [stream t n] is the next [n] arrivals, flow keys in [\[0, flows)]. *)

@@ -30,6 +30,7 @@ let aggregate a m =
       done;
       !sum /. float_of_int m)
 
+(* Needs a few hundred samples for a stable answer. *)
 let estimate ?(min_blocks = 8) series =
   let n = Array.length series in
   if n < min_blocks * 2 then invalid_arg "Hurst.estimate: series too short";

@@ -9,8 +9,4 @@
 val counts : bin:float -> horizon:float -> Source.packet list -> float array
 (** Packet counts per [bin]-second interval over [0, horizon). *)
 
-val estimate : ?min_blocks:int -> float array -> float
-(** Hurst estimate from a count series; requires a few hundred samples for a
-    stable answer.  Result is clamped to [0, 1]. *)
-
 val of_packets : bin:float -> horizon:float -> Source.packet list -> float

@@ -17,10 +17,6 @@ let default =
     peak_rate = 1000.0;
   }
 
-let mean_rate c =
-  let duty = c.mean_on /. (c.mean_on +. c.mean_off) in
-  float_of_int c.sources *. c.peak_rate *. duty
-
 (* Pareto with mean m and shape a (a > 1) has scale m * (a - 1) / a. *)
 let pareto_scale ~mean ~alpha = mean *. (alpha -. 1.0) /. alpha
 

@@ -26,9 +26,6 @@ val default : config
     ~1390 pkt/s aggregate mean — a load that saturates the conventional
     stack just below a 40 MHz clock, reproducing Figure 7's knee. *)
 
-val mean_rate : config -> float
-(** Analytic mean aggregate packet rate. *)
-
 val source :
   rng:Ldlp_sim.Rng.t -> ?config:config -> ?sizes:Sizes.dist -> unit -> Source.t
 (** Infinite aggregated stream; sizes default to {!Sizes.ethernet_mix}. *)

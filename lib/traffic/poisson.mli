@@ -2,9 +2,6 @@
     exponential inter-arrivals at a given rate, 552-byte messages ("a common
     packet size in IP internetworks"). *)
 
-val paper_message_size : int
-(** 552. *)
-
 val source :
   rng:Ldlp_sim.Rng.t ->
   rate:float ->
@@ -13,5 +10,5 @@ val source :
   unit ->
   Source.t
 (** Infinite Poisson stream at [rate] messages/second starting after time 0.
-    Sizes are fixed at [size] (default {!paper_message_size}) unless a
+    Sizes are fixed at [size] (default 552) unless a
     [size_of] sampler is given. *)

@@ -85,18 +85,3 @@ let scale_time t factor =
       match pull t with
       | None -> None
       | Some p -> Some { p with at = p.at *. factor })
-
-let mean_rate = function
-  | [] | [ _ ] -> 0.0
-  | first :: _ as packets ->
-    let last = List.nth packets (List.length packets - 1) in
-    let span = last.at -. first.at in
-    if span <= 0.0 then 0.0
-    else float_of_int (List.length packets - 1) /. span
-
-let mean_size packets =
-  match packets with
-  | [] -> 0.0
-  | _ ->
-    let total = List.fold_left (fun acc p -> acc + p.size) 0 packets in
-    float_of_int total /. float_of_int (List.length packets)

@@ -35,8 +35,3 @@ val merge : t -> t -> t
 
 val scale_time : t -> float -> t
 (** Multiply all arrival times by a factor (slow down / speed up load). *)
-
-val mean_rate : packet list -> float
-(** Packets per second over the list's time span; 0 for fewer than 2. *)
-
-val mean_size : packet list -> float

@@ -6,7 +6,3 @@ val save : string -> Source.packet list -> unit
 
 val load : string -> Source.packet list
 (** Raises [Failure] with a line number on malformed input. *)
-
-val to_channel : out_channel -> Source.packet list -> unit
-
-val of_channel : in_channel -> Source.packet list

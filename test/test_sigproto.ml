@@ -12,19 +12,15 @@ let checks = Alcotest.(check string)
 (* ---------- IEs ---------- *)
 
 let test_ie_constructors () =
-  let ie = Ie.vpc_vci ~vpi:3 ~vci:1234 in
-  (match Ie.get_vpc_vci ie with
-  | Some (3, 1234) -> ()
-  | _ -> Alcotest.fail "vpc/vci roundtrip");
-  (match Ie.get_u8 (Ie.qos 4) with
-  | Some 4 -> ()
-  | _ -> Alcotest.fail "qos");
+  (* VPI byte, then the VCI big-endian: 1234 = 0x04d2. *)
+  checks "vpc/vci" "\x03\x04\xd2" (Ie.vpc_vci ~vpi:3 ~vci:1234).Ie.data;
+  checks "qos" "\x04" (Ie.qos 4).Ie.data;
   checks "called party" "host-b" (Ie.called_party "host-b").Ie.data
 
 let test_ie_find () =
   let ies = [ Ie.qos 1; Ie.called_party "x" ] in
   check "found" true (Ie.find Ie.id_called_party ies <> None);
-  check "absent" true (Ie.find Ie.id_cause ies = None)
+  check "absent" true (Ie.find (Ie.cause 16).Ie.id ies = None)
 
 let test_ie_list_roundtrip () =
   let ies = [ Ie.called_party "addr-1"; Ie.qos 2; Ie.vpc_vci ~vpi:0 ~vci:77 ] in
@@ -84,14 +80,21 @@ let all_types =
     Sigmsg.Status_enquiry;
   ]
 
+(* Each type's code in the message-type byte (byte 5), and back. *)
 let test_msg_type_codes () =
-  List.iter
-    (fun t ->
-      match Sigmsg.msg_type_of_code (Sigmsg.msg_type_code t) with
-      | Some t' -> check "code roundtrip" true (t = t')
-      | None -> Alcotest.fail "code roundtrip")
-    all_types;
-  check "unknown code" true (Sigmsg.msg_type_of_code 0xEE = None)
+  List.iter2
+    (fun t code ->
+      let b = Sigmsg.encode (Sigmsg.v ~call_ref:1 t []) in
+      checki (Sigmsg.msg_type_name t) code (Bytes.get_uint8 b 5);
+      match Sigmsg.decode b with
+      | Ok m -> check "code roundtrip" true (m.Sigmsg.typ = t)
+      | Error _ -> Alcotest.fail "code roundtrip")
+    all_types
+    [ 0x05; 0x02; 0x07; 0x0F; 0x4D; 0x5A; 0x7D; 0x75 ];
+  let b = Sigmsg.encode (Sigmsg.v ~call_ref:1 Sigmsg.Setup []) in
+  Bytes.set_uint8 b 5 0xEE;
+  check "unknown code" true
+    (match Sigmsg.decode b with Error (`Unknown_type 0xEE) -> true | _ -> false)
 
 let test_sigmsg_roundtrip () =
   let m =
@@ -521,7 +524,7 @@ let test_switch_routes_setup () =
     check "setup type" true (m2.Sigmsg.typ = Sigmsg.Setup);
     check "called party forwarded" true
       (Ie.find Ie.id_called_party m2.Sigmsg.ies <> None);
-    check "vci allocated" true (Ie.find Ie.id_vpcvci m2.Sigmsg.ies <> None);
+    check "vci allocated" true (Ie.find (Ie.vpc_vci ~vpi:0 ~vci:0).Ie.id m2.Sigmsg.ies <> None);
     checki "one active call" 1 (Switch.active_calls sw)
   | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
 
