@@ -143,10 +143,18 @@ let input t ~now (h : Ipv4.header) payload =
       in
       let start = h.Ipv4.fragment_offset * 8 in
       let stop = start + len in
+      let ends_early () =
+        List.exists (fun (off, data) -> off + Bytes.length data > stop) entry.chunks
+      in
       match punch entry.holes ~start ~stop with
       | None ->
         Hashtbl.remove t.table key;
         Rejected "overlapping fragment"
+      | Some _ when (not h.Ipv4.more_fragments) && ends_early () ->
+        (* A final fragment that ends before stored data would close
+           every hole and truncate the datagram under that data. *)
+        Hashtbl.remove t.table key;
+        Rejected "final fragment ends before stored data"
       | Some holes ->
         let holes, total =
           if not h.Ipv4.more_fragments then

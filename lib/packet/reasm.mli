@@ -31,7 +31,10 @@ type result =
       (** All fragments arrived; the header is the first fragment's with
           offset/MF cleared and [total_length] restored. *)
   | Pending  (** Stored; more fragments needed. *)
-  | Rejected of string  (** Overlapping/inconsistent/oversized fragment. *)
+  | Rejected of string
+      (** Overlapping/inconsistent/oversized fragment, or a final
+          fragment that ends before data already stored.  An overlap or
+          a short final fragment drops the whole reassembly. *)
 
 val input : t -> now:float -> Ipv4.header -> bytes -> result
 (** Offer one fragment (header plus its payload bytes).  A datagram with

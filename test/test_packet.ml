@@ -554,6 +554,76 @@ let test_reassembly_interleaved_datagrams () =
   check "datagram 2" true
     (match !done2 with Some out -> Bytes.equal out p2 | None -> false)
 
+(* A final fragment (MF clear) that ends before data already stored
+   closes every hole at once; completing would then blit the stored chunk
+   past the end of the datagram.  It is rejected, like an overlap. *)
+let test_reassembly_short_final_rejected () =
+  let r = Reasm.create () in
+  let feed off mf =
+    Reasm.input r ~now:0.0
+      { frag_header with Ipv4.fragment_offset = off; more_fragments = mf }
+      (Bytes.make 8 'x')
+  in
+  check "bytes 0-7 pend" true (feed 0 true = Reasm.Pending);
+  check "bytes 32-39 pend" true (feed 4 true = Reasm.Pending);
+  match feed 1 false with
+  | Reasm.Rejected _ -> checki "reassembly dropped" 0 (Reasm.pending r)
+  | _ -> Alcotest.fail "a final fragment ending before stored data must be rejected"
+
+(* Random fragment streams of one datagram, offsets and lengths in a
+   small range so that gaps, overlaps, duplicates and early final
+   fragments are common.  Feeding them never raises, and every [Complete]
+   holds the bytes of each fragment of its reassembly at that fragment's
+   offset. *)
+let frag_stream_arb =
+  let frag =
+    QCheck.Gen.(
+      let* off = int_bound 5 in
+      let* mf = bool in
+      let* len = if mf then map (( * ) 8) (int_range 1 2) else int_range 1 16 in
+      let+ c = int_bound 255 in
+      ( { frag_header with Ipv4.fragment_offset = off; more_fragments = mf },
+        Bytes.init len (fun i -> Char.chr ((c + i) land 0xFF)) ))
+  in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat " "
+        (List.map
+           (fun (h, p) ->
+             Printf.sprintf "(off %d%s, %d B)" h.Ipv4.fragment_offset
+               (if h.Ipv4.more_fragments then " MF" else "")
+               (Bytes.length p))
+           l))
+    QCheck.Gen.(list_size (1 -- 6) frag)
+
+let prop_reassembly_total =
+  QCheck.Test.make ~name:"reassembly never raises, completes byte-exact"
+    ~count:2000 frag_stream_arb (fun frags ->
+      let r = Reasm.create () in
+      let stored = ref [] in
+      let at_offset out (h, p) =
+        let off = h.Ipv4.fragment_offset * 8 and n = Bytes.length p in
+        off + n <= Bytes.length out && Bytes.equal (Bytes.sub out off n) p
+      in
+      List.for_all
+        (fun (h, p) ->
+          match Reasm.input r ~now:0.0 h p with
+          | Reasm.Pending ->
+            stored := (h, p) :: !stored;
+            true
+          | Reasm.Rejected _ ->
+            if Reasm.pending r = 0 then stored := [];
+            true
+          | Reasm.Complete (_, out) ->
+            if h.Ipv4.fragment_offset = 0 && not h.Ipv4.more_fragments then
+              at_offset out (h, p)
+            else begin
+              let frags = (h, p) :: !stored in
+              stored := [];
+              List.for_all (at_offset out) frags
+            end)
+        frags)
+
 (* ---------- build -> parse roundtrips on random headers ---------- *)
 
 let mac_gen =
@@ -778,6 +848,83 @@ let prop_tcp_cursor_equiv =
       && Tcp.window_at b1 0 = h.Tcp.window
       && Tcp.urgent_at b1 0 = h.Tcp.urgent)
 
+(* ---------- cursor validators against the record parsers on bad input ---------- *)
+
+(* The Host fast path trusts [check_at > 0].  A mutation takes a header
+   [build] made, places it at an offset with random bytes after it, may
+   overwrite total_length (IPv4) or data_offset (TCP) with a lie, flips
+   up to three bits of the first 20 bytes and offers a possibly
+   truncated length.  On every mutant [check_at] must return -1 exactly
+   when [parse] returns [Error], the header length when both accept, and
+   neither may raise. *)
+type mutation = {
+  m_off : int;
+  m_len : int;
+  m_lie : int option;
+  m_flips : (int * int) list;  (* (byte, bit) *)
+  m_tail : string;  (* the 64 bytes after the 20-byte header *)
+}
+
+let mutation_arb =
+  QCheck.make
+    ~print:(fun m ->
+      Printf.sprintf "off %d len %d lie %s flips [%s]" m.m_off m.m_len
+        (match m.m_lie with Some v -> string_of_int v | None -> "-")
+        (String.concat "; "
+           (List.map (fun (i, b) -> Printf.sprintf "%d.%d" i b) m.m_flips)))
+    QCheck.Gen.(
+      let* m_off = int_bound 7 in
+      let* m_len = frequency [ (2, int_bound 64); (1, return 64) ] in
+      let* m_lie =
+        opt (frequency [ (1, int_bound 0xFFFF); (3, int_bound 64) ])
+      in
+      let* m_flips = list_size (0 -- 3) (pair (int_bound 19) (int_bound 7)) in
+      let+ m_tail = string_size (return 64) in
+      { m_off; m_len; m_lie; m_flips; m_tail })
+
+let mutant ~build ~lie m =
+  let b = Bytes.make (m.m_off + 84) '\x00' in
+  build b m.m_off;
+  Bytes.blit_string m.m_tail 0 b (m.m_off + 20) 64;
+  Option.iter (lie b m.m_off) m.m_lie;
+  List.iter
+    (fun (i, bit) ->
+      let j = m.m_off + i in
+      Bytes.set_uint8 b j (Bytes.get_uint8 b j lxor (1 lsl bit)))
+    m.m_flips;
+  b
+
+let agrees check parse off =
+  match parse with Error _ -> check = -1 | Ok (_, payload) -> check = payload - off
+
+let prop_ipv4_check_at_mutants =
+  QCheck.Test.make ~name:"ipv4 check_at = parse on mutated headers"
+    ~count:2000 (QCheck.pair ipv4_arb mutation_arb) (fun (h, m) ->
+      let b =
+        mutant ~build:(Ipv4.build h)
+          ~lie:(fun b off v -> Bytes.set_uint16_be b (off + 2) v)
+          m
+      in
+      List.for_all
+        (fun verify_checksum ->
+          agrees
+            (Ipv4.check_at ~verify_checksum b m.m_off m.m_len)
+            (Ipv4.parse ~verify_checksum b m.m_off m.m_len)
+            m.m_off)
+        [ true; false ])
+
+let prop_tcp_check_at_mutants =
+  QCheck.Test.make ~name:"tcp check_at = parse on mutated headers"
+    ~count:2000 (QCheck.pair tcp_arb mutation_arb) (fun (h, m) ->
+      let b =
+        mutant ~build:(Tcp.build h)
+          ~lie:(fun b off v ->
+            let j = off + 12 in
+            Bytes.set_uint8 b j (((v land 0xF) lsl 4) lor (Bytes.get_uint8 b j land 0xF)))
+          m
+      in
+      agrees (Tcp.check_at b m.m_off m.m_len) (Tcp.parse b m.m_off m.m_len) m.m_off)
+
 (* ---------- header fields against a byte-at-a-time reference ---------- *)
 
 (* The codecs read and write a 16-bit field as one load or store, and a
@@ -966,6 +1113,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ethernet_cursor_equiv;
     QCheck_alcotest.to_alcotest prop_ipv4_cursor_equiv;
     QCheck_alcotest.to_alcotest prop_tcp_cursor_equiv;
+    QCheck_alcotest.to_alcotest prop_ipv4_check_at_mutants;
+    QCheck_alcotest.to_alcotest prop_tcp_check_at_mutants;
     QCheck_alcotest.to_alcotest prop_header_fields;
     QCheck_alcotest.to_alcotest prop_udp_build_parse;
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
@@ -978,4 +1127,7 @@ let suite =
     Alcotest.test_case "reassembly timeout" `Quick test_reassembly_timeout;
     Alcotest.test_case "reassembly interleaved" `Quick test_reassembly_interleaved_datagrams;
     QCheck_alcotest.to_alcotest prop_fragment_reassemble_roundtrip;
+    Alcotest.test_case "reassembly short final fragment" `Quick
+      test_reassembly_short_final_rejected;
+    QCheck_alcotest.to_alcotest prop_reassembly_total;
   ]

@@ -304,6 +304,37 @@ let missing_targets ~makefile text =
     (fun name -> not (List.exists (fun t -> target_matches t name) targets))
     (named_targets text)
 
+(* Each run of whitespace as one space, so that a line break inside a
+   quoted title does not matter. *)
+let squash s =
+  String.split_on_char ' ' (String.map (function '\n' | '\t' | '\r' -> ' ' | c -> c) s)
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
+(* The ROADMAP item titles a text cites, in the three forms the docs use:
+   ROADMAP.md ("title"), ROADMAP, "title" and ROADMAP "title". *)
+let cited_titles text =
+  let text = squash text in
+  let n = String.length text in
+  let forms = [ "ROADMAP.md (\""; "ROADMAP, \""; "ROADMAP \"" ] in
+  let at i f = i + String.length f <= n && String.sub text i (String.length f) = f in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      match List.find_opt (at i) forms with
+      | None -> go (i + 1) acc
+      | Some f -> (
+        let start = i + String.length f in
+        match String.index_from_opt text start '"' with
+        | Some stop -> go (stop + 1) (String.sub text start (stop - start) :: acc)
+        | None -> List.rev acc)
+  in
+  go 0 []
+
+let missing_titles ~roadmap text =
+  let roadmap = squash roadmap in
+  List.filter (fun t -> not (contains roadmap t)) (cited_titles text)
+
 (* ROADMAP and CHANGES are history, and name deleted code on purpose. *)
 let test_docs_name_existing_paths () =
   Alcotest.(check (list string))
@@ -325,6 +356,16 @@ let test_docs_name_existing_paths () =
     (missing_targets ~makefile
        "`make flowtable`, `make flows`, `make bench-sweeps`, `make bench-`, \
         `make check`.");
+  let roadmap = read_committed "ROADMAP.md" in
+  Alcotest.(check (list string))
+    "titles found" [ "A b"; "C, d"; "E" ]
+    (cited_titles
+       "See ROADMAP.md\n(\"A\n   b\"); (ROADMAP, \"C, d\"); ROADMAP \"E\"; not ROADMAPS \"F\".");
+  Alcotest.(check (list string))
+    "a made-up title is missing" [ "A roadmap item that does not exist" ]
+    (missing_titles ~roadmap
+       "ROADMAP, \"One persistent domain pool, and a sharded\n\
+        wall-clock gate that resolves\"; ROADMAP \"A roadmap item that does not exist\".");
   List.iter
     (fun doc ->
       let text = read_committed doc in
@@ -332,7 +373,10 @@ let test_docs_name_existing_paths () =
         (doc ^ " names only existing paths") [] (missing_paths text);
       Alcotest.(check (list string))
         (doc ^ " names only defined make targets") []
-        (missing_targets ~makefile text))
+        (missing_targets ~makefile text);
+      Alcotest.(check (list string))
+        (doc ^ " cites only existing ROADMAP titles") []
+        (missing_titles ~roadmap text))
     [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md"; ".claude/skills/verify/SKILL.md" ]
 
 let soak_row ?(loss = 0.01) ?(goodput = 2345.5) ?(retransmits = 3)
