@@ -1,6 +1,7 @@
 # Local CI gate.  `make check` = build + formatting + tests (unit,
-# property and golden-figure) + the 1-vs-2-domain determinism comparison
-# + the differential-oracle replay + every seeded experiment.
+# property and golden-figure, and the exported-surface check of
+# test/surface) + the 1-vs-2-domain determinism comparison + the
+# differential-oracle replay + every seeded experiment.
 
 DOMAINS ?= 2
 
