@@ -4,8 +4,6 @@ let header_bytes = 14
 
 let ethertype_ipv4 = 0x0800
 
-let ethertype_arp = 0x0806
-
 type error = [ `Too_short of int | `Bad_field of string ]
 
 let parse buf off len =

@@ -12,9 +12,6 @@ val header_bytes : int
 val ethertype_ipv4 : int
 (** 0x0800. *)
 
-val ethertype_arp : int
-(** 0x0806. *)
-
 type error = [ `Too_short of int | `Bad_field of string ]
 
 val parse : bytes -> int -> int -> (header * int, error) result

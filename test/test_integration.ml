@@ -202,7 +202,7 @@ let test_tcp_path_mixed_traffic () =
     {
       Ldlp_packet.Ethernet.dst = Ldlp_packet.Addr.Mac.broadcast;
       src = Ldlp_packet.Addr.Mac.of_string "02:00:00:00:00:01";
-      ethertype = Ldlp_packet.Ethernet.ethertype_arp;
+      ethertype = 0x0806 (* ARP *);
     }
   in
   let arp = Ldlp_packet.Ethernet.encapsulate arp hdr in
