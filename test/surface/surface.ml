@@ -58,7 +58,8 @@ let exports root =
   |> List.concat_map (fun path ->
          let cmt = Cmt_format.read_cmt path in
          match cmt.cmt_annots with
-         | Interface sg -> List.rev (sig_values cmt.cmt_modname "" [] sg.sig_items)
+         | Interface sg ->
+             List.rev (sig_values cmt.cmt_modname "" [] sg.sig_items)
          | _ -> [])
 
 (* Uses outside the defining module, by uid: [true] once a program (not
@@ -122,9 +123,13 @@ let scan_uses path =
         | Texp_ident (p, _, vd) -> (
             match (local_name own p, vd.val_uid) with
             | Some local, _ -> Hashtbl.replace inside (unit, local) ()
+            (* A local binding: its uid is numbered like the unit's
+               interface items, so it must not be looked up as one. *)
             | None, Item { comp_unit; _ } when comp_unit = unit -> ()
             | None, uid ->
-                let prog = Option.value (Shape.Uid.Tbl.find_opt outside uid) ~default:false in
+                let prog =
+                  Option.value (Shape.Uid.Tbl.find_opt outside uid) ~default:false
+                in
                 Shape.Uid.Tbl.replace outside uid (prog || not test))
         | _ -> ());
         Tast_iterator.default_iterator.expr sub e
@@ -139,7 +144,8 @@ let read_allowlist path =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map (fun line ->
          match String.index_opt line ' ' with
-         | Some i when String.trim (String.sub line i (String.length line - i)) <> "" ->
+         | Some i
+           when String.trim (String.sub line i (String.length line - i)) <> "" ->
              String.sub line 0 i
          | _ ->
              Printf.printf "allowlist line without a reason: %s\n" line;
@@ -163,7 +169,8 @@ let () =
       match Shape.Uid.Tbl.find_opt outside e.uid with
       | Some true -> ()
       | Some false -> test_only := name :: !test_only
-      | None when Hashtbl.mem inside (e.unit, e.local) -> own_only := name :: !own_only
+      | None when Hashtbl.mem inside (e.unit, e.local) ->
+          own_only := name :: !own_only
       | None -> unused := name :: !unused)
     exports;
   let report title names =
@@ -175,9 +182,11 @@ let () =
   let missing = List.filter (fun n -> not (List.mem n allowed)) !test_only in
   let stale = List.filter (fun n -> not (List.mem n !test_only)) allowed in
   report "exported, used by nothing: delete it" !unused;
-  report "exported, used only inside its own module: drop it from the .mli" !own_only;
-  report "exported, used outside its module only by tests, not allowlisted" missing;
+  report "exported, used only inside its own module: drop it from the .mli"
+    !own_only;
+  report "exported, used outside its module only by tests, not allowlisted"
+    missing;
   report "allowlisted, but not a test-only export" stale;
-  Printf.printf "surface: %d exported values, %d test-only (allowlisted)\n"
+  Printf.printf "surface: %d exported values, %d of them test-only\n"
     (List.length exports) (List.length !test_only);
   if !unused <> [] || !own_only <> [] || missing <> [] || stale <> [] then exit 1
