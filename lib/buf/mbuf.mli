@@ -20,9 +20,6 @@ exception Invalid of string
 val get : Pool.t -> t
 (** One empty mbuf with the default leading space reserved. *)
 
-val get_cluster : Pool.t -> t
-(** One empty cluster-backed mbuf. *)
-
 val free : Pool.t -> t -> unit
 (** Return an entire chain to the pool.  The chain must not be used after. *)
 

@@ -20,13 +20,6 @@ type point = {
   simple_cold : float;
 }
 
-val time :
-  routine:[ `Elaborate | `Simple ] ->
-  cache:[ `Warm | `Cold ] ->
-  msg_bytes:int ->
-  float
-(** Modelled cycles for one checksum call. *)
-
 val series : ?step:int -> ?max_bytes:int -> unit -> point list
 (** Points for message sizes 0 .. [max_bytes] (default 1000) every [step]
     (default 16) bytes. *)

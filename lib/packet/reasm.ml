@@ -63,13 +63,9 @@ type result = Complete of Ipv4.header * bytes | Pending | Rejected of string
 let pending t = Hashtbl.length t.table
 
 let expire t ~now =
-  let dead =
-    Hashtbl.fold
-      (fun k e acc -> if now -. e.started > t.timeout then k :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) dead;
-  List.length dead
+  Hashtbl.filter_map_inplace
+    (fun _ e -> if now -. e.started > t.timeout then None else Some e)
+    t.table
 
 let evict_oldest t =
   let oldest =
@@ -111,7 +107,7 @@ let punch holes ~start ~stop =
   if covered then go [] holes else None
 
 let input t ~now (h : Ipv4.header) payload =
-  ignore (expire t ~now);
+  expire t ~now;
   if h.Ipv4.fragment_offset = 0 && not h.Ipv4.more_fragments then
     Complete (h, payload)
   else begin

@@ -38,11 +38,8 @@ type result =
 
 val input : t -> now:float -> Ipv4.header -> bytes -> result
 (** Offer one fragment (header plus its payload bytes).  A datagram with
-    offset 0 and MF clear completes immediately. *)
+    offset 0 and MF clear completes immediately.  Reassemblies older
+    than the timeout are dropped first. *)
 
 val pending : t -> int
 (** Reassemblies in progress. *)
-
-val expire : t -> now:float -> int
-(** Drop reassemblies older than the timeout; returns how many died.
-    [input] calls this implicitly. *)

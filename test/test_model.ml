@@ -30,26 +30,34 @@ let test_cksum_study_crossover () =
   let x = Cksum_study.cold_crossover () in
   check (Printf.sprintf "cold crossover %d near 900" x) true (x >= 700 && x <= 1100)
 
+(* Figure 8's points at exactly these message sizes. *)
+let cksum_points sizes =
+  let points =
+    List.filter
+      (fun p -> List.mem p.Cksum_study.msg_bytes sizes)
+      (Cksum_study.series ~step:8 ~max_bytes:1000 ())
+  in
+  Alcotest.(check int) "one point per size" (List.length sizes) (List.length points);
+  points
+
 let test_cksum_study_warm_elaborate_wins () =
   (* Warm cache: the elaborate routine wins at nearly all sizes. *)
   List.iter
-    (fun n ->
+    (fun p ->
       check
-        (Printf.sprintf "warm elaborate faster at %d" n)
+        (Printf.sprintf "warm elaborate faster at %d" p.Cksum_study.msg_bytes)
         true
-        (Cksum_study.time ~routine:`Elaborate ~cache:`Warm ~msg_bytes:n
-        < Cksum_study.time ~routine:`Simple ~cache:`Warm ~msg_bytes:n))
-    [ 128; 256; 512; 1000 ]
+        (p.Cksum_study.elaborate_warm < p.Cksum_study.simple_warm))
+    (cksum_points [ 128; 256; 512; 1000 ])
 
 let test_cksum_study_cold_simple_wins_small () =
   List.iter
-    (fun n ->
+    (fun p ->
       check
-        (Printf.sprintf "cold simple faster at %d" n)
+        (Printf.sprintf "cold simple faster at %d" p.Cksum_study.msg_bytes)
         true
-        (Cksum_study.time ~routine:`Simple ~cache:`Cold ~msg_bytes:n
-        < Cksum_study.time ~routine:`Elaborate ~cache:`Cold ~msg_bytes:n))
-    [ 128; 256; 512 ]
+        (p.Cksum_study.simple_cold < p.Cksum_study.elaborate_cold))
+    (cksum_points [ 128; 256; 512 ])
 
 let test_cksum_study_fill_costs () =
   let fe = Cksum_study.fill_cost ~routine:`Elaborate ~msg_bytes:40 in
