@@ -46,7 +46,6 @@ type t = {
   ies : Ie.t list;
 }
 
-(* Q.93B's. *)
 let protocol_discriminator = 0x09
 
 let header_bytes = 8
