@@ -127,8 +127,11 @@ let () =
       (Netsim.add_node net ~name:"callee"
          ~nic:(Nic.create ~rx_slots:256 ~tx_slots:256 ())
          ~service:(service b) ());
+  (* One drop engine serves both directions: a single seeded stream
+     decides every frame's fate in wire order. *)
+  let lossy = Ldlp_fault.(Impair.create ~seed:42 (Plan.v ~drop:loss ())) in
   Netsim.connect net (Option.get a.node) (Option.get b.node) ~latency:0.002
-    ~loss ~seed:42 ();
+    ~impair_ab:lossy ~impair_ba:lossy ();
 
   (* Bring the SAAL link up, then place calls on a schedule: setup at T,
      hangup at T + 80 ms. *)

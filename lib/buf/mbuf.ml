@@ -105,14 +105,12 @@ let append_bytes pool m b =
     end
   done
 
-let of_bytes pool ?(leading = lead_space) b =
-  if leading < 0 || leading > msize then invalid "of_bytes: bad leading %d" leading;
+let of_bytes pool b =
   let head = get pool in
-  head.off <- leading;
   append_bytes pool head b;
   head
 
-let of_string pool ?leading s = of_bytes pool ?leading (Bytes.of_string s)
+let of_string pool s = of_bytes pool (Bytes.of_string s)
 
 let rec get_byte_from m pos =
   if pos < m.len then Char.code (Bytes.get m.data (m.off + pos))

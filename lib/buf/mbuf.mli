@@ -18,16 +18,16 @@ exception Invalid of string
 (** {1 Allocation} *)
 
 val get : Pool.t -> t
-(** One empty mbuf with the default leading space reserved. *)
+(** One empty mbuf with 64 bytes of leading space reserved. *)
 
 val free : Pool.t -> t -> unit
 (** Return an entire chain to the pool.  The chain must not be used after. *)
 
-val of_bytes : Pool.t -> ?leading:int -> bytes -> t
+val of_bytes : Pool.t -> bytes -> t
 (** Build a chain holding a copy of [bytes], split across mbufs/clusters as
-    needed.  [leading] reserves that much spare space in the first mbuf. *)
+    needed, with 64 bytes of leading space in the first mbuf. *)
 
-val of_string : Pool.t -> ?leading:int -> string -> t
+val of_string : Pool.t -> string -> t
 
 (** {1 Inspection} *)
 
@@ -76,8 +76,8 @@ val fold_segments : t -> ('a -> bytes -> int -> int -> 'a) -> 'a -> 'a
 val prepend : t -> int -> t
 (** [prepend m n] makes room for an [n]-byte header in front of the payload,
     allocating nothing when the first mbuf has leading space (the common
-    case), otherwise raising [Invalid] — callers must reserve space via
-    [leading].  Returns the (possibly same) chain head. *)
+    case), otherwise raising [Invalid].  Returns the (possibly same) chain
+    head. *)
 
 val adj : t -> int -> unit
 (** [adj m n] trims [n] bytes: from the front when positive (header strip),

@@ -13,8 +13,11 @@ type stats = {
   peak_cluster : int;
 }
 
-(* One size class: a LIFO free list over an array that grows up to the
-   pool's [max_free], and the class's counters.  Everything is mutated in
+(* Each free list holds at most this many buffers. *)
+let max_free = 4096
+
+(* One size class: a LIFO free list over an array that grows up to
+   [max_free], and the class's counters.  Everything is mutated in
    place, so an alloc/release pair touches no heap at steady state. *)
 type cls = {
   size : int;
@@ -26,13 +29,12 @@ type cls = {
   mutable peak : int;
 }
 
-type t = { max_free : int; small : cls; cluster : cls }
+type t = { small : cls; cluster : cls }
 
 let cls size =
   { size; free = [||]; nfree = 0; allocs = 0; frees = 0; in_use = 0; peak = 0 }
 
-let create ?(max_free = 4096) () =
-  { max_free; small = cls small_size; cluster = cls cluster_size }
+let create () = { small = cls small_size; cluster = cls cluster_size }
 
 let alloc c =
   c.allocs <- c.allocs + 1;
@@ -44,13 +46,13 @@ let alloc c =
     c.free.(c.nfree)
   end
 
-let release t c b =
+let release c b =
   c.frees <- c.frees + 1;
   c.in_use <- c.in_use - 1;
-  if c.nfree < t.max_free then begin
+  if c.nfree < max_free then begin
     if c.nfree = Array.length c.free then begin
       let grown =
-        Array.make (Int.min t.max_free (Int.max 16 (2 * c.nfree))) Bytes.empty
+        Array.make (Int.min max_free (Int.max 16 (2 * c.nfree))) Bytes.empty
       in
       Array.blit c.free 0 grown 0 c.nfree;
       c.free <- grown
@@ -66,12 +68,12 @@ let alloc_cluster t = alloc t.cluster
 let release_small t b =
   if Bytes.length b <> small_size then
     invalid_arg "Pool.release_small: wrong buffer size";
-  release t t.small b
+  release t.small b
 
 let release_cluster t b =
   if Bytes.length b <> cluster_size then
     invalid_arg "Pool.release_cluster: wrong buffer size";
-  release t t.cluster b
+  release t.cluster b
 
 let stats t =
   {

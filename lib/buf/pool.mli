@@ -24,8 +24,8 @@ type stats = {
   peak_cluster : int;
 }
 
-val create : ?max_free:int -> unit -> t
-(** [max_free] bounds each free list (default 4096 buffers). *)
+val create : unit -> t
+(** Each free list holds at most 4096 buffers. *)
 
 val alloc_small : t -> bytes
 

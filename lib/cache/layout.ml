@@ -1,14 +1,15 @@
 type region = { base : int; len : int }
 
 type strategy =
-  | Random of { rng : Ldlp_sim.Rng.t; space_bytes : int }
+  | Random of Ldlp_sim.Rng.t
   | Sequential of { gap_bytes : int; mutable cursor : int }
 
 type t = { line_bytes : int; strategy : strategy }
 
-let random ~rng ~line_bytes ?(space_bytes = 256 * 1024 * 1024) () =
-  if space_bytes <= 0 then invalid_arg "Layout.random: empty space";
-  { line_bytes; strategy = Random { rng; space_bytes } }
+(* The address space random placement draws from. *)
+let space_bytes = 256 * 1024 * 1024
+
+let random ~rng ~line_bytes () = { line_bytes; strategy = Random rng }
 
 let sequential ~line_bytes ?(gap_bytes = 0) () =
   { line_bytes; strategy = Sequential { gap_bytes; cursor = 0 } }
@@ -21,7 +22,7 @@ let alloc t len =
   if len < 0 then invalid_arg "Layout.alloc: negative length";
   let len = max t.line_bytes (round_up_line t len) in
   match t.strategy with
-  | Random { rng; space_bytes } ->
+  | Random rng ->
     let lines_in_space = space_bytes / t.line_bytes in
     let lines_needed = len / t.line_bytes in
     let max_start = max 1 (lines_in_space - lines_needed) in

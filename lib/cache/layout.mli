@@ -12,9 +12,9 @@ type t
 type region = { base : int; len : int }
 (** A placed region: byte address [base], [len] bytes. *)
 
-val random : rng:Ldlp_sim.Rng.t -> line_bytes:int -> ?space_bytes:int -> unit -> t
-(** Uniform placement within a [space_bytes] address space (default 256 MB).
-    A region never straddles the end of the space. *)
+val random : rng:Ldlp_sim.Rng.t -> line_bytes:int -> unit -> t
+(** Uniform placement within a 256 MB address space.  A region never
+    straddles the end of the space. *)
 
 val sequential : line_bytes:int -> ?gap_bytes:int -> unit -> t
 (** Pack regions one after another, [gap_bytes] of padding between them. *)

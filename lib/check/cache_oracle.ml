@@ -93,7 +93,7 @@ let pp_op ppf = function
   | Probe a -> Format.fprintf ppf "probe %#x" a
   | Flush -> Format.fprintf ppf "flush"
 
-let random_ops ~rng ?hot_lines ?(cold_span = 1 lsl 20) n =
+let random_ops ~rng ?hot_lines n =
   let module R = Ldlp_sim.Rng in
   (* Default hot set: sized by the caller per config; 3x a typical 256-line
      cache keeps reuse high enough that both hits and evictions happen. *)
@@ -101,7 +101,7 @@ let random_ops ~rng ?hot_lines ?(cold_span = 1 lsl 20) n =
   List.init n (fun _ ->
       match R.int rng 100 with
       | r when r < 55 -> Access_line (R.int rng hot)
-      | r when r < 70 -> Access_line (R.int rng cold_span)
+      | r when r < 70 -> Access_line (R.int rng (1 lsl 20))
       | r when r < 80 -> Access (R.int rng (hot * 32))
       | r when r < 88 ->
         Touch_range { addr = R.int rng (hot * 32); len = R.int rng 256 }

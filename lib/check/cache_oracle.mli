@@ -45,11 +45,11 @@ type op =
   | Flush
 
 val random_ops :
-  rng:Ldlp_sim.Rng.t -> ?hot_lines:int -> ?cold_span:int -> int -> op list
+  rng:Ldlp_sim.Rng.t -> ?hot_lines:int -> int -> op list
 (** A stream of [n] operations: mostly line accesses inside a hot working
     set of [hot_lines] lines (default 3x the cache) so hits, misses,
     evictions and set conflicts all occur; occasional far-away accesses
-    within [cold_span] lines, byte-granularity accesses, range touches,
+    within 2{^20} lines, byte-granularity accesses, range touches,
     residency probes, and rare flushes.  Most range touches are under
     256 bytes; 1 op in 100 is a 6,144-byte range (one paper layer's code)
     and 1 in 100 a range of up to [hot_lines * 32] bytes, so a single

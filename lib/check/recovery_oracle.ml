@@ -101,8 +101,11 @@ let equivalence storms =
     in
     check rest
 
-let run ?domains ?(shards = 3) ?recovery ?pairs ?calls_per_pair cfg =
-  let storms = Mesh.compare_storm ?domains ?recovery ?pairs ?calls_per_pair cfg in
+(* The shard count of the shard-merge probe. *)
+let shards = 3
+
+let run ?domains ?calls_per_pair cfg =
+  let storms = Mesh.compare_storm ?domains ?calls_per_pair cfg in
   let rec each n = function
     | [] -> Ok n
     | (t : Mesh.storm) :: tl -> (
@@ -132,7 +135,7 @@ let run ?domains ?(shards = 3) ?recovery ?pairs ?calls_per_pair cfg =
       (* Retry-count determinism: the same run twice is equal in every
          field, TTR samples and RNG-jittered backoffs included. *)
       let again =
-        Mesh.run_storm ~wiring:Mesh.Ldlp ?recovery ?pairs ?calls_per_pair cfg
+        Mesh.run_storm ~wiring:Mesh.Ldlp ?calls_per_pair cfg
       in
       let once =
         List.find (fun (t : Mesh.storm) -> t.Mesh.t_wiring = Mesh.Ldlp) storms
@@ -142,8 +145,7 @@ let run ?domains ?(shards = 3) ?recovery ?pairs ?calls_per_pair cfg =
       else
         (* Shard-merge exactness under the crash plan. *)
         let sh =
-          Mesh.run_storm_sharded ~wiring:Mesh.Duplex ~shards ?recovery ?pairs
-            ?calls_per_pair cfg
+          Mesh.run_storm_sharded ~wiring:Mesh.Duplex ~shards ?calls_per_pair cfg
         in
         let base =
           List.find

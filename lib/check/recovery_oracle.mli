@@ -26,13 +26,10 @@ val pp_divergence : Format.formatter -> divergence -> unit
 
 val run :
   ?domains:int ->
-  ?shards:int ->
-  ?recovery:Ldlp_mesh.Mesh.recovery ->
-  ?pairs:int ->
   ?calls_per_pair:int ->
   Ldlp_mesh.Mesh.config ->
   (int, divergence) result
-(** [Ok n] reports the number of checks that passed.  [shards] (default
-    3) sizes the shard-merge probe.  The config should carry a
-    non-empty [lifecycle] (or an explicit [recovery]) for the checks to
-    exercise the recovery driver rather than vacuously pass. *)
+(** [Ok n] reports the number of checks that passed.  The shard-merge
+    probe runs at 3 shards.  The config should carry a non-empty
+    [lifecycle] for the checks to exercise the recovery driver rather
+    than vacuously pass. *)

@@ -471,13 +471,9 @@ let rx_chain ~discipline ~layers ?up ?down ?on_handled ?on_consume ?intake_limit
   add_rx_nodes t layers ~down_route:(fun _ -> To_down);
   finish t Rx_chain metrics
 
-let tx_chain ~discipline ~layers ?wire ?up ?on_handled ?on_consume ?intake_limit
-    ?on_shed ?metrics () =
+let tx_chain ~discipline ~layers ?wire ?up ?on_handled ?metrics () =
   let layers = stack "Engine.tx_chain" layers in
-  let t =
-    create ~discipline ?up ?down:wire ?on_handled ?on_consume ?intake_limit
-      ?on_shed ()
-  in
+  let t = create ~discipline ?up ?down:wire ?on_handled () in
   add_tx_nodes t layers ~base:0;
   finish t Tx_chain metrics
 

@@ -110,9 +110,6 @@ val tx_chain :
   ?wire:('a Msg.t -> unit) ->
   ?up:('a Msg.t -> unit) ->
   ?on_handled:(int -> 'a Layer.t -> 'a Msg.t -> unit) ->
-  ?on_consume:('a Msg.t -> unit) ->
-  ?intake_limit:int ->
-  ?on_shed:('a Msg.t -> unit) ->
   ?metrics:Ldlp_obs.Metrics.t ->
   unit ->
   'a t
@@ -122,7 +119,7 @@ val tx_chain :
     the lowest non-empty node has the highest priority (it is closest to
     the wire).  [wire] receives frames leaving below layer 0; [up]
     receives any [Deliver_up] a transmit handler emits (e.g.
-    loopback). *)
+    loopback).  Its submission queue is unbounded. *)
 
 (** {1 Protocol graphs and custom topologies} *)
 

@@ -11,6 +11,3 @@ let enabled () = !enabled_ref
 let set_enabled b = enabled_ref := b
 
 let check cond what = if !enabled_ref && not cond then raise (Violation what)
-
-let checkf cond what =
-  if !enabled_ref && not (cond ()) then raise (Violation what)

@@ -23,7 +23,3 @@ val check : bool -> string -> unit
     [cond] is false.  Keep [cond] cheap: it is evaluated eagerly at the
     call site, so hot paths should guard expensive conditions with
     {!enabled} themselves. *)
-
-val checkf : (unit -> bool) -> string -> unit
-(** Like {!check} but the condition is only evaluated when checking is
-    enabled — for conditions that are themselves O(queue length). *)

@@ -79,7 +79,7 @@ let pool ?(capacity = 0) ?dummy () =
     released = 0;
   }
 
-let acquire p ?(flow = 0) ~arrival ~size payload =
+let acquire p ~arrival ~size payload =
   let m =
     if p.nfree > 0 then begin
       p.nfree <- p.nfree - 1;
@@ -92,7 +92,7 @@ let acquire p ?(flow = 0) ~arrival ~size payload =
   in
   m.id <- fresh_id ();
   m.arrival <- arrival;
-  m.flow <- flow;
+  m.flow <- 0;
   m.size <- size;
   m.payload <- payload;
   m.pool_state <- 2 * p.tag;

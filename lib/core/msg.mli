@@ -65,11 +65,11 @@ val pool : ?capacity:int -> ?dummy:'a -> unit -> 'a pool
     also resets the payload to it so recycled slots do not pin dead
     payloads. *)
 
-val acquire : 'a pool -> ?flow:int -> arrival:float -> size:int -> 'a -> 'a t
-(** Pop (or create) a record, overwrite its fields, assign a fresh unique
-    id (the same id sequence {!make} draws from, so pooled and heap
-    messages interleave deterministically).  The caller owns the message
-    until {!release}. *)
+val acquire : 'a pool -> arrival:float -> size:int -> 'a -> 'a t
+(** Pop (or create) a record, overwrite its fields (flow 0), assign a
+    fresh unique id (the same id sequence {!make} draws from, so pooled
+    and heap messages interleave deterministically).  The caller owns the
+    message until {!release}. *)
 
 val release : 'a pool -> 'a t -> unit
 (** Return a message to the freelist.  Raises [Invalid_argument] on a

@@ -22,7 +22,10 @@ let poisson_workload ~rng ~rate ~duration ~size =
   in
   go [] 0.0
 
-let run ~discipline ~layers ~make_payload ?(buffer_cap = 500)
+(* The paper's Figure 6 input buffer, in messages. *)
+let buffer_cap = 500
+
+let run ~discipline ~layers ~make_payload
     ?(service = fun ~batch:_ _ -> 0.0) ?metrics workload =
   let latency = Ldlp_sim.Hist.create () in
   (* Scalar refs are registered up front (find-or-create is setup-time

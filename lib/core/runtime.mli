@@ -30,13 +30,12 @@ val run :
   discipline:Engine.discipline ->
   layers:Ldlp_buf.Mbuf.t Layer.t list ->
   make_payload:(size:int -> Ldlp_buf.Mbuf.t) ->
-  ?buffer_cap:int ->
   ?service:(batch:int -> Ldlp_buf.Mbuf.t Msg.t -> float) ->
   ?metrics:Ldlp_obs.Metrics.t ->
   workload list ->
   report
-(** Default [buffer_cap] 500 (the paper's Figure 6 buffer), default
-    [service] zero-cost (pure functional check).  The per-message service
+(** Arrivals finding 500 messages buffered (the paper's Figure 6 buffer)
+    are dropped.  Default [service] zero-cost (pure functional check).  The per-message service
     time receives the batch size the message was processed under, so
     callers can model the amortisation LDLP buys.
 

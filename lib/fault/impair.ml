@@ -131,12 +131,16 @@ let emit t frame =
   in
   { frame; delay }
 
+(* A reordered frame is held at most this long (seconds) when traffic
+   stops: the wire flushes it after this regardless. *)
+let hold_timeout = 0.05
+
 (* One copy through corruption, jitter and the reorder window. *)
 let pass_copy t ~now f =
   let em = emit t f in
   let hold = t.plan.Plan.reorder > 0.0 && Rng.bool t.rng t.plan.Plan.reorder in
   if hold then t.reordered <- t.reordered + 1;
-  Reorder.push t.reorder ~hold ~deadline:(now +. t.plan.Plan.hold_timeout) em
+  Reorder.push t.reorder ~hold ~deadline:(now +. hold_timeout) em
 
 let send t ~now frame =
   t.offered <- t.offered + 1;
@@ -183,9 +187,9 @@ let drop_frame t frame =
 (* Per-cause counters as an Obs.Metrics scalar sheet: a no-op unless the
    observability gate is on (add_scalar is gated), so chaos runs cost
    nothing extra in normal operation. *)
-let metrics_scalars ?(prefix = "fault.") m t =
+let metrics_scalars m t =
   let put name v =
-    Ldlp_obs.Metrics.add_scalar (Ldlp_obs.Metrics.scalar m (prefix ^ name)) v
+    Ldlp_obs.Metrics.add_scalar (Ldlp_obs.Metrics.scalar m ("fault." ^ name)) v
   in
   put "offered" t.offered;
   put "delivered" t.delivered;

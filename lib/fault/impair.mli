@@ -71,12 +71,12 @@ val stats : 'a t -> stats
 (** A snapshot of the counters, which the engine keeps as mutable fields
     and bumps in place. *)
 
-val metrics_scalars : ?prefix:string -> Ldlp_obs.Metrics.t -> 'a t -> unit
+val metrics_scalars : Ldlp_obs.Metrics.t -> 'a t -> unit
 (** Publish the per-cause counters (drops, duplicates, corruptions,
     reorder holds, down-episode drops, teardown flushes, frames still
     held) as scalars on an observability sheet, each named
-    [prefix ^ cause] ([prefix] defaults to ["fault."]).  Gated like every
-    metric: a no-op unless observability is enabled. *)
+    ["fault." ^ cause].  Gated like every metric: a no-op unless
+    observability is enabled. *)
 
 (** The reorder window by itself, for differential testing against a
     reference replay: a held value is released after [window] subsequent

@@ -4,7 +4,6 @@ type t = {
   corrupt : float;
   reorder : float;
   reorder_window : int;
-  hold_timeout : float;
   jitter : float;
   down : (float * float) list;
 }
@@ -16,7 +15,6 @@ let none =
     corrupt = 0.0;
     reorder = 0.0;
     reorder_window = 4;
-    hold_timeout = 0.05;
     jitter = 0.0;
     down = [];
   }
@@ -32,7 +30,6 @@ let validate t =
   prob "reorder" t.reorder;
   if t.reorder > 0.0 && t.reorder_window < 1 then
     invalid_arg "Plan: reorder requires a window >= 1";
-  if t.hold_timeout < 0.0 then invalid_arg "Plan: negative hold_timeout";
   if t.jitter < 0.0 then invalid_arg "Plan: negative jitter";
   ignore
     (List.fold_left
@@ -43,11 +40,8 @@ let validate t =
        0.0 t.down)
 
 let v ?(drop = 0.0) ?(dup = 0.0) ?(corrupt = 0.0) ?(reorder = 0.0)
-    ?(reorder_window = 4) ?(hold_timeout = 0.05) ?(jitter = 0.0) ?(down = []) ()
-    =
-  let t =
-    { drop; dup; corrupt; reorder; reorder_window; hold_timeout; jitter; down }
-  in
+    ?(reorder_window = 4) ?(jitter = 0.0) ?(down = []) () =
+  let t = { drop; dup; corrupt; reorder; reorder_window; jitter; down } in
   validate t;
   t
 

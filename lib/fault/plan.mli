@@ -16,10 +16,8 @@ type t = {
           [reorder_window] later frames have passed, [0, 1). *)
   reorder_window : int;
       (** How many subsequent frames overtake a held frame.  Must be >= 1
-          when [reorder > 0]. *)
-  hold_timeout : float;
-      (** Upper bound (seconds) a reordered frame is held when traffic
-          stops — the wire flushes it after this long regardless. *)
+          when [reorder > 0].  When traffic stops, the wire flushes a
+          held frame after 50 ms regardless. *)
   jitter : float;  (** Extra uniform-random latency in [0, jitter) seconds. *)
   down : (float * float) list;
       (** Scheduled link-down episodes [(start, stop)); frames sent while
@@ -35,17 +33,16 @@ val v :
   ?corrupt:float ->
   ?reorder:float ->
   ?reorder_window:int ->
-  ?hold_timeout:float ->
   ?jitter:float ->
   ?down:(float * float) list ->
   unit ->
   t
 (** Build and {!validate} a plan.  Defaults are all zero (= {!none});
-    [reorder_window] defaults to 4 and [hold_timeout] to 50 ms. *)
+    [reorder_window] defaults to 4. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on probabilities outside [0, 1), a negative
-    jitter/timeout, a non-positive window with [reorder > 0], or
+    jitter, a non-positive window with [reorder > 0], or
     unsorted/overlapping down episodes. *)
 
 val is_none : t -> bool

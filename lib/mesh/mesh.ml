@@ -23,15 +23,18 @@ type config = {
   degree : int;
   seed : int;
   broadcasts : int;
-  payload_bytes : int;
   plan : Plan.t;
-  link_latency : float;
   lifecycle : Plan.host array;
 }
 
+(* Broadcast frame payload, bytes, and per-hop propagation delay,
+   seconds. *)
+let payload_bytes = 64
+
+let link_latency = 1e-4
+
 let config ?(hosts = 64) ?(degree = 4) ?(seed = 1996) ?(broadcasts = 16)
-    ?(payload_bytes = 64) ?(plan = Plan.none) ?(link_latency = 1e-4)
-    ?(lifecycle = [||]) () =
+    ?(plan = Plan.none) ?(lifecycle = [||]) () =
   Plan.validate plan;
   if hosts < 2 then invalid_arg "Mesh.config: hosts < 2";
   if degree < 1 || degree >= hosts then
@@ -41,13 +44,10 @@ let config ?(hosts = 64) ?(degree = 4) ?(seed = 1996) ?(broadcasts = 16)
   if degree = 1 && hosts > 2 then
     invalid_arg "Mesh.config: degree 1 on more than 2 hosts is never connected";
   if broadcasts < 0 then invalid_arg "Mesh.config: broadcasts < 0";
-  if payload_bytes < 0 then invalid_arg "Mesh.config: payload_bytes < 0";
-  if link_latency <= 0.0 then invalid_arg "Mesh.config: link_latency <= 0";
   if Array.length lifecycle <> 0 && Array.length lifecycle <> hosts then
     invalid_arg "Mesh.config: lifecycle must cover all hosts (or be empty)";
   Array.iter Plan.validate_host lifecycle;
-  { hosts; degree; seed; broadcasts; payload_bytes; plan; link_latency;
-    lifecycle }
+  { hosts; degree; seed; broadcasts; plan; lifecycle }
 
 let chaos_plan =
   Plan.v ~drop:0.05 ~dup:0.02 ~corrupt:0.001 ~reorder:0.1 ~reorder_window:4 ()
@@ -222,7 +222,7 @@ and schedule_emissions net ~now d = function
   | (e : frame Impair.emission) :: rest ->
     let g = e.Impair.frame in
     Sim.at net.sim
-      (now +. net.cfg.link_latency +. e.Impair.delay)
+      (now +. link_latency +. e.Impair.delay)
       (fun () -> deliver net d g);
     schedule_emissions net ~now d rest
 
@@ -572,7 +572,7 @@ let run_spread ~wiring cfg =
                 dst = -1;
                 born = t;
                 hops = 0;
-                fbytes = cfg.payload_bytes;
+                fbytes = payload_bytes;
                 corrupt = false;
                 pbase = 0.0;
                 penalty = 0.0;
@@ -718,13 +718,12 @@ let storm_pair_count ~topo ?pairs cfg =
    fact {!run_storm_sharded} exploits. *)
 (* Returns the storm plus the per-host modeled-CPU vector the sharded
    merge needs for an FP-exact total. *)
-let run_storm_core ~wiring ~topo ~sel ?recovery ?pairs ?(calls_per_pair = 4) cfg
-    =
-  (* The retry engine turns on with an explicit policy or whenever hosts
-     can die; the legacy driver below is untouched otherwise, so every
-     pre-crash golden stays byte-identical. *)
-  let rec_on = recovery <> None || Array.length cfg.lifecycle > 0 in
-  let rc = Option.value recovery ~default:default_recovery in
+let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
+  (* The retry engine turns on whenever hosts can die; the legacy driver
+     below is untouched otherwise, so every pre-crash golden stays
+     byte-identical. *)
+  let rec_on = Array.length cfg.lifecycle > 0 in
+  let rc = default_recovery in
   let net = make_net ~wiring ~topo cfg in
   let ne = Topology.edge_count net.topo in
   let np = storm_pair_count ~topo:net.topo ?pairs cfg in
@@ -1090,15 +1089,15 @@ let run_storm_core ~wiring ~topo ~sel ?recovery ?pairs ?(calls_per_pair = 4) cfg
   },
   net.host_cpu
 
-let run_storm ~wiring ?recovery ?pairs ?calls_per_pair cfg =
+let run_storm ~wiring ?pairs ?calls_per_pair cfg =
   fst
     (run_storm_core ~wiring ~topo:(generate_topology cfg)
        ~sel:(fun _ -> true)
-       ?recovery ?pairs ?calls_per_pair cfg)
+       ?pairs ?calls_per_pair cfg)
 
-let compare_storm ?domains ?recovery ?pairs ?calls_per_pair cfg =
+let compare_storm ?domains ?calls_per_pair cfg =
   Ldlp_par.Pool.map ?domains
-    (fun w -> run_storm ~wiring:w ?recovery ?pairs ?calls_per_pair cfg)
+    (fun w -> run_storm ~wiring:w ?calls_per_pair cfg)
     all_wirings
 
 (* ---------- sharded storm ---------- *)
@@ -1157,7 +1156,7 @@ let merge_causes a b =
     lost_in_crash = a.lost_in_crash + b.lost_in_crash;
   }
 
-let run_storm_sharded ~wiring ~shards ?recovery ?pairs ?calls_per_pair cfg =
+let run_storm_sharded ~wiring ~shards ?pairs ?calls_per_pair cfg =
   if shards < 1 then invalid_arg "Mesh.run_storm_sharded: shards < 1";
   (* Generated once: every shard reads the same immutable topology. *)
   let topo = generate_topology cfg in
@@ -1174,7 +1173,7 @@ let run_storm_sharded ~wiring ~shards ?recovery ?pairs ?calls_per_pair cfg =
       (fun s ->
         run_storm_core ~wiring ~topo
           ~sel:(fun k -> shard_of_pair k = s)
-          ?recovery ?pairs ?calls_per_pair cfg)
+          ?pairs ?calls_per_pair cfg)
       (Array.init shards Fun.id)
   in
   let storms = Array.map fst parts in
@@ -1414,8 +1413,8 @@ let render cfg ~pristine ~chaos ~storms =
         broadcasts\n"
        (cfg.hosts * cfg.degree / 2)
        ecc
-       (Table.fmt_si cfg.link_latency)
-       cfg.payload_bytes cfg.broadcasts);
+       (Table.fmt_si link_latency)
+       payload_bytes cfg.broadcasts);
   if pristine <> [] then begin
     Buffer.add_string b "\n-- spread: pristine --\n";
     Buffer.add_string b (spread_table pristine);

@@ -53,9 +53,7 @@ type config = {
   degree : int;
   seed : int;  (** Seeds topology, schedules and per-link impairment. *)
   broadcasts : int;  (** Spread-protocol injections per run. *)
-  payload_bytes : int;  (** Broadcast frame payload size. *)
   plan : Ldlp_fault.Plan.t;  (** Applied to every link, both directions. *)
-  link_latency : float;  (** Per-hop propagation delay, seconds. *)
   lifecycle : Ldlp_fault.Plan.host array;
       (** Per-host crash/restart schedule; [[||]] = every host immortal.
           When non-empty, must have one entry per host. *)
@@ -66,15 +64,14 @@ val config :
   ?degree:int ->
   ?seed:int ->
   ?broadcasts:int ->
-  ?payload_bytes:int ->
   ?plan:Ldlp_fault.Plan.t ->
-  ?link_latency:float ->
   ?lifecycle:Ldlp_fault.Plan.host array ->
   unit ->
   config
-(** Defaults: 64 hosts, degree 4, seed 1996, 16 broadcasts, 64-byte
-    payloads, pristine plan, 100 us links, no crashes.  Validates the
-    plan, the lifecycle and the topology constraints. *)
+(** Defaults: 64 hosts, degree 4, seed 1996, 16 broadcasts, pristine
+    plan, no crashes.  Broadcasts carry 64-byte payloads and every link
+    delays 100 us.  Validates the plan, the lifecycle and the topology
+    constraints. *)
 
 val chaos_plan : Ldlp_fault.Plan.t
 (** The acceptance chaos mix shared with the soak matrix: 5% loss, 2%
@@ -139,29 +136,6 @@ val compare_spread : ?domains:int -> config -> spread list
     sequential setup/teardown pairs: SETUP, CONNECT, immediate RELEASE —
     the workload behind the paper's 10 000 pairs/s goal. *)
 
-(** Retry/backoff/admission policy for the recovery driver.  The driver
-    turns on when a policy is passed explicitly or the config carries a
-    non-empty lifecycle; otherwise storms run the legacy
-    fire-and-supervise driver, byte-identical to previous releases. *)
-type recovery = {
-  attempt_timeout : float;  (** Give up on one attempt after this long. *)
-  backoff_base : float;  (** First retry delay; doubles per failure. *)
-  backoff_max : float;  (** Exponential backoff clamp. *)
-  backoff_jitter : float;
-      (** Uniform extra delay in [[0, jitter)], drawn from a private
-          per-pair stream so the retry timeline is wiring-invariant. *)
-  retry_budget : int;
-      (** Failures tolerated before the call is abandoned for good. *)
-  admit_limit : int;
-      (** Per-host outstanding-attempt cap: new setups beyond it are
-          deferred (shed at intake), never dropped mid-flight. *)
-  admit_delay : float;  (** Re-offer a refused admission after this. *)
-}
-
-val default_recovery : recovery
-(** 10 ms attempts, 2 ms..50 ms backoff with 1 ms jitter, 6 retries,
-    2 outstanding attempts per host, 2 ms admission retry. *)
-
 type storm = {
   t_wiring : wiring;
   pairs : int;  (** Endpoint pairs (distinct mesh links). *)
@@ -185,19 +159,20 @@ type storm = {
 }
 
 val run_storm :
-  wiring:wiring ->
-  ?recovery:recovery ->
-  ?pairs:int ->
-  ?calls_per_pair:int ->
-  config ->
-  storm
+  wiring:wiring -> ?pairs:int -> ?calls_per_pair:int -> config -> storm
 (** Defaults: [max 1 (hosts / 8)] pairs, 4 calls per pair.  The pairs
-    are spread evenly over the canonical edge list. *)
+    are spread evenly over the canonical edge list.
+
+    A config with a non-empty lifecycle turns on the recovery driver:
+    10 ms attempts, 2 ms..50 ms exponential backoff with 1 ms of jitter
+    drawn from a private per-pair stream (so the retry timeline is
+    wiring-invariant), 6 retries before a call is abandoned, and at most
+    2 outstanding attempts per host (further setups are deferred and
+    re-offered after 2 ms, never dropped mid-flight).  Otherwise storms
+    run the legacy fire-and-supervise driver. *)
 
 val compare_storm :
   ?domains:int ->
-  ?recovery:recovery ->
-  ?pairs:int ->
   ?calls_per_pair:int ->
   config ->
   storm list
@@ -214,7 +189,6 @@ type storm_sharded = {
 val run_storm_sharded :
   wiring:wiring ->
   shards:int ->
-  ?recovery:recovery ->
   ?pairs:int ->
   ?calls_per_pair:int ->
   config ->

@@ -60,12 +60,7 @@ let point msg_bytes =
     simple_cold = time ~routine:`Simple ~cache:`Cold ~msg_bytes;
   }
 
-let series ?(step = 16) ?(max_bytes = 1000) () =
-  if step <= 0 then invalid_arg "Cksum_study.series: bad step";
-  let rec go acc n =
-    if n > max_bytes then List.rev acc else go (point n :: acc) (n + step)
-  in
-  go [] 0
+let series () = List.init 63 (fun i -> point (16 * i))
 
 let cold_crossover () =
   let rec find n =

@@ -20,9 +20,8 @@ type point = {
   simple_cold : float;
 }
 
-val series : ?step:int -> ?max_bytes:int -> unit -> point list
-(** Points for message sizes 0 .. [max_bytes] (default 1000) every [step]
-    (default 16) bytes. *)
+val series : unit -> point list
+(** Points for message sizes 0 .. 992 every 16 bytes. *)
 
 val cold_crossover : unit -> int
 (** Smallest message size at which the elaborate routine beats the simple

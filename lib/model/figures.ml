@@ -40,13 +40,12 @@ type clock_point = {
 let default_clocks_mhz = [ 10.; 15.; 20.; 25.; 30.; 40.; 50.; 60.; 70.; 80. ]
 
 let clock_sweep ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(clocks_mhz = default_clocks_mhz) ?(onoff = Ldlp_traffic.Onoff.default) ()
-    =
+    ?(clocks_mhz = default_clocks_mhz) () =
   pmap ?domains
     (fun clock_mhz ->
       let make_source rng =
         Ldlp_traffic.Source.limit_time
-          (Ldlp_traffic.Onoff.source ~rng ~config:onoff ())
+          (Ldlp_traffic.Onoff.source ~rng ())
           params.Params.seconds
       in
       let run discipline =
@@ -56,18 +55,22 @@ let clock_sweep ?domains ?(params = Params.quick) ?(seed = 1996)
       { clock_mhz; cv = run Simrun.Conventional; ld = run Simrun.Ldlp })
     clocks_mhz
 
-let fig8 ?step () = Cksum_study.series ?step ()
+let fig8 () = Cksum_study.series ()
 
-let table1 ?(seed = 42) () =
-  let s = Ldlp_trace.Synth.generate ~seed () in
+(* The synthetic TCP/IP trace behind Tables 1 and 3, Figure 1 and the
+   Section 5.4 ablations. *)
+let trace () = Ldlp_trace.Synth.generate ()
+
+let table1 () =
+  let s = trace () in
   Ldlp_trace.Analyze.table1 s.Ldlp_trace.Synth.trace
 
-let table3 ?(seed = 42) () =
-  let s = Ldlp_trace.Synth.generate ~seed () in
+let table3 () =
+  let s = trace () in
   Ldlp_trace.Analyze.line_size_sweep s.Ldlp_trace.Synth.trace
 
-let figure1 ?(seed = 42) () =
-  let s = Ldlp_trace.Synth.generate ~seed () in
+let figure1 () =
+  let s = trace () in
   ( Ldlp_trace.Analyze.phases s.Ldlp_trace.Synth.trace,
     Ldlp_trace.Analyze.functions s.Ldlp_trace.Synth.trace )
 
@@ -77,8 +80,8 @@ type batch_point = {
   r : Simrun.result;
 }
 
-let ablation_batch ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 8000.0) () =
+let ablation_batch ?domains ?(params = Params.quick) ?(seed = 1996) () =
+  let rate = 8000.0 in
   let policies =
     [
       Ldlp_core.Batch.Fixed 1;
@@ -109,12 +112,11 @@ type density_point = {
   dl : Simrun.result;
 }
 
-let ablation_density ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 6000.0) () =
+let ablation_density ?domains ?(params = Params.quick) ?(seed = 1996) () =
   pmap ?domains
     (fun code_scale ->
       let params = Params.scale_code params code_scale in
-      let make_source = poisson_source params rate in
+      let make_source = poisson_source params 6000.0 in
       let run discipline =
         Simrun.run_avg ~params ~discipline ~seed ~make_source ()
       in
@@ -127,27 +129,26 @@ type linesize_point = {
   ll : Simrun.result;
 }
 
-let ablation_linesize ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 6000.0) () =
+let ablation_linesize ?domains ?(params = Params.quick) ?(seed = 1996) () =
   pmap ?domains
     (fun line_bytes ->
       let cache =
         Ldlp_cache.Config.v ~size_bytes:8192 ~line_bytes ~miss_penalty:20 ()
       in
       let params = { params with Params.icache = cache; dcache = cache } in
-      let make_source = poisson_source params rate in
+      let make_source = poisson_source params 6000.0 in
       let run discipline =
         Simrun.run_avg ~params ~discipline ~seed ~make_source ()
       in
       { line_bytes; lc = run Simrun.Conventional; ll = run Simrun.Ldlp })
     [ 16; 32; 64; 128 ]
 
-let ablation_dilution ?(seed = 42) () =
-  let s = Ldlp_trace.Synth.generate ~seed () in
+let ablation_dilution () =
+  let s = trace () in
   Ldlp_trace.Analyze.dilution s.Ldlp_trace.Synth.trace
 
-let ablation_relayout ?(seed = 42) () =
-  let s = Ldlp_trace.Synth.generate ~seed () in
+let ablation_relayout () =
+  let s = trace () in
   Ldlp_trace.Relayout.miss_comparison s.Ldlp_trace.Synth.trace
 
 type assoc_point = { ways : int; ac : Simrun.result; al : Simrun.result }
@@ -157,8 +158,7 @@ let run_pair params seed rate =
   let run discipline = Simrun.run_avg ~params ~discipline ~seed ~make_source () in
   (run Simrun.Conventional, run Simrun.Ldlp)
 
-let ablation_associativity ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 6000.0) () =
+let ablation_associativity ?domains ?(params = Params.quick) ?(seed = 1996) () =
   pmap ?domains
     (fun ways ->
       let cache =
@@ -166,45 +166,42 @@ let ablation_associativity ?domains ?(params = Params.quick) ?(seed = 1996)
           ~miss_penalty:20 ()
       in
       let params = { params with Params.icache = cache; dcache = cache } in
-      let ac, al = run_pair params seed rate in
+      let ac, al = run_pair params seed 6000.0 in
       { ways; ac; al })
     [ 1; 2; 4 ]
 
 type prefetch_point = { discount : float; pc : Simrun.result; pl : Simrun.result }
 
-let ablation_prefetch ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 6000.0) () =
+let ablation_prefetch ?domains ?(params = Params.quick) ?(seed = 1996) () =
   pmap ?domains
     (fun discount ->
       let params = { params with Params.prefetch_discount = discount } in
-      let pc, pl = run_pair params seed rate in
+      let pc, pl = run_pair params seed 6000.0 in
       { discount; pc; pl })
     [ 1.0; 0.5; 0.25 ]
 
 type machine_point = { label : string; mc : Simrun.result; ml : Simrun.result }
 
-let machine_points ?domains seed rate configs =
+let machine_points ?domains seed configs =
   pmap ?domains
     (fun (label, params) ->
-      let mc, ml = run_pair params seed rate in
+      let mc, ml = run_pair params seed 6000.0 in
       { label; mc; ml })
     configs
 
-let ablation_unified ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 6000.0) () =
+let ablation_unified ?domains ?(params = Params.quick) ?(seed = 1996) () =
   let unified_params =
     let cache =
       Ldlp_cache.Config.v ~size_bytes:16384 ~line_bytes:32 ~miss_penalty:20 ()
     in
     { params with Params.icache = cache; dcache = cache; unified_cache = true }
   in
-  machine_points ?domains seed rate
+  machine_points ?domains seed
     [ ("split 8K+8K", params); ("unified 16K", unified_params) ]
 
-let ablation_layout ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rate = 6000.0) () =
+let ablation_layout ?domains ?(params = Params.quick) ?(seed = 1996) () =
   let packed_params = { params with Params.packed_layout = true; runs = 1 } in
-  machine_points ?domains seed rate
+  machine_points ?domains seed
     [ ("random placement", params); ("dense (Cord-like)", packed_params) ]
 
 type ilp_point = {
@@ -214,8 +211,7 @@ type ilp_point = {
   i_ldlp : Simrun.result;
 }
 
-let comparison_ilp ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rates = [ 2000.0; 6000.0; 9000.0 ]) () =
+let comparison_ilp ?domains ?(params = Params.quick) ?(seed = 1996) () =
   pmap ?domains
     (fun irate ->
       let make_source = poisson_source params irate in
@@ -228,7 +224,7 @@ let comparison_ilp ?domains ?(params = Params.quick) ?(seed = 1996)
         i_ilp = run Simrun.Ilp;
         i_ldlp = run Simrun.Ldlp;
       })
-    rates
+    [ 2000.0; 6000.0; 9000.0 ]
 
 type goal_check = {
   offered : float;
@@ -239,7 +235,7 @@ type goal_check = {
           meaningful. *)
 }
 
-let extension_goal ?domains ?(seed = 1996) ?(runs = 5) () =
+let extension_goal ?domains ?(seed = 1996) () =
   (* A signalling stack: link + SSCOP + Q.93B + call control.  Per-layer
      working sets average ~5 KB of code; messages are ~120 bytes; each
      layer spends ~1200 cycles per message.  20 000 msg/s = the paper's
@@ -253,7 +249,7 @@ let extension_goal ?domains ?(seed = 1996) ?(runs = 5) () =
       base_cycles_per_layer = 1140;
       cycles_per_byte = 0.5;
       msg_bytes = 120;
-      runs;
+      runs = 5;
       seconds = 0.5;
     }
   in
@@ -301,14 +297,13 @@ let table1_profile =
     (fun (code, data) -> (code, data, 6880 * code / total_code))
     rows
 
-let extension_tcp_stack ?domains ?(seed = 1996)
-    ?(rates = [ 1000.0; 3000.0; 6000.0; 9000.0 ]) ?(runs = 5) () =
+let extension_tcp_stack ?domains ?(seed = 1996) () =
   let params =
     {
       Params.paper with
       Params.profile = Some table1_profile;
       layers = List.length table1_profile;
-      runs;
+      runs = 5;
       seconds = 0.3;
     }
   in
@@ -319,7 +314,7 @@ let extension_tcp_stack ?domains ?(seed = 1996)
         Simrun.run_avg ~params ~discipline ~seed ~make_source ()
       in
       { t_rate; tc = run Simrun.Conventional; tl = run Simrun.Ldlp })
-    rates
+    [ 1000.0; 3000.0; 6000.0; 9000.0 ]
 
 type granularity_point = {
   nlayers : int;
@@ -328,8 +323,7 @@ type granularity_point = {
   gl : Simrun.result;
 }
 
-let ablation_granularity ?domains ?(seed = 1996) ?(rate = 8000.0) ?(runs = 5)
-    () =
+let ablation_granularity ?domains ?(seed = 1996) () =
   (* The paper's stack, re-partitioned at constant totals: 30720 B code,
      1280 B layer data, 8260 execution cycles per 552-byte message. *)
   pmap ?domains
@@ -342,11 +336,11 @@ let ablation_granularity ?domains ?(seed = 1996) ?(rate = 8000.0) ?(runs = 5)
           layer_data_bytes = 1280 / nlayers;
           base_cycles_per_layer = 6880 / nlayers;
           cycles_per_byte = 2.5 /. float_of_int nlayers;
-          runs;
+          runs = 5;
           seconds = 0.3;
         }
       in
-      let make_source = poisson_source params rate in
+      let make_source = poisson_source params 8000.0 in
       let run discipline =
         Simrun.run_avg ~params ~discipline ~seed ~make_source ()
       in
@@ -366,8 +360,7 @@ type txside_point = {
   tx_ldlp : Simrun.result;
 }
 
-let extension_txside ?domains ?(params = Params.quick) ?(seed = 1996)
-    ?(rates = [ 2000.0; 6000.0; 9000.0 ]) () =
+let extension_txside ?domains ?(params = Params.quick) ?(seed = 1996) () =
   pmap ?domains
     (fun rate ->
       let make_source = poisson_source params rate in
@@ -381,7 +374,7 @@ let extension_txside ?domains ?(params = Params.quick) ?(seed = 1996)
         tx_conv = run `Transmit Simrun.Conventional;
         tx_ldlp = run `Transmit Simrun.Ldlp;
       })
-    rates
+    [ 2000.0; 6000.0; 9000.0 ]
 
 let sweep_selftest ?(domains = 2) () =
   let params = { Params.quick with Params.runs = 2; seconds = 0.05 } in

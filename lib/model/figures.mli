@@ -31,22 +31,20 @@ val clock_sweep :
   ?params:Params.t ->
   ?seed:int ->
   ?clocks_mhz:float list ->
-  ?onoff:Ldlp_traffic.Onoff.config ->
   unit ->
   clock_point list
 (** Figure 7: self-similar Ethernet-like arrivals (the Bellcore-trace
     substitute), latency vs CPU clock.  Default clocks: 10..80 MHz. *)
 
-val fig8 : ?step:int -> unit -> Cksum_study.point list
+val fig8 : unit -> Cksum_study.point list
 
 (** {1 Tables from the TCP/IP trace} *)
 
-val table1 : ?seed:int -> unit -> Ldlp_trace.Analyze.table1
+val table1 : unit -> Ldlp_trace.Analyze.table1
 
-val table3 : ?seed:int -> unit -> Ldlp_trace.Analyze.sweep_row list
+val table3 : unit -> Ldlp_trace.Analyze.sweep_row list
 
 val figure1 :
-  ?seed:int ->
   unit ->
   Ldlp_trace.Analyze.phase_summary list * Ldlp_trace.Analyze.func_touch list
 
@@ -56,8 +54,8 @@ type batch_point = { policy : Ldlp_core.Batch.policy; at_rate : float; r : Simru
 
 val ablation_batch :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> batch_point list
-(** LDLP under different batch policies at one (heavy) rate. *)
+  ?params:Params.t -> ?seed:int -> unit -> batch_point list
+(** LDLP under different batch policies at one heavy rate, 8000 msg/s. *)
 
 type density_point = {
   code_scale : float;  (** 1.0 = Alpha-sized code; ~0.5 = i386-sized. *)
@@ -67,9 +65,11 @@ type density_point = {
 
 val ablation_density :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> density_point list
+  ?params:Params.t -> ?seed:int -> unit -> density_point list
 (** Section 5.2: denser (CISC-like) code shrinks the working set, speeding
-    up the conventional stack and shrinking LDLP's advantage. *)
+    up the conventional stack and shrinking LDLP's advantage.  At 6000
+    msg/s, as are the line-size, associativity, prefetch, unified-cache
+    and layout ablations. *)
 
 type linesize_point = {
   line_bytes : int;
@@ -79,14 +79,14 @@ type linesize_point = {
 
 val ablation_linesize :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> linesize_point list
+  ?params:Params.t -> ?seed:int -> unit -> linesize_point list
 (** Section 5.3: larger I-cache lines cut miss counts for code. *)
 
-val ablation_dilution : ?seed:int -> unit -> Ldlp_trace.Analyze.dilution
+val ablation_dilution : unit -> Ldlp_trace.Analyze.dilution
 (** Section 5.4: how much of the fetched code is never executed, and what a
     dense (Cord/Mosberger-style) layout would save. *)
 
-val ablation_relayout : ?seed:int -> unit -> Ldlp_trace.Relayout.comparison
+val ablation_relayout : unit -> Ldlp_trace.Relayout.comparison
 (** Section 5.4, executed: pack the touched code ranges contiguously and
     replay the trace against a cold cache. *)
 
@@ -98,7 +98,7 @@ type assoc_point = {
 
 val ablation_associativity :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> assoc_point list
+  ?params:Params.t -> ?seed:int -> unit -> assoc_point list
 (** Set-associative caches reduce the conflict misses that random layout
     causes (why the paper averages over 100 placements). *)
 
@@ -110,7 +110,7 @@ type prefetch_point = {
 
 val ablation_prefetch :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> prefetch_point list
+  ?params:Params.t -> ?seed:int -> unit -> prefetch_point list
 (** Section 4's remark: second-level-cache instruction prefetch hides part
     of the miss cost, shrinking (but not erasing) LDLP's advantage. *)
 
@@ -122,12 +122,12 @@ type machine_point = {
 
 val ablation_unified :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> machine_point list
+  ?params:Params.t -> ?seed:int -> unit -> machine_point list
 (** Split 8 KB + 8 KB vs unified 16 KB (Figure 4's caption). *)
 
 val ablation_layout :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rate:float -> unit -> machine_point list
+  ?params:Params.t -> ?seed:int -> unit -> machine_point list
 (** Random placement vs an idealised dense (Cord-style) layout
     (Section 5.4). *)
 
@@ -140,9 +140,9 @@ type ilp_point = {
 
 val comparison_ilp :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rates:float list -> unit -> ilp_point list
-(** The three-way comparison of Figures 2/3: conventional vs ILP vs LDLP.
-    ILP integrates the data loops (message bytes touched once instead of
+  ?params:Params.t -> ?seed:int -> unit -> ilp_point list
+(** The three-way comparison of Figures 2/3: conventional vs ILP vs LDLP,
+    at 2000, 6000 and 9000 msg/s.  ILP integrates the data loops (message bytes touched once instead of
     once per layer) but keeps the message-major outer loop, so its
     I-cache behaviour matches conventional — the paper's argument for why
     ILP does not help small-message protocols. *)
@@ -156,7 +156,7 @@ type goal_check = {
           is meaningful. *)
 }
 
-val extension_goal : ?domains:int -> ?seed:int -> ?runs:int -> unit -> goal_check
+val extension_goal : ?domains:int -> ?seed:int -> unit -> goal_check
 (** Section 1's target — "10000 pairs of setup/teardown requests per
     second with processing latency of 100 microseconds ... using just a
     commodity workstation processor" — checked against the paper's
@@ -172,7 +172,7 @@ type tcp_stack_point = {
 
 val extension_tcp_stack :
   ?domains:int ->
-  ?seed:int -> ?rates:float list -> ?runs:int -> unit -> tcp_stack_point list
+  ?seed:int -> unit -> tcp_stack_point list
 (** Section 6's surprise claim, simulated: "It was a surprise to us that
     LDLP could be advantageous with protocols such as TCP."  Drives the
     scheduler with the {e actual} Table 1 working-set footprints (device,
@@ -188,7 +188,7 @@ type granularity_point = {
 
 val ablation_granularity :
   ?domains:int ->
-  ?seed:int -> ?rate:float -> ?runs:int -> unit -> granularity_point list
+  ?seed:int -> unit -> granularity_point list
 (** Section 6's grouping advice, simulated: one 30 KB / 8260-cycle stack
     partitioned into 10 / 5 / 2 / 1 layers.  Finer layers pay more queue
     crossings; a single fused layer no longer fits the 8 KB I-cache and
@@ -206,7 +206,7 @@ type txside_point = {
 
 val extension_txside :
   ?domains:int ->
-  ?params:Params.t -> ?seed:int -> ?rates:float list -> unit -> txside_point list
+  ?params:Params.t -> ?seed:int -> unit -> txside_point list
 (** The experiment the paper defers (Section 1: transmit-side LDLP): the
     same synthetic stack driven top-down through {!Ldlp_core.Engine.tx_chain},
     side by side with the receive direction.  By symmetry the miss

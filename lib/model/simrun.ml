@@ -343,11 +343,9 @@ let result_of ~discipline acc =
     tx_runs = acc.tx_runs;
   }
 
-let run_once ?direction ~params ~discipline ~rng ~source ?clock_hz ?metrics
-    ?probe () =
+let run_once ~params ~discipline ~rng ~source ?metrics ?probe () =
   let acc = fresh_accum () in
-  run_into ?direction ~params ~discipline ~rng ~source ?clock_hz ?metrics
-    ?probe acc;
+  run_into ~params ~discipline ~rng ~source ?metrics ?probe acc;
   result_of ~discipline acc
 
 let run_avg ?direction ~params ~discipline ~seed ~make_source ?clock_hz

@@ -42,28 +42,16 @@ type result = {
 }
 
 val run_once :
-  ?direction:[ `Receive | `Transmit | `Duplex ] ->
   params:Params.t ->
   discipline:discipline ->
   rng:Ldlp_sim.Rng.t ->
   source:Ldlp_traffic.Source.t ->
-  ?clock_hz:float ->
   ?metrics:Ldlp_obs.Metrics.t ->
   ?probe:(layer:int -> Ldlp_cache.Memsys.event -> unit) ->
   unit ->
   result
-(** One run: one random code/data/buffer placement drawn from [rng], one
-    arrival stream.  [clock_hz] overrides the params clock (Figure 7).
-    [direction] selects receive-side scheduling (the paper's evaluation,
-    default), transmit-side (the mirror experiment the paper mentions
-    but does not evaluate: messages enter at the top layer and complete
-    on reaching the wire), or [`Duplex] — both directions of the stack
-    under one {!Ldlp_core.Engine.duplex}: arrivals climb the receive
-    nodes and complete at delivery, and the top layer answers each with
-    a small reply that descends the transmit nodes of the same
-    scheduling pass (transmit-side code/data get their own independently
-    placed regions, so the reply traffic has a real working set to
-    amortise; a [metrics] sheet then needs [2n] rows).
+(** One receive-side run: one random code/data/buffer placement drawn from
+    [rng], one arrival stream.
 
     [metrics] (shape {!layer_names}) is forwarded to the scheduler and
     additionally charged with every memory-system delta, attributed to the
@@ -86,4 +74,16 @@ val run_avg :
 (** Average of [params.runs] runs, each with an independent layout and
     arrival stream — the paper's "100 runs, each with a different random
     placement in memory".  A [metrics] sheet accumulates across all runs
-    (sheets are pure sums, so this equals merging per-run sheets). *)
+    (sheets are pure sums, so this equals merging per-run sheets).
+
+    [clock_hz] overrides the params clock (Figure 7).  [direction]
+    selects receive-side scheduling (the paper's evaluation, default),
+    transmit-side (the mirror experiment the paper mentions but does not
+    evaluate: messages enter at the top layer and complete on reaching
+    the wire), or [`Duplex] — both directions of the stack under one
+    {!Ldlp_core.Engine.duplex}: arrivals climb the receive nodes and
+    complete at delivery, and the top layer answers each with a small
+    reply that descends the transmit nodes of the same scheduling pass
+    (transmit-side code/data get their own independently placed regions,
+    so the reply traffic has a real working set to amortise; a [metrics]
+    sheet then needs [2n] rows). *)

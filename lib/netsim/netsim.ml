@@ -1,73 +1,40 @@
 module Nic = Ldlp_nic.Nic
 module Engine = Ldlp_sim.Engine
-module Metrics = Ldlp_obs.Metrics
-module Span = Ldlp_obs.Span
 module Impair = Ldlp_fault.Impair
 
-type 'a link = {
-  peer : 'a node;
-  latency : float;
-  loss : float;
-  rng : Ldlp_sim.Rng.t;
-  impair : 'a Impair.t option;
-}
+type 'a link = { peer : 'a node; latency : float; impair : 'a Impair.t option }
 
 and 'a node = {
   name : string;
   nic : 'a Nic.t;
-  irq_latency : float;
-  holdoff : float;
   service : 'a Nic.t -> unit;
   mutable link : 'a link option;
   mutable service_scheduled : bool;
-  service_span : Span.t option;  (* wraps every service invocation *)
-  lost_sc : int ref;  (* frames this node transmitted that the link lost *)
 }
 
-type 'a t = { engine : Engine.t; mutable nodes : 'a node list }
+type 'a t = { engine : Engine.t }
 
-let create () = { engine = Engine.create (); nodes = [] }
+(* A raised interrupt is serviced this many seconds later; frames below
+   the coalescing threshold wait for the holdoff timer. *)
+let irq_latency = 5e-6
+
+let holdoff = 1e-4
+
+let create () = { engine = Engine.create () }
 
 let engine t = t.engine
 
-let add_node t ~name ?(nic = Nic.create ()) ?(irq_latency = 5e-6)
-    ?(holdoff = 1e-4) ?metrics ~service () =
-  let node =
-    {
-      name;
-      nic;
-      irq_latency;
-      holdoff;
-      service;
-      link = None;
-      service_scheduled = false;
-      service_span =
-        Option.map (fun m -> Metrics.span m ("service:" ^ name)) metrics;
-      lost_sc =
-        (match metrics with
-        | None -> ref 0
-        | Some m -> Metrics.scalar m "link_lost");
-    }
-  in
-  t.nodes <- node :: t.nodes;
-  node
-
-let run_service node =
-  match node.service_span with
-  | None -> node.service node.nic
-  | Some s -> Span.time s (fun () -> node.service node.nic)
+let add_node _ ~name ?(nic = Nic.create ()) ~service () =
+  { name; nic; service; link = None; service_scheduled = false }
 
 let nic n = n.nic
 
-let connect _t a b ~latency ?(loss = 0.0) ?(seed = 1996) ?impair_ab ?impair_ba
-    () =
+let connect _t a b ~latency ?impair_ab ?impair_ba () =
   if latency < 0.0 then invalid_arg "Netsim.connect: negative latency";
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Netsim.connect: loss out of [0,1)";
   if a.link <> None then invalid_arg ("Netsim.connect: " ^ a.name ^ " already linked");
   if b.link <> None then invalid_arg ("Netsim.connect: " ^ b.name ^ " already linked");
-  let rng = Ldlp_sim.Rng.create ~seed in
-  a.link <- Some { peer = b; latency; loss; rng; impair = impair_ab };
-  b.link <- Some { peer = a; latency; loss; rng; impair = impair_ba }
+  a.link <- Some { peer = b; latency; impair = impair_ab };
+  b.link <- Some { peer = a; latency; impair = impair_ba }
 
 (* Propagate a node's transmit ring over its link, then run any interrupt
    service this triggers at the receiving end. *)
@@ -79,7 +46,7 @@ let rec pump t node =
     (* Unconnected transmissions vanish into the void (counted by the
        NIC's tx_frames already). *)
     ignore frames
-  | frames, Some { peer; latency; loss; rng; impair } ->
+  | frames, Some { peer; latency; impair } ->
     (* Deliver one emission after the link latency plus its jitter; a full
        receive ring hands the frame back to the impairment engine so mbuf
        accounting stays leak-free. *)
@@ -108,20 +75,13 @@ let rec pump t node =
     in
     List.iter
       (fun frame ->
-        if loss > 0.0 && Ldlp_sim.Rng.bool rng loss then begin
-          Metrics.add_scalar node.lost_sc 1;
-          match impair with
-          | Some imp -> Impair.drop_frame imp frame
-          | None -> ()
-        end
-        else
-          match impair with
-          | None -> deliver frame 0.0
-          | Some imp ->
-            List.iter
-              (fun (e : _ Impair.emission) -> deliver e.Impair.frame e.Impair.delay)
-              (Impair.send imp ~now:(Engine.now t.engine) frame);
-            arm_flush imp)
+        match impair with
+        | None -> deliver frame 0.0
+        | Some imp ->
+          List.iter
+            (fun (e : _ Impair.emission) -> deliver e.Impair.frame e.Impair.delay)
+            (Impair.send imp ~now:(Engine.now t.engine) frame);
+          arm_flush imp)
       frames
 
 and maybe_schedule t node =
@@ -129,17 +89,17 @@ and maybe_schedule t node =
     node.service_scheduled <- true;
     Engine.after t.engine delay (fun () ->
         node.service_scheduled <- false;
-        run_service node;
+        node.service node.nic;
         pump t node;
         (* The service may have left frames unserviced (coalescing) or new
            interrupts may have been raised meanwhile. *)
         maybe_schedule t node)
   in
   if not node.service_scheduled then
-    if Nic.irq_pending node.nic then run_after node.irq_latency
+    if Nic.irq_pending node.nic then run_after irq_latency
     else if Nic.rx_available node.nic > 0 then
       (* Below the coalescing threshold: the holdoff timer picks it up. *)
-      run_after node.holdoff
+      run_after holdoff
 
 let pump = pump
 
@@ -157,7 +117,7 @@ let inject t node ?at frame =
 
 let kick t node =
   Engine.after t.engine 0.0 (fun () ->
-      run_service node;
+      node.service node.nic;
       pump t node;
       maybe_schedule t node)
 

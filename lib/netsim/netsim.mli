@@ -22,9 +22,6 @@ val add_node :
   'a t ->
   name:string ->
   ?nic:'a Ldlp_nic.Nic.t ->
-  ?irq_latency:float ->
-  ?holdoff:float ->
-  ?metrics:Ldlp_obs.Metrics.t ->
   service:('a Ldlp_nic.Nic.t -> unit) ->
   unit ->
   'a node
@@ -32,18 +29,13 @@ val add_node :
     drain the receive ring (e.g. {!Ldlp_nic.Nic.take_all}, or
     {!Ldlp_nic.Nic.service_into} an {!Ldlp_core.Engine}), run its stack,
     and queue any replies with {!Ldlp_nic.Nic.transmit}.  Default NIC:
-    64-slot rings, per-frame interrupts.  Default [irq_latency] 5 us.
+    64-slot rings, per-frame interrupts.  The service runs 5 us after
+    its interrupt.
 
-    [holdoff] (default 100 us) is the interrupt-holdoff timer real
-    adaptors pair with coalescing: if frames sit in the receive ring
-    without having reached the coalescing threshold, the service runs
-    after this delay anyway, so a lone packet is never stranded.
-
-    [metrics], while the {!Ldlp_obs.Obs} gate is on, wraps every service
-    invocation in a ["service:<name>"] span (host wall clock and
-    allocation) and counts frames the node's link dropped in the
-    ["link_lost"] scalar.  Attach the same sheet to the node's NIC to see
-    its ring counters alongside. *)
+    A 100 us interrupt-holdoff timer, which real adaptors pair with
+    coalescing, covers frames that sit in the receive ring without
+    having reached the coalescing threshold: the service runs after this
+    delay anyway, so a lone packet is never stranded. *)
 
 val nic : 'a node -> 'a Ldlp_nic.Nic.t
 
@@ -52,23 +44,19 @@ val connect :
   'a node ->
   'a node ->
   latency:float ->
-  ?loss:float ->
-  ?seed:int ->
   ?impair_ab:'a Ldlp_fault.Impair.t ->
   ?impair_ba:'a Ldlp_fault.Impair.t ->
   unit ->
   unit
 (** Bidirectional point-to-point link.  A node has at most one link
-    (hosts-on-a-wire; build switches as nodes that retransmit).  [loss]
-    (default 0) drops each frame independently with that probability,
-    using a deterministic PRNG seeded by [seed] — for exercising the
-    timer-driven recovery of the protocols above.  Raises
+    (hosts-on-a-wire; build switches as nodes that retransmit).  Raises
     [Invalid_argument] if either end is already connected.
 
     [impair_ab] / [impair_ba] attach a {!Ldlp_fault.Impair} engine to
     each direction (a->b and b->a respectively): every transmitted frame
     passes through it, picking up drops, duplication, bit corruption,
-    reordering, jitter and down episodes per its plan.  Netsim keeps a
+    reordering, jitter and down episodes per its plan — for exercising
+    the timer-driven recovery of the protocols above.  Netsim keeps a
     flush event armed at the engine's earliest hold deadline so reordered
     frames are never stranded, and returns frames refused by a full
     receive ring to the engine's [free] hook. *)

@@ -32,18 +32,11 @@ val create :
   ?rx_slots:int ->
   ?tx_slots:int ->
   ?irq:irq_mode ->
-  ?metrics:Ldlp_obs.Metrics.t ->
   unit ->
   'a t
 (** Defaults: 64-slot rings, [Per_frame] interrupts.  Raises
     [Invalid_argument] on a non-positive slot count or coalescing
-    factor.
-
-    [metrics] (no layer rows needed) receives, while the {!Ldlp_obs.Obs}
-    gate is on: the "rx_frames"/"rx_drops"/"tx_frames"/"tx_drops"/
-    "interrupts" scalars mirroring {!stats}, RX-ring occupancy as the
-    entry-queue depth histogram, and {!take_all} service batch sizes as
-    the batch histogram. *)
+    factor. *)
 
 (** {1 Wire side} *)
 

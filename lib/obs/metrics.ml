@@ -1,7 +1,7 @@
 (* Per-layer metric sheet.
 
-   One sheet describes one instrumented component (a scheduler stack, a
-   NIC, a TCP host).  Everything on it is plain mutable integer state so
+   One sheet describes one instrumented component (a scheduler stack, the
+   runtime, the cycle model).  Everything on it is plain mutable integer state so
    the recording operations allocate nothing, and every field is a sum,
    max or fixed-geometry histogram so two sheets with the same shape
    merge deterministically — the property [Ldlp_par.Pool] needs to
@@ -38,7 +38,6 @@ type t = {
   mutable batches : int;
   mutable last_layer : int;
   mutable scalars : (string * int ref) list;  (* registration order *)
-  mutable spans : Span.t list;
 }
 
 let fresh_layer name =
@@ -66,7 +65,6 @@ let create ~label ~layer_names =
     batches = 0;
     last_layer = -1;
     scalars = [];
-    spans = [];
   }
 
 let label t = t.label
@@ -105,14 +103,6 @@ let scalar t name =
     r
 
 let scalars t = List.map (fun (name, r) -> (name, !r)) t.scalars
-
-let span t name =
-  match List.find_opt (fun s -> Span.name s = name) t.spans with
-  | Some s -> s
-  | None ->
-    let s = Span.create name in
-    t.spans <- t.spans @ [ s ];
-    s
 
 (* ---------- hot-path recorders (no-ops while the gate is off) ---------- *)
 
@@ -223,12 +213,7 @@ let merge_into ~dst src =
   dst.messages <- dst.messages + src.messages;
   dst.batches <- dst.batches + src.batches;
   dst.last_layer <- -1;
-  List.iter (fun (name, r) -> scalar dst name := !(scalar dst name) + !r) src.scalars;
-  List.iter
-    (fun s ->
-      let d = span dst (Span.name s) in
-      Span.merge_into ~dst:d s)
-    src.spans
+  List.iter (fun (name, r) -> scalar dst name := !(scalar dst name) + !r) src.scalars
 
 let merge ~label a b =
   let t = create ~label ~layer_names:(layer_names a) in
@@ -236,12 +221,11 @@ let merge ~label a b =
   merge_into ~dst:t b;
   t
 
-(* The default rendering is fully deterministic for a deterministic run:
-   simulated cycles, cache misses, batch/queue/latency histograms.  Host
-   observations — real allocation words and span wall clocks — vary with
-   compiler version and machine, so they only appear with [~host:true]
-   and are kept out of the golden snapshots. *)
-let render ?(host = false) t =
+(* The rendering is fully deterministic for a deterministic run:
+   simulated cycles, cache misses, batch/queue/latency histograms.  Real
+   allocation words vary with compiler version and machine, so they are
+   left out. *)
+let render t =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "observability: %s\n" t.label;
@@ -269,13 +253,4 @@ let render ?(host = false) t =
   add "entry queue depth  %s\n" (Histogram.summary t.depth);
   add "latency (ns)       %s\n" (Histogram.summary t.latency_ns);
   List.iter (fun (name, r) -> add "%-18s %d\n" name !r) t.scalars;
-  if host then begin
-    add "-- host (non-deterministic) --\n";
-    Array.iter
-      (fun l ->
-        if l.minor_words > 0 then
-          add "alloc %-10s minor-words=%d\n" l.l_name l.minor_words)
-      t.layers;
-    List.iter (fun s -> add "span %s\n" (Span.summary s)) t.spans
-  end;
   Buffer.contents b

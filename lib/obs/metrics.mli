@@ -2,12 +2,11 @@
 
     A sheet holds monotonic counters for one instrumented component — one
     {!layer} record per protocol layer plus component-wide histograms
-    (entry batch sizes, entry-queue depth, message latency), named scalar
-    counters and {!Span}s.  The scheduling engine ({!Ldlp_core.Engine},
-    in every topology it builds), the runtime, the cycle model
-    ({!Ldlp_model.Simrun}), the NIC and the TCP host all accept an
-    optional sheet at construction and record into it while the {!Obs}
-    gate is on.
+    (entry batch sizes, entry-queue depth, message latency) and named
+    scalar counters.  The scheduling engine ({!Ldlp_core.Engine}, in every
+    topology it builds), the runtime and the cycle model
+    ({!Ldlp_model.Simrun}) accept an optional sheet at construction and
+    record into it while the {!Obs} gate is on.
 
     All recorders are no-ops while the gate is off — the instrumented
     call sites allocate nothing on the disabled path (pinned by the
@@ -65,9 +64,6 @@ val scalar : t -> string -> int ref
 val scalars : t -> (string * int) list
 (** Registered scalars in registration order. *)
 
-val span : t -> string -> Span.t
-(** Find-or-create a named span. *)
-
 (** {1 Hot-path recorders — all no-ops while {!Obs.enabled} is false} *)
 
 val arrival : t -> depth:int -> unit
@@ -117,8 +113,7 @@ val merge_into : dst:t -> t -> unit
 
 val merge : label:string -> t -> t -> t
 
-val render : ?host:bool -> t -> string
+val render : t -> string
 (** Deterministic text rendering (for a deterministic run): per-layer
-    table, per-message rates, histogram summaries, scalars.  With
-    [~host:true], appends the host-dependent section (allocation words,
-    span wall clocks) — kept out of the golden snapshots. *)
+    table, per-message rates, histogram summaries, scalars.  The
+    host-dependent per-layer allocation words are left out. *)

@@ -6,11 +6,11 @@
     CLI, or the [stats] / [bench --hotpath] entry points which force it
     on).
 
-    Every recording operation in {!Metrics}, {!Histogram}-holding sheets
-    and {!Span} is a no-op while the gate is off, and the instrumented
-    call sites in the schedulers, runtime, NIC and TCP host are written so
-    that the disabled path performs {e zero allocation} — the Gc-delta
-    test in [test/test_obs.ml] pins that down. *)
+    Every recording operation in {!Metrics} and its {!Histogram}s is a
+    no-op while the gate is off, and the instrumented call sites in the
+    schedulers, runtime and cycle model are written so that the disabled
+    path performs {e zero allocation} — the Gc-delta test in
+    [test/test_obs.ml] pins that down. *)
 
 val enabled : unit -> bool
 

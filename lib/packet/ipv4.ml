@@ -24,7 +24,7 @@ type error =
   | `Bad_checksum
   | `Bad_field of string ]
 
-let parse ?(verify_checksum = true) buf off len =
+let parse buf off len =
   if len < header_bytes then Error (`Too_short len)
   else begin
     let b0 = Bytes.get_uint8 buf off in
@@ -35,7 +35,7 @@ let parse ?(verify_checksum = true) buf off len =
     else begin
       let total_length = Bytes.get_uint16_be buf (off + 2) in
       if total_length < ihl * 4 then Error (`Bad_field "total_length < header")
-      else if verify_checksum && Cksum.simple buf off (ihl * 4) <> 0 then
+      else if Cksum.simple buf off (ihl * 4) <> 0 then
         Error `Bad_checksum
       else begin
         let frag = Bytes.get_uint16_be buf (off + 6) in
@@ -85,7 +85,7 @@ let dst_equal addr buf off = Addr.Ipv4.equal_at addr buf (off + 16)
 
 (* An int, not a [result]: the receive fast path runs this per datagram,
    and an [Ok] would be a heap block each time. *)
-let check_at ?(verify_checksum = true) buf off len =
+let check_at buf off len =
   if len < header_bytes then -1
   else begin
     let b0 = Bytes.get_uint8 buf off in
@@ -95,7 +95,7 @@ let check_at ?(verify_checksum = true) buf off len =
       || ihl < 5
       || len < ihl * 4
       || total_length_at buf off < ihl * 4
-      || (verify_checksum && Cksum.simple buf off (ihl * 4) <> 0)
+      || Cksum.simple buf off (ihl * 4) <> 0
     then -1
     else ihl * 4
   end
@@ -125,13 +125,13 @@ let build h buf off =
     ~fragment_offset:h.fragment_offset ~ttl:h.ttl ~protocol:h.protocol
     ~src:h.src ~dst:h.dst buf off
 
-let strip ?verify_checksum m =
+let strip m =
   let len = Ldlp_buf.Mbuf.length m in
   if len < header_bytes then Error (`Too_short len)
   else begin
     let hdr_max = Int.min len 60 in
     let hdr = Ldlp_buf.Mbuf.copy_out m ~pos:0 ~len:hdr_max in
-    match parse ?verify_checksum hdr 0 hdr_max with
+    match parse hdr 0 hdr_max with
     | Error _ as e -> e
     | Ok (h, _) ->
       if h.total_length > len then Error (`Too_short len)

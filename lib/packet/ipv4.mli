@@ -28,10 +28,9 @@ type error =
   | `Bad_checksum
   | `Bad_field of string ]
 
-val parse : ?verify_checksum:bool -> bytes -> int -> int -> (header * int, error) result
+val parse : bytes -> int -> int -> (header * int, error) result
 (** [parse buf off len] validates version, header length, total length and
-    (by default) the header checksum; returns the header and payload
-    offset. *)
+    the header checksum; returns the header and payload offset. *)
 
 val build : header -> bytes -> int -> unit
 (** Write a 20-byte header (options unsupported) with a correct checksum. *)
@@ -46,7 +45,7 @@ val is_fragment : header -> bool
     exactly the checks {!parse} runs.  Property-tested byte-for-byte
     equivalent to the record API in the test suite. *)
 
-val check_at : ?verify_checksum:bool -> bytes -> int -> int -> int
+val check_at : bytes -> int -> int -> int
 (** [check_at buf off len] validates like {!parse} (version, header
     length, total length, checksum) and returns the header length in
     bytes, or -1 if {!parse} would return an error.  It builds no
@@ -93,7 +92,7 @@ val write :
 (** {!build} from scalar fields: the same 20 bytes ([ihl] fixed at 5,
     checksum computed in place) without an intermediate record. *)
 
-val strip : ?verify_checksum:bool -> Ldlp_buf.Mbuf.t -> (header, error) result
+val strip : Ldlp_buf.Mbuf.t -> (header, error) result
 (** Parse at the front of a chain, trim the header, and also trim any
     link-layer padding beyond [total_length]. *)
 

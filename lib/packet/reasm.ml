@@ -47,16 +47,15 @@ type entry = {
   total : int option;  (* known once the MF=0 fragment arrives *)
 }
 
-type t = {
-  timeout : float;
-  max_datagrams : int;
-  table : (key, entry) Hashtbl.t;
-}
+type t = { table : (key, entry) Hashtbl.t }
 
-let create ?(timeout = 30.0) ?(max_datagrams = 64) () =
-  if timeout <= 0.0 then invalid_arg "Reasm.create: bad timeout";
-  if max_datagrams <= 0 then invalid_arg "Reasm.create: bad capacity";
-  { timeout; max_datagrams; table = Hashtbl.create 16 }
+(* A reassembly expires this many seconds after its first fragment, and
+   at most [max_datagrams] run at once. *)
+let timeout = 30.0
+
+let max_datagrams = 64
+
+let create () = { table = Hashtbl.create 16 }
 
 type result = Complete of Ipv4.header * bytes | Pending | Rejected of string
 
@@ -64,7 +63,7 @@ let pending t = Hashtbl.length t.table
 
 let expire t ~now =
   Hashtbl.filter_map_inplace
-    (fun _ e -> if now -. e.started > t.timeout then None else Some e)
+    (fun _ e -> if now -. e.started > timeout then None else Some e)
     t.table
 
 let evict_oldest t =
@@ -128,7 +127,7 @@ let input t ~now (h : Ipv4.header) payload =
         match Hashtbl.find_opt t.table key with
         | Some e -> e
         | None ->
-          if Hashtbl.length t.table >= t.max_datagrams then evict_oldest t;
+          if Hashtbl.length t.table >= max_datagrams then evict_oldest t;
           {
             started = now;
             first_header = None;

@@ -22,9 +22,9 @@ val fragment :
 type t
 (** A reassembly queue. *)
 
-val create : ?timeout:float -> ?max_datagrams:int -> unit -> t
-(** Default [timeout] 30 s, at most 64 concurrent reassemblies (the
-    oldest is evicted beyond that). *)
+val create : unit -> t
+(** A reassembly times out 30 s after its first fragment; at most 64 run
+    at once (the oldest is evicted beyond that). *)
 
 type result =
   | Complete of Ipv4.header * bytes

@@ -66,7 +66,7 @@ let rec replies_down msg sscop_for = function
       (Core.Msg.with_payload msg (Sdu (port, f)) ~size:(Bytes.length f))
     :: replies_down msg sscop_for rest
 
-let stack ~pool ~switch ?(acks = true) () =
+let stack ~pool ~switch () =
   (* One SSCOP state per one-byte port tag, made on first use. *)
   let sscops = Array.make 256 None in
   let sscop_for port =
@@ -99,14 +99,13 @@ let stack ~pool ~switch ?(acks = true) () =
           match sscop_input s m n with
           | Sscop.Delivered ->
             Mbuf.adj m Sscop.header_bytes;
-            let up = pass msg (Signalling (port, m)) (n - Sscop.header_bytes) in
-            if acks then
-              [
-                Core.Layer.Up;
-                Core.Layer.Send_down
-                  (Core.Msg.with_payload msg (Sdu (port, Sscop.make_ack s)) ~size:4);
-              ]
-            else up
+            msg.Core.Msg.payload <- Signalling (port, m);
+            msg.Core.Msg.size <- n - Sscop.header_bytes;
+            [
+              Core.Layer.Up;
+              Core.Layer.Send_down
+                (Core.Msg.with_payload msg (Sdu (port, Sscop.make_ack s)) ~size:4);
+            ]
           | Sscop.Acked | Sscop.Unexpected | Sscop.Invalid ->
             Mbuf.free pool m;
             Core.Layer.consume_only)

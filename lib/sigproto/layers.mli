@@ -54,13 +54,7 @@ type stack = {
   switch : Switch.t;
 }
 
-val stack :
-  pool:Ldlp_buf.Pool.t ->
-  switch:Switch.t ->
-  ?acks:bool ->
-  unit ->
-  stack
-(** Build the four-layer receive stack.  With [acks] (default true) the
-    sscop layer sends a cumulative ack downward for every delivered
-    frame.  Received mbufs are freed to [pool] by the layer that drops or
+val stack : pool:Ldlp_buf.Pool.t -> switch:Switch.t -> unit -> stack
+(** Build the four-layer receive stack.  The sscop layer sends a
+    cumulative ack downward for every delivered frame.  Received mbufs are freed to [pool] by the layer that drops or
     decodes them. *)

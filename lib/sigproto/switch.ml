@@ -60,7 +60,6 @@ type stats = {
 type t = {
   routes : (string * int) list;
   local_port : int;
-  max_calls : int;
   auto_answer : bool;
   legs : Flat.t;  (* both legs of every call, by packed key, to its row *)
   mutable calls : int array;  (* the rows *)
@@ -75,12 +74,13 @@ type t = {
   mutable errors : int;
 }
 
-let create ?(max_calls = 65536) ?(auto_answer = false) ~routes ~local_port ()
-    =
+(* The VC table holds at most this many live calls. *)
+let max_calls = 65536
+
+let create ?(auto_answer = false) ~routes ~local_port () =
   {
     routes;
     local_port;
-    max_calls;
     auto_answer;
     legs = Flat.create ();
     calls = [||];
@@ -226,7 +226,7 @@ let forward_setup t ~port (m : Sigmsg.t) out =
     reject ~port ~call_ref:m.Sigmsg.call_ref 96 (* mandatory IE missing *) out
   | Some called ->
     let out_port = route t called.Ie.data in
-    if t.live >= t.max_calls then begin
+    if t.live >= max_calls then begin
       t.rejects <- t.rejects + 1;
       reject ~port ~call_ref:m.Sigmsg.call_ref 47 (* resource unavailable *) out
     end

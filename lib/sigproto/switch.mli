@@ -37,7 +37,6 @@ type stats = {
 }
 
 val create :
-  ?max_calls:int ->
   ?auto_answer:bool ->
   routes:(string * int) list ->
   local_port:int ->
@@ -45,7 +44,7 @@ val create :
   t
 (** [routes] maps called-party address prefixes to output ports;
     [local_port] is where unmatched addresses terminate (the switch's own
-    "host" side).  [max_calls] bounds the VC table (default 65536).
+    "host" side).  The VC table holds at most 65536 live calls.
     With [auto_answer] (default false), calls that terminate on
     [local_port] are answered immediately by the switch itself — no
     downstream handshake — which is how the flood benchmarks exercise the

@@ -42,8 +42,6 @@ let null = Fsm.code Fsm.Null
 
 type t = {
   sscop : Sscop_conn.t;
-  t303 : float;
-  t308 : float;
   index : Flat.t;  (* call reference to row *)
   mutable rows : int array;
   mutable deadlines : float array;
@@ -53,11 +51,15 @@ type t = {
   mutable owner : int;  (* -1 until the first call access claims it *)
 }
 
-let create ?sscop ?(t303 = 4.0) ?(t308 = 30.0) () =
+(* Q.93B's T303 (SETUP unanswered) and T308 (RELEASE unanswered), in
+   seconds. *)
+let t303 = 4.0
+
+let t308 = 30.0
+
+let create ?sscop () =
   {
     sscop = Sscop_conn.create ?config:sscop ();
-    t303;
-    t308;
     index = Flat.create ();
     rows = [||];
     deadlines = [||];
@@ -202,7 +204,7 @@ let originate t ~now ~call_ref ies =
   else begin
     let r = add_call t call_ref ~from_originator:true ies in
     let out = step_call t ~now r Fsm.Api_setup in
-    arm t r timer_t303 ~tries:0 (now +. t.t303);
+    arm t r timer_t303 ~tries:0 (now +. t303);
     Ok out
   end
 
@@ -222,7 +224,7 @@ let hangup t ~now ~call_ref =
     let out = step_call t ~now r Fsm.Api_release in
     (* A removed row's [c_ref] is negative. *)
     if t.rows.((r * width) + c_ref) = call_ref then
-      arm t r timer_t308 ~tries:0 (now +. t.t308);
+      arm t r timer_t308 ~tries:0 (now +. t308);
     Ok out
   end
 
@@ -307,7 +309,7 @@ let expire t ~now r =
   let first = t.rows.(b + c_tries) = 0 in
   if t.rows.(b + c_timer) = timer_t303 then
     if first then begin
-      arm t r timer_t303 ~tries:1 (now +. t.t303);
+      arm t r timer_t303 ~tries:1 (now +. t303);
       ship t ~now ~call_ref ~from_originator:true Sigmsg.Setup t.ies.(r)
     end
     else begin
@@ -315,7 +317,7 @@ let expire t ~now r =
       { empty with events = [ Call_failed (call_ref, "T303 expired") ] }
     end
   else if first then begin
-    arm t r timer_t308 ~tries:1 (now +. t.t308);
+    arm t r timer_t308 ~tries:1 (now +. t308);
     ship t ~now ~call_ref ~from_originator:(t.rows.(b + c_orig) = 1)
       Sigmsg.Release []
   end

@@ -41,8 +41,8 @@ type outcome = {
   events : event list;
 }
 
-val create : ?sscop:Sscop_conn.config -> ?t303:float -> ?t308:float -> unit -> t
-(** Defaults: T303 = 4 s, T308 = 30 s (Q.93B's values). *)
+val create : ?sscop:Sscop_conn.config -> unit -> t
+(** T303 = 4 s, T308 = 30 s (Q.93B's values). *)
 
 val link_up : t -> now:float -> outcome
 (** Originate the SSCOP connection.  Calls can be placed once {!Link_up}

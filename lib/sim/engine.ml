@@ -4,11 +4,9 @@ type t = {
      record with non-float fields is boxed on every store. *)
   now : float array;
   next : float array;  (* the earliest queued time, for [run ~until] *)
-  mutable stopped : bool;
 }
 
-let create () =
-  { queue = Heap.create (); now = [| 0.0 |]; next = [| 0.0 |]; stopped = false }
+let create () = { queue = Heap.create (); now = [| 0.0 |]; next = [| 0.0 |] }
 
 let now t = t.now.(0)
 
@@ -29,12 +27,11 @@ let step t =
   else false
 
 let run ?until t =
-  t.stopped <- false;
   match until with
-  | None -> while (not t.stopped) && step t do () done
+  | None -> while step t do () done
   | Some limit ->
     let continue = ref true in
-    while !continue && not t.stopped do
+    while !continue do
       if not (Heap.peek_key t.queue t.next) then continue := false
       else if t.next.(0) > limit then begin
         t.now.(0) <- limit;
@@ -44,5 +41,3 @@ let run ?until t =
     done
 
 let pending t = Heap.size t.queue
-
-let stop t = t.stopped <- true

@@ -29,6 +29,3 @@ val step : t -> bool
 (** Dispatch exactly one event; [false] if the queue was empty. *)
 
 val pending : t -> int
-
-val stop : t -> unit
-(** Make the current [run] return after the event in progress. *)

@@ -1,7 +1,7 @@
 (** Logarithmically bucketed histogram for latency-like quantities that span
     many orders of magnitude (the paper's latency axes run from 100 us to
     1 s).  Percentiles are approximate to within one bucket
-    (default 20 buckets per decade, i.e. ~12% relative error bound).
+    (20 buckets per decade, i.e. ~12% relative error bound).
 
     It prints the modeled latency percentiles in the [fig6] and [mesh]
     goldens and in [BENCH_mesh]/[BENCH_hotpath].  {!Ldlp_obs.Histogram}
@@ -11,8 +11,8 @@
 
 type t
 
-val create : ?lo:float -> ?hi:float -> ?buckets_per_decade:int -> unit -> t
-(** Defaults: [lo = 1e-7], [hi = 1e3] (values are clamped into range). *)
+val create : unit -> t
+(** Buckets span 1e-7 to 1e3; values are clamped into range. *)
 
 val add : t -> float -> unit
 
@@ -28,9 +28,7 @@ val percentile : t -> float -> float
 val median : t -> float
 
 val merge_into : dst:t -> t -> unit
-(** Accumulate another histogram's samples.  Both must share the same
-    geometry (created with the same bounds); raises [Invalid_argument]
-    otherwise. *)
+(** Accumulate another histogram's samples. *)
 
 val buckets : t -> (float * int) list
 (** [(bucket_upper_bound, count)] for non-empty buckets, ascending. *)

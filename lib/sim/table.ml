@@ -38,13 +38,6 @@ let render ~header rows =
     rows;
   Buffer.contents buf
 
-let tsv ~header rows =
-  let buf = Buffer.create 256 in
-  let line row = Buffer.add_string buf (String.concat "\t" row ^ "\n") in
-  line header;
-  List.iter line rows;
-  Buffer.contents buf
-
 let fmt_si x =
   let ax = Float.abs x in
   let value, suffix =

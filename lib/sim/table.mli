@@ -4,8 +4,6 @@
 val render : header:string list -> string list list -> string
 (** Aligned columns with a separator rule under the header. *)
 
-val tsv : header:string list -> string list list -> string
-
 val fmt_si : float -> string
 (** Engineering notation with an SI suffix (e.g. ["1.5k"], ["250u"]),
     matching the paper's axis labels (us/ms/s). *)

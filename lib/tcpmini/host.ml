@@ -1,7 +1,6 @@
 module Pkt = Ldlp_packet
 module Mbuf = Ldlp_buf.Mbuf
 module Core = Ldlp_core
-module Metrics = Ldlp_obs.Metrics
 
 type counters = {
   frames_in : int;
@@ -39,21 +38,10 @@ type t = {
   mutable n_timeout_drops : int;
   mutable ident : int;
   mutable timers : timers option;
-  (* Scalar mirrors of the counters on an attached metric sheet (dummy
-     refs otherwise), bumped through the gated [Metrics.add_scalar]. *)
-  frames_in_sc : int ref;
-  non_ip_sc : int ref;
-  non_tcp_sc : int ref;
-  bad_ip_sc : int ref;
-  delivered_bytes_sc : int ref;
-  retransmits_sc : int ref;
 }
 
 let create ~pool ?msg_pool ~mac ~ip ?(gateway_mac = Pkt.Addr.Mac.broadcast)
-    ?(reassemble = false) ?metrics () =
-  let sc name =
-    match metrics with None -> ref 0 | Some m -> Metrics.scalar m name
-  in
+    ?(reassemble = false) () =
   {
     pool;
     msg_pool;
@@ -72,12 +60,6 @@ let create ~pool ?msg_pool ~mac ~ip ?(gateway_mac = Pkt.Addr.Mac.broadcast)
     n_timeout_drops = 0;
     ident = 0;
     timers = None;
-    frames_in_sc = sc "frames_in";
-    non_ip_sc = sc "non_ip";
-    non_tcp_sc = sc "non_tcp";
-    bad_ip_sc = sc "bad_ip";
-    delivered_bytes_sc = sc "delivered_bytes";
-    retransmits_sc = sc "retransmits";
   }
 
 let wrap t m = { buf = m; src_ip = t.my_ip }
@@ -135,8 +117,7 @@ let seg_frame t (pcb : Pcb.t) (s : Pcb.seg) =
          s.Pcb.seg_payload)
 
 let count_retransmit t =
-  t.n_retransmits <- t.n_retransmits + 1;
-  Metrics.add_scalar t.retransmits_sc 1
+  t.n_retransmits <- t.n_retransmits + 1
 
 let retransmit_seg t pcb (s : Pcb.seg) ~now =
   match seg_frame t pcb s with
@@ -290,7 +271,6 @@ let layers t =
       ~fp:(Core.Layer.footprint ~code_bytes:4480 ~data_bytes:864 ())
       (fun msg ->
         t.n_frames_in <- t.n_frames_in + 1;
-        Metrics.add_scalar t.frames_in_sc 1;
         let m = msg.Core.Msg.payload.buf in
         if Mbuf.contiguous m Pkt.Ethernet.header_bytes then begin
           (* Cursor fast path: the header is in the head mbuf (always, for
@@ -307,7 +287,6 @@ let layers t =
           end
           else begin
             t.n_non_ip <- t.n_non_ip + 1;
-            Metrics.add_scalar t.non_ip_sc 1;
             consume_bad m
           end
         end
@@ -321,7 +300,6 @@ let layers t =
             Core.Layer.up_only
           | Ok _ | Error _ ->
             t.n_non_ip <- t.n_non_ip + 1;
-            Metrics.add_scalar t.non_ip_sc 1;
             consume_bad m)
   in
   let ip_layer =
@@ -384,15 +362,12 @@ let layers t =
           | Pkt.Reasm.Pending -> Core.Layer.consume_only
           | Pkt.Reasm.Rejected _ ->
             t.n_bad_ip <- t.n_bad_ip + 1;
-            Metrics.add_scalar t.bad_ip_sc 1;
             Core.Layer.consume_only)
         | Ok h when h.Pkt.Ipv4.protocol <> Pkt.Ipv4.proto_tcp ->
           t.n_non_tcp <- t.n_non_tcp + 1;
-          Metrics.add_scalar t.non_tcp_sc 1;
           consume_bad m
         | Ok _ | Error _ ->
           t.n_bad_ip <- t.n_bad_ip + 1;
-          Metrics.add_scalar t.bad_ip_sc 1;
           consume_bad m)
   in
   let tcp =
@@ -404,7 +379,6 @@ let layers t =
           ~src_ip:msg.Core.Msg.payload.src_ip ~pool:t.pool
           ~now:msg.Core.Msg.arrival msg.Core.Msg.payload.buf;
         t.n_delivered_bytes <- t.n_delivered_bytes + o.Tcp_input.delivered;
-        Metrics.add_scalar t.delivered_bytes_sc o.Tcp_input.delivered;
         match t.timers with
         | Some _ -> recovery_actions t msg o
         | None ->
@@ -421,7 +395,7 @@ let layers t =
    passthrough, so the wire sees byte-identical frames to the receive
    chain arrangement — only the scheduling changes. *)
 let duplex t ~discipline ?(wire = fun _ -> ()) ?intake_limit
-    ?(on_shed = fun _ -> ()) ?metrics () =
+    ?(on_shed = fun _ -> ()) () =
   match t.msg_pool with
   | Some mp ->
     (* With a message pool attached the engine is also where messages
@@ -432,11 +406,11 @@ let duplex t ~discipline ?(wire = fun _ -> ()) ?intake_limit
         wire m.Core.Msg.payload.buf;
         Core.Msg.release mp m)
       ~on_consume:(fun m -> Core.Msg.release mp m)
-      ?intake_limit ~on_shed ?metrics ()
+      ?intake_limit ~on_shed ()
   | None ->
     Core.Engine.duplex ~discipline ~layers:(layers t)
       ~wire:(fun m -> wire m.Core.Msg.payload.buf)
-      ?intake_limit ~on_shed ?metrics ()
+      ?intake_limit ~on_shed ()
 
 let connect t ~dst:(dst_ip, dst_port) ~src_port =
   let pcb =
@@ -486,7 +460,7 @@ let parse_tx t item =
     match Pkt.Ethernet.strip m with
     | Error _ -> None
     | Ok _ -> (
-      match Pkt.Ipv4.strip ~verify_checksum:true m with
+      match Pkt.Ipv4.strip m with
       | Error _ -> None
       | Ok _ -> (
         let len = Mbuf.length m in

@@ -34,7 +34,6 @@ val create :
   ip:Ldlp_packet.Addr.Ipv4.t ->
   ?gateway_mac:Ldlp_packet.Addr.Mac.t ->
   ?reassemble:bool ->
-  ?metrics:Ldlp_obs.Metrics.t ->
   unit ->
   t
 (** [gateway_mac] is the destination of every transmitted frame (no ARP;
@@ -49,12 +48,7 @@ val create :
     every message back to it at the wire and consume sinks.  The caller
     then owns the ownership discipline: inject only messages acquired
     from the same pool, and release any message it sheds or that leaves
-    through its own sinks (see DESIGN.md, "Message-pool ownership").
-
-    [metrics] mirrors {!counters} as gated scalars ("frames_in",
-    "non_ip", "non_tcp", "bad_ip", "delivered_bytes"); pass the same
-    sheet to the {!Ldlp_core.Engine} driving {!layers} to collect the
-    per-layer columns alongside. *)
+    through its own sinks (see DESIGN.md, "Message-pool ownership"). *)
 
 val listen : t -> port:int -> Pcb.t
 (** Open a listening socket; incoming connections clone it.  Raises
@@ -74,7 +68,6 @@ val duplex :
   ?wire:(Ldlp_buf.Mbuf.t -> unit) ->
   ?intake_limit:int ->
   ?on_shed:(item Ldlp_core.Msg.t -> unit) ->
-  ?metrics:Ldlp_obs.Metrics.t ->
   unit ->
   item Ldlp_core.Engine.t
 (** Both directions of {!layers} under one {!Ldlp_core.Engine.duplex}
@@ -87,8 +80,7 @@ val duplex :
     {e same} scheduling pass, so a receive batch's ACKs descend as one
     transmit batch (cross-direction amortisation).  The wire frames are
     byte-identical to the {!layers}-under-{!Ldlp_core.Engine.rx_chain}
-    arrangement.  [metrics] needs [2n] rows named by
-    {!Ldlp_core.Engine.duplex_layer_names}.
+    arrangement.
 
     When the host was created with a [msg_pool], messages are released
     back to it after [wire] returns and when a layer consumes them;

@@ -250,10 +250,10 @@ let insert_connection table ~listener ~remote =
   connect table ~local_port:listener.local_port ~remote ~state:Syn_received
     ~hiwat:(Sockbuf.hiwat listener.sockbuf)
 
-let insert_active table ~local_port ~remote:((rip, rport) as remote) ?(hiwat = 16384) () =
+let insert_active table ~local_port ~remote:((rip, rport) as remote) () =
   if ports_fit local_port rport && probe table ~local_port rip rport >= 0 then
     invalid_arg "Pcb.insert_active: connection exists";
-  connect table ~local_port ~remote ~state:Syn_sent ~hiwat
+  connect table ~local_port ~remote ~state:Syn_sent ~hiwat:16384
 
 (* Only the PCB a row holds is released: dropping one again, after its
    connection was reopened, leaves the new connection alone. *)

@@ -109,10 +109,10 @@ val insert_active :
   table ->
   local_port:int ->
   remote:Ldlp_packet.Addr.Ipv4.t * int ->
-  ?hiwat:int ->
   unit ->
   t
-(** Active open: a [Syn_sent] PCB for an outgoing connection.  Raises
+(** Active open: a [Syn_sent] PCB for an outgoing connection, with a
+    16384-byte socket buffer.  Raises
     [Invalid_argument] if the (port, remote) pair is taken or a port is
     outside [[0, 65535]]. *)
 

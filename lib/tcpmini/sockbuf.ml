@@ -42,14 +42,8 @@ let reserve t n =
     t.head <- 0
   end
 
-(* The two sources a ring is filled from, as toplevel functions so that
-   passing one allocates nothing. *)
-let blit_bytes src pos dst dst_off n = Bytes.blit src pos dst dst_off n
-
-let blit_mbuf m pos dst dst_off n = Ldlp_buf.Mbuf.blit_to_bytes m ~pos dst ~dst_off ~len:n
-
-let push t src pos n blit =
-  let accept = Int.min n (space t) in
+let append_mbuf t m ~pos ~len =
+  let accept = Int.min len (space t) in
   if accept > 0 then begin
     if t.len = 0 then begin
       t.wakeups <- t.wakeups + 1;
@@ -60,15 +54,12 @@ let push t src pos n blit =
     let tail = t.head + t.len in
     let tail = if tail >= cap then tail - cap else tail in
     let first = Int.min accept (cap - tail) in
-    blit src pos t.ring tail first;
-    blit src (pos + first) t.ring 0 (accept - first);
+    Ldlp_buf.Mbuf.blit_to_bytes m ~pos t.ring ~dst_off:tail ~len:first;
+    Ldlp_buf.Mbuf.blit_to_bytes m ~pos:(pos + first) t.ring ~dst_off:0
+      ~len:(accept - first);
     t.len <- t.len + accept
   end;
   accept
-
-let append t data = push t data 0 (Bytes.length data) blit_bytes
-
-let append_mbuf t m ~pos ~len = push t m pos len blit_mbuf
 
 let read t n =
   let n = Int.min n t.len in

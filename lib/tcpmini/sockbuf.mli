@@ -7,8 +7,8 @@
 
     The buffer is one byte ring, allocated on the first append and
     doubled, up to [hiwat], when an append does not fit.  Appends copy
-    straight into it, from bytes or from an mbuf chain, so a connection in
-    steady state allocates nothing per segment; only {!read} allocates,
+    straight into it from an mbuf chain, so a connection in steady state
+    allocates nothing per segment; only {!read} allocates,
     the bytes it hands out. *)
 
 type t
@@ -23,10 +23,6 @@ val length : t -> int
 
 val space : t -> int
 (** Room left before the high-water mark (never negative). *)
-
-val append : t -> bytes -> int
-(** [append sb data] appends as much of [data] as fits; returns the number
-    of bytes accepted. *)
 
 val append_mbuf : t -> Ldlp_buf.Mbuf.t -> pos:int -> len:int -> int
 (** [append_mbuf sb m ~pos ~len] appends as much of the [len] payload

@@ -12,7 +12,8 @@ type table1 = { rows : row list; total : row }
 (* Per-line attribution: the category that first touched a line owns it
    (the paper: "data is classified based on the function executing when it
    was first accessed"), and one store anywhere makes a line mutable. *)
-let table1 ?(line_bytes = 32) trace =
+let table1 trace =
+  let line_bytes = 32 in
   let code : (int, Funcmap.category) Hashtbl.t = Hashtbl.create 1024 in
   let data : (int, Funcmap.category * bool ref) Hashtbl.t =
     Hashtbl.create 1024
@@ -90,7 +91,7 @@ let byte_sets trace =
       WS.touch ws ~addr:e.Event.addr ~len:e.Event.len);
   (code, loads, stores)
 
-let line_size_sweep ?(sizes = [ 4; 8; 16; 32; 64 ]) trace =
+let line_size_sweep trace =
   let code, loads, stores = byte_sets trace in
   let all_data = WS.union loads stores in
   List.map
@@ -109,7 +110,7 @@ let line_size_sweep ?(sizes = [ 4; 8; 16; 32; 64 ]) trace =
         mut_lines;
         mut_line_bytes = mut_lines * ls;
       })
-    sizes
+    [ 4; 8; 16; 32; 64 ]
 
 type phase_summary = {
   phase : Event.phase;
@@ -178,7 +179,8 @@ type dilution = {
   sparse_lines : int;
 }
 
-let dilution ?(line_bytes = 32) trace =
+let dilution trace =
+  let line_bytes = 32 in
   let code, _, _ = byte_sets trace in
   let touched = WS.touched_bytes code in
   let sparse_lines = WS.lines code ~line_bytes in

@@ -13,9 +13,9 @@ type row = {
 type table1 = { rows : row list; total : row }
 (** [total.category] is meaningless (it repeats the first category). *)
 
-val table1 : ?line_bytes:int -> Tracebuf.t -> table1
-(** Classify every referenced line by category of first touch and by
-    kind, at the given line granularity (default 32), exactly as Table 1:
+val table1 : Tracebuf.t -> table1
+(** Classify every referenced 32-byte line by category of first touch and
+    by kind, exactly as Table 1:
     "Data is considered read-only if it was not modified during the
     trace." *)
 
@@ -29,8 +29,8 @@ type sweep_row = {
   mut_line_bytes : int;
 }
 
-val line_size_sweep : ?sizes:int list -> Tracebuf.t -> sweep_row list
-(** Totals at several line sizes (default Table 3's 4, 8, 16, 32, 64).
+val line_size_sweep : Tracebuf.t -> sweep_row list
+(** Totals at Table 3's line sizes, 4, 8, 16, 32 and 64 bytes.
     Deltas against the 32-byte baseline give Table 3. *)
 
 type phase_summary = {
@@ -61,4 +61,4 @@ type dilution = {
   sparse_lines : int;
 }
 
-val dilution : ?line_bytes:int -> Tracebuf.t -> dilution
+val dilution : Tracebuf.t -> dilution

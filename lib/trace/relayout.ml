@@ -89,7 +89,8 @@ let code_lines trace ~line_bytes =
         WS.touch ws ~addr:e.Event.addr ~len:e.Event.len);
   WS.lines ws ~line_bytes
 
-let miss_comparison ?(cache = Ldlp_cache.Config.paper_default) trace =
+let miss_comparison trace =
+  let cache = Ldlp_cache.Config.paper_default in
   let packed = dense trace in
   let line_bytes = cache.Ldlp_cache.Config.line_bytes in
   let sparse_lines = code_lines trace ~line_bytes in

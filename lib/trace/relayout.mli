@@ -25,5 +25,5 @@ type comparison = {
   line_saving : float;  (** 1 - dense/sparse lines (paper: ~0.25). *)
 }
 
-val miss_comparison : ?cache:Ldlp_cache.Config.t -> Tracebuf.t -> comparison
-(** Default cache: the paper's 8 KB direct-mapped, 32-byte lines. *)
+val miss_comparison : Tracebuf.t -> comparison
+(** Against the paper's 8 KB direct-mapped cache with 32-byte lines. *)

@@ -1,8 +1,6 @@
 type t = { mutable data : Event.t array; mutable len : int }
 
-let create ?(capacity = 1024) () =
-  ignore capacity;
-  { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let add t e =
   let cap = Array.length t.data in

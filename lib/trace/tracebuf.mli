@@ -2,7 +2,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 
 val add : t -> Event.t -> unit
 

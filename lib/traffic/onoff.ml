@@ -30,9 +30,8 @@ let validate c =
     invalid_arg "Onoff: period means must be positive";
   if c.peak_rate <= 0.0 then invalid_arg "Onoff: peak rate must be positive"
 
-let source ~rng ?(config = default) ?(sizes = Sizes.ethernet_mix) () =
+let source ~rng ?(config = default) () =
   validate config;
-  Sizes.validate sizes;
   let c = config in
   let spacing = 1.0 /. c.peak_rate in
   let scale_on = pareto_scale ~mean:c.mean_on ~alpha:c.alpha_on in
@@ -69,5 +68,5 @@ let source ~rng ?(config = default) ?(sizes = Sizes.ethernet_mix) () =
         let src = Ldlp_sim.Heap.pop_min heap in
         let next = next_packet src in
         Ldlp_sim.Heap.push heap next src;
-        Some { Source.at; size = Sizes.sample rng sizes }
+        Some { Source.at; size = Sizes.sample rng Sizes.ethernet_mix }
       end)

@@ -27,5 +27,5 @@ val default : config
     stack just below a 40 MHz clock, reproducing Figure 7's knee. *)
 
 val source :
-  rng:Ldlp_sim.Rng.t -> ?config:config -> ?sizes:Sizes.dist -> unit -> Source.t
-(** Infinite aggregated stream; sizes default to {!Sizes.ethernet_mix}. *)
+  rng:Ldlp_sim.Rng.t -> ?config:config -> unit -> Source.t
+(** Infinite aggregated stream; sizes drawn from {!Sizes.ethernet_mix}. *)

@@ -6,9 +6,7 @@ val source :
   rng:Ldlp_sim.Rng.t ->
   rate:float ->
   ?size:int ->
-  ?size_of:(Ldlp_sim.Rng.t -> int) ->
   unit ->
   Source.t
 (** Infinite Poisson stream at [rate] messages/second starting after time 0.
-    Sizes are fixed at [size] (default 552) unless a
-    [size_of] sampler is given. *)
+    Sizes are fixed at [size] (default 552). *)

@@ -35,15 +35,9 @@ let of_list packets =
         remaining := rest;
         Some p)
 
-let to_list ?(limit = 1_000_000) t =
-  let rec go acc n =
-    if n >= limit then List.rev acc
-    else
-      match pull t with
-      | None -> List.rev acc
-      | Some p -> go (p :: acc) (n + 1)
-  in
-  go [] 0
+let to_list t =
+  let rec go acc = match pull t with None -> List.rev acc | Some p -> go (p :: acc) in
+  go []
 
 let limit_time t horizon =
   let exhausted = ref false in
@@ -55,33 +49,3 @@ let limit_time t horizon =
         | _ ->
           exhausted := true;
           None)
-
-let limit_count t n =
-  let left = ref n in
-  make (fun () ->
-      if !left <= 0 then None
-      else begin
-        decr left;
-        pull t
-      end)
-
-let map_size t f =
-  make (fun () ->
-      match pull t with
-      | None -> None
-      | Some p -> Some { p with size = f p.size })
-
-let merge a b =
-  make (fun () ->
-      match (peek a, peek b) with
-      | None, None -> None
-      | Some _, None -> pull a
-      | None, Some _ -> pull b
-      | Some pa, Some pb -> if pa.at <= pb.at then pull a else pull b)
-
-let scale_time t factor =
-  if factor <= 0.0 then invalid_arg "Source.scale_time: factor must be positive";
-  make (fun () ->
-      match pull t with
-      | None -> None
-      | Some p -> Some { p with at = p.at *. factor })

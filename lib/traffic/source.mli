@@ -20,18 +20,9 @@ val peek : t -> packet option
 val of_list : packet list -> t
 (** A replayable list source (must be time-sorted; raises otherwise). *)
 
-val to_list : ?limit:int -> t -> packet list
-(** Drain up to [limit] packets (default 1_000_000, to bound accidents). *)
+val to_list : t -> packet list
+(** Drain the stream.  It must be finite: bound an infinite source with
+    {!limit_time} first. *)
 
 val limit_time : t -> float -> t
 (** Truncate the stream at a time horizon (exclusive). *)
-
-val limit_count : t -> int -> t
-
-val map_size : t -> (int -> int) -> t
-
-val merge : t -> t -> t
-(** Interleave two streams in time order. *)
-
-val scale_time : t -> float -> t
-(** Multiply all arrival times by a factor (slow down / speed up load). *)

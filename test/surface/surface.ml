@@ -1,20 +1,33 @@
-(* The exported surface is the used surface.
+(* The exported surface is the used surface, options included.
 
    Reads every interface under lib/ for the values it exports, nested
-   signatures included, and every implementation in the build for the
-   values its code refers to.  What counts as a use is what the compiler
-   resolved each identifier to, not a textual match.  Fails on:
+   signatures included, and the optional parameters ([?label]s) in each
+   value's type; and every implementation in the build for the values its
+   code refers to and the optional arguments it passes them.  What counts
+   as a use is what the compiler resolved each identifier to, not a
+   textual match.  Fails on:
    - a value that nothing refers to;
    - a value referred to only inside its own module;
    - a value referred to outside its module only by tests and not named
      in the allowlist;
-   - an allowlist line that names no such value.
+   - an option that nothing passes;
+   - an option that only tests pass, unless the allowlist names it or its
+     value;
+   - an allowlist line that names no such value or option.
 
-   Test code is any module under test/ or named test_*.  Each allowlist
-   line is [Library.Module.value  reason].
+   An option counts as passed by [~label:e] or a forwarded [?label:e] in
+   an application of its value, anywhere, its own module included.  Not
+   by an omission: the compiler fills an omitted optional argument with
+   a [None] at a ghost location, and leaves it out of a partial
+   application.
 
-   Usage: surface.exe ALLOWLIST BUILD_ROOT  (BUILD_ROOT is _build/default,
-   built with the check alias so that executables have .cmt files). *)
+   Test code is any module whose source, relative to the scanned root,
+   is under test/ or named test_*.  Each allowlist line is
+   [Library.Module.value  reason] or [Library.Module.value?label  reason].
+
+   Usage: surface.exe ALLOWLIST ROOT  (ROOT is a build directory such as
+   _build/default, built with the check alias so that executables have
+   .cmt files). *)
 
 open Typedtree
 
@@ -37,14 +50,30 @@ let display unit =
   in
   go 0
 
-type export = { unit : string; local : string; uid : Shape.Uid.t }
+type export = {
+  unit : string;
+  local : string;
+  uid : Shape.Uid.t;
+  options : string list;
+}
+
+let rec options ty =
+  match ty.ctyp_desc with
+  | Ttyp_arrow (Optional l, _, ret) -> l :: options ret
+  | Ttyp_arrow (_, _, ret) | Ttyp_poly (_, ret) -> options ret
+  | _ -> []
 
 let rec sig_values unit prefix acc items =
   List.fold_left
     (fun acc item ->
       match item.sig_desc with
       | Tsig_value vd ->
-          { unit; local = prefix ^ vd.val_name.txt; uid = vd.val_val.val_uid }
+          {
+            unit;
+            local = prefix ^ vd.val_name.txt;
+            uid = vd.val_val.val_uid;
+            options = options vd.val_desc;
+          }
           :: acc
       | Tsig_module
           { md_name = { txt = Some m; _ };
@@ -62,12 +91,17 @@ let exports root =
              List.rev (sig_values cmt.cmt_modname "" [] sg.sig_items)
          | _ -> [])
 
-(* Uses outside the defining module, by uid: [true] once a program (not
-   a test) refers to it. *)
-let outside : bool Shape.Uid.Tbl.t = Shape.Uid.Tbl.create 4096
+(* What a reference resolves to: a value of another module, by uid, or a
+   value of the referring module itself, by (unit, local name). *)
+type target = Other of Shape.Uid.t | Own of string * string
 
-(* Uses inside the defining module, by (unit, local name). *)
-let inside : (string * string, unit) Hashtbl.t = Hashtbl.create 1024
+(* Uses, by target and option label ("" for the value itself): [true]
+   once a program (not a test) makes one. *)
+let uses : (target * string, bool) Hashtbl.t = Hashtbl.create 4096
+
+let record key test =
+  let prog = Option.value (Hashtbl.find_opt uses key) ~default:false in
+  Hashtbl.replace uses key (prog || not test)
 
 (* A module's top-level values and the values of its nested structures
    (not its aliases of other modules), by ident: a reference to one of
@@ -107,30 +141,50 @@ let rec local_name tbl = function
   | Path.Pdot (p, s) -> Option.map (fun m -> m ^ "." ^ s) (local_name tbl p)
   | _ -> None
 
-let is_test source =
-  String.starts_with ~prefix:"test/" source
+(* Whether the unit whose .cmt is at [path] is test code: its source,
+   relative to the scanned root, is under test/ or named test_*.  The
+   build writes a unit's .cmt three levels below its source's directory
+   (dir/.lib.objs/byte/unit.cmt). *)
+let is_test ~root path source =
+  let prefix = Filename.concat root "" in
+  let rel = String.sub path (String.length prefix) (String.length path - String.length prefix) in
+  let dir = Filename.(dirname (dirname (dirname rel))) in
+  dir = "test"
+  || String.starts_with ~prefix:"test/" dir
   || String.starts_with ~prefix:"test_" (Filename.basename source)
 
-let scan_uses path =
+let scan_uses root path =
   let cmt = Cmt_format.read_cmt path in
   match cmt.cmt_annots with
   | Implementation str ->
       let unit = cmt.cmt_modname in
-      let test = is_test (Option.value cmt.cmt_sourcefile ~default:"") in
+      let test =
+        is_test ~root path (Option.value cmt.cmt_sourcefile ~default:"")
+      in
       let own = top_level str in
+      let target p (vd : Types.value_description) =
+        match (local_name own p, vd.val_uid) with
+        | Some local, _ -> Some (Own (unit, local))
+        (* A local binding: its uid is numbered like the unit's interface
+           items, so it must not be looked up as one. *)
+        | None, Item { comp_unit; _ } when comp_unit = unit -> None
+        | None, uid -> Some (Other uid)
+      in
       let expr sub e =
         (match e.exp_desc with
-        | Texp_ident (p, _, vd) -> (
-            match (local_name own p, vd.val_uid) with
-            | Some local, _ -> Hashtbl.replace inside (unit, local) ()
-            (* A local binding: its uid is numbered like the unit's
-               interface items, so it must not be looked up as one. *)
-            | None, Item { comp_unit; _ } when comp_unit = unit -> ()
-            | None, uid ->
-                let prog =
-                  Option.value (Shape.Uid.Tbl.find_opt outside uid) ~default:false
-                in
-                Shape.Uid.Tbl.replace outside uid (prog || not test))
+        | Texp_ident (p, _, vd) ->
+            Option.iter (fun t -> record (t, "") test) (target p vd)
+        | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args) ->
+            Option.iter
+              (fun t ->
+                List.iter
+                  (function
+                    | Asttypes.Optional l, Some arg when not arg.exp_loc.loc_ghost
+                      ->
+                        record (t, l) test
+                    | _ -> ())
+                  args)
+              (target p vd)
         | _ -> ());
         Tast_iterator.default_iterator.expr sub e
       in
@@ -156,22 +210,34 @@ let () =
     match Sys.argv with
     | [| _; a; r |] -> (a, r)
     | _ ->
-        prerr_endline "usage: surface.exe ALLOWLIST BUILD_ROOT";
+        prerr_endline "usage: surface.exe ALLOWLIST ROOT";
         exit 2
   in
   let exports = exports root in
-  List.iter scan_uses (files ".cmt" root);
+  List.iter (scan_uses root) (files ".cmt" root);
   let allowed = read_allowlist allowlist in
   let unused = ref [] and own_only = ref [] and test_only = ref [] in
+  let never = ref [] and test_opts = ref [] and n_opts = ref 0 in
   List.iter
     (fun e ->
       let name = display e.unit ^ "." ^ e.local in
-      match Shape.Uid.Tbl.find_opt outside e.uid with
+      let outside l = Hashtbl.find_opt uses (Other e.uid, l) in
+      let inside l = Hashtbl.mem uses (Own (e.unit, e.local), l) in
+      (match outside "" with
       | Some true -> ()
       | Some false -> test_only := name :: !test_only
-      | None when Hashtbl.mem inside (e.unit, e.local) ->
-          own_only := name :: !own_only
-      | None -> unused := name :: !unused)
+      | None when inside "" -> own_only := name :: !own_only
+      | None -> unused := name :: !unused);
+      List.iter
+        (fun l ->
+          incr n_opts;
+          let opt = name ^ "?" ^ l in
+          match outside l with
+          | Some true -> ()
+          | _ when inside l -> ()
+          | Some false -> test_opts := (opt, name) :: !test_opts
+          | None -> never := opt :: !never)
+        e.options)
     exports;
   let report title names =
     if names <> [] then begin
@@ -180,13 +246,31 @@ let () =
     end
   in
   let missing = List.filter (fun n -> not (List.mem n allowed)) !test_only in
-  let stale = List.filter (fun n -> not (List.mem n !test_only)) allowed in
+  let missing_opts =
+    List.filter_map
+      (fun (opt, value) ->
+        if List.mem opt allowed || List.mem value allowed then None else Some opt)
+      !test_opts
+  in
+  let stale =
+    List.filter
+      (fun n -> not (List.mem n !test_only || List.mem_assoc n !test_opts))
+      allowed
+  in
   report "exported, used by nothing: delete it" !unused;
   report "exported, used only inside its own module: drop it from the .mli"
     !own_only;
   report "exported, used outside its module only by tests, not allowlisted"
     missing;
-  report "allowlisted, but not a test-only export" stale;
-  Printf.printf "surface: %d exported values, %d of them test-only\n"
-    (List.length exports) (List.length !test_only);
-  if !unused <> [] || !own_only <> [] || missing <> [] || stale <> [] then exit 1
+  report "option passed by nothing: delete it" !never;
+  report "option passed only by tests, not allowlisted" missing_opts;
+  report "allowlisted, but not a test-only export or option" stale;
+  Printf.printf
+    "surface: %d exported values, %d of them test-only; %d options, %d of \
+     them test-only\n"
+    (List.length exports) (List.length !test_only) !n_opts
+    (List.length !test_opts);
+  if
+    !unused <> [] || !own_only <> [] || missing <> [] || !never <> []
+    || missing_opts <> [] || stale <> []
+  then exit 1

@@ -58,7 +58,8 @@ let test_prepend () =
 
 let test_prepend_no_space () =
   let p = pool () in
-  let m = Mbuf.of_bytes p ~leading:0 (Bytes.of_string "x") in
+  (* Use up the 64 bytes of leading space a fresh chain reserves. *)
+  let m = Mbuf.prepend (Mbuf.of_bytes p (Bytes.of_string "x")) 64 in
   check "raises without leading space" true
     (try
        ignore (Mbuf.prepend m 4);

@@ -314,11 +314,11 @@ let prop_layout_random_aligned =
     QCheck.(int_range 1 10000)
     (fun len ->
       let rng = Ldlp_sim.Rng.create ~seed:11 in
-      let l = Layout.random ~rng ~line_bytes:32 ~space_bytes:(1 lsl 20) () in
+      let l = Layout.random ~rng ~line_bytes:32 () in
       let r = Layout.alloc l len in
       r.Layout.base mod 32 = 0
       && r.Layout.base >= 0
-      && r.Layout.base + r.Layout.len <= 1 lsl 20)
+      && r.Layout.base + r.Layout.len <= 1 lsl 28)
 
 (* ---------- Working_set ---------- *)
 

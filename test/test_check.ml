@@ -196,10 +196,7 @@ let test_invariant_gate () =
       Ldlp_core.Invariant.set_enabled true;
       Alcotest.check_raises "raises when enabled"
         (Ldlp_core.Invariant.Violation "boom") (fun () ->
-          Ldlp_core.Invariant.check false "boom");
-      (* [checkf] only evaluates the condition when enabled. *)
-      Ldlp_core.Invariant.set_enabled false;
-      Ldlp_core.Invariant.checkf (fun () -> Alcotest.fail "evaluated") "no")
+          Ldlp_core.Invariant.check false "boom"))
 
 let test_invariants_pass_on_sched () =
   with_invariants (fun () ->
@@ -215,7 +212,7 @@ let test_invariants_pass_on_runtime () =
             Ldlp_core.Layer.passthrough (Printf.sprintf "L%d" i))
       in
       let workload =
-        List.init 200 (fun i ->
+        List.init 2000 (fun i ->
             { Ldlp_core.Runtime.at = float_of_int i *. 1e-3; size = 552; flow = 0 })
       in
       let r =
@@ -224,7 +221,6 @@ let test_invariants_pass_on_runtime () =
           ~layers
           ~make_payload:(fun ~size ->
             Ldlp_buf.Mbuf.of_bytes pool (Bytes.create (min size 1024)))
-          ~buffer_cap:20
           ~service:(fun ~batch:_ _ -> 0.002)
           workload
       in

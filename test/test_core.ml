@@ -509,19 +509,20 @@ let test_runtime_light_load () =
   check "latency recorded" true (Ldlp_sim.Hist.count r.Runtime.latency = 50)
 
 let test_runtime_overload_drops () =
-  (* Service slower than arrival with a tiny buffer must drop. *)
+  (* Service ten times slower than arrival fills the 500-message buffer
+     and must drop. *)
   let workload =
-    List.init 100 (fun i ->
+    List.init 1000 (fun i ->
         { Runtime.at = float_of_int i *. 0.001; size = 100; flow = 0 })
   in
   let r =
     Runtime.run ~discipline:Engine.Conventional ~layers:(passthrough_layers 2)
-      ~make_payload ~buffer_cap:5
+      ~make_payload
       ~service:(fun ~batch:_ _ -> 0.01)
       workload
   in
   check "drops under overload" true (r.Runtime.dropped > 0);
-  checki "conservation" 100 (r.Runtime.processed + r.Runtime.dropped)
+  checki "conservation" 1000 (r.Runtime.processed + r.Runtime.dropped)
 
 let test_runtime_ldlp_batches_under_load () =
   let workload =

@@ -108,10 +108,7 @@ let prop_shapes_conserve c =
     drive (Engine.rx_chain ~discipline ~layers ?intake_limit ()) ~entry:0 c
   in
   let tx =
-    drive
-      (Engine.tx_chain ~discipline ~layers ?intake_limit ())
-      ~entry:(List.length layers - 1)
-      c
+    drive (Engine.tx_chain ~discipline ~layers ()) ~entry:(List.length layers - 1) c
   in
   let graph =
     (* The chain as a graph, registered top-down: each layer sits below
@@ -163,22 +160,24 @@ let test_rx_chain_idle_check () =
 
 (* ---------- transmit-side intake shedding ---------- *)
 
-(* Mirror of test_core's [test_intake_shedding] for the transmit chain
-   (submission-queue high-watermark). *)
+(* Mirror of test_core's [test_intake_shedding] for the transmit side
+   (submission-queue high-watermark), at a duplex engine's transmit
+   entry. *)
 let test_tx_intake_shedding () =
   let shed_ids = ref [] in
   let wired = ref [] in
   let tx =
-    Engine.tx_chain ~discipline:Engine.Conventional
+    Engine.duplex ~discipline:Engine.Conventional
       ~layers:[ Layer.passthrough "l0"; Layer.passthrough "l1" ]
       ~wire:(fun m -> wired := m.Msg.id :: !wired)
       ~intake_limit:3
       ~on_shed:(fun m -> shed_ids := m.Msg.id :: !shed_ids)
       ()
   in
+  let entry = Engine.duplex_tx_entry tx in
   let results =
     List.map
-      (fun m -> (m.Msg.id, Engine.try_inject tx ~node:1 m))
+      (fun m -> (m.Msg.id, Engine.try_inject tx ~node:entry m))
       (List.init 5 (fun i -> Msg.make ~size:10 i))
   in
   checki "watermark admits 3" 3 (List.length (List.filter snd results));
@@ -195,7 +194,8 @@ let test_tx_intake_shedding () =
   checki "accepted messages all transmitted" 3 (List.length !wired);
   checki "nothing shed mid-run" 2 (Engine.stats tx).Engine.shed;
   (* Draining the submission queue reopens the intake. *)
-  check "room after run" true (Engine.try_inject tx ~node:1 (Msg.make ~size:10 9));
+  check "room after run" true
+    (Engine.try_inject tx ~node:entry (Msg.make ~size:10 9));
   (* Without a limit try_inject never refuses. *)
   let open_tx =
     Engine.tx_chain ~discipline:(Engine.Ldlp Batch.All)

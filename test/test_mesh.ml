@@ -368,11 +368,13 @@ let test_recovery_sharded_equals_single () =
     [ 1; 2; 3 ]
 
 let test_recovery_on_pristine_all_complete () =
-  (* An explicit policy with no crashes must behave like a pristine
-     storm: nothing abandoned, nothing retried, everything done. *)
-  let t =
-    Mesh.run_storm ~wiring:Mesh.Duplex ~recovery:Mesh.default_recovery small
+  (* The recovery driver with no crashes (a lifecycle in which every
+     host is immortal) must behave like a pristine storm: nothing
+     abandoned, nothing retried, everything done. *)
+  let immortal =
+    { small with Mesh.lifecycle = Array.make small.Mesh.hosts Ldlp_fault.Plan.host_none }
   in
+  let t = Mesh.run_storm ~wiring:Mesh.Duplex immortal in
   checki "all calls complete" t.Mesh.calls_requested t.Mesh.calls_completed;
   checki "nothing abandoned" 0 t.Mesh.calls_abandoned;
   checki "nothing retried" 0 t.Mesh.calls_retried;

@@ -35,7 +35,7 @@ let cksum_points sizes =
   let points =
     List.filter
       (fun p -> List.mem p.Cksum_study.msg_bytes sizes)
-      (Cksum_study.series ~step:8 ~max_bytes:1000 ())
+      (Cksum_study.series ())
   in
   Alcotest.(check int) "one point per size" (List.length sizes) (List.length points);
   points
@@ -48,7 +48,7 @@ let test_cksum_study_warm_elaborate_wins () =
         (Printf.sprintf "warm elaborate faster at %d" p.Cksum_study.msg_bytes)
         true
         (p.Cksum_study.elaborate_warm < p.Cksum_study.simple_warm))
-    (cksum_points [ 128; 256; 512; 1000 ])
+    (cksum_points [ 128; 256; 512; 992 ])
 
 let test_cksum_study_cold_simple_wins_small () =
   List.iter
@@ -67,8 +67,8 @@ let test_cksum_study_fill_costs () =
   check (Printf.sprintf "simple fill %.0f ~ 176" fs) true (fs > 140.0 && fs < 220.0)
 
 let test_cksum_study_series () =
-  let s = Cksum_study.series ~step:100 ~max_bytes:1000 () in
-  checki "11 points" 11 (List.length s);
+  let s = Cksum_study.series () in
+  checki "63 points" 63 (List.length s);
   check "warm <= cold everywhere" true
     (List.for_all
        (fun p ->
@@ -211,7 +211,7 @@ let test_clock_sweep_structure () =
     (fast.Figures.cv.Simrun.mean_latency < slow.Figures.cv.Simrun.mean_latency)
 
 let test_ablation_batch_ordering () =
-  let pts = Figures.ablation_batch ~params:tiny ~seed:1 ~rate:8000.0 () in
+  let pts = Figures.ablation_batch ~params:tiny ~seed:1 () in
   let get p =
     (List.find (fun b -> b.Figures.policy = p) pts).Figures.r
   in
@@ -221,7 +221,7 @@ let test_ablation_batch_ordering () =
     (b16.Simrun.imisses_per_msg < b1.Simrun.imisses_per_msg /. 3.0)
 
 let test_ablation_density () =
-  let pts = Figures.ablation_density ~params:tiny ~seed:1 ~rate:6000.0 () in
+  let pts = Figures.ablation_density ~params:tiny ~seed:1 () in
   let scale s = List.find (fun p -> p.Figures.code_scale = s) pts in
   let small = scale 0.45 and full = scale 1.0 in
   (* Denser code: conventional gets faster (fewer misses). *)
@@ -230,7 +230,7 @@ let test_ablation_density () =
     < 0.6 *. full.Figures.dc.Simrun.imisses_per_msg)
 
 let test_ablation_linesize () =
-  let pts = Figures.ablation_linesize ~params:tiny ~seed:1 ~rate:2000.0 () in
+  let pts = Figures.ablation_linesize ~params:tiny ~seed:1 () in
   let line n = List.find (fun p -> p.Figures.line_bytes = n) pts in
   let l16 = line 16 and l64 = line 64 in
   (* Larger lines: fewer conventional I misses (Table 3's point). *)
@@ -239,8 +239,8 @@ let test_ablation_linesize () =
     < 0.5 *. l16.Figures.lc.Simrun.imisses_per_msg)
 
 let test_comparison_ilp_structure () =
-  let pts = Figures.comparison_ilp ~params:tiny ~seed:2 ~rates:[ 6000.0 ] () in
-  match pts with
+  let pts = Figures.comparison_ilp ~params:tiny ~seed:2 () in
+  match List.filter (fun p -> p.Figures.irate = 6000.0) pts with
   | [ p ] ->
     (* ILP matches conventional on I misses, beats it on D misses, and
        LDLP beats both on I misses under load. *)
@@ -258,7 +258,7 @@ let test_comparison_ilp_structure () =
   | _ -> Alcotest.fail "one point expected"
 
 let test_extension_goal_structure () =
-  let g = Figures.extension_goal ~seed:2 ~runs:1 () in
+  let g = Figures.extension_goal ~seed:2 () in
   check "ldlp sustains much more than conventional" true
     (g.Figures.g_ldlp.Simrun.throughput
     > 2.0 *. g.Figures.g_conv.Simrun.throughput);
@@ -269,7 +269,7 @@ let test_extension_goal_structure () =
     < g.Figures.g_ldlp.Simrun.mean_latency)
 
 let test_ablation_granularity_shape () =
-  let pts = Figures.ablation_granularity ~seed:4 ~rate:8000.0 ~runs:1 () in
+  let pts = Figures.ablation_granularity ~seed:4 () in
   let get n = (List.find (fun p -> p.Figures.nlayers = n) pts).Figures.gl in
   (* Cache-sized layers keep LDLP effective; a fused 30 KB layer
      self-evicts and loses the entire benefit. *)
@@ -292,8 +292,8 @@ let test_parallel_rate_sweep_identical () =
 
 let test_extension_tcp_stack () =
   (* Section 6: LDLP is advantageous even for TCP's real footprints. *)
-  let pts = Figures.extension_tcp_stack ~seed:5 ~rates:[ 6000.0 ] ~runs:2 () in
-  match pts with
+  let pts = Figures.extension_tcp_stack ~seed:5 () in
+  match List.filter (fun p -> p.Figures.t_rate = 6000.0) pts with
   | [ p ] ->
     check "ldlp wins on real TCP footprints" true
       (p.Figures.tl.Simrun.mean_latency

@@ -60,13 +60,12 @@ let test_coalescing_batches_service () =
   let n =
     Netsim.add_node net ~name:"n"
       ~nic:(Ldlp_nic.Nic.create ~irq:(Ldlp_nic.Nic.Coalesced 8) ())
-      ~irq_latency:1e-4
       ~service:(fun nic ->
         batches := List.length (Ldlp_nic.Nic.take_all nic) :: !batches)
       ()
   in
   (* 16 frames arriving together: with 8-frame coalescing the service
-     fires once the first 8 are in; by the time it runs (100 us later) all
+     fires once the first 8 are in; by the time it runs (5 us later) all
      16 are buffered — one big batch, the LDLP intake. *)
   for i = 1 to 16 do
     Netsim.inject net n ~at:1e-6 i
@@ -102,7 +101,8 @@ let test_lossy_link () =
         received := !received + List.length (Ldlp_nic.Nic.take_all nic))
       ()
   in
-  Netsim.connect net a b ~latency:1e-4 ~loss:0.5 ~seed:7 ();
+  let drop = Ldlp_fault.(Impair.create ~seed:7 (Plan.v ~drop:0.5 ())) in
+  Netsim.connect net a b ~latency:1e-4 ~impair_ab:drop ();
   for i = 1 to 200 do
     ignore (Ldlp_nic.Nic.transmit (Netsim.nic a) i)
   done;

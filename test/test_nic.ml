@@ -58,30 +58,6 @@ let test_nic_rx_and_drops () =
   Alcotest.(check (list string)) "take all" [ "a"; "b"; "c" ] (Nic.take_all nic);
   checki "ring empty" 0 (Nic.rx_available nic)
 
-let test_nic_ring_full_metrics_agree () =
-  (* A 4-slot ring refusing the 5th frame must record the drop twice over:
-     in the stats record and in the metrics sheet's "rx_drops" scalar. *)
-  Ldlp_obs.Obs.with_enabled true (fun () ->
-      let m = Ldlp_obs.Metrics.create ~label:"nic" ~layer_names:[] in
-      let nic = Nic.create ~rx_slots:4 ~metrics:m () in
-      for i = 1 to 4 do
-        check "accepted" true (Nic.deliver nic i)
-      done;
-      check "5th refused" false (Nic.deliver nic 5);
-      check "6th refused" false (Nic.deliver nic 6);
-      let s = Nic.stats nic in
-      checki "stats: frames" 4 s.Nic.rx_frames;
-      checki "stats: drops" 2 s.Nic.rx_drops;
-      let scalar name = List.assoc name (Ldlp_obs.Metrics.scalars m) in
-      checki "scalar mirrors rx_frames" s.Nic.rx_frames (scalar "rx_frames");
-      checki "scalar mirrors rx_drops" s.Nic.rx_drops (scalar "rx_drops");
-      (* Drain and refill: both views keep agreeing. *)
-      ignore (Nic.take_all nic);
-      ignore (Nic.deliver nic 7);
-      let s = Nic.stats nic in
-      checki "frames again" s.Nic.rx_frames (scalar "rx_frames");
-      checki "drops unchanged" s.Nic.rx_drops (scalar "rx_drops"))
-
 let test_nic_irq_per_frame () =
   let nic = Nic.create () in
   check "no irq initially" false (Nic.irq_pending nic);
@@ -168,8 +144,6 @@ let suite =
     Alcotest.test_case "ring full" `Quick test_ring_full;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
     Alcotest.test_case "nic rx/drops" `Quick test_nic_rx_and_drops;
-    Alcotest.test_case "nic ring full: stats and metrics agree" `Quick
-      test_nic_ring_full_metrics_agree;
     Alcotest.test_case "nic irq per-frame" `Quick test_nic_irq_per_frame;
     Alcotest.test_case "nic irq coalesced" `Quick test_nic_irq_coalesced;
     Alcotest.test_case "nic coalesced full ring" `Quick test_nic_coalesced_full_ring_fires;

@@ -519,13 +519,14 @@ let test_reassembly_overlap_rejected () =
   | _ -> Alcotest.fail "overlap must be rejected"
 
 let test_reassembly_timeout () =
-  let r = Reasm.create ~timeout:1.0 () in
+  let r = Reasm.create () in
   let h = { frag_header with Ipv4.more_fragments = true } in
   ignore (Reasm.input r ~now:0.0 h (Bytes.create 16));
   checki "one pending" 1 (Reasm.pending r);
-  (* A fragment of another datagram, past the timeout, expires the first. *)
+  (* A fragment of another datagram, past the 30 s timeout, expires the
+     first. *)
   ignore
-    (Reasm.input r ~now:5.0 { h with Ipv4.ident = h.Ipv4.ident + 1 } (Bytes.create 16));
+    (Reasm.input r ~now:35.0 { h with Ipv4.ident = h.Ipv4.ident + 1 } (Bytes.create 16));
   checki "first gone, second pending" 1 (Reasm.pending r)
 
 let test_reassembly_interleaved_datagrams () =
@@ -907,13 +908,7 @@ let prop_ipv4_check_at_mutants =
           ~lie:(fun b off v -> Bytes.set_uint16_be b (off + 2) v)
           m
       in
-      List.for_all
-        (fun verify_checksum ->
-          agrees
-            (Ipv4.check_at ~verify_checksum b m.m_off m.m_len)
-            (Ipv4.parse ~verify_checksum b m.m_off m.m_len)
-            m.m_off)
-        [ true; false ])
+      agrees (Ipv4.check_at b m.m_off m.m_len) (Ipv4.parse b m.m_off m.m_len) m.m_off)
 
 let prop_tcp_check_at_mutants =
   QCheck.Test.make ~name:"tcp check_at = parse on mutated headers"

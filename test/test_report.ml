@@ -85,8 +85,7 @@ let test_ablation_renders () =
   check "dilution paper anchor" true (contains dilution "~25%");
   let tx =
     Ldlp_report.Report.extension_txside
-      (Ldlp_model.Figures.extension_txside ~params:tiny ~seed:3
-         ~rates:[ 8000.0 ] ())
+      (Ldlp_model.Figures.extension_txside ~params:tiny ~seed:3 ())
   in
   check "txside title" true (contains tx "transmit-side")
 

@@ -772,25 +772,6 @@ let test_layers_end_to_end () =
   checki "three transmissions" 3 (List.length downs);
   checki "no drops" 1 stats.Ldlp_core.Engine.injected
 
-let test_layers_no_acks_option () =
-  let sw = make_switch () in
-  let st = Layers.stack ~pool ~switch:sw ~acks:false () in
-  let downs = ref 0 in
-  let sched =
-    Ldlp_core.Engine.rx_chain ~discipline:Ldlp_core.Engine.Conventional
-      ~layers:st.Layers.layers
-      ~down:(fun _ -> incr downs)
-      ()
-  in
-  let frame = List.hd (setup_frames ~port:1 ~count:1 "b:1") in
-  let port, bytes = frame in
-  let m = Layers.frame ~pool ~port bytes in
-  Ldlp_core.Engine.inject sched ~node:0
-    (Ldlp_core.Msg.make ~size:(Ldlp_buf.Mbuf.length m) (Layers.Raw m));
-  Ldlp_core.Engine.run sched;
-  (* Without sscop acks: only CALL_PROCEEDING + forwarded SETUP. *)
-  checki "two transmissions, no ack" 2 !downs
-
 let test_layers_sscop_for_bad_port () =
   let st = Layers.stack ~pool ~switch:(make_switch ()) () in
   List.iter
@@ -1031,7 +1012,6 @@ let suite =
       test_switch_held_calls_promote_nothing;
     QCheck_alcotest.to_alcotest prop_switch_random_valid_scripts;
     Alcotest.test_case "layers end to end" `Quick test_layers_end_to_end;
-    Alcotest.test_case "layers acks disabled" `Quick test_layers_no_acks_option;
     Alcotest.test_case "layers sscop_for rejects ports outside a byte" `Quick
       test_layers_sscop_for_bad_port;
     QCheck_alcotest.to_alcotest prop_layers_wire_bytes;

@@ -345,9 +345,9 @@ let test_hist_merge () =
   checkf "merged mean" 0.0025 (Hist.mean a)
 
 let test_hist_clamps () =
-  let h = Hist.create ~lo:1e-6 ~hi:1.0 () in
+  let h = Hist.create () in
   Hist.add h 1e-12;
-  Hist.add h 100.0;
+  Hist.add h 1e6;
   checki "clamped samples counted" 2 (Hist.count h)
 
 (* ---------- Engine ---------- *)
@@ -388,16 +388,6 @@ let test_engine_past_raises () =
   Alcotest.check_raises "scheduling in the past"
     (Invalid_argument "Engine.at: time 0.5 is before now 1") (fun () ->
       Engine.at e 0.5 (fun () -> ()))
-
-let test_engine_stop () =
-  let e = Engine.create () in
-  let fired = ref 0 in
-  Engine.at e 1.0 (fun () ->
-      incr fired;
-      Engine.stop e);
-  Engine.at e 2.0 (fun () -> incr fired);
-  Engine.run e;
-  checki "stopped after first" 1 !fired
 
 (* The event queue against a reference: a list of pending events in
    scheduling order, the next one found by a stable sort on time — so
@@ -570,10 +560,6 @@ let test_table_render' () =
   check "contains 333" true (contains s "333");
   check "contains header" true (contains s "bb")
 
-let test_table_tsv () =
-  let s = Table.tsv ~header:[ "x"; "y" ] [ [ "1"; "2" ] ] in
-  Alcotest.(check string) "tsv" "x\ty\n1\t2\n" s
-
 let test_fmt_si () =
   Alcotest.(check string) "micro" "250u" (Table.fmt_si 250e-6);
   Alcotest.(check string) "kilo" "1.5k" (Table.fmt_si 1500.0);
@@ -636,12 +622,10 @@ let suite =
     Alcotest.test_case "engine until" `Quick test_engine_until;
     Alcotest.test_case "engine chained" `Quick test_engine_schedule_during_run;
     Alcotest.test_case "engine past raises" `Quick test_engine_past_raises;
-    Alcotest.test_case "engine stop" `Quick test_engine_stop;
     QCheck_alcotest.to_alcotest prop_engine_dispatch_order;
     Alcotest.test_case "engine schedule and dispatch allocate nothing" `Quick
       test_engine_zero_alloc;
     Alcotest.test_case "table render" `Quick test_table_render';
-    Alcotest.test_case "table tsv" `Quick test_table_tsv;
     Alcotest.test_case "fmt si" `Quick test_fmt_si;
     Alcotest.test_case "fmt pct" `Quick test_fmt_pct;
     Alcotest.test_case "chart plot" `Quick test_chart_plot;

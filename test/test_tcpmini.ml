@@ -14,11 +14,20 @@ let checks = Alcotest.(check string)
 
 (* ---------- Sockbuf ---------- *)
 
+(* [Sockbuf.append_mbuf] of the string's bytes, as a one-mbuf chain. *)
+let sb_pool = Ldlp_buf.Pool.create ()
+
+let append sb s =
+  let m = Ldlp_buf.Mbuf.of_string sb_pool s in
+  let n = Sockbuf.append_mbuf sb m ~pos:0 ~len:(String.length s) in
+  Ldlp_buf.Mbuf.free sb_pool m;
+  n
+
 let test_sockbuf_basic () =
   let sb = Sockbuf.create ~hiwat:10 () in
   checki "empty" 0 (Sockbuf.length sb);
   checki "space" 10 (Sockbuf.space sb);
-  checki "append accepts" 5 (Sockbuf.append sb (Bytes.of_string "hello"));
+  checki "append accepts" 5 (append sb "hello");
   checki "length" 5 (Sockbuf.length sb);
   checks "read" "hel" (Bytes.to_string (Sockbuf.read sb 3));
   checki "length after read" 2 (Sockbuf.length sb);
@@ -26,23 +35,23 @@ let test_sockbuf_basic () =
 
 let test_sockbuf_hiwat () =
   let sb = Sockbuf.create ~hiwat:8 () in
-  checki "partial accept" 8 (Sockbuf.append sb (Bytes.of_string "0123456789"));
+  checki "partial accept" 8 (append sb "0123456789");
   checki "full" 0 (Sockbuf.space sb);
-  checki "rejects when full" 0 (Sockbuf.append sb (Bytes.of_string "x"));
+  checki "rejects when full" 0 (append sb "x");
   ignore (Sockbuf.read sb 4);
   checki "space recovered" 4 (Sockbuf.space sb)
 
 let test_sockbuf_wakeups () =
   let sb = Sockbuf.create () in
-  ignore (Sockbuf.append sb (Bytes.of_string "a"));
-  ignore (Sockbuf.append sb (Bytes.of_string "b"));
+  ignore (append sb "a");
+  ignore (append sb "b");
   checki "one wakeup while non-empty" 1 (Sockbuf.wakeups sb);
   ignore (Sockbuf.read_all sb);
-  ignore (Sockbuf.append sb (Bytes.of_string "c"));
+  ignore (append sb "c");
   checki "wakeup after drain" 2 (Sockbuf.wakeups sb)
 
-(* Random interleavings of appends (from bytes, and from multi-segment
-   mbuf chains at an offset), partial reads and empty reads, checked
+(* Random interleavings of appends (of one-mbuf chains, and of
+   multi-segment chains at an offset), partial reads and empty reads, checked
    after every step against a [Buffer] model: bytes come out in order,
    an append accepts exactly what fits under [hiwat] (0 when full),
    [space] and [length] agree, and [wakeups] counts the appends that
@@ -88,7 +97,7 @@ let prop_sockbuf_fifo =
         accepted = fits
       in
       let step = function
-        | Append data -> push data (Sockbuf.append sb (Bytes.of_string data))
+        | Append data -> push data (append sb data)
         | Append_chain (pre, parts) ->
           (* One chain per part, concatenated; the payload starts [pre]
              bytes in, as a segment's does after its headers. *)
@@ -133,7 +142,7 @@ let test_sockbuf_ring_fill_zero_alloc () =
   let pool = Ldlp_buf.Pool.create () in
   let m = Ldlp_buf.Mbuf.of_string pool (String.make 84 'p') in
   let sb = Sockbuf.create () in
-  ignore (Sockbuf.append sb (Bytes.make 100 'r'));
+  ignore (append sb (String.make 100 'r'));
   let words f =
     f ();
     let w0 = Gc.minor_words () in
