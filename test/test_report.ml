@@ -189,6 +189,28 @@ let test_committed_bench_files () =
         (Json.member row "digest" = Json.Num (string_of_int (Json.int row "digest"))))
     (Json.arr (Result.get_ok (Schema.parse Schema.flows (read "BENCH_flows.json"))) "rows")
 
+(* A committed dune file as one line: comments dropped, and every run
+   of spaces and line breaks one space. *)
+let dune_text file =
+  String.split_on_char '\n' (read_committed file)
+  |> List.map (fun l ->
+         match String.index_opt l ';' with Some i -> String.sub l 0 i | None -> l)
+  |> String.concat " " |> String.split_on_char ' '
+  |> List.filter (( <> ) "")
+  |> String.concat " "
+
+(* The workspace builds in the release profile, which compiles without
+   -opaque so that calls between modules can be direct and inlined; and
+   since release's own flags are only `-w -40`, the root dune's [env]
+   branch for every profile ([_]) must restate the dev profile's warning
+   set, each warning an error. *)
+let test_build_settings () =
+  check "dune-workspace selects the release profile" true
+    (contains (dune_text "dune-workspace") "(profile release)");
+  check "root dune makes the dev warnings errors in every profile" true
+    (contains (dune_text "dune")
+       "(env (_ (flags (:standard -w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 ")
+
 (* A full stop ending a sentence is not part of the name before it. *)
 let rec trim p =
   if String.ends_with ~suffix:"." p then trim (String.sub p 0 (String.length p - 1))
@@ -650,6 +672,8 @@ let suite =
       test_committed_bench_files;
     Alcotest.test_case "docs name existing lib and example paths" `Quick
       test_docs_name_existing_paths;
+    Alcotest.test_case "build pins release and the dev warnings" `Quick
+      test_build_settings;
     Alcotest.test_case "soak json rejects bad input" `Quick test_soak_json_rejects;
     Alcotest.test_case "flows json roundtrip" `Quick test_flows_json_roundtrip;
     Alcotest.test_case "flows json rejects bad input" `Quick
