@@ -10,7 +10,7 @@ DOMAINS ?= 2
 # fails when a gate does.
 EXPERIMENTS = soak mesh recovery flows
 
-.PHONY: all build test fmt promote selftest determinism oracle engine-parity shards check $(EXPERIMENTS)
+.PHONY: all build test fmt promote selftest determinism full oracle engine-parity shards check $(EXPERIMENTS)
 
 all: build
 
@@ -51,6 +51,23 @@ determinism: build
 	done
 	diff -r $(DET)/1 $(DET)/2
 	@echo "determinism OK: all, soak, mesh, recovery identical at 1 and 2 domains"
+
+# The paper-fidelity run (`all --full`: 100 layouts x 1 simulated second
+# per point, seed 1996) that EXPERIMENTS' paper-vs-measured numbers come
+# from, at --domains 1 and 2, each diffed against its committed output.
+# About two minutes a run on two vCPUs, so it stays out of `make check`;
+# CI runs it as a job of its own.  After an intentional modeled change,
+# `ldlp_repro all --full > test/golden/full.expected` accepts the new
+# output.
+FULL = _bench/full
+
+full: build
+	rm -rf $(FULL) && mkdir -p $(FULL)
+	set -e; for d in 1 2; do \
+	  $(REPRO) all --full --domains $$d > $(FULL)/$$d.txt; \
+	  diff test/golden/full.expected $(FULL)/$$d.txt; \
+	done
+	@echo "full OK: all --full equals test/golden/full.expected at 1 and 2 domains"
 
 # Differential oracles + LDLP_CHECK invariant sweep on the real model.
 oracle: build

@@ -25,7 +25,8 @@ val touch_range : t -> addr:int -> len:int -> int
     longer than the cache, whose later lines may evict their earlier ones.
     This is the hot path of the protocol-stack simulator: every code,
     data and message region [Memsys] references is one call, run through
-    [Replace.access_range]. *)
+    [Replace.access_range], which costs a direct-mapped cache one or two
+    splices of its runs of sets, not one step per line. *)
 
 val resident : t -> int -> bool
 (** Whether the line containing byte [addr] is currently cached (no state

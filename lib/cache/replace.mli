@@ -1,11 +1,13 @@
 (** Set-associative LRU replacement state, shared by {!Cache} and the
     flow study ([Ldlp_flowtable.Study]).
 
-    A replacement array is [sets * ways] integer tags (-1 = invalid), each
-    set kept in LRU order: way 0 is most recently used, eviction takes the
-    last way.  [sets = 1] gives a full LRU stack over [ways] entries;
-    [ways = 1] gives a direct-mapped table with a single compare-and-store
-    on the hot path.
+    An associative table is [sets * ways] integer tags (-1 = invalid),
+    each set kept in LRU order: way 0 is most recently used, eviction
+    takes the last way.  [sets = 1] gives a full LRU stack over [ways]
+    entries.  [ways = 1] gives a direct-mapped table, kept as runs of
+    consecutive sets whose tags share a high part (the tag of set [s] is
+    that part plus [s]): a run of consecutive keys, such as a code or data
+    region's lines, costs one step per run it overlaps, not one per key.
 
     Keys are arbitrary non-negative integers (cache line numbers for
     {!Cache}, flow-slot hashes for the study); the set index is
@@ -28,10 +30,12 @@ val access_range : t -> first:int -> last:int -> int
     missed ([0] when [last < first]).  Tags, {!occupancy} and {!evictions}
     end exactly as after calling {!access} on each key in turn; a run
     longer than [sets] wraps the set index and its later keys may evict
-    its earlier ones, as they would one by one.  Direct-mapped tables run
-    the whole range in one loop over the tag array; associative ones call
-    {!access} per key.  This is how {!Cache} references a code or data
-    region. *)
+    its earlier ones, as they would one by one.  Direct-mapped tables
+    replace the runs under the range with one run, or two where it wraps
+    the set index, counting the sets whose tag differed as misses; a range
+    longer than [sets] adds one eviction per key past the first [sets].
+    Associative ones call {!access} per key.  This is how {!Cache}
+    references a code or data region. *)
 
 val probe : t -> int -> bool
 (** Whether [key] is currently resident (no state change). *)
@@ -42,7 +46,7 @@ val flush : t -> unit
 
 val occupancy : t -> int
 (** Number of valid entries currently held.  Maintained incrementally;
-    equal to folding over the tag array. *)
+    equal to counting the keys {!iter} visits. *)
 
 val evictions : t -> int
 (** Number of miss installs that displaced a valid entry (misses while the

@@ -72,9 +72,34 @@ let hits t = t.hits
 
 let misses t = t.misses
 
-let resident_lines t =
-  Array.fold_left (fun acc l -> List.rev_append l acc) [] t.state
-  |> List.sort compare
+(* One pass over what [iter] lists against the sets' lists in order:
+   each listed line must be the next oracle line, and the count of lines
+   listed must be the oracle's occupancy, so an [iter] that stops early,
+   skips a set or lists a line twice is caught as well as one that
+   misorders. *)
+let lines_agree t iter =
+  let set = ref 0 and rest = ref t.state.(0) and seen = ref 0
+  and bad = ref (-1) in
+  iter (fun l ->
+      let rec next () =
+        match !rest with
+        | [] when !set < t.sets - 1 ->
+          incr set;
+          rest := t.state.(!set);
+          next ()
+        | x :: tl when x = l ->
+          rest := tl;
+          incr seen
+        | _ -> if !bad < 0 then bad := !set
+      in
+      next ());
+  if !bad >= 0 then
+    Error (Printf.sprintf "resident lines differ at set %d" !bad)
+  else if !seen <> occupancy t then
+    Error
+      (Printf.sprintf "%d resident lines listed, oracle holds %d" !seen
+         (occupancy t))
+  else Ok ()
 
 (* ---------- Differential driver ---------- *)
 
@@ -119,12 +144,12 @@ type divergence = { step : int; op : op; detail : string }
 let pp_divergence ppf d =
   Format.fprintf ppf "step %d (%a): %s" d.step pp_op d.op d.detail
 
-let subject_lines subject =
-  let acc = ref [] in
-  Ldlp_cache.Cache.iter_resident subject (fun l -> acc := l :: !acc);
-  List.sort compare !acc
+(* Whole resident sets are compared every [state_period] steps, after
+   every range touch and flush (a bad splice that a later range overwrote
+   would otherwise pass unseen), and at the end of the stream. *)
+let state_period = 16
 
-let differential ?(state_every = 64) cfg ops =
+let differential cfg ops =
   let subject = Ldlp_cache.Cache.create cfg in
   let oracle = create cfg in
   let module C = Ldlp_cache.Cache in
@@ -134,14 +159,10 @@ let differential ?(state_every = 64) cfg ops =
       fail step op
         (Printf.sprintf "occupancy: cache %d, oracle %d" (C.occupancy subject)
            (occupancy oracle))
-    else begin
-      let s = subject_lines subject and o = resident_lines oracle in
-      if s <> o then
-        fail step op
-          (Printf.sprintf "resident sets differ (%d vs %d lines)"
-             (List.length s) (List.length o))
-      else Ok ()
-    end
+    else
+      match lines_agree oracle (C.iter_resident subject) with
+      | Ok () -> Ok ()
+      | Error detail -> fail step op detail
   in
   let rec go step = function
     | [] -> (
@@ -187,9 +208,12 @@ let differential ?(state_every = 64) cfg ops =
                (C.hits subject) (C.misses subject) (hits oracle)
                (misses oracle))
         else begin
-          match
-            if step mod state_every = 0 then states_agree step op else Ok ()
-          with
+          let compare_state =
+            match op with
+            | Touch_range _ | Flush -> true
+            | Access _ | Access_line _ | Probe _ -> step mod state_period = 0
+          in
+          match if compare_state then states_agree step op else Ok () with
           | Error _ as e -> e
           | Ok () -> go (step + 1) rest
         end)

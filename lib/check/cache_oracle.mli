@@ -32,8 +32,11 @@ val hits : t -> int
 
 val misses : t -> int
 
-val resident_lines : t -> int list
-(** All cached line numbers, sorted ascending. *)
+val lines_agree : t -> ((int -> unit) -> unit) -> (unit, string) result
+(** [lines_agree t iter] is [Ok ()] when [iter f] calls [f] on exactly the
+    lines [t] holds, in set order and most recently used first within a
+    set (the order {!Ldlp_cache.Cache.iter_resident} lists them), and
+    [Error detail] otherwise. *)
 
 (** {1 Differential driver} *)
 
@@ -59,13 +62,10 @@ type divergence = { step : int; op : op; detail : string }
 
 val pp_divergence : Format.formatter -> divergence -> unit
 
-val differential :
-  ?state_every:int ->
-  Ldlp_cache.Config.t ->
-  op list ->
-  (int, divergence) result
+val differential : Ldlp_cache.Config.t -> op list -> (int, divergence) result
 (** Replay the stream through a fresh [Ldlp_cache.Cache.t] and a fresh
     oracle.  After every operation the hit/miss outcome and the hit/miss
-    counters must agree; every [state_every] steps (default 64) and at the
-    end of the stream the occupancy and the full resident-line sets must
-    also agree.  [Ok n] is the number of operations replayed. *)
+    counters must agree.  After every [Touch_range] and [Flush], every
+    16th step and at the end of the stream, the occupancy must also agree
+    and the cache's [iter_resident] must pass {!lines_agree}.  [Ok n] is
+    the number of operations replayed. *)

@@ -156,6 +156,122 @@ let prop_access_range_is_per_key_replay =
       && Replace.occupancy a = Replace.occupancy b
       && Replace.evictions a = Replace.evictions b)
 
+(* The direct-mapped reference: one tag per set (-1 = invalid), and each
+   key one compare-and-store, with the fill and eviction counts beside
+   it.  [Replace] keeps runs of sets instead, so the property above
+   compares a direct-mapped table with itself; this one replays random op
+   streams against both and compares them after every op. *)
+type flat = { tags : int array; mutable filled : int; mutable evicted : int }
+
+let flat_access f key =
+  let set = key land (Array.length f.tags - 1) in
+  let old = f.tags.(set) in
+  if old = key then true
+  else begin
+    f.tags.(set) <- key;
+    if old >= 0 then f.evicted <- f.evicted + 1 else f.filled <- f.filled + 1;
+    false
+  end
+
+type dm_op = Key of int | Range of int * int | Probe of int | Flush
+
+let pp_dm_op = function
+  | Key k -> Printf.sprintf "key %d" k
+  | Range (first, last) -> Printf.sprintf "range %d..%d" first last
+  | Probe k -> Printf.sprintf "probe %d" k
+  | Flush -> "flush"
+
+(* Streams on 1 to 4,096 sets: mostly keys under four high parts, so hits,
+   conflicts and merges of runs all occur, and some anywhere below 2^30;
+   ranges from one key to 3x the sets, starting anywhere, so they cross
+   the wrap and lap the table. *)
+let dm_case =
+  let open QCheck.Gen in
+  let gen =
+    int_bound 12 >>= fun sets_exp ->
+    let sets = 1 lsl sets_exp in
+    let key =
+      frequency [ (6, int_bound ((4 * sets) - 1)); (1, int_bound (1 lsl 30)) ]
+    in
+    let op =
+      frequency
+        [
+          (4, map (fun k -> Key k) key);
+          (2, map2 (fun k n -> Range (k, k + n)) key (0 -- (sets - 1)));
+          (2, map2 (fun k n -> Range (k, k + n)) key (0 -- ((3 * sets) - 1)));
+          (2, map (fun k -> Probe k) key);
+          (1, return Flush);
+        ]
+    in
+    map (fun ops -> (sets, ops)) (list_size (1 -- 40) op)
+  in
+  QCheck.make gen ~print:(fun (sets, ops) ->
+      Printf.sprintf "sets=%d [%s]" sets
+        (String.concat "; " (List.map pp_dm_op ops)))
+
+let prop_direct_mapped_matches_flat_tags =
+  QCheck.Test.make ~name:"direct-mapped Replace equals a flat tag array"
+    ~count:200 dm_case (fun (sets, ops) ->
+      let r = Replace.create ~sets ~ways:1 in
+      let f = { tags = Array.make sets (-1); filled = 0; evicted = 0 } in
+      let step n op =
+        let same =
+          match op with
+          | Key k -> Replace.access r k = flat_access f k
+          | Range (first, last) ->
+            let m = ref 0 in
+            for k = first to last do
+              if not (flat_access f k) then incr m
+            done;
+            Replace.access_range r ~first ~last = !m
+          | Probe k -> Replace.probe r k = (f.tags.(k land (sets - 1)) = k)
+          | Flush ->
+            Replace.flush r;
+            Array.fill f.tags 0 sets (-1);
+            f.filled <- 0;
+            true
+        in
+        let resident = ref [] in
+        Replace.iter r (fun k -> resident := k :: !resident);
+        let expected = List.filter (fun k -> k >= 0) (Array.to_list f.tags) in
+        let fail what =
+          QCheck.Test.fail_reportf "op %d (%s): %s" n (pp_dm_op op) what
+        in
+        if not same then fail "outcome";
+        if List.rev !resident <> expected then fail "iter";
+        if Replace.occupancy r <> f.filled then fail "occupancy";
+        if Replace.evictions r <> f.evicted then fail "evictions"
+      in
+      List.iteri step ops;
+      true)
+
+(* Once a direct-mapped table exists, referencing it allocates nothing:
+   ranges shorter and longer than the table, starting anywhere, single
+   keys that split and rejoin its runs, and probes.  The tolerance covers
+   only the boxed floats the two [Gc.minor_words] reads themselves
+   produce. *)
+let test_direct_mapped_allocates_nothing () =
+  let r = Replace.create ~sets:256 ~ways:1 in
+  let misses = ref 0 and hits = ref 0 in
+  let step i =
+    let first = (i * 97) land 4095 in
+    let last = first + (i mod 300) in
+    misses := !misses + Replace.access_range r ~first ~last;
+    if Replace.access r ((i * 7919) land 2047) then incr hits;
+    if Replace.probe r (i land 1023) then incr hits
+  in
+  for i = 0 to 15 do
+    step i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 19_999 do
+    step i
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then
+    Alcotest.failf "20k direct-mapped steps allocated %.0f minor words" dw;
+  check "the loop missed and hit" true (!misses > 0 && !hits > 0)
+
 let test_flush_occupancy () =
   let c = Cache.create (Config.v ()) in
   ignore (Cache.touch_range c ~addr:0 ~len:1024);
@@ -399,6 +515,9 @@ let suite =
     Alcotest.test_case "touch range" `Quick test_touch_range;
     Alcotest.test_case "touch range wraps" `Quick test_touch_range_wraps;
     QCheck_alcotest.to_alcotest prop_access_range_is_per_key_replay;
+    QCheck_alcotest.to_alcotest prop_direct_mapped_matches_flat_tags;
+    Alcotest.test_case "direct-mapped Replace allocates nothing" `Quick
+      test_direct_mapped_allocates_nothing;
     Alcotest.test_case "flush/occupancy" `Quick test_flush_occupancy;
     QCheck_alcotest.to_alcotest prop_cache_fits_capacity;
     QCheck_alcotest.to_alcotest prop_cache_second_access_hits;

@@ -33,13 +33,32 @@ let test_oracle_flush_and_occupancy () =
   let o = Cache_oracle.create (tiny_cfg ~assoc:2) in
   ignore (Cache_oracle.touch_range o ~addr:0 ~len:64);
   checki "four lines resident" 4 (Cache_oracle.occupancy o);
-  Alcotest.(check (list int))
-    "resident lines" [ 0; 1; 2; 3 ]
-    (Cache_oracle.resident_lines o);
+  check "resident lines" true
+    (Cache_oracle.lines_agree o (fun f -> List.iter f [ 0; 1; 2; 3 ]) = Ok ());
   check "resident probe" true (Cache_oracle.resident o 17);
   Cache_oracle.flush o;
   checki "flushed" 0 (Cache_oracle.occupancy o);
   check "gone" false (Cache_oracle.resident o 17)
+
+(* The differential's state comparison must fail every walk that is not
+   exactly the oracle's lines in set order, most recently used first: one
+   that stops before the last set, as an [iter] that drops its last run
+   would, as much as one that misorders. *)
+let test_oracle_lines_agree () =
+  let o = Cache_oracle.create (tiny_cfg ~assoc:2) in
+  (* Set 0 holds 4 then 0, set 3 holds 7. *)
+  List.iter (fun l -> ignore (Cache_oracle.access_line o l)) [ 0; 4; 7 ];
+  let agrees lines =
+    Cache_oracle.lines_agree o (fun f -> List.iter f lines) = Ok ()
+  in
+  check "the oracle's own walk" true (agrees [ 4; 0; 7 ]);
+  check "last set left out" false (agrees [ 4; 0 ]);
+  check "a set's LRU line left out" false (agrees [ 4; 7 ]);
+  check "nothing listed" false (agrees []);
+  check "LRU order swapped" false (agrees [ 0; 4; 7 ]);
+  check "sets out of order" false (agrees [ 7; 4; 0 ]);
+  check "a line listed twice" false (agrees [ 4; 0; 7; 7 ]);
+  check "a line not resident" false (agrees [ 4; 0; 3; 7 ])
 
 (* ---------- Cache_oracle: differential replay ---------- *)
 
@@ -103,7 +122,7 @@ let prop_differential_random_configs =
       let rng = Ldlp_sim.Rng.create ~seed in
       let hot_lines = 3 * Ldlp_cache.Config.lines cfg in
       let ops = Cache_oracle.random_ops ~rng ~hot_lines 800 in
-      match Cache_oracle.differential ~state_every:16 cfg ops with
+      match Cache_oracle.differential cfg ops with
       | Ok _ -> true
       | Error d ->
         QCheck.Test.fail_reportf "diverged: %a" Cache_oracle.pp_divergence d)
@@ -342,6 +361,8 @@ let suite =
     Alcotest.test_case "oracle LRU eviction" `Quick test_oracle_lru_eviction;
     Alcotest.test_case "oracle flush/occupancy" `Quick
       test_oracle_flush_and_occupancy;
+    Alcotest.test_case "oracle lines_agree rejects wrong walks" `Quick
+      test_oracle_lines_agree;
     Alcotest.test_case "differential streams have long ranges" `Quick
       test_streams_have_long_ranges;
     Alcotest.test_case "differential direct-mapped 10k" `Quick
