@@ -1,22 +1,17 @@
-(* Benchmark harness.
+(* Benchmark harness.  The paper's figures are `bin/ldlp_repro`'s
+   (`ldlp_repro all`); this harness times the host.
 
-   Three sections:
-
-   1. {b Reproduction} — prints every entry of the figure registry at the
-      default (quick) fidelity, with the paper's published values
-      alongside.  `bin/ldlp_repro` exposes the same figures with
-      full-fidelity knobs (`--full` = 100 layouts x 1 s).
-
-   2. {b Host measurements} — one flag each, listed in [experiments] at
+   1. {b Host measurements} — one flag each, listed in [experiments] at
       the bottom.  Each runs, writes and prints its schema-checked
       BENCH_*.json document, and exits nonzero when a gate fails.  The
       seeded experiments (soak, mesh, recovery, flows) are `ldlp_repro`'s.
 
-   3. {b Microbenchmarks} — one Bechamel [Test.make] per table/figure (a
-      reduced-size run of its generator, so regressions in the simulator
-      itself are visible), plus wall-clock benches of the real code paths:
-      both checksum routines, mbuf operations, the signalling codec and
-      switch, and the LDLP engine against the conventional discipline. *)
+   2. {b Microbenchmarks}, run when no flag is given — one Bechamel
+      [Test.make] per table/figure (a reduced-size run of its generator,
+      so regressions in the simulator itself are visible), plus wall-clock
+      benches of the real code paths: both checksum routines, mbuf
+      operations, the signalling codec and switch, and the LDLP engine
+      against the conventional discipline. *)
 
 open Bechamel
 open Toolkit
@@ -29,17 +24,7 @@ let bench_params = { quick with Ldlp_model.Params.runs = 1; seconds = 0.05 }
 let seed = 1996
 
 (* ------------------------------------------------------------------ *)
-(* Section 1: reproduction output.                                     *)
-(* ------------------------------------------------------------------ *)
-
-let reproduce () =
-  let ctx = Ldlp_report.Registry.context ~seed () in
-  List.iter
-    (fun (f : Ldlp_report.Registry.t) -> print_endline (f.render ctx))
-    Ldlp_report.Registry.all
-
-(* ------------------------------------------------------------------ *)
-(* Section 2: experiments, each with its BENCH document and gates.     *)
+(* Section 1: experiments, each with its BENCH document and gates.     *)
 (* ------------------------------------------------------------------ *)
 
 (* What an experiment hands back: the document it writes, if any, and one
@@ -203,9 +188,7 @@ let metered ((name, direction, _) as config) =
     | _ -> names
   in
   let m = Ldlp_obs.Metrics.create ~label:name ~layer_names in
-  let r =
-    Ldlp_obs.Obs.with_enabled true (fun () -> hotpath_run ~metrics:m config)
-  in
+  let r = hotpath_run ~metrics:m config in
   let words = (Ldlp_obs.Metrics.totals m).Ldlp_obs.Metrics.t_minor_words in
   let processed = r.Ldlp_model.Simrun.processed in
   (r, if processed = 0 then 0.0 else float_of_int words /. float_of_int processed)
@@ -742,7 +725,7 @@ let bench_shards () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Section 3: Bechamel tests.                                          *)
+(* Section 2: Bechamel tests.                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* One reduced-size generator invocation per table/figure. *)
@@ -993,12 +976,10 @@ let experiments =
   ]
 
 (* Any other argument is refused, so a mistyped or retired flag cannot
-   fall through to the full reproduction and pass without a gate. *)
+   fall through to the microbenchmarks and pass without a gate. *)
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let known =
-    List.map (fun (flag, _, _) -> flag) experiments @ [ "--bench-only"; "--repro-only" ]
-  in
+  let known = List.map (fun (flag, _, _) -> flag) experiments in
   (match List.filter (fun a -> not (List.mem a known)) args with
   | [] -> ()
   | unknown ->
@@ -1023,6 +1004,4 @@ let () =
       exit 1
     end;
     Printf.printf "%s gates: ok\n" flag
-  | None ->
-    if not (has "--bench-only") then reproduce ();
-    if not (has "--repro-only") then run_benchmarks ()
+  | None -> run_benchmarks ()

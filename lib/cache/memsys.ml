@@ -13,7 +13,8 @@ type event =
   | Execute of { cycles : int }
 
 (* The ledger is five mutable ints, so a charge allocates nothing;
-   [counters] builds a record only when asked. *)
+   [counters] builds a record only when asked, and the accessors read one
+   count without building one. *)
 type t = {
   icache : Cache.t;
   dcache : Cache.t;
@@ -95,6 +96,16 @@ let cycles t = t.exec + t.stall
 let seconds t = float_of_int (cycles t) /. t.clock_hz
 
 let seconds_of_cycles t n = float_of_int n /. t.clock_hz
+
+let icache_misses t = t.imisses
+
+let dcache_misses t = t.dmisses
+
+let write_misses t = t.wmisses
+
+let exec_cycles t = t.exec
+
+let stall_cycles t = t.stall
 
 let counters t =
   {

@@ -72,11 +72,21 @@ val seconds : t -> float
 
 val seconds_of_cycles : t -> int -> float
 
+val icache_misses : t -> int
+
+val dcache_misses : t -> int
+
+val write_misses : t -> int
+
+val exec_cycles : t -> int
+
+val stall_cycles : t -> int
+(** One count of the ledger, read without building a {!counters} record:
+    a read before a charge and one after give its delta. *)
+
 val counters : t -> counters
 (** A snapshot of the counters accumulated since the last [take_counters]
-    or creation.  The memory system keeps them as mutable ints and charges
-    without allocating; only the snapshot builds a record, so a snapshot
-    taken before a charge and one taken after give its delta. *)
+    or creation. *)
 
 val take_counters : t -> counters
 (** Return a snapshot of the counters, then zero them (cache contents are

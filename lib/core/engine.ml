@@ -1,5 +1,4 @@
 module Metrics = Ldlp_obs.Metrics
-module Obs = Ldlp_obs.Obs
 
 type discipline = Conventional | Ldlp of Batch.policy
 
@@ -197,7 +196,7 @@ let try_inject t ~node:i msg =
        injected, so the idle conservation invariants are untouched; the
        owner reclaims its payload in [on_shed]. *)
     t.shed <- t.shed + 1;
-    Metrics.add_scalar t.shed_sc 1;
+    incr t.shed_sc;
     t.on_shed msg;
     false
   | _ ->
@@ -241,20 +240,20 @@ let rec handle t i msg ~recurse =
   end;
   t.on_handled i n.layer msg;
   n.handled <- n.handled + 1;
-  (match t.metrics with None -> () | Some mt -> Metrics.handled mt i);
   let actions =
     (* Gc sampling around the handler only (not the dispatch below), so a
        recursive traversal in conventional mode cannot double-attribute
        one node's allocations to the node that forwarded to it. *)
     match t.metrics with
-    | Some mt when Obs.enabled () ->
+    | Some mt ->
+      Metrics.handled mt i;
       let w0 = Gc.minor_words () in
       let actions =
         if n.use_tx then n.layer.Layer.handle_tx msg else n.layer.Layer.handle msg
       in
       Metrics.alloc mt i (int_of_float (Gc.minor_words () -. w0));
       actions
-    | _ ->
+    | None ->
       if n.use_tx then n.layer.Layer.handle_tx msg else n.layer.Layer.handle msg
   in
   dispatch t n msg actions ~recurse

@@ -79,11 +79,10 @@ type 'a t
       watermark is counted in [stats.shed] (and a "shed" scalar on the
       sheet, registered only when a limit is set), handed to [on_shed],
       and refused without touching [injected];
-    - [metrics] needs one row per node, in node order; while the
-      {!Ldlp_obs.Obs} gate is on the engine records arrivals, batch
-      sizes, per-node handler counts/quanta, queue depths and per-handler
-      minor-heap allocation into it.  With the gate off the sheet is
-      never touched. *)
+    - [metrics] needs one row per node, in node order; the engine
+      records arrivals, batch sizes, per-node handler counts/quanta,
+      queue depths and per-handler minor-heap allocation into it.
+      Without a sheet nothing is recorded. *)
 
 val rx_chain :
   discipline:discipline ->

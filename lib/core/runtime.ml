@@ -1,6 +1,3 @@
-module Metrics = Ldlp_obs.Metrics
-module Obs = Ldlp_obs.Obs
-
 type workload = { at : float; size : int; flow : int }
 
 type report = {
@@ -26,15 +23,8 @@ let poisson_workload ~rng ~rate ~duration ~size =
 let buffer_cap = 500
 
 let run ~discipline ~layers ~make_payload
-    ?(service = fun ~batch:_ _ -> 0.0) ?metrics workload =
+    ?(service = fun ~batch:_ _ -> 0.0) workload =
   let latency = Ldlp_sim.Hist.create () in
-  (* Scalar refs are registered up front (find-or-create is setup-time
-     work); bumping them below is gated and allocation-free. *)
-  let offered_sc, dropped_sc =
-    match metrics with
-    | None -> (ref 0, ref 0)
-    | Some m -> (Metrics.scalar m "offered", Metrics.scalar m "dropped")
-  in
   let completed_this_step = ref [] in
   let handled_this_step : (int, Ldlp_buf.Mbuf.t Msg.t list) Hashtbl.t =
     Hashtbl.create 8
@@ -51,7 +41,7 @@ let run ~discipline ~layers ~make_payload
           Option.value ~default:[] (Hashtbl.find_opt handled_this_step i)
         in
         Hashtbl.replace handled_this_step i (msg :: prev))
-      ?metrics ()
+      ()
   in
   let now = ref 0.0 in
   let dropped = ref 0 in
@@ -62,10 +52,7 @@ let run ~discipline ~layers ~make_payload
       match !pending_arrivals with
       | { at; size; flow } :: rest when at <= !now ->
         pending_arrivals := rest;
-        if Engine.backlog eng ~node:0 >= buffer_cap then begin
-          incr dropped;
-          Metrics.add_scalar dropped_sc 1
-        end
+        if Engine.backlog eng ~node:0 >= buffer_cap then incr dropped
         else begin
           let payload = make_payload ~size in
           Engine.inject eng ~node:0 (Msg.make ~flow ~arrival:at ~size payload)
@@ -102,17 +89,10 @@ let run ~discipline ~layers ~make_payload
       now := !now +. cost;
       List.iter
         (fun (m : Ldlp_buf.Mbuf.t Msg.t) ->
-          let l = Float.max 0.0 (!now -. m.Msg.arrival) in
-          Ldlp_sim.Hist.add latency l;
-          (* The gate check lives at the call site: passing the float to
-             [latency_s] boxes it, which the disabled path must not pay. *)
-          match metrics with
-          | Some mt when Obs.enabled () -> Metrics.latency_s mt l
-          | _ -> ())
+          Ldlp_sim.Hist.add latency (Float.max 0.0 (!now -. m.Msg.arrival)))
         !completed_this_step
     end
   done;
-  Metrics.add_scalar offered_sc offered;
   let stats = Engine.stats eng in
   let duration = !now in
   let processed = stats.Engine.to_up + stats.Engine.consumed in

@@ -31,17 +31,12 @@ val run :
   layers:Ldlp_buf.Mbuf.t Layer.t list ->
   make_payload:(size:int -> Ldlp_buf.Mbuf.t) ->
   ?service:(batch:int -> Ldlp_buf.Mbuf.t Msg.t -> float) ->
-  ?metrics:Ldlp_obs.Metrics.t ->
   workload list ->
   report
 (** Arrivals finding 500 messages buffered (the paper's Figure 6 buffer)
     are dropped.  Default [service] zero-cost (pure functional check).  The per-message service
     time receives the batch size the message was processed under, so
-    callers can model the amortisation LDLP buys.
-
-    [metrics] is forwarded to the underlying {!Engine.rx_chain} (so it
-    must have one row per layer); on top of the scheduler's recording the runtime adds
-    virtual-time latency samples and the "offered"/"dropped" scalars. *)
+    callers can model the amortisation LDLP buys. *)
 
 val poisson_workload :
   rng:Ldlp_sim.Rng.t -> rate:float -> duration:float -> size:int -> workload list

@@ -184,12 +184,13 @@ let drop_frame t frame =
   t.dropped <- t.dropped + 1;
   t.free frame
 
-(* Per-cause counters as an Obs.Metrics scalar sheet: a no-op unless the
-   observability gate is on (add_scalar is gated), so chaos runs cost
-   nothing extra in normal operation. *)
+(* Per-cause counters added to a metric sheet's scalars.  The engine
+   keeps plain fields and publishes them only on request, so chaos runs
+   cost nothing extra in normal operation. *)
 let metrics_scalars m t =
   let put name v =
-    Ldlp_obs.Metrics.add_scalar (Ldlp_obs.Metrics.scalar m ("fault." ^ name)) v
+    let r = Ldlp_obs.Metrics.scalar m ("fault." ^ name) in
+    r := !r + v
   in
   put "offered" t.offered;
   put "delivered" t.delivered;

@@ -75,8 +75,7 @@ val metrics_scalars : Ldlp_obs.Metrics.t -> 'a t -> unit
 (** Publish the per-cause counters (drops, duplicates, corruptions,
     reorder holds, down-episode drops, teardown flushes, frames still
     held) as scalars on an observability sheet, each named
-    ["fault." ^ cause].  Gated like every metric: a no-op unless
-    observability is enabled. *)
+    ["fault." ^ cause]; each call adds the current counts. *)
 
 (** The reorder window by itself, for differential testing against a
     reference replay: a held value is released after [window] subsequent

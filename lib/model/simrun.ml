@@ -1,7 +1,6 @@
 module Cache = Ldlp_cache
 module Core = Ldlp_core
 module Metrics = Ldlp_obs.Metrics
-module Obs = Ldlp_obs.Obs
 
 type discipline = Conventional | Ilp | Ldlp
 
@@ -156,19 +155,19 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
   let charge i (msg : payload Core.Msg.t) =
     current_layer := i;
     match metrics with
-    | Some mt when Obs.enabled () ->
-      (* [counters] returns a snapshot, so the one taken before the
-         charge and the one taken after give its delta. *)
-      let c0 = Cache.Memsys.counters memsys in
+    | Some mt ->
+      let open Cache.Memsys in
+      let exec = exec_cycles memsys and stall = stall_cycles memsys
+      and im = icache_misses memsys and dm = dcache_misses memsys
+      and wm = write_misses memsys in
       charge_memsys i msg;
-      let c1 = Cache.Memsys.counters memsys in
       Metrics.charge mt i
-        ~exec:(c1.Cache.Memsys.exec_cycles - c0.Cache.Memsys.exec_cycles)
-        ~stall:(c1.Cache.Memsys.stall_cycles - c0.Cache.Memsys.stall_cycles)
-        ~imisses:(c1.Cache.Memsys.icache_misses - c0.Cache.Memsys.icache_misses)
-        ~dmisses:(c1.Cache.Memsys.dcache_misses - c0.Cache.Memsys.dcache_misses)
-        ~wmisses:(c1.Cache.Memsys.write_misses - c0.Cache.Memsys.write_misses)
-    | _ -> charge_memsys i msg
+        ~exec:(exec_cycles memsys - exec)
+        ~stall:(stall_cycles memsys - stall)
+        ~imisses:(icache_misses memsys - im)
+        ~dmisses:(dcache_misses memsys - dm)
+        ~wmisses:(write_misses memsys - wm)
+    | None -> charge_memsys i msg
   in
   let now = ref 0.0 in
   let completed = ref [] in
@@ -259,10 +258,10 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
       match !arrivals with
       | Some p when p.Ldlp_traffic.Source.at <= !now ->
         acc.offered <- acc.offered + 1;
-        Metrics.add_scalar offered_sc 1;
+        incr offered_sc;
         if Core.Engine.backlog eng ~node:entry >= params.buffer_cap then begin
           acc.dropped <- acc.dropped + 1;
-          Metrics.add_scalar dropped_sc 1
+          incr dropped_sc
         end
         else
           Core.Engine.inject eng ~node:entry
@@ -291,11 +290,9 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
           acc.processed <- acc.processed + 1;
           let l = Float.max 0.0 (!now -. m.Core.Msg.arrival) in
           Ldlp_sim.Hist.add acc.hist l;
-          (* Gate at the call site: passing the float to [latency_s] boxes
-             it, which the disabled path must not pay. *)
           (match metrics with
-          | Some mt when Obs.enabled () -> Metrics.latency_s mt l
-          | _ -> ());
+          | Some mt -> Metrics.latency_ns mt (int_of_float (l *. 1e9))
+          | None -> ());
           Core.Msg.release msg_pool m)
         !completed
     end

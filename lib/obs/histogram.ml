@@ -3,7 +3,7 @@
    Bucket 0 holds exactly the value 0; bucket b >= 1 holds the range
    [2^(b-1), 2^b - 1] (the last bucket is open-ended).  The bucket count
    is fixed, so two histograms always have compatible geometry and
-   [merge] is a plain element-wise sum — which is what lets per-domain
+   [merge_into] is a plain element-wise sum — which is what lets per-domain
    sheets from [Ldlp_par.Pool] workers be combined deterministically.
 
    Alongside the buckets we keep exact count/sum/min/max, so [mean] is
@@ -95,12 +95,6 @@ let merge_into ~dst src =
     if src.vmin < dst.vmin then dst.vmin <- src.vmin;
     if src.vmax > dst.vmax then dst.vmax <- src.vmax
   end
-
-let merge a b =
-  let t = create () in
-  merge_into ~dst:t a;
-  merge_into ~dst:t b;
-  t
 
 let equal a b =
   a.counts = b.counts && a.count = b.count && a.sum = b.sum && a.vmin = b.vmin

@@ -56,9 +56,6 @@ val merge_into : dst:t -> t -> unit
 (** Add [src]'s state into [dst].  Equivalent to having recorded both
     streams into one histogram. *)
 
-val merge : t -> t -> t
-(** Fresh histogram equal to recording both inputs' streams. *)
-
 val equal : t -> t -> bool
 
 val buckets : t -> (int * int * int) list

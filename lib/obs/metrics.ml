@@ -5,13 +5,8 @@
    the recording operations allocate nothing, and every field is a sum,
    max or fixed-geometry histogram so two sheets with the same shape
    merge deterministically — the property [Ldlp_par.Pool] needs to
-   combine per-domain sheets.
-
-   The recorders ([message], [batch], [handled], [charge], ...) check the
-   {!Obs} gate themselves, so calling them with metrics disabled is a
-   cheap branch; instrumented call sites additionally guard with
-   [Obs.enabled] before doing any work (Gc sampling, counter diffing)
-   that would cost something even to prepare. *)
+   combine per-domain sheets.  A component records only when its caller
+   attached a sheet, so the one switch is the sheet itself. *)
 
 type layer = {
   l_name : string;
@@ -104,57 +99,41 @@ let scalar t name =
 
 let scalars t = List.map (fun (name, r) -> (name, !r)) t.scalars
 
-(* ---------- hot-path recorders (no-ops while the gate is off) ---------- *)
+(* ---------- hot-path recorders ---------- *)
 
 let arrival t ~depth =
-  if Obs.enabled () then begin
-    t.messages <- t.messages + 1;
-    Histogram.add t.depth depth
-  end
+  t.messages <- t.messages + 1;
+  Histogram.add t.depth depth
 
 let batch_run t n =
-  if Obs.enabled () then begin
-    t.batches <- t.batches + 1;
-    Histogram.add t.batch n
-  end
+  t.batches <- t.batches + 1;
+  Histogram.add t.batch n
 
 let handled t i =
-  if Obs.enabled () then begin
-    let l = t.layers.(i) in
-    l.handled <- l.handled + 1;
-    if t.last_layer <> i then begin
-      l.quanta <- l.quanta + 1;
-      t.last_layer <- i
-    end
+  let l = t.layers.(i) in
+  l.handled <- l.handled + 1;
+  if t.last_layer <> i then begin
+    l.quanta <- l.quanta + 1;
+    t.last_layer <- i
   end
 
 let queue_depth t i n =
-  if Obs.enabled () then begin
-    let l = t.layers.(i) in
-    if n > l.queue_peak then l.queue_peak <- n
-  end
+  let l = t.layers.(i) in
+  if n > l.queue_peak then l.queue_peak <- n
 
 let charge t i ~exec ~stall ~imisses ~dmisses ~wmisses =
-  if Obs.enabled () then begin
-    let l = t.layers.(i) in
-    l.exec_cycles <- l.exec_cycles + exec;
-    l.stall_cycles <- l.stall_cycles + stall;
-    l.imisses <- l.imisses + imisses;
-    l.dmisses <- l.dmisses + dmisses;
-    l.wmisses <- l.wmisses + wmisses
-  end
+  let l = t.layers.(i) in
+  l.exec_cycles <- l.exec_cycles + exec;
+  l.stall_cycles <- l.stall_cycles + stall;
+  l.imisses <- l.imisses + imisses;
+  l.dmisses <- l.dmisses + dmisses;
+  l.wmisses <- l.wmisses + wmisses
 
 let alloc t i words =
-  if Obs.enabled () then begin
-    let l = t.layers.(i) in
-    l.minor_words <- l.minor_words + words
-  end
+  let l = t.layers.(i) in
+  l.minor_words <- l.minor_words + words
 
-let latency_s t s =
-  if Obs.enabled () then
-    Histogram.add t.latency_ns (int_of_float (Float.max 0.0 s *. 1e9))
-
-let add_scalar r n = if Obs.enabled () then r := !r + n
+let latency_ns t ns = Histogram.add t.latency_ns ns
 
 (* ---------- totals / merge / render ---------- *)
 
@@ -214,12 +193,6 @@ let merge_into ~dst src =
   dst.batches <- dst.batches + src.batches;
   dst.last_layer <- -1;
   List.iter (fun (name, r) -> scalar dst name := !(scalar dst name) + !r) src.scalars
-
-let merge ~label a b =
-  let t = create ~label ~layer_names:(layer_names a) in
-  merge_into ~dst:t a;
-  merge_into ~dst:t b;
-  t
 
 (* The rendering is fully deterministic for a deterministic run:
    simulated cycles, cache misses, batch/queue/latency histograms.  Real

@@ -4,16 +4,15 @@
     {!layer} record per protocol layer plus component-wide histograms
     (entry batch sizes, entry-queue depth, message latency) and named
     scalar counters.  The scheduling engine ({!Ldlp_core.Engine}, in every
-    topology it builds), the runtime and the cycle model
-    ({!Ldlp_model.Simrun}) accept an optional sheet at construction and
-    record into it while the {!Obs} gate is on.
+    topology it builds) and the cycle model ({!Ldlp_model.Simrun}) accept
+    an optional sheet at construction and record into it exactly when one
+    is attached: the sheet is the only switch.
 
-    All recorders are no-ops while the gate is off — the instrumented
-    call sites allocate nothing on the disabled path (pinned by the
-    Gc-delta test) — and every field is a sum, max or fixed-geometry
-    {!Histogram}, so same-shaped sheets merge deterministically:
-    {!merge_into} is how per-domain sheets from {!Ldlp_par.Pool} workers
-    combine into one result, independent of domain count. *)
+    Recording allocates nothing (pinned by the Gc-delta tests), and every
+    field is a sum, max or fixed-geometry {!Histogram}, so same-shaped
+    sheets merge deterministically: {!merge_into} is how per-domain
+    sheets from {!Ldlp_par.Pool} workers combine into one result,
+    independent of domain count. *)
 
 type layer = {
   l_name : string;
@@ -58,13 +57,12 @@ val latency_hist : t -> Histogram.t
 
 val scalar : t -> string -> int ref
 (** Find-or-create a named scalar counter.  Call at construction time and
-    keep the ref; bumping the ref through {!add_scalar} is the gated
-    hot-path operation. *)
+    keep the ref; bumping it is the hot-path operation. *)
 
 val scalars : t -> (string * int) list
 (** Registered scalars in registration order. *)
 
-(** {1 Hot-path recorders — all no-ops while {!Obs.enabled} is false} *)
+(** {1 Hot-path recorders} *)
 
 val arrival : t -> depth:int -> unit
 (** One message entered the component; [depth] is the entry-queue
@@ -87,11 +85,10 @@ val charge :
 val alloc : t -> int -> int -> unit
 (** [alloc t i words]: layer [i]'s handler allocated [words] minor words. *)
 
-val latency_s : t -> float -> unit
-(** Record an end-to-end latency sample, in seconds. *)
-
-val add_scalar : int ref -> int -> unit
-(** Gated increment of a registered scalar. *)
+val latency_ns : t -> int -> unit
+(** Record an end-to-end latency sample, in nanoseconds.  An int, not a
+    float: a float passed to a function the compiler does not inline is
+    boxed. *)
 
 (** {1 Aggregation} *)
 
@@ -110,8 +107,6 @@ val totals : t -> totals
 val merge_into : dst:t -> t -> unit
 (** Sum [src] into [dst].  The layer shapes (names, order) must match;
     equivalent to having recorded both streams into one sheet. *)
-
-val merge : label:string -> t -> t -> t
 
 val render : t -> string
 (** Deterministic text rendering (for a deterministic run): per-layer

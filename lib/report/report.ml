@@ -556,13 +556,6 @@ module Metrics = Ldlp_obs.Metrics
 module Simrun = Ldlp_model.Simrun
 module Params = Ldlp_model.Params
 
-(* One metric sheet per run index, merged in index order.  Each index
-   derives its own seed, so the work can spread over any number of
-   domains and still merge to the same sheet — the merge demonstration
-   for [Ldlp_par.Pool].  The gate is forced on for the duration so the
-   output (all simulated counters) is identical whether or not
-   LDLP_METRICS is set in the environment. *)
-
 (* The impairment engine's per-cause counters as a scalar sheet: one
    deterministic chaos replay (plan + seed), published through
    [Impair.metrics_scalars] so the stats command shows the same ledger
@@ -635,46 +628,44 @@ let flow_sheet ~seed =
   Pcb.metrics_scalars m table;
   m
 
+(* One metric sheet per run index, merged in index order.  Each index
+   derives its own seed, so the work can spread over any number of
+   domains and still merge to the same sheet — the merge demonstration
+   for [Ldlp_par.Pool]. *)
 let observability_sheets ?domains ?(params = Params.quick) ?(seed = 1996)
     ?(rate = 9000.0) () =
-  Ldlp_obs.Obs.with_enabled true (fun () ->
-      let names = Simrun.layer_names params in
-      let sheet_of discipline =
-        let label =
-          Printf.sprintf "%s @ %.0f msg/s"
-            (Simrun.discipline_name discipline)
-            rate
-        in
-        let per_run =
-          Ldlp_par.Pool.map ?domains
-            (fun i ->
-              let master =
-                Ldlp_sim.Rng.create ~seed:(seed + (7919 * (i + 1)))
-              in
-              let rng = Ldlp_sim.Rng.split master in
-              let source =
-                Ldlp_traffic.Source.limit_time
-                  (Ldlp_traffic.Poisson.source
-                     ~rng:(Ldlp_sim.Rng.split master)
-                     ~rate ~size:params.Params.msg_bytes ())
-                  params.Params.seconds
-              in
-              let m = Metrics.create ~label ~layer_names:names in
-              ignore
-                (Simrun.run_once ~params ~discipline ~rng ~source ~metrics:m ());
-              m)
-            (List.init params.Params.runs Fun.id)
-        in
-        let dst = Metrics.create ~label ~layer_names:names in
-        List.iter (fun src -> Metrics.merge_into ~dst src) per_run;
-        dst
-      in
-      [
-        sheet_of Simrun.Conventional;
-        sheet_of Simrun.Ldlp;
-        fault_sheet ~seed;
-        flow_sheet ~seed;
-      ])
+  let names = Simrun.layer_names params in
+  let sheet_of discipline =
+    let label =
+      Printf.sprintf "%s @ %.0f msg/s" (Simrun.discipline_name discipline) rate
+    in
+    let per_run =
+      Ldlp_par.Pool.map ?domains
+        (fun i ->
+          let master = Ldlp_sim.Rng.create ~seed:(seed + (7919 * (i + 1))) in
+          let rng = Ldlp_sim.Rng.split master in
+          let source =
+            Ldlp_traffic.Source.limit_time
+              (Ldlp_traffic.Poisson.source
+                 ~rng:(Ldlp_sim.Rng.split master)
+                 ~rate ~size:params.Params.msg_bytes ())
+              params.Params.seconds
+          in
+          let m = Metrics.create ~label ~layer_names:names in
+          ignore (Simrun.run_once ~params ~discipline ~rng ~source ~metrics:m ());
+          m)
+        (List.init params.Params.runs Fun.id)
+    in
+    let dst = Metrics.create ~label ~layer_names:names in
+    List.iter (fun src -> Metrics.merge_into ~dst src) per_run;
+    dst
+  in
+  [
+    sheet_of Simrun.Conventional;
+    sheet_of Simrun.Ldlp;
+    fault_sheet ~seed;
+    flow_sheet ~seed;
+  ]
 
 let observability ?domains ?(params = Params.quick) ?(seed = 1996)
     ?(rate = 9000.0) () =

@@ -75,9 +75,8 @@ val observability_sheets :
     deterministic chaos replay (drops, duplicates, corruptions, reorder
     holds, down-episode drops, teardown flushes).  Run indices derive
     independent seeds and execute on the {!Ldlp_par.Pool}, so the merged
-    sheets are identical for any [domains].  The {!Ldlp_obs.Obs} gate is
-    forced on for the duration; the sheets hold only simulated counters,
-    so the result is deterministic per seed. *)
+    sheets are identical for any [domains].  The sheets hold only
+    simulated counters, so the result is deterministic per seed. *)
 
 val observability :
   ?domains:int ->

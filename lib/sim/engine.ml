@@ -39,5 +39,3 @@ let run ?until t =
       end
       else ignore (step t)
     done
-
-let pending t = Heap.size t.queue

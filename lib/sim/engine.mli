@@ -2,8 +2,7 @@
     queue of callbacks ({!Heap}).  Events scheduled for the same instant
     fire in the order they were scheduled.
 
-    Scheduling with {!at} and dispatching with {!run} or {!step}
-    allocate nothing beyond the caller's closure and the boxed float it
+    Scheduling with {!at} and dispatching with {!run} allocate nothing beyond the caller's closure and the boxed float it
     passes as the time; {!after} boxes the time it computes. *)
 
 type t
@@ -24,8 +23,3 @@ val run : ?until:float -> t -> unit
 (** Dispatch events in time order until the queue is empty or virtual time
     would exceed [until].  With [until], the clock is left at [until] and
     later events stay queued. *)
-
-val step : t -> bool
-(** Dispatch exactly one event; [false] if the queue was empty. *)
-
-val pending : t -> int

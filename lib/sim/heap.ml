@@ -34,8 +34,6 @@ let create ?(capacity = 64) () =
     next_seq = 0;
   }
 
-let size h = h.len
-
 let is_empty h = h.len = 0
 
 let grow h v =

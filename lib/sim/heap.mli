@@ -22,8 +22,6 @@ val create : ?capacity:int -> unit -> 'a t
     sizes the backing arrays: the first [capacity] pushes never grow
     them. *)
 
-val size : 'a t -> int
-
 val is_empty : 'a t -> bool
 
 val push : 'a t -> float -> 'a -> unit

@@ -343,17 +343,7 @@ let run_one ?(duplex = false) ~discipline sc =
   client_pcb := Some pcb;
   client_emit syn;
   Netsim.kick net client_node;
-  (if Sys.getenv_opt "LDLP_SOAK_DEBUG" <> None then begin
-     let steps = ref 0 in
-     while Engine.step engine do
-       incr steps;
-       if !steps mod 5000 = 0 then
-         Printf.eprintf "steps=%d now=%.4f sent=%d recvd=%d pending=%d\n%!"
-           !steps (Engine.now engine) !sent_idx (Buffer.length recvd)
-           (Engine.pending engine)
-     done
-   end
-   else Netsim.run net);
+  Netsim.run net;
   (* Teardown: reclaim anything the fault model or the rings still hold,
      then audit the pool. *)
   let free_emissions imp =

@@ -277,84 +277,83 @@ let test_invariants_pass_on_simrun () =
    reconstructed from the d-cache miss penalty. *)
 
 let test_obs_matches_memsys_probe () =
-  Ldlp_obs.Obs.with_enabled true (fun () ->
-      let module Metrics = Ldlp_obs.Metrics in
-      let module Simrun = Ldlp_model.Simrun in
-      let cases =
-        [
-          (Simrun.Conventional, 3, 11);
-          (Simrun.Conventional, 5, 12);
-          (Simrun.Ilp, 4, 13);
-          (Simrun.Ldlp, 5, 14);
-          (Simrun.Ldlp, 7, 15);
-          (Simrun.Ldlp, 2, 16);
-        ]
+  let module Metrics = Ldlp_obs.Metrics in
+  let module Simrun = Ldlp_model.Simrun in
+  let cases =
+    [
+      (Simrun.Conventional, 3, 11);
+      (Simrun.Conventional, 5, 12);
+      (Simrun.Ilp, 4, 13);
+      (Simrun.Ldlp, 5, 14);
+      (Simrun.Ldlp, 7, 15);
+      (Simrun.Ldlp, 2, 16);
+    ]
+  in
+  List.iter
+    (fun (discipline, layers, seed) ->
+      let params =
+        {
+          Ldlp_model.Params.quick with
+          Ldlp_model.Params.layers;
+          runs = 1;
+          seconds = 0.05;
+        }
       in
-      List.iter
-        (fun (discipline, layers, seed) ->
-          let params =
-            {
-              Ldlp_model.Params.quick with
-              Ldlp_model.Params.layers;
-              runs = 1;
-              seconds = 0.05;
-            }
-          in
-          let names = Simrun.layer_names params in
-          let n = List.length names in
-          let im = Array.make n 0
-          and dm = Array.make n 0
-          and wm = Array.make n 0
-          and ex = Array.make n 0
-          and st = Array.make n 0 in
-          let dpenalty =
-            params.Ldlp_model.Params.dcache.Ldlp_cache.Config.miss_penalty
-          in
-          let probe ~layer ev =
-            check "events only fire inside a charging layer" true (layer >= 0);
-            match ev with
-            | Ldlp_cache.Memsys.Fetch_code { misses; stall; _ } ->
-              im.(layer) <- im.(layer) + misses;
-              st.(layer) <- st.(layer) + stall
-            | Ldlp_cache.Memsys.Read_data { misses; _ } ->
-              dm.(layer) <- dm.(layer) + misses;
-              st.(layer) <- st.(layer) + (misses * dpenalty)
-            | Ldlp_cache.Memsys.Write_data { misses; _ } ->
-              wm.(layer) <- wm.(layer) + misses
-            | Ldlp_cache.Memsys.Execute { cycles } ->
-              ex.(layer) <- ex.(layer) + cycles
-          in
-          let m = Metrics.create ~label:"differential" ~layer_names:names in
-          let rng = Ldlp_sim.Rng.create ~seed in
-          let source =
-            Ldlp_traffic.Source.limit_time
-              (Ldlp_traffic.Poisson.source
-                 ~rng:(Ldlp_sim.Rng.create ~seed:(seed + 100))
-                 ~rate:8000.0 ())
-              params.Ldlp_model.Params.seconds
-          in
-          let r =
-            Simrun.run_once ~params ~discipline ~rng ~source ~metrics:m
-              ~probe ()
-          in
-          check "simulation processed messages" true
-            (r.Ldlp_model.Simrun.processed > 0);
-          let case = Printf.sprintf "%s/%d layers" (Simrun.discipline_name discipline) layers in
-          for i = 0 to n - 1 do
-            let l = Metrics.layer m i in
-            checki (case ^ " imisses") im.(i) l.Metrics.imisses;
-            checki (case ^ " dmisses") dm.(i) l.Metrics.dmisses;
-            checki (case ^ " wmisses") wm.(i) l.Metrics.wmisses;
-            checki (case ^ " exec") ex.(i) l.Metrics.exec_cycles;
-            checki (case ^ " stall") st.(i) l.Metrics.stall_cycles
-          done;
-          (* And the sheet's totals agree with the simulation's own
-             end-of-run counter roll-up. *)
-          let t = Metrics.totals m in
-          checki (case ^ " total misses vs result")
-            (Array.fold_left ( + ) 0 im)
-            t.Metrics.t_imisses)
-        cases)
+      let names = Simrun.layer_names params in
+      let n = List.length names in
+      let im = Array.make n 0
+      and dm = Array.make n 0
+      and wm = Array.make n 0
+      and ex = Array.make n 0
+      and st = Array.make n 0 in
+      let dpenalty =
+        params.Ldlp_model.Params.dcache.Ldlp_cache.Config.miss_penalty
+      in
+      let probe ~layer ev =
+        check "events only fire inside a charging layer" true (layer >= 0);
+        match ev with
+        | Ldlp_cache.Memsys.Fetch_code { misses; stall; _ } ->
+          im.(layer) <- im.(layer) + misses;
+          st.(layer) <- st.(layer) + stall
+        | Ldlp_cache.Memsys.Read_data { misses; _ } ->
+          dm.(layer) <- dm.(layer) + misses;
+          st.(layer) <- st.(layer) + (misses * dpenalty)
+        | Ldlp_cache.Memsys.Write_data { misses; _ } ->
+          wm.(layer) <- wm.(layer) + misses
+        | Ldlp_cache.Memsys.Execute { cycles } ->
+          ex.(layer) <- ex.(layer) + cycles
+      in
+      let m = Metrics.create ~label:"differential" ~layer_names:names in
+      let rng = Ldlp_sim.Rng.create ~seed in
+      let source =
+        Ldlp_traffic.Source.limit_time
+          (Ldlp_traffic.Poisson.source
+             ~rng:(Ldlp_sim.Rng.create ~seed:(seed + 100))
+             ~rate:8000.0 ())
+          params.Ldlp_model.Params.seconds
+      in
+      let r =
+        Simrun.run_once ~params ~discipline ~rng ~source ~metrics:m
+          ~probe ()
+      in
+      check "simulation processed messages" true
+        (r.Ldlp_model.Simrun.processed > 0);
+      let case = Printf.sprintf "%s/%d layers" (Simrun.discipline_name discipline) layers in
+      for i = 0 to n - 1 do
+        let l = Metrics.layer m i in
+        checki (case ^ " imisses") im.(i) l.Metrics.imisses;
+        checki (case ^ " dmisses") dm.(i) l.Metrics.dmisses;
+        checki (case ^ " wmisses") wm.(i) l.Metrics.wmisses;
+        checki (case ^ " exec") ex.(i) l.Metrics.exec_cycles;
+        checki (case ^ " stall") st.(i) l.Metrics.stall_cycles
+      done;
+      (* And the sheet's totals agree with the simulation's own
+         end-of-run counter roll-up. *)
+      let t = Metrics.totals m in
+      checki (case ^ " total misses vs result")
+        (Array.fold_left ( + ) 0 im)
+        t.Metrics.t_imisses)
+    cases
 
 let suite =
   [

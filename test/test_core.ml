@@ -285,29 +285,28 @@ let test_intake_shedding () =
        (List.init 100 (fun i -> Engine.try_inject open_sched ~node:0 (Msg.make i))))
 
 let test_shed_scalar_only_with_limit () =
-  Ldlp_obs.Obs.with_enabled true (fun () ->
-      let m = Ldlp_obs.Metrics.create ~label:"shed" ~layer_names:[ "l0" ] in
-      let sched =
-        Engine.rx_chain ~discipline:Engine.Conventional
-          ~layers:[ Layer.passthrough "l0" ]
-          ~intake_limit:1 ~metrics:m ()
-      in
-      ignore (Engine.try_inject sched ~node:0 (Msg.make 0));
-      ignore (Engine.try_inject sched ~node:0 (Msg.make 1));
-      ignore (Engine.try_inject sched ~node:0 (Msg.make 2));
-      checki "scalar mirrors stats.shed" (Engine.stats sched).Engine.shed
-        (List.assoc "shed" (Ldlp_obs.Metrics.scalars m));
-      checki "two shed" 2 (List.assoc "shed" (Ldlp_obs.Metrics.scalars m));
-      (* No intake limit: the scalar is not even registered, keeping
-         existing stats sheets (and their goldens) unchanged. *)
-      let m2 = Ldlp_obs.Metrics.create ~label:"noshed" ~layer_names:[ "l0" ] in
-      let _sched2 =
-        Engine.rx_chain ~discipline:Engine.Conventional
-          ~layers:[ Layer.passthrough "l0" ]
-          ~metrics:m2 ()
-      in
-      check "no scalar without a limit" false
-        (List.mem_assoc "shed" (Ldlp_obs.Metrics.scalars m2)))
+  let m = Ldlp_obs.Metrics.create ~label:"shed" ~layer_names:[ "l0" ] in
+  let sched =
+    Engine.rx_chain ~discipline:Engine.Conventional
+      ~layers:[ Layer.passthrough "l0" ]
+      ~intake_limit:1 ~metrics:m ()
+  in
+  ignore (Engine.try_inject sched ~node:0 (Msg.make 0));
+  ignore (Engine.try_inject sched ~node:0 (Msg.make 1));
+  ignore (Engine.try_inject sched ~node:0 (Msg.make 2));
+  checki "scalar mirrors stats.shed" (Engine.stats sched).Engine.shed
+    (List.assoc "shed" (Ldlp_obs.Metrics.scalars m));
+  checki "two shed" 2 (List.assoc "shed" (Ldlp_obs.Metrics.scalars m));
+  (* No intake limit: the scalar is not even registered, keeping
+     existing stats sheets (and their goldens) unchanged. *)
+  let m2 = Ldlp_obs.Metrics.create ~label:"noshed" ~layer_names:[ "l0" ] in
+  let _sched2 =
+    Engine.rx_chain ~discipline:Engine.Conventional
+      ~layers:[ Layer.passthrough "l0" ]
+      ~metrics:m2 ()
+  in
+  check "no scalar without a limit" false
+    (List.mem_assoc "shed" (Ldlp_obs.Metrics.scalars m2))
 
 let test_empty_stack_rejected () =
   check "empty stack raises" true

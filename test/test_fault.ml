@@ -316,8 +316,8 @@ module Ref_reorder = struct
 end
 
 let test_impair_metrics_scalars () =
-  (* The per-cause counters surface as a scalar sheet (gated on the
-     observability switch), and teardown flushes are counted. *)
+  (* The per-cause counters surface as a scalar sheet, and teardown
+     flushes are counted. *)
   let imp = Impair.create ~seed:42 chaotic_plan in
   for i = 1 to 500 do
     ignore (Impair.send imp ~now:(float_of_int i *. 1e-3) i)
@@ -327,22 +327,21 @@ let test_impair_metrics_scalars () =
   checki "flush returns the held frames" held (List.length (Impair.flush imp));
   let s = Impair.stats imp in
   checki "flushed counter" held s.Impair.flushed;
-  Ldlp_obs.Obs.with_enabled true (fun () ->
-      let m = Ldlp_obs.Metrics.create ~label:"fault" ~layer_names:[] in
-      Impair.metrics_scalars m imp;
-      let scalars = Ldlp_obs.Metrics.scalars m in
-      let get k =
-        match List.assoc_opt k scalars with
-        | Some v -> v
-        | None -> Alcotest.failf "missing scalar %s" k
-      in
-      checki "offered scalar" s.Impair.offered (get "fault.offered");
-      checki "dropped scalar" s.Impair.dropped (get "fault.dropped");
-      checki "duplicated scalar" s.Impair.duplicated (get "fault.duplicated");
-      checki "corrupted scalar" s.Impair.corrupted (get "fault.corrupted");
-      checki "down scalar" s.Impair.down_dropped (get "fault.down_dropped");
-      checki "flushed scalar" s.Impair.flushed (get "fault.flushed");
-      checki "still-held scalar" 0 (get "fault.still_held"))
+  let m = Ldlp_obs.Metrics.create ~label:"fault" ~layer_names:[] in
+  Impair.metrics_scalars m imp;
+  let scalars = Ldlp_obs.Metrics.scalars m in
+  let get k =
+    match List.assoc_opt k scalars with
+    | Some v -> v
+    | None -> Alcotest.failf "missing scalar %s" k
+  in
+  checki "offered scalar" s.Impair.offered (get "fault.offered");
+  checki "dropped scalar" s.Impair.dropped (get "fault.dropped");
+  checki "duplicated scalar" s.Impair.duplicated (get "fault.duplicated");
+  checki "corrupted scalar" s.Impair.corrupted (get "fault.corrupted");
+  checki "down scalar" s.Impair.down_dropped (get "fault.down_dropped");
+  checki "flushed scalar" s.Impair.flushed (get "fault.flushed");
+  checki "still-held scalar" 0 (get "fault.still_held")
 
 let prop_reorder_matches_reference =
   (* Random hold pattern + interleaved release_due calls: the production

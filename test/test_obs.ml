@@ -1,10 +1,9 @@
 (* Tests for the observability subsystem (lib/obs): histogram contracts
    pinned against a naive sorted-array reference, the merge algebra that
-   lets per-domain sheets combine, span and metric-sheet recording, the
-   instrumented schedulers, and — the load-bearing guarantee — that the
-   disabled gate costs zero allocation on the hot path. *)
+   lets per-domain sheets combine, metric-sheet recording, the
+   instrumented schedulers, and — the load-bearing guarantee — that
+   recording into a sheet allocates nothing on the hot path. *)
 
-module Obs = Ldlp_obs.Obs
 module Histogram = Ldlp_obs.Histogram
 module Metrics = Ldlp_obs.Metrics
 
@@ -109,13 +108,9 @@ let prop_hist_merge =
     ~name:"merge a b == recording both streams into one histogram" ~count:300
     QCheck.(pair value_list value_list)
     (fun (xs, ys) ->
-      let merged = Histogram.merge (of_list xs) (of_list ys) in
-      let direct = of_list (xs @ ys) in
-      Histogram.equal merged direct
-      &&
-      (let dst = of_list xs in
-       Histogram.merge_into ~dst (of_list ys);
-       Histogram.equal dst direct))
+      let dst = of_list xs in
+      Histogram.merge_into ~dst (of_list ys);
+      Histogram.equal dst (of_list (xs @ ys)))
 
 let test_hist_buckets_listing () =
   let h = of_list [ 0; 0; 1; 5; 5; 6; 1000 ] in
@@ -127,69 +122,47 @@ let test_hist_buckets_listing () =
 
 let sheet () = Metrics.create ~label:"t" ~layer_names:[ "a"; "b"; "c" ]
 
-let test_metrics_gate_off () =
-  Obs.with_enabled false (fun () ->
-      let m = sheet () in
-      Metrics.arrival m ~depth:5;
-      Metrics.batch_run m 4;
-      Metrics.handled m 0;
-      Metrics.queue_depth m 1 9;
-      Metrics.charge m 2 ~exec:10 ~stall:20 ~imisses:1 ~dmisses:2 ~wmisses:3;
-      Metrics.alloc m 0 100;
-      Metrics.latency_s m 0.5;
-      let r = Metrics.scalar m "s" in
-      Metrics.add_scalar r 3;
-      checki "no messages" 0 (Metrics.messages m);
-      checki "no batches" 0 (Metrics.batches m);
-      checki "scalar untouched" 0 !r;
-      let t = Metrics.totals m in
-      checki "no handled" 0 t.Metrics.t_handled;
-      checki "no cycles" 0 (t.Metrics.t_exec_cycles + t.Metrics.t_stall_cycles);
-      checki "no misses" 0
-        (t.Metrics.t_imisses + t.Metrics.t_dmisses + t.Metrics.t_wmisses))
-
 let test_metrics_recorders () =
-  Obs.with_enabled true (fun () ->
-      let m = sheet () in
-      Metrics.arrival m ~depth:3;
-      Metrics.arrival m ~depth:7;
-      Metrics.batch_run m 2;
-      (* a, a, b, a: two quanta for a (entry + re-entry), one for b. *)
-      Metrics.handled m 0;
-      Metrics.handled m 0;
-      Metrics.handled m 1;
-      Metrics.handled m 0;
-      Metrics.queue_depth m 1 4;
-      Metrics.queue_depth m 1 2;
-      Metrics.charge m 1 ~exec:100 ~stall:50 ~imisses:5 ~dmisses:3 ~wmisses:1;
-      Metrics.charge m 1 ~exec:10 ~stall:5 ~imisses:1 ~dmisses:1 ~wmisses:0;
-      Metrics.alloc m 2 64;
-      Metrics.latency_s m 1e-6;
-      checki "messages" 2 (Metrics.messages m);
-      checki "batches" 1 (Metrics.batches m);
-      let a = Metrics.layer m 0 and b = Metrics.layer m 1 in
-      checki "a handled" 3 a.Metrics.handled;
-      checki "a quanta" 2 a.Metrics.quanta;
-      checki "b handled" 1 b.Metrics.handled;
-      checki "b quanta" 1 b.Metrics.quanta;
-      checki "b exec" 110 b.Metrics.exec_cycles;
-      checki "b stall" 55 b.Metrics.stall_cycles;
-      checki "b imisses" 6 b.Metrics.imisses;
-      checki "b dmisses" 4 b.Metrics.dmisses;
-      checki "b wmisses" 1 b.Metrics.wmisses;
-      checki "b queue peak is a max" 4 b.Metrics.queue_peak;
-      checki "c minor words" 64 (Metrics.layer m 2).Metrics.minor_words;
-      checki "latency in ns" 1000 (Histogram.max_value (Metrics.latency_hist m));
-      checki "depth hist peak" 7 (Histogram.max_value (Metrics.depth_hist m));
-      let t = Metrics.totals m in
-      checki "total handled" 4 t.Metrics.t_handled;
-      checki "total imisses" 6 t.Metrics.t_imisses;
-      (* Scalars are find-or-create: same name, same ref. *)
-      let r1 = Metrics.scalar m "drops" in
-      let r2 = Metrics.scalar m "drops" in
-      check "same ref" true (r1 == r2);
-      Metrics.add_scalar r1 2;
-      check "registered" true (Metrics.scalars m = [ ("drops", 2) ]))
+  let m = sheet () in
+  Metrics.arrival m ~depth:3;
+  Metrics.arrival m ~depth:7;
+  Metrics.batch_run m 2;
+  (* a, a, b, a: two quanta for a (entry + re-entry), one for b. *)
+  Metrics.handled m 0;
+  Metrics.handled m 0;
+  Metrics.handled m 1;
+  Metrics.handled m 0;
+  Metrics.queue_depth m 1 4;
+  Metrics.queue_depth m 1 2;
+  Metrics.charge m 1 ~exec:100 ~stall:50 ~imisses:5 ~dmisses:3 ~wmisses:1;
+  Metrics.charge m 1 ~exec:10 ~stall:5 ~imisses:1 ~dmisses:1 ~wmisses:0;
+  Metrics.alloc m 2 64;
+  Metrics.latency_ns m 1000;
+  checki "messages" 2 (Metrics.messages m);
+  checki "batches" 1 (Metrics.batches m);
+  let a = Metrics.layer m 0 and b = Metrics.layer m 1 in
+  checki "a handled" 3 a.Metrics.handled;
+  checki "a quanta" 2 a.Metrics.quanta;
+  checki "b handled" 1 b.Metrics.handled;
+  checki "b quanta" 1 b.Metrics.quanta;
+  checki "b exec" 110 b.Metrics.exec_cycles;
+  checki "b stall" 55 b.Metrics.stall_cycles;
+  checki "b imisses" 6 b.Metrics.imisses;
+  checki "b dmisses" 4 b.Metrics.dmisses;
+  checki "b wmisses" 1 b.Metrics.wmisses;
+  checki "b queue peak is a max" 4 b.Metrics.queue_peak;
+  checki "c minor words" 64 (Metrics.layer m 2).Metrics.minor_words;
+  checki "latency in ns" 1000 (Histogram.max_value (Metrics.latency_hist m));
+  checki "depth hist peak" 7 (Histogram.max_value (Metrics.depth_hist m));
+  let t = Metrics.totals m in
+  checki "total handled" 4 t.Metrics.t_handled;
+  checki "total imisses" 6 t.Metrics.t_imisses;
+  (* Scalars are find-or-create: same name, same ref. *)
+  let r1 = Metrics.scalar m "drops" in
+  let r2 = Metrics.scalar m "drops" in
+  check "same ref" true (r1 == r2);
+  r1 := !r1 + 2;
+  check "registered" true (Metrics.scalars m = [ ("drops", 2) ])
 
 let filled label =
   let m = Metrics.create ~label ~layer_names:[ "a"; "b" ] in
@@ -198,52 +171,55 @@ let filled label =
   Metrics.handled m 1;
   Metrics.charge m 0 ~exec:10 ~stall:4 ~imisses:2 ~dmisses:1 ~wmisses:0;
   Metrics.batch_run m 1;
-  Metrics.latency_s m 1e-3;
-  Metrics.add_scalar (Metrics.scalar m "offered") 1;
+  Metrics.latency_ns m 1_000_000;
+  incr (Metrics.scalar m "offered");
+  m
+
+(* A fresh sheet holding [a]'s and then [b]'s records. *)
+let merged label a b =
+  let m = Metrics.create ~label ~layer_names:[ "a"; "b" ] in
+  Metrics.merge_into ~dst:m a;
+  Metrics.merge_into ~dst:m b;
   m
 
 let test_metrics_merge () =
-  Obs.with_enabled true (fun () ->
-      let x = filled "x" and y = filled "y" in
-      Metrics.queue_depth x 1 9;
-      Metrics.queue_depth y 1 3;
-      let z = Metrics.merge ~label:"z" x y in
-      checki "messages sum" 2 (Metrics.messages z);
-      checki "batches sum" 2 (Metrics.batches z);
-      let t = Metrics.totals z in
-      checki "handled sum" 4 t.Metrics.t_handled;
-      checki "imisses sum" 4 t.Metrics.t_imisses;
-      checki "queue peak is max not sum" 9 (Metrics.layer z 1).Metrics.queue_peak;
-      check "scalars sum" true (Metrics.scalars z = [ ("offered", 2) ]);
-      check "latency hists merge" true
-        (Histogram.count (Metrics.latency_hist z) = 2);
-      (* Shape mismatch must be loud, not silent corruption. *)
-      let bad = Metrics.create ~label:"bad" ~layer_names:[ "a"; "zzz" ] in
-      check "shape mismatch rejected" true
-        (try
-           Metrics.merge_into ~dst:bad x;
-           false
-         with Invalid_argument _ -> true))
+  let x = filled "x" and y = filled "y" in
+  Metrics.queue_depth x 1 9;
+  Metrics.queue_depth y 1 3;
+  let z = merged "z" x y in
+  checki "messages sum" 2 (Metrics.messages z);
+  checki "batches sum" 2 (Metrics.batches z);
+  let t = Metrics.totals z in
+  checki "handled sum" 4 t.Metrics.t_handled;
+  checki "imisses sum" 4 t.Metrics.t_imisses;
+  checki "queue peak is max not sum" 9 (Metrics.layer z 1).Metrics.queue_peak;
+  check "scalars sum" true (Metrics.scalars z = [ ("offered", 2) ]);
+  check "latency hists merge" true
+    (Histogram.count (Metrics.latency_hist z) = 2);
+  (* Shape mismatch must be loud, not silent corruption. *)
+  let bad = Metrics.create ~label:"bad" ~layer_names:[ "a"; "zzz" ] in
+  check "shape mismatch rejected" true
+    (try
+       Metrics.merge_into ~dst:bad x;
+       false
+     with Invalid_argument _ -> true)
 
 let test_metrics_merge_is_order_independent () =
-  Obs.with_enabled true (fun () ->
-      let x = filled "x" and y = filled "y" in
-      Metrics.charge y 1 ~exec:7 ~stall:1 ~imisses:3 ~dmisses:2 ~wmisses:1;
-      let xy = Metrics.merge ~label:"m" x y
-      and yx = Metrics.merge ~label:"m" y x in
-      check "render equal both orders" true
-        (Metrics.render xy = Metrics.render yx))
+  let x = filled "x" and y = filled "y" in
+  Metrics.charge y 1 ~exec:7 ~stall:1 ~imisses:3 ~dmisses:2 ~wmisses:1;
+  let xy = merged "m" x y and yx = merged "m" y x in
+  check "render equal both orders" true
+    (Metrics.render xy = Metrics.render yx)
 
 let test_metrics_render () =
-  Obs.with_enabled true (fun () ->
-      let m = filled "render me" in
-      let s = Metrics.render m in
-      check "label" true (contains s "render me");
-      check "layer row" true (contains s "a");
-      check "per-message rates" true (contains s "per-message");
-      check "scalar" true (contains s "offered");
-      Metrics.alloc m 0 32;
-      check "allocation words left out" true (Metrics.render m = s))
+  let m = filled "render me" in
+  let s = Metrics.render m in
+  check "label" true (contains s "render me");
+  check "layer row" true (contains s "a");
+  check "per-message rates" true (contains s "per-message");
+  check "scalar" true (contains s "offered");
+  Metrics.alloc m 0 32;
+  check "allocation words left out" true (Metrics.render m = s)
 
 (* ---------- Instrumented scheduler ---------- *)
 
@@ -251,24 +227,23 @@ let passthrough_layers n =
   List.init n (fun i -> Ldlp_core.Layer.passthrough (Printf.sprintf "P%d" i))
 
 let test_sched_records () =
-  Obs.with_enabled true (fun () ->
-      let m =
-        Metrics.create ~label:"sched" ~layer_names:[ "P0"; "P1"; "P2" ]
-      in
-      let sched =
-        Ldlp_core.Engine.rx_chain
-          ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
-          ~layers:(passthrough_layers 3) ~metrics:m ()
-      in
-      for _ = 1 to 10 do
-        Ldlp_core.Engine.inject sched ~node:0 (Ldlp_core.Msg.make ~size:552 ())
-      done;
-      Ldlp_core.Engine.run sched;
-      checki "arrivals recorded" 10 (Metrics.messages m);
-      let t = Metrics.totals m in
-      checki "every layer handled every message" 30 t.Metrics.t_handled;
-      check "batched under LDLP" true (Metrics.batches m < 10);
-      checki "queue peak at entry" 10 (Metrics.layer m 0).Metrics.queue_peak)
+  let m =
+    Metrics.create ~label:"sched" ~layer_names:[ "P0"; "P1"; "P2" ]
+  in
+  let sched =
+    Ldlp_core.Engine.rx_chain
+      ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
+      ~layers:(passthrough_layers 3) ~metrics:m ()
+  in
+  for _ = 1 to 10 do
+    Ldlp_core.Engine.inject sched ~node:0 (Ldlp_core.Msg.make ~size:552 ())
+  done;
+  Ldlp_core.Engine.run sched;
+  checki "arrivals recorded" 10 (Metrics.messages m);
+  let t = Metrics.totals m in
+  checki "every layer handled every message" 30 t.Metrics.t_handled;
+  check "batched under LDLP" true (Metrics.batches m < 10);
+  checki "queue peak at entry" 10 (Metrics.layer m 0).Metrics.queue_peak
 
 let test_sched_rejects_bad_sheet () =
   let m = Metrics.create ~label:"short" ~layer_names:[ "only" ] in
@@ -280,81 +255,89 @@ let test_sched_rejects_bad_sheet () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------- The zero-cost-when-off guarantee ---------- *)
+(* ---------- Recording allocates nothing ---------- *)
 
-(* Direct recorder loop: with the gate off, 100k recorder calls must not
-   allocate.  The tolerance covers only the boxed floats the two
-   [Gc.minor_words] reads themselves produce. *)
+(* Direct recorder loop: 100k calls of every recorder into a sheet must
+   not allocate, and the sheet must hold every call.  The tolerance
+   covers only the boxed floats the two [Gc.minor_words] reads themselves
+   produce. *)
 let test_zero_alloc_recorders () =
-  Obs.with_enabled false (fun () ->
-      let m = sheet () in
-      let r = Metrics.scalar m "s" in
-      let w0 = Gc.minor_words () in
-      for i = 1 to 100_000 do
-        Metrics.arrival m ~depth:i;
-        Metrics.batch_run m 4;
-        Metrics.handled m 0;
-        Metrics.queue_depth m 1 i;
-        Metrics.charge m 2 ~exec:1 ~stall:2 ~imisses:3 ~dmisses:4 ~wmisses:5;
-        Metrics.add_scalar r 1
-      done;
-      let dw = Gc.minor_words () -. w0 in
-      if dw > 16.0 then
-        Alcotest.failf "disabled recorders allocated %.0f minor words" dw;
-      checki "and recorded nothing" 0 (Metrics.totals m).Metrics.t_handled)
+  let calls = 100_000 in
+  let m = sheet () in
+  let r = Metrics.scalar m "s" in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    Metrics.arrival m ~depth:i;
+    Metrics.batch_run m 4;
+    Metrics.handled m 0;
+    Metrics.queue_depth m 1 i;
+    Metrics.charge m 2 ~exec:1 ~stall:2 ~imisses:3 ~dmisses:4 ~wmisses:5;
+    Metrics.alloc m 0 1;
+    Metrics.latency_ns m i;
+    incr r
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  if dw > 16.0 then Alcotest.failf "recorders allocated %.0f minor words" dw;
+  checki "messages" calls (Metrics.messages m);
+  checki "batches" calls (Metrics.batches m);
+  checki "depth samples" calls (Histogram.count (Metrics.depth_hist m));
+  checki "batch samples" calls (Histogram.count (Metrics.batch_hist m));
+  checki "latency samples" calls (Histogram.count (Metrics.latency_hist m));
+  checki "queue peak" calls (Metrics.layer m 1).Metrics.queue_peak;
+  checki "scalar" calls !r;
+  let t = Metrics.totals m in
+  checki "handled" calls t.Metrics.t_handled;
+  checki "minor words" calls t.Metrics.t_minor_words;
+  checki "cycles" (3 * calls) (t.Metrics.t_exec_cycles + t.Metrics.t_stall_cycles);
+  checki "misses" (12 * calls)
+    (t.Metrics.t_imisses + t.Metrics.t_dmisses + t.Metrics.t_wmisses)
 
-(* End-to-end: a ~10k-message Runtime run with a (gate-off) sheet attached
-   must allocate no more minor words than the identical run with no sheet
-   at all — instrumentation that is "off" is provably free.  Fresh pool
-   per run so the allocator work is identical; one warmup run per variant
-   absorbs one-time setup (scalar registration on the sheet). *)
-let runtime_run metrics =
-  let pool = Ldlp_buf.Pool.create () in
-  let rng = Ldlp_sim.Rng.create ~seed:7 in
-  let workload =
-    Ldlp_core.Runtime.poisson_workload ~rng ~rate:10_000.0 ~duration:1.0
-      ~size:552
+(* End-to-end: a cycle-model run with a sheet attached must give the same
+   result as the run without one, fill the sheet, and allocate at most 64
+   minor words more over the whole run: the sheet's scalar registration
+   and attachment, nothing per message or per layer visit.  One unmetered
+   run first absorbs one-time setup. *)
+let test_zero_alloc_simrun () =
+  let module Simrun = Ldlp_model.Simrun in
+  let params =
+    { Ldlp_model.Params.quick with Ldlp_model.Params.runs = 1; seconds = 0.05 }
   in
-  Ldlp_core.Runtime.run
-    ~discipline:(Ldlp_core.Engine.Ldlp Ldlp_core.Batch.paper_default)
-    ~layers:(passthrough_layers 3)
-    ~make_payload:(fun ~size -> Ldlp_buf.Mbuf.of_bytes pool (Bytes.create size))
-    ?metrics workload
-
-let test_zero_alloc_runtime () =
-  Obs.with_enabled false (fun () ->
-      let m = Metrics.create ~label:"off" ~layer_names:[ "P0"; "P1"; "P2" ] in
-      ignore (runtime_run None);
-      ignore (runtime_run (Some m));
-      let w0 = Gc.minor_words () in
-      let r_none = runtime_run None in
-      let w1 = Gc.minor_words () in
-      let r_some = runtime_run (Some m) in
-      let w2 = Gc.minor_words () in
-      let d_none = w1 -. w0 and d_some = w2 -. w1 in
-      check "runs saw real traffic" true
-        (r_none.Ldlp_core.Runtime.processed > 9_000);
-      checki "identical behaviour" r_none.Ldlp_core.Runtime.processed
-        r_some.Ldlp_core.Runtime.processed;
-      if d_some > d_none then
-        Alcotest.failf
-          "metrics-off run allocated %.0f extra minor words over %d messages"
-          (d_some -. d_none) r_some.Ldlp_core.Runtime.processed;
-      checki "sheet stayed empty" 0 (Metrics.messages m))
-
-(* And the same sheet actually fills up when the gate is on — the off-run
-   above is silent because of the gate, not because the wiring is dead. *)
-let test_runtime_records_when_on () =
-  Obs.with_enabled true (fun () ->
-      let m = Metrics.create ~label:"on" ~layer_names:[ "P0"; "P1"; "P2" ] in
-      let r = runtime_run (Some m) in
-      checki "arrivals = offered - dropped"
-        (r.Ldlp_core.Runtime.offered - r.Ldlp_core.Runtime.dropped)
+  let run discipline metrics =
+    let rng = Ldlp_sim.Rng.create ~seed:21 in
+    let source =
+      Ldlp_traffic.Source.limit_time
+        (Ldlp_traffic.Poisson.source ~rng:(Ldlp_sim.Rng.create ~seed:22)
+           ~rate:9000.0 ())
+        params.Ldlp_model.Params.seconds
+    in
+    let w0 = Gc.minor_words () in
+    let r = Simrun.run_once ~params ~discipline ~rng ~source ?metrics () in
+    (r, Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun discipline ->
+      let case = Simrun.discipline_name discipline in
+      ignore (run discipline None);
+      let m =
+        Metrics.create ~label:case ~layer_names:(Simrun.layer_names params)
+      in
+      let r_none, d_none = run discipline None in
+      let r, d_some = run discipline (Some m) in
+      check (case ^ ": same result") true (r = r_none);
+      check (case ^ ": real traffic") true (r.Simrun.processed > 300);
+      checki (case ^ ": arrivals") (r.Simrun.offered - r.Simrun.dropped)
         (Metrics.messages m);
-      check "latency samples" true
-        (Histogram.count (Metrics.latency_hist m) > 0);
-      check "offered scalar" true
-        (List.mem_assoc "offered" (Metrics.scalars m)))
+      checki (case ^ ": latency samples") r.Simrun.processed
+        (Histogram.count (Metrics.latency_hist m));
+      checki (case ^ ": offered scalar") r.Simrun.offered
+        (List.assoc "offered" (Metrics.scalars m));
+      checkf (case ^ ": i-misses per message") r.Simrun.imisses_per_msg
+        (float_of_int (Metrics.totals m).Metrics.t_imisses
+        /. float_of_int r.Simrun.processed);
+      if d_some -. d_none > 64.0 then
+        Alcotest.failf "%s: a metered run allocated %.0f extra minor words over %d messages"
+          case (d_some -. d_none) r.Simrun.processed)
+    [ Simrun.Conventional; Simrun.Ldlp ]
 
 let suite =
   [
@@ -365,7 +348,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hist_matches_reference;
     QCheck_alcotest.to_alcotest prop_hist_quantile_bounds;
     QCheck_alcotest.to_alcotest prop_hist_merge;
-    Alcotest.test_case "metrics gate off" `Quick test_metrics_gate_off;
     Alcotest.test_case "metrics recorders" `Quick test_metrics_recorders;
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "metrics merge order-independent" `Quick
@@ -374,10 +356,8 @@ let suite =
     Alcotest.test_case "sched records into sheet" `Quick test_sched_records;
     Alcotest.test_case "sched rejects wrong-shape sheet" `Quick
       test_sched_rejects_bad_sheet;
-    Alcotest.test_case "zero allocation: raw recorders off" `Quick
+    Alcotest.test_case "zero allocation: raw recorders" `Quick
       test_zero_alloc_recorders;
-    Alcotest.test_case "zero allocation: runtime with sheet off" `Quick
-      test_zero_alloc_runtime;
-    Alcotest.test_case "runtime records when on" `Quick
-      test_runtime_records_when_on;
+    Alcotest.test_case "zero allocation: metered simrun" `Quick
+      test_zero_alloc_simrun;
   ]

@@ -356,6 +356,52 @@ let missing_titles ~roadmap text =
   let roadmap = squash roadmap in
   List.filter (fun t -> not (contains roadmap t)) (cited_titles text)
 
+(* The LDLP_ variables a text names: "LDLP_" and at least one more name
+   character, not inside a longer word. *)
+let named_vars text =
+  let var_char = function 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false in
+  let word_char c = var_char c || (c >= 'a' && c <= 'z') in
+  let n = String.length text in
+  let rec stop j = if j < n && var_char text.[j] then stop (j + 1) else j in
+  let rec go i acc =
+    if i + 5 > n then List.rev acc
+    else if String.sub text i 5 = "LDLP_" && (i = 0 || not (word_char text.[i - 1]))
+    then
+      let j = stop (i + 5) in
+      go j (if j > i + 5 then String.sub text i (j - i) :: acc else acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* The variables a source text reads: the string literal each
+   [Sys.getenv_opt] is applied to. *)
+let read_vars text =
+  let key = "Sys.getenv_opt \"" in
+  let k = String.length key and n = String.length text in
+  let rec go i acc =
+    if i + k > n then List.rev acc
+    else if String.sub text i k = key then
+      match String.index_from_opt text (i + k) '"' with
+      | Some stop -> go (stop + 1) (String.sub text (i + k) (stop - i - k) :: acc)
+      | None -> List.rev acc
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* Every .ml file under a directory of the checkout, build and hidden
+   directories left out. *)
+let rec ml_files dir =
+  Sys.readdir (Filename.concat root dir)
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let p = Filename.concat dir f in
+         if f.[0] = '.' || f.[0] = '_' then []
+         else if Sys.is_directory (Filename.concat root p) then ml_files p
+         else if Filename.check_suffix f ".ml" then [ p ]
+         else [])
+
+let unread_vars ~read text = List.filter (fun v -> not (List.mem v read)) (named_vars text)
+
 (* ROADMAP and CHANGES are history, and name deleted code on purpose. *)
 let test_docs_name_existing_paths () =
   Alcotest.(check (list string))
@@ -387,6 +433,40 @@ let test_docs_name_existing_paths () =
     (missing_titles ~roadmap
        "ROADMAP, \"One persistent domain pool, and a sharded\n\
         wall-clock gate that resolves\"; ROADMAP \"A roadmap item that does not exist\".");
+  Alcotest.(check (list string))
+    "variables found" [ "LDLP_CHECK"; "LDLP_X1"; "LDLP_CHECK" ]
+    (named_vars
+       "LDLP_CHECK=1 make check; `LDLP_X1`, (LDLP_CHECK); not LDLP_, \
+        NOT_LDLP_Y, xLDLP_Z or ldlp_w.");
+  Alcotest.(check (list string))
+    "variables read" [ "LDLP_A"; "HOME" ]
+    (read_vars
+       "let a = Sys.getenv_opt \"LDLP_A\" and h = Sys.getenv_opt \"HOME\" in \
+        Sys.getenv_opt v");
+  Alcotest.(check (list string))
+    "a variable nothing reads is unread" [ "LDLP_UNREAD" ]
+    (unread_vars ~read:[ "LDLP_CHECK" ] "LDLP_CHECK=1; LDLP_UNREAD=1");
+  let read =
+    List.concat_map
+      (fun p -> read_vars (read_committed p))
+      (List.concat_map ml_files [ "lib"; "bin"; "bench" ])
+  in
+  Alcotest.(check bool) "the code reads some variable" true (read <> []);
+  Alcotest.(check (list string))
+    "README names every variable the code reads" []
+    (List.filter
+       (fun v -> not (List.mem v (named_vars (read_committed "README.md"))))
+       read);
+  List.iter
+    (fun doc ->
+      let text = read_committed doc in
+      Alcotest.(check (list string))
+        (doc ^ " names only variables the code reads") []
+        (unread_vars ~read text))
+    [
+      "README.md"; "DESIGN.md"; "EXPERIMENTS.md"; ".claude/skills/verify/SKILL.md";
+      "Makefile"; ".github/workflows/ci.yml";
+    ];
   List.iter
     (fun doc ->
       let text = read_committed doc in

@@ -27,7 +27,7 @@ let test_heap_basic () =
   Heap.push h 3.0 "c";
   Heap.push h 1.0 "a";
   Heap.push h 2.0 "b";
-  checki "size" 3 (Heap.size h);
+  checki "size" 3 (List.length (Heap.to_sorted_list h));
   Alcotest.(check (option (pair (float 0.0) string)))
     "peek min" (Some (1.0, "a")) (peek h);
   Alcotest.(check (option (pair (float 0.0) string)))
@@ -55,7 +55,7 @@ let test_heap_to_sorted_list () =
   List.iter (fun k -> Heap.push h k (int_of_float k)) [ 5.; 1.; 4.; 2.; 3. ];
   let keys = List.map fst (Heap.to_sorted_list h) in
   Alcotest.(check (list (float 0.0))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] keys;
-  checki "non-destructive" 5 (Heap.size h)
+  checki "non-destructive" 5 (List.length (Heap.to_sorted_list h))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
@@ -142,7 +142,7 @@ let test_heap_capacity () =
   let dw = words_allocated () -. w0 in
   if dw > 32.0 then
     Alcotest.failf "4095 pushes into a 4096-capacity heap allocated %.0f words" dw;
-  checki "all held" 4096 (Heap.size h)
+  checki "all held" 4096 (List.length (Heap.to_sorted_list h))
 
 (* ---------- Rng ---------- *)
 
@@ -370,7 +370,9 @@ let test_engine_until () =
   Engine.run ~until:2.0 e;
   checki "only early event" 1 !fired;
   checkf "clock at horizon" 2.0 (Engine.now e);
-  checki "late event pending" 1 (Engine.pending e)
+  Engine.run e;
+  checki "late event fires on the next run" 2 !fired;
+  checkf "clock at the late event" 5.0 (Engine.now e)
 
 let test_engine_schedule_during_run () =
   let e = Engine.create () in
@@ -392,14 +394,14 @@ let test_engine_past_raises () =
 (* The event queue against a reference: a list of pending events in
    scheduling order, the next one found by a stable sort on time — so
    equal times dispatch in scheduling order.  A program interleaves
-   [at] (also in the past, which must raise), [after], [step],
-   [run ~until] and [run]; a dispatched event may schedule follow-ups
-   from inside its callback.  Both sides log every dispatch (event id and
-   clock) and the clock and queue length after every operation. *)
+   [at] (also in the past, which must raise), [after], [run ~until] and
+   [run]; a dispatched event may schedule follow-ups from inside its
+   callback.  Both sides log every dispatch (event id and clock) and the
+   clock after every operation, and a last [run] drains the queue, so an
+   event lost or left over shows as a dispatch. *)
 type q_op =
   | Q_at of float * float list  (* absolute time, follow-up delays *)
   | Q_after of float * float list
-  | Q_step
   | Q_until of float
   | Q_run
 
@@ -408,7 +410,6 @@ let q_op_print = function
     Printf.sprintf "at %g [%s]" t (String.concat ";" (List.map string_of_float k))
   | Q_after (t, k) ->
     Printf.sprintf "after %g [%s]" t (String.concat ";" (List.map string_of_float k))
-  | Q_step -> "step"
   | Q_until t -> Printf.sprintf "until %g" t
   | Q_run -> "run"
 
@@ -422,7 +423,6 @@ let arb_q_program =
       [
         (4, map2 (fun t k -> Q_at (t, k)) time kids);
         (4, map2 (fun t k -> Q_after (t, k)) time kids);
-        (2, return Q_step);
         (2, map (fun t -> Q_until t) time);
         (1, return Q_run);
       ]
@@ -431,7 +431,7 @@ let arb_q_program =
     ~print:(fun ops -> String.concat ", " (List.map q_op_print ops))
     (list_size (int_bound 60) op)
 
-type q_log = Fired of int * float | After_op of float * int | Raised
+type q_log = Fired of int * float | After_op of float | Raised
 
 let q_reference ops =
   let now = ref 0.0 and pending = ref [] and next_id = ref 0 and log = ref [] in
@@ -460,7 +460,6 @@ let q_reference ops =
       (match op with
       | Q_at (t, kids) -> if t < !now then log := Raised :: !log else schedule t kids
       | Q_after (dt, kids) -> schedule (!now +. dt) kids
-      | Q_step -> ignore (step ())
       | Q_until limit ->
         let continue = ref true in
         while !continue do
@@ -474,8 +473,9 @@ let q_reference ops =
             else ignore (step ())
         done
       | Q_run -> while step () do () done);
-      log := After_op (!now, List.length !pending) :: !log)
+      log := After_op !now :: !log)
     ops;
+  while step () do () done;
   List.rev !log
 
 let q_engine ops =
@@ -499,11 +499,11 @@ let q_engine ops =
       | Q_at (t, kids) -> (
         try schedule_at t kids with Invalid_argument _ -> log := Raised :: !log)
       | Q_after (dt, kids) -> schedule_at (Engine.now e +. dt) kids
-      | Q_step -> ignore (Engine.step e)
       | Q_until limit -> Engine.run ~until:limit e
       | Q_run -> Engine.run e);
-      log := After_op (Engine.now e, Engine.pending e) :: !log)
+      log := After_op (Engine.now e) :: !log)
     ops;
+  Engine.run e;
   List.rev !log
 
 let prop_engine_dispatch_order =
@@ -525,17 +525,17 @@ let test_engine_zero_alloc () =
   let fired = ref 0 in
   let f () = incr fired in
   (* Round [k]: 1,000 events over [100k, 100k + 96], ties included, half
-     dispatched by [run ~until], some by [step], the rest by [run]. *)
+     dispatched by one [run ~until], some by a second, the rest by [run]. *)
   let rounds =
     Array.init 4 (fun k -> List.init 1000 (fun i -> float_of_int ((100 * k) + (i mod 97))))
   in
-  let limits = Array.init 4 (fun k -> Some (float_of_int ((100 * k) + 50))) in
+  let limit k d = Some (float_of_int ((100 * k) + d)) in
+  let halves = Array.init 4 (fun k -> limit k 50)
+  and later = Array.init 4 (fun k -> limit k 60) in
   let round k =
     schedule_all e f rounds.(k);
-    Engine.run ?until:limits.(k) e;
-    for _ = 1 to 100 do
-      ignore (Engine.step e)
-    done;
+    Engine.run ?until:halves.(k) e;
+    Engine.run ?until:later.(k) e;
     Engine.run e
   in
   round 0;
