@@ -319,8 +319,8 @@ let words_allocated () =
 
 (* Q.93B signalling stack: minor and direct-major words per caller
    message through [Layers.stack] under an LDLP receive chain, counting
-   everything the path allocates (the received mbuf and message,
-   decoding, the call table, replies and SSCOP acks).  Each call is a SETUP and a
+   everything the path allocates (the received mbuf and message, the
+   call table, replies and SSCOP acks).  Each call is a SETUP and a
    CONNECT_ACK, and its RELEASE comes [q93b_held] calls later, so a few
    thousand calls are live at once, the call table's steady state under
    real holding times.  The caller acks the switch's frames every 8
@@ -329,21 +329,26 @@ let words_allocated () =
    allocated ~364 words/msg here; with integer keys and in-place
    hand-off ~126, and with the calls in a flat table ~121 minor words
    (~124 with the ~3 direct-major words of the growing call rows and
-   index), so a budget of 200 catches a return to the old shape with
-   headroom.
+   index).  With the switch reading each message where it lies and
+   writing each reply straight into its SSCOP frame, not decoding into
+   a record and an element list and encoding and copying each reply, it
+   allocates 66.78 (119.78 before): the received mbuf and message, the
+   link and sscop layers' payload boxes, the SSCOP acks, and one frame,
+   message and action per reply.  A budget of 100 catches a return to
+   the record codec.
 
    The same run counts promoted words per message, which is where held
    calls show.  With a record and two [Hashtbl] cells per call, every
    held call was promoted: 6.03 words/msg.  With each call a row of int
-   columns found through a flat int table the stack promotes 0.94 (SSCOP
-   frames awaiting the caller's ack and messages queued between layers
-   when a minor collection runs), so a budget of 2 catches a return to
-   per-call heap blocks. *)
+   columns found through a flat int table the stack promoted 0.94, and
+   0.47 with the cursor codec (SSCOP frames awaiting the caller's ack and
+   messages queued between layers when a minor collection runs), so a
+   budget of 2 catches a return to per-call heap blocks. *)
 let q93b_calls = 12_000
 
 let q93b_held = 4_000
 
-let q93b_alloc_budget = 200.0
+let q93b_alloc_budget = 100.0
 
 let q93b_promoted_budget = 2.0
 
@@ -816,22 +821,34 @@ let test_sigmsg_codec =
     (Staged.stage (fun () ->
          Result.get_ok (Ldlp_sigproto.Sigmsg.decode (Ldlp_sigproto.Sigmsg.encode m))))
 
-(* One call lifecycle (SETUP, CONNECT_ACK, RELEASE) per run.  With [held]
-   > 0 a run sets up call k but releases call k - held, so the switch
-   keeps [held] calls live, as one with real holding times does; the
-   plain flood never holds a call. *)
+(* One call lifecycle (SETUP, CONNECT_ACK, RELEASE) per run, each
+   message run through [Switch.input] where it lies and each reply written
+   into one reused buffer (the call layer writes it into its SSCOP
+   frame).  The messages are encoded once; each use writes its call
+   reference into the header in place.  With [held] > 0 a run sets up call k but releases call k -
+   held, so the switch keeps [held] calls live, as one with real holding
+   times does; the plain flood never holds a call. *)
 let switch_lifecycle ~held =
   let open Ldlp_sigproto in
   let sw = Switch.create ~auto_answer:true ~routes:[] ~local_port:0 () in
+  let encoded typ ies = (Sigmsg.encode (Sigmsg.v ~call_ref:1 typ ies), Sigmsg.type_code typ) in
+  let setup = encoded Sigmsg.Setup [ Ie.called_party "x" ]
+  and connect_ack = encoded Sigmsg.Connect_ack []
+  and release = encoded Sigmsg.Release [] in
+  let out = Bytes.create 64 in
+  let input (msg, code) call_ref =
+    Sigmsg.write_header msg 0 ~call_ref ~from_originator:true ~code
+      ~ie_len:(Sigmsg.ie_length_at msg 0);
+    for i = 0 to Switch.input sw ~port:1 msg 0 - 1 do
+      Switch.write_reply sw i out 0
+    done
+  in
   let n = ref 0 in
   let call_ref k = (k mod 0x7FFFF0) + 1 in
   let set_up () =
     incr n;
-    let call_ref = call_ref !n in
-    ignore
-      (Switch.handle sw ~port:1
-         (Sigmsg.v ~call_ref Sigmsg.Setup [ Ie.called_party "x" ]));
-    ignore (Switch.handle sw ~port:1 (Sigmsg.v ~call_ref Sigmsg.Connect_ack []))
+    input setup (call_ref !n);
+    input connect_ack (call_ref !n)
   in
   for _ = 1 to held do
     set_up ()
@@ -842,9 +859,7 @@ let switch_lifecycle ~held =
        else Printf.sprintf "sigproto:switch-lifecycle-%dk-held" (held / 1000))
     (Staged.stage (fun () ->
          set_up ();
-         ignore
-           (Switch.handle sw ~port:1
-              (Sigmsg.v ~call_ref:(call_ref (!n - held)) Sigmsg.Release []))))
+         input release (call_ref (!n - held))))
 
 let test_switch_lifecycle = switch_lifecycle ~held:0
 

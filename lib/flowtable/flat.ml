@@ -45,17 +45,26 @@ let find t k =
   let i = probe t.keys t.mask k (home t k) in
   if Array.unsafe_get t.keys i = empty then -1 else i
 
-let rec grow t =
+(* Double the slots and re-insert every entry, in slot order.  The keys
+   are distinct and the new table is at most half full, so each probe
+   ends at an empty slot. *)
+let grow t =
   let keys = t.keys and vals = t.vals in
   let g = make (2 * Array.length keys) in
   t.keys <- g.keys;
   t.vals <- g.vals;
   t.mask <- g.mask;
   t.shift <- g.shift;
-  t.count <- 0;
-  Array.iteri (fun i k -> if k <> empty then add t k vals.(i)) keys
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k <> empty then begin
+      let j = probe t.keys t.mask k (home t k) in
+      t.keys.(j) <- k;
+      t.vals.(j) <- vals.(i)
+    end
+  done
 
-and add t k v =
+let rec add t k v =
   if k < 0 then invalid_arg "Flat.add: negative key";
   let i = probe t.keys t.mask k (home t k) in
   if t.keys.(i) = k then t.vals.(i) <- v

@@ -245,7 +245,12 @@ let run_into ?(direction = `Receive) ~(params : Params.t) ~discipline ~rng
   let offered_sc, dropped_sc =
     match metrics with
     | None -> (ref 0, ref 0)
-    | Some m -> (Metrics.scalar m "offered", Metrics.scalar m "dropped")
+    | Some m ->
+      (* Registered in the order the sheet lists them, which the [stats]
+         golden pins; a tuple would leave it to the compiler. *)
+      let dropped = Metrics.scalar m "dropped" in
+      let offered = Metrics.scalar m "offered" in
+      (offered, dropped)
   in
   let arrivals = ref (Ldlp_traffic.Source.peek source) in
   let pull () =

@@ -44,6 +44,16 @@ type event =
   | Api_accept
   | Api_release
 
+let recv = function
+  | Sigmsg.Setup -> Recv Sigmsg.Setup
+  | Sigmsg.Call_proceeding -> Recv Sigmsg.Call_proceeding
+  | Sigmsg.Connect -> Recv Sigmsg.Connect
+  | Sigmsg.Connect_ack -> Recv Sigmsg.Connect_ack
+  | Sigmsg.Release -> Recv Sigmsg.Release
+  | Sigmsg.Release_complete -> Recv Sigmsg.Release_complete
+  | Sigmsg.Status -> Recv Sigmsg.Status
+  | Sigmsg.Status_enquiry -> Recv Sigmsg.Status_enquiry
+
 type action =
   | Send of Sigmsg.msg_type
   | Notify_setup

@@ -31,6 +31,10 @@ type event =
   | Api_accept  (** Local user answers an incoming call. *)
   | Api_release  (** Local user hangs up. *)
 
+val recv : Sigmsg.msg_type -> event
+(** [Recv typ], from static data: a caller that builds the event per
+    message this way allocates nothing for it. *)
+
 type action =
   | Send of Sigmsg.msg_type  (** Transmit to the peer. *)
   | Notify_setup  (** Tell the local user a call is being offered. *)

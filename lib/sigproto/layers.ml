@@ -5,7 +5,6 @@ type body =
   | Raw of Mbuf.t
   | Frame of int * Mbuf.t
   | Signalling of int * Mbuf.t
-  | Decoded of int * Sigmsg.t
   | Sdu of int * bytes
 
 type item = body
@@ -17,9 +16,7 @@ let frame ~pool ~port payload =
   Bytes.blit payload 0 b 1 (Bytes.length payload);
   Mbuf.of_bytes pool b
 
-let transmit ~sscop_for ~port msg = Sscop.send (sscop_for port) (Sigmsg.encode msg)
-
-let encode_tx ~sscop_for ~port msg = (port, transmit ~sscop_for ~port msg)
+let encode_tx ~sscop_for ~port msg = (port, Sscop.send (sscop_for port) (Sigmsg.encode msg))
 
 type stack = {
   layers : item Core.Layer.t list;
@@ -52,19 +49,30 @@ let sscop_input s m n =
   if Mbuf.contiguous m n then Sscop.input s (Mbuf.seg_data m) (Mbuf.seg_off m) n
   else Sscop.input s (Mbuf.to_bytes m) 0 n
 
-let decode m n =
-  if Mbuf.contiguous m n then Sigmsg.decode_sub (Mbuf.seg_data m) (Mbuf.seg_off m) n
-  else Sigmsg.decode (Mbuf.to_bytes m)
+let check m n =
+  if Mbuf.contiguous m n then Sigmsg.check_at (Mbuf.seg_data m) (Mbuf.seg_off m) n
+  else Sigmsg.check_at (Mbuf.to_bytes m) 0 n
 
-(* The switch's replies, framed by the per-port transmitters, as
+let input switch ~port m n =
+  if Mbuf.contiguous m n then
+    Switch.input switch ~port (Mbuf.seg_data m) (Mbuf.seg_off m)
+  else Switch.input switch ~port (Mbuf.to_bytes m) 0
+
+(* Replies [i] to [n - 1] of the switch's outbox, each written straight
+   into the frame its port's transmitter keeps for retransmission, as
    [Send_down] actions in reply order. *)
-let rec replies_down msg sscop_for = function
-  | [] -> []
-  | (port, reply) :: rest ->
-    let f = transmit ~sscop_for ~port reply in
-    Core.Layer.Send_down
-      (Core.Msg.with_payload msg (Sdu (port, f)) ~size:(Bytes.length f))
-    :: replies_down msg sscop_for rest
+let rec replies_down msg switch sscop_for i n =
+  if i = n then []
+  else begin
+    let port = Switch.reply_port switch i in
+    let f = Sscop.reserve (sscop_for port) (Switch.reply_length switch i) in
+    Switch.write_reply switch i f Sscop.header_bytes;
+    let reply =
+      Core.Layer.Send_down
+        (Core.Msg.with_payload msg (Sdu (port, f)) ~size:(Bytes.length f))
+    in
+    reply :: replies_down msg switch sscop_for (i + 1) n
+  end
 
 let stack ~pool ~switch () =
   (* One SSCOP state per one-byte port tag, made on first use. *)
@@ -114,20 +122,29 @@ let stack ~pool ~switch () =
   let q93b =
     Core.Layer.v ~name:"q93b" ~fp:fp_q93b (fun msg ->
         match msg.Core.Msg.payload with
-        | Signalling (port, m) -> (
-          let decoded = decode m (Mbuf.length m) in
-          Mbuf.free pool m;
-          match decoded with
-          | Ok d -> pass msg (Decoded (port, d)) (Sigmsg.encoded_length d)
-          | Error _ -> Core.Layer.consume_only)
+        | Signalling (_, m) ->
+          let ie_len = check m (Mbuf.length m) in
+          if ie_len >= 0 then begin
+            msg.Core.Msg.size <- Sigmsg.header_bytes + ie_len;
+            Core.Layer.up_only
+          end
+          else begin
+            Mbuf.free pool m;
+            Core.Layer.consume_only
+          end
         | _ -> Core.Layer.up_only)
   in
   let call =
     Core.Layer.v ~name:"call" ~fp:fp_call (fun msg ->
         match msg.Core.Msg.payload with
-        | Decoded (port, m) ->
-          Core.Layer.Up
-          :: replies_down msg sscop_for (Switch.handle switch ~port m)
+        | Signalling (port, m) ->
+          let n = input switch ~port m (Mbuf.length m) in
+          let actions =
+            if n = 0 then Core.Layer.up_only
+            else Core.Layer.Up :: replies_down msg switch sscop_for 0 n
+          in
+          Mbuf.free pool m;
+          actions
         | _ -> Core.Layer.consume_only)
   in
   { layers = [ link; sscop_layer; q93b; call ]; sscop_for; switch }

@@ -6,21 +6,26 @@
     + {b link} — strip the 1-byte port tag from the raw frame;
     + {b sscop} — sequenced delivery: deliver in-order data upward, emit a
       cumulative ack downward, absorb acks;
-    + {b q93b} — decode the signalling message;
-    + {b call} — run the {!Switch} call-control engine; its replies are
-      re-encoded, wrapped by the per-port SSCOP transmitter, tagged with
-      the outgoing port, and sent down.
+    + {b q93b} — validate the signalling message;
+    + {b call} — run the {!Switch} call-control engine on it; each reply
+      is written straight into the frame the outgoing port's SSCOP
+      transmitter keeps for retransmission, tagged with that port, and
+      sent down.
 
     Each layer hands the message up {e in place}, the hand-off-the-buffer
     discipline (Section 3.2) the mbuf system provides for TCP/IP: it
     overwrites the message's [payload] and [size] with its view of the
     same buffer and returns the static {!Ldlp_core.Layer.up_only}.  The
-    received mbuf travels up to the q93b layer: the link layer reads the
+    received mbuf travels up to the call layer: the link layer reads the
     port byte and the sscop layer the SSCOP header where they lie and trim
-    them with {!Ldlp_buf.Mbuf.adj}; the q93b layer decodes straight from
-    the mbuf's head segment with {!Sigmsg.decode_sub}, then frees the
-    mbuf.  No frame is copied on the way up.  Only messages sent down —
-    acks and replies — are fresh message records.
+    them with {!Ldlp_buf.Mbuf.adj}; the q93b layer validates the message
+    in the mbuf's head segment with {!Sigmsg.check_at}, which accepts
+    exactly what the record decoder accepts, and sets the message's size
+    to its header and elements; the call layer runs {!Switch.input} on it
+    where it lies, then frees the mbuf.  No frame is copied on the way up
+    and no message is decoded into a record.  Only messages sent down —
+    acks and replies — are fresh message records, and each reply is
+    written once, into its SSCOP frame ({!Sscop.reserve}).
 
     Footprints attached to each layer are measured estimates of the OCaml
     implementation's code size; they drive the {!Ldlp_core.Blocking}
@@ -31,8 +36,8 @@ type body =
   | Frame of int * Ldlp_buf.Mbuf.t
       (** (port, SSCOP frame): the port tag trimmed off the same mbuf. *)
   | Signalling of int * Ldlp_buf.Mbuf.t
-      (** (port, Q.93B message): the SSCOP header trimmed off too. *)
-  | Decoded of int * Sigmsg.t  (** The q93b layer has freed the mbuf. *)
+      (** (port, Q.93B message): the SSCOP header trimmed off too.  The
+          call layer frees the mbuf. *)
   | Sdu of int * bytes
       (** (port, SSCOP frame) sent down: an ack or an encoded reply. *)
 
@@ -56,5 +61,6 @@ type stack = {
 
 val stack : pool:Ldlp_buf.Pool.t -> switch:Switch.t -> unit -> stack
 (** Build the four-layer receive stack.  The sscop layer sends a
-    cumulative ack downward for every delivered frame.  Received mbufs are freed to [pool] by the layer that drops or
-    decodes them. *)
+    cumulative ack downward for every delivered frame.  Received mbufs
+    are freed to [pool] by the layer that drops them, or by the call
+    layer. *)

@@ -8,7 +8,7 @@ type msg_type =
   | Status
   | Status_enquiry
 
-let msg_type_code = function
+let type_code = function
   | Setup -> 0x05
   | Call_proceeding -> 0x02
   | Connect -> 0x07
@@ -63,20 +63,20 @@ type error =
   | `Bad_length of int
   | Ie.error ]
 
-let encoded_length t = header_bytes + Ie.encoded_length t.ies
+let write_header buf off ~call_ref ~from_originator ~code ~ie_len =
+  Bytes.set_uint8 buf off protocol_discriminator;
+  Bytes.set_uint8 buf (off + 1) 3;
+  let cr = call_ref lor if from_originator then 0x800000 else 0 in
+  Bytes.set_uint8 buf (off + 2) (cr lsr 16);
+  Bytes.set_uint16_be buf (off + 3) (cr land 0xFFFF);
+  Bytes.set_uint8 buf (off + 5) code;
+  Bytes.set_uint16_be buf (off + 6) ie_len
 
 let encode t =
   let ie_len = Ie.encoded_length t.ies in
   let buf = Bytes.create (header_bytes + ie_len) in
-  Bytes.set buf 0 (Char.chr protocol_discriminator);
-  Bytes.set buf 1 '\003';
-  let cr = t.call_ref lor if t.from_originator then 0x800000 else 0 in
-  Bytes.set buf 2 (Char.chr ((cr lsr 16) land 0xFF));
-  Bytes.set buf 3 (Char.chr ((cr lsr 8) land 0xFF));
-  Bytes.set buf 4 (Char.chr (cr land 0xFF));
-  Bytes.set buf 5 (Char.chr (msg_type_code t.typ));
-  Bytes.set buf 6 (Char.chr ((ie_len lsr 8) land 0xFF));
-  Bytes.set buf 7 (Char.chr (ie_len land 0xFF));
+  write_header buf 0 ~call_ref:t.call_ref ~from_originator:t.from_originator
+    ~code:(type_code t.typ) ~ie_len;
   ignore (Ie.encode_list t.ies buf header_bytes);
   buf
 
@@ -112,3 +112,29 @@ let decode_sub buf off len =
   end
 
 let decode buf = decode_sub buf 0 (Bytes.length buf)
+
+let check_at buf off len =
+  if
+    len < header_bytes
+    || Bytes.get_uint8 buf off <> protocol_discriminator
+    || Bytes.get_uint8 buf (off + 1) <> 3
+    || Option.is_none (msg_type_of_code (Bytes.get_uint8 buf (off + 5)))
+  then -1
+  else
+    let ie_len = Bytes.get_uint16_be buf (off + 6) in
+    if header_bytes + ie_len <= len && Ie.check_list buf (off + header_bytes) ie_len
+    then ie_len
+    else -1
+
+let call_ref_at buf off =
+  ((Bytes.get_uint8 buf (off + 2) lsl 16) lor Bytes.get_uint16_be buf (off + 3))
+  land 0x7FFFFF
+
+let from_originator_at buf off = Bytes.get_uint8 buf (off + 2) land 0x80 <> 0
+
+let typ_at buf off =
+  match msg_type_of_code (Bytes.get_uint8 buf (off + 5)) with
+  | Some typ -> typ
+  | None -> invalid_arg "Sigmsg.typ_at: unknown message type"
+
+let ie_length_at buf off = Bytes.get_uint16_be buf (off + 6)

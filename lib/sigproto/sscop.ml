@@ -1,14 +1,38 @@
+(* Sent data frames awaiting ack form a ring: [count] frames from slot
+   [head], oldest first, in an array whose length is a power of two (or
+   0 before the first send).  A slot outside the ring holds
+   [Bytes.empty], so a trimmed frame is garbage at once. *)
 type t = {
   mutable vt_s : int;  (* next sequence number to send *)
   mutable vr_r : int;  (* next expected receive sequence number *)
-  buffer : bytes Queue.t;  (* sent data frames awaiting ack, oldest first *)
+  mutable ring : bytes array;
+  mutable head : int;
+  mutable count : int;
 }
 
 let header_bytes = 4
 
 let seq_mask = 0xFFFFFF
 
-let create () = { vt_s = 0; vr_r = 0; buffer = Queue.create () }
+let create () = { vt_s = 0; vr_r = 0; ring = [||]; head = 0; count = 0 }
+
+(* Frame [i] of the ring, from the oldest. *)
+let nth t i = t.ring.((t.head + i) land (Array.length t.ring - 1))
+
+(* Append a frame.  When the ring is full it doubles (from 8), unrolled
+   from the oldest frame to slot 0. *)
+let push t f =
+  let n = Array.length t.ring in
+  if t.count = n then begin
+    let ring = Array.make (Int.max 8 (2 * n)) Bytes.empty in
+    for i = 0 to t.count - 1 do
+      ring.(i) <- nth t i
+    done;
+    t.ring <- ring;
+    t.head <- 0
+  end;
+  t.ring.((t.head + t.count) land (Array.length t.ring - 1)) <- f;
+  t.count <- t.count + 1
 
 type received =
   | Deliver of bytes
@@ -28,25 +52,37 @@ let precedes s ack =
   let d = (ack - s) land seq_mask in
   d <> 0 && d <= seq_mask lsr 1
 
-let frame ~tag ~seq payload =
-  let n = Bytes.length payload in
+(* A frame with its header written and [n] bytes of payload to fill in. *)
+let blank ~tag ~seq n =
   let b = Bytes.create (header_bytes + n) in
   Bytes.set b 0 tag;
   Bytes.set_uint8 b 1 ((seq lsr 16) land 0xFF);
   Bytes.set_uint16_be b 2 (seq land 0xFFFF);
+  b
+
+let frame ~tag ~seq payload =
+  let n = Bytes.length payload in
+  let b = blank ~tag ~seq n in
   Bytes.blit payload 0 b header_bytes n;
   b
 
-let send t payload =
-  let f = frame ~tag:'D' ~seq:t.vt_s payload in
+let reserve t n =
+  let f = blank ~tag:'D' ~seq:t.vt_s n in
   t.vt_s <- (t.vt_s + 1) land seq_mask;
-  Queue.push f t.buffer;
+  push t f;
+  f
+
+let send t payload =
+  let n = Bytes.length payload in
+  let f = reserve t n in
+  Bytes.blit payload 0 f header_bytes n;
   f
 
 let rec trim t ack =
-  if (not (Queue.is_empty t.buffer)) && precedes (seq_at (Queue.peek t.buffer) 0) ack
-  then begin
-    ignore (Queue.pop t.buffer);
+  if t.count > 0 && precedes (seq_at t.ring.(t.head) 0) ack then begin
+    t.ring.(t.head) <- Bytes.empty;
+    t.head <- (t.head + 1) land (Array.length t.ring - 1);
+    t.count <- t.count - 1;
     trim t ack
   end
 
@@ -83,15 +119,14 @@ let next_send_seq t = t.vt_s
 
 let next_expected_seq t = t.vr_r
 
-let unacked_count t = Queue.length t.buffer
+let unacked_count t = t.count
 
 let unacked t =
-  List.of_seq
-    (Seq.map
-       (fun f -> (seq_at f 0, Bytes.sub f header_bytes (Bytes.length f - header_bytes)))
-       (Queue.to_seq t.buffer))
+  List.init t.count (fun i ->
+      let f = nth t i in
+      (seq_at f 0, Bytes.sub f header_bytes (Bytes.length f - header_bytes)))
 
-let retransmit t = List.of_seq (Seq.map Bytes.copy (Queue.to_seq t.buffer))
+let retransmit t = List.init t.count (fun i -> Bytes.copy (nth t i))
 
 let parse buf =
   if Bytes.length buf < header_bytes then

@@ -16,8 +16,10 @@
     ahead of it), so trimming keeps working across the wrap.
 
     The retransmission buffer holds the data frames exactly as {!send}
-    returned them: each payload is framed once and that one copy serves
-    both the first transmission and any retransmission. *)
+    and {!reserve} returned them: each payload is framed once and that one
+    copy serves both the first transmission and any retransmission.  The
+    buffer is a ring of frames in an array that doubles when full, so
+    sending a frame allocates only the frame. *)
 
 type t
 
@@ -32,10 +34,16 @@ type received =
   | Ack_processed of int  (** Cumulative ack up to (excluding) this seq. *)
   | Malformed of string
 
+val reserve : t -> int -> bytes
+(** [reserve t n] is the next sequenced-data frame, with its header
+    written and [n] bytes of payload left for the caller to fill in at
+    {!header_bytes}: the in-place form of {!send}.  The frame is the one
+    retained for retransmission until acknowledged, so callers write the
+    payload before the frame leaves and must not mutate it after. *)
+
 val send : t -> bytes -> bytes
-(** Wrap a payload as the next sequenced-data frame.  The returned frame is
-    the one retained for retransmission until acknowledged, so callers must
-    not mutate it. *)
+(** Wrap a payload as the next sequenced-data frame: {!reserve} and one
+    blit of the payload.  The same retention rules apply. *)
 
 val on_receive : t -> bytes -> received
 (** Process an incoming frame (data or ack). *)

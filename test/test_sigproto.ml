@@ -12,18 +12,27 @@ let checks = Alcotest.(check string)
 (* ---------- IEs ---------- *)
 
 let test_ie_constructors () =
-  (* VPI byte, then the VCI big-endian: 1234 = 0x04d2. *)
-  checks "vpc/vci" "\x03\x04\xd2" (Ie.vpc_vci ~vpi:3 ~vci:1234).Ie.data;
   checks "qos" "\x04" (Ie.qos 4).Ie.data;
-  checks "called party" "host-b" (Ie.called_party "host-b").Ie.data
+  checks "called party" "host-b" (Ie.called_party "host-b").Ie.data;
+  (* Written in place: id and length, then the VPI byte and the VCI
+     big-endian (1234 = 0x04d2); a cause is one byte. *)
+  let b = Bytes.create (Ie.vpc_vci_bytes + Ie.cause_bytes) in
+  Ie.write_vpc_vci b 0 ~vpi:3 ~vci:1234;
+  Ie.write_cause b Ie.vpc_vci_bytes 16;
+  checks "vpc/vci, then cause" "\x5a\x00\x03\x03\x04\xd2\x08\x00\x01\x10"
+    (Bytes.to_string b)
 
 let test_ie_find () =
   let ies = [ Ie.qos 1; Ie.called_party "x" ] in
-  check "found" true (Ie.find Ie.id_called_party ies <> None);
-  check "absent" true (Ie.find (Ie.cause 16).Ie.id ies = None)
+  let buf = Bytes.create (Ie.encoded_length ies) in
+  let stop = Ie.encode_list ies buf 0 in
+  checki "found after the 4-byte qos element" 4
+    (Ie.find_at Ie.id_called_party buf 0 stop);
+  checki "its data" 1 (Ie.data_length_at buf 4);
+  checki "absent" (-1) (Ie.find_at 0x08 buf 0 stop)
 
 let test_ie_list_roundtrip () =
-  let ies = [ Ie.called_party "addr-1"; Ie.qos 2; Ie.vpc_vci ~vpi:0 ~vci:77 ] in
+  let ies = [ Ie.called_party "addr-1"; Ie.qos 2; { Ie.id = 0x5A; data = "\x00\x00\x4d" } ] in
   let buf = Bytes.create (Ie.encoded_length ies) in
   let stop = Ie.encode_list ies buf 0 in
   checki "length" (Bytes.length buf) stop;
@@ -150,6 +159,135 @@ let prop_sigmsg_roundtrip =
       match Sigmsg.decode (Sigmsg.encode m) with
       | Ok m' -> m = m'
       | Error _ -> false)
+
+(* ---------- The cursor codec against the record decoder ---------- *)
+
+(* A valid encoding of any message type with 0-3 elements, then one
+   mutation: truncation, bit flips, a lie in an element's length field or
+   in the message's, or a splice of two encodings.  The result sits at a
+   random offset inside random bytes, and the slice may run past the
+   message into them, as a frame's tail can. *)
+let gen_encoding =
+  let open QCheck.Gen in
+  let ie = map2 (fun id data -> { Ie.id; data }) (int_bound 255) (string_size (0 -- 12)) in
+  map
+    (fun (((call_ref, from_originator), ti), ies) ->
+      Sigmsg.encode (Sigmsg.v ~from_originator ~call_ref (List.nth all_types ti) ies))
+    (pair (pair (pair (int_bound 0x7FFFFF) bool) (int_bound 7)) (list_size (0 -- 3) ie))
+
+(* Offsets of the element headers in an encoding, for the length lies. *)
+let ie_offsets b =
+  let rec go p acc =
+    if p + 3 > Bytes.length b then List.rev acc
+    else go (p + 3 + Bytes.get_uint16_be b (p + 1)) (p :: acc)
+  in
+  go Sigmsg.header_bytes []
+
+let mutate rand b other =
+  let n = Bytes.length b and int k = Random.State.int rand k in
+  match int 6 with
+  | 0 -> b
+  | 1 -> Bytes.sub b 0 (int n)
+  | 2 ->
+    let b = Bytes.copy b in
+    for _ = 0 to int 3 do
+      let i = int n in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl int 8))
+    done;
+    b
+  | 3 -> (
+    let b = Bytes.copy b in
+    match ie_offsets b with
+    | [] -> b
+    | ps ->
+      let p = List.nth ps (int (List.length ps)) in
+      let real = Bytes.get_uint16_be b (p + 1) in
+      Bytes.set_uint16_be b (p + 1)
+        (if int 4 = 0 then int 0x10000 else Int.max 0 (real - 4 + int 9));
+      b)
+  | 4 ->
+    let b = Bytes.copy b in
+    let real = Bytes.get_uint16_be b 6 in
+    Bytes.set_uint16_be b 6 (if int 4 = 0 then int 0x10000 else Int.max 0 (real - 4 + int 9));
+    b
+  | _ ->
+    let cut = int (n + 1) and from = int (Bytes.length other + 1) in
+    Bytes.cat (Bytes.sub b 0 cut) (Bytes.sub other from (Bytes.length other - from))
+
+type placed = { buf : bytes; off : int; len : int }
+
+let gen_placed =
+  let open QCheck.Gen in
+  map
+    (fun (((a, other), (lead, tail)), (junk, seed)) ->
+      let rand = Random.State.make [| seed |] in
+      let m = mutate rand a other in
+      let buf =
+        Bytes.init (lead + Bytes.length m + tail) (fun i ->
+            Char.chr (Hashtbl.hash (junk, i) land 0xFF))
+      in
+      Bytes.blit m 0 buf lead (Bytes.length m);
+      { buf; off = lead; len = Bytes.length m + Random.State.int rand (tail + 1) })
+    (pair (pair (pair gen_encoding gen_encoding) (pair (0 -- 5) (0 -- 4))) (pair int int))
+
+let show_placed p =
+  Printf.sprintf "off=%d len=%d %S" p.off p.len (Bytes.to_string p.buf)
+
+(* Where each decoded element starts, in order. *)
+let element_offsets first ies =
+  let _, offs =
+    List.fold_left
+      (fun (p, acc) ie -> (p + Ie.header_bytes + String.length ie.Ie.data, p :: acc))
+      (first, []) ies
+  in
+  List.rev offs
+
+let prop_cursor_codec_total =
+  QCheck.Test.make ~name:"check_at accepts what decode_sub accepts; cursors agree" ~count:2000
+    (QCheck.make ~print:show_placed gen_placed)
+    (fun { buf; off; len } ->
+      let ie_len = Sigmsg.check_at buf off len in
+      match Sigmsg.decode_sub buf off len with
+      | Error _ -> ie_len = -1
+      | Ok m ->
+        let ies = off + Sigmsg.header_bytes in
+        let offs = element_offsets ies m.Sigmsg.ies in
+        ie_len = Sigmsg.ie_length_at buf off
+        && ie_len = Ie.encoded_length m.Sigmsg.ies
+        && Sigmsg.call_ref_at buf off = m.Sigmsg.call_ref
+        && Sigmsg.from_originator_at buf off = m.Sigmsg.from_originator
+        && Sigmsg.typ_at buf off = m.Sigmsg.typ
+        && List.for_all
+             (fun id ->
+               let first =
+                 List.find_opt (fun (ie, _) -> ie.Ie.id = id) (List.combine m.Sigmsg.ies offs)
+               in
+               let p = Ie.find_at id buf ies ie_len in
+               match first with
+               | None -> p = -1
+               | Some (ie, at) ->
+                 p = at
+                 && Ie.data_length_at buf p = String.length ie.Ie.data
+                 && Bytes.sub_string buf (p + Ie.header_bytes) (Ie.data_length_at buf p)
+                    = ie.Ie.data)
+             (0 :: 255 :: Ie.id_called_party :: List.map (fun ie -> ie.Ie.id) m.Sigmsg.ies))
+
+(* The battery must reach both verdicts and every mutation's effect: a
+   generator that only ever produced valid messages, or only garbage,
+   would pass the property above without testing it. *)
+let test_cursor_battery_reaches_both_verdicts () =
+  let rand = Random.State.make [| 1996 |] in
+  let accepted = ref 0 and rejected = ref 0 and lied = ref 0 in
+  for _ = 1 to 2000 do
+    let p = QCheck.Gen.generate1 ~rand gen_placed in
+    match Sigmsg.decode_sub p.buf p.off p.len with
+    | Ok _ -> incr accepted
+    | Error (`Bad_length _ | `Truncated) -> incr lied; incr rejected
+    | Error _ -> incr rejected
+  done;
+  check (Printf.sprintf "%d accepted" !accepted) true (!accepted > 400);
+  check (Printf.sprintf "%d rejected" !rejected) true (!rejected > 400);
+  check (Printf.sprintf "%d length faults" !lied) true (!lied > 100)
 
 (* ---------- FSM ---------- *)
 
@@ -330,6 +468,34 @@ let prop_sscop_pipe =
           | Sscop.Deliver got -> Bytes.to_string got = p
           | _ -> false)
         payloads)
+
+(* The retransmission ring against a list: sends (three in four ops) and
+   cumulative acks that leave the newest [k] frames, or, when [k] exceeds
+   what is buffered, stale ones that trim nothing.  The ring grows while
+   its oldest frame is not in slot 0, and wraps. *)
+let prop_sscop_ring =
+  QCheck.Test.make ~name:"sscop ring keeps the unacked frames in order" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 80) (pair (int_bound 3) (int_bound 20)))
+    (fun ops ->
+      let tx = Sscop.create () and model = ref [] in
+      List.for_all
+        (fun (op, k) ->
+          let n = List.length !model in
+          if op > 0 then begin
+            let p = Bytes.of_string (string_of_int k) in
+            model := !model @ [ (Sscop.next_send_seq tx, p) ];
+            ignore (Sscop.send tx p)
+          end
+          else begin
+            let ack = Sscop.next_send_seq tx - k in
+            ignore (Sscop.on_receive tx (Sscop.frame ~tag:'A' ~seq:ack Bytes.empty));
+            if k <= n then model := List.filteri (fun i _ -> i >= n - k) !model
+          end;
+          Sscop.unacked tx = !model
+          && Sscop.unacked_count tx = List.length !model
+          && Sscop.retransmit tx
+             = List.map (fun (seq, p) -> Sscop.frame ~tag:'D' ~seq p) !model)
+        ops)
 
 (* ---------- Sscop_conn (connection-managed SSCOP) ---------- *)
 
@@ -522,9 +688,9 @@ let test_switch_routes_setup () =
     check "proceeding type" true (m1.Sigmsg.typ = Sigmsg.Call_proceeding);
     checki "setup out port" 2 p2;
     check "setup type" true (m2.Sigmsg.typ = Sigmsg.Setup);
-    check "called party forwarded" true
-      (Ie.find Ie.id_called_party m2.Sigmsg.ies <> None);
-    check "vci allocated" true (Ie.find (Ie.vpc_vci ~vpi:0 ~vci:0).Ie.id m2.Sigmsg.ies <> None);
+    check "caller's elements forwarded, then the allocated VPI/VCI (0/32)" true
+      (m2.Sigmsg.ies
+      = [ Ie.called_party "b:42"; Ie.qos 0; { Ie.id = 0x5A; data = "\x00\x00\x20" } ]);
     checki "one active call" 1 (Switch.active_calls sw)
   | l -> Alcotest.failf "expected 2 messages, got %d" (List.length l)
 
@@ -692,6 +858,46 @@ let test_switch_held_calls_promote_nothing () =
     (Printf.sprintf "%.0f words promoted over %d lifecycles" promoted lifecycles)
     true
     (promoted < float_of_int lifecycles)
+
+(* Once its table, rows and outbox have grown, the switch runs a call's
+   SETUP, CONNECT_ACK and RELEASE where they lie and writes its replies
+   into the caller's buffer without allocating: no decoded message, no
+   element list, no reply record.  The SETUP is routed by comparing its
+   called-party bytes with a route prefix in place.  The tolerance covers
+   only the boxed floats the two [Gc.minor_words] reads produce. *)
+let test_switch_input_allocates_nothing () =
+  let sw = Switch.create ~auto_answer:true ~routes:[ ("+1", 0) ] ~local_port:0 () in
+  let encode typ ies = Sigmsg.encode (Sigmsg.v ~call_ref:5 typ ies) in
+  let setup = encode Sigmsg.Setup [ Ie.called_party "+15551234"; Ie.qos 1 ]
+  and connect_ack = encode Sigmsg.Connect_ack []
+  and release = encode Sigmsg.Release [] in
+  let out = Bytes.create 64 and written = ref 0 in
+  let run msg =
+    for i = 0 to Switch.input sw ~port:1 msg 0 - 1 do
+      Switch.write_reply sw i out 0;
+      written := !written + Switch.reply_length sw i
+    done
+  in
+  let lifecycles n =
+    for _ = 1 to n do
+      run setup;
+      run connect_ack;
+      run release
+    done
+  in
+  lifecycles 10;
+  let w0 = Gc.minor_words () in
+  lifecycles 10_000;
+  let dw = Gc.minor_words () -. w0 in
+  let s = Switch.stats sw in
+  checki "every call connected" 10_010 s.Switch.calls_connected;
+  checki "every call released" 10_010 s.Switch.calls_released;
+  checki "no protocol errors" 0 s.Switch.protocol_errors;
+  (* CALL_PROCEEDING (8 bytes), CONNECT with its VPI/VCI (14) and
+     RELEASE_COMPLETE (8) per call. *)
+  checki "replies written" (10_010 * 30) !written;
+  if dw > 16.0 then
+    Alcotest.failf "10,000 lifecycles through input and write_reply allocated %.0f words" dw
 
 let prop_switch_random_valid_scripts =
   (* Drive the switch with randomly interleaved *valid* call scripts
@@ -977,6 +1183,9 @@ let suite =
     Alcotest.test_case "sigmsg errors" `Quick test_sigmsg_errors;
     Alcotest.test_case "sigmsg call ref range" `Quick test_sigmsg_call_ref_range;
     QCheck_alcotest.to_alcotest prop_sigmsg_roundtrip;
+    QCheck_alcotest.to_alcotest prop_cursor_codec_total;
+    Alcotest.test_case "cursor battery reaches both verdicts" `Quick
+      test_cursor_battery_reaches_both_verdicts;
     Alcotest.test_case "fsm originating" `Quick test_fsm_originating_happy_path;
     Alcotest.test_case "fsm terminating" `Quick test_fsm_terminating_happy_path;
     Alcotest.test_case "fsm release" `Quick test_fsm_release_handshake;
@@ -992,6 +1201,7 @@ let suite =
     Alcotest.test_case "sscop ack across the 2^24 wrap" `Quick test_sscop_ack_across_wrap;
     Alcotest.test_case "sscop stale ack" `Quick test_sscop_stale_ack;
     QCheck_alcotest.to_alcotest prop_sscop_pipe;
+    QCheck_alcotest.to_alcotest prop_sscop_ring;
     Alcotest.test_case "conn establish" `Quick test_conn_establish;
     Alcotest.test_case "conn data+ack" `Quick test_conn_data_and_ack;
     Alcotest.test_case "conn send before ready" `Quick test_conn_send_before_ready;
@@ -1010,6 +1220,8 @@ let suite =
     Alcotest.test_case "switch many calls" `Quick test_switch_many_calls;
     Alcotest.test_case "switch held calls promote nothing" `Quick
       test_switch_held_calls_promote_nothing;
+    Alcotest.test_case "switch input allocates nothing" `Quick
+      test_switch_input_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_switch_random_valid_scripts;
     Alcotest.test_case "layers end to end" `Quick test_layers_end_to_end;
     Alcotest.test_case "layers sscop_for rejects ports outside a byte" `Quick

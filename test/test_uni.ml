@@ -45,7 +45,7 @@ let test_call_setup_and_answer () =
   let _, eb = splice ~now:0.1 a b out in
   (match List.find_opt (function Uni.Call_offered _ -> true | _ -> false) eb with
   | Some (Uni.Call_offered (7, ies)) ->
-    check "IEs carried" true (Ie.find Ie.id_called_party ies <> None)
+    check "IEs carried" true (List.exists (fun ie -> ie.Ie.id = Ie.id_called_party) ies)
   | _ -> Alcotest.fail "no offer");
   (* B answers. *)
   let out_b = Result.get_ok (Uni.accept b ~now:0.2 ~call_ref:7) in
