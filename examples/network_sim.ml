@@ -57,64 +57,85 @@ let () =
   let engine = Netsim.engine net in
   let a = make_endpoint "caller" and b = make_endpoint "callee" in
 
-  (* Sending, event handling and the timer pump, shared by both ends. *)
-  let rec flush ep (o : Uni.outcome) =
+  (* Sending, event handling and the timer pump, shared by both ends.
+     [flush ep m] drains what an operation on [ep] left in its outbox
+     above mark [m]: the frames onto the wire, then the events. *)
+  let mark ep = Outbox.top (Uni.outbox ep.uni) in
+  let rec flush ep m =
     let node = Option.get ep.node in
-    List.iter (fun f -> ignore (Nic.transmit (Netsim.nic node) f)) o.Uni.to_wire;
-    if o.Uni.to_wire <> [] then Netsim.pump net node;
-    List.iter
-      (fun ev ->
-        match ev with
-        | Uni.Link_up -> ep.link_ups <- ep.link_ups + 1
-        | Uni.Link_down reason ->
-          Printf.printf "%8.3f ms  %s: LINK DOWN (%s)\n"
-            (Ldlp_sim.Engine.now engine *. 1e3)
-            ep.label reason
-        | Uni.Call_offered (call_ref, _) ->
-          ep.offered <- ep.offered + 1;
-          (* Answer immediately. *)
-          flush ep
-            (Result.get_ok
-               (Uni.accept ep.uni ~now:(Ldlp_sim.Engine.now engine) ~call_ref))
-        | Uni.Call_connected call_ref ->
-          ep.connected <- ep.connected + 1;
-          (* The caller holds each call for 50 ms once it is up. *)
-          if ep.label = "caller" then begin
-            let now = Ldlp_sim.Engine.now engine in
-            Ldlp_sim.Engine.at engine (now +. 0.05) (fun () ->
-                match
-                  Uni.hangup ep.uni ~now:(Ldlp_sim.Engine.now engine) ~call_ref
-                with
-                | Ok o -> flush ep o
-                | Error `No_call -> ())
-          end
-        | Uni.Call_released _ -> ep.released <- ep.released + 1
-        | Uni.Call_failed (call_ref, reason) ->
-          ep.failed <- ep.failed + 1;
-          Printf.printf "%8.3f ms  %s: call %d failed (%s)\n"
-            (Ldlp_sim.Engine.now engine *. 1e3)
-            ep.label call_ref reason)
-      o.Uni.events;
+    let ob = Uni.outbox ep.uni in
+    let top = Outbox.top ob in
+    let sent = ref false in
+    for i = m to top - 1 do
+      if Outbox.kind ob i = Outbox.Frame then begin
+        ignore (Nic.transmit (Netsim.nic node) (Outbox.data ob i));
+        sent := true
+      end
+    done;
+    if !sent then Netsim.pump net node;
+    for i = m to top - 1 do
+      let call_ref = Outbox.call_ref ob i in
+      match Outbox.kind ob i with
+      | Outbox.Frame -> ()
+      | Outbox.Link_up -> ep.link_ups <- ep.link_ups + 1
+      | Outbox.Link_down ->
+        Printf.printf "%8.3f ms  %s: LINK DOWN (%s)\n"
+          (Ldlp_sim.Engine.now engine *. 1e3)
+          ep.label (Outbox.reason ob i)
+      | Outbox.Call_offered ->
+        ep.offered <- ep.offered + 1;
+        (* Answer immediately. *)
+        let m = mark ep in
+        Result.get_ok
+          (Uni.accept ep.uni ~now:(Ldlp_sim.Engine.now engine) ~call_ref);
+        flush ep m
+      | Outbox.Call_connected ->
+        ep.connected <- ep.connected + 1;
+        (* The caller holds each call for 50 ms once it is up. *)
+        if ep.label = "caller" then begin
+          let now = Ldlp_sim.Engine.now engine in
+          Ldlp_sim.Engine.at engine (now +. 0.05) (fun () ->
+              let m = mark ep in
+              match
+                Uni.hangup ep.uni ~now:(Ldlp_sim.Engine.now engine) ~call_ref
+              with
+              | Ok () -> flush ep m
+              | Error `No_call -> ())
+        end
+      | Outbox.Call_released -> ep.released <- ep.released + 1
+      | Outbox.Call_failed ->
+        ep.failed <- ep.failed + 1;
+        Printf.printf "%8.3f ms  %s: call %d failed (%s)\n"
+          (Ldlp_sim.Engine.now engine *. 1e3)
+          ep.label call_ref (Outbox.reason ob i)
+    done;
+    Outbox.drop ob m;
     arm_timer ep
   and arm_timer ep =
-    match Uni.next_deadline ep.uni with
-    | None -> ()
-    | Some d ->
+    let d = Uni.next_deadline ep.uni in
+    if d < infinity then begin
       let now = Ldlp_sim.Engine.now engine in
       Ldlp_sim.Engine.at engine (Float.max d now) (fun () ->
           let now = Ldlp_sim.Engine.now engine in
-          match Uni.next_deadline ep.uni with
-          | Some d' when d' <= now -> flush ep (Uni.tick ep.uni ~now)
-          | _ -> arm_timer_if_due ep)
+          if Uni.next_deadline ep.uni <= now then begin
+            let m = mark ep in
+            Uni.tick ep.uni ~now;
+            flush ep m
+          end
+          else arm_timer_if_due ep)
+    end
   and arm_timer_if_due ep =
     (* A newer deadline may exist; re-arm for it. *)
-    match Uni.next_deadline ep.uni with None -> () | Some _ -> arm_timer ep
+    if Uni.next_deadline ep.uni < infinity then arm_timer ep
   in
 
   let service ep nic =
     let frames = Nic.take_all nic in
     List.iter
-      (fun f -> flush ep (Uni.on_wire ep.uni ~now:(Ldlp_sim.Engine.now engine) f))
+      (fun f ->
+        let m = mark ep in
+        Uni.on_wire ep.uni ~now:(Ldlp_sim.Engine.now engine) f 0 (Bytes.length f);
+        flush ep m)
       frames
   in
   a.node <-
@@ -134,16 +155,18 @@ let () =
     ~impair_ab:lossy ~impair_ba:lossy ();
 
   (* Bring the SAAL link up, then place calls on a schedule: setup at T,
-     hangup at T + 80 ms. *)
-  flush a (Uni.link_up a.uni ~now:0.0);
+     hangup at T + 80 ms.  Every SETUP carries the same elements. *)
+  let called = Ie.encode [ Ie.called_party "b" ] in
+  let m = mark a in
+  Uni.link_up a.uni ~now:0.0;
+  flush a m;
   Netsim.kick net (Option.get a.node);
   for i = 1 to calls do
     let t_setup = 0.05 +. (float_of_int i *. 0.02) in
     Ldlp_sim.Engine.at engine t_setup (fun () ->
-        match
-          Uni.originate a.uni ~now:t_setup ~call_ref:i [ Ie.called_party "b" ]
-        with
-        | Ok o -> flush a o
+        let m = mark a in
+        match Uni.originate a.uni ~now:t_setup ~call_ref:i called with
+        | Ok () -> flush a m
         | Error `Link_down ->
           Printf.printf "%8.3f ms  caller: link down, call %d not placed\n"
             (t_setup *. 1e3) i

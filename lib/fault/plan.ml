@@ -49,7 +49,14 @@ let is_none t =
   t.drop = 0.0 && t.dup = 0.0 && t.corrupt = 0.0 && t.reorder = 0.0
   && t.jitter = 0.0 && t.down = []
 
-let link_up t now = not (List.exists (fun (a, b) -> now >= a && now < b) t.down)
+(* Whether [now] lies outside every episode.  A toplevel walk: a
+   [List.exists] whose lambda captured [now] would allocate a closure on
+   every frame a link sends. *)
+let rec outside now = function
+  | [] -> true
+  | (a, b) :: rest -> (not (now >= a && now < b)) && outside now rest
+
+let link_up t now = outside now t.down
 
 let describe t =
   if is_none t then "pristine"
@@ -88,7 +95,7 @@ let host_v ?(crash = []) () =
 
 let host_is_none h = h.crash = []
 
-let host_up h now = not (List.exists (fun (a, b) -> now >= a && now < b) h.crash)
+let host_up h now = outside now h.crash
 
 let describe_host h =
   if h.crash = [] then "immortal"

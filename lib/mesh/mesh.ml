@@ -10,6 +10,7 @@ module Hist = Ldlp_sim.Hist
 module Table = Ldlp_sim.Table
 module Chart = Ldlp_sim.Chart
 module Uni = Ldlp_sigproto.Uni
+module Outbox = Ldlp_sigproto.Outbox
 module Ie = Ldlp_sigproto.Ie
 
 type wiring = Conv | Ldlp | Duplex
@@ -630,7 +631,7 @@ type endpoint = {
   e_side : side;
   e_host : int;
   e_peer : int;
-  mutable tick_at : float;  (* armed timer event, infinity = none *)
+  tick_at : float array;  (* slot 0: the armed timer event, infinity = none *)
   mutable stop_ticks : bool;
 }
 
@@ -737,7 +738,7 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
             e_side;
             e_host;
             e_peer;
-            tick_at = infinity;
+            tick_at = [| infinity |];
             stop_ticks = false;
           }
         in
@@ -765,6 +766,11 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
      host is at its cap; retries of in-progress calls bypass the gate, so
      overload sheds fresh load before abandoning work already under way. *)
   let adm = Array.make cfg.hosts 0 in
+  (* Every call's SETUP elements, encoded once: each originating call
+     keeps them, not a copy. *)
+  let called = Ie.encode [ Ie.called_party "mesh" ] in
+  (* An endpoint's outbox mark, taken before an operation on it. *)
+  let mark ep = Outbox.top (Uni.outbox ep.uni) in
   let submit_sig ep ~now data =
     let f =
       {
@@ -793,8 +799,9 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
         pr.todo <- pr.todo - 1;
         let cr = pr.next_ref in
         pr.next_ref <- pr.next_ref + 1;
-        match Uni.originate pr.ea.uni ~now ~call_ref:cr [ Ie.called_party "mesh" ] with
-        | Ok o -> handle pr pr.ea now o
+        let m = mark pr.ea in
+        match Uni.originate pr.ea.uni ~now ~call_ref:cr called with
+        | Ok () -> handle pr pr.ea now m
         | Error _ -> kick pr now
       end
     end
@@ -856,13 +863,14 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
     pr.inflight <- cr;
     adm.(pr.ea.e_host) <- adm.(pr.ea.e_host) + 1;
     adm.(pr.eb.e_host) <- adm.(pr.eb.e_host) + 1;
-    match Uni.originate pr.ea.uni ~now ~call_ref:cr [ Ie.called_party "mesh" ] with
-    | Ok o ->
+    let m = mark pr.ea in
+    match Uni.originate pr.ea.uni ~now ~call_ref:cr called with
+    | Ok () ->
       Sim.at net.sim
         (now +. rc.attempt_timeout)
         (fun () ->
           if pr.inflight = cr then attempt_fail pr (Sim.now net.sim));
-      handle pr pr.ea now o
+      handle pr pr.ea now m
     | Error _ -> attempt_fail pr now
 
   and end_attempt pr =
@@ -927,77 +935,103 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
     if (not pr.ea.stop_ticks) && pair_alive pr then begin
       if not (Uni.link_ready pr.ea.uni) then begin
         let now = Sim.now net.sim in
-        with_service net pr.ea.e_host (fun () ->
-            handle pr pr.ea now (Uni.link_up pr.ea.uni ~now))
+        with_service net pr.ea.e_host (fun () -> link_up pr now)
       end
     end
     (* else: dead pair — the restart hook relinks once both sides live *)
 
-  and handle pr ep now (o : Uni.outcome) =
-    List.iter (fun data -> submit_sig ep ~now data) o.Uni.to_wire;
-    List.iter
-      (fun ev ->
-        match ev with
-        | Uni.Link_up ->
-          if ep.e_side = A then if rec_on then rkick pr now else kick pr now
-        | Uni.Link_down _ ->
-          if ep.e_side = A then
-            if rec_on then begin
-              attempt_fail pr now;
-              arm_relink pr
-            end
-            else finish pr
-        | Uni.Call_offered (cr, _) ->
-          if ep.e_side = B then begin
-            match Uni.accept ep.uni ~now ~call_ref:cr with
-            | Ok o2 -> handle pr ep now o2
-            | Error `No_call -> ()
-          end
-        | Uni.Call_connected cr ->
-          if ep.e_side = A then begin
-            match Uni.hangup ep.uni ~now ~call_ref:cr with
-            | Ok o2 -> handle pr ep now o2
-            | Error `No_call -> ()
-          end
-        | Uni.Call_released cr ->
-          if ep.e_side = A then
-            if rec_on then begin
-              if cr = pr.inflight then complete pr now
-            end
-            else begin
-              pr.completed <- pr.completed + 1;
-              pr.last_done <- now;
-              kick pr now
-            end
-        | Uni.Call_failed (cr, _) ->
-          if ep.e_side = A then
-            if rec_on then begin
-              if cr = pr.inflight then attempt_fail pr now
-            end
-            else kick pr now)
-      o.Uni.events;
+  and link_up pr now =
+    let m = mark pr.ea in
+    Uni.link_up pr.ea.uni ~now;
+    handle pr pr.ea now m
+
+  (* Drain what an operation on [ep] left in its outbox above mark [m]:
+     every frame onto the wire, in order, then every event, in order.  A
+     handler's own operation on the endpoint drains above a mark of its
+     own before the next event. *)
+  and handle pr ep now m =
+    let ob = Uni.outbox ep.uni in
+    let top = Outbox.top ob in
+    transmit ep ob now m top;
+    events pr ep ob now m top;
+    Outbox.drop ob m;
     arm_tick pr ep
 
-  and arm_tick pr ep =
-    if not ep.stop_ticks then
-      match Uni.next_deadline ep.uni with
-      | None -> ()
-      | Some d ->
-        if d < ep.tick_at -. 1e-9 then begin
-          ep.tick_at <- d;
-          Sim.at net.sim
-            (Float.max d (Sim.now net.sim))
-            (fun () -> fire_tick pr ep)
+  and transmit ep ob now i top =
+    if i < top then begin
+      if Outbox.kind ob i = Outbox.Frame then submit_sig ep ~now (Outbox.data ob i);
+      transmit ep ob now (i + 1) top
+    end
+
+  and events pr ep ob now i top =
+    if i < top then begin
+      (match Outbox.kind ob i with
+      | Outbox.Frame -> ()
+      | Outbox.Link_up ->
+        if ep.e_side = A then if rec_on then rkick pr now else kick pr now
+      | Outbox.Link_down ->
+        if ep.e_side = A then
+          if rec_on then begin
+            attempt_fail pr now;
+            arm_relink pr
+          end
+          else finish pr
+      | Outbox.Call_offered ->
+        if ep.e_side = B then begin
+          let m = mark ep in
+          match Uni.accept ep.uni ~now ~call_ref:(Outbox.call_ref ob i) with
+          | Ok () -> handle pr ep now m
+          | Error `No_call -> ()
         end
+      | Outbox.Call_connected ->
+        if ep.e_side = A then begin
+          let m = mark ep in
+          match Uni.hangup ep.uni ~now ~call_ref:(Outbox.call_ref ob i) with
+          | Ok () -> handle pr ep now m
+          | Error `No_call -> ()
+        end
+      | Outbox.Call_released ->
+        if ep.e_side = A then
+          if rec_on then begin
+            if Outbox.call_ref ob i = pr.inflight then complete pr now
+          end
+          else begin
+            pr.completed <- pr.completed + 1;
+            pr.last_done <- now;
+            kick pr now
+          end
+      | Outbox.Call_failed ->
+        if ep.e_side = A then
+          if rec_on then begin
+            if Outbox.call_ref ob i = pr.inflight then attempt_fail pr now
+          end
+          else kick pr now);
+      events pr ep ob now (i + 1) top
+    end
+
+  (* The next deadline is [infinity] when no timer is armed, which no
+     armed event undercuts. *)
+  and arm_tick pr ep =
+    if not ep.stop_ticks then begin
+      let d = Uni.next_deadline ep.uni in
+      if d < ep.tick_at.(0) -. 1e-9 then begin
+        ep.tick_at.(0) <- d;
+        Sim.at net.sim
+          (Float.max d (Sim.now net.sim))
+          (fun () -> fire_tick pr ep)
+      end
+    end
 
   and fire_tick pr ep =
-    ep.tick_at <- infinity;
+    ep.tick_at.(0) <- infinity;
     if not ep.stop_ticks then begin
       with_service net ep.e_host (fun () ->
           let now = Sim.now net.sim in
-          match Uni.next_deadline ep.uni with
-          | Some d when d <= now +. 1e-9 -> handle pr ep now (Uni.tick ep.uni ~now)
-          | _ -> ());
+          if Uni.next_deadline ep.uni <= now +. 1e-9 then begin
+            let m = mark ep in
+            Uni.tick ep.uni ~now;
+            handle pr ep now m
+          end);
       arm_tick pr ep
     end
   in
@@ -1005,7 +1039,9 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
     (fun pid h now f ->
       let pr = prs.(pid) in
       let ep = if pr.ea.e_host = h then pr.ea else pr.eb in
-      handle pr ep now (Uni.on_wire ep.uni ~now f.data));
+      let m = mark ep in
+      Uni.on_wire ep.uni ~now f.data 0 (Bytes.length f.data);
+      handle pr ep now m);
   if rec_on then begin
     (* A crash wipes the signalling state on the dead host; the survivor's
        SSCOP core holds sequence state the restarted peer no longer
@@ -1038,8 +1074,7 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
               && pair_alive pr
               && not (Uni.link_ready pr.ea.uni)
             then
-              with_service net pr.ea.e_host (fun () ->
-                  handle pr pr.ea now (Uni.link_up pr.ea.uni ~now)))
+              with_service net pr.ea.e_host (fun () -> link_up pr now))
           prs)
   end;
   Array.iteri
@@ -1051,8 +1086,7 @@ let run_storm_core ~wiring ~topo ~sel ?pairs ?(calls_per_pair = 4) cfg =
               (* Born dark: the restart hook brings the pair up. *)
               pr.outage_from <- t
             else
-              with_service net pr.ea.e_host (fun () ->
-                  handle pr pr.ea t (Uni.link_up pr.ea.uni ~now:t))))
+              with_service net pr.ea.e_host (fun () -> link_up pr t)))
     prs;
   (* The horizon is a backstop only: an intact storm quiesces in wire
      milliseconds, and even a fully starved pair gives up (T303 twice,

@@ -35,6 +35,11 @@ let encode_list ies buf off =
       off + header_bytes + len)
     off ies
 
+let encode ies =
+  let buf = Bytes.create (encoded_length ies) in
+  ignore (encode_list ies buf 0);
+  buf
+
 (* Toplevel, not a local [go] capturing [buf] and [stop]: decoding runs
    once per signalling message and should not allocate a closure. *)
 let rec decode_from buf stop acc off =

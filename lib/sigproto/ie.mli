@@ -3,9 +3,10 @@
 
     Layout per element: id byte, 2-byte big-endian data length, data.
     Two forms read and write it: the record codec ({!encode_list},
-    {!decode_list}) that {!Uni} and the tests use, and the cursor form
-    that the switch uses, which reads and writes elements where they lie
-    in a buffer and allocates nothing. *)
+    {!decode_list}) that the examples and the tests use, and whose
+    {!encode} builds the elements a {!Uni} call carries, and the cursor
+    form that the switch and {!Uni} use, which reads and writes elements
+    where they lie in a buffer and allocates nothing. *)
 
 type t = { id : int; data : string }
 
@@ -27,6 +28,9 @@ val encoded_length : t list -> int
 val encode_list : t list -> bytes -> int -> int
 (** [encode_list ies buf off] writes the elements, returns the offset past
     them. *)
+
+val encode : t list -> bytes
+(** The elements, encoded into fresh bytes of {!encoded_length}. *)
 
 val decode_list : bytes -> int -> int -> (t list, error) result
 (** [decode_list buf off len] parses elements from exactly [len] bytes. *)

@@ -11,11 +11,11 @@
     v}
 
     Two forms read and write it.  The record codec ({!encode},
-    {!decode}) builds a {!t} with an {!Ie.t} list; {!Uni} and the tests
-    use it.  The cursor form reads a message where it lies: {!check_at}
-    validates it, then the [*_at] readers take single fields, and
-    {!write_header} fills in a header in place.  The switch runs on the
-    cursor form, which allocates nothing. *)
+    {!decode}) builds a {!t} with an {!Ie.t} list; the examples and the
+    tests use it.  The cursor form reads a message where it lies:
+    {!check_at} validates it, then the [*_at] readers take single fields,
+    and {!write_header} fills in a header in place.  The switch and {!Uni}
+    run on the cursor form, which allocates nothing. *)
 
 type msg_type =
   | Setup

@@ -86,6 +86,9 @@ let rec trim t ack =
     trim t ack
   end
 
+(* Cumulative ack: everything before the carried number is confirmed. *)
+let acknowledge t buf off = trim t (seq_at buf off)
+
 let input t buf off len =
   if len < header_bytes then Invalid
   else
@@ -97,8 +100,7 @@ let input t buf off len =
       end
       else Unexpected
     | 'A' ->
-      (* Cumulative ack: everything before the carried number is confirmed. *)
-      trim t (seq_at buf off);
+      acknowledge t buf off;
       Acked
     | _ -> Invalid
 
@@ -126,13 +128,6 @@ let unacked t =
       let f = nth t i in
       (seq_at f 0, Bytes.sub f header_bytes (Bytes.length f - header_bytes)))
 
-let retransmit t = List.init t.count (fun i -> Bytes.copy (nth t i))
-
-let parse buf =
-  if Bytes.length buf < header_bytes then
-    Error (Printf.sprintf "frame too short (%d bytes)" (Bytes.length buf))
-  else
-    Ok
-      ( Bytes.get buf 0,
-        seq_at buf 0,
-        Bytes.sub buf header_bytes (Bytes.length buf - header_bytes) )
+let retransmit t i =
+  if i < 0 || i >= t.count then invalid_arg "Sscop.retransmit: no such frame";
+  Bytes.copy (nth t i)

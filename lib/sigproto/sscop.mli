@@ -62,6 +62,11 @@ val input : t -> bytes -> int -> int -> verdict
     the header and allocates nothing.  On [Delivered] the payload is the
     [len - header_bytes] bytes after the header. *)
 
+val acknowledge : t -> bytes -> int -> unit
+(** [acknowledge t buf off] applies the sequence number in the frame
+    header at [off] as a cumulative ack, whatever the frame's tag: how a
+    connection reads a STAT where it lies. *)
+
 val make_ack : t -> bytes
 (** Cumulative acknowledgment for everything delivered so far. *)
 
@@ -76,12 +81,11 @@ val unacked : t -> (int * bytes) list
 (** Retransmission buffer as (sequence number, payload), oldest first.
     Built from the stored frames on each call: a cold path. *)
 
-val retransmit : t -> bytes list
-(** Fresh copies of every unacknowledged frame, oldest first. *)
+val retransmit : t -> int -> bytes
+(** [retransmit t i] is a fresh copy of the [i]th oldest unacknowledged
+    frame, from 0; raises [Invalid_argument] unless [i] is below
+    {!unacked_count}. *)
 
 (** {1 Raw framing} (shared with the connection-managed layer) *)
 
 val frame : tag:char -> seq:int -> bytes -> bytes
-
-val parse : bytes -> (char * int * bytes, string) result
-(** Split any SSCOP frame into (tag, sequence number, payload). *)

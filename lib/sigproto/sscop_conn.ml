@@ -9,21 +9,13 @@ type config = {
 let default_config =
   { poll_interval = 0.1; response_timeout = 0.5; max_retransmissions = 4 }
 
-type event = Connected | Released | Reset of string
-
-type outcome = {
-  deliveries : bytes list;
-  to_send : bytes list;
-  events : event list;
-}
-
-let no_outcome = { deliveries = []; to_send = []; events = [] }
-
+(* The one timer's deadline is slot 0 of [deadline], an unboxed float
+   ([infinity] when disarmed): arming it allocates nothing. *)
 type t = {
   cfg : config;
   mutable core : Sscop.t;
   mutable st : state;
-  mutable deadline : float option;
+  deadline : float array;
   mutable retrans : int;  (* consecutive unanswered BGN/END/POLL rounds *)
 }
 
@@ -32,165 +24,162 @@ let create ?(config = default_config) () =
     invalid_arg "Sscop_conn.create: timers must be positive";
   if config.max_retransmissions < 0 then
     invalid_arg "Sscop_conn.create: negative retransmission budget";
-  { cfg = config; core = Sscop.create (); st = Idle; deadline = None; retrans = 0 }
+  {
+    cfg = config;
+    core = Sscop.create ();
+    st = Idle;
+    deadline = [| infinity |];
+    retrans = 0;
+  }
 
 let state t = t.st
 
-let next_deadline t = t.deadline
+let[@inline] next_deadline t = Array.unsafe_get t.deadline 0
 
 let unacked t = Sscop.unacked_count t.core
 
-let ctrl tag = Sscop.frame ~tag ~seq:0 Bytes.empty
+let ctrl ob tag = Outbox.add_frame ob (Sscop.frame ~tag ~seq:0 Bytes.empty)
 
-let arm t ~now delay = t.deadline <- Some (now +. delay)
+let arm t ~now delay = Array.unsafe_set t.deadline 0 (now +. delay)
 
-let disarm t = t.deadline <- None
+let disarm t = Array.unsafe_set t.deadline 0 infinity
 
-let reset t reason =
+let unarmed t = next_deadline t = infinity
+
+let link_down ob reason = Outbox.add_event ob Outbox.Link_down ~call_ref:0 reason
+
+let reset t ob reason =
   t.st <- Idle;
   disarm t;
   t.retrans <- 0;
   (* A reset abandons all connection state, including unacknowledged
      data — the upper layer is told via the event and must recover. *)
   t.core <- Sscop.create ();
-  { no_outcome with events = [ Reset reason ] }
+  link_down ob reason
 
-let begin_connection t ~now =
-  match t.st with
-  | Idle ->
+let begin_connection t ~now ob =
+  if t.st = Idle then begin
     t.st <- Outgoing;
     t.retrans <- 0;
     arm t ~now t.cfg.response_timeout;
-    { no_outcome with to_send = [ ctrl 'B' ] }
-  | _ -> no_outcome
+    ctrl ob 'B'
+  end
 
-let send t ~now payload =
-  match t.st with
-  | Ready ->
-    let frame = Sscop.send t.core payload in
-    (* Arm the keep-alive poll if this is the first outstanding frame. *)
-    if t.deadline = None then arm t ~now t.cfg.poll_interval;
-    Ok { no_outcome with to_send = [ frame ] }
-  | _ -> Error `Not_ready
+let reserve t ~now ob n =
+  if t.st <> Ready then invalid_arg "Sscop_conn.reserve: not ready";
+  let f = Sscop.reserve t.core n in
+  (* Arm the keep-alive poll if this is the first outstanding frame. *)
+  if unarmed t then arm t ~now t.cfg.poll_interval;
+  Outbox.add_frame ob f;
+  f
 
-let release t ~now =
+let release t ~now ob =
   match t.st with
   | Ready | Outgoing ->
     t.st <- Ending;
     t.retrans <- 0;
     arm t ~now t.cfg.response_timeout;
-    { no_outcome with to_send = [ ctrl 'E' ] }
-  | _ -> no_outcome
+    ctrl ob 'E'
+  | Idle | Ending -> ()
 
-let on_ack_progress t =
+(* A cumulative ack (or STAT) was applied. *)
+let ack_progress t ~now =
   t.retrans <- 0;
   if unacked t = 0 then disarm t
+  else if unarmed t then arm t ~now t.cfg.poll_interval
 
-let on_receive t ~now frame =
-  match Sscop.parse frame with
-  | Error _ -> no_outcome
-  | Ok (tag, _seq, _payload) -> (
-    match (tag, t.st) with
+let connected t ob =
+  t.st <- Ready;
+  disarm t;
+  Outbox.add_event ob Outbox.Link_up ~call_ref:0 ""
+
+let input t ~now ob buf off len =
+  if len < Sscop.header_bytes then false
+  else
+    match (Bytes.get buf off, t.st) with
     (* Establishment. *)
     | 'B', Idle ->
-      t.st <- Ready;
-      disarm t;
-      { no_outcome with to_send = [ ctrl 'G' ]; events = [ Connected ] }
+      connected t ob;
+      ctrl ob 'G';
+      false
     | 'B', Ready ->
       (* Duplicate BGN (our BGAK was lost): re-acknowledge. *)
-      { no_outcome with to_send = [ ctrl 'G' ] }
+      ctrl ob 'G';
+      false
     | 'G', Outgoing ->
-      t.st <- Ready;
-      disarm t;
       t.retrans <- 0;
-      { no_outcome with events = [ Connected ] }
+      connected t ob;
+      false
     (* Release. *)
-    | 'E', (Idle | Outgoing | Ready | Ending) ->
-      let was = t.st in
+    | 'E', was ->
       t.st <- Idle;
       disarm t;
-      {
-        no_outcome with
-        to_send = [ ctrl 'F' ];
-        events = (if was = Idle then [] else [ Released ]);
-      }
+      ctrl ob 'F';
+      if was <> Idle then link_down ob "peer released";
+      false
     | 'F', Ending ->
       t.st <- Idle;
       disarm t;
-      { no_outcome with events = [ Released ] }
+      link_down ob "peer released";
+      false
     (* Data transfer (Ready only). *)
     | 'D', Ready -> (
-      match Sscop.on_receive t.core frame with
-      | Sscop.Deliver payload ->
-        { no_outcome with deliveries = [ payload ]; to_send = [ Sscop.make_ack t.core ] }
-      | Sscop.Out_of_order _ ->
+      match Sscop.input t.core buf off len with
+      | Sscop.Delivered ->
+        Outbox.add_frame ob (Sscop.make_ack t.core);
+        true
+      | Sscop.Unexpected ->
         (* Re-ack at the expected number so the peer retransmits. *)
-        { no_outcome with to_send = [ Sscop.make_ack t.core ] }
-      | Sscop.Ack_processed _ | Sscop.Malformed _ -> no_outcome)
-    | 'A', Ready -> (
-      match Sscop.on_receive t.core frame with
-      | Sscop.Ack_processed _ ->
-        on_ack_progress t;
-        if unacked t > 0 && t.deadline = None then
-          arm t ~now t.cfg.poll_interval;
-        no_outcome
-      | _ -> no_outcome)
+        Outbox.add_frame ob (Sscop.make_ack t.core);
+        false
+      | Sscop.Acked | Sscop.Invalid -> false)
+    | 'A', Ready ->
+      Sscop.acknowledge t.core buf off;
+      ack_progress t ~now;
+      false
     (* Keep-alive. *)
     | 'P', Ready ->
-      { no_outcome with to_send = [ Sscop.frame ~tag:'S' ~seq:(Sscop.next_expected_seq t.core) Bytes.empty ] }
-    | 'S', Ready -> (
-      (* STAT is a cumulative ack: reuse the core's ack handling. *)
-      match Sscop.parse frame with
-      | Ok (_, seq, _) -> (
-        match Sscop.on_receive t.core (Sscop.frame ~tag:'A' ~seq Bytes.empty) with
-        | Sscop.Ack_processed _ ->
-          on_ack_progress t;
-          if unacked t > 0 && t.deadline = None then
-            arm t ~now t.cfg.poll_interval;
-          no_outcome
-        | _ -> no_outcome)
-      | Error _ -> no_outcome)
+      Outbox.add_frame ob
+        (Sscop.frame ~tag:'S' ~seq:(Sscop.next_expected_seq t.core) Bytes.empty);
+      false
+    | 'S', Ready ->
+      (* STAT is a cumulative ack. *)
+      Sscop.acknowledge t.core buf off;
+      ack_progress t ~now;
+      false
     (* Everything else is ignorable in the current state. *)
-    | _ -> no_outcome)
+    | _ -> false
 
-let tick t ~now =
-  match t.deadline with
-  | Some d when now >= d -> (
+let rec retransmit t ob i =
+  if i < Sscop.unacked_count t.core then begin
+    Outbox.add_frame ob (Sscop.retransmit t.core i);
+    retransmit t ob (i + 1)
+  end
+
+(* Resend [tag] on the response timer, or reset once the budget is
+   spent. *)
+let resend t ~now ob tag reason =
+  if t.retrans >= t.cfg.max_retransmissions then reset t ob reason
+  else begin
+    t.retrans <- t.retrans + 1;
+    arm t ~now t.cfg.response_timeout;
+    ctrl ob tag
+  end
+
+let tick t ~now ob =
+  if now >= next_deadline t then
     match t.st with
-    | Outgoing ->
-      if t.retrans >= t.cfg.max_retransmissions then
-        reset t "connection establishment timed out"
-      else begin
-        t.retrans <- t.retrans + 1;
-        arm t ~now t.cfg.response_timeout;
-        { no_outcome with to_send = [ ctrl 'B' ] }
-      end
-    | Ending ->
-      if t.retrans >= t.cfg.max_retransmissions then
-        reset t "release timed out"
-      else begin
-        t.retrans <- t.retrans + 1;
-        arm t ~now t.cfg.response_timeout;
-        { no_outcome with to_send = [ ctrl 'E' ] }
-      end
+    | Outgoing -> resend t ~now ob 'B' "connection establishment timed out"
+    | Ending -> resend t ~now ob 'E' "release timed out"
     | Ready ->
-      if unacked t = 0 then begin
-        disarm t;
-        no_outcome
-      end
+      if unacked t = 0 then disarm t
       else if t.retrans >= t.cfg.max_retransmissions then
-        reset t "peer stopped acknowledging"
+        reset t ob "peer stopped acknowledging"
       else begin
         t.retrans <- t.retrans + 1;
         arm t ~now t.cfg.poll_interval;
-        {
-          no_outcome with
-          to_send =
-            Sscop.retransmit t.core
-            @ [ Sscop.frame ~tag:'P' ~seq:(Sscop.next_send_seq t.core) Bytes.empty ];
-        }
+        retransmit t ob 0;
+        Outbox.add_frame ob
+          (Sscop.frame ~tag:'P' ~seq:(Sscop.next_send_seq t.core) Bytes.empty)
       end
-    | Idle ->
-      disarm t;
-      no_outcome)
-  | _ -> no_outcome
+    | Idle -> disarm t

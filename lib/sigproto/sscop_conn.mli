@@ -9,8 +9,13 @@
 
     The machine is driven by explicit timestamps — [now] is whatever clock
     the caller uses (the event engine's virtual time in simulations) — and
-    is purely functional in its outputs: every entry point returns the
-    frames to transmit rather than transmitting them. *)
+    performs no IO: every entry point adds the frames to transmit, and a
+    {!Outbox.Link_up} or {!Outbox.Link_down} event when the connection
+    comes up or goes down, to the caller's {!Outbox}.  Each frame added is
+    fresh, and a data frame is also the one {!Sscop} keeps for
+    retransmission, so a caller must not change a frame it is given.  An
+    incoming frame is read where it lies, and the one timer's deadline is
+    an unboxed float. *)
 
 type state = Idle | Outgoing | Ready | Ending
 
@@ -23,42 +28,38 @@ type config = {
 val default_config : config
 (** 100 ms polls, 500 ms response timeout, 4 retransmissions. *)
 
-type event =
-  | Connected  (** The connection reached [Ready]. *)
-  | Released  (** Orderly release completed. *)
-  | Reset of string  (** Retransmission budget exhausted; connection dead. *)
-
-type outcome = {
-  deliveries : bytes list;  (** In-order assured data for the upper layer. *)
-  to_send : bytes list;  (** Frames to put on the wire. *)
-  events : event list;
-}
-
 type t
 
 val create : ?config:config -> unit -> t
 
 val state : t -> state
 
-val begin_connection : t -> now:float -> outcome
-(** Originate: emits BGN, arms the response timer. *)
+val begin_connection : t -> now:float -> Outbox.t -> unit
+(** Originate: adds BGN, arms the response timer.  Only from [Idle]. *)
 
-val send : t -> now:float -> bytes -> (outcome, [ `Not_ready ]) result
-(** Assured-mode data; only valid in [Ready]. *)
+val reserve : t -> now:float -> Outbox.t -> int -> bytes
+(** [reserve t ~now ob n] is the next assured-data frame, added to [ob],
+    with [n] bytes of payload at {!Sscop.header_bytes} for the caller to
+    write before it drains [ob].  Raises [Invalid_argument] unless the
+    state is [Ready]. *)
 
-val release : t -> now:float -> outcome
-(** Orderly release: emits END. *)
+val release : t -> now:float -> Outbox.t -> unit
+(** Orderly release: adds END. *)
 
-val on_receive : t -> now:float -> bytes -> outcome
-(** Process any SSCOP frame (BGN/BGAK/END/ENDAK/SD/ACK/POLL/STAT). *)
+val input : t -> now:float -> Outbox.t -> bytes -> int -> int -> bool
+(** [input t ~now ob buf off len] processes the SSCOP frame (BGN, BGAK,
+    END, ENDAK, SD, ACK, POLL or STAT) in the [len] bytes at [off], reading
+    only its header.  It is true when the frame delivered in-order data:
+    the payload is then the [len - Sscop.header_bytes] bytes after the
+    header. *)
 
-val tick : t -> now:float -> outcome
-(** Fire due timers: POLL emission, BGN/END/data retransmission, or
-    connection reset when the budget runs out.  Call at (or after)
-    {!next_deadline}. *)
+val tick : t -> now:float -> Outbox.t -> unit
+(** Fire a due timer: POLL emission with the retransmission of every
+    unacknowledged frame, BGN/END retransmission, or a reset when the
+    budget runs out.  Call at (or after) {!next_deadline}. *)
 
-val next_deadline : t -> float option
-(** When {!tick} next needs to run; [None] when no timer is armed. *)
+val next_deadline : t -> float
+(** When {!tick} next needs to run; [infinity] when no timer is armed. *)
 
 val unacked : t -> int
 (** Sequenced-data frames awaiting acknowledgment. *)

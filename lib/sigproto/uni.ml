@@ -1,25 +1,12 @@
-type event =
-  | Link_up
-  | Link_down of string
-  | Call_offered of int * Ie.t list
-  | Call_connected of int
-  | Call_released of int
-  | Call_failed of int * string
-
-type outcome = { to_wire : bytes list; events : event list }
-
-let empty = { to_wire = []; events = [] }
-
-let ( ++ ) a b = { to_wire = a.to_wire @ b.to_wire; events = a.events @ b.events }
-
 module Flat = Ldlp_flowtable.Flat
 
 (* Each call is one row of [width] int columns in [t.rows], found through
-   [t.index] by call reference.  The row's supervision deadline and the
-   IEs of its SETUP sit at the row's number in [t.deadlines] and [t.ies].
-   A free row's [c_ref] holds [-2 - next], the next free row (-1 for
-   none), so every negative [c_ref] is a free row.  A free row's deadline,
-   like an unarmed call's, is [infinity]. *)
+   [t.index] by call reference.  The row's supervision deadline and, for
+   a call this end originated, the elements of its SETUP sit at the row's
+   number in [t.deadlines] and [t.ies].  A free row's [c_ref] holds
+   [-2 - next], the next free row (-1 for none), so every negative [c_ref]
+   is a free row.  A free row's deadline, like an unarmed call's, is
+   [infinity]. *)
 let c_ref = 0
 
 let c_state = 1 (* Fsm.code *)
@@ -42,12 +29,12 @@ let null = Fsm.code Fsm.Null
 
 type t = {
   sscop : Sscop_conn.t;
+  out : Outbox.t;
   index : Flat.t;  (* call reference to row *)
   mutable rows : int array;
   mutable deadlines : float array;
-  mutable ies : Ie.t list array;  (* the call's SETUP IEs *)
+  mutable ies : bytes array;  (* an originated call's SETUP elements *)
   mutable free : int;  (* first free row, -1 for none *)
-  mutable ready : bool;
   mutable owner : int;  (* -1 until the first call access claims it *)
 }
 
@@ -60,14 +47,16 @@ let t308 = 30.0
 let create ?sscop () =
   {
     sscop = Sscop_conn.create ?config:sscop ();
+    out = Outbox.create ();
     index = Flat.create ();
     rows = [||];
     deadlines = [||];
     ies = [||];
     free = -1;
-    ready = false;
     owner = -1;
   }
+
+let outbox t = t.out
 
 (* Domain-local, like a [Ldlp_core.Msg] pool: the first access to the
    calls claims the endpoint for the calling domain, and an access from
@@ -101,7 +90,7 @@ let grow t =
   done;
   let deadlines = Array.make grown infinity in
   Array.blit t.deadlines 0 deadlines 0 n;
-  let ies = Array.make grown [] in
+  let ies = Array.make grown Bytes.empty in
   Array.blit t.ies 0 ies 0 n;
   t.rows <- rows;
   t.deadlines <- deadlines;
@@ -129,7 +118,7 @@ let remove_call t r =
   c.(b + c_ref) <- -2 - t.free;
   c.(b + c_timer) <- no_timer;
   t.deadlines.(r) <- infinity;
-  t.ies.(r) <- [];
+  t.ies.(r) <- Bytes.empty;
   t.free <- r
 
 let arm t r timer ~tries deadline =
@@ -142,7 +131,7 @@ let disarm t r =
   t.rows.((r * width) + c_timer) <- no_timer;
   t.deadlines.(r) <- infinity
 
-let link_ready t = t.ready
+let link_ready t = Sscop_conn.state t.sscop = Sscop_conn.Ready
 
 let active_calls t = Flat.length t.index
 
@@ -150,19 +139,43 @@ let call_state t ~call_ref =
   let r = find t call_ref in
   if r < 0 then None else Some (Fsm.of_code t.rows.((r * width) + c_state))
 
-let of_sscop (o : Sscop_conn.outcome) =
-  { to_wire = o.Sscop_conn.to_send; events = [] }
+let event t kind call_ref reason = Outbox.add_event t.out kind ~call_ref reason
 
-(* Send one Q.93B message through the assured connection. *)
+(* Send one Q.93B message through the assured connection, written
+   straight into the frame SSCOP keeps for retransmission; nothing while
+   the link is down. *)
 let ship t ~now ~call_ref ~from_originator typ ies =
-  let wire = Sigmsg.encode (Sigmsg.v ~from_originator ~call_ref typ ies) in
-  match Sscop_conn.send t.sscop ~now wire with
-  | Ok o -> of_sscop o
-  | Error `Not_ready -> empty
+  if link_ready t then begin
+    let ie_len = Bytes.length ies in
+    let f =
+      Sscop_conn.reserve t.sscop ~now t.out (Sigmsg.header_bytes + ie_len)
+    in
+    Sigmsg.write_header f Sscop.header_bytes ~call_ref ~from_originator
+      ~code:(Sigmsg.type_code typ) ~ie_len;
+    Bytes.blit ies 0 f (Sscop.header_bytes + Sigmsg.header_bytes) ie_len
+  end
 
-let link_up t ~now = of_sscop (Sscop_conn.begin_connection t.sscop ~now)
+let link_up t ~now = Sscop_conn.begin_connection t.sscop ~now t.out
 
-let step_call t ~now r ev =
+(* Carry out a call's FSM actions in order.  The message that drove them
+   (if any) lies at [at] in [buf]: an offered call's event points at it. *)
+let rec apply t ~now r ~call_ref ~from_originator buf at = function
+  | [] -> ()
+  | action :: rest ->
+    (match action with
+    | Fsm.Send typ ->
+      let ies = if typ = Sigmsg.Setup then t.ies.(r) else Bytes.empty in
+      ship t ~now ~call_ref ~from_originator typ ies
+    | Fsm.Notify_setup -> Outbox.add_offer t.out ~call_ref buf at
+    | Fsm.Notify_connected ->
+      disarm t r;
+      event t Outbox.Call_connected call_ref ""
+    | Fsm.Notify_released ->
+      disarm t r;
+      event t Outbox.Call_released call_ref "");
+    apply t ~now r ~call_ref ~from_originator buf at rest
+
+let step_call t ~now r ev buf at =
   let b = r * width in
   let call_ref = t.rows.(b + c_ref) in
   let from_originator = t.rows.(b + c_orig) = 1 in
@@ -173,39 +186,23 @@ let step_call t ~now r ev =
        never left Null holds no state worth keeping. *)
     if state = null then remove_call t r;
     ship t ~now ~call_ref ~from_originator:(not from_originator)
-      Sigmsg.Status []
-    ++ { empty with events = [ Call_failed (call_ref, e) ] }
+      Sigmsg.Status Bytes.empty;
+    event t Outbox.Call_failed call_ref e
   | Fsm.Ok_next (state', actions) ->
     t.rows.(b + c_state) <- Fsm.code state';
-    let out =
-      List.fold_left
-        (fun acc action ->
-          match action with
-          | Fsm.Send typ ->
-            let ies = if typ = Sigmsg.Setup then t.ies.(r) else [] in
-            acc ++ ship t ~now ~call_ref ~from_originator typ ies
-          | Fsm.Notify_setup ->
-            acc
-            ++ { empty with events = [ Call_offered (call_ref, t.ies.(r)) ] }
-          | Fsm.Notify_connected ->
-            disarm t r;
-            acc ++ { empty with events = [ Call_connected call_ref ] }
-          | Fsm.Notify_released ->
-            disarm t r;
-            acc ++ { empty with events = [ Call_released call_ref ] })
-        empty actions
-    in
-    if Fsm.is_terminal state' then remove_call t r;
-    out
+    apply t ~now r ~call_ref ~from_originator buf at actions;
+    if Fsm.is_terminal state' then remove_call t r
 
 let originate t ~now ~call_ref ies =
-  if not t.ready then Error `Link_down
+  if not (link_ready t) then Error `Link_down
   else if find t call_ref >= 0 then Error `Busy_ref
+  else if call_ref > 0x7FFFFF then
+    invalid_arg "Uni.originate: call reference out of 23-bit range"
   else begin
     let r = add_call t call_ref ~from_originator:true ies in
-    let out = step_call t ~now r Fsm.Api_setup in
+    step_call t ~now r Fsm.Api_setup Bytes.empty 0;
     arm t r timer_t303 ~tries:0 (now +. t303);
-    Ok out
+    Ok ()
   end
 
 let abort t ~call_ref =
@@ -215,73 +212,63 @@ let abort t ~call_ref =
 
 let accept t ~now ~call_ref =
   let r = find t call_ref in
-  if r < 0 then Error `No_call else Ok (step_call t ~now r Fsm.Api_accept)
+  if r < 0 then Error `No_call
+  else begin
+    step_call t ~now r Fsm.Api_accept Bytes.empty 0;
+    Ok ()
+  end
 
 let hangup t ~now ~call_ref =
   let r = find t call_ref in
   if r < 0 then Error `No_call
   else begin
-    let out = step_call t ~now r Fsm.Api_release in
+    step_call t ~now r Fsm.Api_release Bytes.empty 0;
     (* A removed row's [c_ref] is negative. *)
     if t.rows.((r * width) + c_ref) = call_ref then
       arm t r timer_t308 ~tries:0 (now +. t308);
-    Ok out
+    Ok ()
   end
 
-let on_signalling t ~now wire =
-  match Sigmsg.decode wire with
-  | Error _ -> empty
-  | Ok m ->
-    let call_ref = m.Sigmsg.call_ref in
+(* The Q.93B message in the [len] bytes at [off], checked and read where
+   it lies. *)
+let on_signalling t ~now buf off len =
+  if Sigmsg.check_at buf off len >= 0 then begin
+    let call_ref = Sigmsg.call_ref_at buf off and typ = Sigmsg.typ_at buf off in
     let r =
       let r = find t call_ref in
-      if r >= 0 then r
-      else add_call t call_ref ~from_originator:false m.Sigmsg.ies
+      if r >= 0 then r else add_call t call_ref ~from_originator:false Bytes.empty
     in
-    if m.Sigmsg.typ = Sigmsg.Setup then t.ies.(r) <- m.Sigmsg.ies;
+    let b = r * width in
+    (* A call this end originated resends the last SETUP it holds on
+       T303, so a SETUP for it replaces its elements. *)
+    if typ = Sigmsg.Setup && t.rows.(b + c_orig) = 1 then
+      t.ies.(r) <-
+        Bytes.sub buf (off + Sigmsg.header_bytes) (Sigmsg.ie_length_at buf off);
     (* Any response to SETUP / RELEASE stops the supervision timer. *)
-    let timer = t.rows.((r * width) + c_timer) in
-    (match m.Sigmsg.typ with
+    let timer = t.rows.(b + c_timer) in
+    (match typ with
     | (Sigmsg.Call_proceeding | Sigmsg.Connect) when timer = timer_t303 ->
       disarm t r
     | Sigmsg.Release_complete when timer = timer_t308 -> disarm t r
     | _ -> ());
-    step_call t ~now r (Fsm.Recv m.Sigmsg.typ)
+    step_call t ~now r (Fsm.recv typ) buf off
+  end
 
-let on_wire t ~now frame =
-  let o = Sscop_conn.on_receive t.sscop ~now frame in
-  let base = of_sscop { o with Sscop_conn.deliveries = [] } in
-  let link_events =
-    List.filter_map
-      (function
-        | Sscop_conn.Connected ->
-          t.ready <- true;
-          Some Link_up
-        | Sscop_conn.Released ->
-          t.ready <- false;
-          Some (Link_down "peer released")
-        | Sscop_conn.Reset reason ->
-          t.ready <- false;
-          Some (Link_down reason))
-      o.Sscop_conn.events
-  in
-  List.fold_left
-    (fun acc wire -> acc ++ on_signalling t ~now wire)
-    (base ++ { empty with events = link_events })
-    o.Sscop_conn.deliveries
+let on_wire t ~now buf off len =
+  if Sscop_conn.input t.sscop ~now t.out buf off len then
+    on_signalling t ~now buf (off + Sscop.header_bytes) (len - Sscop.header_bytes)
 
 (* A loop over the rows' deadlines, which are [infinity] on free rows and
-   unarmed calls: the mesh asks after every outcome. *)
-let next_deadline t =
+   unarmed calls: the mesh asks after every operation, and inlined, the
+   result stays an unboxed float. *)
+let[@inline] next_deadline t =
   let d = t.deadlines in
-  let calls = ref infinity in
+  let soonest = ref (Sscop_conn.next_deadline t.sscop) in
   for r = 0 to Array.length d - 1 do
     let x = Array.unsafe_get d r in
-    if x < !calls then calls := x
+    if x < !soonest then soonest := x
   done;
-  match Sscop_conn.next_deadline t.sscop with
-  | Some s -> Some (Float.min s !calls)
-  | None -> if !calls < infinity then Some !calls else None
+  !soonest
 
 (* The row of the expired call with the smallest reference above [above],
    or -1: expiries fire in ascending call-reference order, which the
@@ -314,45 +301,29 @@ let expire t ~now r =
     end
     else begin
       remove_call t r;
-      { empty with events = [ Call_failed (call_ref, "T303 expired") ] }
+      event t Outbox.Call_failed call_ref "T303 expired"
     end
   else if first then begin
     arm t r timer_t308 ~tries:1 (now +. t308);
     ship t ~now ~call_ref ~from_originator:(t.rows.(b + c_orig) = 1)
-      Sigmsg.Release []
+      Sigmsg.Release Bytes.empty
   end
   else begin
     remove_call t r;
-    { empty with events = [ Call_failed (call_ref, "T308 expired") ] }
+    event t Outbox.Call_failed call_ref "T308 expired"
+  end
+
+(* An expiry re-arms or frees only its own row. *)
+let rec fire t ~now above =
+  let r = next_expired t ~now ~above in
+  if r >= 0 then begin
+    guard t;
+    let call_ref = t.rows.((r * width) + c_ref) in
+    expire t ~now r;
+    fire t ~now call_ref
   end
 
 let tick t ~now =
-  (* SSCOP timers first. *)
-  let o = Sscop_conn.tick t.sscop ~now in
-  let link_events =
-    List.filter_map
-      (function
-        | Sscop_conn.Reset reason ->
-          t.ready <- false;
-          Some (Link_down reason)
-        | Sscop_conn.Connected ->
-          t.ready <- true;
-          Some Link_up
-        | Sscop_conn.Released ->
-          t.ready <- false;
-          Some (Link_down "released"))
-      o.Sscop_conn.events
-  in
-  (* Then the Q.93B supervision timers.  An expiry re-arms or frees only
-     its own row. *)
-  let rec fire acc above =
-    let r = next_expired t ~now ~above in
-    if r < 0 then acc
-    else begin
-      guard t;
-      let call_ref = t.rows.((r * width) + c_ref) in
-      let out = expire t ~now r in
-      fire (acc ++ out) call_ref
-    end
-  in
-  fire (of_sscop o ++ { empty with events = link_events }) (-1)
+  (* SSCOP timers first, then the Q.93B supervision timers. *)
+  Sscop_conn.tick t.sscop ~now t.out;
+  fire t ~now (-1)

@@ -403,12 +403,13 @@ let test_sscop_ack_trims_buffer () =
 let test_sscop_retransmit () =
   let tx = Sscop.create () in
   let f1 = Sscop.send tx (Bytes.of_string "lost") in
-  let frames = Sscop.retransmit tx in
-  checki "one frame" 1 (List.length frames);
-  check "identical to original" true (Bytes.equal (List.hd frames) f1);
+  checki "one frame" 1 (Sscop.unacked_count tx);
+  let f = Sscop.retransmit tx 0 in
+  check "identical to original" true (Bytes.equal f f1);
+  check "a fresh copy" true (f != f1);
   (* A fresh receiver accepts the retransmission. *)
   let rx = Sscop.create () in
-  match Sscop.on_receive rx (List.hd frames) with
+  match Sscop.on_receive rx f with
   | Sscop.Deliver p -> checks "payload" "lost" (Bytes.to_string p)
   | _ -> Alcotest.fail "retransmit delivery"
 
@@ -493,28 +494,65 @@ let prop_sscop_ring =
           end;
           Sscop.unacked tx = !model
           && Sscop.unacked_count tx = List.length !model
-          && Sscop.retransmit tx
+          && List.init (Sscop.unacked_count tx) (Sscop.retransmit tx)
              = List.map (fun (seq, p) -> Sscop.frame ~tag:'D' ~seq p) !model)
         ops)
 
 (* ---------- Sscop_conn (connection-managed SSCOP) ---------- *)
 
+(* The frames and events (kind and reason) in an outbox, which is then
+   emptied. *)
+let emptied ob =
+  let frames = ref [] and events = ref [] in
+  for i = Outbox.top ob - 1 downto 0 do
+    match Outbox.kind ob i with
+    | Outbox.Frame -> frames := Outbox.data ob i :: !frames
+    | k -> events := (k, Outbox.reason ob i) :: !events
+  done;
+  Outbox.drop ob 0;
+  (!frames, !events)
+
+(* What one operation adds to a fresh outbox. *)
+let emitted f =
+  let ob = Outbox.create () in
+  f ob;
+  emptied ob
+
+(* Feed frames to a connection: the payloads it delivered, the frames it
+   sent and the events it raised. *)
 let feed conn ~now frames =
-  List.fold_left
-    (fun (deliv, out, evs) f ->
-      let o = Sscop_conn.on_receive conn ~now f in
-      ( deliv @ o.Sscop_conn.deliveries,
-        out @ o.Sscop_conn.to_send,
-        evs @ o.Sscop_conn.events ))
-    ([], [], []) frames
+  let ob = Outbox.create () in
+  let deliv =
+    List.filter_map
+      (fun f ->
+        let n = Bytes.length f in
+        if Sscop_conn.input conn ~now ob f 0 n then
+          Some (Bytes.sub f Sscop.header_bytes (n - Sscop.header_bytes))
+        else None)
+      frames
+  in
+  let out, evs = emptied ob in
+  (deliv, out, evs)
+
+(* Assured data: a reserved frame with [payload] written into it. *)
+let send conn ~now payload =
+  emitted (fun ob ->
+      let n = Bytes.length payload in
+      let f = Sscop_conn.reserve conn ~now ob n in
+      Bytes.blit payload 0 f Sscop.header_bytes n)
+  |> fst
+
+let link_up = (Outbox.Link_up, "")
+
+let peer_released = (Outbox.Link_down, "peer released")
 
 let establish () =
   let a = Sscop_conn.create () and b = Sscop_conn.create () in
-  let o = Sscop_conn.begin_connection a ~now:0.0 in
-  let _, bgak, b_events = feed b ~now:0.0 o.Sscop_conn.to_send in
+  let bgn, _ = emitted (Sscop_conn.begin_connection a ~now:0.0) in
+  let _, bgak, b_events = feed b ~now:0.0 bgn in
   let _, _, a_events = feed a ~now:0.0 bgak in
-  check "responder connected" true (List.mem Sscop_conn.Connected b_events);
-  check "originator connected" true (List.mem Sscop_conn.Connected a_events);
+  check "responder connected" true (List.mem link_up b_events);
+  check "originator connected" true (List.mem link_up a_events);
   check "both ready" true
     (Sscop_conn.state a = Sscop_conn.Ready && Sscop_conn.state b = Sscop_conn.Ready);
   (a, b)
@@ -523,33 +561,30 @@ let test_conn_establish () = ignore (establish ())
 
 let test_conn_data_and_ack () =
   let a, b = establish () in
-  match Sscop_conn.send a ~now:0.1 (Bytes.of_string "payload") with
-  | Error `Not_ready -> Alcotest.fail "send refused"
-  | Ok o ->
-    checki "one unacked" 1 (Sscop_conn.unacked a);
-    let deliv, acks, _ = feed b ~now:0.101 o.Sscop_conn.to_send in
-    (match deliv with
-    | [ p ] -> checks "delivered" "payload" (Bytes.to_string p)
-    | _ -> Alcotest.fail "delivery");
-    let _, _, _ = feed a ~now:0.102 acks in
-    checki "acked" 0 (Sscop_conn.unacked a);
-    check "poll timer disarmed" true (Sscop_conn.next_deadline a = None)
+  let frames = send a ~now:0.1 (Bytes.of_string "payload") in
+  checki "one unacked" 1 (Sscop_conn.unacked a);
+  let deliv, acks, _ = feed b ~now:0.101 frames in
+  (match deliv with
+  | [ p ] -> checks "delivered" "payload" (Bytes.to_string p)
+  | _ -> Alcotest.fail "delivery");
+  let _, _, _ = feed a ~now:0.102 acks in
+  checki "acked" 0 (Sscop_conn.unacked a);
+  check "poll timer disarmed" true (Sscop_conn.next_deadline a = infinity)
 
 let test_conn_send_before_ready () =
   let c = Sscop_conn.create () in
-  match Sscop_conn.send c ~now:0.0 (Bytes.of_string "x") with
-  | Error `Not_ready -> ()
-  | Ok _ -> Alcotest.fail "send before ready must fail"
+  match send c ~now:0.0 (Bytes.of_string "x") with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "send before ready must fail"
 
 let test_conn_lost_data_recovered_by_poll () =
   let a, b = establish () in
-  let o = Result.get_ok (Sscop_conn.send a ~now:0.0 (Bytes.of_string "lost")) in
-  ignore o.Sscop_conn.to_send (* frame vanishes on the wire *);
+  ignore (send a ~now:0.0 (Bytes.of_string "lost") (* frame vanishes on the wire *));
   (* Poll timer fires: retransmission + POLL. *)
-  let now = Option.get (Sscop_conn.next_deadline a) in
-  let t = Sscop_conn.tick a ~now in
-  checki "retransmit + poll" 2 (List.length t.Sscop_conn.to_send);
-  let deliv, replies, _ = feed b ~now t.Sscop_conn.to_send in
+  let now = Sscop_conn.next_deadline a in
+  let t, _ = emitted (Sscop_conn.tick a ~now) in
+  checki "retransmit + poll" 2 (List.length t);
+  let deliv, replies, _ = feed b ~now t in
   (match deliv with
   | [ p ] -> checks "recovered" "lost" (Bytes.to_string p)
   | _ -> Alcotest.fail "recovery");
@@ -560,18 +595,15 @@ let test_conn_lost_data_recovered_by_poll () =
 let test_conn_reset_after_budget () =
   let a, b = establish () in
   ignore b;
-  ignore (Result.get_ok (Sscop_conn.send a ~now:0.0 (Bytes.of_string "void")));
+  ignore (send a ~now:0.0 (Bytes.of_string "void"));
   let rec starve now n =
     if n > 20 then Alcotest.fail "never reset"
     else begin
-      match Sscop_conn.next_deadline a with
-      | None -> Alcotest.fail "no deadline while unacked"
-      | Some d ->
-        let o = Sscop_conn.tick a ~now:d in
-        if List.exists (function Sscop_conn.Reset _ -> true | _ -> false)
-             o.Sscop_conn.events
-        then now
-        else starve d (n + 1)
+      let d = Sscop_conn.next_deadline a in
+      if d = infinity then Alcotest.fail "no deadline while unacked";
+      let _, events = emitted (Sscop_conn.tick a ~now:d) in
+      if List.exists (fun (k, _) -> k = Outbox.Link_down) events then now
+      else starve d (n + 1)
     end
   in
   ignore (starve 0.0 0);
@@ -579,22 +611,22 @@ let test_conn_reset_after_budget () =
 
 let test_conn_release_handshake () =
   let a, b = establish () in
-  let o = Sscop_conn.release a ~now:1.0 in
-  let _, endak, b_events = feed b ~now:1.0 o.Sscop_conn.to_send in
-  check "peer released" true (List.mem Sscop_conn.Released b_events);
+  let end_, _ = emitted (Sscop_conn.release a ~now:1.0) in
+  let _, endak, b_events = feed b ~now:1.0 end_ in
+  check "peer released" true (List.mem peer_released b_events);
   let _, _, a_events = feed a ~now:1.0 endak in
-  check "originator released" true (List.mem Sscop_conn.Released a_events);
+  check "originator released" true (List.mem peer_released a_events);
   check "both idle" true
     (Sscop_conn.state a = Sscop_conn.Idle && Sscop_conn.state b = Sscop_conn.Idle)
 
 let test_conn_bgn_retransmission () =
   let a = Sscop_conn.create () in
-  let o = Sscop_conn.begin_connection a ~now:0.0 in
-  checki "BGN sent" 1 (List.length o.Sscop_conn.to_send);
+  let bgn, _ = emitted (Sscop_conn.begin_connection a ~now:0.0) in
+  checki "BGN sent" 1 (List.length bgn);
   (* No answer: ticking at the deadline re-sends BGN. *)
-  let d = Option.get (Sscop_conn.next_deadline a) in
-  let o2 = Sscop_conn.tick a ~now:d in
-  checki "BGN retransmitted" 1 (List.length o2.Sscop_conn.to_send);
+  let d = Sscop_conn.next_deadline a in
+  let again, _ = emitted (Sscop_conn.tick a ~now:d) in
+  checki "BGN retransmitted" 1 (List.length again);
   check "still outgoing" true (Sscop_conn.state a = Sscop_conn.Outgoing)
 
 let test_conn_duplicate_bgn_reacked () =
@@ -617,50 +649,35 @@ let prop_conn_lossy_channel =
       let a, b = establish () in
       let delivered = ref [] in
       let now = ref 0.0 in
-      (* Send everything at once; each wire crossing drops frames with
-         probability 0.3 (but never the same frame forever thanks to
-         retransmission). *)
-      List.iter
-        (fun p ->
-          match Sscop_conn.send a ~now:!now (Bytes.of_string p) with
-          | Ok o ->
-            List.iter
-              (fun f ->
-                if not (Ldlp_sim.Rng.bool rng 0.3) then begin
-                  let o = Sscop_conn.on_receive b ~now:!now f in
-                  delivered := !delivered @ o.Sscop_conn.deliveries;
-                  (* acks may be dropped too *)
-                  List.iter
-                    (fun ack ->
-                      if not (Ldlp_sim.Rng.bool rng 0.3) then
-                        ignore (Sscop_conn.on_receive a ~now:!now ack))
-                    o.Sscop_conn.to_send
-                end)
-              o.Sscop_conn.to_send
-          | Error `Not_ready -> ())
-        payloads;
+      (* Each wire crossing drops frames with probability 0.3 (but never
+         the same frame forever thanks to retransmission); acks may be
+         dropped too. *)
+      let cross frames =
+        List.iter
+          (fun f ->
+            if not (Ldlp_sim.Rng.bool rng 0.3) then begin
+              let deliv, replies, _ = feed b ~now:!now [ f ] in
+              delivered := !delivered @ deliv;
+              List.iter
+                (fun reply ->
+                  if not (Ldlp_sim.Rng.bool rng 0.3) then
+                    ignore (feed a ~now:!now [ reply ]))
+                replies
+            end)
+          frames
+      in
+      (* Send everything at once. *)
+      List.iter (fun p -> cross (send a ~now:!now (Bytes.of_string p))) payloads;
       (* Drive recovery; the deterministic drop pattern ends after a few
          rounds because each round redraws coins. *)
       let rounds = ref 0 in
       while Sscop_conn.unacked a > 0 && !rounds < 200 do
         incr rounds;
-        (match Sscop_conn.next_deadline a with
-        | None -> ()
-        | Some d ->
+        let d = Sscop_conn.next_deadline a in
+        if d < infinity then begin
           now := d;
-          let o = Sscop_conn.tick a ~now:!now in
-          List.iter
-            (fun f ->
-              if not (Ldlp_sim.Rng.bool rng 0.3) then begin
-                let ob = Sscop_conn.on_receive b ~now:!now f in
-                delivered := !delivered @ ob.Sscop_conn.deliveries;
-                List.iter
-                  (fun reply ->
-                    if not (Ldlp_sim.Rng.bool rng 0.3) then
-                      ignore (Sscop_conn.on_receive a ~now:!now reply))
-                  ob.Sscop_conn.to_send
-              end)
-            o.Sscop_conn.to_send)
+          cross (fst (emitted (Sscop_conn.tick a ~now:!now)))
+        end
       done;
       (* Either everything was delivered in order, or the connection was
          legitimately reset after exhausting its budget (rare with p=0.3
